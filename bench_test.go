@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation (one per figure plus
-// the §6.2 resource calculation and the DESIGN.md ablations). Each
+// the §6.2 resource calculation and the design ablations). Each
 // benchmark runs the corresponding experiment at a reduced simulated
 // window and reports the headline numbers as custom metrics, so
 //

@@ -93,7 +93,7 @@ var runners = []struct {
 		"time (ms)", "throughput (MRPS)", experiments.FigE, nil},
 	{"K", "Figure K: celebrity-key workload, auto-rebalance baseline vs per-key hot replication",
 		"-", "aggregate throughput (MRPS)", experiments.FigK, nil},
-	{"ablations", "Ablations (DESIGN.md §6)",
+	{"ablations", "Ablations (README, CLI tools)",
 		"-", "see series names",
 		func(s experiments.Scale) []experiments.Series {
 			var out []experiments.Series

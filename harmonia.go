@@ -298,21 +298,8 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("harmonia: %d of %d group specs set Weight — set it on every spec or on none (derived and explicit weights do not share a scale)", explicitWeights, n)
 		}
 		for g, gs := range cfg.GroupSpecs {
-			if gs.Protocol < PrimaryBackup || gs.Protocol > NOPaxos {
-				return nil, fmt.Errorf("harmonia: group %d: unknown protocol %d", g, gs.Protocol)
-			}
-			if gs.Replicas < 0 {
-				return nil, fmt.Errorf("harmonia: group %d: invalid replica count %d", g, gs.Replicas)
-			}
-			eff := gs.Replicas
-			if eff == 0 {
-				eff = defReplicas
-			}
-			if eff == 1 && gs.Protocol == ViewstampedReplication {
-				return nil, fmt.Errorf("harmonia: group %d: invalid replica count %d for VR", g, eff)
-			}
-			if gs.Weight < 0 || math.IsNaN(gs.Weight) || math.IsInf(gs.Weight, 0) {
-				return nil, fmt.Errorf("harmonia: group %d: invalid capacity weight %v", g, gs.Weight)
+			if err := validateSpec(gs, defReplicas); err != nil {
+				return nil, fmt.Errorf("harmonia: group %d: %w", g, err)
 			}
 		}
 		effGroups = n
@@ -337,11 +324,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	var specs []cluster.GroupSpec
 	for _, gs := range cfg.GroupSpecs {
-		specs = append(specs, cluster.GroupSpec{
-			Protocol: gs.Protocol.internal(),
-			Replicas: gs.Replicas,
-			Weight:   gs.Weight,
-		})
+		specs = append(specs, gs.toInternal())
 	}
 	ccfg := cluster.Config{
 		Protocol:      cfg.Protocol.internal(),
@@ -374,7 +357,7 @@ func New(cfg Config) (*Cluster, error) {
 		// group of its block (uniform weights additionally pin the
 		// historical even-shard constraints).
 		if err := rack.ValidateWeights(cfg.Switches, ccfg.ResolvedWeights()); err != nil {
-			return nil, fmt.Errorf("harmonia: %w", err)
+			return nil, prefixed(err)
 		}
 	}
 	return &Cluster{c: cluster.New(ccfg)}, nil
@@ -585,12 +568,7 @@ func (cl *Cluster) Groups() int { return cl.c.Groups() }
 func (cl *Cluster) GroupSpecs() []GroupSpec {
 	out := make([]GroupSpec, cl.c.Groups())
 	for g := range out {
-		sp := cl.c.SpecOf(g)
-		out[g] = GroupSpec{
-			Protocol: protocolFromInternal(sp.Protocol),
-			Replicas: sp.Replicas,
-			Weight:   sp.Weight,
-		}
+		out[g] = specFromInternal(cl.c.SpecOf(g))
 	}
 	return out
 }
@@ -754,26 +732,37 @@ func (cl *Cluster) SwapSlots(slotsA, slotsB []int) error {
 // and never reused: a retired group's ID stays retired forever, so
 // per-group statistics and histories remain valid across scale-in.
 
-// validateSpec applies New's per-spec validation rules to a spec
-// submitted at runtime.
-func (cl *Cluster) validateSpec(spec GroupSpec) error {
-	if spec.Protocol < PrimaryBackup || spec.Protocol > NOPaxos {
-		return fmt.Errorf("harmonia: unknown protocol %d", spec.Protocol)
+// validateSpec is the per-spec validation New and the runtime
+// operations share; defReplicas is what a zero Replicas inherits.
+// Callers prefix the error with what the spec was for.
+func validateSpec(gs GroupSpec, defReplicas int) error {
+	if gs.Protocol < PrimaryBackup || gs.Protocol > NOPaxos {
+		return fmt.Errorf("unknown protocol %d", gs.Protocol)
 	}
-	if spec.Replicas < 0 {
-		return fmt.Errorf("harmonia: invalid replica count %d", spec.Replicas)
+	if gs.Replicas < 0 {
+		return fmt.Errorf("invalid replica count %d", gs.Replicas)
 	}
-	eff := spec.Replicas
+	eff := gs.Replicas
 	if eff == 0 {
-		eff = cl.c.Config().Replicas
+		eff = defReplicas
 	}
-	if eff == 1 && spec.Protocol == ViewstampedReplication {
-		return fmt.Errorf("harmonia: invalid replica count %d for VR", eff)
+	if eff == 1 && gs.Protocol == ViewstampedReplication {
+		return fmt.Errorf("invalid replica count %d for VR", eff)
 	}
-	if spec.Weight < 0 || math.IsNaN(spec.Weight) || math.IsInf(spec.Weight, 0) {
-		return fmt.Errorf("harmonia: invalid capacity weight %v", spec.Weight)
+	if gs.Weight < 0 || math.IsNaN(gs.Weight) || math.IsInf(gs.Weight, 0) {
+		return fmt.Errorf("invalid capacity weight %v", gs.Weight)
 	}
 	return nil
+}
+
+// toInternal and specFromInternal are the one place the public and
+// internal group specs are converted into each other.
+func (gs GroupSpec) toInternal() cluster.GroupSpec {
+	return cluster.GroupSpec{Protocol: gs.Protocol.internal(), Replicas: gs.Replicas, Weight: gs.Weight}
+}
+
+func specFromInternal(sp cluster.GroupSpec) GroupSpec {
+	return GroupSpec{Protocol: protocolFromInternal(sp.Protocol), Replicas: sp.Replicas, Weight: sp.Weight}
 }
 
 // AddGroup grows the cluster by one replica group built from spec
@@ -788,18 +777,19 @@ func (cl *Cluster) validateSpec(spec GroupSpec) error {
 // Explicit vs derived capacity weights must match the cluster's boot
 // scale (the same all-or-none rule New enforces).
 func (cl *Cluster) AddGroup(spec GroupSpec) (int, error) {
-	if err := cl.validateSpec(spec); err != nil {
-		return 0, err
+	if err := validateSpec(spec, cl.c.Config().Replicas); err != nil {
+		return 0, prefixed(err)
 	}
-	g, err := cl.c.AddGroupWait(cluster.GroupSpec{
-		Protocol: spec.Protocol.internal(),
-		Replicas: spec.Replicas,
-		Weight:   spec.Weight,
-	})
+	g, err := cl.c.AddGroupWait(spec.toInternal())
+	return g, prefixed(err)
+}
+
+// prefixed marks an internal package's error as this package's.
+func prefixed(err error) error {
 	if err != nil {
-		return g, fmt.Errorf("harmonia: %w", err)
+		return fmt.Errorf("harmonia: %w", err)
 	}
-	return g, nil
+	return nil
 }
 
 // RemoveGroup retires group g: its slots are evacuated online to the
@@ -811,12 +801,7 @@ func (cl *Cluster) AddGroup(spec GroupSpec) (int, error) {
 // retirement. The call drives the simulation until the retirement
 // completes; on failure (a batch could not drain) the group keeps its
 // remaining slots and stays live.
-func (cl *Cluster) RemoveGroup(g int) error {
-	if err := cl.c.RemoveGroup(g); err != nil {
-		return fmt.Errorf("harmonia: %w", err)
-	}
-	return nil
-}
+func (cl *Cluster) RemoveGroup(g int) error { return prefixed(cl.c.RemoveGroup(g)) }
 
 // RespecGroup replaces live group g's member set with one built from
 // spec — a different protocol, replica count, or calibration — without
@@ -828,17 +813,10 @@ func (cl *Cluster) RemoveGroup(g int) error {
 // freeze window — the group's identity, slots, and routing are
 // untouched.
 func (cl *Cluster) RespecGroup(g int, spec GroupSpec) error {
-	if err := cl.validateSpec(spec); err != nil {
-		return err
+	if err := validateSpec(spec, cl.c.Config().Replicas); err != nil {
+		return prefixed(err)
 	}
-	if err := cl.c.RespecGroup(g, cluster.GroupSpec{
-		Protocol: spec.Protocol.internal(),
-		Replicas: spec.Replicas,
-		Weight:   spec.Weight,
-	}); err != nil {
-		return fmt.Errorf("harmonia: %w", err)
-	}
-	return nil
+	return prefixed(cl.c.RespecGroup(g, spec.toInternal()))
 }
 
 // ReassignDeadSwitch batch-migrates a permanently dead switch's entire
@@ -850,12 +828,7 @@ func (cl *Cluster) RespecGroup(g int, spec GroupSpec) error {
 // the victims' client tables merge into every destination, and the
 // victims retire through the revoke agreement. Afterwards every slot
 // is served again and the dead switch hosts nothing.
-func (cl *Cluster) ReassignDeadSwitch(s int) error {
-	if err := cl.c.ReassignDeadSwitch(s); err != nil {
-		return fmt.Errorf("harmonia: %w", err)
-	}
-	return nil
-}
+func (cl *Cluster) ReassignDeadSwitch(s int) error { return prefixed(cl.c.ReassignDeadSwitch(s)) }
 
 // TopologyEpoch returns the rack topology's membership revision
 // counter. It moves exactly once per membership change (group added,
@@ -977,7 +950,10 @@ type CheckResult struct {
 // history checking is unsupported; the load generators always use
 // checkable values.
 func (cl *Cluster) CheckLinearizability() CheckResult {
-	res := cl.c.CheckLinearizability()
+	return checkResult(cl.c.CheckLinearizability())
+}
+
+func checkResult(res lincheck.Result) CheckResult {
 	return CheckResult{Ok: res.Ok, Decided: res.Decided, Reason: res.Reason}
 }
 
@@ -986,8 +962,7 @@ func (cl *Cluster) CheckLinearizability() CheckResult {
 // compositional, so sharded runs are checked shard by shard — each
 // verdict stands on its own and the per-group searches stay small.
 func (cl *Cluster) CheckLinearizabilityGroup(g int) CheckResult {
-	res := cl.c.CheckLinearizabilityGroup(g)
-	return CheckResult{Ok: res.Ok, Decided: res.Decided, Reason: res.Reason}
+	return checkResult(cl.c.CheckLinearizabilityGroup(g))
 }
 
 // CheckLinearizabilityKey verifies the slice of the recorded history
@@ -996,8 +971,7 @@ func (cl *Cluster) CheckLinearizabilityGroup(g int) CheckResult {
 // verdict isolates it; this checks that one replicated register on
 // its own.
 func (cl *Cluster) CheckLinearizabilityKey(key string) CheckResult {
-	res := cl.c.CheckLinearizabilityKey(key)
-	return CheckResult{Ok: res.Ok, Decided: res.Decided, Reason: res.Reason}
+	return checkResult(cl.c.CheckLinearizabilityKey(key))
 }
 
 // History returns the recorded operations (for custom analysis).

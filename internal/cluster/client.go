@@ -121,7 +121,7 @@ type Report struct {
 // opState tracks one in-flight logical operation. The master packet is
 // embedded by value and the records are pooled on the cluster, so a
 // completed op recycles both in one free-list push; what actually
-// reaches the network is a per-transmission ShallowClone.
+// reaches the network is a pooled per-transmission FlightClone.
 type opState struct {
 	pkt         wire.Packet
 	valueID     int64

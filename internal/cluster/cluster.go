@@ -423,25 +423,25 @@ func (c Config) ResolvedWeights() []float64 {
 	return c.Weights()
 }
 
-// ReplicaHandle is the cluster's view of one protocol replica.
+// ReplicaHandle is the cluster's view of one protocol replica's state
+// — everything but message delivery, which goes to the protocol
+// replica itself. The state-transfer path (transfer.go) is written
+// against it, and unit-tested on fakes of it.
 type ReplicaHandle interface {
-	simnet.Handler
 	// Preload installs an object directly (cluster warm-up).
 	Preload(id wire.ObjectID, value []byte, seq wire.Seq)
 	// ExtractSlot copies the replica's live objects in one routing
 	// slot (migration source side).
 	ExtractSlot(slot int) map[wire.ObjectID]store.Object
 	// InstallSlot installs migrated objects (migration destination
-	// side). Sequence numbers must already be neutered to epoch 0 so
-	// the destination's write-order guard is untouched.
+	// side), already neutered to epoch 0 (see collect).
 	InstallSlot(objs map[wire.ObjectID]store.Object)
 	// DropSlot removes the slot's objects (migration source cleanup).
 	DropSlot(slot int) int
-	// ExportClients copies the replica's at-most-once client table;
-	// MergeClients installs exported records (newer request per client
-	// wins). A handoff moves the table with the objects: without it the
-	// destination would re-execute a write whose reply was lost, and
-	// the duplicate could clobber a newer committed value.
+	// ExportClients copies the replica's at-most-once client table,
+	// one reference per kept reply; MergeClients installs exported
+	// records (newer request per client wins). Why the table travels
+	// with the objects: see collect.
 	ExportClients() map[uint32]protocol.ClientRecord
 	MergeClients(recs map[uint32]protocol.ClientRecord)
 	// SlotCounts returns the replica's per-slot live-object counters,
@@ -453,6 +453,9 @@ type ReplicaHandle interface {
 	// refresh path, which copies a single promoted key instead of a
 	// whole slot.
 	GetObject(id wire.ObjectID) (store.Object, bool)
+	// ShimCounters returns the fast-path shim's served / rejected /
+	// lease-rejected read counts (zero for CRAQ, which has no shim).
+	ShimCounters() (served, rejected, leaseRejected uint64)
 }
 
 // replicaGroup is one replica group: a partition of the key space with
@@ -465,7 +468,7 @@ type replicaGroup struct {
 	inc      int // membership incarnation (bumped by RespecGroup)
 	sched    *core.Scheduler
 	replicas []ReplicaHandle
-	raw      any // protocol-specific slice for reconfiguration
+	nodes    []simnet.Handler // the protocol replicas, as registered with the network
 
 	// leaseGen invalidates the self-renewing lease-grant chain: the
 	// controller's periodic re-grant closure captures the generation it
@@ -493,10 +496,6 @@ type Cluster struct {
 	rack   *rack.Rack
 	groups []*replicaGroup
 
-	// replicas is the flattened, group-major view of every replica —
-	// the convenient shape for stats sweeps and single-group tests.
-	replicas []ReplicaHandle
-
 	ctl *controller
 
 	clients []*vclient
@@ -520,10 +519,8 @@ type Cluster struct {
 	// own groups, so the rebalancer can never ping-pong a slot across
 	// switch boundaries.
 	policies []*rebalance.Policy
-	// rebalanced counts slot moves completed by the rebalancer;
-	// rebalanceRounds counts its completed batch handoffs.
-	rebalanced      uint64
-	rebalanceRounds uint64
+	// rebalanced counts slot moves completed by the rebalancer.
+	rebalanced uint64
 
 	// opFree pools completed in-flight op records and varena carves
 	// their id-coded write payloads — the client-side halves of the
@@ -541,9 +538,6 @@ type Cluster struct {
 	// topoSeen is the topology epoch the rebalancer weight vectors were
 	// last computed at; rebalanceTick refreshes them when it moves.
 	topoSeen uint64
-
-	// reconfigs tracks in-flight elastic membership operations.
-	reconfigs []*Reconfig
 
 	// Hot-key replication state (nil map unless Config.HotKeys):
 	// promoted keys by object ID, plus a promotion-order slice so the
@@ -626,7 +620,6 @@ func New(cfg Config) *Cluster {
 		grp.sched = c.newScheduler(g, c.rack.Epoch(c.rack.SwitchOfGroup(g)))
 		c.rack.SetGroup(g, grp.sched)
 		c.buildGroupReplicas(grp)
-		c.replicas = append(c.replicas, grp.replicas...)
 	}
 
 	// Replica↔replica and controller channels model TCP: reliable and
@@ -758,11 +751,20 @@ func (c *Cluster) startRebalancer() {
 		c.policies[s].SetRecorder(c.rec, s)
 	}
 	c.refreshPolicyWeights()
-	iv := c.policies[0].Config().Interval
+	c.every(c.policies[0].Config().Interval, func() bool {
+		c.rebalanceTick()
+		return true
+	})
+}
+
+// every runs fn once per interval of simulated time, for as long as it
+// returns true.
+func (c *Cluster) every(iv time.Duration, fn func() (again bool)) {
 	var tick func()
 	tick = func() {
-		c.rebalanceTick()
-		c.eng.After(iv, tick)
+		if fn() {
+			c.eng.After(iv, tick)
+		}
 	}
 	c.eng.After(iv, tick)
 }
@@ -860,7 +862,7 @@ func (c *Cluster) rebalanceSwitch(s int, policy *rebalance.Policy, table []int, 
 	}
 	// Object counts are sampled only when this tick could fire a round
 	// — the policy's own gates (disarmed, cooling down, too little
-	// heat) would discard them unread. Heat is always passed: Plan
+	// heat) would discard them unread. Heat is always passed: PlanRound
 	// needs it to re-arm the trigger on calm readings.
 	var objects []int
 	if policy.Ready() && total >= policy.Config().MinOps {
@@ -938,10 +940,6 @@ func (c *Cluster) SlotHeat() []core.SlotHeat { return c.rack.SlotHeat() }
 // rebalancer over the cluster's lifetime.
 func (c *Cluster) Rebalances() uint64 { return c.rebalanced }
 
-// RebalanceRounds returns the number of completed rebalancer batch
-// handoffs.
-func (c *Cluster) RebalanceRounds() uint64 { return c.rebalanceRounds }
-
 // linkGroup models the group's replica↔replica and controller channels
 // as TCP: reliable and FIFO (see New). Factored out so elastic
 // AddGroup/RespecGroup wire new member sets identically.
@@ -973,17 +971,15 @@ func (c *Cluster) startSweep(grp *replicaGroup) {
 	if iv <= 0 {
 		return
 	}
-	var tick func()
-	tick = func() {
+	c.every(iv, func() bool {
 		if !c.rack.Live(grp.idx) {
-			return
+			return false
 		}
 		if s := grp.sched; s != nil && s.DirtyCount() > 0 {
 			s.SweepStale()
 		}
-		c.eng.After(iv, tick)
-	}
-	c.eng.After(iv, tick)
+		return true
+	})
 }
 
 // Engine exposes the simulation engine (tests and harnesses).
@@ -1013,10 +1009,6 @@ func (c *Cluster) GroupWeights() []float64 { return c.rack.Topo().LiveWeights() 
 
 // Switches returns the switch front-end count.
 func (c *Cluster) Switches() int { return c.rack.Switches() }
-
-// Frontend exposes switch 0's front-end — the whole switch for
-// single-switch racks (tests and stats).
-func (c *Cluster) Frontend() *core.Frontend { return c.rack.Front(0) }
 
 // FrontendOf exposes switch s's front-end.
 func (c *Cluster) FrontendOf(s int) *core.Frontend { return c.rack.Front(s) }
@@ -1155,67 +1147,45 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	}
 	proc := simnet.ProcConfig{Workers: spec.Workers, Cost: cost}
 
-	n := grp.n
-	f := (n - 1) / 2
-	gid := grp.idx
-	grp.replicas = make([]ReplicaHandle, n)
+	grp.replicas = make([]ReplicaHandle, grp.n)
+	grp.nodes = make([]simnet.Handler, grp.n)
+	for i := range grp.nodes {
+		env := &replicaEnv{c, addrs[i], swAddr}
+		g := protocol.GroupConfig{ID: grp.idx, Replicas: addrs, Self: i, F: (grp.n - 1) / 2}
+		grp.nodes[i], grp.replicas[i] = c.newReplica(spec, env, g)
+		c.net.AddNode(addrs[i], grp.nodes[i], proc)
+	}
+}
+
+// newReplica constructs one protocol replica and the handle onto its
+// state.
+func (c *Cluster) newReplica(spec GroupSpec, env *replicaEnv, g protocol.GroupConfig) (simnet.Handler, ReplicaHandle) {
+	var node simnet.Handler
+	var base *protocol.Base
 	switch spec.Protocol {
 	case PB:
-		rs := make([]*pb.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = pb.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards)
-			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			grp.replicas[i] = pbHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
-		}
-		grp.raw = rs
+		r := pb.New(env, g, spec.Shards)
+		node, base = r, r.Base
 	case Chain:
-		rs := make([]*chain.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = chain.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards)
-			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			grp.replicas[i] = chainHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
-		}
-		grp.raw = rs
+		r := chain.New(env, g, spec.Shards)
+		node, base = r, r.Base
 	case CRAQ:
-		rs := make([]*craq.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = craq.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards)
-			grp.replicas[i] = craqHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
-		}
-		grp.raw = rs
+		r := craq.New(env, g, spec.Shards)
+		return r, craqHandle{r}
 	case VR:
-		rs := make([]*vr.Replica, n)
 		opts := vr.DefaultOptions()
 		opts.EagerCompletions = c.cfg.EagerCompletions
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = vr.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards, opts)
-			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			rs[i].OnViewChange = c.viewChangeHook(gid)
-			grp.replicas[i] = vrHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
-		}
-		grp.raw = rs
+		r := vr.New(env, g, spec.Shards, opts)
+		r.OnViewChange = c.viewChangeHook(g.ID)
+		node, base = r, r.Base
 	case NOPaxos:
-		rs := make([]*nopaxos.Replica, n)
-		for i := 0; i < n; i++ {
-			g := protocol.GroupConfig{ID: gid, Replicas: addrs, Self: i, F: f}
-			rs[i] = nopaxos.New(&replicaEnv{c, addrs[i], swAddr}, g, spec.Shards,
-				nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
-			rs[i].DisableCheck = c.cfg.DisableReadChecks
-			grp.replicas[i] = nopaxosHandle{rs[i]}
-			c.net.AddNode(addrs[i], grp.replicas[i], proc)
-		}
-		grp.raw = rs
+		r := nopaxos.New(env, g, spec.Shards, nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
+		node, base = r, r.Base
 	default:
 		panic("cluster: unknown protocol")
 	}
+	base.DisableCheck = c.cfg.DisableReadChecks
+	return node, baseHandle{base}
 }
 
 // viewChangeHook retargets group g's scheduler partition at a new VR
@@ -1241,7 +1211,7 @@ func (c *Cluster) primeKey(g int) string {
 	if len(c.groups) == 1 {
 		return "__prime__"
 	}
-	k, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), -1)
+	k, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), false)
 	if !ok {
 		// At boot the default striping guarantees every group owns
 		// slots (MaxGroups == wire.NumSlots), so the search cannot
@@ -1253,28 +1223,20 @@ func (c *Cluster) primeKey(g int) string {
 
 // keyInGroup searches the deterministic key family prefix0, prefix1, …
 // for one the front-end currently routes to group g through a slot
-// that is neither avoidSlot (pass -1 to accept any) nor frozen. Used
-// for priming writes and for the migration drain's flush writes, which
-// must not land in the frozen slot they are trying to drain — or in
-// any other slot mid-migration, whose packets the front-end drops. The
-// search is bounded: a group can legitimately own no eligible slot
-// (every slot migrated away, or its remaining slots all frozen), in
-// which case ok is false.
-func (c *Cluster) keyInGroup(g int, prefix string, avoidSlot int) (key string, ok bool) {
-	return c.keyInGroupAny(g, prefix, avoidSlot, false)
-}
-
-// keyInGroupAny is keyInGroup with the frozen-slot exclusion optional:
-// allowFrozen is used only by the forced flush of a whole-group drain,
+// that is not frozen. Used for priming writes and for the drain's
+// flush writes, which must not land in a slot mid-migration — the
+// front-end drops its packets. The search is bounded: a group can
+// legitimately own no eligible slot (every slot migrated away, or its
+// remaining slots all frozen), in which case ok is false. allowFrozen
+// lifts the exclusion for the forced flush of a whole-group drain,
 // whose write carries wire.FlagFlush and may pass the freeze.
-func (c *Cluster) keyInGroupAny(g int, prefix string, avoidSlot int, allowFrozen bool) (key string, ok bool) {
+func (c *Cluster) keyInGroup(g int, prefix string, allowFrozen bool) (key string, ok bool) {
 	// ~16 deterministic probes per slot of the table: ample to hit
 	// every eligible slot, while still terminating when none exists.
 	for t := 0; t < 16*wire.NumSlots; t++ {
 		k := fmt.Sprintf("%s%d", prefix, t)
 		id := wire.HashKey(k)
-		slot := wire.SlotOf(id)
-		if c.routeObj(id) == g && slot != avoidSlot && (allowFrozen || !c.rack.Frozen(slot)) {
+		if c.routeObj(id) == g && (allowFrozen || !c.rack.Frozen(wire.SlotOf(id))) {
 			return k, true
 		}
 	}
@@ -1287,15 +1249,21 @@ func (c *Cluster) keyInGroupAny(g int, prefix string, avoidSlot int, allowFrozen
 // replacements).
 func (c *Cluster) prime() {
 	for g := range c.groups {
-		key := c.primeKey(g)
-		pkt := &wire.Packet{
-			Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
-			Group: uint16(g), ClientID: 0, ReqID: uint64(g + 1), Value: []byte{1},
-		}
-		c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
+		c.controlWrite(g, c.primeKey(g), 0, uint64(g+1))
 	}
 	// Drive the writes (and for NOPaxos, a sync round) to completion.
 	c.eng.RunFor(20 * time.Millisecond)
+}
+
+// controlWrite sends one control-plane write to group g under the
+// priming client identity (ClientID 0): primes, and the drain's flush
+// writes, which take request IDs from a range of their own.
+func (c *Cluster) controlWrite(g int, key string, flags wire.Flags, reqID uint64) {
+	pkt := &wire.Packet{
+		Op: wire.OpWrite, Flags: flags, ObjID: wire.HashKey(key), Key: key,
+		Group: uint16(g), ClientID: 0, ReqID: reqID, Value: []byte{1},
+	}
+	c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
 }
 
 // Preload installs n objects into their owning groups without going
@@ -1306,7 +1274,7 @@ func (c *Cluster) Preload(n int) {
 		id := kt.ids[i]
 		c.valueCtr++
 		val := c.varena.encode(c.valueCtr)
-		seq := wire.Seq{Epoch: 0, N: uint64(i + 1)}
+		seq := wire.Seq{N: uint64(i + 1)} // epoch 0: precedes every sequenced write
 		grp := c.groups[c.routeObj(id)]
 		for _, r := range grp.replicas {
 			r.Preload(id, val, seq)
@@ -1350,8 +1318,7 @@ func (c *Cluster) CrashSwitch(s int) error {
 // rack this is exactly §9.6's experiment: all traffic blackholed).
 func (c *Cluster) StopSwitch() {
 	for s := 0; s < c.rack.Switches(); s++ {
-		c.net.SetDown(switchAddrOf(s), true)
-		c.rec.Emit(trace.Event{Kind: trace.EvSwitchCrash, Switch: int16(s), Group: -1, Slot: -1})
+		_ = c.CrashSwitch(s) // s is in range: cannot fail
 	}
 }
 
@@ -1468,16 +1435,16 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 	// Unsupported reconfigurations are rejected BEFORE any state
 	// changes: an error here must mean "nothing happened", not "the
 	// replica is dead but the protocol was never told".
-	switch grp.raw.(type) {
-	case []*pb.Replica:
+	switch grp.spec.Protocol {
+	case PB:
 		if i == 0 {
 			return fmt.Errorf("cluster: primary failover requires an external configuration service (not modeled)")
 		}
-	case []*nopaxos.Replica:
+	case NOPaxos:
 		if i == 0 {
 			return fmt.Errorf("cluster: NOPaxos leader failover (view change) not modeled")
 		}
-	case []*craq.Replica:
+	case CRAQ:
 		return fmt.Errorf("cluster: CRAQ reconfiguration not modeled")
 	}
 	if c.net.IsDown(addr) {
@@ -1491,45 +1458,34 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 	if grp.sched != nil {
 		grp.sched.RemoveReplica(addr)
 	}
-	switch rs := grp.raw.(type) {
-	case []*chain.Replica:
-		for j, r := range rs {
-			if j != i {
-				r.Reconfigure(i)
-			}
+	// Survivors reconfigure around the dead member.
+	head, tail := -1, -1
+	for j, n := range grp.nodes {
+		if j == i {
+			continue
 		}
-		// Retarget head/tail.
-		head, tail := -1, -1
-		for j, r := range rs {
-			if j == i {
-				continue
-			}
+		switch r := n.(type) {
+		case *chain.Replica:
+			r.Reconfigure(i)
 			if r.IsHead() && head == -1 {
 				head = j
 			}
 			if r.IsTail() {
 				tail = j
 			}
+		case *pb.Replica:
+			// i > 0: the primary case was rejected up front.
+			r.RemoveBackup(i)
+		case *vr.Replica:
+			// The VR view-change timers handle leader failure. For any
+			// failure, survivors stop waiting on the dead replica's
+			// COMMIT-ACKs so WRITE-COMPLETIONs keep flowing.
+			r.MarkDead(i)
 		}
-		if head >= 0 && tail >= 0 {
-			grp.sched.SetTargets(c.groupAddr(g, head), c.groupAddr(g, tail))
-		}
-	case []*pb.Replica:
-		// i > 0: the primary case was rejected up front.
-		for j, r := range rs {
-			if j != i {
-				r.RemoveBackup(i)
-			}
-		}
-	case []*vr.Replica:
-		// The VR view-change timers handle leader failure. For any
-		// failure, survivors stop waiting on the dead replica's
-		// COMMIT-ACKs so WRITE-COMPLETIONs keep flowing.
-		for j, r := range rs {
-			if j != i {
-				r.MarkDead(i)
-			}
-		}
+	}
+	if head >= 0 && tail >= 0 {
+		// Chain: retarget the scheduler at the new head/tail.
+		grp.sched.SetTargets(c.groupAddr(g, head), c.groupAddr(g, tail))
 	}
 	return nil
 }
@@ -1552,29 +1508,10 @@ func (c *Cluster) GroupReplicaAddr(g, i int) simnet.NodeID { return c.groupAddr(
 // ShimStats sums the replicas' fast-path shim counters across all
 // groups.
 func (c *Cluster) ShimStats() (served, rejected, leaseRejected uint64) {
-	add := func(b *protocol.Base) {
-		served += b.FastServed
-		rejected += b.FastRejected
-		leaseRejected += b.LeaseRejected
-	}
 	for _, grp := range c.groups {
-		switch rs := grp.raw.(type) {
-		case []*pb.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
-		case []*chain.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
-		case []*vr.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
-		case []*nopaxos.Replica:
-			for _, r := range rs {
-				add(r.Base)
-			}
+		for _, r := range grp.replicas {
+			s, rj, l := r.ShimCounters()
+			served, rejected, leaseRejected = served+s, rejected+rj, leaseRejected+l
 		}
 	}
 	return

@@ -215,12 +215,7 @@ func TestOldEpochFastReadsRefusedAfterFailover(t *testing.T) {
 	// passed back through the switch... it goes straight to the tail.
 	// Simplest check: the packet reached the tail as FlagForwarded,
 	// meaning the lease gate fired. We verify via replica counters.
-	type fastStats interface {
-		Stats() (served, rejected, lease uint64)
-	}
-	_ = fastStats(nil)
-	// (chain replicas expose Base counters directly)
-	if h, ok := c.replicas[1].(chainHandle); !ok || h.r.LeaseRejected == 0 {
+	if _, _, leaseRejected := c.groups[0].replicas[1].ShimCounters(); leaseRejected == 0 {
 		t.Fatal("old-epoch fast read was not refused by the lease gate")
 	}
 }
@@ -367,8 +362,9 @@ func TestVisibilityCheckProtectsLaggingReplica(t *testing.T) {
 	c.RunLoad(laggardSpec())
 	c.RunFor(10 * time.Millisecond)
 	var rejected uint64
-	for _, h := range c.replicas {
-		rejected += h.(vrHandle).r.FastRejected
+	for _, h := range c.groups[0].replicas {
+		_, rej, _ := h.ShimCounters()
+		rejected += rej
 	}
 	if rejected == 0 {
 		t.Fatal("lagging replica never exercised the visibility check")
@@ -393,8 +389,8 @@ func TestAblationNoReadCheckViolatesLinearizability(t *testing.T) {
 		c.RunLoad(laggardSpec())
 		c.RunFor(10 * time.Millisecond)
 		var unsafeServed uint64
-		for _, h := range c.replicas {
-			unsafeServed += h.(vrHandle).r.UnsafeServed
+		for _, h := range c.groups[0].replicas {
+			unsafeServed += h.(baseHandle).UnsafeServed
 		}
 		if unsafeServed == 0 {
 			continue // this seed never hit the race; try another

@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"harmonia/internal/core"
-	"harmonia/internal/protocol"
 	"harmonia/internal/rebalance"
 	"harmonia/internal/sim"
-	"harmonia/internal/store"
 	"harmonia/internal/wire"
 	"harmonia/internal/workload"
 )
@@ -47,7 +45,6 @@ type Reconfig struct {
 	// dead switch's ID instead).
 	Group int
 
-	c    *Cluster
 	done bool
 	err  error
 }
@@ -73,9 +70,13 @@ func (r *Reconfig) finish() { r.done = true }
 // agreement) is a handful of migration deadlines end to end.
 const elasticDeadline = 4 * migrateDeadline
 
-// driveReconfig runs the simulation until the operation settles,
-// converting a terminal failure (or a wedged drain) into an error.
-func (c *Cluster) driveReconfig(r *Reconfig) error {
+// driveReconfig turns a Start* call into its blocking form: it runs
+// the simulation until the started operation settles, converting a
+// terminal failure (or a wedged drain) into an error.
+func (c *Cluster) driveReconfig(r *Reconfig, err error) error {
+	if err != nil {
+		return err
+	}
 	deadline := c.eng.Now() + sim.Time(elasticDeadline)
 	for !r.done && c.eng.Now() < deadline {
 		if !c.eng.Step() {
@@ -103,15 +104,8 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 	if len(c.groups) >= MaxGroups {
 		return 0, nil, fmt.Errorf("cluster: group count is already at the maximum %d", MaxGroups)
 	}
-	if c.weightsExplicit && !(spec.Weight > 0) {
-		return 0, nil, fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new group's spec must set one")
-	}
-	if !c.weightsExplicit && spec.Weight > 0 {
-		return 0, nil, fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new group's spec must not set an explicit one")
-	}
-	c.cfg.resolveSpec(&spec)
-	if spec.Replicas > int(incStride) {
-		return 0, nil, fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
+	if err := c.admitSpec(&spec); err != nil {
+		return 0, nil, err
 	}
 	sw, err := c.placeGroup()
 	if err != nil {
@@ -126,23 +120,14 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 	grp.sched = c.newScheduler(g, c.rack.Epoch(sw))
 	c.rack.SetGroup(g, grp.sched)
 	c.buildGroupReplicas(grp)
-	c.replicas = append(c.replicas, grp.replicas...)
 	c.linkGroup(grp)
 	c.ctl.grantGroupLeases(g, c.rack.Epoch(sw))
 	c.startSweep(grp)
 
-	r := &Reconfig{Kind: "add", Group: g, c: c}
-	c.reconfigs = append(c.reconfigs, r)
+	r := &Reconfig{Kind: "add", Group: g}
 	migs := c.seedGroup(g)
 	c.watchMigrations(migs, func() {
-		owns := false
-		for slot := 0; slot < wire.NumSlots; slot++ {
-			if c.rack.RouteOf(slot) == g {
-				owns = true
-				break
-			}
-		}
-		if !owns {
+		if !slices.Contains(c.rack.SlotTable(), g) {
 			r.fail(fmt.Errorf("cluster: seeding group %d moved no slots (sources could not drain)", g))
 			return
 		}
@@ -157,13 +142,23 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 // primed.
 func (c *Cluster) AddGroupWait(spec GroupSpec) (int, error) {
 	g, r, err := c.AddGroup(spec)
-	if err != nil {
-		return 0, err
+	return g, c.driveReconfig(r, err)
+}
+
+// admitSpec holds a spec submitted at runtime to the boot cluster's
+// weight scale and resolves its defaults by the assembly-time rules.
+func (c *Cluster) admitSpec(spec *GroupSpec) error {
+	if c.weightsExplicit && !(spec.Weight > 0) {
+		return fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new spec must set one")
 	}
-	if err := c.driveReconfig(r); err != nil {
-		return g, err
+	if !c.weightsExplicit && spec.Weight > 0 {
+		return fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new spec must not set an explicit one")
 	}
-	return g, nil
+	c.cfg.resolveSpec(spec)
+	if spec.Replicas > int(incStride) {
+		return fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
+	}
+	return nil
 }
 
 // placeGroup picks the switch a new group should live on: the alive
@@ -221,21 +216,15 @@ func (c *Cluster) seedGroup(g int) []*Migration {
 	}
 	topo := c.rack.Topo()
 	moves := rebalance.PlanSeed(heat, c.rack.SlotTable(), topo.LiveWeights(), topo.LiveMask(), g)
-	var sources []int
-	bySource := make(map[int][]int)
-	for _, mv := range moves {
-		if _, ok := bySource[mv.From]; !ok {
-			sources = append(sources, mv.From)
-		}
-		bySource[mv.From] = append(bySource[mv.From], mv.Slot)
+	slots := make([]int, len(moves))
+	for i, mv := range moves {
+		slots[i] = mv.Slot
 	}
 	var migs []*Migration
-	for _, src := range sources {
-		m, err := c.StartBatchMigration(bySource[src], g)
-		if err != nil {
-			continue
+	for _, batch := range c.bySource(slots) {
+		if m, err := c.StartBatchMigration(batch, g); err == nil {
+			migs = append(migs, m)
 		}
-		migs = append(migs, m)
 	}
 	return migs
 }
@@ -244,17 +233,13 @@ func (c *Cluster) seedGroup(g int) []*Migration {
 // once every one of them settled (completed or self-aborted at its
 // drain deadline). An empty set settles immediately on the first poll.
 func (c *Cluster) watchMigrations(migs []*Migration, onDone func()) {
-	var tick func()
-	tick = func() {
-		for _, m := range migs {
-			if !m.done && !m.aborted {
-				c.eng.After(migratePollInterval, tick)
-				return
-			}
+	c.every(migratePollInterval, func() bool {
+		if !settled(migs) {
+			return true
 		}
 		onDone()
-	}
-	c.eng.After(migratePollInterval, tick)
+		return false
+	})
 }
 
 // primeGroupAsync issues the new group's priming write once it owns an
@@ -264,37 +249,27 @@ func (c *Cluster) watchMigrations(migs []*Migration, onDone func()) {
 // its slots again in the meantime simply stays unprimed.
 func (c *Cluster) primeGroupAsync(g int) {
 	tries := 0
-	var tick func()
-	tick = func() {
+	c.every(migratePollInterval, func() bool {
 		if !c.rack.Live(g) {
-			return
+			return false
 		}
-		key, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), -1)
+		key, ok := c.keyInGroup(g, fmt.Sprintf("__prime__%d_", g), false)
 		if !ok {
-			if tries++; tries > 1024 {
-				return
-			}
-			c.eng.After(migratePollInterval, tick)
-			return
+			tries++
+			return tries <= 1024
 		}
 		c.flushCtr++
-		pkt := &wire.Packet{
-			Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
-			Group: uint16(g), ClientID: 0, ReqID: 1<<32 + c.flushCtr, Value: []byte{1},
-		}
-		c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
-	}
-	c.eng.After(migratePollInterval, tick)
+		c.controlWrite(g, key, 0, 1<<32+c.flushCtr)
+		return false
+	})
 }
 
 // --- RemoveGroup (scale-in) ---
 
 // StartRemoveGroup begins retiring group g: its slots are evacuated to
 // the remaining live groups (weight-apportioned, via the ordinary
-// online migrations — each batch carries its share of objects AND the
-// group's at-most-once client table, so a lost-reply retry that lands
-// on a destination after the flip replays instead of re-executing),
-// and once the evacuation completes the §5.3 revoke agreement retires
+// online migrations, client tables included), and once the
+// evacuation completes the §5.3 revoke agreement retires
 // the group: every member acknowledges losing its lease, the
 // scheduler partition is torn down, the topology marks the ID
 // permanently dead (epoch bump), and the member nodes shut down.
@@ -305,44 +280,26 @@ func (c *Cluster) StartRemoveGroup(g int) (*Reconfig, error) {
 	if !c.rack.Live(g) {
 		return nil, fmt.Errorf("cluster: group %d is already retired", g)
 	}
-	topo := c.rack.Topo()
-	var dests []int
-	for _, d := range topo.LiveGroups() {
-		if d != g && !c.net.IsDown(switchAddrOf(topo.SwitchOfGroup(d))) {
-			dests = append(dests, d)
-		}
-	}
+	dests := slices.DeleteFunc(c.servingGroups(), func(d int) bool { return d == g })
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("cluster: no live destination group to evacuate group %d to", g)
 	}
-	var slots []int
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if c.rack.RouteOf(slot) == g {
-			slots = append(slots, slot)
-		}
+	if err := c.settleHandoffs(g); err != nil {
+		return nil, err
 	}
-	r := &Reconfig{Kind: "remove", Group: g, c: c}
-	c.reconfigs = append(c.reconfigs, r)
+	slots := c.slotsOf(g)
+	r := &Reconfig{Kind: "remove", Group: g}
 	if len(slots) == 0 {
-		c.retireGroup(g, r)
+		c.retireGroup(g, r.finish)
 		return r, nil
 	}
-	// Weight-apportioned contiguous chunks in slot order: destination k
-	// takes share[k] slots. Each chunk is one batch handoff.
-	w := make([]float64, len(dests))
-	for k, d := range dests {
-		w[k] = topo.Weight(d)
-	}
-	share := workload.Apportion(len(slots), w)
+	// Each destination's chunk is one batch handoff.
 	var migs []*Migration
-	start := 0
-	for k, d := range dests {
-		chunk := slots[start : start+share[k]]
-		start += share[k]
+	for k, chunk := range c.shareOut(slots, dests) {
 		if len(chunk) == 0 {
 			continue
 		}
-		m, err := c.StartBatchMigration(chunk, d)
+		m, err := c.StartBatchMigration(chunk, dests[k])
 		if err != nil {
 			for _, prev := range migs {
 				prev.Abort()
@@ -361,26 +318,84 @@ func (c *Cluster) StartRemoveGroup(g int) (*Reconfig, error) {
 				return
 			}
 		}
-		c.retireGroup(g, r)
+		c.retireGroup(g, r.finish)
 	})
 	return r, nil
 }
 
 // RemoveGroup is the blocking form of StartRemoveGroup.
-func (c *Cluster) RemoveGroup(g int) error {
-	r, err := c.StartRemoveGroup(g)
-	if err != nil {
-		return err
+func (c *Cluster) RemoveGroup(g int) error { return c.driveReconfig(c.StartRemoveGroup(g)) }
+
+// settleHandoffs makes way for an elastic operation on the given
+// groups. The operation decides once which slots its groups own, and an
+// in-flight handoff from or to one of them would flip slots behind that
+// decision (onto a group about to retire, or out of a copy already
+// taken). A handoff that has not reached the copy is aborted; one that
+// has is moments from flipping and can no longer be abandoned, so the
+// operation is refused with nothing changed.
+func (c *Cluster) settleHandoffs(groups ...int) error {
+	var hit []*Migration // in slot order, not map order: aborts land in the flight recorder
+	for slot := 0; slot < wire.NumSlots; slot++ {
+		m := c.migrations[slot]
+		if m == nil || !(slices.Contains(groups, m.From) || slices.Contains(groups, m.To)) {
+			continue
+		}
+		if m.copying {
+			return fmt.Errorf("cluster: slot %d is mid-migration from group %d to %d; retry after it settles", slot, m.From, m.To)
+		}
+		if !slices.Contains(hit, m) {
+			hit = append(hit, m)
+		}
 	}
-	return c.driveReconfig(r)
+	for _, m := range hit {
+		m.Abort()
+	}
+	return nil
 }
 
-// retireGroup runs the retirement agreement for an evacuated group:
-// the lease chain is cut (generation bump), every member acknowledges
-// revocation of the current epoch's lease — so no member can serve a
-// fast read past this point — and then the group leaves the topology
-// for good.
-func (c *Cluster) retireGroup(g int, r *Reconfig) {
+// slotsOf lists the slots currently routed to group g, ascending.
+func (c *Cluster) slotsOf(g int) []int {
+	var slots []int
+	for slot, owner := range c.rack.SlotTable() {
+		if owner == g {
+			slots = append(slots, slot)
+		}
+	}
+	return slots
+}
+
+// servingGroups lists the live groups whose switch is up — where
+// evacuated or recovered slots can go.
+func (c *Cluster) servingGroups() []int {
+	topo := c.rack.Topo()
+	return slices.DeleteFunc(topo.LiveGroups(), func(g int) bool {
+		return c.net.IsDown(switchAddrOf(topo.SwitchOfGroup(g)))
+	})
+}
+
+// shareOut cuts slots, in order, into one contiguous chunk per
+// destination group, sized by the destinations' capacity weights.
+func (c *Cluster) shareOut(slots, dests []int) [][]int {
+	topo := c.rack.Topo()
+	w := make([]float64, len(dests))
+	for k, d := range dests {
+		w[k] = topo.Weight(d)
+	}
+	chunks := make([][]int, len(dests))
+	start := 0
+	for k, n := range workload.Apportion(len(slots), w) {
+		chunks[k] = slots[start : start+n]
+		start += n
+	}
+	return chunks
+}
+
+// retireGroup runs the retirement agreement for a group no slot routes
+// to any more: the lease chain is cut (generation bump), every member
+// acknowledges revocation of the current epoch's lease — so no member
+// can serve a fast read past this point — and then the group leaves
+// the topology for good and done is called.
+func (c *Cluster) retireGroup(g int, done func()) {
 	grp := c.groups[g]
 	grp.leaseGen++
 	epoch := c.rack.Epoch(c.rack.SwitchOfGroup(g))
@@ -394,7 +409,7 @@ func (c *Cluster) retireGroup(g int, r *Reconfig) {
 		// Any promoted key g held a replica of must stop spreading
 		// there in the same event — g's copies leave with it.
 		c.hotKeysDropGroup(g)
-		r.finish()
+		done()
 	})
 }
 
@@ -421,69 +436,38 @@ func (c *Cluster) StartRespecGroup(g int, spec GroupSpec) (*Reconfig, error) {
 	if grp.inc+1 >= maxIncarnations {
 		return nil, fmt.Errorf("cluster: group %d exhausted its %d membership incarnations", g, maxIncarnations)
 	}
-	if c.weightsExplicit && !(spec.Weight > 0) {
-		return nil, fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new spec must set one")
+	if err := c.admitSpec(&spec); err != nil {
+		return nil, err
 	}
-	if !c.weightsExplicit && spec.Weight > 0 {
-		return nil, fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new spec must not set an explicit one")
+	if err := c.settleHandoffs(g); err != nil {
+		return nil, err
 	}
-	c.cfg.resolveSpec(&spec)
-	if spec.Replicas > int(incStride) {
-		return nil, fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
-	}
-	var slots []int
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if c.rack.RouteOf(slot) == g {
-			if _, busy := c.migrations[slot]; busy || c.rack.Frozen(slot) {
-				return nil, fmt.Errorf("cluster: slot %d of group %d is mid-migration; retry after it settles", slot, g)
-			}
-			slots = append(slots, slot)
+	slots := c.slotsOf(g)
+	for _, s := range slots {
+		if c.rack.Frozen(s) {
+			return nil, fmt.Errorf("cluster: slot %d of group %d is frozen by another reconfiguration; retry after it settles", s, g)
 		}
 	}
 	for _, s := range slots {
 		c.rack.FreezeSlot(s)
 	}
-	r := &Reconfig{Kind: "respec", Group: g, c: c}
-	c.reconfigs = append(c.reconfigs, r)
-	deadline := c.eng.Now() + sim.Time(migrateDeadline)
-	polls := 0
-	var poll func()
-	poll = func() {
-		if c.eng.Now() >= deadline {
+	r := &Reconfig{Kind: "respec", Group: g}
+	// The whole partition drains, not just the slots: the successor
+	// scheduler adopts the sequence space but not the dirty set.
+	c.drain(g, nil, c.eng.Now()+sim.Time(migrateDeadline),
+		func() { c.swapMembers(g, spec, slots, r) },
+		func() {
 			for _, s := range slots {
 				c.rack.UnfreezeSlot(s)
 			}
 			r.fail(fmt.Errorf("cluster: group %d could not drain for respec", g))
-			return
-		}
-		sched := grp.sched
-		if sched != nil {
-			if sched.DirtyCount() > 0 {
-				sched.SweepStale()
-			}
-			if sched.DirtyCount() == 0 {
-				c.swapMembers(g, spec, slots, r)
-				return
-			}
-			if polls++; polls%migrateFlushEvery == 0 {
-				// Every slot of the group is frozen: the flush is forced
-				// through with wire.FlagFlush.
-				c.flushWrite(g, -1)
-			}
-		}
-		c.eng.After(migratePollInterval, poll)
-	}
-	c.eng.After(migratePollInterval, poll)
+		})
 	return r, nil
 }
 
 // RespecGroup is the blocking form of StartRespecGroup.
 func (c *Cluster) RespecGroup(g int, spec GroupSpec) error {
-	r, err := c.StartRespecGroup(g, spec)
-	if err != nil {
-		return err
-	}
-	return c.driveReconfig(r)
+	return c.driveReconfig(c.StartRespecGroup(g, spec))
 }
 
 // swapMembers is the respec commit path, entered once the partition
@@ -492,31 +476,14 @@ func (c *Cluster) RespecGroup(g int, spec GroupSpec) error {
 // into the new incarnation and resume.
 func (c *Cluster) swapMembers(g int, spec GroupSpec, slots []int, r *Reconfig) {
 	grp := c.groups[g]
-	sw := c.rack.SwitchOfGroup(g)
-	epoch := c.rack.Epoch(sw)
+	epoch := c.rack.Epoch(c.rack.SwitchOfGroup(g))
 	grp.leaseGen++ // cut the old chain before the new grant re-arms it
 	c.ctl.revokeThen(g, epoch, func() {
-		// Extract from the OLD members before they are replaced. After
-		// the drain every committed write of the group is applied; the
-		// max-merge covers a replica that lags in apply.
-		oldReplicas := grp.replicas
+		// Collect from the OLD members before they are replaced.
+		sh := new(shipment)
+		sh.collect(grp.replicas, scope{slots: slots})
 		oldAddrs := grp.addrs()
 		oldSched := grp.sched
-		merged := make(map[wire.ObjectID]store.Object)
-		for _, rep := range oldReplicas {
-			for _, slot := range slots {
-				for id, o := range rep.ExtractSlot(slot) {
-					if cur, ok := merged[id]; !ok || cur.Seq.Less(o.Seq) {
-						merged[id] = o
-					}
-				}
-			}
-		}
-		install := make(map[wire.ObjectID]store.Object, len(merged))
-		for id, o := range merged {
-			install[id] = store.Object{Value: o.Value, Seq: wire.Seq{Epoch: 0, N: o.Seq.N}}
-		}
-		clients := mergeClientTables(oldReplicas, g)
 
 		// New incarnation: fresh addresses, same group ID, same slots.
 		grp.inc++
@@ -525,16 +492,8 @@ func (c *Cluster) swapMembers(g int, spec GroupSpec, slots []int, r *Reconfig) {
 		c.cfg.GroupSpecs[g] = spec
 		c.buildGroupReplicas(grp)
 		c.linkGroup(grp)
-		c.rebuildReplicaView()
 
-		// One control round trip plus per-object transfer, then resume.
-		delay := 2*c.cfg.LinkLatency + time.Duration(len(install))*migratePerObjectCost
-		c.eng.After(delay, func() {
-			for _, rep := range grp.replicas {
-				rep.InstallSlot(install)
-				rep.MergeClients(clients)
-			}
-			protocol.ReleaseRecords(clients)
+		c.ship(sh, func(int) []int { return []int{g} }, func() {
 			next := c.newScheduler(g, epoch)
 			next.AdoptFrom(oldSched)
 			c.rack.SetGroup(g, next)
@@ -559,52 +518,6 @@ func (c *Cluster) swapMembers(g int, spec GroupSpec, slots []int, r *Reconfig) {
 	})
 }
 
-// mergeClientTables merges the at-most-once client tables of a
-// replica set into one overlay for group dst: per client the newest
-// request wins, and kept replies are re-stamped for dst with a zero
-// Seq (so a replay's traversal of the switch cannot masquerade as a
-// write-completion).
-func mergeClientTables(replicas []ReplicaHandle, dst int) map[uint32]protocol.ClientRecord {
-	clients := make(map[uint32]protocol.ClientRecord)
-	for _, r := range replicas {
-		for id, rec := range r.ExportClients() {
-			cur, ok := clients[id]
-			if !ok || rec.ReqID > cur.ReqID || (rec.ReqID == cur.ReqID && cur.Reply == nil && rec.Reply != nil) {
-				if ok && cur.Reply != nil {
-					cur.Reply.Release()
-				}
-				clients[id] = rec
-			} else if rec.Reply != nil {
-				rec.Reply.Release()
-			}
-		}
-	}
-	for id, rec := range clients {
-		if rec.Reply == nil {
-			continue
-		}
-		// Re-stamp on a pooled flight copy owned by the returned record
-		// set (the caller drops it with ReleaseRecords after merging);
-		// the exported reference returns to its table's lifecycle.
-		rep := rec.Reply.FlightClone()
-		rep.Seq = wire.Seq{}
-		rep.Group = uint16(dst)
-		rec.Reply.Release()
-		clients[id] = protocol.ClientRecord{ReqID: rec.ReqID, Reply: rep}
-	}
-	return clients
-}
-
-// rebuildReplicaView refreshes the flattened group-major replica view
-// after a membership swap (retired groups keep their last member set
-// in the view: their counters remain readable for stats sweeps).
-func (c *Cluster) rebuildReplicaView() {
-	c.replicas = c.replicas[:0]
-	for _, grp := range c.groups {
-		c.replicas = append(c.replicas, grp.replicas...)
-	}
-}
-
 // --- ReassignDeadSwitch (disaster recovery) ---
 
 // StartReassignDeadSwitch batch-migrates a permanently dead switch's
@@ -612,12 +525,10 @@ func (c *Cluster) rebuildReplicaView() {
 // front-end cannot drain — it is gone, along with its scheduler
 // partitions — so this is a recovery transfer, not an online handoff:
 // the victims' replica stores hold every committed write (the
-// replicas are servers, not switch state), a max-merge per slot
-// recovers the newest version of each object, and the victims'
-// at-most-once client tables are merged into EVERY destination so a
-// retry of any lost reply replays wherever its key now routes. The
-// victims then retire through the revoke agreement and the topology
-// epoch moves once per retired group.
+// replicas are servers, not switch state), so collect recovers the
+// slots from them, and ship re-homes each on one survivor. The victims
+// then retire through the revoke agreement and the topology epoch
+// moves once per retired group.
 func (c *Cluster) StartReassignDeadSwitch(s int) (*Reconfig, error) {
 	if s < 0 || s >= c.rack.Switches() {
 		return nil, fmt.Errorf("cluster: switch %d out of range", s)
@@ -629,103 +540,41 @@ func (c *Cluster) StartReassignDeadSwitch(s int) (*Reconfig, error) {
 	if len(victims) == 0 {
 		return nil, fmt.Errorf("cluster: switch %d hosts no live groups", s)
 	}
-	topo := c.rack.Topo()
-	var dests []int
-	for _, d := range topo.LiveGroups() {
-		dsw := topo.SwitchOfGroup(d)
-		if dsw != s && !c.net.IsDown(switchAddrOf(dsw)) {
-			dests = append(dests, d)
-		}
-	}
+	dests := c.servingGroups() // switch s is down, so none of its own
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("cluster: no surviving live group to reassign switch %d's slots to", s)
 	}
-	victim := make(map[int]bool, len(victims))
+	if err := c.settleHandoffs(victims...); err != nil {
+		return nil, err
+	}
+	r := &Reconfig{Kind: "reassign", Group: s}
+
+	// Recover each victim's stranded slots from its own replicas: all
+	// of them, crashed ones included — the switch died, not the servers,
+	// and a store that stopped early is still a store.
+	sh := new(shipment)
 	for _, v := range victims {
-		victim[v] = true
+		sh.collect(c.groups[v].replicas, scope{slots: c.slotsOf(v)})
 	}
-	var slots []int
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if victim[c.rack.RouteOf(slot)] {
-			slots = append(slots, slot)
-		}
-	}
-	r := &Reconfig{Kind: "reassign", Group: s, c: c}
-	c.reconfigs = append(c.reconfigs, r)
+	slots := slices.Sorted(slices.Values(sh.slots))
 
-	// Recover each stranded slot's objects from its owning group's
-	// replicas (max-merge: all replicas are alive — the switch died,
-	// not the servers — and the merge covers apply lag).
-	bySlot := make(map[int]map[wire.ObjectID]store.Object, len(slots))
-	total := 0
-	for _, slot := range slots {
-		merged := make(map[wire.ObjectID]store.Object)
-		for _, rep := range c.groups[c.rack.RouteOf(slot)].replicas {
-			for id, o := range rep.ExtractSlot(slot) {
-				if cur, ok := merged[id]; !ok || cur.Seq.Less(o.Seq) {
-					merged[id] = o
-				}
-			}
+	// One destination per chunk; the client tables go to every
+	// destination.
+	destOf := make(map[int][]int, len(slots))
+	for k, chunk := range c.shareOut(slots, dests) {
+		for _, slot := range chunk {
+			destOf[slot] = dests[k : k+1]
 		}
-		install := make(map[wire.ObjectID]store.Object, len(merged))
-		for id, o := range merged {
-			install[id] = store.Object{Value: o.Value, Seq: wire.Seq{Epoch: 0, N: o.Seq.N}}
-		}
-		bySlot[slot] = install
-		total += len(install)
 	}
-
-	// Weight-apportioned contiguous chunks in slot order, one
-	// destination per chunk; client tables go to every destination.
-	w := make([]float64, len(dests))
-	for k, d := range dests {
-		w[k] = topo.Weight(d)
-	}
-	share := workload.Apportion(len(slots), w)
-	destOf := make(map[int]int, len(slots))
-	start := 0
-	for k, d := range dests {
-		for _, slot := range slots[start : start+share[k]] {
-			destOf[slot] = d
-		}
-		start += share[k]
-	}
-
-	delay := 2*c.cfg.LinkLatency + time.Duration(total)*migratePerObjectCost
-	c.eng.After(delay, func() {
-		for _, slot := range slots {
-			d := destOf[slot]
-			for _, rep := range c.groups[d].replicas {
-				rep.InstallSlot(bySlot[slot])
-			}
-		}
-		for _, d := range dests {
-			for _, v := range victims {
-				clients := mergeClientTables(c.groups[v].replicas, d)
-				for _, rep := range c.groups[d].replicas {
-					rep.MergeClients(clients)
-				}
-				protocol.ReleaseRecords(clients)
-			}
-		}
+	c.ship(sh, func(slot int) []int { return destOf[slot] }, func() {
 		for _, slot := range slots {
 			// SetRoute transfers front-end ownership off the dead
 			// switch; the destination picks the slot up thawed.
-			c.rack.SetRoute(slot, destOf[slot])
+			c.rack.SetRoute(slot, destOf[slot][0])
 		}
 		remaining := len(victims)
 		for _, v := range victims {
-			vr := v
-			grp := c.groups[vr]
-			grp.leaseGen++
-			c.ctl.revokeThen(vr, c.rack.Epoch(s), func() {
-				c.rack.SetGroup(vr, nil)
-				grp.sched = nil
-				c.rack.RetireGroup(vr)
-				for _, addr := range grp.addrs() {
-					c.net.SetDown(addr, true)
-				}
-				c.hotKeysDropGroup(vr)
+			c.retireGroup(v, func() {
 				if remaining--; remaining == 0 {
 					r.finish()
 				}
@@ -737,9 +586,5 @@ func (c *Cluster) StartReassignDeadSwitch(s int) (*Reconfig, error) {
 
 // ReassignDeadSwitch is the blocking form of StartReassignDeadSwitch.
 func (c *Cluster) ReassignDeadSwitch(s int) error {
-	r, err := c.StartReassignDeadSwitch(s)
-	if err != nil {
-		return err
-	}
-	return c.driveReconfig(r)
+	return c.driveReconfig(c.StartReassignDeadSwitch(s))
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,56 +164,90 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 	}
 }
 
-// TestElasticRemoveGroupClientTableTravels is the lost-reply-retry
-// regression across group retirement (the RemoveGroup analog of
-// TestMigrateClientTableTravels): a write the departing group executed
-// whose reply was dropped keeps being retried; after retirement the
-// retry lands on a destination group, which must REPLAY the recorded
-// reply from the migrated at-most-once table instead of re-executing
-// the write over a newer committed value. NOPaxos's sync-lagged
-// followers are the most sensitive detector.
-func TestElasticRemoveGroupClientTableTravels(t *testing.T) {
-	for seed := int64(80); seed < 86; seed++ {
-		c := New(Config{
-			Protocol: NOPaxos, Replicas: 3, UseHarmonia: true, Groups: 3,
-			RecordHistory: true, Seed: seed, DropProb: 0.01,
-		})
-		const keys = 96
-		var r *Reconfig
-		c.Engine().After(4*time.Millisecond, func() {
-			var err error
-			r, err = c.StartRemoveGroup(1)
-			if err != nil {
-				t.Errorf("seed %d: StartRemoveGroup: %v", seed, err)
-			}
-		})
-		c.RunLoad(LoadSpec{
-			Mode: Closed, Clients: 8, Duration: 10 * time.Millisecond,
-			Warmup: 2 * time.Millisecond, WriteRatio: 0.3, Keys: keys, Dist: Zipf09,
-		})
-		// Under drops the evacuation drains can retry for a while;
-		// give the retirement sim time in bounded chunks.
-		for i := 0; i < 12 && (r == nil || !r.Done()); i++ {
-			c.RunFor(50 * time.Millisecond)
-		}
-		if r == nil || !r.Done() || r.Err() != nil {
-			t.Fatalf("seed %d: retirement did not complete: %+v", seed, r)
-		}
-		if c.rack.Live(1) {
-			t.Fatalf("seed %d: group 1 still live", seed)
-		}
-		liveSlotCounts(t, c)
-		assertNothingFrozen(t, c)
-		for g := 0; g < c.Groups(); g++ {
-			res := c.CheckLinearizabilityGroup(g)
-			if !res.Decided {
-				t.Fatalf("seed %d group %d undecided: %s", seed, g, res.Reason)
-			}
-			if !res.Ok {
-				t.Fatalf("seed %d group %d violated linearizability across retirement: %s", seed, g, res.Reason)
-			}
-		}
+// TestElasticRemoveGroupSettlesInboundHandoff: a handoff toward the
+// group being removed would flip its slots onto it AFTER the evacuation
+// list was computed, and the retirement would find slots still routed
+// to the victim (at the parent commit: a RetireGroup panic). Removal
+// aborts the handoff while it is still draining, and refuses to start
+// — with nothing changed — once its copy is in flight.
+func TestElasticRemoveGroupSettlesInboundHandoff(t *testing.T) {
+	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3, Seed: 19})
+	c.Preload(96)
+	m, err := c.StartBatchMigration(takeSlots(t, slotsOwnedBy(c, 96, 0), 2), 1)
+	if err != nil {
+		t.Fatalf("StartBatchMigration: %v", err)
 	}
+	r, err := c.StartRemoveGroup(1)
+	if err != nil {
+		t.Fatalf("StartRemoveGroup: %v", err)
+	}
+	c.RunFor(20 * time.Millisecond)
+	if !m.Aborted() {
+		t.Fatal("draining handoff toward the removed group was not aborted")
+	}
+	if !r.Done() || r.Err() != nil || c.rack.Live(1) {
+		t.Fatalf("removal: done=%v err=%v live=%v", r.Done(), r.Err(), c.rack.Live(1))
+	}
+	liveSlotCounts(t, c)
+	assertNothingFrozen(t, c)
+
+	// Past the point of no return: the copy is in flight.
+	m, err = c.StartBatchMigration(takeSlots(t, slotsOwnedBy(c, 96, 0), 2), 2)
+	if err != nil {
+		t.Fatalf("StartBatchMigration: %v", err)
+	}
+	for !m.copying && c.eng.Step() {
+	}
+	epoch := c.rack.TopoEpoch()
+	if _, err := c.StartRemoveGroup(2); err == nil || !strings.Contains(err.Error(), "retry after it settles") {
+		t.Fatalf("removal during an in-flight copy: err = %v", err)
+	}
+	if _, err := c.StartRespecGroup(2, GroupSpec{Protocol: Chain}); err == nil || !strings.Contains(err.Error(), "retry after it settles") {
+		t.Fatalf("respec during an in-flight copy: err = %v", err)
+	}
+	if c.rack.TopoEpoch() != epoch || m.Aborted() {
+		t.Fatal("a refused operation changed something")
+	}
+	c.RunFor(5 * time.Millisecond)
+	if !m.Done() {
+		t.Fatal("handoff did not complete")
+	}
+	if err := c.RemoveGroup(2); err != nil {
+		t.Fatalf("RemoveGroup after the handoff settled: %v", err)
+	}
+	liveSlotCounts(t, c)
+	assertNothingFrozen(t, c)
+}
+
+// TestElasticReassignSettlesCrossSwitchHandoff: a handoff from a
+// surviving switch's group toward a group of the dead switch keeps
+// draining on the live side, and its flip would route a slot to a group
+// the reassignment has retired (at the parent commit: a SetRoute
+// panic). Reassignment aborts it; the slot stays where it was.
+func TestElasticReassignSettlesCrossSwitchHandoff(t *testing.T) {
+	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, Switches: 2, Seed: 37})
+	c.Preload(96)
+	moved := takeSlots(t, slotsOwnedBy(c, 96, 0), 1)
+	m, err := c.StartBatchMigration(moved, 2)
+	if err != nil {
+		t.Fatalf("StartBatchMigration: %v", err)
+	}
+	if err := c.CrashSwitch(1); err != nil {
+		t.Fatalf("CrashSwitch: %v", err)
+	}
+	r, err := c.StartReassignDeadSwitch(1)
+	if err != nil {
+		t.Fatalf("StartReassignDeadSwitch: %v", err)
+	}
+	c.RunFor(20 * time.Millisecond)
+	if !m.Aborted() || c.rack.RouteOf(moved[0]) != 0 {
+		t.Fatalf("handoff toward the dead switch: aborted=%v route=%d", m.Aborted(), c.rack.RouteOf(moved[0]))
+	}
+	if !r.Done() || r.Err() != nil || c.rack.Live(2) || c.rack.Live(3) {
+		t.Fatalf("reassignment: done=%v err=%v", r.Done(), r.Err())
+	}
+	liveSlotCounts(t, c)
+	assertNothingFrozen(t, c)
 }
 
 // TestElasticRespecGroupSwapsMembers changes a live group's protocol

@@ -298,8 +298,8 @@ func TestWritePacketRoundTripsThroughWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := wire.Decode(b)
-	if err != nil || back.Key != pkt.Key || !bytes.Equal(back.Value, pkt.Value) {
+	var back wire.Packet
+	if _, err = wire.DecodeInto(&back, b); err != nil || back.Key != pkt.Key || !bytes.Equal(back.Value, pkt.Value) {
 		t.Fatalf("round trip: %v %v", back, err)
 	}
 }

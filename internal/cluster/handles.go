@@ -2,60 +2,34 @@ package cluster
 
 import (
 	"harmonia/internal/protocol"
-	"harmonia/internal/protocol/chain"
 	"harmonia/internal/protocol/craq"
-	"harmonia/internal/protocol/nopaxos"
-	"harmonia/internal/protocol/pb"
-	"harmonia/internal/protocol/vr"
-	"harmonia/internal/simnet"
 	"harmonia/internal/store"
 	"harmonia/internal/wire"
 )
 
-// The handle adapters give the cluster a uniform view of the five
-// replica types: message delivery, the preload hook used to warm the
-// key space without driving millions of protocol writes, and the
-// slot-scoped extract/install/drop operations the migration controller
-// uses for a group handoff.
+// baseHandle is the ReplicaHandle of the four protocols built on
+// protocol.Base — a store plus a client table.
+type baseHandle struct{ *protocol.Base }
 
-type pbHandle struct{ r *pb.Replica }
-
-func (h pbHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h pbHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
+func (h baseHandle) Preload(id wire.ObjectID, v []byte, seq wire.Seq) { h.Store.Seed(id, v, seq) }
+func (h baseHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
+	return h.Store.ExtractSlot(slot)
 }
-func (h pbHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
+func (h baseHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.Store.InstallSlot(objs) }
+func (h baseHandle) DropSlot(slot int) int                              { return h.Store.DropSlot(slot) }
+func (h baseHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.CT.Export() }
+func (h baseHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.CT.Merge(recs) }
+func (h baseHandle) SlotCounts() []int                                  { return h.Store.SlotCounts() }
+func (h baseHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.Store.Get(id) }
+func (h baseHandle) ShimCounters() (served, rejected, leaseRejected uint64) {
+	return h.FastServed, h.FastRejected, h.LeaseRejected
 }
-func (h pbHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h pbHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h pbHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h pbHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h pbHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h pbHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
 
-type chainHandle struct{ r *chain.Replica }
-
-func (h chainHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h chainHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
-}
-func (h chainHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
-}
-func (h chainHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h chainHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h chainHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h chainHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h chainHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h chainHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
-
+// craqHandle adapts CRAQ's clean/dirty version chains (no store, no
+// switch shim): only an object's newest COMMITTED version is visible.
 type craqHandle struct{ r *craq.Replica }
 
-func (h craqHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h craqHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.PreloadClean(id, value, 0)
-}
+func (h craqHandle) Preload(id wire.ObjectID, v []byte, _ wire.Seq) { h.r.PreloadClean(id, v, 0) }
 func (h craqHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
 	out := make(map[wire.ObjectID]store.Object)
 	for id, v := range h.r.ExtractSlotClean(slot) {
@@ -80,44 +54,7 @@ func (h craqHandle) MergeClients(recs map[uint32]protocol.ClientRecord) {
 }
 func (h craqHandle) SlotCounts() []int { return h.r.SlotCounts() }
 func (h craqHandle) GetObject(id wire.ObjectID) (store.Object, bool) {
-	// CRAQ keeps explicit clean/dirty version chains rather than a
-	// store; read the newest COMMITTED version through the same
-	// slot-scoped view the migration drain uses.
-	o, ok := h.r.ExtractSlotClean(wire.SlotOf(id))[id]
-	if !ok {
-		return store.Object{}, false
-	}
-	return store.Object{Value: o.Value, Seq: wire.Seq{N: o.N}}, true
+	o, ok := h.ExtractSlot(wire.SlotOf(id))[id]
+	return o, ok
 }
-
-type vrHandle struct{ r *vr.Replica }
-
-func (h vrHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h vrHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
-}
-func (h vrHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
-}
-func (h vrHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h vrHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h vrHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h vrHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h vrHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h vrHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
-
-type nopaxosHandle struct{ r *nopaxos.Replica }
-
-func (h nopaxosHandle) Recv(from simnet.NodeID, msg simnet.Message) { h.r.Recv(from, msg) }
-func (h nopaxosHandle) Preload(id wire.ObjectID, value []byte, seq wire.Seq) {
-	h.r.Store.Seed(id, value, seq)
-}
-func (h nopaxosHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	return h.r.Store.ExtractSlot(slot)
-}
-func (h nopaxosHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.r.Store.InstallSlot(objs) }
-func (h nopaxosHandle) DropSlot(slot int) int                              { return h.r.Store.DropSlot(slot) }
-func (h nopaxosHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.r.CT.Export() }
-func (h nopaxosHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.r.CT.Merge(recs) }
-func (h nopaxosHandle) SlotCounts() []int                                  { return h.r.Store.SlotCounts() }
-func (h nopaxosHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return h.r.Store.Get(id) }
+func (craqHandle) ShimCounters() (served, rejected, leaseRejected uint64) { return }

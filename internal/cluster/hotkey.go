@@ -4,10 +4,8 @@ package cluster
 // spreads. The rebalancer's escape signal (a fired-but-empty tick, see
 // rebalance.LastStuck) nominates the stuck slot's dominant key; the
 // manager promotes it onto 2–4 holder groups of the same switch
-// domain, seeds their copies from the home group with the migration
-// machinery's neutered-sequence trick (epoch-0 objects pass the §7
-// read checks at every replica, exactly like a migrated slot), and
-// from then on:
+// domain, seeds their copies from the home group with a key-scope
+// state transfer (collect/ship, transfer.go), and from then on:
 //
 //   - the switch round-robins the key's clean reads across home +
 //     holders (frontend.pickHolder) — but only while the entry's
@@ -42,7 +40,6 @@ import (
 
 	"harmonia/internal/core"
 	"harmonia/internal/rebalance"
-	"harmonia/internal/store"
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
 )
@@ -87,12 +84,10 @@ func (c *Cluster) startHotKeys() {
 	if iv <= 0 {
 		iv = time.Millisecond
 	}
-	var tick func()
-	tick = func() {
+	c.every(iv, func() bool {
 		c.hotKeyTick()
-		c.eng.After(iv, tick)
-	}
-	c.eng.After(iv, tick)
+		return true
+	})
 }
 
 // maybePromoteHot runs the promotion policy for one stuck switch
@@ -119,7 +114,17 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 			return
 		}
 	}
-	home := c.rack.RouteOf(slot)
+	if holders := c.pickHolders(c.rack.RouteOf(slot), s); len(holders) > 0 {
+		c.promoteObject(id, slot, s, holders)
+	}
+}
+
+// pickHolders runs the promotion policy's capacity-weighted holder
+// choice for a key homed on group home of switch sw. Holders must live
+// behind the SAME front-end: a spread read is handed to the holder's
+// scheduler partition in the home switch's traversal, and partitions
+// are hosted only on their owning switch.
+func (c *Cluster) pickHolders(home, sw int) []int {
 	topo := c.rack.Topo()
 	groups := c.rack.Groups()
 	weights := make([]float64, groups)
@@ -128,17 +133,9 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 			weights[g] = topo.Weight(g)
 		}
 	}
-	// Holders must live behind the SAME front-end: a spread read is
-	// handed to the holder's scheduler partition in the home switch's
-	// traversal, and partitions are hosted only on their owning switch.
-	live := func(g int) bool {
-		return topo.Live(g) && topo.SwitchOfGroup(g) == s
-	}
-	holders := c.hotKeyCfg.PickHolders(home, groups, weights, live)
-	if len(holders) == 0 {
-		return
-	}
-	c.promoteObject(id, slot, s, holders)
+	return c.hotKeyCfg.PickHolders(home, groups, weights, func(g int) bool {
+		return topo.Live(g) && topo.SwitchOfGroup(g) == sw
+	})
 }
 
 // promoteObject installs a hot-key table entry (all holders invalid,
@@ -177,47 +174,38 @@ func (c *Cluster) refreshHot(st *hotKeyEntry) {
 	if sched := front.Group(home); sched != nil && sched.DirtyKey(st.id) {
 		return
 	}
-	var best store.Object
-	found := false
+	// Key scope, read from the home replicas that are up; the holders
+	// are resolved when the copy lands, since demotion, retirement and
+	// slot migration can all move them while it is in flight.
+	var up []ReplicaHandle
 	for i, rep := range c.groups[home].replicas {
-		if c.net.IsDown(c.groupAddr(home, i)) {
-			continue
-		}
-		if o, ok := rep.GetObject(st.id); ok {
-			if !found || best.Seq.Less(o.Seq) {
-				best, found = o, true
-			}
+		if !c.net.IsDown(c.groupAddr(home, i)) {
+			up = append(up, rep)
 		}
 	}
-	if !found {
+	sh := new(shipment)
+	sh.collect(up, scope{slots: []int{st.slot}, key: &st.id})
+	if sh.n == 0 {
 		return // never written: holders stay invalid, reads stay home
 	}
 	st.refreshing = true
-	val := append([]byte(nil), best.Value...)
-	seqN := best.Seq.N
-	// One control round trip plus the single-object transfer cost —
-	// the same model as the migration copy, for one key.
-	delay := 2*c.cfg.LinkLatency + migratePerObjectCost
-	c.eng.After(delay, func() {
+	c.ship(sh, func(slot int) []int {
+		if c.hotKeys[st.id] != st {
+			return nil // demoted while the copy was in flight
+		}
+		var holders []int
+		for _, g := range st.holders {
+			if g != c.rack.RouteOf(slot) && c.rack.Live(g) {
+				holders = append(holders, g)
+			}
+		}
+		return holders
+	}, func() {
 		st.refreshing = false
 		if c.hotKeys[st.id] != st {
-			return // demoted while the copy was in flight
-		}
-		// Epoch-0 sequence neutering, exactly like a migrated object:
-		// the holder's write-order guard is untouched and its replicas'
-		// §7 fast-read checks pass.
-		install := map[wire.ObjectID]store.Object{
-			st.id: {Value: val, Seq: wire.Seq{Epoch: 0, N: seqN}},
+			return
 		}
 		curHome := c.rack.RouteOf(st.slot)
-		for _, g := range st.holders {
-			if g == curHome || !c.rack.Live(g) {
-				continue
-			}
-			for _, rep := range c.groups[g].replicas {
-				rep.InstallSlot(install)
-			}
-		}
 		// The refresh completion travels the real (lossy) network to
 		// the switch; its Seq carries the captured write generation,
 		// and the front-end consumes it without touching a scheduler.
@@ -375,17 +363,7 @@ func (c *Cluster) PromoteKey(key string, holders ...int) error {
 		}
 	}
 	if len(holders) == 0 {
-		groups := c.rack.Groups()
-		weights := make([]float64, groups)
-		for g := 0; g < groups; g++ {
-			if topo.Live(g) {
-				weights[g] = topo.Weight(g)
-			}
-		}
-		holders = c.hotKeyCfg.PickHolders(home, groups, weights, func(g int) bool {
-			return topo.Live(g) && topo.SwitchOfGroup(g) == sw
-		})
-		if len(holders) == 0 {
+		if holders = c.pickHolders(home, sw); len(holders) == 0 {
 			return fmt.Errorf("cluster: no eligible holder group for %q", key)
 		}
 	}

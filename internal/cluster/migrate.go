@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"harmonia/internal/protocol"
 	"harmonia/internal/sim"
-	"harmonia/internal/store"
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
 )
@@ -19,20 +17,10 @@ import (
 //     exactly as a booting switch drops everything; client timeouts
 //     handle retry. Replica-originated traffic (replies, completions)
 //     still flows, which is what lets the source drain.
-//  2. drain — poll until the source scheduler's dirty set holds no
-//     entry for any of the slots. In-order write processing (§5.2)
-//     makes this the full quiescence signal: every write the switch
-//     sequenced for the slots has either committed everywhere or can
-//     never apply. Stray entries (lost WRITE-COMPLETIONs) are swept as
-//     the commit point passes them; if the group is otherwise idle, the
-//     controller nudges the commit point forward with flush writes to
-//     an unfrozen slot of the same group.
-//  3. copy — extract the slots' objects from every source replica,
-//     keep the newest version of each, and install them into the
-//     destination replicas with epoch-0 sequence numbers (each group's
-//     scheduler counts in its own sequence space; importing a foreign
-//     high-water mark would wedge the destination's write-order
-//     guard).
+//  2. drain — wait until the source scheduler's dirty set holds no
+//     entry for any of the slots (drain, transfer.go).
+//  3. copy — collect the slots' objects and the source's client tables
+//     and ship them to the destination replicas (transfer.go).
 //  4. flip & thaw — point the slots' routes at the destination, drop
 //     the source copies, and unfreeze. The next retry of any dropped
 //     request lands on the new owner, which has everything.
@@ -66,19 +54,12 @@ type Migration struct {
 	From  int
 	To    int
 
-	c       *Cluster
-	polls   int
-	objects int
-	copying bool
-	done    bool
-	aborted bool
-
-	// deadline bounds the drain: a poll past it aborts the handoff
-	// (slots thaw on their original owner). Without it, a non-blocking
-	// handoff whose source can never drain would keep its slots —
-	// by construction the hottest ones, when the rebalancer started it
-	// — frozen forever, with no caller around to notice.
-	deadline sim.Time
+	c         *Cluster
+	stopDrain func()
+	objects   int
+	copying   bool
+	done      bool
+	aborted   bool
 
 	// auto marks a handoff initiated by the rebalancer control loop;
 	// its completed slot moves land in the cluster's Rebalances
@@ -107,6 +88,7 @@ func (m *Migration) Abort() bool {
 		return false
 	}
 	m.aborted = true
+	m.stopDrain()
 	for _, s := range m.Slots {
 		m.c.rack.UnfreezeSlot(s)
 		delete(m.c.migrations, s)
@@ -139,12 +121,12 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 	if to < 0 || to >= len(c.groups) {
 		return nil, fmt.Errorf("cluster: destination group %d out of range", to)
 	}
+	if err := checkSlots(slots); err != nil {
+		return nil, err
+	}
 	seen := make(map[int]bool, len(slots))
 	var live []int
 	for _, s := range slots {
-		if s < 0 || s >= wire.NumSlots {
-			return nil, fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
-		}
 		if seen[s] {
 			return nil, fmt.Errorf("cluster: slot %d listed twice in the batch", s)
 		}
@@ -179,10 +161,7 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 			return nil, fmt.Errorf("cluster: slot %d is frozen by another reconfiguration", s)
 		}
 	}
-	m := &Migration{
-		Slot: live[0], Slots: live, From: from, To: to, c: c,
-		deadline: c.eng.Now() + sim.Time(migrateDeadline),
-	}
+	m := &Migration{Slot: live[0], Slots: live, From: from, To: to, c: c}
 	for _, s := range live {
 		c.migrations[s] = m
 		c.rack.FreezeSlot(s)
@@ -191,7 +170,14 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 			Group: int16(from), Slot: int16(s), Arg: uint64(to),
 		})
 	}
-	c.eng.After(migratePollInterval, m.poll)
+	// The deadline bounds the drain: a source that could not drain in a
+	// generous window (e.g. it can no longer commit anything) gives the
+	// slots back. Without it a non-blocking handoff would keep its slots
+	// — by construction the hottest ones, when the rebalancer started it
+	// — frozen forever, with no caller around to notice. Blocking callers
+	// report the abort as an error; the rebalancer simply re-plans from
+	// fresh heat once the imbalance persists.
+	m.stopDrain = c.drain(from, live, c.eng.Now()+sim.Time(migrateDeadline), m.copyAndFlip, func() { m.Abort() })
 	return m, nil
 }
 
@@ -217,26 +203,15 @@ func (c *Cluster) MigrateSlots(slots []int, to int) error {
 	if to < 0 || to >= len(c.groups) {
 		return fmt.Errorf("cluster: destination group %d out of range", to)
 	}
-	// Partition by current owner, preserving request order so runs stay
-	// deterministic (map-keyed grouping would randomize start order).
-	var sources []int
-	bySource := make(map[int][]int)
-	for _, s := range slots {
-		if s < 0 || s >= wire.NumSlots {
-			return fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
-		}
-		g := c.rack.RouteOf(s)
-		if g == to {
-			continue
-		}
-		if _, ok := bySource[g]; !ok {
-			sources = append(sources, g)
-		}
-		bySource[g] = append(bySource[g], s)
+	if err := checkSlots(slots); err != nil {
+		return err
 	}
 	var migs []*Migration
-	for _, g := range sources {
-		m, err := c.StartBatchMigration(bySource[g], to)
+	for _, batch := range c.bySource(slots) {
+		if c.rack.RouteOf(batch[0]) == to {
+			continue
+		}
+		m, err := c.StartBatchMigration(batch, to)
 		if err != nil {
 			for _, prev := range migs {
 				prev.Abort()
@@ -246,6 +221,35 @@ func (c *Cluster) MigrateSlots(slots []int, to int) error {
 		migs = append(migs, m)
 	}
 	return c.driveMigrations(migs)
+}
+
+// checkSlots rejects slot numbers outside the routing table.
+func checkSlots(slots []int) error {
+	for _, s := range slots {
+		if s < 0 || s >= wire.NumSlots {
+			return fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
+		}
+	}
+	return nil
+}
+
+// bySource splits slots into one batch per current owner, in
+// first-seen owner order so runs stay deterministic (map-keyed
+// grouping would randomize start order).
+func (c *Cluster) bySource(slots []int) [][]int {
+	var batches [][]int
+	batchOf := make(map[int]int)
+	for _, s := range slots {
+		g := c.rack.RouteOf(s)
+		k, ok := batchOf[g]
+		if !ok {
+			k = len(batches)
+			batchOf[g] = k
+			batches = append(batches, nil)
+		}
+		batches[k] = append(batches[k], s)
+	}
+	return batches
 }
 
 // SwapSlots exchanges two slot sets between their owning groups as two
@@ -297,10 +301,8 @@ func (c *Cluster) uniformOwner(slots []int) (int, error) {
 	if len(slots) == 0 {
 		return 0, fmt.Errorf("cluster: empty swap set")
 	}
-	for _, s := range slots {
-		if s < 0 || s >= wire.NumSlots {
-			return 0, fmt.Errorf("cluster: slot %d out of range [0, %d)", s, wire.NumSlots)
-		}
+	if err := checkSlots(slots); err != nil {
+		return 0, err
 	}
 	g := c.rack.RouteOf(slots[0])
 	for _, s := range slots[1:] {
@@ -315,150 +317,49 @@ func (c *Cluster) uniformOwner(slots []int) (int, error) {
 // (completes, or self-aborts at its drain deadline), reporting the
 // aborted ones as an error.
 func (c *Cluster) driveMigrations(migs []*Migration) error {
-	settled := func() bool {
-		for _, m := range migs {
-			if !m.done && !m.aborted {
-				return false
-			}
-		}
-		return true
-	}
 	deadline := c.eng.Now() + sim.Time(migrateDeadline)
-	for !settled() && c.eng.Now() < deadline {
+	for !settled(migs) && c.eng.Now() < deadline {
 		if !c.eng.Step() {
 			break
 		}
 	}
-	var stuck []*Migration
+	var stuck *Migration
 	for _, m := range migs {
-		if m.done {
-			continue
-		}
-		if !m.aborted && !m.Abort() {
+		if !m.done && !m.aborted && !m.Abort() {
 			// The copy was already in flight: let it finish.
 			for !m.done && c.eng.Step() {
 			}
-			if m.done {
-				continue
-			}
 		}
-		stuck = append(stuck, m)
+		if !m.done && stuck == nil {
+			stuck = m
+		}
 	}
-	if len(stuck) > 0 {
-		m := stuck[0]
+	if stuck != nil {
 		return fmt.Errorf("cluster: migration of %d slot(s) to group %d did not complete (aborted, slots stay on group %d)",
-			len(m.Slots), m.To, m.From)
+			len(stuck.Slots), stuck.To, stuck.From)
 	}
 	return nil
 }
 
-// poll is the drain check (step 2).
-func (m *Migration) poll() {
-	if m.aborted {
-		return
-	}
-	c := m.c
-	if c.eng.Now() >= m.deadline {
-		// The source could not drain in a generous window (e.g. it can
-		// no longer commit anything): give the slots back. Blocking
-		// callers report the abort as an error; the rebalancer simply
-		// re-plans from fresh heat once the imbalance persists.
-		m.Abort()
-		return
-	}
-	sched := c.groups[m.From].sched
-	if sched != nil {
-		// Reclaim strays the commit point has passed, then test
-		// quiescence. DirtyCount is a cheap occupancy counter gating
-		// both register scans.
-		if sched.DirtyCount() > 0 {
-			sched.SweepStale()
-		}
-		if sched.DirtyCount() == 0 || sched.DirtyInSlots(m.Slots) == 0 {
-			m.copyAndFlip()
-			return
-		}
-		m.polls++
-		if m.polls%migrateFlushEvery == 0 {
-			// The slots still look busy and nothing has cleared them:
-			// the group may be idle with a stray entry whose completion
-			// was lost. A write to an unfrozen slot of the same group
-			// advances the commit point past the stray so the next
-			// sweep reclaims it (every slot of this batch is frozen, so
-			// the flush can never land in one).
-			c.flushWrite(m.From, -1)
+// settled reports whether every handoff completed or aborted.
+func settled(migs []*Migration) bool {
+	for _, m := range migs {
+		if !m.done && !m.aborted {
+			return false
 		}
 	}
-	c.eng.After(migratePollInterval, m.poll)
+	return true
 }
 
-// copyAndFlip runs steps 3 and 4 for the whole batch at once.
+// copyAndFlip runs steps 3 and 4 for the whole batch at once, entered
+// once the source drained.
 func (m *Migration) copyAndFlip() {
 	m.copying = true
 	c := m.c
-	// Newest version of each object across the source replicas. After
-	// the drain, replicas agree on every committed write of the slots;
-	// the max-merge additionally covers a replica that lags in apply.
-	merged := make(map[wire.ObjectID]store.Object)
-	for _, r := range c.groups[m.From].replicas {
-		for _, slot := range m.Slots {
-			for id, o := range r.ExtractSlot(slot) {
-				if cur, ok := merged[id]; !ok || cur.Seq.Less(o.Seq) {
-					merged[id] = o
-				}
-			}
-		}
-	}
-	m.objects = len(merged)
-	install := make(map[wire.ObjectID]store.Object, len(merged))
-	for id, o := range merged {
-		install[id] = store.Object{Value: o.Value, Seq: wire.Seq{Epoch: 0, N: o.Seq.N}}
-	}
-	// The at-most-once client tables travel with the objects: a write
-	// the source executed whose reply was lost in flight is still being
-	// retried by its client, and after the flip that retry lands on the
-	// destination — whose table would otherwise admit it as fresh and
-	// re-execute it, possibly clobbering a newer committed value of the
-	// same key (observed as a linearizability violation under drops).
-	// Per client the newest request wins; replies kept for replay are
-	// re-stamped for the destination (zero Seq, so the replay's
-	// traversal of the switch cannot masquerade as a source-group
-	// write-completion and inflate its commit point).
-	clients := make(map[uint32]protocol.ClientRecord)
-	for _, r := range c.groups[m.From].replicas {
-		for id, rec := range r.ExportClients() {
-			cur, ok := clients[id]
-			if !ok || rec.ReqID > cur.ReqID || (rec.ReqID == cur.ReqID && cur.Reply == nil && rec.Reply != nil) {
-				if ok && cur.Reply != nil {
-					cur.Reply.Release()
-				}
-				clients[id] = rec
-			} else if rec.Reply != nil {
-				rec.Reply.Release()
-			}
-		}
-	}
-	for id, rec := range clients {
-		if rec.Reply == nil {
-			continue
-		}
-		// Re-stamp on a pooled flight copy owned by this record set; the
-		// exported reference is returned to its table's lifecycle.
-		rep := rec.Reply.FlightClone()
-		rep.Seq = wire.Seq{}
-		rep.Group = uint16(m.To)
-		rec.Reply.Release()
-		clients[id] = protocol.ClientRecord{ReqID: rec.ReqID, Reply: rep}
-	}
-	// One control round trip plus a per-object transfer cost for the
-	// whole batch; the slots stay frozen while the copy is in flight.
-	delay := 2*c.cfg.LinkLatency + time.Duration(len(install))*migratePerObjectCost
-	c.eng.After(delay, func() {
-		for _, r := range c.groups[m.To].replicas {
-			r.InstallSlot(install)
-			r.MergeClients(clients)
-		}
-		protocol.ReleaseRecords(clients)
+	sh := new(shipment)
+	sh.collect(c.groups[m.From].replicas, scope{slots: m.Slots})
+	m.objects = sh.n
+	c.ship(sh, func(int) []int { return []int{m.To} }, func() {
 		for _, r := range c.groups[m.From].replicas {
 			for _, slot := range m.Slots {
 				r.DropSlot(slot)
@@ -476,34 +377,26 @@ func (m *Migration) copyAndFlip() {
 		m.done = true
 		if m.auto {
 			c.rebalanced += uint64(len(m.Slots))
-			c.rebalanceRounds++
 		}
 	})
 }
 
-// flushWrite issues one control-plane write to group g, steering clear
-// of avoidSlot and preferring unfrozen slots, so the group's
-// last-committed point advances even when client load is idle. It uses
-// the priming client identity (ClientID 0) with a request ID range of
-// its own. When EVERY slot the group serves is frozen — the
-// whole-group drain of a retirement or membership respec — the nudge
-// is forced through the freeze with wire.FlagFlush: the flush write
-// quiesces like any other and its object travels with the batch, but
-// without it the drain would wedge on a stray entry forever.
-func (c *Cluster) flushWrite(g, avoidSlot int) {
+// flushWrite issues one control-plane write to group g, preferring an
+// unfrozen slot, so the group's last-committed point advances even
+// when client load is idle. When EVERY slot the group serves is frozen
+// — the whole-group drain of a retirement or respec — the nudge is forced
+// through the freeze with wire.FlagFlush: the flush write quiesces
+// like any other and its object travels with the batch, but without it
+// the drain would wedge on a stray entry forever.
+func (c *Cluster) flushWrite(g int) {
 	var flags wire.Flags
-	key, ok := c.keyInGroup(g, fmt.Sprintf("__flush__%d_", g), avoidSlot)
+	key, ok := c.keyInGroup(g, fmt.Sprintf("__flush__%d_", g), false)
 	if !ok {
-		key, ok = c.keyInGroupAny(g, fmt.Sprintf("__flush__%d_", g), avoidSlot, true)
-		if !ok {
+		if key, ok = c.keyInGroup(g, fmt.Sprintf("__flush__%d_", g), true); !ok {
 			return
 		}
 		flags = wire.FlagFlush
 	}
 	c.flushCtr++
-	pkt := &wire.Packet{
-		Op: wire.OpWrite, Flags: flags, ObjID: wire.HashKey(key), Key: key,
-		Group: uint16(g), ClientID: 0, ReqID: 1<<32 + c.flushCtr, Value: []byte{1},
-	}
-	c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
+	c.controlWrite(g, key, flags, 1<<32+c.flushCtr)
 }

@@ -14,8 +14,8 @@
 //     stage's registers.
 //
 // Anything expressible against this interface is therefore plausibly
-// compilable to a real pipeline, which is the point of the substitution
-// documented in DESIGN.md.
+// compilable to a real pipeline, which is the point of substituting
+// this model for the Tofino ASIC (README, Layout).
 package dataplane
 
 import (

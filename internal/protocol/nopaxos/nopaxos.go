@@ -22,7 +22,7 @@
 //
 // Scope note: NOPaxos view changes (leader failure) are not
 // implemented; the paper's evaluation does not exercise them, and the
-// Harmonia integration is unaffected (DESIGN.md records this).
+// Harmonia integration is unaffected.
 package nopaxos
 
 import (

@@ -118,7 +118,7 @@ func TestPolicyDecayStickyFloorNoFlap(t *testing.T) {
 			t.Fatalf("round %d: decay inverted the slot ranking (%d vs %d)",
 				round, heat[0].Total(), heat[1].Total())
 		}
-		p.Plan(heat, w.table, nil, 2, nil) // the loop consumes the same samples
+		p.PlanRound(heat, w.table, nil, 2, nil) // the loop consumes the same samples
 		w.now += testCfg.Interval
 		f.DecayHeat()
 	}

@@ -201,14 +201,14 @@ func (p *Policy) Config() Config { return p.cfg }
 // SetRecorder points the policy at the control-plane flight recorder,
 // labeling its events with the switch domain sw. Group indices in the
 // emitted events are the policy's LOCAL plan indices (the switch
-// domain's group order), matching the inputs Plan/PlanRound received.
+// domain's group order), matching the inputs PlanRound received.
 func (p *Policy) SetRecorder(rec *trace.Recorder, sw int) {
 	p.rec = rec
 	p.sw = int16(sw)
 }
 
 // SetWeights installs the per-group capacity weights the imbalance
-// math normalizes by (index = the group index Plan's table uses; for a
+// math normalizes by (index = the group index PlanRound's table uses; for a
 // rack-aware cluster that is the switch domain's LOCAL index order).
 // Nil, an empty slice, or non-positive entries fall back to uniform
 // capacity. The slice is copied.
@@ -247,9 +247,9 @@ func (p *Policy) weightsFor(groups int) []float64 {
 
 // Ready reports whether a round could possibly fire right now: the
 // trigger is armed and the cool-down has elapsed. Callers use it to
-// skip gathering expensive Plan inputs (e.g. per-slot object counts)
+// skip gathering expensive PlanRound inputs (e.g. per-slot object counts)
 // that a gated tick would discard unread; heat must still be sampled —
-// Plan needs it to re-arm the trigger on calm readings.
+// PlanRound needs it to re-arm the trigger on calm readings.
 func (p *Policy) Ready() bool {
 	if !p.armed {
 		return false
@@ -275,39 +275,27 @@ func (p *Policy) Rounds() int { return p.rounds }
 // rounds.
 func (p *Policy) SlotsMoved() int { return p.slotsMoved }
 
-// Plan runs one control-loop tick: given the per-slot heat sample, the
-// current slot → group table, optional per-slot object counts (nil if
-// unknown; the cost model then charges MoveCost alone), the group
+// PlanRound runs one control-loop tick: given the per-slot heat sample,
+// the current slot → group table, optional per-slot object counts (nil
+// if unknown; the cost model then charges MoveCost alone), the group
 // count, and an optional busy predicate (slots currently mid-handoff,
-// which cannot be moved again yet), it returns the batch of moves to
-// execute now — nil when the loop should hold still. Firing re-arms
-// only after per-capacity-unit imbalance falls below
-// Threshold−Hysteresis, and never within Cooldown of the last round. A
-// tick whose every candidate is busy or vetoed plans nothing AND
-// commits nothing — the trigger stays armed and no cool-down is
-// burned, so the loop retries as soon as the situation becomes movable
-// instead of disarming itself forever.
+// which cannot be moved again yet), it returns the round to execute
+// now — empty when the loop should hold still. Firing re-arms only
+// after per-capacity-unit imbalance falls below Threshold−Hysteresis,
+// and never within Cooldown of the last round. A tick whose every
+// candidate is busy or vetoed plans nothing AND commits nothing — the
+// trigger stays armed and no cool-down is burned, so the loop retries
+// as soon as the situation becomes movable instead of disarming itself
+// forever.
 //
-// Plan never proposes slot exchanges; callers that can execute them
-// use PlanRound, which falls back to a swap when the drain is
-// occupancy-blocked.
-func (p *Policy) Plan(heat []Heat, table []int, objects []int, groups int, busy func(slot int) bool) []Move {
-	return p.planTick(heat, table, objects, groups, busy, false).Moves
-}
-
-// PlanRound runs one control-loop tick like Plan, but may additionally
-// plan slot exchanges: when the drain plan comes up empty because
-// every balance-improving candidate lost to the occupancy cost veto,
-// the round instead trades the hottest movable slot of the overloaded
-// group for the coldest slot of the underloaded one — heat moves, slot
-// occupancy stays level, and only the occupancy difference pays the
-// copy bill. Firing (moves OR swaps) disarms the trigger and starts
-// the cool-down exactly as a drain round does.
+// A round is a batch of one-way moves or, when that drain plan comes
+// up empty because every balance-improving candidate lost to the
+// occupancy cost veto, a slot exchange: the hottest movable slot of
+// the overloaded group for the coldest slot of the underloaded one —
+// heat moves, slot occupancy stays level, and only the occupancy
+// difference pays the copy bill. Firing (moves OR swaps) disarms the
+// trigger and starts the cool-down.
 func (p *Policy) PlanRound(heat []Heat, table []int, objects []int, groups int, busy func(slot int) bool) Round {
-	return p.planTick(heat, table, objects, groups, busy, true)
-}
-
-func (p *Policy) planTick(heat []Heat, table []int, objects []int, groups int, busy func(slot int) bool, withSwaps bool) Round {
 	p.stuckSlot = -1 // stuckness is a per-tick observation
 	if groups < 2 || len(heat) == 0 || len(table) != len(heat) {
 		return Round{}
@@ -357,7 +345,7 @@ func (p *Policy) planTick(heat []Heat, table []int, objects []int, groups int, b
 
 	moves, costVetoed := p.plan(heat, table, objects, load, w, fairUnit, busy)
 	round := Round{Moves: moves}
-	if len(moves) == 0 && costVetoed && withSwaps {
+	if len(moves) == 0 && costVetoed {
 		round.Swaps = p.planSwaps(heat, table, objects, load, w, busy)
 	}
 	if round.Empty() {

@@ -1,6 +1,7 @@
 package rebalance
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -30,8 +31,14 @@ func newFakeWorld(groups int) *fakeWorld {
 
 func (w *fakeWorld) clock() time.Duration { return w.now }
 
+// plan runs one tick for the drain-only scenarios and returns its
+// moves; a swap there is a test failure.
 func (w *fakeWorld) plan(p *Policy, groups int) []Move {
-	return p.Plan(w.heat, w.table, w.objs, groups, nil)
+	round := p.PlanRound(w.heat, w.table, w.objs, groups, nil)
+	if len(round.Swaps) != 0 {
+		panic(fmt.Sprintf("drain-only scenario planned swaps: %+v", round.Swaps))
+	}
+	return round.Moves
 }
 
 // apply executes planned moves against the fake routing table, the way
@@ -236,8 +243,8 @@ func TestRebalancePolicyBusySlotsDoNotBurnTheTrigger(t *testing.T) {
 	w.heat[1] = Heat{Reads: 500}
 	allBusy := func(int) bool { return true }
 	for i := 0; i < 3; i++ {
-		if moves := p.Plan(w.heat, w.table, w.objs, 2, allBusy); moves != nil {
-			t.Fatalf("busy round %d planned %v", i, moves)
+		if round := p.PlanRound(w.heat, w.table, w.objs, 2, allBusy); !round.Empty() {
+			t.Fatalf("busy round %d planned %+v", i, round)
 		}
 		w.now += 2 * testCfg.Cooldown
 	}
@@ -457,12 +464,9 @@ func TestHeteroPolicySwapWhenOccupancyVetoed(t *testing.T) {
 	w.heat[3] = Heat{Reads: 100} // slot 3 → group 1
 	w.objs[0], w.objs[2], w.objs[1] = 5000, 5000, 5000
 
-	if moves := w.plan(p, 2); moves != nil {
-		t.Fatalf("one-way drain should have been occupancy-vetoed, planned %v", moves)
-	}
 	round := p.PlanRound(w.heat, w.table, w.objs, 2, nil)
 	if len(round.Moves) != 0 || len(round.Swaps) != 1 {
-		t.Fatalf("round = %+v, want exactly one swap", round)
+		t.Fatalf("round = %+v, want the one-way drain occupancy-vetoed and exactly one swap", round)
 	}
 	sw := round.Swaps[0]
 	if sw.From != 0 || sw.To != 1 || sw.SlotA != 0 {

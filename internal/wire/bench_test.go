@@ -27,9 +27,11 @@ func TestValueNormalization(t *testing.T) {
 	if q := p.Clone(); q.Value != nil {
 		t.Fatalf("Clone of empty value = %#v, want nil", q.Value)
 	}
-	if q := p.ShallowClone(); q.Value != nil {
-		t.Fatalf("ShallowClone of empty value = %#v, want nil", q.Value)
+	fc := p.FlightClone()
+	if fc.Value != nil {
+		t.Fatalf("FlightClone of empty value = %#v, want nil", fc.Value)
 	}
+	fc.Release()
 	p.Own()
 	if p.Value != nil {
 		t.Fatalf("Own of empty value = %#v, want nil", p.Value)
@@ -39,12 +41,12 @@ func TestValueNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _, err := Decode(enc)
+	q, _, err := decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Value != nil {
-		t.Fatalf("Decode of empty value = %#v, want nil", q.Value)
+		t.Fatalf("decode of empty value = %#v, want nil", q.Value)
 	}
 }
 

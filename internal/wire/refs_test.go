@@ -35,8 +35,8 @@ func TestRefcountLifecycle(t *testing.T) {
 	mustPanic("FlightClone", func() { p.FlightClone() })
 }
 
-// TestRefcountUnmanaged pins that literal packets and Clone/
-// ShallowClone results sit outside the pool lifecycle: Retain and
+// TestRefcountUnmanaged pins that literal packets and Clone results
+// sit outside the pool lifecycle: Retain and
 // Release are no-ops, so shared code paths need no special casing.
 func TestRefcountUnmanaged(t *testing.T) {
 	lit := &Packet{Op: OpRead, ObjID: 7}
@@ -55,9 +55,6 @@ func TestRefcountUnmanaged(t *testing.T) {
 	m.Retain() // two holders
 	if c := m.Clone(); c.Managed() {
 		t.Fatal("Clone of a managed packet is managed")
-	}
-	if s := m.ShallowClone(); s.Managed() {
-		t.Fatal("ShallowClone of a managed packet is managed")
 	}
 	m.Release()
 	m.Release()

@@ -261,7 +261,7 @@ type Packet struct {
 	// 0 when the op is untraced. It is a simulation-side annotation
 	// only: Encode never serializes it and DecodeInto always zeroes
 	// it, so the byte-level format is unchanged. Clone and
-	// ShallowClone copy it, which is how a span follows the op across
+	// FlightClone copy it, which is how a span follows the op across
 	// per-transmission header copies and protocol replies.
 	Span uint64
 
@@ -269,8 +269,8 @@ type Packet struct {
 	// the switch looks only at ObjID).
 	Key string
 	// Value is the write payload or read result. A zero-length value
-	// is canonically nil: Decode, DecodeInto, Clone, and ShallowClone
-	// all normalize empty to nil, so "no payload" has exactly one
+	// is canonically nil: DecodeInto, Own, Clone, and FlightClone all
+	// normalize empty to nil, so "no payload" has exactly one
 	// representation no matter how many codec or pooling round trips a
 	// packet takes.
 	Value []byte
@@ -380,18 +380,6 @@ func (p *Packet) Encode(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a packet from b, returning the packet and the number of
-// bytes consumed. The packet owns its key and value (copied out of b).
-func Decode(b []byte) (*Packet, int, error) {
-	p := &Packet{}
-	n, err := DecodeInto(p, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.Own()
-	return p, n, nil
-}
-
 // DecodeInto parses a packet from b into p, reusing p's storage. It is
 // the zero-copy, zero-allocation decode for switch-side inspection:
 // p.Key and p.Value are borrowed views into b, valid only while b is.
@@ -468,7 +456,7 @@ func (p *Packet) Own() {
 }
 
 // Clone returns a deep copy of p: fresh header and a fresh payload
-// copy. Zero-length values normalize to nil, exactly as Decode
+// copy. Zero-length values normalize to nil, exactly as DecodeInto
 // produces them.
 func (p *Packet) Clone() *Packet {
 	q := *p
@@ -476,22 +464,6 @@ func (p *Packet) Clone() *Packet {
 	if len(p.Value) > 0 {
 		q.Value = append([]byte(nil), p.Value...)
 	} else {
-		q.Value = nil
-	}
-	return &q
-}
-
-// ShallowClone returns a fresh unmanaged header copy sharing p's
-// payload: header stamps (Seq, Flags, routing) are per-flight state,
-// while the payload bytes are immutable once created and safe to
-// share. Hot paths use the pooled FlightClone instead; ShallowClone
-// remains for callers outside the pool's lifecycle (tests, one-off
-// control-plane copies). Zero-length values normalize to nil like
-// Clone.
-func (p *Packet) ShallowClone() *Packet {
-	q := *p
-	q.refs = 0
-	if len(q.Value) == 0 {
 		q.Value = nil
 	}
 	return &q
@@ -545,7 +517,7 @@ func (p *Packet) FlightClone() *Packet {
 // reply stored while the same packet rides to the client, a multicast
 // fan-out beyond the first destination, a chain propagation that also
 // stays in the local unacked window. On an unmanaged packet (refs 0:
-// literals, ShallowClone/Clone results) Retain is a no-op, so code
+// literals, Clone results) Retain is a no-op, so code
 // paths shared with test-crafted packets need no special casing.
 // Retaining a freed packet panics.
 func (p *Packet) Retain() *Packet {

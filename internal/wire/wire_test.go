@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// decode is DecodeInto into a fresh packet that owns its payload.
+func decode(b []byte) (*Packet, int, error) {
+	p := &Packet{}
+	n, err := DecodeInto(p, b)
+	p.Own()
+	return p, n, err
+}
+
 func TestSeqOrdering(t *testing.T) {
 	cases := []struct {
 		a, b Seq
@@ -103,7 +111,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, n, err := Decode(b)
+	q, n, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,7 @@ func TestEncodeDecodeEmptyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _, err := Decode(b)
+	q, _, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +162,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return len(key) > MaxKeyLen
 		}
-		q, n, err := Decode(b)
+		q, n, err := decode(b)
 		if err != nil || n != len(b) {
 			return false
 		}
@@ -173,21 +181,21 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
+	if _, _, err := decode(nil); err == nil {
 		t.Fatal("nil input accepted")
 	}
-	if _, _, err := Decode(make([]byte, 10)); err == nil {
+	if _, _, err := decode(make([]byte, 10)); err == nil {
 		t.Fatal("short input accepted")
 	}
 	p := &Packet{Op: OpRead, Key: "k", Value: []byte("v")}
 	b, _ := p.Encode(nil)
 	for cut := 1; cut < len(b); cut++ {
-		if _, _, err := Decode(b[:len(b)-cut]); err == nil {
+		if _, _, err := decode(b[:len(b)-cut]); err == nil {
 			t.Fatalf("truncation by %d accepted", cut)
 		}
 	}
 	b[0] = 0 // invalid op
-	if _, _, err := Decode(b); err != ErrBadOp {
+	if _, _, err := decode(b); err != ErrBadOp {
 		t.Fatalf("bad op error = %v", err)
 	}
 }
