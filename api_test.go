@@ -4,11 +4,49 @@ package harmonia
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
+
+	"harmonia/internal/cluster"
 )
 
+// checkConfig holds one configuration to the single rule set: New and
+// cluster.Config.Validate must agree on the verdict, New's error must
+// be Validate's error (nothing is rejected in this package), and the
+// same invalid config handed straight to cluster.New must panic with
+// it instead of being clamped into shape.
+func checkConfig(t *testing.T, cfg Config, wantErr bool) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
+	verr := cfg.internal().Validate()
+	if (err != nil) != wantErr || (verr != nil) != wantErr {
+		t.Fatalf("config %+v: New err = %v, Validate err = %v, wantErr %v", cfg, err, verr, wantErr)
+	}
+	if !wantErr {
+		return c
+	}
+	if want := "harmonia: " + verr.Error(); err.Error() != want {
+		t.Fatalf("New rejected with %q, want the Validate error %q", err, want)
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatalf("cluster.New accepted a config Validate rejects (%v)", verr)
+		} else if perr, ok := r.(error); !ok || perr.Error() != verr.Error() {
+			t.Fatalf("cluster.New panicked with %v, want the Validate error %v", r, verr)
+		}
+	}()
+	cluster.New(cfg.internal())
+	return nil
+}
+
 func TestConfigValidationTable(t *testing.T) {
+	chain2 := Config{Protocol: ChainReplication, Groups: 2}
+	policy := func(rp RebalancePolicy) Config {
+		cfg := chain2
+		cfg.RebalancePolicy = rp
+		return cfg
+	}
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -24,6 +62,7 @@ func TestConfigValidationTable(t *testing.T) {
 		{"craq with harmonia", Config{Protocol: CRAQ, UseHarmonia: true}, true},
 		{"negative replicas", Config{Replicas: -1}, true},
 		{"vr singleton", Config{Protocol: ViewstampedReplication, Replicas: 1}, true},
+		{"group larger than its address window", Config{Protocol: ChainReplication, Replicas: 65}, true},
 		{"negative stages", Config{Stages: -1}, true},
 		{"negative slots", Config{SlotsPerStage: -5}, true},
 		{"negative groups", Config{Groups: -1}, true},
@@ -34,14 +73,19 @@ func TestConfigValidationTable(t *testing.T) {
 		{"too many switches", Config{Groups: 16, Switches: MaxSwitches + 1}, true},
 		{"more switches than groups", Config{Groups: 2, Switches: 4}, true},
 		{"switches without groups", Config{Switches: 4}, true},
+		{"a switch with more groups than slots", Config{Groups: 255, Switches: 7}, true},
+		{"tuned policy", policy(RebalancePolicy{Threshold: 1.3, Hysteresis: 0.1, Interval: time.Millisecond, MaxSlotsPerRound: 4}), false},
+		{"negative threshold", policy(RebalancePolicy{Threshold: -1}), true},
+		{"negative hysteresis", policy(RebalancePolicy{Hysteresis: -0.1}), true},
+		{"negative interval", policy(RebalancePolicy{Interval: -time.Second}), true},
+		{"negative round size", policy(RebalancePolicy{MaxSlotsPerRound: -4}), true},
+		{"hysteresis at the threshold", policy(RebalancePolicy{Threshold: 1.2, Hysteresis: 1.2}), true},
+		// Threshold left to its default: a hysteresis at or above it
+		// must still be rejected.
+		{"hysteresis above the default threshold", policy(RebalancePolicy{Hysteresis: 1.6}), true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.cfg)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("New(%+v) err = %v, wantErr %v", tc.cfg, err, tc.wantErr)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkConfig(t, tc.cfg, tc.wantErr) })
 	}
 }
 
@@ -178,6 +222,10 @@ func TestGroupSpecConfigValidation(t *testing.T) {
 		{"spec vr inherits singleton default", Config{Replicas: 1,
 			GroupSpecs: []GroupSpec{{Protocol: ViewstampedReplication}}}, true},
 		{"spec negative weight", Config{GroupSpecs: []GroupSpec{{Protocol: ChainReplication, Weight: -1}}}, true},
+		{"spec NaN weight", Config{GroupSpecs: []GroupSpec{{Protocol: ChainReplication, Weight: math.NaN()}}}, true},
+		{"spec infinite weight", Config{GroupSpecs: []GroupSpec{{Protocol: ChainReplication, Weight: math.Inf(1)}}}, true},
+		{"spec larger than its address window", Config{GroupSpecs: []GroupSpec{{Protocol: ChainReplication, Replicas: 65}}}, true},
+		{"more specs than groups allowed", Config{GroupSpecs: make([]GroupSpec, MaxGroups+1)}, true},
 		{"explicit weights", Config{GroupSpecs: []GroupSpec{
 			{Protocol: ChainReplication, Weight: 5}, {Protocol: ChainReplication, Weight: 1}}}, false},
 		// Derived weights are absolute service rates; explicit ones are
@@ -194,14 +242,7 @@ func TestGroupSpecConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(tc.cfg)
-			if tc.wantErr && err == nil {
-				t.Fatalf("config %+v accepted", tc.cfg)
-			}
-			if !tc.wantErr && err != nil {
-				t.Fatalf("config %+v rejected: %v", tc.cfg, err)
-			}
-			if err == nil && c.Groups() <= 0 {
+			if c := checkConfig(t, tc.cfg, tc.wantErr); c != nil && c.Groups() <= 0 {
 				t.Fatal("no groups assembled")
 			}
 		})

@@ -4,15 +4,13 @@
 // Usage:
 //
 //	harmonia-bench [-scale 1.0] [-fig all|5a|5b|6a|6b|7a|7b|7c|8|9a|9b|10|S|R|A|M|H|P|E|K|ablations]
-//	               [-json dir] [-baseline BENCH_figP.json] [-trace dir]
+//	               [-json dir] [-trace dir]
 //	               [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // With -json, every figure run additionally writes a machine-readable
 // BENCH_fig<name>.json snapshot (wall time, heap allocations, and the
-// plotted series; figure P carries the full simulator-perf block) into
-// dir, so the perf trajectory is tracked per PR instead of anecdotal.
-// -baseline embeds a previous run's figure-P perf block as the
-// comparison baseline and reports the speedup against it.
+// plotted series) into dir. The simulator's own speed is measured by
+// the repository benchmark (benchmark/README.md), not here.
 //
 // With -trace, the control-plane-heavy figures (E, K) additionally dump
 // their cluster's flight recorder as Chrome trace_event JSON
@@ -40,59 +38,57 @@ import (
 // experiment entry points. The -fig flag's usage string and its
 // unknown-value error both enumerate this table, so the valid names —
 // including the repo-grown S/R/A/M/H/P figures — are always
-// discoverable from the CLI itself. Figures with a detail hook also
-// contribute a perf block to their JSON snapshot.
+// discoverable from the CLI itself.
 var runners = []struct {
 	name, title, xlabel, ylabel string
 	run                         func(experiments.Scale) []experiments.Series
-	detail                      func(experiments.Scale) ([]experiments.Series, experiments.PerfSnapshot)
 }{
 	{"5a", "Figure 5(a): latency vs throughput, read-only, 3 replicas",
-		"throughput (MRPS)", "mean latency (ms)", experiments.Fig5a, nil},
+		"throughput (MRPS)", "mean latency (ms)", experiments.Fig5a},
 	{"5b", "Figure 5(b): latency vs throughput, write-only, 3 replicas",
-		"throughput (MRPS)", "mean latency (ms)", experiments.Fig5b, nil},
+		"throughput (MRPS)", "mean latency (ms)", experiments.Fig5b},
 	{"6a", "Figure 6(a): read throughput vs write rate, 3 replicas",
-		"write throughput (MRPS)", "read throughput (MRPS)", experiments.Fig6a, nil},
+		"write throughput (MRPS)", "read throughput (MRPS)", experiments.Fig6a},
 	{"6b", "Figure 6(b): total throughput vs write ratio, 3 replicas",
-		"write ratio (%)", "throughput (MRPS)", experiments.Fig6b, nil},
+		"write ratio (%)", "throughput (MRPS)", experiments.Fig6b},
 	{"7a", "Figure 7(a): scalability, read-only workload",
 		"replicas", "throughput (MRPS)",
-		func(s experiments.Scale) []experiments.Series { return experiments.Fig7(s, 0) }, nil},
+		func(s experiments.Scale) []experiments.Series { return experiments.Fig7(s, 0) }},
 	{"7b", "Figure 7(b): scalability, write-only workload",
 		"replicas", "throughput (MRPS)",
-		func(s experiments.Scale) []experiments.Series { return experiments.Fig7(s, 1) }, nil},
+		func(s experiments.Scale) []experiments.Series { return experiments.Fig7(s, 1) }},
 	{"7c", "Figure 7(c): scalability, 5% writes",
 		"replicas", "throughput (MRPS)",
-		func(s experiments.Scale) []experiments.Series { return experiments.Fig7(s, 0.05) }, nil},
+		func(s experiments.Scale) []experiments.Series { return experiments.Fig7(s, 0.05) }},
 	{"8", "Figure 8: throughput vs dirty-set hash-table slots (5% writes)",
-		"slots", "throughput (MRPS)", experiments.Fig8, nil},
+		"slots", "throughput (MRPS)", experiments.Fig8},
 	{"9a", "Figure 9(a): primary-backup family, reads vs write rate",
 		"write throughput (MRPS)", "read throughput (MRPS)",
-		func(s experiments.Scale) []experiments.Series { return experiments.Fig9(s, "pb") }, nil},
+		func(s experiments.Scale) []experiments.Series { return experiments.Fig9(s, "pb") }},
 	{"9b", "Figure 9(b): quorum family, reads vs write rate",
 		"write throughput (MRPS)", "read throughput (MRPS)",
-		func(s experiments.Scale) []experiments.Series { return experiments.Fig9(s, "quorum") }, nil},
+		func(s experiments.Scale) []experiments.Series { return experiments.Fig9(s, "quorum") }},
 	{"10", "Figure 10: throughput during switch stop/reactivate (ms, 1000:1 compressed)",
 		"time (ms)", "throughput (MRPS)",
 		func(s experiments.Scale) []experiments.Series {
 			return []experiments.Series{experiments.Fig10(s)}
-		}, nil},
+		}},
 	{"S", "Figure S: aggregate throughput vs replica-group count (sharded, 5% writes, zipf-0.9)",
-		"groups", "throughput (MRPS)", experiments.FigS, nil},
+		"groups", "throughput (MRPS)", experiments.FigS},
 	{"R", "Figure R: throughput while a pinned hot spot's slots migrate off the hot group (online rebalance)",
-		"time (ms)", "throughput (MRPS)", experiments.FigR, nil},
+		"time (ms)", "throughput (MRPS)", experiments.FigR},
 	{"A", "Figure A: autonomous rebalancer converging an unpinned zipf-1.2 hot spot (switch heat counters, no hints)",
-		"time (ms)", "throughput (MRPS)", experiments.FigA, nil},
+		"time (ms)", "throughput (MRPS)", experiments.FigA},
 	{"M", "Figure M: multi-switch rack scaling (2 groups/switch) and one-switch crash economics",
-		"switches", "throughput (MRPS)", experiments.FigM, nil},
+		"switches", "throughput (MRPS)", experiments.FigM},
 	{"H", "Figure H: heterogeneous rack (CR×7 + 2×NOPaxos×3, weighted shards) vs the uniform misconfiguration",
-		"group", "throughput (MRPS)", experiments.FigH, nil},
-	{"P", "Figure P: open-loop latency vs throughput, 4-switch weighted rack (simulator perf snapshot)",
-		"throughput (MRPS)", "latency (ms)", experiments.FigPerf, experiments.FigPerfDetail},
+		"group", "throughput (MRPS)", experiments.FigH},
+	{"P", "Figure P: open-loop latency vs throughput, 4-switch weighted rack",
+		"throughput (MRPS)", "latency (ms)", experiments.FigPerf},
 	{"E", "Figure E: elastic scale-out 4→8 groups under open-loop load, then dead-switch reassignment",
-		"time (ms)", "throughput (MRPS)", experiments.FigE, nil},
+		"time (ms)", "throughput (MRPS)", experiments.FigE},
 	{"K", "Figure K: celebrity-key workload, auto-rebalance baseline vs per-key hot replication",
-		"-", "aggregate throughput (MRPS)", experiments.FigK, nil},
+		"-", "aggregate throughput (MRPS)", experiments.FigK},
 	{"ablations", "Ablations (README, CLI tools)",
 		"-", "see series names",
 		func(s experiments.Scale) []experiments.Series {
@@ -101,7 +97,7 @@ var runners = []struct {
 			out = append(out, tag("lazy-cleanup: ", experiments.AblationLazyCleanup(s))...)
 			out = append(out, tag("stages: ", experiments.AblationStages(s))...)
 			return out
-		}, nil},
+		}},
 }
 
 // figNames lists the registry's figure names in presentation order.
@@ -120,17 +116,6 @@ type jsonSeries struct {
 	Points [][2]float64 `json:"points"`
 }
 
-// perfBlock pairs the current figure-P snapshot with the baseline it
-// is judged against. The tracked BENCH_figP.json keeps both, so the
-// speedup claim is reproducible from the one file.
-type perfBlock struct {
-	Current  experiments.PerfSnapshot  `json:"current"`
-	Baseline *experiments.PerfSnapshot `json:"baseline,omitempty"`
-	// SpeedupVsBaseline is current.ops_per_wall_sec over the
-	// baseline's — how much faster the simulator pushes the same rack.
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
-}
-
 // benchSnapshot is the per-figure BENCH_fig<name>.json schema.
 type benchSnapshot struct {
 	Figure string  `json:"figure"`
@@ -142,48 +127,19 @@ type benchSnapshot struct {
 	Allocs      uint64       `json:"allocs"`
 	AllocBytes  uint64       `json:"alloc_bytes"`
 	Series      []jsonSeries `json:"series"`
-	Perf        *perfBlock   `json:"perf,omitempty"`
-}
-
-// loadBaseline pulls the figure-P perf block out of a previous
-// snapshot file.
-func loadBaseline(path string) (*experiments.PerfSnapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, err
-	}
-	if snap.Perf == nil {
-		return nil, fmt.Errorf("%s: no perf block to use as baseline", path)
-	}
-	return &snap.Perf.Current, nil
 }
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "measurement-window multiplier (lower = faster, noisier)")
 	fig := flag.String("fig", "all", "figure to regenerate: one of "+strings.Join(figNames(), " ")+", or all")
 	jsonDir := flag.String("json", "", "directory to write BENCH_fig<name>.json snapshots into")
-	baseline := flag.String("baseline", "", "previous BENCH_figP.json whose perf block becomes the comparison baseline")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceDir := flag.String("trace", "", "directory to dump control-plane flight-recorder timelines into (TRACE_fig<name>.json, Chrome trace_event format; figures E and K)")
-	maxAllocs := flag.Float64("max-allocs-per-op", 0, "fail (exit 1) if the figure-P perf run exceeds this many allocs/op (0 = no gate)")
-	minSpeedup := flag.Float64("min-speedup", 0, "fail (exit 1) if figure-P ops/wall-sec drops below this fraction of the -baseline snapshot (0 = no gate)")
 	flag.Parse()
 	s := experiments.Scale(*scale)
 	experiments.TraceDir = *traceDir
 
-	var base *experiments.PerfSnapshot
-	if *baseline != "" {
-		var err error
-		if base, err = loadBaseline(*baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -205,22 +161,11 @@ func main() {
 		found = true
 		fmt.Printf("== %s ==\n", r.title)
 		snap := benchSnapshot{Figure: r.name, Title: r.title, Scale: *scale}
-		var series []experiments.Series
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
-		if r.detail != nil {
-			var perf experiments.PerfSnapshot
-			series, perf = r.detail(s)
-			pb := &perfBlock{Current: perf, Baseline: base}
-			if base != nil && base.OpsPerWallSec > 0 {
-				pb.SpeedupVsBaseline = perf.OpsPerWallSec / base.OpsPerWallSec
-			}
-			snap.Perf = pb
-		} else {
-			series = r.run(s)
-		}
+		series := r.run(s)
 		snap.WallSeconds = time.Since(t0).Seconds()
 		runtime.ReadMemStats(&m1)
 		snap.Allocs = m1.Mallocs - m0.Mallocs
@@ -234,40 +179,9 @@ func main() {
 			}
 			snap.Series = append(snap.Series, js)
 		}
-		if snap.Perf != nil {
-			c := snap.Perf.Current
-			fmt.Printf("perf: %.0f sim ops in %.2fs wall = %.0f ops/wall-sec (%.0f ns/op, %.2f allocs/op)\n",
-				float64(c.SimOps), c.WallSeconds, c.OpsPerWallSec, c.NsPerOp, c.AllocsPerOp)
-			if snap.Perf.SpeedupVsBaseline > 0 {
-				fmt.Printf("perf: %.2fx ops/wall-sec vs baseline (%.0f)\n",
-					snap.Perf.SpeedupVsBaseline, snap.Perf.Baseline.OpsPerWallSec)
-			}
-			fmt.Printf("perf: linearizable under chaos: %v\n", c.Linearizable)
-		}
 		if *jsonDir != "" {
 			if err := writeSnapshot(*jsonDir, snap); err != nil {
 				fmt.Fprintf(os.Stderr, "json: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if snap.Perf != nil {
-			// Regression gates for CI, checked after the snapshot is on
-			// disk so a failing run still uploads its numbers. allocs/op
-			// is deterministic and machine-independent, so it gets a hard
-			// bound; wall-clock speed varies across runners, so the
-			// speedup floor should be set well below 1 (it catches
-			// order-of-magnitude regressions like an accidental O(n)
-			// probe, not few-percent noise).
-			c := snap.Perf.Current
-			if *maxAllocs > 0 && c.AllocsPerOp > *maxAllocs {
-				fmt.Fprintf(os.Stderr, "perf gate: %.2f allocs/op exceeds the %.2f bound\n",
-					c.AllocsPerOp, *maxAllocs)
-				os.Exit(1)
-			}
-			if *minSpeedup > 0 && snap.Perf.SpeedupVsBaseline > 0 &&
-				snap.Perf.SpeedupVsBaseline < *minSpeedup {
-				fmt.Fprintf(os.Stderr, "perf gate: %.2fx ops/wall-sec vs baseline is below the %.2fx floor\n",
-					snap.Perf.SpeedupVsBaseline, *minSpeedup)
 				os.Exit(1)
 			}
 		}

@@ -34,56 +34,36 @@ package harmonia
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"harmonia/internal/cluster"
+	"harmonia/internal/core"
 	"harmonia/internal/dataplane"
 	"harmonia/internal/lincheck"
 	"harmonia/internal/metrics"
-	"harmonia/internal/rack"
 	"harmonia/internal/rebalance"
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
 )
 
 // Protocol selects the replication protocol running on the replicas.
-type Protocol int
+type Protocol = cluster.Protocol
 
 // The supported protocols (§7 of the paper; CRAQ is the protocol-level
 // baseline of §9.5).
 const (
-	PrimaryBackup Protocol = iota
-	ChainReplication
-	CRAQ
-	ViewstampedReplication
-	NOPaxos
+	PrimaryBackup          = cluster.PB
+	ChainReplication       = cluster.Chain
+	CRAQ                   = cluster.CRAQ
+	ViewstampedReplication = cluster.VR
+	NOPaxos                = cluster.NOPaxos
 )
 
-// String implements fmt.Stringer.
-func (p Protocol) String() string { return p.internal().String() }
-
-func (p Protocol) internal() cluster.Protocol {
-	switch p {
-	case PrimaryBackup:
-		return cluster.PB
-	case ChainReplication:
-		return cluster.Chain
-	case CRAQ:
-		return cluster.CRAQ
-	case ViewstampedReplication:
-		return cluster.VR
-	case NOPaxos:
-		return cluster.NOPaxos
-	default:
-		return cluster.Chain
-	}
-}
-
 // Config describes the cluster to build. The zero value of every
-// optional field selects the paper's defaults (3-stage × 64K-slot
-// dirty set, 8-shard servers calibrated to 0.92/0.80 MQPS
-// reads/writes, 5µs links).
+// optional field selects the paper's default (3 replicas, a 3-stage ×
+// 64K-slot dirty set). The server and network calibration — 8-shard
+// servers at 0.92/0.80 MQPS reads/writes, 5µs links — is not
+// configurable: it is what the paper's numbers are taken at.
 type Config struct {
 	// Protocol is the replication protocol.
 	Protocol Protocol
@@ -185,28 +165,10 @@ type Config struct {
 type TraceConfig = trace.Config
 
 // GroupSpec describes one replica group of a heterogeneous cluster
-// (Config.GroupSpecs).
-type GroupSpec struct {
-	// Protocol is this group's replication protocol. Each spec names
-	// its protocol explicitly (the zero value is PrimaryBackup, as in
-	// Config). A CRAQ group is always the protocol-level baseline: it
-	// runs without switch assistance even in a UseHarmonia cluster,
-	// and the two coexist in one rack.
-	Protocol Protocol
-	// Replicas is this group's size (0 inherits Config.Replicas).
-	Replicas int
-	// Weight is the group's relative capacity — the number the
-	// weighted slot-shard layout, the rebalancer's per-capacity-unit
-	// thresholds, and PinGroups load generation normalize by. 0 (the
-	// default) derives it from the group's calibrated service rate, so
-	// a 7-replica fast-read group automatically outweighs a 3-replica
-	// one. Only ratios between groups matter — which is why Weight
-	// must be set on every spec or on none: derived weights are
-	// absolute service rates (millions of ops/s), a scale explicit
-	// ratios like 5:1 cannot meaningfully mix with, so New rejects the
-	// mixture instead of silently inverting the intended split.
-	Weight float64
-}
+// (Config.GroupSpecs): its protocol, its size (0 inherits
+// Config.Replicas) and its capacity weight (0 derives it from the
+// group's calibrated service rate; set it on every spec or on none).
+type GroupSpec = cluster.GroupSpec
 
 // RebalancePolicy tunes the autonomous rebalancer's control loop. All
 // thresholds are measured per capacity unit: each group's load is
@@ -243,95 +205,24 @@ type Cluster struct {
 	c *cluster.Cluster
 }
 
-// New builds and primes a cluster.
+// New builds and primes a cluster. What makes a configuration valid,
+// and what its zero fields default to, is decided in internal/cluster.
 func New(cfg Config) (*Cluster, error) {
-	if len(cfg.GroupSpecs) == 0 {
-		// Uniform cluster: the cluster-wide protocol is what every
-		// group runs, so it is validated here. With GroupSpecs, each
-		// spec names its own protocol and the cluster-wide one is only
-		// a default for unset fields.
-		if cfg.Protocol < PrimaryBackup || cfg.Protocol > NOPaxos {
-			return nil, fmt.Errorf("harmonia: unknown protocol %d", cfg.Protocol)
-		}
-		if cfg.Protocol == CRAQ && cfg.UseHarmonia {
-			return nil, fmt.Errorf("harmonia: CRAQ is the protocol-level baseline and does not take switch assistance")
-		}
-		if cfg.Replicas == 1 && cfg.Protocol == ViewstampedReplication {
-			return nil, fmt.Errorf("harmonia: invalid replica count %d", cfg.Replicas)
-		}
+	ccfg := cfg.internal()
+	if err := ccfg.Validate(); err != nil {
+		return nil, prefixed(err)
 	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("harmonia: invalid replica count %d", cfg.Replicas)
-	}
-	if cfg.Stages < 0 || cfg.SlotsPerStage < 0 {
-		return nil, fmt.Errorf("harmonia: invalid dirty-set shape %d×%d", cfg.Stages, cfg.SlotsPerStage)
-	}
-	if cfg.Groups < 0 || cfg.Groups > MaxGroups {
-		return nil, fmt.Errorf("harmonia: invalid group count %d (max %d)", cfg.Groups, MaxGroups)
-	}
-	if cfg.Switches < 0 || cfg.Switches > MaxSwitches {
-		return nil, fmt.Errorf("harmonia: invalid switch count %d (max %d)", cfg.Switches, MaxSwitches)
-	}
-	effGroups := cfg.Groups
-	if n := len(cfg.GroupSpecs); n > 0 {
-		if n > MaxGroups {
-			return nil, fmt.Errorf("harmonia: %d group specs (max %d)", n, MaxGroups)
-		}
-		if cfg.Groups != 0 && cfg.Groups != n {
-			return nil, fmt.Errorf("harmonia: Groups %d disagrees with %d group specs (set one or make them equal)", cfg.Groups, n)
-		}
-		defReplicas := cfg.Replicas
-		if defReplicas == 0 {
-			defReplicas = 3
-		}
-		explicitWeights := 0
-		for _, gs := range cfg.GroupSpecs {
-			if gs.Weight > 0 {
-				explicitWeights++
-			}
-		}
-		if explicitWeights != 0 && explicitWeights != n {
-			// Derived weights are absolute service rates; explicit ones
-			// are user-scale ratios. Mixing the two scales would
-			// silently starve whichever side is numerically smaller, so
-			// the mixture is an error, not a guess.
-			return nil, fmt.Errorf("harmonia: %d of %d group specs set Weight — set it on every spec or on none (derived and explicit weights do not share a scale)", explicitWeights, n)
-		}
-		for g, gs := range cfg.GroupSpecs {
-			if err := validateSpec(gs, defReplicas); err != nil {
-				return nil, fmt.Errorf("harmonia: group %d: %w", g, err)
-			}
-		}
-		effGroups = n
-	}
-	if effGroups == 0 {
-		effGroups = 1
-	}
-	rp := cfg.RebalancePolicy
-	if rp.Threshold < 0 || rp.Hysteresis < 0 || rp.Interval < 0 || rp.MaxSlotsPerRound < 0 {
-		return nil, fmt.Errorf("harmonia: invalid rebalance policy %+v", rp)
-	}
-	// Compare against the EFFECTIVE threshold (zero selects the 1.5
-	// default): a hysteresis at or above it makes the re-arm level
-	// unreachable, so the loop would fire at most once and then go
-	// silent forever.
-	effThreshold := rp.Threshold
-	if effThreshold == 0 {
-		effThreshold = 1.5
-	}
-	if rp.Hysteresis >= effThreshold {
-		return nil, fmt.Errorf("harmonia: rebalance hysteresis %.2f must stay below the effective threshold %.2f (both ratios are per capacity unit)", rp.Hysteresis, effThreshold)
-	}
-	var specs []cluster.GroupSpec
-	for _, gs := range cfg.GroupSpecs {
-		specs = append(specs, gs.toInternal())
-	}
-	ccfg := cluster.Config{
-		Protocol:      cfg.Protocol.internal(),
+	return &Cluster{c: cluster.New(ccfg)}, nil
+}
+
+// internal spells cfg out as the cluster package's configuration.
+func (cfg Config) internal() cluster.Config {
+	return cluster.Config{
+		Protocol:      cfg.Protocol,
 		Replicas:      cfg.Replicas,
 		UseHarmonia:   cfg.UseHarmonia,
 		Groups:        cfg.Groups,
-		GroupSpecs:    specs,
+		GroupSpecs:    cfg.GroupSpecs,
 		Switches:      cfg.Switches,
 		Stages:        cfg.Stages,
 		SlotsPerStage: cfg.SlotsPerStage,
@@ -342,25 +233,15 @@ func New(cfg Config) (*Cluster, error) {
 		AutoRebalance: cfg.AutoRebalance,
 		HotKeys:       cfg.HotKeys,
 		Rebalance: rebalance.Config{
-			Threshold:        rp.Threshold,
-			Hysteresis:       rp.Hysteresis,
-			Interval:         rp.Interval,
-			MaxSlotsPerRound: rp.MaxSlotsPerRound,
+			Threshold:        cfg.RebalancePolicy.Threshold,
+			Hysteresis:       cfg.RebalancePolicy.Hysteresis,
+			Interval:         cfg.RebalancePolicy.Interval,
+			MaxSlotsPerRound: cfg.RebalancePolicy.MaxSlotsPerRound,
 		},
 		RecordHistory: cfg.RecordHistory,
 		Trace:         cfg.Trace,
 		Seed:          cfg.Seed,
 	}
-	if cfg.Switches > 1 {
-		// Validate the rack shape against the groups' effective
-		// capacity weights: each switch's slot shard must fit every
-		// group of its block (uniform weights additionally pin the
-		// historical even-shard constraints).
-		if err := rack.ValidateWeights(cfg.Switches, ccfg.ResolvedWeights()); err != nil {
-			return nil, prefixed(err)
-		}
-	}
-	return &Cluster{c: cluster.New(ccfg)}, nil
 }
 
 // Client returns a synchronous client. Each call registers a new
@@ -385,14 +266,14 @@ func (c *Client) Set(key string, value []byte) error { return c.s.Set(key, value
 func (c *Client) Delete(key string) error { return c.s.Delete(key) }
 
 // Dist selects a key popularity distribution for load generation.
-type Dist int
+type Dist = cluster.Dist
 
 // Distributions from the paper's methodology (§9.1), plus the
 // heavy-tailed variant the rebalancing experiments use.
 const (
-	Uniform Dist = iota
-	Zipf09       // zipfian, θ = 0.9
-	Zipf12       // zipfian, θ = 1.2 (heavy-tailed hot spot)
+	Uniform = cluster.Uniform
+	Zipf09  = cluster.Zipf09 // zipfian, θ = 0.9
+	Zipf12  = cluster.Zipf12 // zipfian, θ = 1.2 (heavy-tailed hot spot)
 )
 
 // LoadSpec describes a load-generation run.
@@ -491,7 +372,7 @@ func (cl *Cluster) Run(spec LoadSpec) Report {
 		Warmup:     spec.Warmup,
 		WriteRatio: spec.WriteRatio,
 		Keys:       spec.Keys,
-		Dist:       cluster.Dist(spec.Dist),
+		Dist:       spec.Dist,
 		PinGroups:  spec.PinGroups,
 		Bucket:     spec.Bucket,
 	})
@@ -549,7 +430,7 @@ func (cl *Cluster) ReactivateSwitch(switches ...int) error {
 // CrashReplica fails replica i of group 0 and reconfigures the
 // protocol around it where supported — the whole story for
 // single-group clusters. Sharded clusters use CrashReplicaInGroup.
-func (cl *Cluster) CrashReplica(i int) error { return cl.c.CrashReplica(i) }
+func (cl *Cluster) CrashReplica(i int) error { return cl.c.CrashReplicaIn(0, i) }
 
 // CrashReplicaInGroup fails replica i of group g. Only that group
 // reconfigures; the other shards keep serving undisturbed. Bounds and
@@ -566,11 +447,7 @@ func (cl *Cluster) Groups() int { return cl.c.Groups() }
 // every default and derived weight resolved. A cluster built without
 // Config.GroupSpecs reports one uniform spec per group.
 func (cl *Cluster) GroupSpecs() []GroupSpec {
-	out := make([]GroupSpec, cl.c.Groups())
-	for g := range out {
-		out[g] = specFromInternal(cl.c.SpecOf(g))
-	}
-	return out
+	return append([]GroupSpec(nil), cl.c.Config().GroupSpecs...)
 }
 
 // GroupWeights returns the effective per-group capacity weights — the
@@ -578,23 +455,6 @@ func (cl *Cluster) GroupSpecs() []GroupSpec {
 // PinGroups load generation normalize by. Only the ratios between
 // entries are meaningful.
 func (cl *Cluster) GroupWeights() []float64 { return cl.c.GroupWeights() }
-
-func protocolFromInternal(p cluster.Protocol) Protocol {
-	switch p {
-	case cluster.PB:
-		return PrimaryBackup
-	case cluster.Chain:
-		return ChainReplication
-	case cluster.CRAQ:
-		return CRAQ
-	case cluster.VR:
-		return ViewstampedReplication
-	case cluster.NOPaxos:
-		return NOPaxos
-	default:
-		return ChainReplication
-	}
-}
 
 // Switches returns the switch front-end count.
 func (cl *Cluster) Switches() int { return cl.c.Switches() }
@@ -732,39 +592,6 @@ func (cl *Cluster) SwapSlots(slotsA, slotsB []int) error {
 // and never reused: a retired group's ID stays retired forever, so
 // per-group statistics and histories remain valid across scale-in.
 
-// validateSpec is the per-spec validation New and the runtime
-// operations share; defReplicas is what a zero Replicas inherits.
-// Callers prefix the error with what the spec was for.
-func validateSpec(gs GroupSpec, defReplicas int) error {
-	if gs.Protocol < PrimaryBackup || gs.Protocol > NOPaxos {
-		return fmt.Errorf("unknown protocol %d", gs.Protocol)
-	}
-	if gs.Replicas < 0 {
-		return fmt.Errorf("invalid replica count %d", gs.Replicas)
-	}
-	eff := gs.Replicas
-	if eff == 0 {
-		eff = defReplicas
-	}
-	if eff == 1 && gs.Protocol == ViewstampedReplication {
-		return fmt.Errorf("invalid replica count %d for VR", eff)
-	}
-	if gs.Weight < 0 || math.IsNaN(gs.Weight) || math.IsInf(gs.Weight, 0) {
-		return fmt.Errorf("invalid capacity weight %v", gs.Weight)
-	}
-	return nil
-}
-
-// toInternal and specFromInternal are the one place the public and
-// internal group specs are converted into each other.
-func (gs GroupSpec) toInternal() cluster.GroupSpec {
-	return cluster.GroupSpec{Protocol: gs.Protocol.internal(), Replicas: gs.Replicas, Weight: gs.Weight}
-}
-
-func specFromInternal(sp cluster.GroupSpec) GroupSpec {
-	return GroupSpec{Protocol: protocolFromInternal(sp.Protocol), Replicas: sp.Replicas, Weight: sp.Weight}
-}
-
 // AddGroup grows the cluster by one replica group built from spec
 // (zero fields inherit the cluster-wide settings, exactly as at
 // assembly) and returns its ID. The group is placed on the alive
@@ -777,10 +604,7 @@ func specFromInternal(sp cluster.GroupSpec) GroupSpec {
 // Explicit vs derived capacity weights must match the cluster's boot
 // scale (the same all-or-none rule New enforces).
 func (cl *Cluster) AddGroup(spec GroupSpec) (int, error) {
-	if err := validateSpec(spec, cl.c.Config().Replicas); err != nil {
-		return 0, prefixed(err)
-	}
-	g, err := cl.c.AddGroupWait(spec.toInternal())
+	g, err := cl.c.AddGroupWait(spec)
 	return g, prefixed(err)
 }
 
@@ -813,10 +637,7 @@ func (cl *Cluster) RemoveGroup(g int) error { return prefixed(cl.c.RemoveGroup(g
 // freeze window — the group's identity, slots, and routing are
 // untouched.
 func (cl *Cluster) RespecGroup(g int, spec GroupSpec) error {
-	if err := validateSpec(spec, cl.c.Config().Replicas); err != nil {
-		return prefixed(err)
-	}
-	return prefixed(cl.c.RespecGroup(g, spec.toInternal()))
+	return prefixed(cl.c.RespecGroup(g, spec))
 }
 
 // ReassignDeadSwitch batch-migrates a permanently dead switch's entire
@@ -848,25 +669,12 @@ func (cl *Cluster) LiveGroups() []int { return cl.c.Rack().LiveGroups() }
 // from the switch front-end's per-slot register arrays. With the
 // rebalancer's periodic EWMA decay the counters track a recent window;
 // without it they accumulate since boot.
-type SlotHeat struct {
-	Reads  uint64
-	Writes uint64
-}
-
-// Total is the slot's combined operation count.
-func (h SlotHeat) Total() uint64 { return h.Reads + h.Writes }
+type SlotHeat = core.SlotHeat
 
 // SlotHeat returns a copy of the per-slot heat counters — the signal
 // the autonomous rebalancer ranks slots by, exposed for inspection and
 // for custom placement tooling.
-func (cl *Cluster) SlotHeat() []SlotHeat {
-	raw := cl.c.SlotHeat()
-	out := make([]SlotHeat, len(raw))
-	for s, h := range raw {
-		out[s] = SlotHeat{Reads: h.Reads, Writes: h.Writes}
-	}
-	return out
-}
+func (cl *Cluster) SlotHeat() []SlotHeat { return cl.c.SlotHeat() }
 
 // Rebalances returns the total slot moves the autonomous rebalancer
 // has completed over the cluster's lifetime (0 unless
@@ -938,23 +746,16 @@ func (cl *Cluster) GroupSwitchStats(g int) SwitchStats {
 }
 
 // CheckResult is the linearizability verdict over the recorded
-// history.
-type CheckResult struct {
-	Ok      bool
-	Decided bool
-	Reason  string
-}
+// history: Ok is meaningful only when Decided (the search stayed
+// within its limits); Key and Reason name the violation or the limit.
+type CheckResult = lincheck.Result
 
 // CheckLinearizability verifies the recorded history (requires
 // Config.RecordHistory). Mixing Client.Set with explicit values and
 // history checking is unsupported; the load generators always use
 // checkable values.
 func (cl *Cluster) CheckLinearizability() CheckResult {
-	return checkResult(cl.c.CheckLinearizability())
-}
-
-func checkResult(res lincheck.Result) CheckResult {
-	return CheckResult{Ok: res.Ok, Decided: res.Decided, Reason: res.Reason}
+	return cl.c.CheckLinearizability()
 }
 
 // CheckLinearizabilityGroup verifies group g's slice of the recorded
@@ -962,7 +763,7 @@ func checkResult(res lincheck.Result) CheckResult {
 // compositional, so sharded runs are checked shard by shard — each
 // verdict stands on its own and the per-group searches stay small.
 func (cl *Cluster) CheckLinearizabilityGroup(g int) CheckResult {
-	return checkResult(cl.c.CheckLinearizabilityGroup(g))
+	return cl.c.CheckLinearizabilityGroup(g)
 }
 
 // CheckLinearizabilityKey verifies the slice of the recorded history
@@ -971,7 +772,7 @@ func (cl *Cluster) CheckLinearizabilityGroup(g int) CheckResult {
 // verdict isolates it; this checks that one replicated register on
 // its own.
 func (cl *Cluster) CheckLinearizabilityKey(key string) CheckResult {
-	return checkResult(cl.c.CheckLinearizabilityKey(key))
+	return cl.c.CheckLinearizabilityKey(key)
 }
 
 // History returns the recorded operations (for custom analysis).

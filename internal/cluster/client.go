@@ -93,7 +93,7 @@ type Report struct {
 	Retries         uint64
 	// Dropped counts writes the switch rejected with a FlagDropped
 	// reply (dirty set full); each was immediately reissued by the
-	// client without waiting for RetryTimeout. Distinct from Retries,
+	// client without waiting for the retry timeout. Distinct from Retries,
 	// which counts timeout-driven resends.
 	Dropped    uint64
 	Unanswered uint64 // open-loop ops with no reply by run end
@@ -162,11 +162,6 @@ type vclient struct {
 
 	measuring  *measurement
 	closedLoop bool
-
-	// drops counts FlagDropped write rejections over the client's
-	// lifetime (SyncClient surfaces it regardless of any measurement
-	// window).
-	drops uint64
 
 	// onReply, when set, observes every matched reply (SyncClient).
 	onReply func(pkt *wire.Packet)
@@ -274,10 +269,9 @@ func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 		// The switch dropped this write (dirty set full) and said so:
 		// the op is not complete. Reissue it immediately — the reply
 		// already cost a round trip, so there is no point burning the
-		// rest of a RetryTimeout — and leave the pending entry (same
+		// rest of a retry timeout — and leave the pending entry (same
 		// ReqID, same value: one logical op) in place. SyncClients
 		// drive their own retry timer; don't disturb it.
-		v.drops++
 		v.measuring.noteDropped()
 		if v.closedLoop {
 			st.timer.Stop()
@@ -368,7 +362,7 @@ func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 func (v *vclient) send(st *opState) {
 	v.c.net.Send(v.addr, v.c.switchAddrForObj(st.pkt.ObjID), st.pkt.FlightClone())
 	if v.closedLoop {
-		st.timer = v.c.eng.AfterCallT(v.c.cfg.RetryTimeout, v.retryFn, st)
+		st.timer = v.c.eng.AfterCallT(retryTimeout, v.retryFn, st)
 	}
 }
 

@@ -29,41 +29,7 @@ import (
 	"harmonia/internal/store"
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
-	"harmonia/internal/workload"
 )
-
-// Protocol selects the replication protocol.
-type Protocol int
-
-// The supported protocols.
-const (
-	PB Protocol = iota
-	Chain
-	CRAQ
-	VR
-	NOPaxos
-)
-
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case PB:
-		return "PB"
-	case Chain:
-		return "CR"
-	case CRAQ:
-		return "CRAQ"
-	case VR:
-		return "VR"
-	case NOPaxos:
-		return "NOPaxos"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
-
-// ReadBehind reports whether the protocol's §7 class is read-behind.
-func (p Protocol) ReadBehind() bool { return p == VR || p == NOPaxos }
 
 // Node addressing scheme. Switch 0 keeps the historical address 1;
 // additional switches of a multi-switch rack sit at 3..9 (between the
@@ -94,12 +60,6 @@ func switchAddrOf(s int) simnet.NodeID {
 	return controllerAddr + simnet.NodeID(s) // 3..9 for switches 1..7
 }
 
-// groupReplicaAddr returns the network address of replica i of group
-// g's ORIGINAL member set (incarnation 0).
-func groupReplicaAddr(g, i int) simnet.NodeID {
-	return groupIncReplicaAddr(g, 0, i)
-}
-
 // incStride carves each group's groupStride-wide address window into
 // incarnation sub-windows: a membership respec replaces the whole
 // member set, and the simulated network's node IDs are permanent
@@ -114,313 +74,6 @@ const maxIncarnations = int(groupStride / incStride)
 // group g's incarnation inc.
 func groupIncReplicaAddr(g, inc, i int) simnet.NodeID {
 	return replicaBase + simnet.NodeID(g)*groupStride + simnet.NodeID(inc)*incStride + simnet.NodeID(i)
-}
-
-// GroupSpec describes one replica group of a (possibly heterogeneous)
-// cluster: its replication protocol, its size, its relative capacity,
-// and optional server-calibration overrides. The zero value of every
-// field inherits the cluster-wide setting.
-type GroupSpec struct {
-	Protocol Protocol
-	Replicas int // default: the cluster's Replicas
-
-	// Harmonia enables in-network conflict detection for this group's
-	// scheduler partition. Resolved during defaulting: the cluster's
-	// UseHarmonia, except CRAQ groups, which are always the
-	// protocol-level baseline and run without switch assistance.
-	Harmonia bool
-
-	// Weight is the group's relative capacity — the number the
-	// weighted slot-shard layout, the rebalancer's per-capacity-unit
-	// thresholds, and the pinned client pool's split all normalize by.
-	// 0 derives it from the group's calibrated service rate
-	// (workload.ServiceRate at the paper's default 5% write ratio), so
-	// a 7-replica Harmonia group automatically outweighs a 3-replica
-	// one. Set it on every spec or on none: derived weights are
-	// absolute ops/s, a scale explicit ratios cannot meaningfully mix
-	// with (the public API rejects the mixture).
-	Weight float64
-
-	// Server calibration overrides for this group's replicas; zero
-	// fields inherit the cluster-wide server model.
-	Workers   int
-	Shards    int
-	ReadCost  time.Duration
-	WriteCost time.Duration
-}
-
-// Config parameterizes a cluster.
-type Config struct {
-	Protocol    Protocol
-	Replicas    int
-	UseHarmonia bool
-
-	// Groups shards the key space across this many replica groups
-	// (§6.1). Each group runs its own protocol instance over Replicas
-	// members and its own scheduler partition. Default 1: the classic
-	// single-group rack.
-	Groups int
-
-	// GroupSpecs, when non-nil, makes the cluster heterogeneous: one
-	// spec per group, overriding Protocol/Replicas per shard (Groups
-	// is then len(GroupSpecs)). Nil keeps today's uniform behavior —
-	// every group a copy of the cluster-wide settings, bit-compatible
-	// with the pre-spec layout, routing, and load split.
-	GroupSpecs []GroupSpec
-
-	// Switches spreads the groups across this many switch front-ends,
-	// each a failure domain of its own: a contiguous shard of the
-	// routing slots, an independent epoch counter, an independent lease
-	// domain, and its own heat registers. Rebooting one switch stalls
-	// only its groups. Default 1: the classic single-switch rack.
-	// Must not exceed Groups (every switch hosts at least one group).
-	Switches int
-
-	// Switch dirty-set sizing (defaults: 3 × 64000, the prototype's).
-	// Each group's partition gets a table of this size.
-	Stages        int
-	SlotsPerStage int
-
-	// Server model. Defaults reproduce the paper's single-server Redis
-	// numbers: 8 shards, 0.92 MQPS reads, 0.80 MQPS writes.
-	Workers     int
-	ReadCost    time.Duration
-	WriteCost   time.Duration
-	ControlCost time.Duration
-	Shards      int
-
-	// Network model (defaults: 5µs links, lossless).
-	LinkLatency  time.Duration
-	LinkJitter   time.Duration
-	DropProb     float64
-	ReorderProb  float64
-	ReorderDelay time.Duration
-
-	// Lease management (§5.3). The controller renews at half-life.
-	LeaseDuration time.Duration
-
-	// SweepInterval is the cadence of the §5.2 periodic stray-entry
-	// sweep, run per scheduler partition (strays accumulate when
-	// WRITE-COMPLETIONs are lost and the object is never read again;
-	// the read-path lazy cleanup cannot reach them). 0 selects the
-	// 10ms default — unless DisableLazyCleanup is set, which disables
-	// the sweep too (it is the "no reclamation" ablation). Negative
-	// disables the sweep explicitly.
-	SweepInterval time.Duration
-
-	// Client behavior.
-	RetryTimeout time.Duration
-
-	// Ablations.
-	DisableCommitStamp bool          // switch stamps a maximal commit point (unsafe)
-	DisableReadChecks  bool          // replicas skip the §7 fast-read check (unsafe)
-	DisableLazyCleanup bool          // stray dirty entries never reclaimed
-	EagerCompletions   bool          // VR: completions at commit, not after COMMIT-ACKs
-	SyncEvery          time.Duration // NOPaxos sync cadence
-
-	// AutoRebalance arms the autonomous rebalancer: a control loop
-	// that samples the front-end's per-slot heat counters every policy
-	// interval (decaying them afterwards, so they track a recent
-	// window), plans moves under the threshold/hysteresis/cost model
-	// of internal/rebalance, and executes them as batch slot
-	// migrations — no offline workload knowledge involved.
-	AutoRebalance bool
-
-	// Rebalance tunes the rebalancer policy; zero fields select the
-	// package defaults. Ignored unless AutoRebalance is set.
-	Rebalance rebalance.Config
-
-	// HotKeys arms per-key hot replication: when a switch domain's
-	// rebalancer trigger fires but the round plans nothing (the
-	// indivisible-hot-slot case batch migration cannot fix), the
-	// slot's dominant key is promoted to a replicated set spanning
-	// 2–4 groups of the domain. The switch then round-robins the
-	// key's clean reads across home + holders and invalidates the
-	// holder copies on every write, Hermes-style; the cluster
-	// refreshes them from the home group as writes commit. Automatic
-	// promotion needs AutoRebalance (the stuck signal comes from the
-	// rebalancer's policy); PromoteKey/DemoteKey work regardless.
-	HotKeys bool
-
-	// HotKey tunes the promotion/demotion policy; zero fields select
-	// the package defaults. Ignored unless HotKeys is set.
-	HotKey rebalance.HotKeyConfig
-
-	// RecordHistory captures every operation for linearizability
-	// checking (costs memory; off for throughput runs).
-	RecordHistory bool
-
-	// Trace configures sampled per-op span tracing (internal/trace).
-	// The zero value leaves tracing off, which keeps every guarded
-	// fast path allocation-free; SampleEvery = N traces one op in N
-	// and folds completed spans into the per-phase latency breakdown.
-	// The control-plane flight recorder is independent of this knob —
-	// it is always on (a bounded ring of fixed-size events costs
-	// nothing on the data path).
-	Trace trace.Config
-
-	Seed int64
-}
-
-func (c *Config) fillDefaults() {
-	if c.Replicas <= 0 {
-		c.Replicas = 3
-	}
-	if len(c.GroupSpecs) > 0 {
-		if len(c.GroupSpecs) > MaxGroups {
-			c.GroupSpecs = c.GroupSpecs[:MaxGroups]
-		}
-		c.Groups = len(c.GroupSpecs)
-	}
-	if c.Groups <= 0 {
-		c.Groups = 1
-	}
-	if c.Groups > MaxGroups {
-		// Beyond this the replica address windows would collide with
-		// the client address space; clamp rather than misroute.
-		c.Groups = MaxGroups
-	}
-	if c.Switches <= 0 {
-		c.Switches = 1
-	}
-	if c.Switches > MaxSwitches {
-		c.Switches = MaxSwitches
-	}
-	if c.Switches > c.Groups {
-		// Every switch hosts at least one group; the public API rejects
-		// this shape up front — clamp for direct internal users.
-		c.Switches = c.Groups
-	}
-	if c.Stages <= 0 {
-		c.Stages = 3
-	}
-	if c.SlotsPerStage <= 0 {
-		c.SlotsPerStage = 64000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.ReadCost <= 0 {
-		// 8 workers / 0.92 MQPS per server.
-		c.ReadCost = time.Duration(float64(c.Workers) / 0.92e6 * float64(time.Second))
-	}
-	if c.WriteCost <= 0 {
-		c.WriteCost = time.Duration(float64(c.Workers) / 0.80e6 * float64(time.Second))
-	}
-	if c.ControlCost <= 0 {
-		c.ControlCost = 2 * time.Microsecond
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.LinkLatency <= 0 {
-		c.LinkLatency = 5 * time.Microsecond
-	}
-	if c.LeaseDuration <= 0 {
-		c.LeaseDuration = 50 * time.Millisecond
-	}
-	if c.SweepInterval == 0 {
-		if c.DisableLazyCleanup {
-			c.SweepInterval = -1
-		} else {
-			c.SweepInterval = 10 * time.Millisecond
-		}
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 2 * time.Millisecond
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	c.resolveSpecs()
-	for c.Switches > 1 && rack.ValidateWeights(c.Switches, c.Weights()) != nil {
-		// Degenerate shard shapes (a uniform switch block with more
-		// groups than slots) step down to the nearest assemblable
-		// switch count; Switches == 1 always validates.
-		c.Switches--
-	}
-}
-
-// resolveSpecs materializes the effective per-group specs: a uniform
-// cluster synthesizes one spec per group from the cluster-wide
-// fields (so every downstream layer reads specs unconditionally), and
-// an explicit spec list is copied and defaulted field by field. CRAQ
-// groups never take switch assistance; unset weights derive from the
-// group's calibrated service rate at the paper's default 5% write
-// ratio.
-func (c *Config) resolveSpecs() {
-	specs := make([]GroupSpec, c.Groups)
-	copy(specs, c.GroupSpecs)
-	if len(c.GroupSpecs) == 0 {
-		for g := range specs {
-			specs[g] = GroupSpec{Protocol: c.Protocol, Replicas: c.Replicas}
-		}
-	}
-	for g := range specs {
-		c.resolveSpec(&specs[g])
-	}
-	c.GroupSpecs = specs
-}
-
-// resolveSpec defaults one group spec in place — the per-group half of
-// resolveSpecs, shared with elastic AddGroup/RespecGroup so a group
-// added at runtime is defaulted by exactly the assembly-time rules.
-func (c *Config) resolveSpec(sp *GroupSpec) {
-	if sp.Replicas <= 0 {
-		sp.Replicas = c.Replicas
-	}
-	sp.Harmonia = c.UseHarmonia && sp.Protocol != CRAQ
-	if sp.Workers <= 0 {
-		sp.Workers = c.Workers
-	}
-	if sp.Shards <= 0 {
-		sp.Shards = c.Shards
-	}
-	if sp.ReadCost <= 0 {
-		sp.ReadCost = c.ReadCost
-	}
-	if sp.WriteCost <= 0 {
-		sp.WriteCost = c.WriteCost
-	}
-	if sp.Weight <= 0 {
-		// One server's calibrated per-class rate; reads spread
-		// across the group under Harmonia fast reads or CRAQ's
-		// per-replica clean reads, writes always load every member.
-		readRate := float64(sp.Workers) / sp.ReadCost.Seconds()
-		writeRate := float64(sp.Workers) / sp.WriteCost.Seconds()
-		spread := sp.Harmonia || sp.Protocol == CRAQ
-		sp.Weight = workload.ServiceRate(sp.Replicas, spread, defaultWriteRatio, readRate, writeRate)
-		if !(sp.Weight > 0) {
-			sp.Weight = 1 // degenerate calibration: neutral capacity
-		}
-	}
-}
-
-// defaultWriteRatio is the paper's default operation mix (§9.1, 5%
-// writes) — the operating point the derived capacity weights are
-// calibrated at.
-const defaultWriteRatio = 0.05
-
-// Weights returns the effective per-group capacity weights (specs must
-// be resolved; New and the public API call fillDefaults first).
-func (c *Config) Weights() []float64 {
-	out := make([]float64, len(c.GroupSpecs))
-	for g, sp := range c.GroupSpecs {
-		out[g] = sp.Weight
-	}
-	return out
-}
-
-// ResolvedWeights returns the per-group capacity weights cfg would
-// assemble with: defaults are applied to a copy (the receiver and its
-// spec slice are untouched), so callers can validate a rack shape
-// before building anything.
-func (c Config) ResolvedWeights() []float64 {
-	c.fillDefaults()
-	return c.Weights()
 }
 
 // ReplicaHandle is the cluster's view of one protocol replica's state
@@ -463,7 +116,7 @@ type ReplicaHandle interface {
 // behind the shared switch.
 type replicaGroup struct {
 	idx      int
-	spec     GroupSpec
+	spec     ResolvedSpec
 	n        int // group size (== spec.Replicas)
 	inc      int // membership incarnation (bumped by RespecGroup)
 	sched    *core.Scheduler
@@ -476,6 +129,10 @@ type replicaGroup struct {
 	// retirement bump it, so an old member set's chain can never keep
 	// re-granting leases to nodes that left the group.
 	leaseGen uint64
+
+	// reconfig is the group's latest removal or respec, in flight until
+	// it is Done: such a group takes no new slots (checkDest).
+	reconfig *Reconfig
 }
 
 // addrs lists the group's CURRENT member addresses in index order.
@@ -545,7 +202,6 @@ type Cluster struct {
 	// simulation. Counters feed the public stats.
 	hotKeys          map[wire.ObjectID]*hotKeyEntry
 	hotKeyOrder      []wire.ObjectID
-	hotKeyCfg        rebalance.HotKeyConfig
 	hotKeyPromotions uint64
 	hotKeyDemotions  uint64
 
@@ -562,14 +218,19 @@ type switchReplacement struct {
 	start     sim.Time
 }
 
-// New assembles and primes a cluster.
+// New assembles and primes a cluster. An invalid configuration is a
+// programming error here and panics with the Config.Validate error;
+// callers holding outside input validate first (the public API does).
 func New(cfg Config) *Cluster {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	// Whether weights are on the operator's explicit-ratio scale or the
 	// derived service-rate scale is only visible BEFORE defaulting
-	// (resolveSpecs overwrites zero weights); elastic reconfiguration
-	// needs it to hold new specs to the same scale.
+	// (resolve overwrites zero weights); elastic reconfiguration needs
+	// it to hold new specs to the same scale.
 	weightsExplicit := len(cfg.GroupSpecs) > 0 && cfg.GroupSpecs[0].Weight > 0
-	cfg.fillDefaults()
+	specs := cfg.resolve()
 	c := &Cluster{
 		weightsExplicit: weightsExplicit,
 		cfg:             cfg,
@@ -579,7 +240,7 @@ func New(cfg Config) *Cluster {
 		replacing:       make([]*switchReplacement, cfg.Switches),
 	}
 	c.net = simnet.New(c.eng, simnet.LinkConfig{
-		Latency: cfg.LinkLatency, Jitter: cfg.LinkJitter,
+		Latency: linkLatency, Jitter: cfg.LinkJitter,
 		DropProb: cfg.DropProb, ReorderProb: cfg.ReorderProb, ReorderDelay: cfg.ReorderDelay,
 	})
 
@@ -599,7 +260,7 @@ func New(cfg Config) *Cluster {
 	// owns the slot → switch map and the per-switch epochs; shard sizes
 	// and boot-time slot shares follow the groups' capacity weights
 	// (uniform specs reproduce the historical even layout exactly).
-	c.rack = rack.NewWeighted(cfg.Switches, cfg.Weights())
+	c.rack = rack.NewWeighted(cfg.Switches, weightsOf(specs))
 	c.rack.SetRecorder(c.rec)
 	for s := 0; s < cfg.Switches; s++ {
 		f := c.rack.Front(s)
@@ -615,7 +276,7 @@ func New(cfg Config) *Cluster {
 	// installed on the group's owning switch.
 	c.groups = make([]*replicaGroup, cfg.Groups)
 	for g := 0; g < cfg.Groups; g++ {
-		grp := &replicaGroup{idx: g, spec: cfg.GroupSpecs[g], n: cfg.GroupSpecs[g].Replicas}
+		grp := &replicaGroup{idx: g, spec: specs[g], n: specs[g].Replicas}
 		c.groups[g] = grp
 		grp.sched = c.newScheduler(g, c.rack.Epoch(c.rack.SwitchOfGroup(g)))
 		c.rack.SetGroup(g, grp.sched)
@@ -751,7 +412,7 @@ func (c *Cluster) startRebalancer() {
 		c.policies[s].SetRecorder(c.rec, s)
 	}
 	c.refreshPolicyWeights()
-	c.every(c.policies[0].Config().Interval, func() bool {
+	c.every(c.cfg.Rebalance.Interval, func() bool {
 		c.rebalanceTick()
 		return true
 	})
@@ -944,7 +605,7 @@ func (c *Cluster) Rebalances() uint64 { return c.rebalanced }
 // as TCP: reliable and FIFO (see New). Factored out so elastic
 // AddGroup/RespecGroup wire new member sets identically.
 func (c *Cluster) linkGroup(grp *replicaGroup) {
-	reliable := simnet.LinkConfig{Latency: c.cfg.LinkLatency, Jitter: c.cfg.LinkJitter}
+	reliable := simnet.LinkConfig{Latency: linkLatency, Jitter: c.cfg.LinkJitter}
 	addrs := grp.addrs()
 	for i, a := range addrs {
 		for _, b := range addrs[i+1:] {
@@ -988,10 +649,6 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 // Network exposes the simulated network (tests).
 func (c *Cluster) Network() *simnet.Network { return c.net }
 
-// Scheduler exposes group 0's active switch program — the whole switch
-// state for single-group clusters (tests and stats).
-func (c *Cluster) Scheduler() *core.Scheduler { return c.groups[0].sched }
-
 // GroupScheduler exposes group g's active scheduler partition.
 func (c *Cluster) GroupScheduler(g int) *core.Scheduler { return c.groups[g].sched }
 
@@ -999,7 +656,7 @@ func (c *Cluster) GroupScheduler(g int) *core.Scheduler { return c.groups[g].sch
 func (c *Cluster) Groups() int { return len(c.groups) }
 
 // SpecOf returns group g's effective (defaulted) spec.
-func (c *Cluster) SpecOf(g int) GroupSpec { return c.groups[g].spec }
+func (c *Cluster) SpecOf(g int) ResolvedSpec { return c.groups[g].spec }
 
 // GroupWeights returns the LIVE per-group capacity weights from the
 // topology — the vector the slot layout, the rebalancer, and the
@@ -1054,44 +711,28 @@ func (c *Cluster) SlotSwitchTable() []int { return c.rack.SlotSwitchTable() }
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// writeDst and readDst give the normal-path entry points for group g's
-// protocol.
-func (c *Cluster) writeDst(g int) simnet.NodeID {
-	switch c.groups[g].spec.Protocol {
-	case Chain, CRAQ:
-		return c.groupAddr(g, 0) // head
-	default:
-		return c.groupAddr(g, 0) // primary / leader (index 0 at start)
-	}
-}
-
-func (c *Cluster) readDst(g int) simnet.NodeID {
-	switch c.groups[g].spec.Protocol {
-	case Chain:
-		return c.groupAddr(g, c.groups[g].n-1) // tail
-	case CRAQ:
-		return c.groupAddr(g, 0) // unused: RandomReads mode
-	default:
-		return c.groupAddr(g, 0) // primary / leader
-	}
-}
-
 func (c *Cluster) newScheduler(g int, epoch uint32) *core.Scheduler {
 	grp := c.groups[g]
 	addrs := grp.addrs()
 	swAddr := switchAddrOf(c.rack.SwitchOfGroup(g))
+	// Normal-path entry points: member 0 (head, primary or boot-time
+	// leader) takes every protocol's writes, and its reads too — except
+	// a chain's, which go to the tail. CRAQ reads pick random members.
+	readDst := addrs[0]
+	if grp.spec.Protocol == Chain {
+		readDst = addrs[len(addrs)-1]
+	}
 	sched := core.New(core.Config{
 		Epoch:              epoch,
 		Stages:             c.cfg.Stages,
 		SlotsPerStage:      c.cfg.SlotsPerStage,
 		Replicas:           addrs,
-		WriteDst:           c.writeDst(g),
-		ReadDst:            c.readDst(g),
+		WriteDst:           addrs[0],
+		ReadDst:            readDst,
 		MulticastWrites:    grp.spec.Protocol == NOPaxos,
 		ClientBase:         clientBase,
 		DisableFastReads:   !grp.spec.Harmonia,
 		RandomReads:        grp.spec.Protocol == CRAQ,
-		DisableCommitStamp: c.cfg.DisableCommitStamp,
 		DisableLazyCleanup: c.cfg.DisableLazyCleanup,
 	}, core.SenderFunc(func(to simnet.NodeID, pkt *wire.Packet) {
 		c.net.Send(swAddr, to, pkt)
@@ -1134,52 +775,54 @@ func (e *replicaEnv) Rand() *rand.Rand                           { return e.c.en
 func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	addrs := grp.addrs()
 	swAddr := switchAddrOf(c.rack.SwitchOfGroup(grp.idx))
-	spec := grp.spec
-	cost := func(msg simnet.Message) time.Duration {
-		switch protocol.ClassOf(msg) {
-		case protocol.CostRead:
-			return spec.ReadCost
-		case protocol.CostWrite:
-			return spec.WriteCost
-		default:
-			return c.cfg.ControlCost
-		}
-	}
-	proc := simnet.ProcConfig{Workers: spec.Workers, Cost: cost}
+	proc := simnet.ProcConfig{Workers: serverWorkers, Cost: serviceCost}
 
 	grp.replicas = make([]ReplicaHandle, grp.n)
 	grp.nodes = make([]simnet.Handler, grp.n)
 	for i := range grp.nodes {
 		env := &replicaEnv{c, addrs[i], swAddr}
 		g := protocol.GroupConfig{ID: grp.idx, Replicas: addrs, Self: i, F: (grp.n - 1) / 2}
-		grp.nodes[i], grp.replicas[i] = c.newReplica(spec, env, g)
+		grp.nodes[i], grp.replicas[i] = c.newReplica(grp.spec.Protocol, env, g)
 		c.net.AddNode(addrs[i], grp.nodes[i], proc)
+	}
+}
+
+// serviceCost is the calibrated server model: what one worker spends
+// on a message of each class.
+func serviceCost(msg simnet.Message) time.Duration {
+	switch protocol.ClassOf(msg) {
+	case protocol.CostRead:
+		return readCost
+	case protocol.CostWrite:
+		return writeCost
+	default:
+		return controlCost
 	}
 }
 
 // newReplica constructs one protocol replica and the handle onto its
 // state.
-func (c *Cluster) newReplica(spec GroupSpec, env *replicaEnv, g protocol.GroupConfig) (simnet.Handler, ReplicaHandle) {
+func (c *Cluster) newReplica(p Protocol, env *replicaEnv, g protocol.GroupConfig) (simnet.Handler, ReplicaHandle) {
 	var node simnet.Handler
 	var base *protocol.Base
-	switch spec.Protocol {
+	switch p {
 	case PB:
-		r := pb.New(env, g, spec.Shards)
+		r := pb.New(env, g, serverShards)
 		node, base = r, r.Base
 	case Chain:
-		r := chain.New(env, g, spec.Shards)
+		r := chain.New(env, g, serverShards)
 		node, base = r, r.Base
 	case CRAQ:
-		r := craq.New(env, g, spec.Shards)
+		r := craq.New(env, g, serverShards)
 		return r, craqHandle{r}
 	case VR:
 		opts := vr.DefaultOptions()
 		opts.EagerCompletions = c.cfg.EagerCompletions
-		r := vr.New(env, g, spec.Shards, opts)
+		r := vr.New(env, g, serverShards, opts)
 		r.OnViewChange = c.viewChangeHook(g.ID)
 		node, base = r, r.Base
 	case NOPaxos:
-		r := nopaxos.New(env, g, spec.Shards, nopaxos.Options{SyncEvery: c.cfg.SyncEvery})
+		r := nopaxos.New(env, g, serverShards, nopaxos.Options{SyncEvery: syncEvery})
 		node, base = r, r.Base
 	default:
 		panic("cluster: unknown protocol")
@@ -1410,10 +1053,6 @@ func (c *Cluster) reactivateOneSwitch(s int) {
 	}
 }
 
-// CrashReplica fails replica i of group 0 — the whole story for
-// single-group clusters. Sharded clusters use CrashReplicaIn.
-func (c *Cluster) CrashReplica(i int) error { return c.CrashReplicaIn(0, i) }
-
 // CrashReplicaIn fails replica i of group g: its node drops all
 // traffic and the group's protocol instance reconfigures around it
 // where supported (§5.3 server failures). The switch stops scheduling
@@ -1490,16 +1129,8 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 	return nil
 }
 
-// SwitchAddr returns switch 0's network address — the whole switch
-// plane for single-switch racks (experiment hooks).
-func (c *Cluster) SwitchAddr() simnet.NodeID { return switchAddr }
-
 // SwitchAddrOf returns switch s's network address (experiment hooks).
 func (c *Cluster) SwitchAddrOf(s int) simnet.NodeID { return switchAddrOf(s) }
-
-// ReplicaAddr returns replica i of group 0's network address
-// (experiment hooks; see GroupReplicaAddr for sharded clusters).
-func (c *Cluster) ReplicaAddr(i int) simnet.NodeID { return groupReplicaAddr(0, i) }
 
 // GroupReplicaAddr returns replica i of group g's network address (the
 // current member set's).

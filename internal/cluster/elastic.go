@@ -104,7 +104,8 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 	if len(c.groups) >= MaxGroups {
 		return 0, nil, fmt.Errorf("cluster: group count is already at the maximum %d", MaxGroups)
 	}
-	if err := c.admitSpec(&spec); err != nil {
+	sp, err := c.admitSpec(spec)
+	if err != nil {
 		return 0, nil, err
 	}
 	sw, err := c.placeGroup()
@@ -112,10 +113,10 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 		return 0, nil, err
 	}
 
-	g := c.rack.AddGroup(sw, spec.Weight)
-	grp := &replicaGroup{idx: g, spec: spec, n: spec.Replicas}
+	g := c.rack.AddGroup(sw, sp.Weight)
+	grp := &replicaGroup{idx: g, spec: sp, n: sp.Replicas}
 	c.groups = append(c.groups, grp)
-	c.cfg.GroupSpecs = append(c.cfg.GroupSpecs, spec)
+	c.cfg.GroupSpecs = append(c.cfg.GroupSpecs, sp.GroupSpec)
 	c.cfg.Groups = len(c.groups)
 	grp.sched = c.newScheduler(g, c.rack.Epoch(sw))
 	c.rack.SetGroup(g, grp.sched)
@@ -145,20 +146,21 @@ func (c *Cluster) AddGroupWait(spec GroupSpec) (int, error) {
 	return g, c.driveReconfig(r, err)
 }
 
-// admitSpec holds a spec submitted at runtime to the boot cluster's
-// weight scale and resolves its defaults by the assembly-time rules.
-func (c *Cluster) admitSpec(spec *GroupSpec) error {
-	if c.weightsExplicit && !(spec.Weight > 0) {
-		return fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new spec must set one")
+// admitSpec holds a spec submitted at runtime to the assembly-time
+// rules — resolveSpec, then the per-spec checks of Config.Validate —
+// and to the boot cluster's weight scale.
+func (c *Cluster) admitSpec(spec GroupSpec) (ResolvedSpec, error) {
+	sp := c.cfg.resolveSpec(spec)
+	if err := sp.validate(); err != nil {
+		return sp, fmt.Errorf("cluster: %w", err)
+	}
+	if c.weightsExplicit && spec.Weight == 0 {
+		return sp, fmt.Errorf("cluster: this cluster uses explicit capacity weights; the new spec must set one")
 	}
 	if !c.weightsExplicit && spec.Weight > 0 {
-		return fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new spec must not set an explicit one")
+		return sp, fmt.Errorf("cluster: this cluster derives capacity weights from calibration; the new spec must not set an explicit one")
 	}
-	c.cfg.resolveSpec(spec)
-	if spec.Replicas > int(incStride) {
-		return fmt.Errorf("cluster: group size %d exceeds the per-incarnation address window %d", spec.Replicas, incStride)
-	}
-	return nil
+	return sp, nil
 }
 
 // placeGroup picks the switch a new group should live on: the alive
@@ -289,6 +291,7 @@ func (c *Cluster) StartRemoveGroup(g int) (*Reconfig, error) {
 	}
 	slots := c.slotsOf(g)
 	r := &Reconfig{Kind: "remove", Group: g}
+	c.groups[g].reconfig = r
 	if len(slots) == 0 {
 		c.retireGroup(g, r.finish)
 		return r, nil
@@ -364,13 +367,32 @@ func (c *Cluster) slotsOf(g int) []int {
 	return slots
 }
 
-// servingGroups lists the live groups whose switch is up — where
-// evacuated or recovered slots can go.
+// servingGroups lists the live groups whose switch is up and that are
+// not themselves leaving or being rebuilt — where evacuated or
+// recovered slots can go.
 func (c *Cluster) servingGroups() []int {
 	topo := c.rack.Topo()
 	return slices.DeleteFunc(topo.LiveGroups(), func(g int) bool {
-		return c.net.IsDown(switchAddrOf(topo.SwitchOfGroup(g)))
+		return c.net.IsDown(switchAddrOf(topo.SwitchOfGroup(g))) || c.checkDest(g) != nil
 	})
+}
+
+// checkDest reports why group g cannot be handed slots, or nil. A
+// retired group has no scheduler partition to flip a route to; a group
+// mid-removal or mid-respec decided at its start which slots it owns,
+// and one arriving afterwards would be stranded on a group about to
+// retire (or missing from the copy into its new member set).
+func (c *Cluster) checkDest(g int) error {
+	if g < 0 || g >= len(c.groups) {
+		return fmt.Errorf("cluster: destination group %d out of range", g)
+	}
+	if !c.rack.Live(g) {
+		return fmt.Errorf("cluster: destination group %d is retired", g)
+	}
+	if r := c.groups[g].reconfig; r != nil && !r.done {
+		return fmt.Errorf("cluster: destination group %d is mid-%s; retry after it settles", g, r.Kind)
+	}
+	return nil
 }
 
 // shareOut cuts slots, in order, into one contiguous chunk per
@@ -436,7 +458,8 @@ func (c *Cluster) StartRespecGroup(g int, spec GroupSpec) (*Reconfig, error) {
 	if grp.inc+1 >= maxIncarnations {
 		return nil, fmt.Errorf("cluster: group %d exhausted its %d membership incarnations", g, maxIncarnations)
 	}
-	if err := c.admitSpec(&spec); err != nil {
+	sp, err := c.admitSpec(spec)
+	if err != nil {
 		return nil, err
 	}
 	if err := c.settleHandoffs(g); err != nil {
@@ -452,10 +475,11 @@ func (c *Cluster) StartRespecGroup(g int, spec GroupSpec) (*Reconfig, error) {
 		c.rack.FreezeSlot(s)
 	}
 	r := &Reconfig{Kind: "respec", Group: g}
+	grp.reconfig = r
 	// The whole partition drains, not just the slots: the successor
 	// scheduler adopts the sequence space but not the dirty set.
 	c.drain(g, nil, c.eng.Now()+sim.Time(migrateDeadline),
-		func() { c.swapMembers(g, spec, slots, r) },
+		func() { c.swapMembers(g, sp, slots, r) },
 		func() {
 			for _, s := range slots {
 				c.rack.UnfreezeSlot(s)
@@ -474,7 +498,7 @@ func (c *Cluster) RespecGroup(g int, spec GroupSpec) error {
 // drained: revoke the old members' leases (they ack — the agreement —
 // and can never serve a fast read again), then copy state sideways
 // into the new incarnation and resume.
-func (c *Cluster) swapMembers(g int, spec GroupSpec, slots []int, r *Reconfig) {
+func (c *Cluster) swapMembers(g int, spec ResolvedSpec, slots []int, r *Reconfig) {
 	grp := c.groups[g]
 	epoch := c.rack.Epoch(c.rack.SwitchOfGroup(g))
 	grp.leaseGen++ // cut the old chain before the new grant re-arms it
@@ -489,7 +513,7 @@ func (c *Cluster) swapMembers(g int, spec GroupSpec, slots []int, r *Reconfig) {
 		grp.inc++
 		grp.spec = spec
 		grp.n = spec.Replicas
-		c.cfg.GroupSpecs[g] = spec
+		c.cfg.GroupSpecs[g] = spec.GroupSpec
 		c.buildGroupReplicas(grp)
 		c.linkGroup(grp)
 

@@ -219,6 +219,75 @@ func TestElasticRemoveGroupSettlesInboundHandoff(t *testing.T) {
 	assertNothingFrozen(t, c)
 }
 
+// TestMigrateTowardRetiredGroupRefused: a retired group has no
+// scheduler partition to flip a route to. At the parent commit the
+// handoff was admitted and panicked at the flip ("rack: route for slot
+// … to non-live group"); it is an error at start, with nothing frozen.
+func TestMigrateTowardRetiredGroupRefused(t *testing.T) {
+	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3, Seed: 23})
+	c.Preload(96)
+	if err := c.RemoveGroup(2); err != nil {
+		t.Fatalf("RemoveGroup: %v", err)
+	}
+	slot := c.slotsOf(0)[0]
+	if err := c.MigrateSlot(slot, 2); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("MigrateSlot toward a retired group: err = %v", err)
+	}
+	if _, err := c.StartBatchMigration([]int{slot}, 2); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("StartBatchMigration toward a retired group: err = %v", err)
+	}
+	c.RunFor(5 * time.Millisecond)
+	if got := c.rack.RouteOf(slot); got != 0 {
+		t.Fatalf("slot %d routes to group %d after the refused handoff", slot, got)
+	}
+	assertNothingFrozen(t, c)
+}
+
+// TestMigrateTowardReconfiguringGroupRefused: a group mid-removal or
+// mid-respec decided at its start which slots it owns. At the parent
+// commit a handoff toward it was admitted, flipped a slot onto it
+// behind that decision, and the retirement panicked ("rack:
+// RetireGroup(…) but slot … still routes to it"); it is an error at
+// start, the operation completes, and the group takes slots again once
+// it has settled.
+func TestMigrateTowardReconfiguringGroupRefused(t *testing.T) {
+	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3, Seed: 23})
+	c.Preload(96)
+	slot := c.slotsOf(0)[0]
+
+	r, err := c.StartRemoveGroup(2)
+	if err != nil {
+		t.Fatalf("StartRemoveGroup: %v", err)
+	}
+	if _, err := c.StartBatchMigration([]int{slot}, 2); err == nil || !strings.Contains(err.Error(), "mid-remove") {
+		t.Fatalf("StartBatchMigration toward a group mid-removal: err = %v", err)
+	}
+	if err := c.MigrateSlot(slot, 2); err == nil || !strings.Contains(err.Error(), "mid-remove") {
+		t.Fatalf("MigrateSlot toward a group mid-removal: err = %v", err)
+	}
+	c.RunFor(20 * time.Millisecond)
+	if !r.Done() || r.Err() != nil || c.rack.Live(2) {
+		t.Fatalf("removal: done=%v err=%v live=%v", r.Done(), r.Err(), c.rack.Live(2))
+	}
+
+	r, err = c.StartRespecGroup(1, GroupSpec{Protocol: VR, Replicas: 3})
+	if err != nil {
+		t.Fatalf("StartRespecGroup: %v", err)
+	}
+	if _, err := c.StartBatchMigration([]int{slot}, 1); err == nil || !strings.Contains(err.Error(), "mid-respec") {
+		t.Fatalf("StartBatchMigration toward a group mid-respec: err = %v", err)
+	}
+	c.RunFor(20 * time.Millisecond)
+	if !r.Done() || r.Err() != nil {
+		t.Fatalf("respec: done=%v err=%v", r.Done(), r.Err())
+	}
+	if err := c.MigrateSlot(slot, 1); err != nil {
+		t.Fatalf("MigrateSlot once the respec settled: %v", err)
+	}
+	liveSlotCounts(t, c)
+	assertNothingFrozen(t, c)
+}
+
 // TestElasticReassignSettlesCrossSwitchHandoff: a handoff from a
 // surviving switch's group toward a group of the dead switch keeps
 // draining on the live side, and its flip would route a slot to a group

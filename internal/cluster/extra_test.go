@@ -75,7 +75,7 @@ func TestZipfWorkloadRuns(t *testing.T) {
 	}
 	// Skew means contended objects: some reads must have hit the
 	// dirty set.
-	if c.Scheduler().Stats.DirtyHits == 0 {
+	if c.GroupScheduler(0).Stats.DirtyHits == 0 {
 		t.Fatal("no dirty hits under zipf-0.9 with writes")
 	}
 }
@@ -130,7 +130,7 @@ func TestLinearizabilityUnderDuplication(t *testing.T) {
 			// replica channels don't duplicate).
 			dup := simnet.LinkConfig{Latency: 5 * time.Microsecond, DupProb: 0.2}
 			for r := 0; r < 3; r++ {
-				c.net.SetLinkBoth(switchAddr, c.ReplicaAddr(r), dup)
+				c.net.SetLinkBoth(switchAddr, c.GroupReplicaAddr(0, r), dup)
 			}
 			spec := quickSpec()
 			spec.Clients = 6
@@ -150,26 +150,6 @@ func TestLinearizabilityUnderDuplication(t *testing.T) {
 	}
 }
 
-func TestHistoriesDeterministic(t *testing.T) {
-	run := func() []byte {
-		c := New(Config{Protocol: VR, Replicas: 3, UseHarmonia: true, RecordHistory: true, Seed: 77})
-		spec := quickSpec()
-		spec.Clients = 4
-		spec.Duration = 5 * time.Millisecond
-		c.RunLoad(spec)
-		var buf bytes.Buffer
-		for _, op := range c.History() {
-			buf.WriteByte(byte(op.Key))
-			buf.WriteByte(byte(op.Value))
-			buf.WriteByte(byte(op.Invoke))
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(run(), run()) {
-		t.Fatal("histories differ across identical runs")
-	}
-}
-
 func TestSchedulerEpochSurvivesMultipleFailovers(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Seed: 21, RecordHistory: true})
 	s := c.NewSyncClient()
@@ -181,14 +161,14 @@ func TestSchedulerEpochSurvivesMultipleFailovers(t *testing.T) {
 		c.ReactivateSwitch()
 		c.RunFor(5 * time.Millisecond)
 	}
-	if got := c.Scheduler().Epoch(); got != 4 {
+	if got := c.GroupScheduler(0).Epoch(); got != 4 {
 		t.Fatalf("epoch = %d after 3 failovers, want 4", got)
 	}
 	// Fast path re-enabled after a write completes in the new epoch.
 	if err := s.Set("k2", nil); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Scheduler().Ready() {
+	if !c.GroupScheduler(0).Ready() {
 		t.Fatal("switch not ready after new-epoch write")
 	}
 	res := c.CheckLinearizability()
@@ -199,10 +179,10 @@ func TestSchedulerEpochSurvivesMultipleFailovers(t *testing.T) {
 
 func TestCrashedReplicaReceivesNoFastReads(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Seed: 9})
-	if err := c.CrashReplica(1); err != nil {
+	if err := c.CrashReplicaIn(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	crashed := c.net.Node(c.ReplicaAddr(1))
+	crashed := c.net.Node(c.GroupReplicaAddr(0, 1))
 	before := crashed.Delivered // priming traffic pre-crash
 	spec := quickSpec()
 	spec.WriteRatio = 0
@@ -212,19 +192,13 @@ func TestCrashedReplicaReceivesNoFastReads(t *testing.T) {
 	}
 }
 
-func TestProtocolStringAndReadBehind(t *testing.T) {
+func TestProtocolString(t *testing.T) {
 	if PB.String() != "PB" || Chain.String() != "CR" || CRAQ.String() != "CRAQ" ||
 		VR.String() != "VR" || NOPaxos.String() != "NOPaxos" {
 		t.Fatal("protocol names wrong")
 	}
 	if Protocol(42).String() == "" {
 		t.Fatal("unknown protocol name empty")
-	}
-	if PB.ReadBehind() || Chain.ReadBehind() || CRAQ.ReadBehind() {
-		t.Fatal("PB family misclassified")
-	}
-	if !VR.ReadBehind() || !NOPaxos.ReadBehind() {
-		t.Fatal("quorum family misclassified")
 	}
 }
 
@@ -266,7 +240,7 @@ func TestDirtyReadsGoToNormalPath(t *testing.T) {
 		Warmup: time.Millisecond, WriteRatio: 0.5, Keys: 1,
 	}
 	c.RunLoad(spec)
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.DirtyHits == 0 {
 		t.Fatal("hot-key workload produced no dirty hits")
 	}
@@ -276,7 +250,7 @@ func TestSwitchStatsDirtySetDrainsWhenIdle(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Seed: 3})
 	c.RunLoad(quickSpec())
 	c.RunFor(20 * time.Millisecond) // all completions land
-	if n := c.Scheduler().DirtyCount(); n != 0 {
+	if n := c.GroupScheduler(0).DirtyCount(); n != 0 {
 		t.Fatalf("dirty set holds %d entries at quiescence", n)
 	}
 }

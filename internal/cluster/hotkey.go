@@ -36,7 +36,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"harmonia/internal/core"
 	"harmonia/internal/rebalance"
@@ -63,7 +62,6 @@ type hotKeyEntry struct {
 // demotion cool-down, topology-change cleanup).
 func (c *Cluster) startHotKeys() {
 	c.hotKeys = make(map[wire.ObjectID]*hotKeyEntry)
-	c.hotKeyCfg = c.cfg.HotKey.Filled()
 	for s := 0; s < c.rack.Switches(); s++ {
 		c.rack.Front(s).SetHotWriteHook(func(id wire.ObjectID, gen uint64) {
 			// Deferred one event: the hook fires BEFORE the completion
@@ -77,14 +75,7 @@ func (c *Cluster) startHotKeys() {
 			})
 		})
 	}
-	iv := c.cfg.Rebalance.Interval
-	if len(c.policies) > 0 {
-		iv = c.policies[0].Config().Interval
-	}
-	if iv <= 0 {
-		iv = time.Millisecond
-	}
-	c.every(iv, func() bool {
+	c.every(c.cfg.Rebalance.Interval, func() bool {
 		c.hotKeyTick()
 		return true
 	})
@@ -99,7 +90,7 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 		return
 	}
 	kh := front.KeyHeatOf(slot)
-	if !c.hotKeyCfg.ShouldPromote(kh.Votes, front.HeatOf(slot).Total()) {
+	if !c.cfg.HotKey.ShouldPromote(kh.Votes, front.HeatOf(slot).Total()) {
 		return
 	}
 	id := kh.Cand
@@ -133,7 +124,7 @@ func (c *Cluster) pickHolders(home, sw int) []int {
 			weights[g] = topo.Weight(g)
 		}
 	}
-	return c.hotKeyCfg.PickHolders(home, groups, weights, func(g int) bool {
+	return c.cfg.HotKey.PickHolders(home, groups, weights, func(g int) bool {
 		return topo.Live(g) && topo.SwitchOfGroup(g) == sw
 	})
 }
@@ -255,12 +246,12 @@ func (c *Cluster) hotKeyTick() {
 			c.refreshHot(st)
 		}
 		r, w := front.HotHeatOf(id)
-		if r+w <= c.hotKeyCfg.CoolOps {
+		if r+w <= c.cfg.HotKey.CoolOps {
 			st.cool++
 		} else {
 			st.cool = 0
 		}
-		if st.cool >= c.hotKeyCfg.CoolRounds {
+		if st.cool >= c.cfg.HotKey.CoolRounds {
 			demote = append(demote, st)
 		}
 	}

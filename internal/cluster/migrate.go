@@ -118,8 +118,8 @@ func (c *Cluster) StartSlotMigration(slot, to int) (*Migration, error) {
 // owner (use MigrateSlots to move a mixed-owner set). An empty or
 // fully-no-op batch completes instantly without freezing anything.
 func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
-	if to < 0 || to >= len(c.groups) {
-		return nil, fmt.Errorf("cluster: destination group %d out of range", to)
+	if err := c.checkDest(to); err != nil {
+		return nil, err
 	}
 	if err := checkSlots(slots); err != nil {
 		return nil, err
@@ -200,8 +200,8 @@ func (c *Cluster) MigrateSlot(slot, to int) error {
 // handoffs are aborted — their slots thaw on their original groups —
 // and an error is returned.
 func (c *Cluster) MigrateSlots(slots []int, to int) error {
-	if to < 0 || to >= len(c.groups) {
-		return fmt.Errorf("cluster: destination group %d out of range", to)
+	if err := c.checkDest(to); err != nil {
+		return err
 	}
 	if err := checkSlots(slots); err != nil {
 		return err

@@ -667,7 +667,7 @@ func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 		SweepInterval: 2 * time.Millisecond,
 	})
 	for r := 0; r < 3; r++ {
-		c.Network().SetLink(c.ReplicaAddr(r), c.SwitchAddr(), simnet.LinkConfig{
+		c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
 			Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
 		})
 	}
@@ -681,14 +681,14 @@ func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 	// Settle: in-flight writes finish (or are lost for good), then the
 	// sweeps run with the cluster idle.
 	c.RunFor(20 * time.Millisecond)
-	st := c.Scheduler().Stats
+	st := c.GroupScheduler(0).Stats
 	if st.SweptStale == 0 {
 		t.Fatal("periodic sweep reclaimed nothing despite dropped completions")
 	}
 	if st.LazyCleanups != 0 {
 		t.Fatalf("write-only load still saw %d read-path cleanups", st.LazyCleanups)
 	}
-	if n := c.Scheduler().DirtyCount(); n != 0 {
+	if n := c.GroupScheduler(0).DirtyCount(); n != 0 {
 		t.Fatalf("%d stray entries survived the sweep", n)
 	}
 }
@@ -708,7 +708,7 @@ func TestDroppedWriteRepliesDriveImmediateRetry(t *testing.T) {
 		Mode: Closed, Clients: 8, Duration: 10 * time.Millisecond,
 		Warmup: time.Millisecond, WriteRatio: 1, Keys: 64,
 	})
-	if c.Scheduler().Stats.WritesDropped == 0 {
+	if c.GroupScheduler(0).Stats.WritesDropped == 0 {
 		t.Fatal("one-slot dirty set never rejected a write (test lost its trigger)")
 	}
 	if rep.Dropped == 0 {

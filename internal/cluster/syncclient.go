@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"time"
 
 	"harmonia/internal/metrics"
 	"harmonia/internal/wire"
@@ -91,7 +90,7 @@ func (s *SyncClient) do(key string, write, del bool, value []byte) (*wire.Packet
 	// Issue with retries for up to one simulated second.
 	deadline := s.c.eng.Now() + 1_000_000_000
 	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(pkt.ObjID), pkt.FlightClone())
-	retry := s.c.eng.After(s.c.cfg.RetryTimeout, func() { s.syncRetry(st) })
+	retry := s.c.eng.After(retryTimeout, func() { s.syncRetry(st) })
 	st.timer = retry
 	for !s.done && s.c.eng.Now() < deadline {
 		if !s.c.eng.Step() {
@@ -111,7 +110,7 @@ func (s *SyncClient) syncRetry(st *opState) {
 		return
 	}
 	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(st.pkt.ObjID), st.pkt.FlightClone())
-	st.timer = s.c.eng.After(s.c.cfg.RetryTimeout, func() { s.syncRetry(st) })
+	st.timer = s.c.eng.After(retryTimeout, func() { s.syncRetry(st) })
 }
 
 // Get reads a key. found reports whether the key exists.
@@ -140,17 +139,6 @@ func (s *SyncClient) Delete(key string) error {
 	_, err := s.do(key, true, true, nil)
 	return err
 }
-
-// Latency returns the round-trip simulated duration of the last
-// completed operation's issue-to-reply interval... simplest proxy: the
-// current simulated clock, exposed for examples that report timings.
-func (s *SyncClient) Now() time.Duration { return time.Duration(s.c.eng.Now()) }
-
-// Drops reports how many of this client's writes the switch rejected
-// with a FlagDropped reply (dirty set full) over the client's
-// lifetime. Each rejection was retried automatically; a persistently
-// full dirty set eventually surfaces as ErrTimeout.
-func (s *SyncClient) Drops() uint64 { return s.v.drops }
 
 // LastGroup returns the replica group that served the last completed
 // operation, as stamped into the reply by the switch — the observable

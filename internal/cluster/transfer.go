@@ -120,7 +120,7 @@ func (sh *shipment) collect(sources []ReplicaHandle, sc scope) {
 // replay's traversal of the switch cannot masquerade as a source-group
 // write-completion and inflate its commit point.
 func (c *Cluster) ship(sh *shipment, dests func(slot int) []int, then func()) {
-	delay := 2*c.cfg.LinkLatency + time.Duration(sh.n)*migratePerObjectCost
+	delay := 2*linkLatency + time.Duration(sh.n)*migratePerObjectCost
 	c.eng.After(delay, func() {
 		var reached []int // destination groups, first-seen in slot order
 		for _, slot := range sh.slots {

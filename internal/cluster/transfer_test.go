@@ -259,7 +259,7 @@ func TestTransferCollectNewestWins(t *testing.T) {
 	}
 }
 
-// TestTransferShipDelivers: one timer at 2·LinkLatency + n·per-object
+// TestTransferShipDelivers: one timer at 2·linkLatency + n·per-object
 // cost; each slot's objects land on every replica of the groups dests
 // names for it and nowhere else; every reached group gets the client
 // records with replies re-stamped Seq{} / Group=dst; then runs in the
@@ -277,7 +277,7 @@ func TestTransferShipDelivers(t *testing.T) {
 		}
 		return out
 	}
-	c := &Cluster{eng: sim.NewEngine(1), cfg: Config{LinkLatency: 5 * time.Microsecond}}
+	c := &Cluster{eng: sim.NewEngine(1)}
 	c.groups = []*replicaGroup{{replicas: handles(src)}, {replicas: handles(dst[0])}, {replicas: handles(dst[1])}}
 
 	for k := range slots {

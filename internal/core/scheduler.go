@@ -82,12 +82,6 @@ type Config struct {
 	// and the protocol itself resolves dirty objects via the tail.
 	RandomReads bool
 
-	// DisableCommitStamp is an ablation switch: fast-path reads are
-	// sent without a meaningful last-committed point, which breaks
-	// linearizability under asynchrony. Only for experiments; never
-	// use in production paths.
-	DisableCommitStamp bool
-
 	// DisableLazyCleanup is an ablation switch: stray dirty-set
 	// entries (from dropped WRITE-COMPLETIONs) are not reclaimed when
 	// reads probe them (§5.2's cleanup rule).
@@ -349,12 +343,7 @@ func (s *Scheduler) processRead(pkt *wire.Packet) {
 	// replica. The stamped epoch equals this switch's epoch (the
 	// switch is only ready after an own-epoch completion), which is
 	// how replicas identify the sending switch incarnation.
-	if !s.cfg.DisableCommitStamp {
-		pkt.LastCommitted = s.last
-	} else {
-		// Ablation: stamp a maximal point so replicas always accept.
-		pkt.LastCommitted = wire.Seq{Epoch: s.cfg.Epoch, N: ^uint64(0)}
-	}
+	pkt.LastCommitted = s.last
 	pkt.Flags |= wire.FlagFastPath
 	s.Stats.FastReads++
 	s.out.Send(s.replicas[s.rng.intn(len(s.replicas))], pkt)

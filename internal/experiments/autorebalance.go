@@ -145,10 +145,5 @@ func autoRebalanceChaosVerify(s Scale) bool {
 	if c.Rebalances() == 0 {
 		return false // the loop never acted: nothing was verified
 	}
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
-	}
-	return true
+	return linearizable(c)
 }

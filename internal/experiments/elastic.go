@@ -183,10 +183,5 @@ func figEVerify() bool {
 		WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
 	})
 	c.RunFor(25 * time.Millisecond)
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
-	}
-	return true
+	return linearizable(c)
 }

@@ -87,6 +87,17 @@ func newCluster(p cluster.Protocol, replicas int, useHarmonia bool, seed int64) 
 	})
 }
 
+// linearizable reports whether every group's slice of c's recorded
+// history is linearizable — an undecided search counts as a failure.
+func linearizable(c *cluster.Cluster) bool {
+	for g := 0; g < c.Groups(); g++ {
+		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
+			return false
+		}
+	}
+	return true
+}
+
 // saturate measures closed-loop saturation throughput.
 func saturate(c *cluster.Cluster, clients int, writeRatio float64, dist cluster.Dist, keys int, window time.Duration) cluster.Report {
 	return c.RunLoad(cluster.LoadSpec{
@@ -400,7 +411,7 @@ func AblationLazyCleanup(s Scale) []Series {
 			Stages: 1, SlotsPerStage: 512,
 		})
 		for r := 0; r < 3; r++ {
-			c.Network().SetLink(c.ReplicaAddr(r), c.SwitchAddr(), simnet.LinkConfig{
+			c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
 				Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
 			})
 		}
@@ -430,7 +441,7 @@ func AblationStages(s Scale) []Series {
 			Stages: cf.stages, SlotsPerStage: cf.slots, Seed: 31,
 		})
 		rep := saturate(c, 128, 0.3, cluster.Zipf09, 2000, window)
-		drops := c.Scheduler().Stats.WritesDropped
+		drops := c.GroupScheduler(0).Stats.WritesDropped
 		out[i] = Series{Name: fmt.Sprintf("%s (drops=%d)", cf.name, drops),
 			Points: []Point{{X: 0, Y: rep.Throughput / 1e6}}}
 	}

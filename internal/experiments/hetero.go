@@ -165,10 +165,5 @@ func figHChaosVerify(s Scale) bool {
 		WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
 	})
 	c.RunFor(20 * time.Millisecond) // settle retries, the crash, the handoff
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
-	}
-	return true
+	return linearizable(c)
 }

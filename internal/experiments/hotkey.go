@@ -156,13 +156,5 @@ func figKVerify() bool {
 			return false
 		}
 	}
-	for g := 0; g < c.Groups(); g++ {
-		if !c.Rack().Live(g) {
-			continue
-		}
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
-	}
-	return true
+	return linearizable(c)
 }

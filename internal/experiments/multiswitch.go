@@ -185,10 +185,5 @@ func figMCrashVerify(s Scale) bool {
 		WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
 	})
 	c.RunFor(15 * time.Millisecond) // settle retries and the agreement
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
-	}
-	return true
+	return linearizable(c)
 }

@@ -1,53 +1,10 @@
 package experiments
 
 import (
-	"runtime"
 	"time"
 
 	"harmonia/internal/cluster"
 )
-
-// PerfSnapshot is the machine-readable record of one Fig P run — the
-// per-PR perf trajectory harmonia-bench serializes into
-// BENCH_figP.json. Simulated numbers (Throughput, P50/P99) describe
-// the modeled rack; wall-clock numbers (OpsPerWallSec, NsPerOp,
-// AllocsPerOp) describe the simulator itself, which is what the
-// zero-allocation work moves.
-type PerfSnapshot struct {
-	// SimOps is the total number of completed client operations across
-	// the sweep (all offered-rate points).
-	SimOps uint64 `json:"sim_ops"`
-	// WallSeconds is the real time the sweep took.
-	WallSeconds float64 `json:"wall_seconds"`
-	// OpsPerWallSec is SimOps / WallSeconds: how many simulated
-	// operations the simulator pushes through per real second — the
-	// "aggregate open-loop throughput" the perf work is measured by.
-	OpsPerWallSec float64 `json:"ops_per_wall_sec"`
-	// NsPerOp is the inverse view: wall nanoseconds per simulated op.
-	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp and BytesPerOp are heap allocations (mallocs) and
-	// bytes per simulated op over the sweep, from runtime.MemStats.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	// Throughput is the simulated aggregate ops/second achieved at the
-	// highest offered rate of the sweep.
-	Throughput float64 `json:"throughput_ops_per_sec"`
-	// P50Ns and P99Ns are simulated latency quantiles at the highest
-	// offered rate.
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-	// GroupOffered is the offered split of the highest-rate run: the
-	// weight-aware draw must favor the big shard.
-	GroupOffered []uint64 `json:"group_offered"`
-	// Linearizable reports the chaos-verify phase: every group's
-	// history linearizable through a one-switch crash + replacement
-	// under drops, with the optimized fast paths in play.
-	Linearizable bool `json:"linearizable"`
-}
-
-// figPerfGroupsPerSwitch pairs two replica groups behind each of the
-// four front-ends, like Fig M's rack.
-const figPerfGroupsPerSwitch = 2
 
 // figPerfCluster builds the Fig P rack: 4 switches, 8 groups with
 // deliberately unequal capacity (a 5-replica chain group and two
@@ -72,95 +29,30 @@ func figPerfCluster(seed int64, record bool, drop float64) *cluster.Cluster {
 }
 
 // FigPerf is the open-loop latency-vs-throughput sweep on the
-// 4-switch weighted rack, instrumented for the simulator's own cost:
-// wall time and heap allocations per simulated op.
+// 4-switch weighted rack. What the simulator itself costs on this
+// rack — wall time, allocations, spread between runs — is the
+// repository benchmark's rack_openloop workload (benchmark/README.md).
 func FigPerf(s Scale) []Series {
-	series, _ := FigPerfDetail(s)
-	return series
-}
-
-// FigPerfDetail runs Fig P and returns both the plotted series and the
-// perf snapshot.
-func FigPerfDetail(s Scale) ([]Series, PerfSnapshot) {
 	window := s.win(15 * time.Millisecond)
 	// Offered-rate sweep as fractions of the rack's rough aggregate
 	// capacity (8 groups of spread-read chains ≈ 3×0.92 MRPS each at
 	// 5% writes; stay below the knee so the open loop doesn't build an
 	// unbounded queue at the top point).
 	const aggMax = 8 * 3 * 0.92e6
-	fracs := []float64{0.15, 0.3, 0.5, 0.7}
-
-	var snap PerfSnapshot
 	var meanPts, p99Pts []Point
-
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-
-	for i, frac := range fracs {
+	for i, frac := range []float64{0.15, 0.3, 0.5, 0.7} {
 		c := figPerfCluster(int64(300+i), false, 0)
 		rep := c.RunLoad(cluster.LoadSpec{
 			Mode: cluster.Open, Rate: frac * aggMax, Duration: window,
 			Warmup: warmup, WriteRatio: 0.05, Keys: defaultKeys,
 			Dist: cluster.Zipf09, PinGroups: true,
 		})
-		snap.SimOps += rep.Ops
 		x := rep.Throughput / 1e6
 		meanPts = append(meanPts, Point{X: x, Y: float64(rep.Latency.Mean()) / float64(time.Millisecond)})
 		p99Pts = append(p99Pts, Point{X: x, Y: float64(rep.Latency.Quantile(0.99)) / float64(time.Millisecond)})
-		if i == len(fracs)-1 {
-			snap.Throughput = rep.Throughput
-			snap.P50Ns = int64(rep.Latency.Quantile(0.5))
-			snap.P99Ns = int64(rep.Latency.Quantile(0.99))
-			snap.GroupOffered = rep.GroupOffered
-		}
 	}
-
-	snap.WallSeconds = time.Since(t0).Seconds()
-	runtime.ReadMemStats(&m1)
-	if snap.SimOps > 0 {
-		snap.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(snap.SimOps)
-		snap.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(snap.SimOps)
-		if snap.WallSeconds > 0 {
-			snap.OpsPerWallSec = float64(snap.SimOps) / snap.WallSeconds
-			snap.NsPerOp = snap.WallSeconds * 1e9 / float64(snap.SimOps)
-		}
-	}
-
-	// Chaos-verify outside the timed window: the same rack, recorded,
-	// 1% drops, one front-end crashed and replaced mid-load; every
-	// group's history must stay linearizable with the fast paths on.
-	snap.Linearizable = figPerfVerify()
-
 	return []Series{
 		{Name: "mean latency", Points: meanPts},
 		{Name: "p99 latency", Points: p99Pts},
-	}, snap
-}
-
-// figPerfVerify replays a small recorded chaos window on the Fig P
-// rack — the sharded open-loop driver under 1% drops with one
-// front-end crashed and replaced mid-load — and checks every group's
-// history slice. The window and rate are fixed rather than scaled:
-// the phase is a correctness verdict, not a statistic, and the
-// checker's search must stay decidable (per-key op counts and the
-// pending-write pileup a crashed shard's unanswered open-loop ops
-// create both grow with the window).
-func figPerfVerify() bool {
-	const window = 12 * time.Millisecond
-	c := figPerfCluster(317, true, 0.01)
-	c.Engine().After(window/4, func() { _ = c.CrashSwitch(1) })
-	c.Engine().After(window/2, func() { _ = c.ReactivateSwitch(1) })
-	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Open, Rate: 6e5, Duration: window, Warmup: 2 * time.Millisecond,
-		WriteRatio: 0.3, Keys: 160, Dist: cluster.Uniform, PinGroups: true,
-	})
-	c.RunFor(15 * time.Millisecond) // settle the replacement agreement
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
 	}
-	return true
 }

@@ -106,7 +106,7 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 		lossy := simnet.LinkConfig{Latency: 5 * time.Microsecond, DropProb: p}
 		for g := 0; g < c.Groups(); g++ {
 			for i := 0; i < 3; i++ {
-				c.Network().SetLinkBoth(c.GroupReplicaAddr(g, i), c.SwitchAddr(), lossy)
+				c.Network().SetLinkBoth(c.GroupReplicaAddr(g, i), c.SwitchAddrOf(0), lossy)
 			}
 		}
 	}
@@ -212,10 +212,5 @@ func rebalanceChaosVerify(s Scale) bool {
 	if len(migs) != len(slots) {
 		return false
 	}
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
-	}
-	return true
+	return linearizable(c)
 }

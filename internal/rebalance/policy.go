@@ -23,6 +23,7 @@
 package rebalance
 
 import (
+	"fmt"
 	"time"
 
 	"harmonia/internal/trace"
@@ -91,38 +92,50 @@ type Config struct {
 	ObjectCost float64
 }
 
-func (c *Config) fillDefaults() {
-	if c.Threshold <= 0 {
+// Validate reports why the control loop cannot run with c, or nil:
+// the only place a rebalancer configuration is rejected.
+func (c Config) Validate() error {
+	if c.Threshold < 0 || c.Hysteresis < 0 || c.Interval < 0 || c.Cooldown < 0 ||
+		c.MaxSlotsPerRound < 0 || c.MoveCost < 0 || c.ObjectCost < 0 {
+		return fmt.Errorf("rebalance: invalid policy %+v", c)
+	}
+	// Compared on the effective values (zero selects the default): a
+	// band at or above the threshold makes the re-arm level
+	// unreachable, so the loop would fire once and disarm forever.
+	if c = c.Filled(); c.Hysteresis >= c.Threshold {
+		return fmt.Errorf("rebalance: hysteresis %.2f must stay below the effective threshold %.2f (both ratios are per capacity unit)", c.Hysteresis, c.Threshold)
+	}
+	return nil
+}
+
+// Filled returns the effective configuration: zero fields replaced by
+// their defaults, nothing else touched (Validate rejects the rest).
+func (c Config) Filled() Config {
+	if c.Threshold == 0 {
 		c.Threshold = 1.5
 	}
-	if c.Hysteresis <= 0 {
+	if c.Hysteresis == 0 {
 		c.Hysteresis = 0.25
 	}
-	if c.Hysteresis >= c.Threshold {
-		// A band at or above the threshold makes the re-arm level
-		// unreachable (the loop would fire once and disarm forever);
-		// clamp to half the threshold. The public API rejects such
-		// configs up front — this guards direct internal users.
-		c.Hysteresis = c.Threshold / 2
-	}
-	if c.Interval <= 0 {
+	if c.Interval == 0 {
 		c.Interval = time.Millisecond
 	}
-	if c.Cooldown <= 0 {
+	if c.Cooldown == 0 {
 		c.Cooldown = 3 * c.Interval
 	}
-	if c.MaxSlotsPerRound <= 0 {
+	if c.MaxSlotsPerRound == 0 {
 		c.MaxSlotsPerRound = 8
 	}
 	if c.MinOps == 0 {
 		c.MinOps = 128
 	}
-	if c.MoveCost <= 0 {
+	if c.MoveCost == 0 {
 		c.MoveCost = 48
 	}
-	if c.ObjectCost <= 0 {
+	if c.ObjectCost == 0 {
 		c.ObjectCost = 1
 	}
+	return c
 }
 
 // Move is one planned slot migration.
@@ -189,10 +202,13 @@ type Policy struct {
 
 // New builds a policy with cfg (zero fields defaulted) reading the
 // injected clock. The clock makes the loop deterministic under the
-// simulation and trivially fakeable in unit tests.
+// simulation and trivially fakeable in unit tests. An invalid cfg
+// panics with its Validate error.
 func New(cfg Config, now func() time.Duration) *Policy {
-	cfg.fillDefaults()
-	return &Policy{cfg: cfg, now: now, armed: true, stuckSlot: -1}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	return &Policy{cfg: cfg.Filled(), now: now, armed: true, stuckSlot: -1}
 }
 
 // Config returns the effective (defaulted) configuration.

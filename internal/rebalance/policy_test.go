@@ -258,10 +258,33 @@ func TestRebalancePolicyBusySlotsDoNotBurnTheTrigger(t *testing.T) {
 	}
 }
 
-func TestRebalanceConfigClampsHysteresis(t *testing.T) {
-	p := New(Config{Threshold: 1.2, Hysteresis: 1.2}, func() time.Duration { return 0 })
-	if h := p.Config().Hysteresis; h >= 1.2 {
-		t.Fatalf("hysteresis %v not clamped below threshold", h)
+// TestRebalanceConfigRejectsUnreachableBand: a hysteresis at or above
+// the effective threshold is an error — never clamped into range — and
+// New refuses to build a policy from it.
+func TestRebalanceConfigRejectsUnreachableBand(t *testing.T) {
+	for _, cfg := range []Config{
+		{Threshold: 1.2, Hysteresis: 1.2},
+		{Hysteresis: 1.6}, // above the default threshold
+		{Threshold: -1},
+		{Cooldown: -time.Millisecond},
+	} {
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("%+v accepted", cfg)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("New built a policy from %+v", cfg)
+				} else if perr, ok := r.(error); !ok || perr.Error() != err.Error() {
+					t.Fatalf("New panicked with %v, want %v", r, err)
+				}
+			}()
+			New(cfg, func() time.Duration { return 0 })
+		}()
+	}
+	if err := (Config{Threshold: 1.2, Hysteresis: 0.3}).Validate(); err != nil {
+		t.Fatalf("a reachable band was rejected: %v", err)
 	}
 }
 
