@@ -170,9 +170,12 @@ type Replica struct {
 	dvcMsgs        map[uint64]map[int]doViewChange
 	lastNormalView uint64
 
-	// Timers.
-	hbTimer sim.Timer
-	vcTimer sim.Timer
+	// Timers. leaderTimeoutFn is leaderTimeout bound once: every
+	// Prepare and Commit re-arms vcTimer, and a method value would
+	// allocate a fresh closure each time.
+	hbTimer         sim.Timer
+	vcTimer         sim.Timer
+	leaderTimeoutFn func()
 
 	// OnViewChange, when set, is invoked after this replica enters a
 	// new view in normal status (control-plane hook used by the
@@ -196,6 +199,7 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Re
 		svcVotes:  make(map[uint64]map[int]bool),
 		dvcMsgs:   make(map[uint64]map[int]doViewChange),
 	}
+	r.leaderTimeoutFn = r.leaderTimeout
 	r.armTimers()
 	return r
 }
@@ -219,7 +223,7 @@ func (r *Replica) armTimers() {
 		r.hbTimer = r.Env.After(r.opts.HeartbeatEvery, r.heartbeat)
 	}
 	if r.opts.ViewChangeTimeout > 0 && !r.IsLeader() {
-		r.vcTimer = r.Env.After(r.opts.ViewChangeTimeout, r.leaderTimeout)
+		r.vcTimer = r.Env.After(r.opts.ViewChangeTimeout, r.leaderTimeoutFn)
 	}
 }
 
@@ -236,7 +240,7 @@ func (r *Replica) heartbeat() {
 func (r *Replica) touchLeader() {
 	r.vcTimer.Stop()
 	if r.opts.ViewChangeTimeout > 0 && !r.IsLeader() {
-		r.vcTimer = r.Env.After(r.opts.ViewChangeTimeout, r.leaderTimeout)
+		r.vcTimer = r.Env.After(r.opts.ViewChangeTimeout, r.leaderTimeoutFn)
 	}
 }
 

@@ -318,3 +318,26 @@ func TestHeartbeatDrivesLaggingExecution(t *testing.T) {
 		t.Fatal("heartbeat did not catch up the lagging replica")
 	}
 }
+
+// TestTouchLeaderAllocatesNothing pins the step every Prepare and
+// Commit takes at a follower — stop the view-change timer, arm it
+// again — to zero allocations: the timeout callback is bound once at
+// construction, not per call. The clock advances between calls as it
+// does under load, so the engine recycles the stopped timers' events.
+func TestTouchLeaderAllocatesNothing(t *testing.T) {
+	h, reps := group(t, 3, Options{ViewChangeTimeout: 100 * time.Microsecond})
+	step := func() {
+		reps[1].touchLeader()
+		reps[2].touchLeader()
+		h.Run(time.Microsecond)
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(1000, step); a != 0 {
+		t.Fatalf("two touchLeader calls allocate %v, want 0", a)
+	}
+	if reps[1].ViewChanges+reps[2].ViewChanges != 0 {
+		t.Fatal("a view-change timer fired while it was being re-armed every microsecond")
+	}
+}

@@ -140,12 +140,52 @@ type Node struct {
 
 	down bool
 	idle int // idle workers
-	q    []queued
+	q    fifo
+	// inc counts crashes. A service completion scheduled before the
+	// latest SetDown(true) carries an older value and is discarded, so
+	// work abandoned by a crash can neither reach the handler nor hand
+	// back a worker the crash already reset.
+	inc uint32
+
+	// linkTo/linkCfg are this node's outgoing link overrides, parallel
+	// slices scanned linearly by Send: a node overrides a handful of
+	// links (a replica: its peers and the controller), and most sends —
+	// every client, every switch — leave a node that overrides none.
+	linkTo  []NodeID
+	linkCfg []LinkConfig
 
 	// Stats
 	Delivered uint64 // messages handed to the handler
 	Dropped   uint64 // messages dropped (down node or full queue)
 	BusyTime  time.Duration
+}
+
+// fifo is a node's wait queue: a power-of-two ring, so a message is
+// enqueued and dequeued in constant time however deep the backlog (a
+// saturated VR leader holds ~1000 waiting messages).
+type fifo struct {
+	buf  []queued
+	head int
+	n    int
+}
+
+func (f *fifo) push(q queued) {
+	if f.n == len(f.buf) { // full: the oldest entry is at head, the newest just before it
+		grown := make([]queued, max(2*len(f.buf), 16))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = q
+	f.n++
+}
+
+func (f *fifo) pop() queued {
+	q := f.buf[f.head]
+	f.buf[f.head] = queued{} // the ring must not pin a served message
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return q
 }
 
 // delivery is one in-flight message: the argument threaded through the
@@ -154,20 +194,30 @@ type Node struct {
 // and released the moment their callback runs, so steady-state message
 // traffic allocates nothing. Payloads are NOT copied anywhere on this
 // path — duplication delivers the same Message twice — which is why
-// packets are immutable once sequenced (see internal/wire).
+// packets are immutable once sequenced (see internal/wire). inc is the
+// destination's crash count when service began; only completions read
+// it (see Node.inc).
 type delivery struct {
 	nd   *Node
 	from NodeID
+	inc  uint32
 	msg  Message
 }
+
+// pageBits sizes the node table's pages. Node IDs are sparse — switches
+// and controller below 10, one 1024-wide window per replica group,
+// clients from 1<<20 — so the table is a directory of 256-entry pages
+// allocated on first use: two indexed loads find a node, no hashing.
+const pageBits = 8
+
+type nodePage [1 << pageBits]*Node
 
 // Network owns the nodes and links.
 type Network struct {
 	eng         *sim.Engine
 	rng         *rand.Rand
-	nodes       map[NodeID]*Node
+	pages       []*nodePage
 	defaultLink LinkConfig
-	links       map[[2]NodeID]LinkConfig
 
 	// free is the delivery-record pool; arriveFn/completeFn are the
 	// long-lived callbacks AfterCall pairs the records with (a method
@@ -186,13 +236,7 @@ type Network struct {
 
 // New creates a network on eng with the given default link config.
 func New(eng *sim.Engine, def LinkConfig) *Network {
-	n := &Network{
-		eng:         eng,
-		rng:         eng.Rand(),
-		nodes:       make(map[NodeID]*Node),
-		defaultLink: def,
-		links:       make(map[[2]NodeID]LinkConfig),
-	}
+	n := &Network{eng: eng, rng: eng.Rand(), defaultLink: def}
 	n.arriveFn = func(a any) {
 		d := a.(*delivery)
 		nd, from, msg := d.nd, d.from, d.msg
@@ -201,9 +245,9 @@ func New(eng *sim.Engine, def LinkConfig) *Network {
 	}
 	n.completeFn = func(a any) {
 		d := a.(*delivery)
-		nd, from, msg := d.nd, d.from, d.msg
+		nd, from, inc, msg := d.nd, d.from, d.inc, d.msg
 		n.putDelivery(d)
-		nd.complete(from, msg)
+		nd.complete(from, inc, msg)
 	}
 	return n
 }
@@ -214,10 +258,10 @@ func (n *Network) getDelivery(nd *Node, from NodeID, msg Message) *delivery {
 		d := n.free[k-1]
 		n.free[k-1] = nil
 		n.free = n.free[:k-1]
-		d.nd, d.from, d.msg = nd, from, msg
+		d.nd, d.from, d.inc, d.msg = nd, from, nd.inc, msg
 		return d
 	}
-	return &delivery{nd: nd, from: from, msg: msg}
+	return &delivery{nd: nd, from: from, inc: nd.inc, msg: msg}
 }
 
 // putDelivery returns a record, dropping its payload reference so the
@@ -233,36 +277,57 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // Now returns the current simulated time.
 func (n *Network) Now() sim.Time { return n.eng.Now() }
 
-// AddNode registers a node. Panics on duplicate IDs: topology is fixed
-// at assembly time and a duplicate is a harness bug.
+// AddNode registers a node. Panics on duplicate or negative IDs:
+// topology is fixed at assembly time and either is a harness bug.
 func (n *Network) AddNode(id NodeID, h Handler, cfg ProcConfig) *Node {
-	if _, ok := n.nodes[id]; ok {
+	if id < 0 {
+		panic(fmt.Sprintf("simnet: negative node ID %d", id))
+	}
+	if n.Node(id) != nil {
 		panic(fmt.Sprintf("simnet: duplicate node %d", id))
 	}
+	p := int(id >> pageBits)
+	if p >= len(n.pages) {
+		n.pages = append(n.pages, make([]*nodePage, p+1-len(n.pages))...)
+	}
+	if n.pages[p] == nil {
+		n.pages[p] = new(nodePage)
+	}
 	nd := &Node{id: id, net: n, handler: h, cfg: cfg, idle: cfg.Workers}
-	n.nodes[id] = nd
+	n.pages[p][id&(1<<pageBits-1)] = nd
 	return nd
 }
 
 // Node returns the node with the given ID, or nil.
-func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
+func (n *Network) Node(id NodeID) *Node {
+	p := int(id >> pageBits)
+	if id < 0 || p >= len(n.pages) || n.pages[p] == nil {
+		return nil
+	}
+	return n.pages[p][id&(1<<pageBits-1)]
+}
 
 // SetLink overrides the link config for the directed pair (from, to).
+// The override lives on the sending node, which must exist.
 func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) {
-	n.links[[2]NodeID{from, to}] = cfg
+	src := n.Node(from)
+	if src == nil {
+		panic(fmt.Sprintf("simnet: link override from unknown node %d", from))
+	}
+	for i, t := range src.linkTo {
+		if t == to {
+			src.linkCfg[i] = cfg
+			return
+		}
+	}
+	src.linkTo = append(src.linkTo, to)
+	src.linkCfg = append(src.linkCfg, cfg)
 }
 
 // SetLinkBoth overrides both directions.
 func (n *Network) SetLinkBoth(a, b NodeID, cfg LinkConfig) {
 	n.SetLink(a, b, cfg)
 	n.SetLink(b, a, cfg)
-}
-
-func (n *Network) linkFor(from, to NodeID) LinkConfig {
-	if cfg, ok := n.links[[2]NodeID{from, to}]; ok {
-		return cfg
-	}
-	return n.defaultLink
 }
 
 // Send transmits msg from one node to another, applying the link's
@@ -272,16 +337,25 @@ func (n *Network) linkFor(from, to NodeID) LinkConfig {
 // equivalent to a crashed process.
 func (n *Network) Send(from, to NodeID, msg Message) {
 	n.Sent++
-	if src, ok := n.nodes[from]; ok && src.down {
+	src := n.Node(from)
+	if src != nil && src.down {
 		releaseMsg(msg)
 		return
 	}
-	dst, ok := n.nodes[to]
-	if !ok {
+	dst := n.Node(to)
+	if dst == nil {
 		releaseMsg(msg) // destination never existed; silently dropped like UDP
 		return
 	}
-	cfg := n.linkFor(from, to)
+	cfg := &n.defaultLink
+	if src != nil {
+		for i, t := range src.linkTo {
+			if t == to {
+				cfg = &src.linkCfg[i]
+				break
+			}
+		}
+	}
 	if cfg.DupProb > 0 {
 		// Take a provisional reference before the first transmit can
 		// consume the sender's: each transmit call owns exactly one,
@@ -298,7 +372,7 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 	n.transmit(cfg, from, dst, msg)
 }
 
-func (n *Network) transmit(cfg LinkConfig, from NodeID, dst *Node, msg Message) {
+func (n *Network) transmit(cfg *LinkConfig, from NodeID, dst *Node, msg Message) {
 	if cfg.DropProb > 0 && (cfg.DropFilter == nil || cfg.DropFilter(msg)) &&
 		n.rng.Float64() < cfg.DropProb {
 		releaseMsg(msg)
@@ -318,27 +392,28 @@ func (n *Network) transmit(cfg LinkConfig, from NodeID, dst *Node, msg Message) 
 // drops all arrivals and loses its queued messages, matching a crashed
 // process or a switch that stops forwarding.
 func (n *Network) SetDown(id NodeID, down bool) {
-	nd := n.nodes[id]
+	nd := n.Node(id)
 	if nd == nil {
 		return
 	}
 	nd.down = down
 	if down {
-		nd.Dropped += uint64(len(nd.q))
-		for _, qd := range nd.q {
-			releaseMsg(qd.msg)
+		nd.Dropped += uint64(nd.q.n)
+		for nd.q.n > 0 {
+			releaseMsg(nd.q.pop().msg)
 		}
-		nd.q = nil
-		// In-service work is abandoned; workers become idle on
-		// recovery. We reset immediately: completions for abandoned
-		// work are suppressed by the down check in complete().
+		nd.q = fifo{}
+		// In-service work is abandoned and its workers are idle again
+		// at once; bumping inc makes complete() discard the completions
+		// still scheduled for it, even if the node is back up by then.
+		nd.inc++
 		nd.idle = nd.cfg.Workers
 	}
 }
 
 // IsDown reports the node's failure state.
 func (n *Network) IsDown(id NodeID) bool {
-	nd := n.nodes[id]
+	nd := n.Node(id)
 	return nd != nil && nd.down
 }
 
@@ -363,12 +438,12 @@ func (nd *Node) arrive(from NodeID, msg Message) {
 		nd.serve(from, msg)
 		return
 	}
-	if nd.cfg.QueueLimit > 0 && len(nd.q) >= nd.cfg.QueueLimit {
+	if nd.cfg.QueueLimit > 0 && nd.q.n >= nd.cfg.QueueLimit {
 		nd.Dropped++
 		releaseMsg(msg)
 		return
 	}
-	nd.q = append(nd.q, queued{from, msg})
+	nd.q.push(queued{from, msg})
 }
 
 // serve begins service for a message on a (now busy) worker.
@@ -385,10 +460,11 @@ func (nd *Node) serve(from NodeID, msg Message) {
 }
 
 // complete runs when service finishes: the handler executes and the
-// worker picks up the next queued message, if any.
-func (nd *Node) complete(from NodeID, msg Message) {
-	if nd.down {
-		releaseMsg(msg) // abandoned in-flight work
+// worker picks up the next queued message, if any. inc is the node's
+// crash count when the service began.
+func (nd *Node) complete(from NodeID, inc uint32, msg Message) {
+	if inc != nd.inc {
+		releaseMsg(msg) // abandoned by a crash since
 		return
 	}
 	if t := nd.net.tracer; t != nil {
@@ -396,12 +472,8 @@ func (nd *Node) complete(from NodeID, msg Message) {
 	}
 	nd.Delivered++
 	nd.handler.Recv(from, msg)
-	if len(nd.q) > 0 {
-		next := nd.q[0]
-		// Pop front; amortize by shifting (queues stay short relative
-		// to volume because service is fast).
-		copy(nd.q, nd.q[1:])
-		nd.q = nd.q[:len(nd.q)-1]
+	if nd.q.n > 0 {
+		next := nd.q.pop()
 		nd.serve(next.from, next.msg)
 		return
 	}
@@ -409,7 +481,7 @@ func (nd *Node) complete(from NodeID, msg Message) {
 }
 
 // QueueLen returns the number of waiting (not in-service) messages.
-func (nd *Node) QueueLen() int { return len(nd.q) }
+func (nd *Node) QueueLen() int { return nd.q.n }
 
 // Utilization returns busy-time / (workers × elapsed), a 0..1 load
 // factor, for the elapsed duration since the run started.

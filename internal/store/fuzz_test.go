@@ -1,0 +1,202 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"harmonia/internal/wire"
+)
+
+// fuzzIDs is the key pool the fuzz stream draws from: 80 IDs in each
+// of three routing slots (ID 0 among them), so probe runs collide,
+// indexes grow several times and backward-shift deletes have something
+// to shift.
+var fuzzIDs, fuzzSlots = func() ([]wire.ObjectID, []int) {
+	slots := []int{wire.SlotOf(0), 1, 200}
+	var ids []wire.ObjectID
+	for _, slot := range slots {
+		n := 0
+		for id := wire.ObjectID(0); n < 80; id++ {
+			if wire.SlotOf(id) == slot {
+				ids = append(ids, id)
+				n++
+			}
+		}
+	}
+	return ids, slots
+}()
+
+// storeOracle is the reference: a plain map plus the two counters.
+type storeOracle struct {
+	objs        map[wire.ObjectID]Object
+	lastApplied wire.Seq
+	applied     uint64
+}
+
+func (o *storeOracle) seed(id wire.ObjectID, v []byte, seq wire.Seq) {
+	o.objs[id] = Object{Value: v, Seq: seq}
+	if o.lastApplied.Less(seq) {
+		o.lastApplied = seq
+	}
+}
+
+func (o *storeOracle) slotLen(slot int) int {
+	n := 0
+	for id := range o.objs {
+		if wire.SlotOf(id) == slot {
+			n++
+		}
+	}
+	return n
+}
+
+func checkSlotCounts(t *testing.T, step int, s *Store, o *storeOracle) {
+	t.Helper()
+	want := make([]int, wire.NumSlots)
+	for id := range o.objs {
+		want[wire.SlotOf(id)]++
+	}
+	for slot, n := range s.SlotCounts() {
+		if n != want[slot] || s.SlotLen(slot) != n {
+			t.Fatalf("step %d: slot %d SlotCounts %d SlotLen %d, oracle %d", step, slot, n, s.SlotLen(slot), want[slot])
+		}
+	}
+}
+
+func (o *storeOracle) clone() *storeOracle {
+	c := &storeOracle{objs: make(map[wire.ObjectID]Object, len(o.objs)), lastApplied: o.lastApplied, applied: o.applied}
+	for id, obj := range o.objs {
+		c.objs[id] = obj
+	}
+	return c
+}
+
+func sameObjects(a, b map[wire.ObjectID]Object) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id, x := range a {
+		if y, ok := b[id]; !ok || x.Seq != y.Seq || !bytes.Equal(x.Value, y.Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzStoreAgainstMap interprets the input as a stream of store
+// operations (three bytes each: opcode, key, argument) and checks
+// the store against the map oracle after every step.
+func FuzzStoreAgainstMap(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 1, 3, 0, 0, 1, 0, 0, 3, 0, 0})
+	f.Add([]byte{2, 5, 9, 2, 85, 9, 4, 0, 0, 6, 1, 0, 5, 7, 3, 7, 0, 0, 0, 3, 1, 8, 0, 0})
+	grow := make([]byte, 0, 3*len(fuzzIDs)*2)
+	for k := range fuzzIDs { // fill all three slots, then delete every other key
+		grow = append(grow, 0, byte(k), 1)
+	}
+	for k := 0; k < len(fuzzIDs); k += 2 {
+		grow = append(grow, 1, byte(k), 1)
+	}
+	f.Add(grow)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New(8)
+		o := &storeOracle{objs: map[wire.ObjectID]Object{}}
+		var snap Snapshot
+		var snapOracle *storeOracle
+		for step := 0; len(data) >= 3; step++ {
+			op, k, arg := data[0]%9, data[1], data[2]
+			data = data[3:]
+			id := fuzzIDs[int(k)%len(fuzzIDs)]
+			slot := fuzzSlots[int(k)%len(fuzzSlots)]
+			switch op {
+			case 0, 1: // Apply (write or delete), in order or stale
+				seq := wire.Seq{Epoch: o.lastApplied.Epoch, N: o.lastApplied.N + 1}
+				if arg%8 == 0 {
+					seq = wire.Seq{Epoch: o.lastApplied.Epoch, N: o.lastApplied.N - uint64(arg>>3)%(o.lastApplied.N+1)}
+				}
+				err := s.Apply(id, []byte{arg}, seq, op == 1)
+				if want := !o.lastApplied.Less(seq); want != errors.Is(err, ErrOutOfOrder) {
+					t.Fatalf("step %d: Apply at %v after %v returned %v", step, seq, o.lastApplied, err)
+				}
+				if err == nil {
+					o.lastApplied = seq
+					o.applied++
+					if op == 1 {
+						delete(o.objs, id)
+					} else {
+						o.objs[id] = Object{Value: []byte{arg}, Seq: seq}
+					}
+				}
+			case 2: // Seed, possibly behind or far ahead of lastApplied
+				seq := wire.Seq{Epoch: uint32(arg & 1), N: uint64(arg)}
+				s.Seed(id, []byte{arg}, seq)
+				o.seed(id, []byte{arg}, seq)
+			case 3: // Get
+			case 4: // ExtractSlot
+				want := map[wire.ObjectID]Object{}
+				for oid, obj := range o.objs {
+					if wire.SlotOf(oid) == slot {
+						want[oid] = obj
+					}
+				}
+				if got := s.ExtractSlot(slot); !sameObjects(got, want) {
+					t.Fatalf("step %d: ExtractSlot(%d) returned %d objects, oracle %d", step, slot, len(got), len(want))
+				}
+			case 5: // InstallSlot of up to four neutered objects
+				in := map[wire.ObjectID]Object{}
+				for j := 0; j < int(arg%5); j++ {
+					in[fuzzIDs[(int(k)+7*j)%len(fuzzIDs)]] = Object{Value: []byte{arg, byte(j)}, Seq: wire.Seq{N: uint64(arg) + uint64(j)}}
+				}
+				s.InstallSlot(in)
+				for oid, obj := range in {
+					o.seed(oid, obj.Value, obj.Seq)
+				}
+			case 6: // DropSlot
+				want := 0
+				for oid := range o.objs {
+					if wire.SlotOf(oid) == slot {
+						delete(o.objs, oid)
+						want++
+					}
+				}
+				if got := s.DropSlot(slot); got != want {
+					t.Fatalf("step %d: DropSlot(%d) removed %d, oracle %d", step, slot, got, want)
+				}
+			case 7: // Snapshot
+				snap, snapOracle = s.Snapshot(), o.clone()
+				if !sameObjects(snap.Objects, o.objs) || snap.LastApplied != o.lastApplied {
+					t.Fatalf("step %d: snapshot differs from the oracle", step)
+				}
+			case 8: // Restore the last snapshot
+				if snapOracle != nil {
+					s.Restore(snap)
+					applied := o.applied // Restore replaces contents, not the lifetime count
+					o = snapOracle.clone()
+					o.applied = applied
+				}
+			}
+
+			got, ok := s.Get(id)
+			want, wantOK := o.objs[id]
+			if ok != wantOK || got.Seq != want.Seq || !bytes.Equal(got.Value, want.Value) {
+				t.Fatalf("step %d (op %d): Get(%d) = %v %v, oracle %v %v", step, op, id, got, ok, want, wantOK)
+			}
+			if s.ObjectSeq(id) != want.Seq {
+				t.Fatalf("step %d: ObjectSeq(%d) = %v, oracle %v", step, id, s.ObjectSeq(id), want.Seq)
+			}
+			if s.Len() != len(o.objs) || s.LastApplied() != o.lastApplied || s.AppliedCount() != o.applied {
+				t.Fatalf("step %d (op %d): Len %d lastApplied %v applied %d, oracle %d %v %d",
+					step, op, s.Len(), s.LastApplied(), s.AppliedCount(), len(o.objs), o.lastApplied, o.applied)
+			}
+			if op >= 4 || len(data) < 3 { // whole-slot operations, and the last step
+				checkSlotCounts(t, step, s, o)
+			} else if got, want := s.SlotLen(wire.SlotOf(id)), o.slotLen(wire.SlotOf(id)); got != want {
+				t.Fatalf("step %d (op %d): SlotLen(%d) = %d, oracle %d", step, op, wire.SlotOf(id), got, want)
+			}
+		}
+		if !sameObjects(s.Snapshot().Objects, o.objs) {
+			t.Fatal("final contents differ from the oracle")
+		}
+	})
+}

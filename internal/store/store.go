@@ -12,6 +12,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"harmonia/internal/wire"
 )
@@ -27,13 +28,16 @@ type Object struct {
 // number does not exceed the last applied one.
 var ErrOutOfOrder = errors.New("store: write out of sequence order")
 
-// Store is a sharded key-value store. Shards model the paper's eight
-// Redis processes per server; the simulation charges service time at
-// the node level, so shards here are only about bookkeeping fidelity,
-// not Go-level parallelism (the simulator is single-threaded).
+// Store is a key-value store laid out by routing slot: one
+// open-addressed table per wire.SlotOf value, so the unit a group
+// handoff moves (ExtractSlot, DropSlot, SlotLen) is one table rather
+// than a scan of everything the replica holds, and a lookup is one
+// multiply and a short linear probe with no hashing of the key bytes.
+// The simulation charges service time at the node level and runs on
+// one thread, so the paper's eight Redis processes per server need no
+// counterpart in the layout.
 type Store struct {
-	shards []map[wire.ObjectID]Object
-	nshard uint32
+	slots [wire.NumSlots]slotTab
 
 	// lastApplied is the sequence number of the most recent write
 	// applied to any object (R.seq in the paper's proof), used by
@@ -41,29 +45,135 @@ type Store struct {
 	lastApplied wire.Seq
 
 	applied uint64 // total applied writes
-
-	// slotCount tracks live objects per routing slot, maintained
-	// incrementally on every insert/delete so the rebalancer's
-	// move-cost model can consult real occupancy without scanning the
-	// store (a per-tick scan is exactly the heavy probe the switch-side
-	// counters exist to avoid).
-	slotCount [wire.NumSlots]int32
 }
 
-// New creates a store with the given shard count (minimum 1).
-func New(shards int) *Store {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &Store{shards: make([]map[wire.ObjectID]Object, shards), nshard: uint32(shards)}
-	for i := range s.shards {
-		s.shards[i] = make(map[wire.ObjectID]Object)
-	}
-	return s
+// slotTab holds one routing slot's objects: linear probing over
+// parallel power-of-two arrays kept at most 7/8 full, deletion by
+// backward shift so lookups never meet a tombstone. A probe run walks
+// only the 4-byte IDs, and an object sits at its ID's position, so
+// both addresses follow from the hash and their cache misses overlap.
+type slotTab struct {
+	ids   []wire.ObjectID // emptyID(slot) marks a free position
+	objs  []Object
+	n     int
+	shift uint8 // 32 - log2(len(ids))
 }
 
-func (s *Store) shard(id wire.ObjectID) map[wire.ObjectID]Object {
-	return s.shards[uint32(id)%s.nshard]
+const slotTabMinLen = 8
+
+// emptyID returns the free-position marker of a slot's table: an ID
+// that routes to some other slot and so is never stored in this one
+// (TestEmptyIDRoutesElsewhere holds it to wire.SlotOf). Zero for every
+// slot but one, so only that slot's fresh arrays need filling.
+func emptyID(slot int) wire.ObjectID {
+	if slot == 0 {
+		return 1
+	}
+	return 0
+}
+
+// home is id's preferred position: the top bits of the golden-ratio
+// product whose bits 8–15 wire.SlotOf routes by.
+func (t *slotTab) home(id wire.ObjectID) int { return int(uint32(id) * 0x9E3779B1 >> t.shift) }
+
+// find returns id's position, or -1.
+func (t *slotTab) find(id, empty wire.ObjectID) int {
+	if t.n == 0 {
+		return -1
+	}
+	mask := len(t.ids) - 1
+	for i := t.home(id); ; i = (i + 1) & mask {
+		switch t.ids[i] {
+		case id:
+			return i
+		case empty:
+			return -1
+		}
+	}
+}
+
+// put inserts or replaces id's object.
+func (t *slotTab) put(id, empty wire.ObjectID, o Object) {
+	if i := t.find(id, empty); i >= 0 {
+		t.objs[i] = o
+		return
+	}
+	if 8*(t.n+1) > 7*len(t.ids) {
+		t.grow(empty)
+	}
+	t.link(id, empty, o)
+	t.n++
+}
+
+// link places an absent id at the first free position from its home.
+func (t *slotTab) link(id, empty wire.ObjectID, o Object) {
+	mask := len(t.ids) - 1
+	i := t.home(id)
+	for t.ids[i] != empty {
+		i = (i + 1) & mask
+	}
+	t.ids[i], t.objs[i] = id, o
+}
+
+func (t *slotTab) grow(empty wire.ObjectID) {
+	oldIDs, oldObjs := t.ids, t.objs
+	size := max(2*len(oldIDs), slotTabMinLen)
+	t.ids, t.objs = make([]wire.ObjectID, size), make([]Object, size)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	if empty != 0 {
+		for i := range t.ids {
+			t.ids[i] = empty
+		}
+	}
+	for i, id := range oldIDs {
+		if id != empty {
+			t.link(id, empty, oldObjs[i])
+		}
+	}
+}
+
+// del removes id if present. Backward shift: walk the rest of the probe
+// run and pull into the hole every entry whose home lies at or before
+// it (cyclically), so each remaining entry stays reachable from its
+// home.
+func (t *slotTab) del(id, empty wire.ObjectID) {
+	i := t.find(id, empty)
+	if i < 0 {
+		return
+	}
+	mask := len(t.ids) - 1
+	for j := i; ; {
+		j = (j + 1) & mask
+		k := t.ids[j]
+		if k == empty {
+			break
+		}
+		if (j-t.home(k))&mask >= (j-i)&mask {
+			t.ids[i], t.objs[i] = k, t.objs[j]
+			i = j
+		}
+	}
+	t.ids[i], t.objs[i] = empty, Object{}
+	t.n--
+}
+
+// each calls fn for every object of the table, in table order.
+func (t *slotTab) each(empty wire.ObjectID, fn func(wire.ObjectID, Object)) {
+	for i, id := range t.ids {
+		if id != empty {
+			fn(id, t.objs[i])
+		}
+	}
+}
+
+// New creates a store. shards is the number of storage processes the
+// server models (eight Redis instances in the paper's prototype); the
+// layout does not depend on it.
+func New(shards int) *Store { return &Store{} }
+
+func (s *Store) put(id wire.ObjectID, o Object) {
+	slot := wire.SlotOf(id)
+	s.slots[slot].put(id, emptyID(slot), o)
 }
 
 // Apply installs a write. It returns ErrOutOfOrder if seq does not
@@ -76,19 +186,12 @@ func (s *Store) Apply(id wire.ObjectID, value []byte, seq wire.Seq, del bool) er
 	}
 	s.lastApplied = seq
 	s.applied++
-	sh := s.shard(id)
-	_, existed := sh[id]
 	if del {
-		if existed {
-			delete(sh, id)
-			s.slotCount[wire.SlotOf(id)]--
-		}
+		slot := wire.SlotOf(id)
+		s.slots[slot].del(id, emptyID(slot))
 		return nil
 	}
-	if !existed {
-		s.slotCount[wire.SlotOf(id)]++
-	}
-	sh[id] = Object{Value: value, Seq: seq}
+	s.put(id, Object{Value: value, Seq: seq})
 	return nil
 }
 
@@ -96,11 +199,7 @@ func (s *Store) Apply(id wire.ObjectID, value []byte, seq wire.Seq, del bool) er
 // replica before it serves traffic (e.g. preloading a key space).
 // lastApplied only ever moves forward.
 func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
-	sh := s.shard(id)
-	if _, existed := sh[id]; !existed {
-		s.slotCount[wire.SlotOf(id)]++
-	}
-	sh[id] = Object{Value: value, Seq: seq}
+	s.put(id, Object{Value: value, Seq: seq})
 	if s.lastApplied.Less(seq) {
 		s.lastApplied = seq
 	}
@@ -108,8 +207,12 @@ func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
 
 // Get returns the object and whether it exists.
 func (s *Store) Get(id wire.ObjectID) (Object, bool) {
-	o, ok := s.shard(id)[id]
-	return o, ok
+	slot := wire.SlotOf(id)
+	t := &s.slots[slot]
+	if i := t.find(id, emptyID(slot)); i >= 0 {
+		return t.objs[i], true
+	}
+	return Object{}, false
 }
 
 // ObjectSeq returns the sequence number of the last write applied to
@@ -134,8 +237,8 @@ func (s *Store) AppliedCount() uint64 { return s.applied }
 // Len returns the number of live objects.
 func (s *Store) Len() int {
 	n := 0
-	for _, sh := range s.shards {
-		n += len(sh)
+	for slot := range s.slots {
+		n += s.slots[slot].n
 	}
 	return n
 }
@@ -150,23 +253,17 @@ type Snapshot struct {
 // Snapshot captures the current state.
 func (s *Store) Snapshot() Snapshot {
 	snap := Snapshot{Objects: make(map[wire.ObjectID]Object, s.Len()), LastApplied: s.lastApplied}
-	for _, sh := range s.shards {
-		for k, v := range sh {
-			snap.Objects[k] = v
-		}
+	for slot := range s.slots {
+		s.slots[slot].each(emptyID(slot), func(id wire.ObjectID, o Object) { snap.Objects[id] = o })
 	}
 	return snap
 }
 
 // Restore replaces the store contents with snap.
 func (s *Store) Restore(snap Snapshot) {
-	for i := range s.shards {
-		s.shards[i] = make(map[wire.ObjectID]Object)
-	}
-	s.slotCount = [wire.NumSlots]int32{}
-	for k, v := range snap.Objects {
-		s.shard(k)[k] = v
-		s.slotCount[wire.SlotOf(k)]++
+	s.slots = [wire.NumSlots]slotTab{}
+	for id, o := range snap.Objects {
+		s.put(id, o)
 	}
 	s.lastApplied = snap.LastApplied
 }
@@ -174,14 +271,8 @@ func (s *Store) Restore(snap Snapshot) {
 // ExtractSlot copies every live object whose ID hashes to the given
 // routing slot — the unit of state a group handoff transfers.
 func (s *Store) ExtractSlot(slot int) map[wire.ObjectID]Object {
-	out := make(map[wire.ObjectID]Object)
-	for _, sh := range s.shards {
-		for id, o := range sh {
-			if wire.SlotOf(id) == slot {
-				out[id] = o
-			}
-		}
-	}
+	out := make(map[wire.ObjectID]Object, s.slots[slot].n)
+	s.slots[slot].each(emptyID(slot), func(id wire.ObjectID, o Object) { out[id] = o })
 	return out
 }
 
@@ -203,29 +294,20 @@ func (s *Store) InstallSlot(objs map[wire.ObjectID]Object) {
 // slot's reads can no longer reach this group, and keeping the copies
 // would only shadow the now-authoritative destination.
 func (s *Store) DropSlot(slot int) int {
-	n := 0
-	for _, sh := range s.shards {
-		for id := range sh {
-			if wire.SlotOf(id) == slot {
-				delete(sh, id)
-				n++
-			}
-		}
-	}
-	s.slotCount[slot] -= int32(n)
+	n := s.slots[slot].n
+	s.slots[slot] = slotTab{}
 	return n
 }
 
-// SlotLen returns the number of live objects in one routing slot, read
-// from the incrementally maintained counter (O(1), no scan).
-func (s *Store) SlotLen(slot int) int { return int(s.slotCount[slot]) }
+// SlotLen returns the number of live objects in one routing slot.
+func (s *Store) SlotLen(slot int) int { return s.slots[slot].n }
 
-// SlotCounts returns a copy of the per-slot object counters — the
+// SlotCounts returns a copy of the per-slot object counts — the
 // occupancy input to the rebalancer's ObjectCost veto.
 func (s *Store) SlotCounts() []int {
 	out := make([]int, wire.NumSlots)
-	for slot, n := range s.slotCount {
-		out[slot] = int(n)
+	for slot := range s.slots {
+		out[slot] = s.slots[slot].n
 	}
 	return out
 }

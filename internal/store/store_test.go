@@ -276,7 +276,7 @@ func TestExtractInstallDropSlot(t *testing.T) {
 	}
 }
 
-// TestSlotCountsTrackOnline verifies the per-slot object counters stay
+// TestSlotCountsTrackOnline verifies the per-slot object counts stay
 // exact through every mutation path — write, overwrite, delete, seed,
 // install, drop, restore — so the rebalancer's ObjectCost veto can
 // sample occupancy without a scan.
@@ -286,10 +286,8 @@ func TestSlotCountsTrackOnline(t *testing.T) {
 	verify := func(when string) {
 		t.Helper()
 		want := make(map[int]int)
-		for _, sh := range s.shards {
-			for id := range sh {
-				want[wire.SlotOf(id)]++
-			}
+		for id := range s.Snapshot().Objects {
+			want[wire.SlotOf(id)]++
 		}
 		got := s.SlotCounts()
 		for slot := 0; slot < wire.NumSlots; slot++ {
@@ -340,6 +338,17 @@ func TestSlotCountsTrackOnline(t *testing.T) {
 	for slot := range got {
 		if got[slot] != want[slot] {
 			t.Fatalf("restore: slot %d count %d, want %d", slot, got[slot], want[slot])
+		}
+	}
+}
+
+// TestEmptyIDRoutesElsewhere holds every slot's free-position marker
+// to the property the tables rely on: wire.SlotOf never sends that ID
+// to the slot, so it cannot collide with a stored one.
+func TestEmptyIDRoutesElsewhere(t *testing.T) {
+	for slot := 0; slot < wire.NumSlots; slot++ {
+		if wire.SlotOf(emptyID(slot)) == slot {
+			t.Fatalf("slot %d: marker %d routes to the slot it marks", slot, emptyID(slot))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Generator yields object indexes in [0, N).
@@ -48,14 +49,53 @@ func (u *Uniform) N() int { return u.n }
 // scrambles rank order with an FNV-style hash so that popular keys are
 // spread across the key space.
 type Zipfian struct {
-	n        int
-	theta    float64
-	alpha    float64
-	zetan    float64
-	eta      float64
-	zeta2    float64
+	n int
+	*zipfConsts
 	rng      *rand.Rand
 	scramble bool
+}
+
+// zipfConsts are the constants of Gray et al.'s method. They are a
+// pure function of (n, theta) and zetan is a sum of n math.Pow terms,
+// so they are computed once per pair and shared, read-only, by every
+// generator: a load spec's hundreds of clients draw from one key space.
+type zipfConsts struct {
+	alpha float64
+	zetan float64
+	eta   float64
+	// rank1 is 1 + 0.5^theta, the bound below which u·zetan means rank 1.
+	rank1 float64
+}
+
+type zipfKey struct {
+	n     int
+	theta float64
+}
+
+var zipfCache = struct {
+	sync.Mutex
+	m map[zipfKey]*zipfConsts
+}{m: make(map[zipfKey]*zipfConsts)}
+
+// zipfConstsFor returns the shared constants for (n, theta). The lock
+// is held across the zeta sum so concurrent first constructions of one
+// key space pay for it once.
+func zipfConstsFor(n int, theta float64) *zipfConsts {
+	zipfCache.Lock()
+	defer zipfCache.Unlock()
+	k := zipfKey{n, theta}
+	c := zipfCache.m[k]
+	if c == nil {
+		zetan, zeta2 := zeta(n, theta), zeta(2, theta)
+		c = &zipfConsts{
+			alpha: 1.0 / (1.0 - theta),
+			zetan: zetan,
+			eta:   (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2/zetan),
+			rank1: 1 + math.Pow(0.5, theta),
+		}
+		zipfCache.m[k] = c
+	}
+	return c
 }
 
 // NewZipfian builds a zipfian generator over n keys with exponent
@@ -67,12 +107,7 @@ func NewZipfian(n int, theta float64, rng *rand.Rand) *Zipfian {
 	if theta <= 0 || theta >= 1 {
 		panic(fmt.Sprintf("workload: zipfian theta %v out of (0,1)", theta))
 	}
-	z := &Zipfian{n: n, theta: theta, rng: rng, scramble: true}
-	z.zetan = zeta(n, theta)
-	z.zeta2 = zeta(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	return z
+	return &Zipfian{n: n, zipfConsts: zipfConstsFor(n, theta), rng: rng, scramble: true}
 }
 
 // zeta computes the generalized harmonic number H_{n,theta}.
@@ -92,7 +127,7 @@ func (z *Zipfian) Next() int {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -376,6 +377,88 @@ func TestWeightedIndexDegenerateUniform(t *testing.T) {
 	for i, c := range counts {
 		if c < 8000 {
 			t.Fatalf("degenerate fallback not uniform: index %d drew %d of 30000 (%v)", i, c, counts)
+		}
+	}
+}
+
+// referenceZipfian is the generator as it was before the constants
+// were shared: every field computed per instance, math.Pow(0.5, θ)
+// recomputed per draw. TestZipfianDrawsUnchanged compares against it.
+type referenceZipfian struct {
+	n                               int
+	theta, alpha, zetan, eta, zeta2 float64
+	rng                             *rand.Rand
+}
+
+func newReferenceZipfian(n int, theta float64, rng *rand.Rand) *referenceZipfian {
+	z := &referenceZipfian{n: n, theta: theta, rng: rng}
+	z.zetan = zeta(n, theta)
+	z.zeta2 = zeta(2, theta)
+	z.alpha = 1.0 / (1.0 - theta)
+	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	return z
+}
+
+func (z *referenceZipfian) Next() int {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	var rank int
+	switch {
+	case uz < 1:
+		rank = 0
+	case uz < 1+math.Pow(0.5, z.theta):
+		rank = 1
+	default:
+		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		if rank >= z.n {
+			rank = z.n - 1
+		}
+	}
+	return ZipfKeyOfRank(z.n, rank)
+}
+
+// TestZipfianDrawsUnchanged pins the draw sequence: sharing the
+// constants per (n, θ) must not move a single key, on the full
+// benchmark key space and on one pinned group's eighth of it.
+func TestZipfianDrawsUnchanged(t *testing.T) {
+	for _, n := range []int{100000, 12500} {
+		for _, seed := range []int64{1, 2, 77} {
+			got := NewZipfian(n, 0.9, rand.New(rand.NewSource(seed)))
+			want := newReferenceZipfian(n, 0.9, rand.New(rand.NewSource(seed)))
+			for i := 0; i < 10000; i++ {
+				if g, w := got.Next(), want.Next(); g != w {
+					t.Fatalf("n=%d seed=%d draw %d: got key %d, reference %d", n, seed, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestZipfianConcurrentConstruction builds generators over one fresh
+// key space from several goroutines at once (run under -race): all
+// must end up with the one shared set of constants and draw the
+// reference sequence.
+func TestZipfianConcurrentConstruction(t *testing.T) {
+	const n, theta, workers = 31337, 0.8, 8
+	gens := make([]*Zipfian, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			gens[w] = NewZipfian(n, theta, rand.New(rand.NewSource(int64(w))))
+		}(w)
+	}
+	wg.Wait()
+	for w, g := range gens {
+		if g.zipfConsts != gens[0].zipfConsts {
+			t.Fatalf("generator %d holds its own constants", w)
+		}
+		want := newReferenceZipfian(n, theta, rand.New(rand.NewSource(int64(w))))
+		for i := 0; i < 1000; i++ {
+			if got, ref := g.Next(), want.Next(); got != ref {
+				t.Fatalf("generator %d draw %d: got key %d, reference %d", w, i, got, ref)
+			}
 		}
 	}
 }
