@@ -81,8 +81,10 @@ func groupIncReplicaAddr(g, inc, i int) simnet.NodeID {
 // replica itself. The state-transfer path (transfer.go) is written
 // against it, and unit-tested on fakes of it.
 type ReplicaHandle interface {
-	// Preload installs an object directly (cluster warm-up).
+	// Preload installs an object directly (cluster warm-up); Reserve
+	// announces that n objects of one routing slot are about to be.
 	Preload(id wire.ObjectID, value []byte, seq wire.Seq)
+	Reserve(slot, n int)
 	// ExtractSlot copies the replica's live objects in one routing
 	// slot (migration source side).
 	ExtractSlot(slot int) map[wire.ObjectID]store.Object
@@ -149,6 +151,9 @@ type Cluster struct {
 	cfg Config
 	eng *sim.Engine
 	net *simnet.Network
+	// msgs holds the protocols' message free lists: one set per
+	// cluster, because records cross replicas but never engines.
+	msgs *protocol.MsgPool
 
 	rack   *rack.Rack
 	groups []*replicaGroup
@@ -235,6 +240,7 @@ func New(cfg Config) *Cluster {
 		weightsExplicit: weightsExplicit,
 		cfg:             cfg,
 		eng:             sim.NewEngine(cfg.Seed),
+		msgs:            protocol.NewMsgPool(),
 		hist:            newRecorder(),
 		migrations:      make(map[int]*Migration),
 		replacing:       make([]*switchReplacement, cfg.Switches),
@@ -767,6 +773,7 @@ func (e *replicaEnv) SendSwitch(pkt *wire.Packet) {
 func (e *replicaEnv) After(d time.Duration, fn func()) sim.Timer { return e.c.eng.After(d, fn) }
 func (e *replicaEnv) Now() sim.Time                              { return e.c.eng.Now() }
 func (e *replicaEnv) Rand() *rand.Rand                           { return e.c.eng.Rand() }
+func (e *replicaEnv) Msgs() *protocol.MsgPool                    { return e.c.msgs }
 
 // buildGroupReplicas constructs one group's protocol replica set per
 // its spec and registers the nodes with the group's calibrated
@@ -913,6 +920,17 @@ func (c *Cluster) controlWrite(g int, key string, flags wire.Flags, reqID uint64
 // through the protocol, and records them for history seeding.
 func (c *Cluster) Preload(n int) {
 	kt := c.keyTab(n)
+	// Size every slot table once, up front: a slot belongs to one group,
+	// so a count per slot is a count per (group, slot).
+	var perSlot [wire.NumSlots]int
+	for _, id := range kt.ids[:n] {
+		perSlot[wire.SlotOf(id)]++
+	}
+	for slot, k := range perSlot {
+		for _, r := range c.groups[c.rack.RouteOf(slot)].replicas {
+			r.Reserve(slot, k)
+		}
+	}
 	for i := 0; i < n; i++ {
 		id := kt.ids[i]
 		c.valueCtr++

@@ -262,6 +262,62 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 	}
 }
 
+// TestCrashMidBroadcastKeepsMessageOwnership crashes replicas while
+// the group is loaded, so every kind of recycled message is somewhere
+// on its way: queued at the victim (lost with its queue), in service
+// there (abandoned), on the link (dropped on arrival), and — when the
+// victim is the VR leader — part of a broadcast whose other records
+// were delivered. The ownership rule says the lost ones are simply
+// never recycled. Under -race the free lists' guard turns a record
+// recycled twice, or written after it was recycled, into a panic; in
+// every build the survivors must keep committing and the history must
+// stay linearizable, which a resurrected prepare or ack would break.
+func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
+	for _, tc := range []struct {
+		p       Protocol
+		n       int
+		victims []int // crashed 5 ms, 45 ms, … into the run
+	}{
+		{VR, 5, []int{3, 0}}, // a backup, then the leader
+		{Chain, 3, []int{1}}, // the middle node: propagates down, acks up
+	} {
+		t.Run(tc.p.String(), func(t *testing.T) {
+			c := New(Config{Protocol: tc.p, Replicas: tc.n, UseHarmonia: true, Seed: 5, RecordHistory: true})
+			c.Preload(4096)
+			queued := 0 // messages waiting at a victim when it went down
+			for k, victim := range tc.victims {
+				c.eng.After(time.Duration(5+40*k)*time.Millisecond, func() {
+					queued += c.net.Node(c.groupAddr(0, victim)).QueueLen()
+					if err := c.CrashReplicaIn(0, victim); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			spec := LoadSpec{
+				Mode: Closed, Clients: 64, Duration: 120 * time.Millisecond,
+				Warmup: time.Millisecond, WriteRatio: 0.5, Keys: 4096, Bucket: 10 * time.Millisecond,
+			}
+			rep := c.RunLoad(spec)
+			if queued == 0 {
+				t.Fatal("no victim had a message queued when it crashed; the test meant to lose some")
+			}
+			for _, victim := range tc.victims {
+				if c.net.Node(c.groupAddr(0, victim)).Dropped == 0 {
+					t.Fatalf("replica %d dropped no message", victim)
+				}
+			}
+			pts := rep.Series.Points() // ends at the last bucket that completed anything
+			if last := pts[len(pts)-1].Start; last < 90*time.Millisecond || rep.Writes == 0 {
+				t.Fatalf("the group stopped committing after the crashes: last completion in the bucket at %v, %d writes", last, rep.Writes)
+			}
+			c.RunFor(20 * time.Millisecond)
+			if res := c.CheckLinearizability(); !res.Decided || !res.Ok {
+				t.Fatalf("history after the crashes: %+v", res)
+			}
+		})
+	}
+}
+
 func TestCrashPrimaryRejected(t *testing.T) {
 	c := New(Config{Protocol: PB, Replicas: 3, Seed: 1})
 	if err := c.CrashReplicaIn(0, 0); err == nil {

@@ -12,6 +12,7 @@ import (
 type baseHandle struct{ *protocol.Base }
 
 func (h baseHandle) Preload(id wire.ObjectID, v []byte, seq wire.Seq) { h.Store.Seed(id, v, seq) }
+func (h baseHandle) Reserve(slot, n int)                              { h.Store.Reserve(slot, n) }
 func (h baseHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
 	return h.Store.ExtractSlot(slot)
 }
@@ -30,6 +31,7 @@ func (h baseHandle) ShimCounters() (served, rejected, leaseRejected uint64) {
 type craqHandle struct{ r *craq.Replica }
 
 func (h craqHandle) Preload(id wire.ObjectID, v []byte, _ wire.Seq) { h.r.PreloadClean(id, v, 0) }
+func (craqHandle) Reserve(slot, n int)                              {} // one Go map for all slots: nothing to size
 func (h craqHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
 	out := make(map[wire.ObjectID]store.Object)
 	for id, v := range h.r.ExtractSlotClean(slot) {

@@ -165,6 +165,7 @@ func (f *fakeReplica) GetObject(id wire.ObjectID) (store.Object, bool) {
 	return o, ok
 }
 func (f *fakeReplica) ShimCounters() (uint64, uint64, uint64) { return 0, 0, 0 }
+func (f *fakeReplica) Reserve(slot, n int)                    {}
 
 // keep stores a reply in the fake's table, which owns the reference
 // the caller hands over.

@@ -21,25 +21,49 @@ package dataplane
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // RegisterArray is one stage's array of 64-bit registers. Real switch
 // stages expose register arrays to the match-action units; Harmonia
 // stores an object ID and its pending-write sequence number per slot,
 // which fits in two 32-bit registers or one paired 64-bit register.
+//
+// A slot's valid bit is kept apart from its registers, one bit per
+// slot. The dirty set is nearly empty by design (a few dozen pending
+// writes in 3 × 64 000 slots), so almost every probe finds a free slot:
+// testing the bit touches an 8 KB bitmap that stays in cache instead
+// of a random 16-byte slot of a megabyte array, and a sweep visits the
+// set bits instead of every slot. The bitmap stands in front of the
+// model and changes nothing about it: same hash, same placement, same
+// (stage, index) visiting order.
 type RegisterArray struct {
 	slots []slot
+	occ   []uint64 // bit i set: slots[i] holds an entry
 }
 
 type slot struct {
-	used bool
-	key  uint32 // object ID
-	val  uint64 // largest pending sequence number (per-epoch counter)
+	key uint32 // object ID
+	val uint64 // largest pending sequence number (per-epoch counter)
 }
 
 // NewRegisterArray allocates an array with m slots.
 func NewRegisterArray(m int) *RegisterArray {
-	return &RegisterArray{slots: make([]slot, m)}
+	return &RegisterArray{slots: make([]slot, m), occ: make([]uint64, (m+63)/64)}
+}
+
+func (r *RegisterArray) used(i int) bool { return r.occ[i>>6]&(1<<uint(i&63)) != 0 }
+func (r *RegisterArray) claim(i int)     { r.occ[i>>6] |= 1 << uint(i&63) }
+func (r *RegisterArray) free(i int)      { r.occ[i>>6] &^= 1 << uint(i&63) }
+
+// each calls fn with the index of every occupied slot, in index order;
+// fn may free the slot it is shown.
+func (r *RegisterArray) each(fn func(i int)) {
+	for w, word := range r.occ {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // Size returns the slot count.
@@ -139,36 +163,38 @@ func (t *Table) Used() int { return t.used }
 // always at least as new as the cleared one, so the table never holds
 // two live entries for one key.
 func (t *Table) Insert(key uint32, seq uint64) error {
-	claimed := -1
+	var claimed *slot
 	for i := range t.stages {
 		st := &t.stages[i]
-		sl := &st.arr.slots[st.index(key)]
-		if sl.used && sl.key == key {
-			if claimed >= 0 {
-				// Deduplicate: fold this stale entry into the claim.
-				cst := &t.stages[claimed]
-				csl := &cst.arr.slots[cst.index(key)]
-				if sl.val > csl.val {
-					csl.val = sl.val
-				}
-				sl.used = false
-				t.used--
-				return nil
+		idx := st.index(key)
+		if !st.arr.used(idx) {
+			if claimed == nil {
+				claimed = &st.arr.slots[idx]
+				*claimed = slot{key: key, val: seq}
+				st.arr.claim(idx)
+				t.used++
 			}
-			if seq > sl.val {
-				sl.val = seq
+			continue
+		}
+		sl := &st.arr.slots[idx]
+		if sl.key != key {
+			continue
+		}
+		if claimed != nil {
+			// Deduplicate: fold this stale entry into the claim.
+			if sl.val > claimed.val {
+				claimed.val = sl.val
 			}
+			st.arr.free(idx)
+			t.used--
 			return nil
 		}
-		if !sl.used && claimed < 0 {
-			sl.used = true
-			sl.key = key
+		if seq > sl.val {
 			sl.val = seq
-			t.used++
-			claimed = i
 		}
+		return nil
 	}
-	if claimed >= 0 {
+	if claimed != nil {
 		return nil
 	}
 	return ErrTableFull
@@ -179,9 +205,8 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 func (t *Table) Lookup(key uint32) (uint64, bool) {
 	for i := range t.stages {
 		st := &t.stages[i]
-		sl := &st.arr.slots[st.index(key)]
-		if sl.used && sl.key == key {
-			return sl.val, true
+		if idx := st.index(key); st.arr.used(idx) && st.arr.slots[idx].key == key {
+			return st.arr.slots[idx].val, true
 		}
 	}
 	return 0, false
@@ -194,10 +219,9 @@ func (t *Table) Lookup(key uint32) (uint64, bool) {
 func (t *Table) Delete(key uint32, upTo uint64) bool {
 	for i := range t.stages {
 		st := &t.stages[i]
-		sl := &st.arr.slots[st.index(key)]
-		if sl.used && sl.key == key {
-			if sl.val <= upTo {
-				sl.used = false
+		if idx := st.index(key); st.arr.used(idx) && st.arr.slots[idx].key == key {
+			if st.arr.slots[idx].val <= upTo {
+				st.arr.free(idx)
 				t.used--
 				return true
 			}
@@ -212,20 +236,20 @@ func (t *Table) Delete(key uint32, upTo uint64) bool {
 // dirty set can be removed as soon as a WRITE-COMPLETION message with a
 // higher sequence number arrives... This removal can also be done
 // periodically"). A real pipeline does it incrementally as reads probe
-// slots; sweeping is the periodic variant and touches each slot once.
+// slots; sweeping is the periodic variant and touches each occupied
+// slot once.
 func (t *Table) SweepStale(commit uint64) int {
 	removed := 0
 	for i := range t.stages {
 		arr := t.stages[i].arr
-		for j := range arr.slots {
-			sl := &arr.slots[j]
-			if sl.used && sl.val <= commit {
-				sl.used = false
-				t.used--
+		arr.each(func(j int) {
+			if arr.slots[j].val <= commit {
+				arr.free(j)
 				removed++
 			}
-		}
+		})
 	}
+	t.used -= removed
 	return removed
 }
 
@@ -236,11 +260,7 @@ func (t *Table) SweepStale(commit uint64) int {
 func (t *Table) Scan(fn func(key uint32, seq uint64)) {
 	for i := range t.stages {
 		arr := t.stages[i].arr
-		for j := range arr.slots {
-			if sl := &arr.slots[j]; sl.used {
-				fn(sl.key, sl.val)
-			}
-		}
+		arr.each(func(j int) { fn(arr.slots[j].key, arr.slots[j].val) })
 	}
 }
 
@@ -255,10 +275,7 @@ func (t *Table) CleanSlotIfStale(key uint32, commit uint64) bool {
 // lost).
 func (t *Table) Reset() {
 	for i := range t.stages {
-		arr := t.stages[i].arr
-		for j := range arr.slots {
-			arr.slots[j] = slot{}
-		}
+		clear(t.stages[i].arr.occ) // a register without its valid bit is never read
 	}
 	t.used = 0
 }

@@ -13,8 +13,10 @@
 package lincheck
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Op is one operation in a history. Timestamps are arbitrary units
@@ -75,10 +77,21 @@ func (c Config) stateLimit() int {
 // Check verifies the full history with default limits.
 func Check(ops []Op) Result { return CheckConfig(ops, Config{}) }
 
-// CheckConfig verifies the full history.
+// CheckConfig verifies the full history. Keys are checked in ascending
+// order, so when several keys fail the verdict names the smallest.
 func CheckConfig(ops []Op, cfg Config) Result {
-	byKey := make(map[uint64][]Op)
-	for _, o := range ops {
+	// One sort both partitions the history by key and puts each key's
+	// ops in invocation order, ties in recorded order — the order the
+	// search tries candidates in. It runs over 24-byte references, not
+	// the ops themselves, and the recorded index makes the order total,
+	// so an unstable sort yields the stable result.
+	type ref struct {
+		key    uint64
+		invoke int64
+		idx    int
+	}
+	refs := make([]ref, 0, len(ops))
+	for i, o := range ops {
 		if !o.Pending() && o.Return < o.Invoke {
 			return Result{Ok: false, Decided: true, Key: o.Key,
 				Reason: fmt.Sprintf("op returns (%d) before invocation (%d)", o.Return, o.Invoke)}
@@ -86,129 +99,195 @@ func CheckConfig(ops []Op, cfg Config) Result {
 		if o.Pending() && !o.Write {
 			continue // pending reads constrain nothing
 		}
-		byKey[o.Key] = append(byKey[o.Key], o)
+		refs = append(refs, ref{o.Key, o.Invoke, i})
 	}
-	for key, kops := range byKey {
-		res := checkKey(key, kops, cfg)
-		if !res.Ok || !res.Decided {
+	slices.SortFunc(refs, func(a, b ref) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		if a.invoke != b.invoke {
+			return cmp.Compare(a.invoke, b.invoke)
+		}
+		return a.idx - b.idx
+	})
+	sorted := make([]Op, len(refs))
+	for i, r := range refs {
+		sorted[i] = ops[r.idx]
+	}
+	var c checker
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Key == sorted[lo].Key {
+			hi++
+		}
+		if res := c.checkKey(sorted[lo:hi], cfg); !res.Ok || !res.Decided {
 			return res
 		}
+		lo = hi
 	}
 	return Result{Ok: true, Decided: true}
 }
 
-// checkKey runs the per-key search.
-func checkKey(key uint64, ops []Op, cfg Config) Result {
+// memo is one visited search state: the set of linearized ops and the
+// last write among them. M holds the set in the narrowest comparable
+// form that fits the key's op count, so recording a state builds no
+// byte slice and no string.
+type memo[M comparable] struct {
+	mask M
+	last int32 // index of the last linearized write, -1 initially
+}
+
+func packWord(m []uint64) uint64 { return m[0] }
+
+func packArray(m []uint64) (a [8]uint64) {
+	copy(a[:], m)
+	return a
+}
+
+// packString is the unbounded form, for keys above 512 ops (reachable
+// only with a raised Config.MaxOpsPerKey).
+func packString(m []uint64) string {
+	b := make([]byte, 0, 8*len(m))
+	for _, v := range m {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return string(b)
+}
+
+// checker carries the scratch one CheckConfig call reuses from key to
+// key: a history has tens of thousands of keys with a handful of ops
+// each, and a fresh mask and memo table per key was most of the
+// checker's garbage.
+type checker struct {
+	mask  []uint64
+	word  map[memo[uint64]]struct{}    // keys of up to 64 ops
+	array map[memo[[8]uint64]]struct{} // up to 512, the default bound
+}
+
+// recycled empties a memo table for the next key. A table that one
+// contended key blew up is dropped instead: clearing costs its size,
+// and the next thousand keys need a few entries each.
+func recycled[K comparable](m map[K]struct{}) map[K]struct{} {
+	if m == nil || len(m) > 1<<12 {
+		return make(map[K]struct{})
+	}
+	clear(m)
+	return m
+}
+
+// checkKey runs the search for one key's ops, sorted by invocation.
+func (c *checker) checkKey(ops []Op, cfg Config) Result {
+	key := ops[0].Key
 	if len(ops) > cfg.maxOps() {
 		return Result{Decided: false, Key: key,
 			Reason: fmt.Sprintf("key has %d ops, above limit %d", len(ops), cfg.maxOps())}
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Invoke < ops[j].Invoke })
-
-	n := len(ops)
-	words := (n + 63) / 64
-	type stateKey struct {
-		mask string
-		last int // index of last linearized write, -1 initially
+	words := (len(ops) + 63) / 64
+	if cap(c.mask) < words {
+		c.mask = make([]uint64, words)
 	}
-	visited := make(map[stateKey]bool)
-	mask := make([]uint64, words)
+	c.mask = c.mask[:words]
+	clear(c.mask)
+	switch {
+	case words == 1:
+		c.word = recycled(c.word)
+		return runSearch(key, ops, cfg, c.mask, c.word, packWord)
+	case words <= 8:
+		c.array = recycled(c.array)
+		return runSearch(key, ops, cfg, c.mask, c.array, packArray)
+	default:
+		return runSearch(key, ops, cfg, c.mask, make(map[memo[string]]struct{}), packString)
+	}
+}
 
-	var completedLeft int
+// search is the Wing & Gong search over one key's ops.
+type search[M comparable] struct {
+	ops     []Op
+	mask    []uint64 // linearized set, bit i = ops[i]
+	pack    func([]uint64) M
+	visited map[memo[M]]struct{}
+	states  int
+	limit   int
+	over    bool // the state limit was hit; unwind without a verdict
+}
+
+func runSearch[M comparable](key uint64, ops []Op, cfg Config, mask []uint64,
+	visited map[memo[M]]struct{}, pack func([]uint64) M) Result {
+	s := search[M]{ops: ops, mask: mask, pack: pack, visited: visited, limit: cfg.stateLimit()}
+	completed := 0
 	for _, o := range ops {
 		if !o.Pending() {
-			completedLeft++
+			completed++
 		}
 	}
-
-	set := func(i int) { mask[i/64] |= 1 << (i % 64) }
-	clear := func(i int) { mask[i/64] &^= 1 << (i % 64) }
-	has := func(i int) bool { return mask[i/64]&(1<<(i%64)) != 0 }
-	keyOf := func(last int) stateKey {
-		b := make([]byte, words*8)
-		for w, v := range mask {
-			for k := 0; k < 8; k++ {
-				b[w*8+k] = byte(v >> (8 * k))
-			}
-		}
-		return stateKey{mask: string(b), last: last}
-	}
-
-	// current register state derived from the last linearized write:
-	// -1 → initial missing.
-	valueOf := func(last int) int64 {
-		if last < 0 {
-			return 0
-		}
-		v := ops[last].Value
-		if v < 0 {
-			return 0 // delete: state is "missing"
-		}
-		return v
-	}
-
-	states := 0
-	var dfs func(last, remaining int) (bool, Result)
-	dfs = func(last, remaining int) (bool, Result) {
-		if remaining == 0 {
-			return true, Result{Ok: true, Decided: true}
-		}
-		sk := keyOf(last)
-		if visited[sk] {
-			return false, Result{}
-		}
-		visited[sk] = true
-		states++
-		if states > cfg.stateLimit() {
-			return false, Result{Decided: false, Key: key, Reason: "state limit exceeded"}
-		}
-		// Earliest return among unlinearized completed ops bounds
-		// which ops may linearize next.
-		minReturn := int64(1<<63 - 1)
-		for i, o := range ops {
-			if !has(i) && !o.Pending() && o.Return < minReturn {
-				minReturn = o.Return
-			}
-		}
-		for i, o := range ops {
-			if has(i) || o.Invoke > minReturn {
-				continue
-			}
-			if !o.Write {
-				// Read must observe the current state.
-				cur := valueOf(last)
-				if o.Value != cur {
-					continue
-				}
-				set(i)
-				ok, res := dfs(last, remaining-1)
-				if ok || !res.Decided && res.Reason != "" {
-					return ok, res
-				}
-				clear(i)
-				continue
-			}
-			set(i)
-			rem := remaining
-			if !o.Pending() {
-				rem--
-			}
-			ok, res := dfs(i, rem)
-			if ok || !res.Decided && res.Reason != "" {
-				return ok, res
-			}
-			clear(i)
-		}
-		return false, Result{}
-	}
-
-	ok, res := dfs(-1, completedLeft)
-	if ok {
+	switch found := s.dfs(-1, completed); {
+	case found:
 		return Result{Ok: true, Decided: true}
+	case s.over:
+		return Result{Decided: false, Key: key, Reason: "state limit exceeded"}
+	default:
+		return Result{Ok: false, Decided: true, Key: key,
+			Reason: fmt.Sprintf("no linearization for %d ops on key %d", len(ops), key)}
 	}
-	if !res.Decided && res.Reason != "" {
-		return res
+}
+
+func (s *search[M]) has(i int) bool { return s.mask[i/64]&(1<<(i%64)) != 0 }
+
+// valueOf is the register state after the write at index last: -1 is
+// the initial state, and both it and a delete read as "missing" (0).
+func (s *search[M]) valueOf(last int) int64 {
+	if last < 0 {
+		return 0
 	}
-	return Result{Ok: false, Decided: true, Key: key,
-		Reason: fmt.Sprintf("no linearization for %d ops on key %d", n, key)}
+	return max(s.ops[last].Value, 0)
+}
+
+// dfs reports whether the remaining completed ops can be linearized
+// from the current state. A false return with s.over set means the
+// search gave up, not that it failed.
+func (s *search[M]) dfs(last, remaining int) bool {
+	if remaining == 0 {
+		return true
+	}
+	sk := memo[M]{mask: s.pack(s.mask), last: int32(last)}
+	if _, seen := s.visited[sk]; seen {
+		return false
+	}
+	s.visited[sk] = struct{}{}
+	s.states++
+	if s.states > s.limit {
+		s.over = true
+		return false
+	}
+	// Earliest return among unlinearized completed ops bounds
+	// which ops may linearize next.
+	minReturn := int64(1<<63 - 1)
+	for i, o := range s.ops {
+		if !s.has(i) && !o.Pending() && o.Return < minReturn {
+			minReturn = o.Return
+		}
+	}
+	for i, o := range s.ops {
+		if s.has(i) || o.Invoke > minReturn {
+			continue
+		}
+		next, rem := last, remaining
+		if o.Write {
+			next = i
+		} else if o.Value != s.valueOf(last) {
+			continue // a read must observe the current state
+		}
+		if !o.Pending() {
+			rem--
+		}
+		s.mask[i/64] |= 1 << (i % 64)
+		if s.dfs(next, rem) {
+			return true
+		}
+		if s.over {
+			return false
+		}
+		s.mask[i/64] &^= 1 << (i % 64)
+	}
+	return false
 }

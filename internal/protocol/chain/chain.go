@@ -16,6 +16,8 @@
 package chain
 
 import (
+	"fmt"
+
 	"harmonia/internal/protocol"
 	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
@@ -30,7 +32,10 @@ type propagate struct {
 func (propagate) CostClass() protocol.CostClass { return protocol.CostWrite }
 
 // chainAck flows from the tail up the chain announcing the commit
-// point, letting nodes trim their resend buffers.
+// point, letting nodes trim their resend buffers. One per hop per
+// write: it travels as a pointer to a recycled record (ownership rule
+// in protocol/msgs.go). propagate needs none — a struct of one pointer
+// rides in the interface word itself.
 type chainAck struct {
 	Seq wire.Seq
 }
@@ -58,11 +63,16 @@ type Replica struct {
 	// alive tracks which indexes are still chain members.
 	alive []bool
 
-	// unacked buffers writes forwarded but not yet known committed,
-	// in sequence order, for resend on successor failure.
+	// unacked[head:] buffers writes forwarded but not yet known
+	// committed, in sequence order, for resend on successor failure.
+	// Acks advance head; the dead prefix is squeezed out once it is half
+	// the slice, so the buffer slides in place instead of reallocating.
 	unacked []*wire.Packet
+	head    int
 	// committed is the highest sequence number known committed here.
 	committed wire.Seq
+
+	acks *protocol.FreeList[chainAck] // shared by the engine's chain nodes
 
 	// Stats
 	WritesApplied   uint64
@@ -77,6 +87,7 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
 		next:  g.Self + 1,
 		prev:  g.Self - 1,
 		alive: make([]bool, g.N()),
+		acks:  protocol.FreeLists[protocol.FreeList[chainAck]](env.Msgs()),
 	}
 	if r.next >= g.N() {
 		r.next = -1
@@ -114,10 +125,14 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.recvPacket(m)
 	case propagate:
 		r.recvPropagate(m.Pkt)
-	case chainAck:
-		r.recvAck(m.Seq)
+	case *chainAck:
+		r.recvAck(r.acks.Take(m).Seq)
 	case reReply:
 		r.recvReReply(m)
+	default:
+		// A message in a representation the cases above do not list (a
+		// recycled type sent by value, say) must not vanish silently.
+		panic(fmt.Sprintf("chain: unexpected message %T", msg))
 	}
 }
 
@@ -194,24 +209,33 @@ func (r *Replica) commitAtTail(pkt *wire.Packet) {
 	rep := r.WriteReply(pkt, true) // piggybacks the WRITE-COMPLETION
 	r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
 	r.Env.SendSwitch(rep)
-	if r.prev >= 0 {
-		r.Env.Send(r.Group.Addr(r.prev), chainAck{Seq: pkt.Seq})
-	}
+	r.sendAck(pkt.Seq)
 	pkt.Release() // the tail's apply is the write's terminal consumption
+}
+
+// sendAck passes the commit point to the predecessor, if there is one.
+func (r *Replica) sendAck(seq wire.Seq) {
+	if r.prev >= 0 {
+		m := r.acks.Get()
+		*m = chainAck{Seq: seq}
+		r.Env.Send(r.Group.Addr(r.prev), m)
+	}
 }
 
 // recvAck trims the resend buffer and relays the commit point up.
 func (r *Replica) recvAck(seq wire.Seq) {
 	r.committed = r.committed.Max(seq)
-	cut := 0
-	for cut < len(r.unacked) && r.unacked[cut].Seq.LessEq(seq) {
-		r.unacked[cut].Release()
-		cut++
+	for r.head < len(r.unacked) && r.unacked[r.head].Seq.LessEq(seq) {
+		r.unacked[r.head].Release()
+		r.unacked[r.head] = nil
+		r.head++
 	}
-	r.unacked = r.unacked[cut:]
-	if r.prev >= 0 {
-		r.Env.Send(r.Group.Addr(r.prev), chainAck{Seq: seq})
+	if 2*r.head >= len(r.unacked) {
+		n := copy(r.unacked, r.unacked[r.head:])
+		clear(r.unacked[n:])
+		r.unacked, r.head = r.unacked[:n], 0
 	}
+	r.sendAck(seq)
 }
 
 // recvReReply answers a duplicate-write probe from its reply cache.
@@ -263,11 +287,11 @@ func (r *Replica) Reconfigure(failed int) {
 	}
 	// If our successor was the failed node, recover its in-flight
 	// writes.
-	pending := r.unacked
+	pending := r.unacked[r.head:]
 	if r.IsTail() {
 		// Became the tail: our applied-but-unacked writes are now
 		// committed by definition; reply for them.
-		r.unacked = nil
+		r.unacked, r.head = nil, 0
 		for _, pkt := range pending {
 			r.commitAtTail(pkt)
 		}
@@ -284,4 +308,4 @@ func (r *Replica) Reconfigure(failed int) {
 func (r *Replica) Committed() wire.Seq { return r.committed }
 
 // UnackedLen returns the resend-buffer length (tests).
-func (r *Replica) UnackedLen() int { return len(r.unacked) }
+func (r *Replica) UnackedLen() int { return len(r.unacked) - r.head }

@@ -268,3 +268,52 @@ func TestStrayNormalReadForwardedToTail(t *testing.T) {
 		t.Fatal("misrouted read lost")
 	}
 }
+
+// TestSteadyWriteAllocatesNothing pins a write through a three-node
+// chain — two propagates, the tail's reply, two recycled acks, three
+// resend-buffer updates — to zero allocations. Writes enter one hop
+// apart, so several are always on their way and the resend buffers
+// slide without ever emptying: they must do so in place.
+func TestSteadyWriteAllocatesNothing(t *testing.T) {
+	h, reps := group(t, 3)
+	h.Delay = time.Microsecond
+	val := []byte("12345678")
+	var n uint64
+	var replies, window int
+	one := func() {
+		n++
+		w := wire.NewPacket()
+		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
+		w.ClientID, w.ReqID, w.Value = 1, n, val
+		h.Inject(100, 1, w)
+		h.Run(time.Microsecond)
+		window = max(window, reps[0].UnackedLen())
+		for _, sp := range h.ToSwitch {
+			replies++
+			sp.Pkt.Release()
+		}
+		h.ToSwitch = h.ToSwitch[:0]
+	}
+	for i := 0; i < 64; i++ {
+		one()
+	}
+	// Not asserted in race builds (LiveManagedPackets >= 0), whose
+	// sync.Pool drops a quarter of the packets put back.
+	if a := testing.AllocsPerRun(1000, one); a != 0 && wire.LiveManagedPackets() < 0 {
+		t.Fatalf("one chain write allocates %v times, want 0", a)
+	}
+	if window < 2 {
+		t.Fatalf("the head never buffered more than %d write; the test meant to keep several in flight", window)
+	}
+	if c := cap(reps[0].unacked); c > 4*window {
+		t.Fatalf("the head's resend buffer grew to %d slots for a window of %d", c, window)
+	}
+	h.Run(10 * time.Microsecond)
+	for _, sp := range h.ToSwitch {
+		replies++
+		sp.Pkt.Release()
+	}
+	if uint64(replies) != n || reps[0].UnackedLen() != 0 || reps[1].UnackedLen() != 0 {
+		t.Fatalf("%d writes: %d replies, %d and %d still buffered", n, replies, reps[0].UnackedLen(), reps[1].UnackedLen())
+	}
+}

@@ -20,7 +20,9 @@ import (
 type Env interface {
 	// ID returns this replica's network address.
 	ID() simnet.NodeID
-	// Send delivers a protocol-internal message to a peer.
+	// Send delivers a protocol-internal message to a peer: a plain
+	// value, or a pointer to a record from one of Msgs' free lists,
+	// which the receiver recycles (msgs.go has the ownership rule).
 	Send(to simnet.NodeID, msg any)
 	// SendSwitch puts a client-facing Harmonia packet (reply or
 	// write-completion) onto the data path through the switch.
@@ -32,6 +34,9 @@ type Env interface {
 	Now() sim.Time
 	// Rand returns the deterministic random source.
 	Rand() *rand.Rand
+	// Msgs returns the message free lists shared by every replica on
+	// this Env's engine; the harness owns them.
+	Msgs() *MsgPool
 }
 
 // GroupConfig describes a replica group.

@@ -33,14 +33,23 @@ var _ protocol.Env = (*Env)(nil)
 // ID implements protocol.Env.
 func (e *Env) ID() simnet.NodeID { return e.id }
 
-// Send implements protocol.Env.
+// Send implements protocol.Env. A delayed send rides a recycled flight
+// record, so the harness adds no allocation of its own to a protocol's
+// message path.
 func (e *Env) Send(to simnet.NodeID, msg any) {
 	if e.h.Delay > 0 {
-		from := e.id
-		e.h.Eng.After(e.h.Delay, func() { e.h.deliver(from, to, msg) })
+		f := e.h.flights.Get()
+		*f = flight{from: e.id, to: to, msg: msg}
+		e.h.Eng.AfterCall(e.h.Delay, e.h.land, f)
 		return
 	}
 	e.h.deliver(e.id, to, msg)
+}
+
+// flight is one delayed message on its way.
+type flight struct {
+	from, to simnet.NodeID
+	msg      any
 }
 
 // SendSwitch implements protocol.Env: packets to the switch are
@@ -61,6 +70,9 @@ func (e *Env) Now() sim.Time { return e.h.Eng.Now() }
 // Rand implements protocol.Env.
 func (e *Env) Rand() *rand.Rand { return e.h.Eng.Rand() }
 
+// Msgs implements protocol.Env: one pool per harness.
+func (e *Env) Msgs() *protocol.MsgPool { return e.h.msgs }
+
 // SwitchPacket is a captured switch-bound packet.
 type SwitchPacket struct {
 	From simnet.NodeID
@@ -72,6 +84,9 @@ type Harness struct {
 	Eng      *sim.Engine
 	Delay    time.Duration // 0 = synchronous delivery
 	handlers map[simnet.NodeID]Handler
+	msgs     *protocol.MsgPool
+	flights  protocol.FreeList[flight]
+	land     func(any) // delivers a *flight; bound once
 
 	// ToSwitch records every SendSwitch call in order.
 	ToSwitch []SwitchPacket
@@ -85,12 +100,18 @@ type Harness struct {
 
 // NewHarness builds an empty harness.
 func NewHarness(seed int64) *Harness {
-	return &Harness{
+	h := &Harness{
 		Eng:       sim.NewEngine(seed),
 		handlers:  make(map[simnet.NodeID]Handler),
+		msgs:      protocol.NewMsgPool(),
 		Blackhole: make(map[simnet.NodeID]bool),
 		Dead:      make(map[simnet.NodeID]bool),
 	}
+	h.land = func(a any) {
+		f := h.flights.Take(a.(*flight))
+		h.deliver(f.from, f.to, f.msg)
+	}
+	return h
 }
 
 // Env creates the environment for a replica at address id with group

@@ -18,6 +18,8 @@
 package vr
 
 import (
+	"fmt"
+	"math/bits"
 	"time"
 
 	"harmonia/internal/protocol"
@@ -39,6 +41,12 @@ type logEntry struct {
 }
 
 // --- protocol messages ---
+//
+// The four normal-case messages — prepare, prepareOK, commitMsg,
+// commitAck, eight of them per write in a five-replica group — travel
+// as pointers to recycled records (freeLists; the ownership rule is in
+// protocol/msgs.go). View-change and state-transfer messages are rare
+// and carry whole logs; they stay plain values.
 
 type prepare struct {
 	View      uint64
@@ -128,6 +136,15 @@ type newState struct {
 // CostClass marks state transfer as control traffic.
 func (newState) CostClass() protocol.CostClass { return protocol.CostControl }
 
+// freeLists is the record store of the normal-case messages, one per
+// engine, shared by every VR replica on it.
+type freeLists struct {
+	prepare   protocol.FreeList[prepare]
+	prepareOK protocol.FreeList[prepareOK]
+	commit    protocol.FreeList[commitMsg]
+	commitAck protocol.FreeList[commitAck]
+}
+
 // Options tune timers and the Harmonia completion policy.
 type Options struct {
 	// HeartbeatEvery is the leader's idle COMMIT cadence.
@@ -159,11 +176,17 @@ type Replica struct {
 
 	lastSwitchSeq wire.Seq // §5.2 in-order guard at the leader
 
-	// Leader bookkeeping.
-	okAcks    map[uint64]map[int]bool // opNum → replicas that prepared
-	execPoint []uint64                // per-replica executed op number (from commitAcks)
-	completed uint64                  // ops for which WRITE-COMPLETION was sent
-	dead      []bool                  // replicas excluded from the completion wait
+	// Leader bookkeeping. okAcks is indexed like the log: okAcks[op-1]
+	// is the set of replicas that prepared op, one bit per replica
+	// index, and an op commits when the popcount reaches the quorum. A
+	// leader keeps it exactly as long as its log (see resetAcks); only
+	// the entries above commitNum are ever read.
+	okAcks    []uint64
+	execPoint []uint64 // per-replica executed op number (from commitAcks)
+	completed uint64   // ops for which WRITE-COMPLETION was sent
+	dead      []bool   // replicas excluded from the completion wait
+
+	free *freeLists
 
 	// View-change bookkeeping.
 	svcVotes       map[uint64]map[int]bool
@@ -188,14 +211,18 @@ type Replica struct {
 	ViewChanges     uint64
 }
 
-// New builds a VR replica. The group must have 2F+1 members.
+// New builds a VR replica. The group must have 2F+1 members, at most
+// 64 (the width of an ack set).
 func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Replica {
+	if g.N() > 64 {
+		panic("vr: group larger than the 64-replica ack set")
+	}
 	r := &Replica{
 		Base:      protocol.NewBase(env, g, protocol.ReadBehind, shards),
 		opts:      opts,
-		okAcks:    make(map[uint64]map[int]bool),
 		execPoint: make([]uint64, g.N()),
 		dead:      make([]bool, g.N()),
+		free:      protocol.FreeLists[freeLists](env.Msgs()),
 		svcVotes:  make(map[uint64]map[int]bool),
 		dvcMsgs:   make(map[uint64]map[int]doViewChange),
 	}
@@ -229,7 +256,7 @@ func (r *Replica) armTimers() {
 
 func (r *Replica) heartbeat() {
 	if r.status == statusNormal && r.IsLeader() {
-		r.broadcast(commitMsg{View: r.view, CommitNum: r.commitNum})
+		r.broadcastCommit()
 	}
 	if r.opts.HeartbeatEvery > 0 && r.IsLeader() {
 		r.hbTimer = r.Env.After(r.opts.HeartbeatEvery, r.heartbeat)
@@ -251,6 +278,9 @@ func (r *Replica) leaderTimeout() {
 	r.startViewChange(r.view + 1)
 }
 
+// broadcast sends one plain value to every peer. The recycled message
+// types have loops of their own below: each recipient needs its own
+// record.
 func (r *Replica) broadcast(msg any) {
 	for i := 0; i < r.Group.N(); i++ {
 		if i != r.Group.Self {
@@ -259,7 +289,37 @@ func (r *Replica) broadcast(msg any) {
 	}
 }
 
-// Recv implements simnet.Handler.
+// broadcastPrepare replicates log entry opNum.
+func (r *Replica) broadcastPrepare(opNum uint64, pkt *wire.Packet) {
+	for i := 0; i < r.Group.N(); i++ {
+		if i != r.Group.Self {
+			m := r.free.prepare.Get()
+			*m = prepare{View: r.view, OpNum: opNum, Entry: logEntry{Pkt: pkt}, CommitNum: r.commitNum}
+			r.Env.Send(r.Group.Addr(i), m)
+		}
+	}
+}
+
+// broadcastCommit announces the current commit point.
+func (r *Replica) broadcastCommit() {
+	for i := 0; i < r.Group.N(); i++ {
+		if i != r.Group.Self {
+			m := r.free.commit.Get()
+			*m = commitMsg{View: r.view, CommitNum: r.commitNum}
+			r.Env.Send(r.Group.Addr(i), m)
+		}
+	}
+}
+
+// sendPrepareOK acknowledges op to the leader.
+func (r *Replica) sendPrepareOK(op uint64) {
+	m := r.free.prepareOK.Get()
+	*m = prepareOK{View: r.view, OpNum: op, Replica: r.Group.Self}
+	r.Env.Send(r.leaderAddr(), m)
+}
+
+// Recv implements simnet.Handler. A recycled record is taken — copied
+// out and put back — before its handler runs.
 func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 	if r.HandleControl(msg) {
 		return
@@ -267,14 +327,14 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
 	case *wire.Packet:
 		r.recvPacket(m)
-	case prepare:
-		r.recvPrepare(m)
-	case prepareOK:
-		r.recvPrepareOK(m)
-	case commitMsg:
-		r.recvCommit(m)
-	case commitAck:
-		r.recvCommitAck(m)
+	case *prepare:
+		r.recvPrepare(r.free.prepare.Take(m))
+	case *prepareOK:
+		r.recvPrepareOK(r.free.prepareOK.Take(m))
+	case *commitMsg:
+		r.recvCommit(r.free.commit.Take(m))
+	case *commitAck:
+		r.recvCommitAck(r.free.commitAck.Take(m))
 	case startViewChange:
 		r.recvStartViewChange(m)
 	case doViewChange:
@@ -285,6 +345,10 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.recvGetState(m)
 	case newState:
 		r.recvNewState(m)
+	default:
+		// A message in a representation the cases above do not list (a
+		// recycled type sent by value, say) must not vanish silently.
+		panic(fmt.Sprintf("vr: unexpected message %T", msg))
 	}
 }
 
@@ -348,8 +412,8 @@ func (r *Replica) leaderWrite(pkt *wire.Packet) {
 	// reach zero, sharing the entry across the prepare broadcast and
 	// the view-change messages needs no per-share Retain.
 	r.log = append(r.log, logEntry{Pkt: pkt})
-	r.okAcks[r.opNum] = map[int]bool{r.Group.Self: true}
-	r.broadcast(prepare{View: r.view, OpNum: r.opNum, Entry: logEntry{Pkt: pkt}, CommitNum: r.commitNum})
+	r.okAcks = append(r.okAcks, r.selfBit())
+	r.broadcastPrepare(r.opNum, pkt)
 	r.maybeCommit(r.opNum) // 1-replica group commits immediately
 }
 
@@ -376,14 +440,14 @@ func (r *Replica) recvPrepare(m prepare) {
 	case m.OpNum == r.opNum+1:
 		r.opNum++
 		r.log = append(r.log, m.Entry)
-		r.Env.Send(r.leaderAddr(), prepareOK{View: r.view, OpNum: r.opNum, Replica: r.Group.Self})
+		r.sendPrepareOK(r.opNum)
 	case m.OpNum > r.opNum+1:
 		// Missed entries: fetch them rather than acknowledging a gap.
 		r.stateTransfer(r.view, m.OpNum)
 		return
 	default:
 		// Duplicate of an entry we have; re-ack it.
-		r.Env.Send(r.leaderAddr(), prepareOK{View: r.view, OpNum: m.OpNum, Replica: r.Group.Self})
+		r.sendPrepareOK(m.OpNum)
 	}
 	r.executeUpTo(m.CommitNum)
 }
@@ -392,12 +456,27 @@ func (r *Replica) recvPrepareOK(m prepareOK) {
 	if m.View != r.view || !r.IsLeader() {
 		return
 	}
-	acks, ok := r.okAcks[m.OpNum]
-	if !ok {
+	// Only an uncommitted op of this leader's log collects acks, and
+	// only from a member: Replica picks a bit of the ack set.
+	if m.OpNum <= r.commitNum || m.OpNum > uint64(len(r.okAcks)) ||
+		m.Replica < 0 || m.Replica >= r.Group.N() {
 		return
 	}
-	acks[m.Replica] = true
+	r.okAcks[m.OpNum-1] |= 1 << uint(m.Replica)
 	r.maybeCommit(m.OpNum)
+}
+
+// selfBit is the ack set holding only this replica.
+func (r *Replica) selfBit() uint64 { return 1 << uint(r.Group.Self) }
+
+// resetAcks restarts ack collection at a new leader: the set is sized
+// to the adopted log, and every op above committed starts out
+// acknowledged by this replica alone.
+func (r *Replica) resetAcks(committed uint64) {
+	r.okAcks = make([]uint64, r.opNum)
+	for op := committed; op < r.opNum; op++ {
+		r.okAcks[op] = r.selfBit()
+	}
 }
 
 func (r *Replica) maybeCommit(opNum uint64) {
@@ -408,13 +487,11 @@ func (r *Replica) maybeCommit(opNum uint64) {
 		// first in practice and the loop below re-drives.
 		opNum = r.commitNum + 1
 	}
-	for opNum <= r.opNum {
-		acks := r.okAcks[opNum]
-		if len(acks) < r.Group.Quorum() {
+	for opNum <= uint64(len(r.okAcks)) {
+		if bits.OnesCount64(r.okAcks[opNum-1]) < r.Group.Quorum() {
 			return
 		}
 		r.commitNum = opNum
-		delete(r.okAcks, opNum)
 		r.executeOne(opNum)
 		entry := r.log[opNum-1]
 		rep := r.WriteReply(entry.Pkt, false) // completions are separate in read-behind
@@ -426,7 +503,7 @@ func (r *Replica) maybeCommit(opNum uint64) {
 			r.Env.SendSwitch(r.Completion(entry.Pkt.ObjID, entry.Pkt.Seq))
 			r.completed = r.commitNum
 		}
-		r.broadcast(commitMsg{View: r.view, CommitNum: r.commitNum})
+		r.broadcastCommit()
 		r.advanceCompletions()
 		opNum++
 	}
@@ -464,7 +541,9 @@ func (r *Replica) executeUpTo(commitNum uint64) {
 		advanced = true
 	}
 	if advanced && !r.IsLeader() {
-		r.Env.Send(r.leaderAddr(), commitAck{View: r.view, ExecutedNum: r.commitNum, Replica: r.Group.Self})
+		m := r.free.commitAck.Get()
+		*m = commitAck{View: r.view, ExecutedNum: r.commitNum, Replica: r.Group.Self}
+		r.Env.Send(r.leaderAddr(), m)
 	}
 }
 
@@ -489,7 +568,7 @@ func (r *Replica) recvCommit(m commitMsg) {
 	// during normal pipelined operation.
 	if r.commitNum == before && r.opNum > r.commitNum {
 		for op := r.commitNum + 1; op <= r.opNum; op++ {
-			r.Env.Send(r.leaderAddr(), prepareOK{View: r.view, OpNum: op, Replica: r.Group.Self})
+			r.sendPrepareOK(op)
 		}
 	}
 }
@@ -498,7 +577,7 @@ func (r *Replica) recvCommit(m commitMsg) {
 // replicas (including the leader) has executed op n, its
 // WRITE-COMPLETION is released to the switch (§7.3).
 func (r *Replica) recvCommitAck(m commitAck) {
-	if m.View != r.view || !r.IsLeader() {
+	if m.View != r.view || !r.IsLeader() || m.Replica < 0 || m.Replica >= r.Group.N() {
 		return
 	}
 	if m.ExecutedNum > r.execPoint[m.Replica] {
@@ -692,9 +771,7 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 	delete(r.dvcMsgs, m.View)
 	r.broadcast(startView{View: r.view, Log: append([]logEntry(nil), r.log...), OpNum: r.opNum, CommitNum: maxCommit})
 	// Re-prepare uncommitted suffix bookkeeping.
-	for op := maxCommit + 1; op <= r.opNum; op++ {
-		r.okAcks[op] = map[int]bool{r.Group.Self: true}
-	}
+	r.resetAcks(maxCommit)
 	r.executeUpTo(maxCommit)
 	r.execPoint[r.Group.Self] = r.commitNum
 	r.armTimers()
@@ -715,7 +792,7 @@ func (r *Replica) recvStartView(m startView) {
 	r.lastNormalView = m.View
 	// Acknowledge the uncommitted suffix to the new leader.
 	for op := m.CommitNum + 1; op <= r.opNum; op++ {
-		r.Env.Send(r.leaderAddr(), prepareOK{View: r.view, OpNum: op, Replica: r.Group.Self})
+		r.sendPrepareOK(op)
 	}
 	r.executeUpTo(m.CommitNum)
 	r.armTimers()
@@ -747,7 +824,5 @@ func (r *Replica) enterView(view uint64) {
 }
 
 func (r *Replica) enterViewBookkeeping() {
-	for k := range r.okAcks {
-		delete(r.okAcks, k)
-	}
+	r.okAcks = r.okAcks[:0]
 }

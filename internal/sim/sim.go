@@ -16,7 +16,7 @@
 // boundary; since every event in the slot shares the deadline prefix
 // above that byte, re-placement preserves insertion order, and the
 // fire order is bit-identical to the former heap's (time, then FIFO) —
-// the differential test in sim_test.go pins that equivalence.
+// the differential test in differential_test.go pins that equivalence.
 //
 // The event records themselves are recycled through a free list and
 // timers are generation-stamped value handles, so steady-state
@@ -25,6 +25,22 @@
 // collector. The closure-free AfterCall variant extends that to the
 // callback itself — callers pass a long-lived func(any) plus the
 // argument instead of capturing state per event.
+//
+// Cancellation is as cheap as scheduling. Slot lists are doubly linked
+// and a queued event remembers its (level, slot), so Timer.Stop unlinks
+// the event on the spot, drops its callback and argument, and hands the
+// record back to the free list: the wheel only ever holds events that
+// will fire, a cascade never visits a cancelled one, and a protocol
+// that re-arms a long timeout on every message (VR's view-change
+// timer, a client's retry timer) keeps one record in flight instead of
+// one per message until the deadline passes. What a Timer handle may
+// assume: it is a value and may be copied or dropped freely; Stop
+// reports true exactly once, and only if it prevented the event from
+// firing; after the event fired or was stopped the handle is inert
+// for good — the record it points at may already carry another event,
+// which a stale Stop can never cancel (the generation stamp differs);
+// and once Stop returns, the engine holds no reference to the callback
+// or its argument.
 package sim
 
 import (
@@ -43,18 +59,23 @@ type Time int64
 type Duration = time.Duration
 
 // event is a scheduled closure. Events are pooled: when one fires or
-// is swept out of the wheel cancelled, it returns to the engine's free
-// list and its generation advances, which is what invalidates any
-// Timer still pointing at it.
+// is stopped, it returns to the engine's free list and its generation
+// advances, which is what invalidates any Timer still pointing at it.
+// A Timer whose generation matches therefore names an event that is
+// still linked in the wheel. The record fills the 80-byte size class.
 type event struct {
 	at   Time
 	gen  uint64 // incarnation counter; Timers must match to act
 	fn   func()
 	call func(any) // closure-free form: call(arg) if fn is nil
 	arg  any
-	next *event  // intrusive slot-list link
-	eng  *Engine // back-pointer so Stop can maintain the live count
-	dead bool
+	// next and prev are the intrusive slot-list links. prev is
+	// maintained for every event but a list's head, whose prev is never
+	// read (unlink recognises the head by comparing with slotList.head),
+	// so popping a head does not have to touch its successor.
+	next, prev *event
+	eng        *Engine // back-pointer so Stop can unlink and recycle
+	lvl, slot  uint8   // wheel position while queued
 }
 
 // Timing-wheel geometry: 8 levels of 256 slots cover the full non-
@@ -64,7 +85,7 @@ const (
 	wheelSlots  = 256
 )
 
-// slotList is one wheel slot: an intrusive singly-linked FIFO queue.
+// slotList is one wheel slot: an intrusive doubly-linked FIFO queue.
 type slotList struct {
 	head, tail *event
 }
@@ -72,10 +93,10 @@ type slotList struct {
 // Timer is a cancellation handle for a scheduled event. It is a value:
 // the zero Timer is inert (Stop reports false and is safe to call any
 // number of times), and a Timer whose event has already fired — or was
-// already stopped — is detected by the generation stamp and the dead
-// flag, so Stop is idempotent and holding a stale handle is always
-// safe. In particular, Stop after the event has fired reports false,
-// including when called from inside the firing callback itself.
+// already stopped — is detected by the generation stamp, so Stop is
+// idempotent and holding a stale handle is always safe. In particular,
+// Stop after the event has fired reports false, including when called
+// from inside the firing callback itself.
 type Timer struct {
 	e   *event
 	gen uint64
@@ -84,13 +105,18 @@ type Timer struct {
 // Stop cancels the timer. It reports whether the event had not yet
 // fired (and therefore was prevented from firing). Stopping an
 // already-fired, already-stopped, or zero Timer reports false and has
-// no effect; the call is idempotent.
+// no effect; the call is idempotent. A stopped event leaves the wheel
+// at once: its record is recycled and its callback and argument are
+// dropped before Stop returns.
 func (t Timer) Stop() bool {
-	if t.e == nil || t.e.gen != t.gen || t.e.dead {
+	ev := t.e
+	if ev == nil || ev.gen != t.gen {
 		return false
 	}
-	t.e.dead = true
-	t.e.eng.live--
+	e := ev.eng
+	e.unlink(ev)
+	e.live--
+	e.recycle(ev)
 	return true
 }
 
@@ -103,9 +129,7 @@ type Engine struct {
 	// base is the wheel's reference time: the level/slot of a deadline
 	// is derived from base, and cascades keep every queued event's
 	// placement consistent as base advances. base == now whenever user
-	// code can observe the engine (inside callbacks and between runs);
-	// it runs ahead of now only transiently while the pop loop drains
-	// cancelled events.
+	// code can observe the engine (inside callbacks and between runs).
 	base Time
 	rng  *rand.Rand
 	live int // scheduled, non-cancelled events
@@ -142,8 +166,10 @@ func (e *Engine) place(ev *event) {
 		lvl = (63 - bits.LeadingZeros64(d)) >> 3
 		idx = int((uint64(ev.at) >> (8 * uint(lvl))) & 0xff)
 	}
+	ev.lvl, ev.slot = uint8(lvl), uint8(idx)
 	ev.next = nil
 	sl := &e.wheel[lvl][idx]
+	ev.prev = sl.tail
 	if sl.head == nil {
 		sl.head = ev
 		e.occ[lvl][idx>>6] |= 1 << uint(idx&63)
@@ -151,6 +177,26 @@ func (e *Engine) place(ev *event) {
 		sl.tail.next = ev
 	}
 	sl.tail = ev
+}
+
+// unlink removes a queued event from its slot list, clearing the
+// slot's occupancy bit when it was the only one there.
+func (e *Engine) unlink(ev *event) {
+	sl := &e.wheel[ev.lvl][ev.slot]
+	if sl.head == ev {
+		sl.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if sl.tail == ev {
+		sl.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	if sl.head == nil {
+		sl.tail = nil
+		e.occ[ev.lvl][ev.slot>>6] &^= 1 << uint(ev.slot&63)
+	}
 }
 
 // alloc takes an event from the free list (or the heap allocator) and
@@ -168,21 +214,20 @@ func (e *Engine) alloc(t Time) *event {
 		t = e.now
 	}
 	ev.at = t
-	ev.dead = false
 	e.live++
 	e.place(ev)
 	return ev
 }
 
-// recycle returns a popped event to the free list. The generation bump
-// is what retires outstanding Timer handles; the callback fields are
-// cleared so the pool retains nothing.
+// recycle returns an unlinked event to the free list. The generation
+// bump is what retires outstanding Timer handles; the callback fields
+// and links are cleared so the pool retains nothing.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.call = nil
 	ev.arg = nil
-	ev.next = nil
+	ev.next, ev.prev = nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -253,12 +298,10 @@ func (e *Engine) clearSlot(lvl, idx int) *event {
 	return head
 }
 
-// popNext removes and returns the earliest live event with deadline <=
+// popNext removes and returns the earliest event with deadline <=
 // until, advancing base (and cascading higher-level slots) as needed.
 // It returns nil when no such event exists; base is then left <= until,
-// and reset to now if the wheel is completely empty (so a transient
-// base advance from draining cancelled future events can never strand
-// the placement invariant ahead of the clock).
+// and re-anchored at now if the wheel is completely empty.
 func (e *Engine) popNext(until Time) *event {
 	for {
 		// Level 0 first: slots at or after the cursor byte hold events
@@ -271,18 +314,12 @@ func (e *Engine) popNext(until Time) *event {
 			}
 			e.base = slotTime
 			sl := &e.wheel[0][s]
-			for ev := sl.head; ev != nil; ev = sl.head {
-				if sl.head = ev.next; sl.head == nil {
-					sl.tail = nil
-					e.occ[0][s>>6] &^= 1 << uint(s&63)
-				}
-				if ev.dead {
-					e.recycle(ev)
-					continue
-				}
-				return ev
+			ev := sl.head
+			if sl.head = ev.next; sl.head == nil {
+				sl.tail = nil
+				e.occ[0][s>>6] &^= 1 << uint(s&63)
 			}
-			continue // slot held only cancelled events
+			return ev
 		}
 		// Level 0 exhausted for this 256ns window: cascade the next
 		// occupied higher slot whose window starts within the bound.
@@ -307,11 +344,7 @@ func (e *Engine) popNext(until Time) *event {
 			e.base = slotBase
 			for ev := head; ev != nil; {
 				nxt := ev.next
-				if ev.dead {
-					e.recycle(ev)
-				} else {
-					e.place(ev)
-				}
+				e.place(ev)
 				ev = nxt
 			}
 			cascaded = true
@@ -324,15 +357,14 @@ func (e *Engine) popNext(until Time) *event {
 	}
 }
 
-// fire executes a popped live event and recycles it.
+// fire executes a popped event and recycles it.
 func (e *Engine) fire(ev *event) {
-	// Dead before the callback runs: a Stop issued from inside the
-	// callback must report false, exactly like the pre-pooled engine.
-	ev.dead = true
 	e.now = ev.at
 	e.live--
 	e.Processed++
 	fn, call, arg := ev.fn, ev.call, ev.arg
+	// Recycled before the callback runs: a Stop issued from inside the
+	// callback sees a newer generation and reports false.
 	e.recycle(ev)
 	if fn != nil {
 		fn()

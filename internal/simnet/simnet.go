@@ -27,8 +27,12 @@ type NodeID int32
 // it, but components use it to mean "all replicas" in their own logic.
 const Broadcast NodeID = -1
 
-// Message is anything deliverable to a node. Protocol-internal
-// messages are plain Go values; client-facing traffic is *wire.Packet.
+// Message is anything deliverable to a node. Client-facing traffic is
+// *wire.Packet; protocol-internal messages are plain Go values or
+// pointers to recycled records the receiver puts back (the ownership
+// rule is in internal/protocol/msgs.go). The network copies neither: a
+// duplicating link delivers the same Message twice, which a *Packet's
+// reference count covers and a recycled record does not.
 type Message any
 
 // releaseMsg returns a managed packet's delivery reference when the
@@ -38,7 +42,7 @@ type Message any
 // through untouched; a packet inside a dropped wrapper leaks its
 // struct to the garbage collector, which the wire ownership contract
 // makes benign, and wrappers only travel the reliable replica links
-// anyway.
+// anyway. A dropped recycled record is likewise just never put back.
 func releaseMsg(msg Message) {
 	if p, ok := msg.(*wire.Packet); ok {
 		p.Release()

@@ -98,6 +98,7 @@ func FuzzStoreAgainstMap(f *testing.F) {
 		grow = append(grow, 1, byte(k), 1)
 	}
 	f.Add(grow)
+	f.Add(append([]byte{9, 1, 200, 2, 1, 7, 9, 1, 3, 6, 1, 0, 9, 1, 0}, grow...)) // reserve, fill, drop, reserve again
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(8)
@@ -105,7 +106,7 @@ func FuzzStoreAgainstMap(f *testing.F) {
 		var snap Snapshot
 		var snapOracle *storeOracle
 		for step := 0; len(data) >= 3; step++ {
-			op, k, arg := data[0]%9, data[1], data[2]
+			op, k, arg := data[0]%10, data[1], data[2]
 			data = data[3:]
 			id := fuzzIDs[int(k)%len(fuzzIDs)]
 			slot := fuzzSlots[int(k)%len(fuzzSlots)]
@@ -175,6 +176,8 @@ func FuzzStoreAgainstMap(f *testing.F) {
 					o = snapOracle.clone()
 					o.applied = applied
 				}
+			case 9: // Reserve room in one slot: no observable change
+				s.Reserve(slot, int(arg))
 			}
 
 			got, ok := s.Get(id)

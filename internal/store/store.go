@@ -99,7 +99,7 @@ func (t *slotTab) put(id, empty wire.ObjectID, o Object) {
 		return
 	}
 	if 8*(t.n+1) > 7*len(t.ids) {
-		t.grow(empty)
+		t.grow(empty, t.n+1)
 	}
 	t.link(id, empty, o)
 	t.n++
@@ -115,9 +115,15 @@ func (t *slotTab) link(id, empty wire.ObjectID, o Object) {
 	t.ids[i], t.objs[i] = id, o
 }
 
-func (t *slotTab) grow(empty wire.ObjectID) {
+// grow doubles the table, or brings it straight to the size that
+// doubling would reach by the time it holds want objects, and re-links
+// what it holds.
+func (t *slotTab) grow(empty wire.ObjectID, want int) {
 	oldIDs, oldObjs := t.ids, t.objs
 	size := max(2*len(oldIDs), slotTabMinLen)
+	for 8*want > 7*size {
+		size *= 2
+	}
 	t.ids, t.objs = make([]wire.ObjectID, size), make([]Object, size)
 	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	if empty != 0 {
@@ -202,6 +208,17 @@ func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
 	s.put(id, Object{Value: value, Seq: seq})
 	if s.lastApplied.Less(seq) {
 		s.lastApplied = seq
+	}
+}
+
+// Reserve makes room for n more objects in one routing slot, so that a
+// bulk load re-links the slot's table once instead of at every doubling
+// on the way. The table ends at exactly the size n single inserts of
+// new objects would have grown it to.
+func (s *Store) Reserve(slot, n int) {
+	t := &s.slots[slot]
+	if want := t.n + n; 8*want > 7*len(t.ids) {
+		t.grow(emptyID(slot), want)
 	}
 }
 

@@ -352,3 +352,40 @@ func TestEmptyIDRoutesElsewhere(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveLandsWhereDoublingDoes: reserving room for n objects and
+// then inserting them leaves a slot's table at exactly the size n plain
+// inserts grow it to, from an empty table and from a populated one, so
+// bulk loading moves no memory figure — and does it in one re-link.
+func TestReserveLandsWhereDoublingDoes(t *testing.T) {
+	const slot = 5
+	var ids []wire.ObjectID
+	for id := wire.ObjectID(0); len(ids) < 1200; id++ {
+		if wire.SlotOf(id) == slot {
+			ids = append(ids, id)
+		}
+	}
+	for _, held := range []int{0, 1, 7, 100} {
+		for n := 0; held+n <= len(ids); n += 1 + n/8 {
+			plain, reserved := New(8), New(8)
+			for _, id := range ids[:held] {
+				plain.Seed(id, nil, wire.Seq{N: 1})
+				reserved.Seed(id, nil, wire.Seq{N: 1})
+			}
+			reserved.Reserve(slot, n)
+			sized := len(reserved.slots[slot].ids)
+			for _, id := range ids[held : held+n] {
+				plain.Seed(id, nil, wire.Seq{N: 1})
+				reserved.Seed(id, nil, wire.Seq{N: 1})
+			}
+			if got, want := len(reserved.slots[slot].ids), len(plain.slots[slot].ids); got != want || got != sized {
+				t.Fatalf("%d held + %d reserved: table of %d (sized %d by Reserve), plain inserts reach %d", held, n, got, sized, want)
+			}
+			for _, id := range ids[:held+n] {
+				if _, ok := reserved.Get(id); !ok {
+					t.Fatalf("%d held + %d reserved: object %d lost", held, n, id)
+				}
+			}
+		}
+	}
+}
