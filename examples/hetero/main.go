@@ -89,6 +89,12 @@ func main() {
 		slot, key, v.GroupOf(key))
 	for g := 0; g < v.Groups(); g++ {
 		res := v.CheckLinearizabilityGroup(g)
-		fmt.Printf("  group %d linearizable: %v\n", g, res.Ok && res.Decided)
+		if !res.Decided {
+			log.Fatalf("group %d: history too dense to check: %s", g, res.Reason)
+		}
+		if !res.Ok {
+			log.Fatalf("group %d: LINEARIZABILITY VIOLATED: %s", g, res.Reason)
+		}
+		fmt.Printf("  group %d linearizable: true\n", g)
 	}
 }

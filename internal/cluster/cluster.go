@@ -1138,6 +1138,11 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 			// failure, survivors stop waiting on the dead replica's
 			// COMMIT-ACKs so WRITE-COMPLETIONs keep flowing.
 			r.MarkDead(i)
+		case *nopaxos.Replica:
+			// i > 0: the leader case was rejected up front. The leader
+			// stops waiting on the dead follower's SYNC-ACKs to trim
+			// its log.
+			r.MarkDead(i)
 		}
 	}
 	if head >= 0 && tail >= 0 {

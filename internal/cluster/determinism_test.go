@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"harmonia/internal/lincheck"
+	"harmonia/internal/protocol/nopaxos"
+	"harmonia/internal/protocol/vr"
 	"harmonia/internal/trace"
 )
 
@@ -18,24 +20,50 @@ import (
 // a scripted migrate → AddGroup → RespecGroup under load, so the
 // paths that walk Go maps on their way to scheduling events (state
 // transfer, client-table merge, the rebalancer's batches, the hot-key
-// manager) are all inside the comparison.
+// manager) are all inside the comparison. The two write-heavy quorum
+// rows drop client and multicast traffic and lose a backup on the way,
+// so retried writes, NOPaxos gap fills out of a trimmed log and the
+// trim point moving off a dead member are inside it too; the log
+// windows the run ends with are compared like everything else.
 func TestDeterministicRuns(t *testing.T) {
 	type outcome struct {
 		rep     Report
 		history []lincheck.Op
 		events  []trace.Event
 		script  []string // what each scripted step returned
+		windows []int    // every replica's log window at the end
+	}
+	crashBackup := func(c *Cluster, note func(string, error)) {
+		c.Engine().After(9*time.Millisecond, func() { note("crash", c.CrashReplicaIn(0, 2)) })
+	}
+	writeHeavy := LoadSpec{
+		Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond, Warmup: 2 * time.Millisecond,
+		WriteRatio: 0.5, Keys: 256, Dist: Zipf09,
 	}
 	cases := []struct {
 		name   string
 		cfg    Config
 		spec   LoadSpec
 		script func(c *Cluster, note func(string, error))
+		steps  int               // scripted steps, all of which must be admitted
+		events []trace.EventKind // flight-recorder events the run must contain
 	}{
 		{
 			name: "vr single group",
 			cfg:  Config{Protocol: VR, Replicas: 3, UseHarmonia: true, RecordHistory: true, Seed: 99},
 			spec: quickSpec(),
+		},
+		{
+			name:   "vr write-heavy over lossy links, a backup crashes",
+			cfg:    Config{Protocol: VR, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 7},
+			spec:   writeHeavy,
+			script: crashBackup, steps: 1,
+		},
+		{
+			name:   "nopaxos write-heavy over lossy links, a follower crashes",
+			cfg:    Config{Protocol: NOPaxos, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 8},
+			spec:   writeHeavy,
+			script: crashBackup, steps: 1,
 		},
 		{
 			name: "rack with the control plane armed",
@@ -62,6 +90,8 @@ func TestDeterministicRuns(t *testing.T) {
 					note("respec", err)
 				})
 			},
+			steps:  3,
+			events: []trace.EventKind{trace.EvMigrationFlip, trace.EvTopoEpoch, trace.EvRebalanceTick, trace.EvHotPromote, trace.EvHotRefresh},
 		},
 	}
 	for _, tc := range cases {
@@ -76,33 +106,31 @@ func TestDeterministicRuns(t *testing.T) {
 				}
 				out.rep = c.RunLoad(tc.spec)
 				c.RunFor(10 * time.Millisecond) // let the script's handoffs settle
-				out.history, out.events = c.History(), c.Events()
+				out.history, out.events, out.windows = c.History(), c.Events(), logWindows(c)
 				return out
 			}
 			a, b := run(), run()
 			if a.rep.Ops == 0 || len(a.history) == 0 {
 				t.Fatalf("nothing ran: %d ops, %d history entries", a.rep.Ops, len(a.history))
 			}
-			if tc.script != nil {
-				// The comparison is only worth its name if the control
-				// plane actually ran: every scripted step admitted, and
-				// the rebalancer and hot-key manager both acted.
-				if len(a.script) != 3 {
-					t.Fatalf("script ran %d of 3 steps: %v", len(a.script), a.script)
+			// The comparison is only worth its name if the control plane
+			// actually ran: every scripted step admitted, and the
+			// rebalancer and hot-key manager both acted.
+			if len(a.script) != tc.steps {
+				t.Fatalf("script ran %d of %d steps: %v", len(a.script), tc.steps, a.script)
+			}
+			for _, step := range a.script {
+				if !strings.HasSuffix(step, "<nil>") {
+					t.Fatalf("scripted step refused: %s", step)
 				}
-				for _, step := range a.script {
-					if !strings.HasSuffix(step, "<nil>") {
-						t.Fatalf("scripted step refused: %s", step)
-					}
-				}
-				seen := make(map[trace.EventKind]bool)
-				for _, e := range a.events {
-					seen[e.Kind] = true
-				}
-				for _, k := range []trace.EventKind{trace.EvMigrationFlip, trace.EvTopoEpoch, trace.EvRebalanceTick, trace.EvHotPromote, trace.EvHotRefresh} {
-					if !seen[k] {
-						t.Fatalf("no %v event: the run did not exercise that path", k)
-					}
+			}
+			seen := make(map[trace.EventKind]bool)
+			for _, e := range a.events {
+				seen[e.Kind] = true
+			}
+			for _, k := range tc.events {
+				if !seen[k] {
+					t.Fatalf("no %v event: the run did not exercise that path", k)
 				}
 			}
 			if !reflect.DeepEqual(a.script, b.script) {
@@ -117,6 +145,70 @@ func TestDeterministicRuns(t *testing.T) {
 			if !reflect.DeepEqual(a.events, b.events) {
 				t.Errorf("flight-recorder logs differ (%d vs %d events)", len(a.events), len(b.events))
 			}
+			if !reflect.DeepEqual(a.windows, b.windows) {
+				t.Errorf("log windows differ: %v vs %v", a.windows, b.windows)
+			}
 		})
+	}
+}
+
+// logWindows lists the log window of every VR and NOPaxos replica, in
+// group and replica order.
+func logWindows(c *Cluster) []int {
+	var out []int
+	for _, grp := range c.groups {
+		for _, n := range grp.nodes {
+			switch r := n.(type) {
+			case *vr.Replica:
+				out = append(out, r.LogWindow())
+			case *nopaxos.Replica:
+				out = append(out, r.LogWindow())
+			}
+		}
+	}
+	return out
+}
+
+// TestLogWindowIndependentOfRunLength: a write_quorum-shaped run twice
+// as long holds no more log. While it runs, the five windows together
+// stay within what the clients can have in flight; once it has settled
+// they are the same length — what a replica keeps is a function of the
+// load, not of how long it has been running.
+func TestLogWindowIndependentOfRunLength(t *testing.T) {
+	const clients, replicas = 64, 5
+	run := func(d time.Duration) (widest, atEnd int, writes uint64) {
+		c := New(Config{Protocol: VR, Replicas: replicas, UseHarmonia: true, Seed: 3})
+		sum := func() (n int) {
+			for _, w := range logWindows(c) {
+				n += w
+			}
+			return n
+		}
+		var sample func()
+		sample = func() {
+			widest = max(widest, sum())
+			c.Engine().After(100*time.Microsecond, sample)
+		}
+		sample()
+		rep := c.RunLoad(LoadSpec{
+			Mode: Closed, Clients: clients, Duration: d, Warmup: time.Millisecond,
+			WriteRatio: 0.5, Keys: 1000, Dist: Zipf09,
+		})
+		c.RunFor(15 * time.Millisecond) // heartbeats carry the last trim point
+		return widest, sum(), rep.Writes
+	}
+	w1, end1, n1 := run(10 * time.Millisecond)
+	w2, end2, n2 := run(20 * time.Millisecond)
+	t.Logf("T: %d writes, widest %d, %d at the end; 2T: %d writes, widest %d, %d at the end", n1, w1, end1, n2, w2, end2)
+	if n1 < 1000 || n2 < 2*n1*9/10 {
+		t.Fatalf("%d writes in T, %d in 2T: the runs did not scale", n1, n2)
+	}
+	if end1 != end2 {
+		t.Fatalf("%d log entries held after T, %d after 2T", end1, end2)
+	}
+	// A write is in five logs, and retries can add a few entries per
+	// client on top of the one op each has outstanding.
+	if limit := replicas * clients * 2; w1 > limit || w2 > limit {
+		t.Fatalf("widest summed window %d (T) and %d (2T), want at most %d", w1, w2, limit)
 	}
 }

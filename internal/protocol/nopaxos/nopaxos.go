@@ -26,6 +26,8 @@
 package nopaxos
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"harmonia/internal/protocol"
@@ -33,18 +35,6 @@ import (
 	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
 )
-
-// entry is one log slot: a sequenced write or an agreed NO-OP.
-//
-// The log keeps its delivery reference for the replica's lifetime:
-// entries are never truncated, and gap replies share them wholesale
-// across replicas. Because a log-held packet's count therefore never
-// reaches zero, sharing entries through gapReply (and overwriting a
-// slot with a NO-OP) needs no per-share Retain/Release.
-type entry struct {
-	Pkt  *wire.Packet
-	NoOp bool
-}
 
 // --- protocol messages ---
 
@@ -57,10 +47,12 @@ type gapRequest struct {
 // CostClass marks gap traffic as control.
 func (gapRequest) CostClass() protocol.CostClass { return protocol.CostControl }
 
-// gapReply returns entries starting at First.
+// gapReply returns entries starting at First (a nil Pkt is an agreed
+// NO-OP). It owns a reference to every packet it carries
+// (protocol.OpLog.Copy), which the handler releases when it returns.
 type gapReply struct {
 	First   uint64
-	Entries []entry
+	Entries []protocol.LogEntry
 }
 
 // CostClass marks gap traffic as control.
@@ -79,9 +71,13 @@ type gapCommit struct {
 // CostClass marks gap traffic as control.
 func (gapCommit) CostClass() protocol.CostClass { return protocol.CostControl }
 
-// syncPrepare starts a synchronization round up to OpNum.
+// syncPrepare starts a synchronization round up to OpNum. Stable, here
+// and in syncCommit, is the leader's trim point — the lowest sync point
+// its live members last acknowledged, all of it executed everywhere —
+// and a follower trims its log to min(Stable, its own executed op).
 type syncPrepare struct {
-	OpNum uint64
+	OpNum  uint64
+	Stable uint64
 }
 
 // CostClass marks sync traffic as control.
@@ -105,8 +101,9 @@ func (syncAck) CostClass() protocol.CostClass { return protocol.CostControl }
 // follower could execute a real entry in a slot the leader declared
 // NO-OP, diverging permanently) and then executes through OpNum.
 type syncCommit struct {
-	OpNum uint64
-	NoOps []uint64 // NO-OP op numbers in (recipient's SyncPoint, OpNum]
+	OpNum  uint64
+	NoOps  []uint64 // NO-OP op numbers in (recipient's SyncPoint, OpNum]; read-only, shared with the leader
+	Stable uint64
 }
 
 // CostClass marks sync traffic as control.
@@ -127,7 +124,9 @@ type Replica struct {
 	*protocol.Base
 	opts Options
 
-	log      []entry
+	// log holds the ops above the trim point (a nil packet is an agreed
+	// NO-OP); its Last is the log length.
+	log      protocol.OpLog
 	curEpoch uint32 // current OUM session
 	sessBase uint64 // log length when the session began
 	lastMsg  uint64 // last in-session message number appended
@@ -137,11 +136,20 @@ type Replica struct {
 	executed  uint64 // ops executed against the store
 	syncPoint uint64 // last synchronized op
 
-	// Leader bookkeeping.
-	syncAcks     map[uint64]map[int]uint64 // opNum → replica → acked sync point
+	// Leader bookkeeping. All of it covers the log window only: rounds
+	// at or below the committed one and NO-OP positions at or below the
+	// trim point are dropped.
+	syncAcks     map[uint64]map[int]uint64 // open rounds: opNum → replica → acked sync point
 	lastSyncSent uint64
 	completedOp  uint64   // ops whose completions have been released
-	noopPos      []uint64 // sorted op numbers of committed NO-OPs (leader)
+	noopPos      []uint64 // sorted op numbers of committed NO-OPs above the trim point
+	lastAcked    []uint64 // per replica: the newest sync point it acknowledged
+	dead         []bool   // replicas excluded from the trim point
+
+	// Scratch reused across rounds.
+	freeAcks []map[int]uint64 // cleared ack maps of closed rounds
+	latest   map[wire.ObjectID]wire.Seq
+	order    []wire.ObjectID
 
 	syncTimer sim.Timer
 
@@ -160,6 +168,11 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Re
 		pending:  make(map[uint64]*wire.Packet),
 		syncAcks: make(map[uint64]map[int]uint64),
 	}
+	if r.IsLeader() {
+		r.lastAcked = make([]uint64, g.N())
+		r.dead = make([]bool, g.N())
+		r.latest = make(map[wire.ObjectID]wire.Seq)
+	}
 	if r.IsLeader() && opts.SyncEvery > 0 {
 		r.syncTimer = env.After(opts.SyncEvery, r.syncTick)
 	}
@@ -171,8 +184,12 @@ func (r *Replica) IsLeader() bool { return r.Group.Self == 0 }
 
 func (r *Replica) leaderAddr() simnet.NodeID { return r.Group.Addr(0) }
 
-// LogLen returns the log length (tests).
-func (r *Replica) LogLen() int { return len(r.log) }
+// LogLen returns the log length, counting what was trimmed (tests).
+func (r *Replica) LogLen() int { return int(r.log.Last()) }
+
+// LogWindow returns the number of log entries held (tests): the ops
+// some live member has yet to synchronize.
+func (r *Replica) LogWindow() int { return r.log.Len() }
 
 // SyncPoint returns the last synchronized op (tests).
 func (r *Replica) SyncPoint() uint64 { return r.syncPoint }
@@ -242,7 +259,7 @@ func (r *Replica) sessionCheck(e uint32) bool {
 		// Session change: the old session's undelivered tail is
 		// abandoned (clients retry through the new sequencer).
 		r.curEpoch = e
-		r.sessBase = uint64(len(r.log))
+		r.sessBase = r.log.Last()
 		r.lastMsg = 0
 		for _, p := range r.pending {
 			p.Release()
@@ -282,10 +299,10 @@ func (r *Replica) recvSequencedWrite(pkt *wire.Packet) {
 // appendWrite appends the next in-order write; the leader executes and
 // replies immediately.
 func (r *Replica) appendWrite(pkt *wire.Packet) {
-	r.log = append(r.log, entry{Pkt: pkt})
+	r.log.Append(pkt, 0)
 	r.lastMsg = pkt.Seq.N
 	if r.IsLeader() {
-		r.executeThrough(uint64(len(r.log)))
+		r.executeThrough(r.log.Last())
 	}
 }
 
@@ -294,11 +311,11 @@ func (r *Replica) appendWrite(pkt *wire.Packet) {
 func (r *Replica) leaderFillGaps(n uint64) {
 	for r.lastMsg+1 < n {
 		r.lastMsg++
-		r.log = append(r.log, entry{NoOp: true})
+		r.log.Append(nil, 0)
 		r.NoOps++
 		op := r.sessBase + r.lastMsg
 		r.noopPos = append(r.noopPos, op)
-		r.executeThrough(uint64(len(r.log)))
+		r.executeThrough(r.log.Last())
 		r.broadcast(gapCommit{Epoch: r.curEpoch, OpNum: op})
 	}
 	r.drainPending()
@@ -328,13 +345,12 @@ func (r *Replica) broadcast(msg any) {
 // executeThrough executes log entries (leader: as they arrive;
 // followers: at sync) up to opNum.
 func (r *Replica) executeThrough(opNum uint64) {
-	for r.executed < opNum && r.executed < uint64(len(r.log)) {
-		e := r.log[r.executed]
+	for r.executed < opNum && r.executed < r.log.Last() {
 		r.executed++
-		if e.NoOp {
-			continue
+		pkt := r.log.At(r.executed).Pkt
+		if pkt == nil {
+			continue // NO-OP
 		}
-		pkt := e.Pkt
 		// At-most-once dedup runs at EVERY replica during execution,
 		// not just the leader: a client retry is a second log entry
 		// (the sequencer cannot deduplicate), and if followers applied
@@ -376,36 +392,39 @@ func (r *Replica) recvGapRequest(m gapRequest) {
 	}
 	// The leader resolves slots it does not have yet as NO-OPs (its
 	// own gap handling), then answers from its log.
-	if m.To > uint64(len(r.log)) {
+	if m.To > r.log.Last() {
 		if m.To > r.sessBase {
 			r.leaderFillGaps(m.To - r.sessBase + 1)
 		}
 	}
-	if m.From > uint64(len(r.log)) || m.From == 0 {
+	if m.From > r.log.Last() || m.From == 0 {
 		return
 	}
-	to := m.To
-	if to > uint64(len(r.log)) {
-		to = uint64(len(r.log))
+	if m.From <= r.log.Base() && m.Replica > 0 && m.Replica < len(r.dead) && r.dead[m.Replica] {
+		// Trimmed without waiting for it: unlike a live follower's
+		// overtaken request (OpLog.Copy), this one needs what is gone.
+		panic(fmt.Sprintf("nopaxos: replica %d, declared dead, asks for op %d and the log window starts at op %d: "+
+			"replica rejoin needs a snapshot transfer, which is not modelled", m.Replica, m.From, r.log.Base()+1))
 	}
-	ents := append([]entry(nil), r.log[m.From-1:to]...)
-	r.Env.Send(r.Group.Addr(m.Replica), gapReply{First: m.From, Entries: ents})
+	first, ents := r.log.Copy(m.From, min(m.To, r.log.Last()))
+	r.Env.Send(r.Group.Addr(m.Replica), gapReply{First: first, Entries: ents})
 }
 
 func (r *Replica) recvGapReply(m gapReply) {
+	defer protocol.ReleaseEntries(m.Entries)
 	for i, e := range m.Entries {
 		op := m.First + uint64(i)
-		if op != uint64(len(r.log))+1 {
+		if op != r.log.Last()+1 {
 			continue // already have it (or still out of order)
 		}
-		if !e.NoOp {
+		if e.Pkt != nil {
 			if !r.sessionCheck(e.Pkt.Seq.Epoch) {
 				continue
 			}
-			r.log = append(r.log, e)
+			r.log.Append(e.Pkt.Retain(), 0)
 			r.lastMsg = e.Pkt.Seq.N
 		} else {
-			r.log = append(r.log, e)
+			r.log.Append(nil, 0)
 			r.lastMsg++
 			r.NoOps++
 		}
@@ -413,22 +432,31 @@ func (r *Replica) recvGapReply(m gapReply) {
 	r.drainPending()
 }
 
+// setNoOp turns the slot of op, not yet executed, into a NO-OP.
+func (r *Replica) setNoOp(op uint64) {
+	e := r.log.At(op)
+	if e.Pkt != nil {
+		e.Pkt.Release()
+		e.Pkt = nil
+	}
+}
+
 func (r *Replica) recvGapCommit(m gapCommit) {
 	if !r.sessionCheck(m.Epoch) {
 		return
 	}
 	switch {
-	case m.OpNum == uint64(len(r.log))+1:
-		r.log = append(r.log, entry{NoOp: true})
+	case m.OpNum == r.log.Last()+1:
+		r.log.Append(nil, 0)
 		r.lastMsg++
 		r.NoOps++
 		r.drainPending()
-	case m.OpNum <= uint64(len(r.log)):
+	case m.OpNum <= r.log.Last():
 		// The leader declared this slot a NO-OP; replace a real entry
 		// if it is not yet executed (executed entries can only differ
 		// if the sync protocol misfired, which would be a bug).
 		if m.OpNum > r.executed {
-			r.log[m.OpNum-1] = entry{NoOp: true}
+			r.setNoOp(m.OpNum)
 		}
 	default:
 		// Future slot: note it in pending as a NO-OP via log growth
@@ -452,36 +480,71 @@ func (r *Replica) ForceSync() {
 	if !r.IsLeader() {
 		return
 	}
-	op := uint64(len(r.log))
+	op := r.log.Last()
 	if op <= r.syncPoint || op == r.lastSyncSent {
 		return
 	}
 	r.lastSyncSent = op
-	r.syncAcks[op] = map[int]uint64{0: r.syncPoint}
-	r.broadcast(syncPrepare{OpNum: op})
+	var acks map[int]uint64
+	if n := len(r.freeAcks); n > 0 {
+		acks, r.freeAcks = r.freeAcks[n-1], r.freeAcks[:n-1]
+	} else {
+		acks = make(map[int]uint64)
+	}
+	acks[0] = r.syncPoint
+	r.syncAcks[op] = acks
+	r.broadcast(syncPrepare{OpNum: op, Stable: r.log.Base()})
 	r.maybeCommitSync(op) // single-replica group
 }
 
-// noopsIn returns the committed NO-OP positions in (lo, hi].
+// noopsIn returns the committed NO-OP positions in (lo, hi], for lo at
+// or above the trim point. The result aliases noopPos, whose elements
+// are never rewritten, so it can ride a message as it is.
 func (r *Replica) noopsIn(lo, hi uint64) []uint64 {
-	var out []uint64
-	for _, p := range r.noopPos {
-		if p > lo && p <= hi {
-			out = append(out, p)
+	i, _ := slices.BinarySearch(r.noopPos, lo+1)
+	j, _ := slices.BinarySearch(r.noopPos, hi+1)
+	if i >= j {
+		return nil
+	}
+	return r.noopPos[i:j:j]
+}
+
+// MarkDead excludes a crashed replica from the trim point, so that it
+// stops holding the window open (the cluster controller invokes it
+// alongside removing the replica from the switch's address set).
+func (r *Replica) MarkDead(i int) {
+	if i > 0 && i < len(r.dead) {
+		r.dead[i] = true
+		r.trimStable()
+	}
+}
+
+// trimStable trims the leader's log, and the NO-OP positions kept for
+// reconciling followers, to the lowest sync point a live member last
+// acknowledged: every member has executed that far, so none will ask
+// for those slots again.
+func (r *Replica) trimStable() {
+	stable := r.syncPoint
+	for i := 1; i < len(r.lastAcked); i++ {
+		if !r.dead[i] {
+			stable = min(stable, r.lastAcked[i])
 		}
 	}
-	return out
+	r.log.TrimTo(stable)
+	i, _ := slices.BinarySearch(r.noopPos, stable+1)
+	r.noopPos = r.noopPos[i:]
 }
 
 func (r *Replica) recvSyncPrepare(m syncPrepare) {
 	if r.IsLeader() {
 		return
 	}
-	if uint64(len(r.log)) < m.OpNum {
+	r.log.TrimTo(min(m.Stable, r.executed))
+	if r.log.Last() < m.OpNum {
 		// Missing tail: fetch it first; ack after the gap reply via
 		// the next sync round.
 		r.Env.Send(r.leaderAddr(), gapRequest{
-			From: uint64(len(r.log)) + 1, To: m.OpNum, Replica: r.Group.Self,
+			From: r.log.Last() + 1, To: m.OpNum, Replica: r.Group.Self,
 		})
 		return
 	}
@@ -489,8 +552,12 @@ func (r *Replica) recvSyncPrepare(m syncPrepare) {
 }
 
 func (r *Replica) recvSyncAck(m syncAck) {
-	if !r.IsLeader() {
+	if !r.IsLeader() || m.Replica <= 0 || m.Replica >= r.Group.N() {
 		return
+	}
+	if m.SyncPoint > r.lastAcked[m.Replica] {
+		r.lastAcked[m.Replica] = m.SyncPoint
+		r.trimStable()
 	}
 	acks, ok := r.syncAcks[m.OpNum]
 	if !ok {
@@ -499,7 +566,7 @@ func (r *Replica) recvSyncAck(m syncAck) {
 		// next round.
 		if m.OpNum <= r.syncPoint {
 			r.Env.Send(r.Group.Addr(m.Replica),
-				syncCommit{OpNum: m.OpNum, NoOps: r.noopsIn(m.SyncPoint, m.OpNum)})
+				syncCommit{OpNum: m.OpNum, NoOps: r.noopsIn(m.SyncPoint, m.OpNum), Stable: r.log.Base()})
 		}
 		return
 	}
@@ -512,7 +579,6 @@ func (r *Replica) maybeCommitSync(op uint64) {
 	if !ok || len(acks) < r.Group.Quorum() || op <= r.syncPoint {
 		return
 	}
-	delete(r.syncAcks, op)
 	r.Syncs++
 	prev := r.syncPoint
 	r.syncPoint = op
@@ -528,39 +594,50 @@ func (r *Replica) maybeCommitSync(op uint64) {
 		if !acked {
 			continue // lagging replica catches the next round
 		}
-		r.Env.Send(r.Group.Addr(i), syncCommit{OpNum: op, NoOps: r.noopsIn(from, op)})
+		r.Env.Send(r.Group.Addr(i), syncCommit{OpNum: op, NoOps: r.noopsIn(from, op), Stable: r.log.Base()})
+	}
+	// This round and every round it overtook are closed: a later ack
+	// for one is answered like any late ack.
+	for round, acks := range r.syncAcks {
+		if round <= op {
+			delete(r.syncAcks, round)
+			clear(acks)
+			r.freeAcks = append(r.freeAcks, acks)
+		}
 	}
 	// §7.3: upon completion of a synchronization the leader sends
 	// WRITE-COMPLETIONs for all objects affected in the synced range,
 	// each carrying the object's newest sequenced write so the dirty
 	// set entry clears only when no newer write is pending.
-	latest := make(map[wire.ObjectID]wire.Seq)
-	var order []wire.ObjectID
-	for i := prev; i < op; i++ {
-		e := r.log[i]
-		if e.NoOp {
-			continue
+	latest, order := r.latest, r.order[:0]
+	for i := prev + 1; i <= op; i++ {
+		pkt := r.log.At(i).Pkt
+		if pkt == nil {
+			continue // NO-OP
 		}
-		if _, seen := latest[e.Pkt.ObjID]; !seen {
-			order = append(order, e.Pkt.ObjID)
+		if _, seen := latest[pkt.ObjID]; !seen {
+			order = append(order, pkt.ObjID)
 		}
-		if latest[e.Pkt.ObjID].Less(e.Pkt.Seq) {
-			latest[e.Pkt.ObjID] = e.Pkt.Seq
+		if latest[pkt.ObjID].Less(pkt.Seq) {
+			latest[pkt.ObjID] = pkt.Seq
 		}
 	}
 	for _, obj := range order {
 		r.Env.SendSwitch(r.Completion(obj, latest[obj]))
 	}
+	clear(latest)
+	r.order = order
 	r.completedOp = op
+	r.trimStable()
 }
 
 func (r *Replica) recvSyncCommit(m syncCommit) {
-	if uint64(len(r.log)) < m.OpNum {
+	if r.log.Last() < m.OpNum {
 		// Shouldn't normally happen (we ack only when covered), but a
 		// commit can outrun a gap fill; fetch and let the next round
 		// settle.
 		r.Env.Send(r.leaderAddr(), gapRequest{
-			From: uint64(len(r.log)) + 1, To: m.OpNum, Replica: r.Group.Self,
+			From: r.log.Last() + 1, To: m.OpNum, Replica: r.Group.Self,
 		})
 		return
 	}
@@ -572,11 +649,12 @@ func (r *Replica) recvSyncCommit(m syncCommit) {
 	// (we only execute synchronized slots, and the list covers
 	// (ourSyncPoint, OpNum]).
 	for _, op := range m.NoOps {
-		if op > r.executed && op <= uint64(len(r.log)) && !r.log[op-1].NoOp {
-			r.log[op-1] = entry{NoOp: true}
+		if op > r.executed && op <= r.log.Last() && r.log.At(op).Pkt != nil {
+			r.setNoOp(op)
 			r.NoOps++
 		}
 	}
 	r.syncPoint = m.OpNum
 	r.executeThrough(m.OpNum)
+	r.log.TrimTo(min(m.Stable, r.executed))
 }

@@ -12,7 +12,12 @@ import (
 
 func group(t *testing.T, n int, opts Options) (*ptest.Harness, []*Replica) {
 	t.Helper()
-	h := ptest.NewHarness(1)
+	return groupSeeded(t, 1, n, opts)
+}
+
+func groupSeeded(t *testing.T, seed int64, n int, opts Options) (*ptest.Harness, []*Replica) {
+	t.Helper()
+	h := ptest.NewHarness(seed)
 	addrs := make([]simnet.NodeID, n)
 	for i := range addrs {
 		addrs[i] = simnet.NodeID(i + 1)

@@ -150,6 +150,23 @@ func (h *Harness) LastToSwitch() *wire.Packet {
 	return h.ToSwitch[len(h.ToSwitch)-1].Pkt
 }
 
+// DrainSwitch releases every captured switch-bound packet, as the
+// switch would, and reports how many of them were write replies and
+// write completions.
+func (h *Harness) DrainSwitch() (replies, completions int) {
+	for _, sp := range h.ToSwitch {
+		switch sp.Pkt.Op {
+		case wire.OpWriteReply:
+			replies++
+		case wire.OpWriteCompletion:
+			completions++
+		}
+		sp.Pkt.Release()
+	}
+	h.ToSwitch = h.ToSwitch[:0]
+	return replies, completions
+}
+
 // SwitchPacketsOf filters captured packets by op.
 func (h *Harness) SwitchPacketsOf(op wire.Op) []*wire.Packet {
 	var out []*wire.Packet

@@ -35,24 +35,27 @@ const (
 	statusViewChange
 )
 
-// logEntry is one slot in the replicated log.
-type logEntry struct {
-	Pkt *wire.Packet
-}
-
 // --- protocol messages ---
 //
 // The four normal-case messages — prepare, prepareOK, commitMsg,
 // commitAck, eight of them per write in a five-replica group — travel
 // as pointers to recycled records (freeLists; the ownership rule is in
 // protocol/msgs.go). View-change and state-transfer messages are rare
-// and carry whole logs; they stay plain values.
+// and carry the log window; they stay plain values, and each owns a
+// reference to every packet it carries (protocol.OpLog.Copy): the
+// handler releases them when it returns, whatever it did with the
+// message.
 
+// prepare carries its own reference to Pkt, which the backup's log
+// takes over or the backup releases. Stable, here and in commitMsg, is
+// the leader's trim point — the op every live member has executed — and
+// a backup trims its log to min(Stable, its own executed op).
 type prepare struct {
 	View      uint64
 	OpNum     uint64
-	Entry     logEntry
+	Pkt       *wire.Packet
 	CommitNum uint64
+	Stable    uint64
 }
 
 // CostClass charges log append + eventual execution as a write.
@@ -70,6 +73,7 @@ func (prepareOK) CostClass() protocol.CostClass { return protocol.CostControl }
 type commitMsg struct {
 	View      uint64
 	CommitNum uint64
+	Stable    uint64
 }
 
 // CostClass marks the commit notice as control traffic.
@@ -96,20 +100,23 @@ func (startViewChange) CostClass() protocol.CostClass { return protocol.CostCont
 
 type doViewChange struct {
 	View           uint64
-	Log            []logEntry
+	FirstOp        uint64 // op number of Log[0]
+	Log            []protocol.LogEntry
 	LastNormalView uint64
-	OpNum          uint64
 	CommitNum      uint64
 	Replica        int
 }
+
+// opNum is the sender's op number: the last op of its log.
+func (m doViewChange) opNum() uint64 { return m.FirstOp + uint64(len(m.Log)) - 1 }
 
 // CostClass marks view-change traffic as control.
 func (doViewChange) CostClass() protocol.CostClass { return protocol.CostControl }
 
 type startView struct {
 	View      uint64
-	Log       []logEntry
-	OpNum     uint64
+	FirstOp   uint64 // op number of Log[0]
+	Log       []protocol.LogEntry
 	CommitNum uint64
 }
 
@@ -128,8 +135,7 @@ func (getState) CostClass() protocol.CostClass { return protocol.CostControl }
 type newState struct {
 	View      uint64
 	FirstOp   uint64 // op number of Log[0]
-	Log       []logEntry
-	OpNum     uint64
+	Log       []protocol.LogEntry
 	CommitNum uint64
 }
 
@@ -168,20 +174,18 @@ type Replica struct {
 	*protocol.Base
 	opts Options
 
-	view      uint64
-	status    status
-	log       []logEntry
-	opNum     uint64
+	view   uint64
+	status status
+	// log holds the ops above the trim point; its Last is the op number.
+	// An entry's Acks is the set of replicas that prepared the op, and
+	// the op commits when the popcount reaches the quorum; only a
+	// leader, and only above commitNum, ever reads it (see resetAcks).
+	log       protocol.OpLog
 	commitNum uint64 // committed and (here) executed prefix
 
 	lastSwitchSeq wire.Seq // §5.2 in-order guard at the leader
 
-	// Leader bookkeeping. okAcks is indexed like the log: okAcks[op-1]
-	// is the set of replicas that prepared op, one bit per replica
-	// index, and an op commits when the popcount reaches the quorum. A
-	// leader keeps it exactly as long as its log (see resetAcks); only
-	// the entries above commitNum are ever read.
-	okAcks    []uint64
+	// Leader bookkeeping.
 	execPoint []uint64 // per-replica executed op number (from commitAcks)
 	completed uint64   // ops for which WRITE-COMPLETION was sent
 	dead      []bool   // replicas excluded from the completion wait
@@ -243,6 +247,12 @@ func (r *Replica) View() uint64 { return r.view }
 // CommitNum returns the executed prefix length (tests).
 func (r *Replica) CommitNum() uint64 { return r.commitNum }
 
+// LogWindow returns the number of log entries held (tests): the ops
+// some live member has yet to execute.
+func (r *Replica) LogWindow() int { return r.log.Len() }
+
+func (r *Replica) opNum() uint64 { return r.log.Last() }
+
 func (r *Replica) leaderAddr() simnet.NodeID { return r.Group.Addr(r.Leader()) }
 
 func (r *Replica) armTimers() {
@@ -289,12 +299,13 @@ func (r *Replica) broadcast(msg any) {
 	}
 }
 
-// broadcastPrepare replicates log entry opNum.
+// broadcastPrepare replicates log entry opNum, one reference to its
+// packet per recipient.
 func (r *Replica) broadcastPrepare(opNum uint64, pkt *wire.Packet) {
 	for i := 0; i < r.Group.N(); i++ {
 		if i != r.Group.Self {
 			m := r.free.prepare.Get()
-			*m = prepare{View: r.view, OpNum: opNum, Entry: logEntry{Pkt: pkt}, CommitNum: r.commitNum}
+			*m = prepare{View: r.view, OpNum: opNum, Pkt: pkt.Retain(), CommitNum: r.commitNum, Stable: r.log.Base()}
 			r.Env.Send(r.Group.Addr(i), m)
 		}
 	}
@@ -305,7 +316,7 @@ func (r *Replica) broadcastCommit() {
 	for i := 0; i < r.Group.N(); i++ {
 		if i != r.Group.Self {
 			m := r.free.commit.Get()
-			*m = commitMsg{View: r.view, CommitNum: r.commitNum}
+			*m = commitMsg{View: r.view, CommitNum: r.commitNum, Stable: r.log.Base()}
 			r.Env.Send(r.Group.Addr(i), m)
 		}
 	}
@@ -404,17 +415,13 @@ func (r *Replica) leaderWrite(pkt *wire.Packet) {
 		return
 	}
 	r.lastSwitchSeq = pkt.Seq
-	r.opNum++
-	// The log keeps the delivery reference for the replica's lifetime:
-	// VR never truncates, and view changes share log entries wholesale
-	// (doViewChange/startView/newState copy the slices, not the
-	// packets). Because a log-held packet's count can therefore never
-	// reach zero, sharing the entry across the prepare broadcast and
-	// the view-change messages needs no per-share Retain.
-	r.log = append(r.log, logEntry{Pkt: pkt})
-	r.okAcks = append(r.okAcks, r.selfBit())
-	r.broadcastPrepare(r.opNum, pkt)
-	r.maybeCommit(r.opNum) // 1-replica group commits immediately
+	// The log takes over the delivery reference and gives it back when
+	// the op is trimmed; every other holder — a prepare on its way, a
+	// backup's log, a view-change or state-transfer message — has a
+	// reference of its own.
+	r.log.Append(pkt, r.selfBit())
+	r.broadcastPrepare(r.opNum(), pkt)
+	r.maybeCommit(r.opNum()) // 1-replica group commits immediately
 }
 
 // leaderRead serves a normal-path read from executed (committed) state
@@ -429,27 +436,31 @@ func (r *Replica) leaderRead(pkt *wire.Packet) {
 
 func (r *Replica) recvPrepare(m prepare) {
 	if m.View < r.view || r.status != statusNormal {
+		m.Pkt.Release()
 		return
 	}
 	if m.View > r.view {
+		m.Pkt.Release()
 		r.stateTransfer(m.View, m.OpNum)
 		return
 	}
 	r.touchLeader()
 	switch {
-	case m.OpNum == r.opNum+1:
-		r.opNum++
-		r.log = append(r.log, m.Entry)
-		r.sendPrepareOK(r.opNum)
-	case m.OpNum > r.opNum+1:
+	case m.OpNum == r.opNum()+1:
+		r.log.Append(m.Pkt, 0)
+		r.sendPrepareOK(m.OpNum)
+	case m.OpNum > r.opNum()+1:
 		// Missed entries: fetch them rather than acknowledging a gap.
+		m.Pkt.Release()
 		r.stateTransfer(r.view, m.OpNum)
 		return
 	default:
 		// Duplicate of an entry we have; re-ack it.
+		m.Pkt.Release()
 		r.sendPrepareOK(m.OpNum)
 	}
 	r.executeUpTo(m.CommitNum)
+	r.log.TrimTo(min(m.Stable, r.commitNum))
 }
 
 func (r *Replica) recvPrepareOK(m prepareOK) {
@@ -458,24 +469,22 @@ func (r *Replica) recvPrepareOK(m prepareOK) {
 	}
 	// Only an uncommitted op of this leader's log collects acks, and
 	// only from a member: Replica picks a bit of the ack set.
-	if m.OpNum <= r.commitNum || m.OpNum > uint64(len(r.okAcks)) ||
+	if m.OpNum <= r.commitNum || m.OpNum > r.opNum() ||
 		m.Replica < 0 || m.Replica >= r.Group.N() {
 		return
 	}
-	r.okAcks[m.OpNum-1] |= 1 << uint(m.Replica)
+	r.log.At(m.OpNum).Acks |= 1 << uint(m.Replica)
 	r.maybeCommit(m.OpNum)
 }
 
 // selfBit is the ack set holding only this replica.
 func (r *Replica) selfBit() uint64 { return 1 << uint(r.Group.Self) }
 
-// resetAcks restarts ack collection at a new leader: the set is sized
-// to the adopted log, and every op above committed starts out
-// acknowledged by this replica alone.
+// resetAcks restarts ack collection at a new leader: every op above
+// committed starts out acknowledged by this replica alone.
 func (r *Replica) resetAcks(committed uint64) {
-	r.okAcks = make([]uint64, r.opNum)
-	for op := committed; op < r.opNum; op++ {
-		r.okAcks[op] = r.selfBit()
+	for op := committed + 1; op <= r.opNum(); op++ {
+		r.log.At(op).Acks = r.selfBit()
 	}
 }
 
@@ -487,22 +496,26 @@ func (r *Replica) maybeCommit(opNum uint64) {
 		// first in practice and the loop below re-drives.
 		opNum = r.commitNum + 1
 	}
-	for opNum <= uint64(len(r.okAcks)) {
-		if bits.OnesCount64(r.okAcks[opNum-1]) < r.Group.Quorum() {
+	for opNum <= r.opNum() {
+		entry := r.log.At(opNum)
+		if bits.OnesCount64(entry.Acks) < r.Group.Quorum() {
 			return
 		}
 		r.commitNum = opNum
 		r.executeOne(opNum)
-		entry := r.log[opNum-1]
-		rep := r.WriteReply(entry.Pkt, false) // completions are separate in read-behind
-		r.CT.Complete(entry.Pkt.ClientID, entry.Pkt.ReqID, rep)
+		pkt := entry.Pkt
+		rep := r.WriteReply(pkt, false) // completions are separate in read-behind
+		r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
 		r.Env.SendSwitch(rep)
 		r.WritesCommitted++
 		r.execPoint[r.Group.Self] = r.commitNum
 		if r.opts.EagerCompletions {
-			r.Env.SendSwitch(r.Completion(entry.Pkt.ObjID, entry.Pkt.Seq))
+			r.Env.SendSwitch(r.Completion(pkt.ObjID, pkt.Seq))
 			r.completed = r.commitNum
 		}
+		// From here on the op may be trimmed and pkt recycled: under
+		// synchronous delivery (ptest) the commit's acks come back
+		// inside the broadcast.
 		r.broadcastCommit()
 		r.advanceCompletions()
 		opNum++
@@ -511,7 +524,7 @@ func (r *Replica) maybeCommit(opNum uint64) {
 
 // executeOne applies the op at opNum to the store.
 func (r *Replica) executeOne(opNum uint64) {
-	pkt := r.log[opNum-1].Pkt
+	pkt := r.log.At(opNum).Pkt
 	// Apply can only fail on sequence regression, which cannot happen
 	// for a log executed in order with leader-enforced seq monotony;
 	// a failure here would be a protocol bug, so surface it loudly.
@@ -531,9 +544,7 @@ func (r *Replica) executeOne(opNum uint64) {
 // executeUpTo executes committed ops at a backup and sends the
 // Harmonia COMMIT-ACK for its new execution point.
 func (r *Replica) executeUpTo(commitNum uint64) {
-	if commitNum > r.opNum {
-		commitNum = r.opNum
-	}
+	commitNum = min(commitNum, r.opNum())
 	advanced := false
 	for r.commitNum < commitNum {
 		r.commitNum++
@@ -555,19 +566,20 @@ func (r *Replica) recvCommit(m commitMsg) {
 		return
 	}
 	r.touchLeader()
-	if m.CommitNum > r.opNum {
+	if m.CommitNum > r.opNum() {
 		r.stateTransfer(r.view, m.CommitNum)
 		return
 	}
 	before := r.commitNum
 	r.executeUpTo(m.CommitNum)
+	r.log.TrimTo(min(m.Stable, r.commitNum))
 	// Liveness: when an idle heartbeat repeats a stale commit point
 	// while we hold uncommitted suffix entries, our PREPARE-OKs were
 	// probably lost — re-ack them. Restricting this to non-advancing
 	// heartbeats keeps the leader from drowning in redundant acks
 	// during normal pipelined operation.
-	if r.commitNum == before && r.opNum > r.commitNum {
-		for op := r.commitNum + 1; op <= r.opNum; op++ {
+	if r.commitNum == before && r.opNum() > r.commitNum {
+		for op := r.commitNum + 1; op <= r.opNum(); op++ {
 			r.sendPrepareOK(op)
 		}
 	}
@@ -587,12 +599,13 @@ func (r *Replica) recvCommitAck(m commitAck) {
 }
 
 // completionPoint returns the highest op executed by every live
-// replica. §7.3 delays WRITE-COMPLETIONs "until the write has likely
-// been executed on all replicas" — releasing them at a mere quorum
-// leaves the minority chronically behind the commit stamp, so the
-// switch's fast-path reads bounce off it and pile onto the leader.
-// Crashed replicas are excluded via MarkDead so completions (and with
-// them the fast path) survive failures.
+// replica, which is also where the log is trimmed. §7.3 delays
+// WRITE-COMPLETIONs "until the write has likely been executed on all
+// replicas" — releasing them at a mere quorum leaves the minority
+// chronically behind the commit stamp, so the switch's fast-path reads
+// bounce off it and pile onto the leader. Crashed replicas are
+// excluded via MarkDead so completions (and with them the fast path)
+// survive failures.
 func (r *Replica) completionPoint() uint64 {
 	min := ^uint64(0)
 	live := 0
@@ -621,23 +634,27 @@ func (r *Replica) MarkDead(i int) {
 	}
 }
 
+// advanceCompletions releases the WRITE-COMPLETIONs up to the
+// completion point and trims the log to it: no live member will ask
+// for an op it has executed. The trim follows completionPoint, not
+// completed, which the eager ablation advances at commit.
 func (r *Replica) advanceCompletions() {
-	if r.opts.EagerCompletions {
-		return
-	}
 	target := r.completionPoint()
-	for r.completed < target {
-		r.completed++
-		pkt := r.log[r.completed-1].Pkt
-		r.Env.SendSwitch(r.Completion(pkt.ObjID, pkt.Seq))
+	if !r.opts.EagerCompletions {
+		for r.completed < target {
+			r.completed++
+			pkt := r.log.At(r.completed).Pkt
+			r.Env.SendSwitch(r.Completion(pkt.ObjID, pkt.Seq))
+		}
 	}
+	r.log.TrimTo(target)
 }
 
 // --- state transfer ---
 
 func (r *Replica) stateTransfer(view, hint uint64) {
 	_ = hint
-	r.Env.Send(r.leaderFor(view), getState{View: view, OpNum: r.opNum, Replica: r.Group.Self})
+	r.Env.Send(r.leaderFor(view), getState{View: view, OpNum: r.opNum(), Replica: r.Group.Self})
 }
 
 func (r *Replica) leaderFor(view uint64) simnet.NodeID {
@@ -648,28 +665,28 @@ func (r *Replica) recvGetState(m getState) {
 	if m.View != r.view || r.status != statusNormal || !r.IsLeader() {
 		return
 	}
-	first := m.OpNum + 1
-	var suffix []logEntry
-	if first <= r.opNum {
-		suffix = append(suffix, r.log[first-1:]...)
+	if m.OpNum < r.log.Base() && r.dead[m.Replica] {
+		// Trimmed without waiting for it: unlike a live member's
+		// overtaken request (OpLog.Copy), this one needs what is gone.
+		panic(fmt.Sprintf("vr: replica %d, declared dead, asks for op %d and the log window starts at op %d: "+
+			"replica rejoin needs a snapshot transfer, which is not modelled", m.Replica, m.OpNum+1, r.log.Base()+1))
 	}
-	r.Env.Send(r.Group.Addr(m.Replica), newState{
-		View: r.view, FirstOp: first, Log: suffix, OpNum: r.opNum, CommitNum: r.commitNum,
-	})
+	first, log := r.log.Copy(m.OpNum+1, r.opNum())
+	r.Env.Send(r.Group.Addr(m.Replica), newState{View: r.view, FirstOp: first, Log: log, CommitNum: r.commitNum})
 }
 
 func (r *Replica) recvNewState(m newState) {
+	defer protocol.ReleaseEntries(m.Log)
 	if m.View < r.view {
 		return
 	}
 	if m.View > r.view {
 		r.enterView(m.View)
 	}
-	if m.FirstOp != r.opNum+1 {
+	if m.FirstOp != r.opNum()+1 {
 		return // stale response; a newer transfer is in flight
 	}
-	r.log = append(r.log, m.Log...)
-	r.opNum = m.OpNum
+	r.log.Adopt(m.FirstOp, m.Log, r.opNum())
 	r.executeUpTo(m.CommitNum)
 	r.touchLeader()
 }
@@ -710,19 +727,19 @@ func (r *Replica) voteSVC(view uint64, replica int) bool {
 }
 
 func (r *Replica) recvStartViewChange(m startViewChange) {
-	if m.View < r.view {
+	if m.View < r.view || (m.View == r.view && r.status == statusNormal) {
 		return
 	}
 	if m.View > r.view {
 		r.startViewChange(m.View)
 	}
-	if r.voteSVC(m.View, m.Replica) && r.status == statusViewChange {
+	if r.voteSVC(m.View, m.Replica) {
 		// Send DO-VIEW-CHANGE to the new leader once a quorum agrees.
 		lead := int(m.View % uint64(r.Group.N()))
+		first, log := r.window()
 		dvc := doViewChange{
-			View: m.View, Log: append([]logEntry(nil), r.log...),
-			LastNormalView: r.lastNormalView, OpNum: r.opNum,
-			CommitNum: r.commitNum, Replica: r.Group.Self,
+			View: m.View, FirstOp: first, Log: log,
+			LastNormalView: r.lastNormalView, CommitNum: r.commitNum, Replica: r.Group.Self,
 		}
 		if lead == r.Group.Self {
 			r.recvDoViewChange(dvc)
@@ -732,14 +749,21 @@ func (r *Replica) recvStartViewChange(m startViewChange) {
 	}
 }
 
+// window copies the whole log window for a view-change message. It
+// always reaches far enough down: the window starts at or below the op
+// every live member has executed, and a receiver keeps its own
+// executed prefix (adoptLog).
+func (r *Replica) window() (first uint64, log []protocol.LogEntry) { return r.log.Copy(0, r.opNum()) }
+
 func (r *Replica) recvDoViewChange(m doViewChange) {
-	if m.View < r.view {
-		return
-	}
 	if m.View > r.view {
 		r.startViewChange(m.View)
 	}
-	if int(m.View%uint64(r.Group.N())) != r.Group.Self {
+	// Only the view's leader collects these, and only until it has
+	// started the view: a straggler must not sit in dvcMsgs pinning a
+	// copy of the window.
+	if m.View < r.view || r.status != statusViewChange || int(m.View%uint64(r.Group.N())) != r.Group.Self {
+		protocol.ReleaseEntries(m.Log)
 		return
 	}
 	msgs, ok := r.dvcMsgs[m.View]
@@ -747,8 +771,9 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 		msgs = make(map[int]doViewChange)
 		r.dvcMsgs[m.View] = msgs
 	}
+	protocol.ReleaseEntries(msgs[m.Replica].Log)
 	msgs[m.Replica] = m
-	if len(msgs) < r.Group.Quorum() || r.status != statusViewChange {
+	if len(msgs) < r.Group.Quorum() {
 		return
 	}
 	// Choose the log from the replica with the largest
@@ -756,7 +781,7 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 	best := m
 	for _, cand := range msgs {
 		if cand.LastNormalView > best.LastNormalView ||
-			(cand.LastNormalView == best.LastNormalView && cand.OpNum > best.OpNum) {
+			(cand.LastNormalView == best.LastNormalView && cand.opNum() > best.opNum()) {
 			best = cand
 		}
 	}
@@ -766,14 +791,24 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 			maxCommit = cand.CommitNum
 		}
 	}
-	r.adoptLog(best.Log, best.OpNum)
-	r.status = statusNormal
-	delete(r.dvcMsgs, m.View)
-	r.broadcast(startView{View: r.view, Log: append([]logEntry(nil), r.log...), OpNum: r.opNum, CommitNum: maxCommit})
+	r.adoptLog(best.FirstOp, best.Log)
+	r.enterNormal()
+	// Every recipient gets a copy of its own: a message owns the
+	// references it carries.
+	for i := 0; i < r.Group.N(); i++ {
+		if i != r.Group.Self {
+			first, log := r.window()
+			r.Env.Send(r.Group.Addr(i), startView{View: r.view, FirstOp: first, Log: log, CommitNum: maxCommit})
+		}
+	}
 	// Re-prepare uncommitted suffix bookkeeping.
 	r.resetAcks(maxCommit)
 	r.executeUpTo(maxCommit)
 	r.execPoint[r.Group.Self] = r.commitNum
+	// What was trimmed here every live member had executed, which is
+	// the condition a completion waits for: an earlier leader sent
+	// those.
+	r.completed = max(r.completed, r.log.Base())
 	r.armTimers()
 	if r.OnViewChange != nil {
 		r.OnViewChange(r.view, r.Group.Self)
@@ -783,15 +818,16 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 }
 
 func (r *Replica) recvStartView(m startView) {
+	defer protocol.ReleaseEntries(m.Log)
 	if m.View < r.view {
 		return
 	}
 	r.view = m.View
-	r.adoptLog(m.Log, m.OpNum)
-	r.status = statusNormal
+	r.adoptLog(m.FirstOp, m.Log)
+	r.enterNormal()
 	r.lastNormalView = m.View
 	// Acknowledge the uncommitted suffix to the new leader.
-	for op := m.CommitNum + 1; op <= r.opNum; op++ {
+	for op := m.CommitNum + 1; op <= r.opNum(); op++ {
 		r.sendPrepareOK(op)
 	}
 	r.executeUpTo(m.CommitNum)
@@ -802,27 +838,36 @@ func (r *Replica) recvStartView(m startView) {
 	}
 }
 
-// adoptLog installs a log from a view change, re-executing nothing:
-// execution state is preserved because commitNum only moves forward
-// and logs agree on committed prefixes.
-func (r *Replica) adoptLog(log []logEntry, opNum uint64) {
-	r.log = append(r.log[:0], log...)
-	r.opNum = opNum
-	if r.opNum > 0 {
-		// Restore the switch-seq guard from the log tail.
-		r.lastSwitchSeq = r.log[r.opNum-1].Pkt.Seq
+// adoptLog installs a log window from a view change above this
+// replica's executed prefix, re-executing nothing: commitNum only moves
+// forward and logs agree on committed prefixes.
+func (r *Replica) adoptLog(first uint64, log []protocol.LogEntry) {
+	r.log.Adopt(first, log, r.commitNum)
+	// Restore the switch-seq guard from the log tail; a tail that was
+	// trimmed has been executed.
+	r.lastSwitchSeq = r.Store.LastApplied()
+	if r.log.Len() > 0 {
+		r.lastSwitchSeq = r.log.At(r.opNum()).Pkt.Seq
 	}
-	r.enterViewBookkeeping()
 }
 
 func (r *Replica) enterView(view uint64) {
 	r.view = view
-	r.status = statusNormal
+	r.enterNormal()
 	r.lastNormalView = view
-	r.enterViewBookkeeping()
 	r.armTimers()
 }
 
-func (r *Replica) enterViewBookkeeping() {
-	r.okAcks = r.okAcks[:0]
+// enterNormal puts the replica in normal status in r.view and drops the
+// view-change bookkeeping: every vote and DO-VIEW-CHANGE it holds is
+// for this view or an earlier one, and no handler reads those again.
+func (r *Replica) enterNormal() {
+	r.status = statusNormal
+	clear(r.svcVotes)
+	for _, msgs := range r.dvcMsgs {
+		for _, m := range msgs {
+			protocol.ReleaseEntries(m.Log)
+		}
+	}
+	clear(r.dvcMsgs)
 }

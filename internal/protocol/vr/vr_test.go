@@ -1,7 +1,6 @@
 package vr
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -13,7 +12,12 @@ import (
 
 func group(t *testing.T, n int, opts Options) (*ptest.Harness, []*Replica) {
 	t.Helper()
-	h := ptest.NewHarness(1)
+	return groupSeeded(t, 1, n, opts)
+}
+
+func groupSeeded(t *testing.T, seed int64, n int, opts Options) (*ptest.Harness, []*Replica) {
+	t.Helper()
+	h := ptest.NewHarness(seed)
 	addrs := make([]simnet.NodeID, n)
 	for i := range addrs {
 		addrs[i] = simnet.NodeID(i + 1)
@@ -92,7 +96,7 @@ func TestCompletionHeldWhileBackupsLag(t *testing.T) {
 	// until EVERY live replica has executed (§7.3 delays completions
 	// so fast reads rarely bounce).
 	h.Blackhole[2] = false
-	h.Inject(1, 2, &prepare{View: 0, OpNum: 1, Entry: logEntry{Pkt: write(7, 1, 1, 1, "v1")}, CommitNum: 0})
+	h.Inject(1, 2, &prepare{View: 0, OpNum: 1, Pkt: write(7, 1, 1, 1, "v1"), CommitNum: 0})
 	if len(h.SwitchPacketsOf(wire.OpWriteReply)) != 1 {
 		t.Fatal("no reply after quorum")
 	}
@@ -121,8 +125,8 @@ func TestOutOfOrderSwitchSeqDropped(t *testing.T) {
 	h, reps := group(t, 3, quiet())
 	h.Inject(100, 1, write(7, 5, 1, 1, "v5"))
 	h.Inject(100, 1, write(8, 3, 2, 1, "stale"))
-	if reps[0].opNum != 1 {
-		t.Fatalf("opNum = %d, stale write entered the log", reps[0].opNum)
+	if reps[0].opNum() != 1 {
+		t.Fatalf("opNum = %d, stale write entered the log", reps[0].opNum())
 	}
 }
 
@@ -211,8 +215,8 @@ func TestStateTransferCatchesUpLaggingReplica(t *testing.T) {
 	h.Blackhole[3] = false
 	// Replica 3 sees the next prepare with a gap and state-transfers.
 	h.Inject(100, 1, write(99, 6, 1, 6, "last"))
-	if reps[2].opNum != 6 {
-		t.Fatalf("lagging replica opNum = %d, want 6", reps[2].opNum)
+	if reps[2].opNum() != 6 {
+		t.Fatalf("lagging replica opNum = %d, want 6", reps[2].opNum())
 	}
 	if o, ok := reps[2].Store.Get(3); !ok || string(o.Value) != "v" {
 		t.Fatal("state transfer did not replay missed writes")
@@ -346,61 +350,55 @@ func TestTouchLeaderAllocatesNothing(t *testing.T) {
 // TestSteadyWriteAllocatesNothing pins the normal-case replication
 // path of a five-replica group — 4 prepares, 4 prepareOKs, 4+ commits,
 // 4 commitAcks, the ack set, 8 view-change timer re-arms, reply and
-// completion — to zero allocations per committed write. Messages take
-// a microsecond each: delivered synchronously, the commit a quorum
+// completion — to zero allocations per committed write, the write's
+// own packet included: it is drawn from the pool inside the measured
+// region, sits in five logs, and is back in the pool once the last of
+// them has trimmed it (a write later, when the next prepare carries
+// the trim point), so the next draw finds it. Messages take a
+// microsecond each: delivered synchronously, the commit a quorum
 // triggers would overtake the prepares still to be sent and put every
-// write through state transfer. Two things a write inherently keeps
-// are provided from outside the measured region: its packet, which the
-// never-truncated log holds for good, and the log's own room to grow.
+// write through state transfer.
 func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	const warm, runs = 64, 1000
 	h, reps := group(t, 5, Options{ViewChangeTimeout: 25 * time.Millisecond})
 	h.Delay = time.Microsecond
 	val := []byte("12345678")
-	pkts := make([]*wire.Packet, warm+runs+1)
-	for i := range pkts {
-		n := uint64(i + 1)
-		pkts[i] = &wire.Packet{
-			Op: wire.OpWrite, ObjID: wire.ObjectID(i % 16), Seq: wire.Seq{Epoch: 1, N: n},
-			ClientID: 1, ReqID: n, Value: val,
-		}
-	}
-	next := 0
+	var next uint64
 	var replies, completions int
 	one := func() {
-		h.Inject(100, 1, pkts[next])
 		next++
+		w := wire.NewPacket()
+		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(next%16), wire.Seq{Epoch: 1, N: next}
+		w.ClientID, w.ReqID, w.Value = 1, next, val
+		h.Inject(100, 1, w)
 		h.Run(10 * time.Microsecond)
-		for _, sp := range h.ToSwitch {
-			switch sp.Pkt.Op {
-			case wire.OpWriteReply:
-				replies++
-			case wire.OpWriteCompletion:
-				completions++
-			}
-			sp.Pkt.Release()
-		}
-		h.ToSwitch = h.ToSwitch[:0]
+		r, c := h.DrainSwitch()
+		replies, completions = replies+r, completions+c
 	}
 	for i := 0; i < warm; i++ {
 		one()
 	}
-	for _, r := range reps {
-		r.log = slices.Grow(r.log, runs+1)
-		r.okAcks = slices.Grow(r.okAcks, runs+1)
-	}
 	// Race builds keep the account LiveManagedPackets reads, and their
-	// sync.Pool drops a quarter of the packets put back: there the count
-	// is not asserted, everything else is.
-	if a := testing.AllocsPerRun(runs, one); a != 0 && wire.LiveManagedPackets() < 0 {
+	// sync.Pool drops a quarter of the packets put back: there the
+	// allocation count is not asserted and the account is — after every
+	// write the group holds the same packets (the last write in four
+	// backup logs, one cached reply per client table).
+	live := wire.LiveManagedPackets()
+	if a := testing.AllocsPerRun(runs, one); a != 0 && live < 0 {
 		t.Fatalf("one committed write allocates %v times, want 0", a)
 	}
-	if replies != next || completions != next {
+	if now := wire.LiveManagedPackets(); now != live {
+		t.Fatalf("%d managed packets live after %d writes, %d before: a log kept some", now, runs, live)
+	}
+	if uint64(replies) != next || uint64(completions) != next {
 		t.Fatalf("%d writes: %d replies, %d completions", next, replies, completions)
 	}
 	for i, r := range reps {
-		if r.CommitNum() != uint64(next) {
+		if r.CommitNum() != next {
 			t.Fatalf("replica %d executed %d of %d writes", i, r.CommitNum(), next)
+		}
+		if r.LogWindow() > 1 {
+			t.Fatalf("replica %d holds %d log entries with nothing in flight", i, r.LogWindow())
 		}
 	}
 }

@@ -533,12 +533,12 @@ func (p *Packet) Retain() *Packet {
 // Release drops one reference; at zero the struct returns to the
 // packet pool. Call it at every terminal consumption: a handler that
 // answered, dropped, or absorbed the packet; a trimmed unacked entry;
-// a replaced cached reply. Unmanaged packets ignore Release, so a
-// missed Release on a managed one merely leaks the struct to the
-// garbage collector — pooling lost, correctness intact — while a
-// double Release panics instead of recycling a packet someone still
-// holds. Race builds additionally keep a live-packet account (see
-// refs_race.go).
+// a trimmed log entry; a replaced cached reply. Unmanaged packets
+// ignore Release, so a missed Release on a managed one merely leaks
+// the struct to the garbage collector — pooling lost, correctness
+// intact — while a double Release panics instead of recycling a packet
+// someone still holds. Race builds additionally keep a live-packet
+// account (see refs_race.go).
 func (p *Packet) Release() {
 	if p.refs == 0 {
 		return
