@@ -81,8 +81,8 @@ func main() {
 		fmt.Printf("spread read returns %q\n\n", v)
 	}
 
-	// Demotion collapses the key back to its home group (the holders
-	// drop their copies); with sustained skew the controller instead
+	// Demotion collapses the key back to its home group (no read is
+	// spread any more); with sustained skew the controller instead
 	// promotes and demotes on its own — see Figure K.
 	c.DemoteKey(celebrity)
 	promotions, demotions := c.HotKeyStats()

@@ -114,7 +114,8 @@ type Config struct {
 
 	// DropProb / ReorderProb / ReorderDelay / LinkJitter perturb the
 	// client↔switch↔replica packet path (replica↔replica channels
-	// model TCP and stay reliable).
+	// model TCP: LinkJitter varies their delay, and they stay reliable
+	// and in order).
 	DropProb     float64
 	ReorderProb  float64
 	ReorderDelay time.Duration

@@ -109,7 +109,8 @@ type ReplicaHandle interface {
 	// whole slot.
 	GetObject(id wire.ObjectID) (store.Object, bool)
 	// ShimCounters returns the fast-path shim's served / rejected /
-	// lease-rejected read counts (zero for CRAQ, which has no shim).
+	// lease-rejected read counts (zero for CRAQ, which takes no fast
+	// reads).
 	ShimCounters() (served, rejected, leaseRejected uint64)
 }
 
@@ -821,7 +822,7 @@ func (c *Cluster) newReplica(p Protocol, env *replicaEnv, g protocol.GroupConfig
 		node, base = r, r.Base
 	case CRAQ:
 		r := craq.New(env, g, serverShards)
-		return r, craqHandle{r}
+		node, base = r, r.Base
 	case VR:
 		opts := vr.DefaultOptions()
 		opts.EagerCompletions = c.cfg.EagerCompletions

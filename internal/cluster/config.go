@@ -158,7 +158,8 @@ type Config struct {
 	SlotsPerStage int
 
 	// Perturbations of the client↔switch↔replica packet path (default:
-	// lossless, in order, no jitter).
+	// lossless, in order, no jitter). LinkJitter also varies the delay of
+	// the replica↔replica and controller channels, which stay FIFO.
 	LinkJitter   time.Duration
 	DropProb     float64
 	ReorderProb  float64

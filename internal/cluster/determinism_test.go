@@ -16,7 +16,10 @@ import (
 // TestDeterministicRuns: the same configuration and seed give the same
 // run, exactly — the load report (every histogram bucket and series
 // point included), the recorded history and the flight recorder's
-// event log. The rack row arms every control-plane feature and drives
+// event log. The PB, chain and CRAQ rows take each write through the
+// shared write gate under loss or reordering; the CRAQ row also moves
+// slots to and from PB, so CRAQ's store-backed state transfer is inside
+// the comparison. The rack row arms every control-plane feature and drives
 // a scripted migrate → AddGroup → RespecGroup under load, so the
 // paths that walk Go maps on their way to scheduling events (state
 // transfer, client-table merge, the rebalancer's batches, the hot-key
@@ -64,6 +67,39 @@ func TestDeterministicRuns(t *testing.T) {
 			cfg:    Config{Protocol: NOPaxos, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 8},
 			spec:   writeHeavy,
 			script: crashBackup, steps: 1,
+		},
+		{
+			name:   "pb write-heavy over lossy links, a backup crashes",
+			cfg:    Config{Protocol: PB, Replicas: 3, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 9},
+			spec:   writeHeavy,
+			script: crashBackup, steps: 1,
+		},
+		{
+			name: "chain write-heavy over reordering links, the tail crashes",
+			cfg: Config{
+				Protocol: Chain, Replicas: 3, UseHarmonia: true, RecordHistory: true,
+				ReorderProb: 0.05, ReorderDelay: 20 * time.Microsecond, Seed: 10,
+			},
+			spec:   writeHeavy,
+			script: crashBackup, steps: 1,
+		},
+		{
+			name: "craq beside pb, batch migrations both ways",
+			cfg: Config{
+				UseHarmonia: true, GroupSpecs: []GroupSpec{{Protocol: CRAQ, Replicas: 3}, {Protocol: PB, Replicas: 3}},
+				RecordHistory: true, DropProb: 0.01, Seed: 11,
+			},
+			spec: writeHeavy,
+			script: func(c *Cluster, note func(string, error)) {
+				for k, from := range []int{0, 1} {
+					c.Engine().After(time.Duration(3+6*k)*time.Millisecond, func() {
+						_, err := c.StartBatchMigration(c.slotsOf(from)[:8], 1-from)
+						note("migrate", err)
+					})
+				}
+			},
+			steps:  2,
+			events: []trace.EventKind{trace.EvMigrationFlip},
 		},
 		{
 			name: "rack with the control plane armed",

@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"harmonia/internal/protocol"
-	"harmonia/internal/protocol/craq"
 	"harmonia/internal/store"
 	"harmonia/internal/wire"
 )
 
-// baseHandle is the ReplicaHandle of the four protocols built on
+// baseHandle is the ReplicaHandle of every protocol: each is built on
 // protocol.Base — a store plus a client table.
 type baseHandle struct{ *protocol.Base }
 
@@ -25,38 +24,3 @@ func (h baseHandle) GetObject(id wire.ObjectID) (store.Object, bool)    { return
 func (h baseHandle) ShimCounters() (served, rejected, leaseRejected uint64) {
 	return h.FastServed, h.FastRejected, h.LeaseRejected
 }
-
-// craqHandle adapts CRAQ's clean/dirty version chains (no store, no
-// switch shim): only an object's newest COMMITTED version is visible.
-type craqHandle struct{ r *craq.Replica }
-
-func (h craqHandle) Preload(id wire.ObjectID, v []byte, _ wire.Seq) { h.r.PreloadClean(id, v, 0) }
-func (craqHandle) Reserve(slot, n int)                              {} // one Go map for all slots: nothing to size
-func (h craqHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
-	out := make(map[wire.ObjectID]store.Object)
-	for id, v := range h.r.ExtractSlotClean(slot) {
-		out[id] = store.Object{Value: v.Value, Seq: wire.Seq{N: v.N}}
-	}
-	return out
-}
-func (h craqHandle) InstallSlot(objs map[wire.ObjectID]store.Object) {
-	// Version 0 keeps the destination's in-order apply guard (lastVer)
-	// untouched, mirroring the epoch-0 neutering of the store-backed
-	// protocols.
-	for id, o := range objs {
-		h.r.PreloadClean(id, o.Value, 0)
-	}
-}
-func (h craqHandle) DropSlot(slot int) int { return h.r.DropSlot(slot) }
-func (h craqHandle) ExportClients() map[uint32]protocol.ClientRecord {
-	return h.r.ClientTable().Export()
-}
-func (h craqHandle) MergeClients(recs map[uint32]protocol.ClientRecord) {
-	h.r.ClientTable().Merge(recs)
-}
-func (h craqHandle) SlotCounts() []int { return h.r.SlotCounts() }
-func (h craqHandle) GetObject(id wire.ObjectID) (store.Object, bool) {
-	o, ok := h.ExtractSlot(wire.SlotOf(id))[id]
-	return o, ok
-}
-func (craqHandle) ShimCounters() (served, rejected, leaseRejected uint64) { return }

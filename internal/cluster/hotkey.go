@@ -22,8 +22,9 @@ package cluster
 //   - the periodic tick is the retry backstop (the refresh completion
 //     travels the lossy controller→switch path) and the demotion
 //     clock: a key whose decayed per-key heat stays at or below
-//     CoolOps for CoolRounds consecutive ticks is demoted and its
-//     foreign-slot copies dropped.
+//     CoolOps for CoolRounds consecutive ticks is demoted; its holders
+//     keep their copies until a transfer next delivers the slot to
+//     them (see demoteObject).
 //
 // Linearizability: a holder serves a read only when the entry is valid
 // at the switch. Valid means the holders hold the newest COMMITTED
@@ -97,9 +98,9 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 	if _, ok := c.hotKeys[id]; ok {
 		return
 	}
-	// One promoted key per slot: demotion cleans a holder's copy up
-	// with DropSlot, which is exact only when the key is the slot's
-	// sole foreign object there.
+	// One promoted key per slot: a refresh replaces a holder's whole
+	// table of the slot (ship), which would take a second key's copy
+	// with it.
 	for _, st := range c.hotKeys {
 		if st.slot == slot {
 			return
@@ -260,24 +261,19 @@ func (c *Cluster) hotKeyTick() {
 	}
 }
 
-// demoteObject tears a promoted key down: the switch entry goes first
-// (no further spread reads), then each holder drops its foreign-slot
-// copy. DropSlot is exact because the holder owns no other object in
-// that slot (route ≠ holder, and promotion enforces one key per slot).
+// demoteObject tears a promoted key down: the switch entry goes, so no
+// further read is spread. The holders keep their copies: a spread read
+// routed before the demotion may still be on its way to one, and must
+// find the key there. A copy left behind is never read again — reads
+// spread only while an entry is valid, and a new promotion validates
+// only after its refresh replaced the copy — and the next transfer that
+// delivers the slot to the holder clears it (ship).
 func (c *Cluster) demoteObject(st *hotKeyEntry) {
 	if c.hotKeys[st.id] != st {
 		return
 	}
 	c.rack.Front(st.sw).Demote(st.id)
 	home := c.rack.RouteOf(st.slot)
-	for _, g := range st.holders {
-		if g == home || !c.rack.Live(g) {
-			continue
-		}
-		for _, rep := range c.groups[g].replicas {
-			rep.DropSlot(st.slot)
-		}
-	}
 	delete(c.hotKeys, st.id)
 	for i, id := range c.hotKeyOrder {
 		if id == st.id {

@@ -13,7 +13,9 @@ import (
 // TestHotKeyManualPromoteLifecycle walks the full hot-key arc by hand:
 // promote a key, watch clean reads spread across the holder groups,
 // watch a write invalidate the copies and the refresh revalidate them,
-// then demote and verify the foreign-slot copies are really gone.
+// then demote and verify no read is spread any more, the holders keep
+// their copies for reads already on their way, and the next install of
+// the slot into a holder clears what is left.
 func TestHotKeyManualPromoteLifecycle(t *testing.T) {
 	c := New(Config{
 		Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3,
@@ -79,9 +81,9 @@ func TestHotKeyManualPromoteLifecycle(t *testing.T) {
 		}
 	}
 
-	// Demotion collapses the key back home and drops every foreign
-	// copy — DropSlot is exact because the holder owns nothing else in
-	// that slot.
+	// Demotion collapses the key back home: no read is spread from
+	// then on. The holders keep their copies — a spread read routed
+	// before the demotion may still be on its way to one.
 	holders := append([]int(nil), st.holders...)
 	if !c.DemoteKey(key) {
 		t.Fatal("DemoteKey reported not promoted")
@@ -89,20 +91,47 @@ func TestHotKeyManualPromoteLifecycle(t *testing.T) {
 	if c.HotKeyCount() != 0 {
 		t.Fatalf("HotKeyCount after demote = %d", c.HotKeyCount())
 	}
-	for _, g := range holders {
-		for i, rep := range c.groups[g].replicas {
-			if _, found := rep.GetObject(id); found {
-				t.Fatalf("holder %d replica %d still has the demoted copy", g, i)
-			}
+	spread := c.rack.Front(st.sw).Stats.SpreadReads
+	for i := 0; i < 6; i++ {
+		v, found, err := cl.Get(key)
+		if err != nil || !found || string(v) != "v2" {
+			t.Fatalf("Get after demote #%d = %q %v %v", i, v, found, err)
+		}
+		if g := cl.LastGroup(); g != c.GroupOf(key) {
+			t.Fatalf("read after demote served by group %d, home is %d", g, c.GroupOf(key))
 		}
 	}
-	v, found, err := cl.Get(key)
-	if err != nil || !found || string(v) != "v2" {
-		t.Fatalf("Get after demote = %q %v %v", v, found, err)
+	if c.rack.Front(st.sw).Stats.SpreadReads != spread {
+		t.Fatal("a read was spread after the demotion")
+	}
+	for _, g := range holders {
+		for i, rep := range c.groups[g].replicas {
+			if o, found := rep.GetObject(id); !found || string(o.Value) != "v2" {
+				t.Fatalf("holder %d replica %d dropped its copy at demotion: %q %v", g, i, o.Value, found)
+			}
+		}
 	}
 	p, d := c.HotKeyStats()
 	if p != 1 || d != 1 {
 		t.Fatalf("stats = %d promotions, %d demotions", p, d)
+	}
+
+	// The next install of the slot into a holder clears the leftover
+	// copy: delete the key at home, then move its slot to the holder —
+	// the deleted key must not come back from the old copy.
+	if err := cl.Delete(key); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if err := c.MigrateSlot(st.slot, holders[0]); err != nil {
+		t.Fatalf("MigrateSlot: %v", err)
+	}
+	for i, rep := range c.groups[holders[0]].replicas {
+		if _, found := rep.GetObject(id); found {
+			t.Fatalf("holder %d replica %d kept the demoted copy through the install", holders[0], i)
+		}
+	}
+	if _, found, err := cl.Get(key); err != nil || found {
+		t.Fatalf("Get after delete and migration: found=%v err=%v", found, err)
 	}
 }
 
@@ -196,8 +225,8 @@ func TestPromoteKeyValidation(t *testing.T) {
 	if err := c.PromoteKey(key); err != nil {
 		t.Fatalf("PromoteKey: %v", err)
 	}
-	// A slot-mate of the promoted key must be refused: demotion's
-	// DropSlot cleanup is only exact with one promoted key per slot.
+	// A slot-mate of the promoted key must be refused: a refresh
+	// replaces a holder's whole table of the slot.
 	slot := wire.SlotOf(wire.HashKey(key))
 	mate := ""
 	for i := 0; i < 1<<16; i++ {

@@ -272,7 +272,8 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 }
 
 // TestMigrateSlotAllProtocols exercises the handoff under every
-// replication protocol, including CRAQ's bespoke versioned store.
+// replication protocol, including CRAQ, whose in-flight dirty versions
+// sit beside the store the handoff copies.
 func TestMigrateSlotAllProtocols(t *testing.T) {
 	for _, p := range []Protocol{PB, Chain, CRAQ, VR, NOPaxos} {
 		t.Run(p.String(), func(t *testing.T) {

@@ -301,9 +301,6 @@ func rackChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 	if p == CRAQ && chaos == "crashreplica" {
 		t.Skip("CRAQ reconfiguration not modeled")
 	}
-	if p == CRAQ && chaos == "crashswitch" {
-		t.Skip("CRAQ takes no switch assistance, so it has no §5.3 lease agreement to replace a switch with")
-	}
 	cfg := Config{
 		Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ,
 		Groups: 4, Switches: 2,

@@ -114,7 +114,10 @@ func (sh *shipment) collect(sources []ReplicaHandle, sc scope) {
 // dests names, at delivery time, the groups that receive a slot's
 // objects: one group where ownership moves, every holder where a copy
 // is replicated, none to call the delivery off. Every replica of those
-// groups installs the objects, and every group that received a slot
+// groups replaces its table of the slot with the objects: a group holds
+// nothing of its own in a slot it receives (it does not own the slot
+// yet, or it is a fresh incarnation), so whatever is there is a hot-key
+// copy a demotion left behind. Every group that received a slot
 // merges the client records, with kept replies re-stamped for it on
 // pooled flight copies: the destination's Group, and a zero Seq so the
 // replay's traversal of the switch cannot masquerade as a source-group
@@ -126,6 +129,7 @@ func (c *Cluster) ship(sh *shipment, dests func(slot int) []int, then func()) {
 		for _, slot := range sh.slots {
 			for _, g := range dests(slot) {
 				for _, r := range c.groups[g].replicas {
+					r.DropSlot(slot)
 					r.InstallSlot(sh.objects[slot])
 				}
 				if !slices.Contains(reached, g) {

@@ -27,8 +27,7 @@ type HotKeyResult struct {
 	// stuck-slot escape must have fired on its own, no hints.
 	Promotions uint64
 	// Demoted reports the cool-down phase: once the skew stops, the
-	// decayed per-key heat must demote the key and drop every foreign
-	// copy without intervention.
+	// decayed per-key heat must demote the key without intervention.
 	Demoted bool
 	// Linearizable reports the chaos-verify phase: a recorded zipf-1.2
 	// window under 1% drops with a holder group removed mid-run, every

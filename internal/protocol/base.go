@@ -56,10 +56,70 @@ func NewBase(env Env, g GroupConfig, class ReadClass, shards int) *Base {
 	}
 }
 
+// Admission is the write gate's verdict on a client write.
+type Admission uint8
+
+const (
+	// Admitted: fresh and in sequence order; the caller executes it.
+	Admitted Admission = iota
+	// OutOfOrder: sequenced behind the caller's last write (§5.2) and
+	// discarded; the client retries under a fresh sequence number.
+	OutOfOrder
+	// Duplicate: a request the client table has seen, answered from the
+	// reply cache when the caller asked for that and holds the reply.
+	Duplicate
+)
+
+// AdmitWrite is the write entry of every protocol: the §5.2 order guard
+// first, against last — the caller's last sequenced write — and
+// at-most-once admission second. The order matters. A write that arrives
+// behind a later-sequenced one is discarded, and its client retries the
+// same request under a fresh sequence number; recorded as in progress
+// before the discard, the request would have suppressed every such retry
+// forever. With answer set, a duplicate of a completed request is
+// answered here from the reply cache, on a flight copy with a zero Seq
+// so that its traversal cannot re-trigger the completion. Heads that
+// keep no replies (chain, CRAQ) and replicas replaying a log the leader
+// answers from (NOPaxos followers) pass false.
+func (b *Base) AdmitWrite(pkt *wire.Packet, last wire.Seq, answer bool) Admission {
+	if !last.Less(pkt.Seq) {
+		return OutOfOrder
+	}
+	execute, cached := b.CT.Admit(pkt.ClientID, pkt.ReqID)
+	if execute {
+		return Admitted
+	}
+	if answer && cached != nil {
+		b.resend(cached)
+	}
+	return Duplicate
+}
+
+// resend puts a flight copy of a cached reply on the wire, without the
+// completion it piggybacked the first time.
+func (b *Base) resend(cached *wire.Packet) {
+	rep := cached.FlightClone()
+	rep.Seq = wire.ZeroSeq
+	b.Env.SendSwitch(rep)
+}
+
+// Apply installs a write in the local store; it fails when the write is
+// out of sequence order (§5.2).
+func (b *Base) Apply(pkt *wire.Packet) error {
+	return b.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0)
+}
+
 // ReadReply builds the reply for a read of pkt's object from the local
 // store. The reply is pool-managed; the caller owns its one reference
 // and transfers it by sending.
 func (b *Base) ReadReply(pkt *wire.Packet) *wire.Packet {
+	obj, ok := b.Store.Get(pkt.ObjID)
+	return b.ValueReply(pkt, obj.Value, ok)
+}
+
+// ValueReply builds the reply for a read of pkt's object carrying
+// value, or not-found. Pool-managed like ReadReply's.
+func (b *Base) ValueReply(pkt *wire.Packet, value []byte, found bool) *wire.Packet {
 	rep := wire.NewPacket()
 	rep.Op = wire.OpReadReply
 	rep.ObjID = pkt.ObjID
@@ -73,13 +133,13 @@ func (b *Base) ReadReply(pkt *wire.Packet) *wire.Packet {
 	// The trace span follows the op onto the reply leg, so the
 	// client's completion hook can close it (internal/trace).
 	rep.Span = pkt.Span
-	if obj, ok := b.Store.Get(pkt.ObjID); ok {
-		// Alias the stored value: store values are written once at
-		// Apply time and never mutated in place, and reply packets are
+	if found {
+		// Alias the value: store values and packet payloads are written
+		// once and never mutated in place, and reply packets are
 		// immutable once built (internal/wire ownership contract), so
 		// the read path copies no payload bytes. Callers that hand the
 		// value to mutating code must copy (see cluster.SyncClient).
-		rep.Value = obj.Value
+		rep.Value = value
 	} else {
 		rep.Flags |= wire.FlagNotFound
 	}

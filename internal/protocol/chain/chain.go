@@ -43,16 +43,6 @@ type chainAck struct {
 // CostClass marks the ack as control traffic.
 func (chainAck) CostClass() protocol.CostClass { return protocol.CostControl }
 
-// reReply asks the tail to re-send the cached reply for a duplicate
-// client request.
-type reReply struct {
-	ClientID uint32
-	ReqID    uint64
-}
-
-// CostClass marks the re-reply request as control traffic.
-func (reReply) CostClass() protocol.CostClass { return protocol.CostControl }
-
 // Replica is one chain node.
 type Replica struct {
 	*protocol.Base
@@ -127,8 +117,6 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.recvPropagate(m.Pkt)
 	case *chainAck:
 		r.recvAck(r.acks.Take(m).Seq)
-	case reReply:
-		r.recvReReply(m)
 	default:
 		// A message in a representation the cases above do not list (a
 		// recycled type sent by value, say) must not vanish silently.
@@ -166,17 +154,17 @@ func (r *Replica) recvPacket(pkt *wire.Packet) {
 
 // headWrite admits a client write at the head.
 func (r *Replica) headWrite(pkt *wire.Packet) {
-	execute, _ := r.CT.Admit(pkt.ClientID, pkt.ReqID)
-	if !execute {
-		// Duplicate: the head holds no reply cache (the tail replies),
-		// so ask the tail to re-send its cached reply if the write
-		// already committed; if still in flight the pending reply will
-		// serve the retransmission.
-		r.Env.Send(r.Group.Addr(r.tailIndex()), reReply{ClientID: pkt.ClientID, ReqID: pkt.ReqID})
-		pkt.Release() // duplicate fully handled
+	switch r.AdmitWrite(pkt, r.Store.LastApplied(), false) {
+	case protocol.Admitted:
+		r.apply(pkt)
 		return
+	case protocol.Duplicate:
+		// The tail replies, so it holds the reply cache: ask it to re-send
+		// the reply if the write already committed; if still in flight the
+		// pending reply will serve the retransmission.
+		r.Env.Send(r.Group.Addr(r.tailIndex()), protocol.ReReply{ClientID: pkt.ClientID, ReqID: pkt.ReqID})
 	}
-	r.apply(pkt)
+	pkt.Release() // discarded or duplicate: fully handled
 }
 
 // recvPropagate applies a write arriving from the predecessor.
@@ -185,7 +173,7 @@ func (r *Replica) recvPropagate(pkt *wire.Packet) { r.apply(pkt) }
 // apply installs a write and moves it along the chain, or commits it
 // at the tail.
 func (r *Replica) apply(pkt *wire.Packet) {
-	if err := r.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0); err != nil {
+	if err := r.Apply(pkt); err != nil {
 		// §5.2 write-order requirement: out-of-order writes are
 		// discarded; the client's retry gets a fresh sequence number.
 		pkt.Release()
@@ -236,18 +224,6 @@ func (r *Replica) recvAck(seq wire.Seq) {
 		r.unacked, r.head = r.unacked[:n], 0
 	}
 	r.sendAck(seq)
-}
-
-// recvReReply answers a duplicate-write probe from its reply cache.
-func (r *Replica) recvReReply(m reReply) {
-	if !r.IsTail() {
-		return
-	}
-	if cached := r.CT.Cached(m.ClientID, m.ReqID); cached != nil {
-		rep := cached.FlightClone()
-		rep.Seq = wire.ZeroSeq // do not re-trigger the completion
-		r.Env.SendSwitch(rep)
-	}
 }
 
 // tailRead serves a read from committed state.

@@ -36,17 +36,32 @@ type LeaseRevokeAck struct {
 	Replica int
 }
 
-// HandleControl processes lease control messages; it reports whether
-// the message was consumed.
+// ReReply asks a chain's tail to re-send its cached reply for a
+// duplicate write that reached the head (chain replication, CRAQ): the
+// head admits writes, the tail completes them and keeps the replies.
+type ReReply struct {
+	ClientID uint32
+	ReqID    uint64
+}
+
+// CostClass marks the re-reply request as control traffic.
+func (ReReply) CostClass() CostClass { return CostControl }
+
+// HandleControl processes lease control messages and re-reply requests;
+// it reports whether the message was consumed.
 func (b *Base) HandleControl(msg any) bool {
 	switch m := msg.(type) {
 	case LeaseGrant:
 		b.Lease.Grant(m.Epoch, m.Expiry)
-		return true
 	case LeaseRevoke:
 		b.Lease.Revoke(m.Epoch)
 		b.Env.Send(m.AckTo, LeaseRevokeAck{Epoch: m.Epoch, ID: m.ID, Replica: b.Group.Self})
-		return true
+	case ReReply:
+		if cached := b.CT.Cached(m.ClientID, m.ReqID); cached != nil {
+			b.resend(cached)
+		}
+	default:
+		return false
 	}
-	return false
+	return true
 }

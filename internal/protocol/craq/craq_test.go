@@ -25,6 +25,16 @@ func group(t *testing.T, n int) (*ptest.Harness, []*Replica) {
 	return h, reps
 }
 
+// dirtyVersions counts the uncommitted versions of obj a node holds.
+func dirtyVersions(r *Replica, obj wire.ObjectID) (n int) {
+	for op := r.dirty.Base() + 1; op <= r.dirty.Last(); op++ {
+		if r.dirty.At(op).Pkt.ObjID == obj {
+			n++
+		}
+	}
+	return n
+}
+
 func write(obj wire.ObjectID, n uint64, client uint32, req uint64, val string) *wire.Packet {
 	return &wire.Packet{
 		Op: wire.OpWrite, ObjID: obj, Seq: wire.Seq{Epoch: 1, N: n},
@@ -43,13 +53,13 @@ func TestWriteTwoPhaseCommit(t *testing.T) {
 	if rep == nil || rep.Op != wire.OpWriteReply {
 		t.Fatal("no reply from tail")
 	}
-	// Phase 2 completed: every node holds exactly one clean version.
+	// Phase 2 completed: every node holds the clean version only.
 	for i, r := range reps {
-		if r.VersionCount(7) != 1 {
-			t.Fatalf("node %d retains %d versions", i, r.VersionCount(7))
+		if n := dirtyVersions(r, 7); n != 0 {
+			t.Fatalf("node %d retains %d dirty versions after commit", i, n)
 		}
-		if v := r.obj(7).latest(); !v.clean {
-			t.Fatalf("node %d version dirty after commit", i)
+		if o, ok := r.Store.Get(7); !ok || string(o.Value) != "v1" {
+			t.Fatalf("node %d clean version = %q %v", i, o.Value, ok)
 		}
 	}
 }
@@ -76,8 +86,8 @@ func TestDirtyReadQueriesTailAndReturnsCommitted(t *testing.T) {
 	h.Blackhole[3] = true
 	h.Inject(100, 1, write(7, 2, 1, 2, "new"))
 	h.Blackhole[3] = false
-	if got := reps[1].VersionCount(7); got != 2 {
-		t.Fatalf("mid retains %d versions, want 2 (clean old + dirty new)", got)
+	if o, _ := reps[1].Store.Get(7); string(o.Value) != "old" || dirtyVersions(reps[1], 7) != 1 {
+		t.Fatalf("mid holds clean %q and %d dirty versions, want \"old\" and 1", o.Value, dirtyVersions(reps[1], 7))
 	}
 	// A read at the mid node must return the committed "old" value via
 	// a tail version query — not the dirty "new" one.
@@ -117,7 +127,7 @@ func TestOutOfOrderWriteDiscarded(t *testing.T) {
 	h, reps := group(t, 3)
 	h.Inject(100, 1, write(7, 5, 1, 1, "v5"))
 	h.Inject(100, 1, write(8, 3, 2, 1, "stale"))
-	if reps[0].VersionCount(8) != 0 {
+	if _, ok := reps[0].Store.Get(8); ok || dirtyVersions(reps[0], 8) != 0 {
 		t.Fatal("stale write created a version")
 	}
 }
@@ -138,8 +148,8 @@ func TestVersionGCAfterManyWrites(t *testing.T) {
 		h.Inject(100, 1, write(7, i, 1, i, "v"))
 	}
 	for i, r := range reps {
-		if got := r.VersionCount(7); got != 1 {
-			t.Fatalf("node %d retains %d versions after quiescence", i, got)
+		if got := dirtyVersions(r, 7); got != 0 {
+			t.Fatalf("node %d retains %d dirty versions after quiescence", i, got)
 		}
 	}
 }
@@ -147,16 +157,15 @@ func TestVersionGCAfterManyWrites(t *testing.T) {
 func TestDirtyReadWithGCedCommittedVersion(t *testing.T) {
 	// Construct the race where the tail's committed version answer
 	// refers to a version the asking node already garbage-collected:
-	// the node must serve its oldest retained (≥ committed) version.
-	h, reps := group(t, 3)
+	// the node must serve its clean (≥ committed) version.
+	h, _ := group(t, 3)
 	h.Inject(100, 1, write(7, 1, 1, 1, "v1"))
 	// Inject a version reply for an old version number directly.
-	h.Inject(3, 2, versionReply{ObjID: 7, N: 0, Found: true, Pkt: read(7, 9, 1)})
+	h.Inject(3, 2, versionReply{Seq: wire.ZeroSeq, Found: true, Pkt: read(7, 9, 1)})
 	rep := h.LastToSwitch()
 	if rep.Op != wire.OpReadReply || string(rep.Value) != "v1" {
 		t.Fatalf("stale version reply mishandled: %v", rep)
 	}
-	_ = reps
 }
 
 func TestTailReadAlwaysClean(t *testing.T) {

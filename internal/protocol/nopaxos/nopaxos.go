@@ -351,26 +351,20 @@ func (r *Replica) executeThrough(opNum uint64) {
 		if pkt == nil {
 			continue // NO-OP
 		}
-		// At-most-once dedup runs at EVERY replica during execution,
-		// not just the leader: a client retry is a second log entry
-		// (the sequencer cannot deduplicate), and if followers applied
-		// it while the leader's client table skipped it, their states
-		// would diverge whenever the duplicate lands after a newer
-		// write to the same object. Executing the same log with the
-		// same table yields identical decisions everywhere.
-		execute, cached := r.CT.Admit(pkt.ClientID, pkt.ReqID)
-		if !execute {
-			if r.IsLeader() && cached != nil {
-				r.Env.SendSwitch(cached.FlightClone())
-			}
+		// The write gate runs at EVERY replica during execution, not
+		// just the leader: a client retry is a second log entry (the
+		// sequencer cannot deduplicate), and if followers applied it
+		// while the leader's client table skipped it, their states would
+		// diverge whenever the duplicate lands after a newer write to
+		// the same object. Executing the same log with the same table
+		// and store yields identical decisions everywhere; only the
+		// leader answers. The order guard drops an abandoned
+		// old-session entry that surfaces after a session change let a
+		// higher-seq write apply.
+		if r.AdmitWrite(pkt, r.Store.LastApplied(), r.IsLeader()) != protocol.Admitted {
 			continue
 		}
-		if err := r.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0); err != nil {
-			// Session changes can leave a higher-seq write applied
-			// before an abandoned old-session entry surfaces; the
-			// in-order guard drops it.
-			continue
-		}
+		_ = r.Apply(pkt) // in order: the gate checked
 		r.WritesExecuted++
 		// The client table takes its own reference; the leader's send
 		// transfers this one, a follower drops it (nothing is sent).

@@ -12,17 +12,20 @@ type LogEntry struct {
 	// agreement).
 	Pkt *wire.Packet
 	// Acks is the leader's ack set for the op, one bit per replica index
-	// (VR). It is private to the log it sits in: Copy ships it as zero.
+	// (VR's leader, PB's primary). It is private to the log it sits in:
+	// Copy ships it as zero.
 	Acks uint64
 }
 
-// OpLog is the op log of a quorum protocol (VR, NOPaxos): a window
-// (Base, Last] over a history numbered from 1, held in a power-of-two
-// ring. The log owns one packet reference per entry — Append takes over
-// the caller's, TrimTo and Truncate release — so a write's packet
-// returns to the pool once every replica has trimmed it.
+// OpLog is a window (Base, Last] over a history of writes numbered
+// from 1, held in a power-of-two ring: the op log of VR and NOPaxos,
+// and the in-flight writes of PB's primary and of a CRAQ node, which
+// trim at commit. The log owns one packet reference per entry — Append
+// takes over the caller's, TrimTo and Truncate release — so a write's
+// packet returns to the pool once every holder has trimmed it.
 //
-// The trim point is protocol state, not a setting: a replica trims only
+// In the quorum protocols the trim point is protocol state, not a
+// setting: a replica trims only
 // what every live member of its group has executed (§7.3's completion
 // point in VR, the minimum acknowledged sync point in NOPaxos), so no
 // live member can ever need a trimmed entry — state transfer, view

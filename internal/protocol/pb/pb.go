@@ -10,12 +10,16 @@
 package pb
 
 import (
+	"fmt"
+
 	"harmonia/internal/protocol"
 	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
 )
 
-// update carries a write from the primary to the backups.
+// update carries a write from the primary to the backups. A struct of
+// one pointer rides in the interface word itself: sending it boxes
+// nothing.
 type update struct {
 	Pkt *wire.Packet
 }
@@ -23,7 +27,9 @@ type update struct {
 // CostClass classifies applying the update as a full write.
 func (update) CostClass() protocol.CostClass { return protocol.CostWrite }
 
-// updateAck acknowledges an applied update.
+// updateAck acknowledges an applied update. One per backup per write:
+// it travels as a pointer to a recycled record (ownership rule in
+// protocol/msgs.go).
 type updateAck struct {
 	Seq     wire.Seq
 	Replica int
@@ -31,12 +37,6 @@ type updateAck struct {
 
 // CostClass classifies the ack as control traffic.
 func (updateAck) CostClass() protocol.CostClass { return protocol.CostControl }
-
-// pendingWrite tracks a write awaiting backup acknowledgments.
-type pendingWrite struct {
-	pkt   *wire.Packet
-	acked map[int]bool
-}
 
 // queuedRead is a normal-path read waiting for the object's pending
 // writes to commit.
@@ -49,15 +49,17 @@ type queuedRead struct {
 type Replica struct {
 	*protocol.Base
 
-	// Primary-only state.
-	pending      map[uint64]*pendingWrite   // keyed by Seq.N (single epoch at a time)
-	pendingByObj map[wire.ObjectID]wire.Seq // largest pending seq per object
-	committed    wire.Seq
-	reads        []queuedRead
+	// Primary-only state. pending holds the applied writes awaiting
+	// backup acknowledgments, in sequence order; an entry's Acks is the
+	// set of backups that applied it, and the write commits once that
+	// covers live. Committing trims the window, which gives the write's
+	// packet back.
+	pending   protocol.OpLog
+	live      uint64 // the backups the primary waits for (failure handling removes crashed ones)
+	committed wire.Seq
+	reads     []queuedRead
 
-	// active marks which backups the primary waits for (server
-	// failure handling removes crashed ones).
-	active map[int]bool
+	acks *protocol.FreeList[updateAck] // shared by the engine's PB replicas
 
 	// Stats
 	WritesCommitted uint64
@@ -65,18 +67,17 @@ type Replica struct {
 	ReadsQueued     uint64
 }
 
-// New builds a replica. shards is the store shard count.
+// New builds a replica. shards is the store shard count. The group has
+// at most 64 members (the width of an ack set).
 func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
-	r := &Replica{
-		Base:         protocol.NewBase(env, g, protocol.ReadAhead, shards),
-		pending:      make(map[uint64]*pendingWrite),
-		pendingByObj: make(map[wire.ObjectID]wire.Seq),
-		active:       make(map[int]bool),
+	if g.N() > 64 {
+		panic("pb: group larger than the 64-replica ack set")
 	}
-	for i := 1; i < g.N(); i++ {
-		r.active[i] = true
+	return &Replica{
+		Base: protocol.NewBase(env, g, protocol.ReadAhead, shards),
+		live: (1<<uint(g.N()) - 1) &^ 1, // every backup; bit 0 is the primary
+		acks: protocol.FreeLists[protocol.FreeList[updateAck]](env.Msgs()),
 	}
-	return r
 }
 
 // IsPrimary reports whether this replica is the primary.
@@ -95,8 +96,12 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.recvPacket(m)
 	case update:
 		r.recvUpdate(m)
-	case updateAck:
-		r.recvUpdateAck(m)
+	case *updateAck:
+		r.recvUpdateAck(r.acks.Take(m))
+	default:
+		// A message in a representation the cases above do not list (a
+		// recycled type sent by value, say) must not vanish silently.
+		panic(fmt.Sprintf("pb: unexpected message %T", msg))
 	}
 }
 
@@ -135,117 +140,89 @@ func (r *Replica) normalTarget() protocol.SendTarget {
 
 // primaryWrite handles a sequenced write at the primary.
 func (r *Replica) primaryWrite(pkt *wire.Packet) {
-	execute, cached := r.CT.Admit(pkt.ClientID, pkt.ReqID)
-	if !execute {
-		if cached != nil {
-			// Retransmission of a completed write: re-reply without
-			// re-piggybacking a completion (strip the seq so the
-			// switch does not process it twice; harmless either way,
-			// but cleaner). The cached reply stays in the table; a
-			// pooled flight copy goes on the wire.
-			rep := cached.FlightClone()
-			rep.Seq = wire.ZeroSeq
-			r.Env.SendSwitch(rep)
-		}
-		pkt.Release() // duplicate fully handled
+	if r.AdmitWrite(pkt, r.Store.LastApplied(), true) != protocol.Admitted {
+		pkt.Release() // discarded or duplicate: fully handled
 		return
 	}
-	if err := r.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0); err != nil {
-		// Out of sequence order (§5.2 write-order requirement):
-		// discard; the client retries with a fresh sequence number.
-		pkt.Release()
-		return
-	}
-	// The pending entry keeps the delivery reference; each backup
+	// The gate passed the write in sequence order, so it applies.
+	_ = r.Apply(pkt)
+	// The pending window keeps the delivery reference; each backup
 	// update carries its own, released by recvUpdate.
-	pw := &pendingWrite{pkt: pkt, acked: make(map[int]bool)}
-	r.pending[pkt.Seq.N] = pw
-	if r.pendingByObj[pkt.ObjID].Less(pkt.Seq) {
-		r.pendingByObj[pkt.ObjID] = pkt.Seq
-	}
+	r.pending.Append(pkt, 0)
 	for i := 1; i < r.Group.N(); i++ {
-		if r.active[i] {
+		if r.live&(1<<uint(i)) != 0 {
 			r.Env.Send(r.Group.Addr(i), update{Pkt: pkt.Retain()})
 		}
 	}
-	r.maybeCommit(pkt.Seq) // zero backups: commits immediately
+	r.maybeCommit(r.pending.Last()) // zero backups: commits immediately
 }
 
 // recvUpdate applies a state transfer at a backup.
 func (r *Replica) recvUpdate(m update) {
 	pkt := m.Pkt
 	defer pkt.Release() // the backup keeps nothing past this call
-	if err := r.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0); err != nil {
+	if err := r.Apply(pkt); err != nil {
 		// Out-of-order update: dropped, no ack, so the write cannot
 		// commit and the client will retry. This keeps the §5.2
 		// invariant without any reordering buffer.
 		return
 	}
-	r.Env.Send(r.primaryAddr(), updateAck{Seq: pkt.Seq, Replica: r.Group.Self})
+	ack := r.acks.Get()
+	*ack = updateAck{Seq: pkt.Seq, Replica: r.Group.Self}
+	r.Env.Send(r.primaryAddr(), ack)
 }
 
-// recvUpdateAck collects acknowledgments at the primary.
+// recvUpdateAck collects acknowledgments at the primary. The window is
+// in sequence order, so the acknowledged write is found by bisection.
 func (r *Replica) recvUpdateAck(m updateAck) {
-	pw, ok := r.pending[m.Seq.N]
-	if !ok {
-		return
-	}
-	pw.acked[m.Replica] = true
-	r.maybeCommit(m.Seq)
-}
-
-// fullyAcked reports whether every active backup acknowledged pw.
-func (r *Replica) fullyAcked(pw *pendingWrite) bool {
-	for i := range r.active {
-		if r.active[i] && !pw.acked[i] {
-			return false
+	lo, hi := r.pending.Base()+1, r.pending.Last()+1
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; r.pending.At(mid).Pkt.Seq.Less(m.Seq) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return true
+	if lo > r.pending.Last() || r.pending.At(lo).Pkt.Seq != m.Seq {
+		return // committed already
+	}
+	r.pending.At(lo).Acks |= 1 << uint(m.Replica)
+	r.maybeCommit(lo)
 }
 
-// maybeCommit commits the write at seq — and every earlier pending
-// write — once fully acknowledged. Because backups apply updates in
-// sequence order, full acknowledgment of seq implies every earlier
-// write is applied everywhere, even if its acks were reordered away.
-func (r *Replica) maybeCommit(seq wire.Seq) {
-	pw, ok := r.pending[seq.N]
-	if !ok || !r.fullyAcked(pw) {
+// maybeCommit commits the pending write at op — and every earlier one,
+// in log order — once every live backup acknowledged it. Because
+// backups apply updates in sequence order, full acknowledgment of op
+// implies every earlier write is applied everywhere, even if its acks
+// were reordered away. Each commit replies to the client with a
+// piggybacked WRITE-COMPLETION.
+func (r *Replica) maybeCommit(op uint64) {
+	if op <= r.pending.Base() || r.pending.At(op).Acks&r.live != r.live {
 		return
 	}
-	for n, p := range r.pending {
-		if n <= seq.N {
-			r.commit(p)
-			delete(r.pending, n)
-		}
-	}
-	if r.committed.Less(seq) {
-		r.committed = seq
+	for r.pending.Base() < op {
+		pkt := r.pending.At(r.pending.Base() + 1).Pkt
+		r.WritesCommitted++
+		r.committed = r.committed.Max(pkt.Seq)
+		rep := r.WriteReply(pkt, true)
+		r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
+		r.Env.SendSwitch(rep)
+		r.pending.TrimTo(r.pending.Base() + 1) // retires the write's packet
 	}
 	r.releaseReads()
 }
 
-// commit replies to the client with a piggybacked WRITE-COMPLETION.
-func (r *Replica) commit(pw *pendingWrite) {
-	r.WritesCommitted++
-	pkt := pw.pkt
-	if mx, ok := r.pendingByObj[pkt.ObjID]; ok && mx.LessEq(pkt.Seq) {
-		delete(r.pendingByObj, pkt.ObjID)
-	}
-	rep := r.WriteReply(pkt, true)
-	r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
-	r.Env.SendSwitch(rep)
-	pkt.Release() // pending entry retired with the commit
-}
-
 // normalRead serves a read on the normal protocol path at the primary:
-// reads of objects with pending (uncommitted) writes wait for those
-// writes to commit, so the reply always reflects committed state.
+// reads of objects with pending (uncommitted) writes wait for the
+// newest of them to commit, so the reply always reflects committed
+// state.
 func (r *Replica) normalRead(pkt *wire.Packet) {
-	if barrier, ok := r.pendingByObj[pkt.ObjID]; ok {
-		r.ReadsQueued++
-		r.reads = append(r.reads, queuedRead{pkt: pkt, barrier: barrier})
-		return
+	for op := r.pending.Last(); op > r.pending.Base(); op-- {
+		if w := r.pending.At(op).Pkt; w.ObjID == pkt.ObjID {
+			r.ReadsQueued++
+			r.reads = append(r.reads, queuedRead{pkt: pkt, barrier: w.Seq})
+			return
+		}
 	}
 	r.ReadsServed++
 	r.Env.SendSwitch(r.ReadReply(pkt))
@@ -270,20 +247,17 @@ func (r *Replica) releaseReads() {
 // RemoveBackup excludes a crashed backup from the ack set (§5.3 server
 // failure handling: the protocol reconfigures and the switch control
 // plane is updated separately). Pending writes blocked only on the
-// removed backup commit immediately.
+// removed backup commit immediately: the newest fully acknowledged one
+// commits everything before it.
 func (r *Replica) RemoveBackup(idx int) {
-	if idx == 0 || !r.IsPrimary() {
-		delete(r.active, idx)
-		return
-	}
-	delete(r.active, idx)
-	for _, pw := range r.pending {
-		r.maybeCommit(pw.pkt.Seq)
+	r.live &^= 1 << uint(idx)
+	for op := r.pending.Last(); op > r.pending.Base(); op-- {
+		r.maybeCommit(op)
 	}
 }
 
 // PendingWrites reports the primary's in-flight write count (tests).
-func (r *Replica) PendingWrites() int { return len(r.pending) }
+func (r *Replica) PendingWrites() int { return r.pending.Len() }
 
 // QueuedReads reports reads blocked behind pending writes (tests).
 func (r *Replica) QueuedReads() int { return len(r.reads) }

@@ -142,7 +142,7 @@ func TestNormalReadBlocksBehindPendingWrite(t *testing.T) {
 	}
 	// Unblock: backup 3 comes back and the update is retried — here we
 	// simulate via direct ack injection.
-	h.Inject(3, 1, updateAck{Seq: wire.Seq{Epoch: 1, N: 1}, Replica: 2})
+	h.Inject(3, 1, &updateAck{Seq: wire.Seq{Epoch: 1, N: 1}, Replica: 2})
 	rep := h.LastToSwitch()
 	if rep == nil || rep.Op != wire.OpReadReply || string(rep.Value) != "v1" {
 		t.Fatalf("queued read not released: %v", rep)
@@ -260,7 +260,7 @@ func TestCommitInSeqOrderDespiteAckReordering(t *testing.T) {
 	h.Blackhole[2] = false
 	// Ack for seq 2 arrives first: both writes commit (full ack of 2
 	// implies 1 was applied at the backup, by in-order application).
-	h.Inject(2, 1, updateAck{Seq: wire.Seq{Epoch: 1, N: 2}, Replica: 1})
+	h.Inject(2, 1, &updateAck{Seq: wire.Seq{Epoch: 1, N: 2}, Replica: 1})
 	if got := len(h.SwitchPacketsOf(wire.OpWriteReply)); got != 2 {
 		t.Fatalf("%d replies after reordered ack, want 2", got)
 	}
@@ -276,5 +276,44 @@ func TestBackupForwardsStrayNormalRead(t *testing.T) {
 	rep := h.LastToSwitch()
 	if rep.Op != wire.OpReadReply || string(rep.Value) != "v1" {
 		t.Fatal("misrouted normal read lost")
+	}
+}
+
+// TestSteadyWriteAllocatesNothing: a committed write allocates nothing
+// at any member once the pending window and the free lists are warm —
+// the window is a ring, and the acks travel as recycled records.
+func TestSteadyWriteAllocatesNothing(t *testing.T) {
+	h, reps := group(t, 3)
+	h.Delay = time.Microsecond
+	val := []byte("12345678")
+	var n uint64
+	var replies, window int
+	one := func() {
+		n++
+		w := wire.NewPacket()
+		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
+		w.ClientID, w.ReqID, w.Value = 1, n, val
+		h.Inject(100, 1, w)
+		window = max(window, reps[0].PendingWrites())
+		h.Run(time.Microsecond)
+		replies += len(h.ToSwitch)
+		h.DrainSwitch()
+	}
+	for i := 0; i < 64; i++ {
+		one()
+	}
+	// Not asserted in race builds (LiveManagedPackets >= 0), whose
+	// sync.Pool drops a quarter of the packets put back.
+	if a := testing.AllocsPerRun(1000, one); a != 0 && wire.LiveManagedPackets() < 0 {
+		t.Fatalf("one primary-backup write allocates %v times, want 0", a)
+	}
+	if window < 2 {
+		t.Fatalf("the primary never had more than %d write pending; the test meant to keep several in flight", window)
+	}
+	h.Run(10 * time.Microsecond)
+	replies += len(h.ToSwitch)
+	h.DrainSwitch()
+	if uint64(replies) != n || reps[0].PendingWrites() != 0 {
+		t.Fatalf("%d writes: %d replies, %d still pending", n, replies, reps[0].PendingWrites())
 	}
 }

@@ -1,8 +1,9 @@
 // Package protocol holds the machinery shared by all replication
 // protocol implementations: the environment abstraction replicas run
 // against, group configuration, the client table for at-most-once
-// semantics, the switch-lease gate, and the shim-layer helpers that
-// implement the paper's §7 fast-path read checks.
+// semantics, the write gate every protocol's client writes enter
+// through (Base.AdmitWrite), the switch-lease gate, and the shim-layer
+// helpers that implement the paper's §7 fast-path read checks.
 package protocol
 
 import (

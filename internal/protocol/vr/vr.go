@@ -401,17 +401,9 @@ func (r *Replica) recvPacket(pkt *wire.Packet) {
 }
 
 func (r *Replica) leaderWrite(pkt *wire.Packet) {
-	execute, cached := r.CT.Admit(pkt.ClientID, pkt.ReqID)
-	if !execute {
-		if cached != nil {
-			r.Env.SendSwitch(cached.FlightClone())
-		}
-		pkt.Release() // duplicate fully handled
-		return
-	}
 	// §5.2 write-order requirement, enforced at log entry.
-	if !r.lastSwitchSeq.Less(pkt.Seq) {
-		pkt.Release()
+	if r.AdmitWrite(pkt, r.lastSwitchSeq, true) != protocol.Admitted {
+		pkt.Release() // discarded or duplicate: fully handled
 		return
 	}
 	r.lastSwitchSeq = pkt.Seq
@@ -528,7 +520,7 @@ func (r *Replica) executeOne(opNum uint64) {
 	// Apply can only fail on sequence regression, which cannot happen
 	// for a log executed in order with leader-enforced seq monotony;
 	// a failure here would be a protocol bug, so surface it loudly.
-	if err := r.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0); err != nil {
+	if err := r.Apply(pkt); err != nil {
 		panic("vr: out-of-order execution: " + err.Error())
 	}
 	// Keep the client table warm at every replica so any future

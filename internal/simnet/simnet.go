@@ -107,6 +107,13 @@ type ProcConfig struct {
 	QueueLimit int
 }
 
+// link is one configured outgoing link: its config and the latest
+// arrival scheduled on it.
+type link struct {
+	cfg  LinkConfig
+	last sim.Time
+}
+
 type queued struct {
 	from NodeID
 	msg  Message
@@ -151,12 +158,12 @@ type Node struct {
 	// back a worker the crash already reset.
 	inc uint32
 
-	// linkTo/linkCfg are this node's outgoing link overrides, parallel
+	// linkTo/links are this node's outgoing link overrides, parallel
 	// slices scanned linearly by Send: a node overrides a handful of
 	// links (a replica: its peers and the controller), and most sends —
 	// every client, every switch — leave a node that overrides none.
-	linkTo  []NodeID
-	linkCfg []LinkConfig
+	linkTo []NodeID
+	links  []link
 
 	// Stats
 	Delivered uint64 // messages handed to the handler
@@ -312,7 +319,10 @@ func (n *Network) Node(id NodeID) *Node {
 }
 
 // SetLink overrides the link config for the directed pair (from, to).
-// The override lives on the sending node, which must exist.
+// The override lives on the sending node, which must exist. A
+// configured link without ReorderProb is a FIFO channel, as TCP is:
+// Jitter varies each message's delay, but a message never arrives
+// before the one sent ahead of it on the same link.
 func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) {
 	src := n.Node(from)
 	if src == nil {
@@ -320,12 +330,12 @@ func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) {
 	}
 	for i, t := range src.linkTo {
 		if t == to {
-			src.linkCfg[i] = cfg
+			src.links[i].cfg = cfg
 			return
 		}
 	}
 	src.linkTo = append(src.linkTo, to)
-	src.linkCfg = append(src.linkCfg, cfg)
+	src.links = append(src.links, link{cfg: cfg})
 }
 
 // SetLinkBoth overrides both directions.
@@ -351,11 +361,11 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 		releaseMsg(msg) // destination never existed; silently dropped like UDP
 		return
 	}
-	cfg := &n.defaultLink
+	cfg, last := &n.defaultLink, (*sim.Time)(nil)
 	if src != nil {
 		for i, t := range src.linkTo {
 			if t == to {
-				cfg = &src.linkCfg[i]
+				cfg, last = &src.links[i].cfg, &src.links[i].last
 				break
 			}
 		}
@@ -365,18 +375,20 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 		// consume the sender's: each transmit call owns exactly one,
 		// whether it schedules the arrival or drops the message.
 		retainMsg(msg)
-		n.transmit(cfg, from, dst, msg)
+		n.transmit(cfg, last, from, dst, msg)
 		if n.rng.Float64() < cfg.DupProb {
-			n.transmit(cfg, from, dst, msg)
+			n.transmit(cfg, last, from, dst, msg)
 		} else {
 			releaseMsg(msg)
 		}
 		return
 	}
-	n.transmit(cfg, from, dst, msg)
+	n.transmit(cfg, last, from, dst, msg)
 }
 
-func (n *Network) transmit(cfg *LinkConfig, from NodeID, dst *Node, msg Message) {
+// transmit schedules one arrival over a link; last, non-nil on a
+// configured link, is that link's latest scheduled arrival.
+func (n *Network) transmit(cfg *LinkConfig, last *sim.Time, from NodeID, dst *Node, msg Message) {
 	if cfg.DropProb > 0 && (cfg.DropFilter == nil || cfg.DropFilter(msg)) &&
 		n.rng.Float64() < cfg.DropProb {
 		releaseMsg(msg)
@@ -388,6 +400,12 @@ func (n *Network) transmit(cfg *LinkConfig, from NodeID, dst *Node, msg Message)
 	}
 	if cfg.ReorderProb > 0 && n.rng.Float64() < cfg.ReorderProb && cfg.ReorderDelay > 0 {
 		d += time.Duration(n.rng.Int63n(int64(cfg.ReorderDelay)))
+	}
+	if last != nil && cfg.ReorderProb == 0 {
+		// FIFO: never overtake the previous message (ties fire in
+		// scheduling order).
+		d = max(d, time.Duration(*last-n.eng.Now()))
+		*last = n.eng.Now() + sim.Time(d)
 	}
 	n.eng.AfterCall(d, n.arriveFn, n.getDelivery(dst, from, msg))
 }

@@ -88,6 +88,41 @@ func TestLinkOverride(t *testing.T) {
 	}
 }
 
+// TestJitteredLinkStaysFIFO: a configured link without reordering is a
+// TCP-like channel — jitter varies each delay, but no message overtakes
+// the one sent before it. The same jitter on the default link does
+// reorder, which is what makes the first half of the test mean
+// something.
+func TestJitteredLinkStaysFIFO(t *testing.T) {
+	jittered := LinkConfig{Latency: time.Microsecond, Jitter: 30 * time.Microsecond}
+	eng, net := newNet(1, jittered)
+	fifo, free := &collector{eng: eng}, &collector{eng: eng}
+	net.AddNode(1, HandlerFunc(func(NodeID, Message) {}), ProcConfig{})
+	net.AddNode(2, fifo, ProcConfig{})
+	net.AddNode(3, free, ProcConfig{})
+	net.SetLink(1, 2, jittered)
+	for i := 0; i < 1000; i++ {
+		net.Send(1, 2, i)
+		net.Send(1, 3, i)
+		eng.RunFor(time.Microsecond)
+	}
+	eng.Run(sim.Time(time.Second))
+	inOrder := func(c *collector) bool {
+		for i, m := range c.msgs {
+			if m != i {
+				return false
+			}
+		}
+		return len(c.msgs) == 1000
+	}
+	if !inOrder(fifo) {
+		t.Fatal("a message on the configured jittered link overtook an earlier one")
+	}
+	if inOrder(free) {
+		t.Fatal("the default link never reordered: the jitter is too small to test anything")
+	}
+}
+
 func TestProcessorSerialService(t *testing.T) {
 	// 1 worker, 10us per message: 3 arrivals at t=0 complete at 10,
 	// 20, 30us.
