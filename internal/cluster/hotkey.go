@@ -23,8 +23,8 @@ package cluster
 //     travels the lossy controller→switch path) and the demotion
 //     clock: a key whose decayed per-key heat stays at or below
 //     CoolOps for CoolRounds consecutive ticks is demoted; its holders
-//     keep their copies until a transfer next delivers the slot to
-//     them (see demoteObject).
+//     keep their copies until a whole-slot transfer next delivers the
+//     slot to them (see demoteObject).
 //
 // Linearizability: a holder serves a read only when the entry is valid
 // at the switch. Valid means the holders hold the newest COMMITTED
@@ -98,9 +98,7 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 	if _, ok := c.hotKeys[id]; ok {
 		return
 	}
-	// One promoted key per slot: a refresh replaces a holder's whole
-	// table of the slot (ship), which would take a second key's copy
-	// with it.
+	// At most one promoted key per slot, as PromoteKey enforces.
 	for _, st := range c.hotKeys {
 		if st.slot == slot {
 			return
@@ -266,8 +264,12 @@ func (c *Cluster) hotKeyTick() {
 // routed before the demotion may still be on its way to one, and must
 // find the key there. A copy left behind is never read again — reads
 // spread only while an entry is valid, and a new promotion validates
-// only after its refresh replaced the copy — and the next transfer that
-// delivers the slot to the holder clears it (ship).
+// only after its refresh replaced the copy — and the next whole-slot
+// transfer that delivers the slot to the holder clears it (ship). Until
+// then each holder replica keeps at most one copy per key that was
+// promoted onto it and demoted: a key refresh overwrites only its own
+// key, so in a static topology under promote/demote churn the leftovers
+// grow with the number of distinct keys ever demoted.
 func (c *Cluster) demoteObject(st *hotKeyEntry) {
 	if c.hotKeys[st.id] != st {
 		return

@@ -14,8 +14,9 @@ import (
 // promote a key, watch clean reads spread across the holder groups,
 // watch a write invalidate the copies and the refresh revalidate them,
 // then demote and verify no read is spread any more, the holders keep
-// their copies for reads already on their way, and the next install of
-// the slot into a holder clears what is left.
+// their copies for reads already on their way — through a slot-mate's
+// key refreshes too — and the next whole-slot install into a holder
+// clears what is left.
 func TestHotKeyManualPromoteLifecycle(t *testing.T) {
 	c := New(Config{
 		Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3,
@@ -111,14 +112,47 @@ func TestHotKeyManualPromoteLifecycle(t *testing.T) {
 			}
 		}
 	}
-	p, d := c.HotKeyStats()
-	if p != 1 || d != 1 {
+	if p, d := c.HotKeyStats(); p != 1 || d != 1 {
 		t.Fatalf("stats = %d promotions, %d demotions", p, d)
 	}
 
-	// The next install of the slot into a holder clears the leftover
-	// copy: delete the key at home, then move its slot to the holder —
-	// the deleted key must not come back from the old copy.
+	// A slot-mate promoted onto the same holders is refreshed on every
+	// write to it, and a key refresh overwrites only its own key: the
+	// demoted copy stays beside it.
+	mate := ""
+	for i := 0; mate == ""; i++ {
+		if k := fmt.Sprintf("mate%06d", i); wire.SlotOf(wire.HashKey(k)) == st.slot {
+			mate = k
+		}
+	}
+	if err := cl.Set(mate, []byte("m1")); err != nil {
+		t.Fatalf("Set mate: %v", err)
+	}
+	if err := c.PromoteKey(mate, holders...); err != nil {
+		t.Fatalf("PromoteKey mate: %v", err)
+	}
+	if err := cl.Set(mate, []byte("m2")); err != nil {
+		t.Fatalf("Set mate m2: %v", err)
+	}
+	c.RunFor(time.Millisecond)
+	mateID := wire.HashKey(mate)
+	for _, g := range holders {
+		for i, rep := range c.groups[g].replicas {
+			if o, found := rep.GetObject(mateID); !found || string(o.Value) != "m2" {
+				t.Fatalf("holder %d replica %d: mate copy %q %v after its refresh", g, i, o.Value, found)
+			}
+			if _, found := rep.GetObject(id); !found {
+				t.Fatalf("holder %d replica %d: a key refresh cleared the demoted copy", g, i)
+			}
+		}
+	}
+	if !c.DemoteKey(mate) {
+		t.Fatal("DemoteKey mate reported not promoted")
+	}
+
+	// The next whole-slot install into a holder clears the leftover
+	// copies: delete the key at home, then move its slot to the holder
+	// — the deleted key must not come back from the old copy.
 	if err := cl.Delete(key); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
@@ -128,6 +162,9 @@ func TestHotKeyManualPromoteLifecycle(t *testing.T) {
 	for i, rep := range c.groups[holders[0]].replicas {
 		if _, found := rep.GetObject(id); found {
 			t.Fatalf("holder %d replica %d kept the demoted copy through the install", holders[0], i)
+		}
+		if o, found := rep.GetObject(mateID); !found || string(o.Value) != "m2" {
+			t.Fatalf("holder %d replica %d: migrated mate %q %v", holders[0], i, o.Value, found)
 		}
 	}
 	if _, found, err := cl.Get(key); err != nil || found {
@@ -225,8 +262,8 @@ func TestPromoteKeyValidation(t *testing.T) {
 	if err := c.PromoteKey(key); err != nil {
 		t.Fatalf("PromoteKey: %v", err)
 	}
-	// A slot-mate of the promoted key must be refused: a refresh
-	// replaces a holder's whole table of the slot.
+	// A slot-mate of the promoted key must be refused: one promoted
+	// key per slot.
 	slot := wire.SlotOf(wire.HashKey(key))
 	mate := ""
 	for i := 0; i < 1<<16; i++ {

@@ -28,6 +28,7 @@ type scope struct {
 // shipment is collected state between collect and ship. It holds one
 // reference on every reply in clients; ship releases them.
 type shipment struct {
+	key     bool                                   // a key scope: the rest of the slot is not carried
 	slots   []int                                  // routing slots spanned, in collect order
 	objects map[int]map[wire.ObjectID]store.Object // per slot
 	n       int                                    // objects in total
@@ -60,6 +61,7 @@ func (sh *shipment) collect(sources []ReplicaHandle, sc scope) {
 	if sh.objects == nil {
 		sh.objects = make(map[int]map[wire.ObjectID]store.Object, len(sc.slots))
 	}
+	sh.key = sc.key != nil
 	sh.slots = append(sh.slots, sc.slots...)
 	for _, slot := range sc.slots {
 		newest := make(map[wire.ObjectID]store.Object)
@@ -114,10 +116,14 @@ func (sh *shipment) collect(sources []ReplicaHandle, sc scope) {
 // dests names, at delivery time, the groups that receive a slot's
 // objects: one group where ownership moves, every holder where a copy
 // is replicated, none to call the delivery off. Every replica of those
-// groups replaces its table of the slot with the objects: a group holds
-// nothing of its own in a slot it receives (it does not own the slot
-// yet, or it is a fresh incarnation), so whatever is there is a hot-key
-// copy a demotion left behind. Every group that received a slot
+// groups installs the objects. A whole-slot delivery (migration,
+// evacuation, respec) first clears the replica's table of the slot: a
+// group holds nothing of its own in a slot it receives (it does not own
+// the slot yet, or it is a fresh incarnation), so whatever is there is
+// a leftover — a hot-key copy a demotion kept, or a CRAQ version that
+// committed after the slot left. A key refresh, which runs on every
+// write to a promoted key, overwrites its one object and leaves the
+// rest of the slot alone. Every group that received a slot
 // merges the client records, with kept replies re-stamped for it on
 // pooled flight copies: the destination's Group, and a zero Seq so the
 // replay's traversal of the switch cannot masquerade as a source-group
@@ -129,7 +135,9 @@ func (c *Cluster) ship(sh *shipment, dests func(slot int) []int, then func()) {
 		for _, slot := range sh.slots {
 			for _, g := range dests(slot) {
 				for _, r := range c.groups[g].replicas {
-					r.DropSlot(slot)
+					if !sh.key {
+						r.DropSlot(slot)
+					}
 					r.InstallSlot(sh.objects[slot])
 				}
 				if !slices.Contains(reached, g) {

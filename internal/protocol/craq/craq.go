@@ -75,10 +75,12 @@ type Replica struct {
 	*protocol.Base
 
 	// dirty holds the writes this node applied in phase 1 and has not
-	// yet learned committed, oldest first; an object is dirty here while
-	// one of them writes it. The tail commits on apply and holds none.
-	dirty protocol.OpLog
-	last  wire.Seq // newest write applied in phase 1 (§5.2 in-order guard)
+	// yet learned committed, oldest first, and dirtyN counts them per
+	// object: an object is dirty here while it has one. The tail commits
+	// on apply and holds none.
+	dirty  protocol.OpLog
+	dirtyN map[wire.ObjectID]int
+	last   wire.Seq // newest write applied in phase 1 (§5.2 in-order guard)
 
 	next, prev int
 
@@ -93,10 +95,11 @@ type Replica struct {
 // New builds a CRAQ node.
 func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
 	r := &Replica{
-		Base: protocol.NewBase(env, g, protocol.ReadAhead, shards),
-		next: g.Self + 1,
-		prev: g.Self - 1,
-		acks: protocol.FreeLists[protocol.FreeList[commitAck]](env.Msgs()),
+		Base:   protocol.NewBase(env, g, protocol.ReadAhead, shards),
+		dirtyN: make(map[wire.ObjectID]int),
+		next:   g.Self + 1,
+		prev:   g.Self - 1,
+		acks:   protocol.FreeLists[protocol.FreeList[commitAck]](env.Msgs()),
 	}
 	if r.next >= g.N() {
 		r.next = -1
@@ -179,6 +182,7 @@ func (r *Replica) apply(pkt *wire.Packet) {
 	// The dirty list keeps the delivery reference; the propagation
 	// carries its own.
 	r.dirty.Append(pkt, 0)
+	r.dirtyN[pkt.ObjID]++
 	r.Env.Send(r.Group.Addr(r.next), propagate{Pkt: pkt.Retain()})
 }
 
@@ -211,6 +215,12 @@ func (r *Replica) sendCommit(seq wire.Seq) {
 
 // commitUpTo cleans every dirty version up to seq: each becomes the
 // object's clean version in the store, superseding the previous one.
+//
+// A version may commit here after its slot migrated away: the handoff
+// drains on the tail's reply, not on the commit climbing the chain, so
+// the source can drop the slot first. The late commit then leaves a copy
+// in a slot no read is routed to, and a transfer that brings the slot
+// back replaces the whole slot table before it serves (cluster ship).
 func (r *Replica) commitUpTo(seq wire.Seq) {
 	for r.dirty.Len() > 0 {
 		op := r.dirty.Base() + 1
@@ -219,6 +229,10 @@ func (r *Replica) commitUpTo(seq wire.Seq) {
 			return
 		}
 		r.commit(pkt)
+		r.dirtyN[pkt.ObjID]--
+		if r.dirtyN[pkt.ObjID] == 0 {
+			delete(r.dirtyN, pkt.ObjID)
+		}
 		r.dirty.TrimTo(op) // gives the packet back
 	}
 }
@@ -239,8 +253,8 @@ func (r *Replica) recvVersionReply(m versionReply) {
 	if m.Found {
 		o, ok := r.Store.Get(m.Pkt.ObjID)
 		value, found = o.Value, ok
-		for op := r.dirty.Base() + 1; op <= r.dirty.Last(); op++ {
-			if w := r.dirty.At(op).Pkt; w.ObjID == m.Pkt.ObjID && w.Seq == m.Seq {
+		if op, ok := r.dirty.Find(m.Seq); ok {
+			if w := r.dirty.At(op).Pkt; w.ObjID == m.Pkt.ObjID {
 				value, found = w.Value, w.Flags&wire.FlagDelete == 0
 			}
 		}
@@ -252,12 +266,10 @@ func (r *Replica) recvVersionReply(m versionReply) {
 // read serves a read at this node: a clean object answers from the
 // store at once; a dirty one needs the tail's commit point first.
 func (r *Replica) read(pkt *wire.Packet) {
-	for op := r.dirty.Base() + 1; op <= r.dirty.Last(); op++ {
-		if r.dirty.At(op).Pkt.ObjID == pkt.ObjID {
-			r.DirtyReads++
-			r.Env.Send(r.tailAddr(), versionQuery{From: r.Env.ID(), Pkt: pkt})
-			return
-		}
+	if r.dirtyN[pkt.ObjID] > 0 {
+		r.DirtyReads++
+		r.Env.Send(r.tailAddr(), versionQuery{From: r.Env.ID(), Pkt: pkt})
+		return
 	}
 	r.CleanReads++
 	r.Env.SendSwitch(r.ReadReply(pkt))

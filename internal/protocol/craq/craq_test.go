@@ -99,6 +99,33 @@ func TestDirtyReadQueriesTailAndReturnsCommitted(t *testing.T) {
 	if reps[1].DirtyReads != 1 {
 		t.Fatal("dirty read not counted")
 	}
+	// A slot-mate object with no dirty version reads clean at once.
+	h.Inject(100, 2, read(8, 3, 2))
+	if reps[1].CleanReads != 1 || reps[1].DirtyReads != 1 {
+		t.Fatalf("read of a clean object: %d clean, %d dirty reads", reps[1].CleanReads, reps[1].DirtyReads)
+	}
+}
+
+// TestDirtyReadReturnsTheTailsVersion: the mid node holds several dirty
+// versions and the tail answers that the older of the object's two
+// committed, so the read returns that one — found among the dirty
+// versions by its sequence number.
+func TestDirtyReadReturnsTheTailsVersion(t *testing.T) {
+	h, reps := group(t, 3)
+	h.Inject(100, 1, write(7, 1, 1, 1, "v1"))
+	h.Blackhole[3] = true // phase 1 stops short of the tail
+	h.Inject(100, 1, write(7, 2, 1, 2, "v2"))
+	h.Inject(100, 1, write(9, 3, 1, 3, "other"))
+	h.Inject(100, 1, write(7, 4, 1, 4, "v4"))
+	h.Blackhole[3] = false
+	if dirtyVersions(reps[1], 7) != 2 || dirtyVersions(reps[1], 9) != 1 {
+		t.Fatalf("mid holds %d dirty versions of 7 and %d of 9, want 2 and 1",
+			dirtyVersions(reps[1], 7), dirtyVersions(reps[1], 9))
+	}
+	h.Inject(3, 2, versionReply{Seq: wire.Seq{Epoch: 1, N: 2}, Found: true, Pkt: read(7, 3, 1)})
+	if rep := h.LastToSwitch(); rep.Op != wire.OpReadReply || string(rep.Value) != "v2" {
+		t.Fatalf("dirty read returned %q, want the tail's \"v2\"", rep.Value)
+	}
 }
 
 func TestReadMissingObject(t *testing.T) {
@@ -148,8 +175,8 @@ func TestVersionGCAfterManyWrites(t *testing.T) {
 		h.Inject(100, 1, write(7, i, 1, i, "v"))
 	}
 	for i, r := range reps {
-		if got := dirtyVersions(r, 7); got != 0 {
-			t.Fatalf("node %d retains %d dirty versions after quiescence", i, got)
+		if got := dirtyVersions(r, 7); got != 0 || len(r.dirtyN) != 0 {
+			t.Fatalf("node %d retains %d dirty versions (%d objects counted) after quiescence", i, got, len(r.dirtyN))
 		}
 	}
 }

@@ -89,6 +89,22 @@ func (l *OpLog) outside(op uint64) {
 		"because every live member had executed it", op, l.base+1))
 }
 
+// Find returns the op whose write carries seq, by bisection: the
+// window must hold writes (no NO-OP) in ascending Seq order, as PB's
+// pending writes and CRAQ's dirty versions do. ok is false when no
+// entry carries seq.
+func (l *OpLog) Find(seq wire.Seq) (op uint64, ok bool) {
+	lo, hi := l.base+1, l.last+1
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; l.slot(mid).Pkt.Seq.Less(seq) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo <= l.last && l.slot(lo).Pkt.Seq == seq
+}
+
 // TrimTo releases every entry up to and including op (clamped to Last).
 func (l *OpLog) TrimTo(op uint64) {
 	for op = min(op, l.last); l.base < op; {

@@ -41,6 +41,26 @@ func TestOpLogWindow(t *testing.T) {
 	}
 }
 
+// TestOpLogFind bisects a window of ascending, gapped sequence numbers
+// across trims and ring growth.
+func TestOpLogFind(t *testing.T) {
+	var l OpLog
+	for op := uint64(1); op <= 200; op++ {
+		l.Append(logWrite(2*op), 0) // op carries seq 2·op
+		l.TrimTo(op - min(op, 25))
+		for n := uint64(0); n <= 2*op+2; n++ {
+			got, ok := l.Find(wire.Seq{Epoch: 1, N: n})
+			want := n%2 == 0 && n/2 > l.Base() && n/2 <= l.Last()
+			if ok != want || (ok && got != n/2) {
+				t.Fatalf("window (%d, %d]: Find(%d) = %d %v", l.Base(), l.Last(), n, got, ok)
+			}
+		}
+	}
+	if _, ok := l.Find(wire.Seq{Epoch: 0, N: 400}); ok {
+		t.Fatal("found a seq of an earlier epoch")
+	}
+}
+
 // TestOpLogOwnsOneReferencePerEntry: trimming, truncating and NO-OP
 // slots release exactly what the log took, a copy holds references of
 // its own, and Adopt keeps the receiver's prefix.

@@ -55,6 +55,7 @@ type Replica struct {
 	// covers live. Committing trims the window, which gives the write's
 	// packet back.
 	pending   protocol.OpLog
+	deletes   int    // pending writes that delete their object
 	live      uint64 // the backups the primary waits for (failure handling removes crashed ones)
 	committed wire.Seq
 	reads     []queuedRead
@@ -149,6 +150,9 @@ func (r *Replica) primaryWrite(pkt *wire.Packet) {
 	// The pending window keeps the delivery reference; each backup
 	// update carries its own, released by recvUpdate.
 	r.pending.Append(pkt, 0)
+	if pkt.Flags&wire.FlagDelete != 0 {
+		r.deletes++
+	}
 	for i := 1; i < r.Group.N(); i++ {
 		if r.live&(1<<uint(i)) != 0 {
 			r.Env.Send(r.Group.Addr(i), update{Pkt: pkt.Retain()})
@@ -172,22 +176,14 @@ func (r *Replica) recvUpdate(m update) {
 	r.Env.Send(r.primaryAddr(), ack)
 }
 
-// recvUpdateAck collects acknowledgments at the primary. The window is
-// in sequence order, so the acknowledged write is found by bisection.
+// recvUpdateAck collects acknowledgments at the primary.
 func (r *Replica) recvUpdateAck(m updateAck) {
-	lo, hi := r.pending.Base()+1, r.pending.Last()+1
-	for lo < hi {
-		if mid := lo + (hi-lo)/2; r.pending.At(mid).Pkt.Seq.Less(m.Seq) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > r.pending.Last() || r.pending.At(lo).Pkt.Seq != m.Seq {
+	op, ok := r.pending.Find(m.Seq)
+	if !ok {
 		return // committed already
 	}
-	r.pending.At(lo).Acks |= 1 << uint(m.Replica)
-	r.maybeCommit(lo)
+	r.pending.At(op).Acks |= 1 << uint(m.Replica)
+	r.maybeCommit(op)
 }
 
 // maybeCommit commits the pending write at op — and every earlier one,
@@ -207,6 +203,9 @@ func (r *Replica) maybeCommit(op uint64) {
 		rep := r.WriteReply(pkt, true)
 		r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
 		r.Env.SendSwitch(rep)
+		if pkt.Flags&wire.FlagDelete != 0 {
+			r.deletes--
+		}
 		r.pending.TrimTo(r.pending.Base() + 1) // retires the write's packet
 	}
 	r.releaseReads()
@@ -217,16 +216,35 @@ func (r *Replica) maybeCommit(op uint64) {
 // newest of them to commit, so the reply always reflects committed
 // state.
 func (r *Replica) normalRead(pkt *wire.Packet) {
-	for op := r.pending.Last(); op > r.pending.Base(); op-- {
-		if w := r.pending.At(op).Pkt; w.ObjID == pkt.ObjID {
-			r.ReadsQueued++
-			r.reads = append(r.reads, queuedRead{pkt: pkt, barrier: w.Seq})
-			return
-		}
+	if barrier, ok := r.newestPending(pkt.ObjID); ok {
+		r.ReadsQueued++
+		r.reads = append(r.reads, queuedRead{pkt: pkt, barrier: barrier})
+		return
 	}
 	r.ReadsServed++
 	r.Env.SendSwitch(r.ReadReply(pkt))
 	pkt.Release()
+}
+
+// newestPending returns the sequence number of the newest pending write
+// to id, if there is one. The primary applies a write when it admits
+// it, so the store's version of id is the newest write to it, pending
+// exactly when the window holds it. A delete leaves nothing in the
+// store: the window is searched for id only while a delete is pending.
+func (r *Replica) newestPending(id wire.ObjectID) (wire.Seq, bool) {
+	if o, ok := r.Store.Get(id); ok {
+		op, ok := r.pending.Find(o.Seq)
+		return o.Seq, ok && r.pending.At(op).Pkt.ObjID == id
+	}
+	if r.deletes == 0 {
+		return wire.Seq{}, false
+	}
+	for op := r.pending.Last(); op > r.pending.Base(); op-- {
+		if w := r.pending.At(op).Pkt; w.ObjID == id {
+			return w.Seq, true
+		}
+	}
+	return wire.Seq{}, false
 }
 
 // releaseReads serves queued reads whose barrier write has committed.

@@ -149,6 +149,57 @@ func TestNormalReadBlocksBehindPendingWrite(t *testing.T) {
 	}
 }
 
+// TestNormalReadBlocksBehindPendingDelete: a pending delete leaves no
+// object in the primary's store, and the read still waits for it.
+func TestNormalReadBlocksBehindPendingDelete(t *testing.T) {
+	h, reps := group(t, 3)
+	h.Inject(100, 1, write(7, 1, 1, 1, "v1"))
+	h.Blackhole[3] = true
+	del := write(7, 2, 1, 2, "")
+	del.Flags |= wire.FlagDelete
+	h.Inject(100, 1, del)
+	h.Inject(100, 1, read(7, 2, 1))
+	if reps[0].QueuedReads() != 1 {
+		t.Fatal("read of a pending delete not queued")
+	}
+	h.Inject(3, 1, &updateAck{Seq: wire.Seq{Epoch: 1, N: 2}, Replica: 2})
+	if rep := h.LastToSwitch(); rep.Op != wire.OpReadReply || rep.Flags&wire.FlagNotFound == 0 {
+		t.Fatalf("read released after the delete = %v", rep)
+	}
+	if reps[0].deletes != 0 {
+		t.Fatalf("%d deletes pending after commit", reps[0].deletes)
+	}
+}
+
+// TestNormalReadServesObjectsWithoutPendingWrites: with writes pending
+// on other objects, a read of a preloaded object (an epoch-0 version
+// above a commit point nothing has moved yet), of an absent one and of
+// one whose newest write committed is served at once.
+func TestNormalReadServesObjectsWithoutPendingWrites(t *testing.T) {
+	h, reps := group(t, 3)
+	reps[0].Store.Seed(5, []byte("pre"), wire.Seq{N: 9})
+	h.Blackhole[3] = true
+	h.Inject(100, 1, write(8, 1, 1, 1, "v1"))
+	del := write(9, 2, 1, 2, "")
+	del.Flags |= wire.FlagDelete
+	h.Inject(100, 1, del)
+	h.Inject(100, 1, read(5, 2, 1))
+	h.Inject(100, 1, read(42, 2, 2))
+
+	h2, reps2 := group(t, 3)
+	h2.Inject(100, 1, write(7, 1, 1, 1, "v1"))
+	h2.Blackhole[3] = true
+	h2.Inject(100, 1, write(8, 2, 1, 2, "v2"))
+	h2.Inject(100, 1, read(7, 2, 1))
+
+	if q := reps[0].QueuedReads() + reps2[0].QueuedReads(); q != 0 {
+		t.Fatalf("%d reads queued behind other objects' writes", q)
+	}
+	if n := len(h.SwitchPacketsOf(wire.OpReadReply)) + len(h2.SwitchPacketsOf(wire.OpReadReply)); n != 3 {
+		t.Fatalf("%d reads served, want 3", n)
+	}
+}
+
 func TestFastReadAcceptedOnCommittedObject(t *testing.T) {
 	h, reps := group(t, 3)
 	h.Grant(1, time.Hour)
