@@ -747,8 +747,11 @@ func (cl *Cluster) GroupSwitchStats(g int) SwitchStats {
 }
 
 // CheckResult is the linearizability verdict over the recorded
-// history: Ok is meaningful only when Decided (the search stayed
-// within its limits); Key and Reason name the violation or the limit.
+// history: Ok is meaningful only when Decided; Key and Reason name the
+// violation (the smallest failing key) or the limit. Only a key with a
+// delete (or a repeated write value) can leave a verdict undecided: it
+// is the one kind of key checked by a bounded search, and the load
+// generators issue no deletes.
 type CheckResult = lincheck.Result
 
 // CheckLinearizability verifies the recorded history (requires
@@ -762,7 +765,7 @@ func (cl *Cluster) CheckLinearizability() CheckResult {
 // CheckLinearizabilityGroup verifies group g's slice of the recorded
 // history. The key space is partitioned and linearizability is
 // compositional, so sharded runs are checked shard by shard — each
-// verdict stands on its own and the per-group searches stay small.
+// verdict stands on its own.
 func (cl *Cluster) CheckLinearizabilityGroup(g int) CheckResult {
 	return cl.c.CheckLinearizabilityGroup(g)
 }

@@ -349,7 +349,7 @@ func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 		st.pkt.Op = wire.OpRead
 	}
 	if v.c.cfg.RecordHistory {
-		st.histIdx = v.c.hist.invoke(uint64(st.pkt.ObjID), write, st.valueID, int64(st.firstInvoke))
+		st.histIdx = v.c.hist.invoke(st.pkt.ObjID, write, st.valueID, int64(st.firstInvoke))
 	}
 	if t := v.c.tracer; t != nil {
 		st.pkt.Span = t.Sample(write, int16(st.pkt.Group),

@@ -942,7 +942,7 @@ func (c *Cluster) Preload(n int) {
 			r.Preload(id, val, seq)
 		}
 		if c.cfg.RecordHistory {
-			c.hist.preload(uint64(id), c.valueCtr)
+			c.hist.preload(id, c.valueCtr)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"harmonia/internal/lincheck"
 	"harmonia/internal/wire"
@@ -16,6 +17,10 @@ import (
 type recorder struct {
 	chunks [][]lincheck.Op // every chunk is capped at recorderChunkSize
 	n      int
+	// perSlot counts the records of each routing slot's keys, so that a
+	// group's share of the history is gathered in one pass into a slice
+	// of its exact size.
+	perSlot [wire.NumSlots]int
 }
 
 const (
@@ -32,6 +37,7 @@ func (r *recorder) add(op lincheck.Op) int {
 		r.chunks = append(r.chunks, make([]lincheck.Op, 0, recorderChunkSize))
 	}
 	r.chunks[ci] = append(r.chunks[ci], op)
+	r.perSlot[wire.SlotOf(wire.ObjectID(op.Key))]++
 	idx := r.n
 	r.n++
 	return idx
@@ -52,9 +58,9 @@ func (r *recorder) all() []lincheck.Op {
 }
 
 // invoke registers an operation start and returns its slot index.
-func (r *recorder) invoke(key uint64, write bool, value int64, at int64) int {
+func (r *recorder) invoke(key wire.ObjectID, write bool, value int64, at int64) int {
 	return r.add(lincheck.Op{
-		Key: key, Write: write, Value: value, Invoke: at, Return: -1,
+		Key: uint32(key), Write: write, Value: value, Invoke: at, Return: -1,
 	})
 }
 
@@ -69,8 +75,8 @@ func (r *recorder) ret(idx int, at int64, observed int64) {
 
 // preload records an instantaneous write at time 0, representing data
 // installed before the run.
-func (r *recorder) preload(key uint64, value int64) {
-	r.add(lincheck.Op{Key: key, Write: true, Value: value, Invoke: 0, Return: 0})
+func (r *recorder) preload(key wire.ObjectID, value int64) {
+	r.add(lincheck.Op{Key: uint32(key), Write: true, Value: value, Invoke: 0, Return: 0})
 }
 
 // History returns the recorded operations.
@@ -95,15 +101,11 @@ func (c *Cluster) CheckLinearizabilityGroup(g int) lincheck.Result {
 	if g < 0 || g >= len(c.groups) {
 		return lincheck.Result{Reason: fmt.Sprintf("group %d out of range", g)}
 	}
-	var ops []lincheck.Op
-	for _, ch := range c.hist.chunks {
-		for _, op := range ch {
-			if c.routeObj(wire.ObjectID(op.Key)) == g {
-				ops = append(ops, op)
-			}
-		}
+	var owned [wire.NumSlots]bool
+	for slot, og := range c.SlotTable() {
+		owned[slot] = og == g
 	}
-	return lincheck.Check(ops)
+	return lincheck.Check(c.hist.gather(&owned))
 }
 
 // CheckLinearizabilityKey verifies the slice of the recorded history
@@ -112,18 +114,31 @@ func (c *Cluster) CheckLinearizabilityGroup(g int) lincheck.Result {
 // verdict isolates it; this is the check the hot-key chaos tests lean
 // on to show the replicated fast path never reorders that one register.
 func (c *Cluster) CheckLinearizabilityKey(key string) lincheck.Result {
-	id := uint64(wire.HashKey(key))
-	var ops []lincheck.Op
-	for _, ch := range c.hist.chunks {
-		for _, op := range ch {
-			if op.Key == id {
-				ops = append(ops, op)
+	id := wire.HashKey(key)
+	var slot [wire.NumSlots]bool
+	slot[wire.SlotOf(id)] = true
+	ops := slices.DeleteFunc(c.hist.gather(&slot), func(o lincheck.Op) bool { return o.Key != uint32(id) })
+	return lincheck.Check(ops)
+}
+
+// gather copies the records of keys in the given routing slots, in
+// recorded order.
+func (r *recorder) gather(slots *[wire.NumSlots]bool) []lincheck.Op {
+	n := 0
+	for slot, in := range slots {
+		if in {
+			n += r.perSlot[slot]
+		}
+	}
+	out := make([]lincheck.Op, 0, n)
+	for _, ch := range r.chunks {
+		for i := range ch {
+			if slots[wire.SlotOf(wire.ObjectID(ch[i].Key))] {
+				out = append(out, ch[i])
 			}
 		}
 	}
-	// A promoted key is by definition absurdly contended; raise the
-	// default per-key op cap so the verdict stays decided.
-	return lincheck.CheckConfig(ops, lincheck.Config{MaxOpsPerKey: 1 << 14})
+	return out
 }
 
 // --- key generators (thin adapters over internal/workload) ---

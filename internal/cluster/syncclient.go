@@ -79,7 +79,7 @@ func (s *SyncClient) do(key string, write, del bool, value []byte) (*wire.Packet
 		pkt.Op = wire.OpRead
 	}
 	if s.c.cfg.RecordHistory {
-		st.histIdx = s.c.hist.invoke(uint64(pkt.ObjID), write, st.valueID, int64(st.firstInvoke))
+		st.histIdx = s.c.hist.invoke(pkt.ObjID, write, st.valueID, int64(st.firstInvoke))
 		// For reads the recorder captures the observed value id; raw
 		// user values (Set with explicit bytes) are not id-coded, so
 		// recording histories and custom values do not mix — the

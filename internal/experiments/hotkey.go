@@ -141,7 +141,7 @@ func figKVerify() bool {
 	var r *cluster.Reconfig
 	c.Engine().After(4*time.Millisecond, func() { r, _ = c.StartRemoveGroup(victim) })
 	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Closed, Clients: 8, Duration: 8 * time.Millisecond,
+		Mode: cluster.Closed, Clients: 512, Duration: 8 * time.Millisecond,
 		Warmup: 2 * time.Millisecond, WriteRatio: 0.3, Keys: keys, Dist: cluster.Zipf12,
 	})
 	for i := 0; i < 12 && (r == nil || !r.Done()); i++ {

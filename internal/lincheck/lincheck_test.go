@@ -3,14 +3,15 @@ package lincheck
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // w and r build ops tersely. Times are (invoke, ret).
-func w(key uint64, v int64, inv, ret int64) Op {
+func w(key uint32, v int64, inv, ret int64) Op {
 	return Op{Key: key, Write: true, Value: v, Invoke: inv, Return: ret}
 }
 
-func r(key uint64, v int64, inv, ret int64) Op {
+func r(key uint32, v int64, inv, ret int64) Op {
 	return Op{Key: key, Write: false, Value: v, Invoke: inv, Return: ret}
 }
 
@@ -180,18 +181,33 @@ func TestInvertedTimestampsRejected(t *testing.T) {
 	}
 }
 
+// TestOpsPerKeyLimit: only a key the search decides — one with a
+// delete — has an op limit; the same key without its delete is decided
+// at any size.
 func TestOpsPerKeyLimit(t *testing.T) {
 	var ops []Op
 	for i := int64(0); i < 600; i++ {
 		ops = append(ops, w(1, i+1, i*2, i*2+1))
 	}
+	if res := Check(ops); !res.Decided || !res.Ok {
+		t.Fatalf("delete-free 600-op key: %+v", res)
+	}
+	ops[300].Value = -ops[300].Value // a delete
 	res := Check(ops)
-	if res.Decided {
-		t.Fatal("over-limit key decided")
+	if res.Decided || res.Key != 1 {
+		t.Fatalf("over-limit key with a delete: %+v", res)
 	}
 	res = CheckConfig(ops, Config{MaxOpsPerKey: 1000})
 	if !res.Decided || !res.Ok {
 		t.Fatalf("sequential 600-op history should verify quickly: %+v", res)
+	}
+}
+
+// TestOpSize pins the record the cluster keeps per operation: the
+// recorded history is most of a checked run's heap.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 32 {
+		t.Fatalf("Op is %d bytes, want 32", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package craq
 
 import (
 	"testing"
+	"time"
 
 	"harmonia/internal/protocol"
 	"harmonia/internal/protocol/ptest"
@@ -192,6 +193,50 @@ func TestDirtyReadWithGCedCommittedVersion(t *testing.T) {
 	rep := h.LastToSwitch()
 	if rep.Op != wire.OpReadReply || string(rep.Value) != "v1" {
 		t.Fatalf("stale version reply mishandled: %v", rep)
+	}
+}
+
+// TestSteadyWriteAllocatesNothing: with several writes in flight, a
+// write through a three-node chain — both phases, the dirty window, the
+// recycled commit acks and the write's own packet — allocates nothing.
+func TestSteadyWriteAllocatesNothing(t *testing.T) {
+	h, reps := group(t, 3)
+	h.Delay = time.Microsecond
+	val := []byte("12345678")
+	var n uint64
+	var replies, window int
+	one := func() {
+		n++
+		w := wire.NewPacket()
+		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
+		w.ClientID, w.ReqID, w.Value = 1, n, val
+		h.Inject(100, 1, w)
+		window = max(window, reps[0].dirty.Len())
+		h.Run(time.Microsecond)
+		r, _ := h.DrainSwitch()
+		replies += r
+	}
+	for i := 0; i < 64; i++ {
+		one()
+	}
+	// Not asserted in race builds (LiveManagedPackets >= 0), whose
+	// sync.Pool drops a quarter of the packets put back.
+	if a := testing.AllocsPerRun(1000, one); a != 0 && wire.LiveManagedPackets() < 0 {
+		t.Fatalf("one CRAQ write allocates %v times, want 0", a)
+	}
+	if window < 2 {
+		t.Fatalf("the head never held more than %d dirty version; the test meant to keep several in flight", window)
+	}
+	h.Run(10 * time.Microsecond)
+	r, _ := h.DrainSwitch()
+	replies += r
+	for i, rep := range reps {
+		if rep.dirty.Len() != 0 || len(rep.dirtyN) != 0 {
+			t.Fatalf("node %d holds %d dirty versions after quiescence", i, rep.dirty.Len())
+		}
+	}
+	if uint64(replies) != n {
+		t.Fatalf("%d writes: %d replies", n, replies)
 	}
 }
 

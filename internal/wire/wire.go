@@ -384,9 +384,10 @@ func (p *Packet) Encode(buf []byte) ([]byte, error) {
 // the zero-copy, zero-allocation decode for switch-side inspection:
 // p.Key and p.Value are borrowed views into b, valid only while b is.
 // A receiver that retains the packet (or b is a pooled buffer about to
-// be reused) must call p.Own() first. Every field of p is overwritten
-// — including Key and Value when the encoding carries none — so a
-// pooled *Packet can never resurrect a previous incarnation's payload.
+// be reused) must call p.Own() first. On success every field of p is
+// overwritten — including Key and Value when the encoding carries none
+// — so a pooled *Packet can never resurrect a previous incarnation's
+// payload; on error p is left untouched, never half decoded.
 func DecodeInto(p *Packet, b []byte) (int, error) {
 	if len(b) < headerSize+2+4 {
 		return 0, ErrShortPacket
@@ -394,6 +395,17 @@ func DecodeInto(p *Packet, b []byte) (int, error) {
 	op := Op(b[0])
 	if op < OpRead || op > OpWriteReply {
 		return 0, ErrBadOp
+	}
+	koff := headerSize + 2
+	klen := int(binary.BigEndian.Uint16(b[headerSize:]))
+	voff := koff + klen + 4
+	if len(b) < voff {
+		return 0, ErrShortPacket
+	}
+	vlen := int(binary.BigEndian.Uint32(b[voff-4:]))
+	end := voff + vlen
+	if len(b) < end {
+		return 0, ErrShortPacket
 	}
 	p.Op = op
 	p.Flags = Flags(b[1])
@@ -411,33 +423,20 @@ func DecodeInto(p *Packet, b []byte) (int, error) {
 	p.ClientID = binary.BigEndian.Uint32(b[33:])
 	p.ReqID = binary.BigEndian.Uint64(b[37:])
 	p.Span = 0 // simulation-only annotation, never on the wire
-	off := headerSize
-	klen := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+klen+4 {
-		return 0, ErrShortPacket
-	}
 	if klen > 0 {
 		// Borrowed string view over b — no copy. Safe because strings
 		// are only read and the contract forbids mutating b while any
 		// decoded view is live; Own() materializes a real copy.
-		p.Key = unsafe.String(&b[off], klen)
+		p.Key = unsafe.String(&b[koff], klen)
 	} else {
 		p.Key = ""
 	}
-	off += klen
-	vlen := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	if len(b) < off+vlen {
-		return 0, ErrShortPacket
-	}
 	if vlen > 0 {
-		p.Value = b[off : off+vlen : off+vlen]
+		p.Value = b[voff:end:end]
 	} else {
 		p.Value = nil
 	}
-	off += vlen
-	return off, nil
+	return end, nil
 }
 
 // Own replaces any borrowed key/value views with owned copies, after
