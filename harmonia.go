@@ -401,6 +401,8 @@ func (cl *Cluster) Run(spec LoadSpec) Report {
 }
 
 // Preload installs n objects across the replicas before measurement.
+// It warms a cluster before any load: each group's objects are built
+// once, in its first replica, and copied table by table to the others.
 func (cl *Cluster) Preload(n int) { cl.c.Preload(n) }
 
 // AdvanceTime runs the simulation for d without client load.

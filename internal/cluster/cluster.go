@@ -81,10 +81,9 @@ func groupIncReplicaAddr(g, inc, i int) simnet.NodeID {
 // replica itself. The state-transfer path (transfer.go) is written
 // against it, and unit-tested on fakes of it.
 type ReplicaHandle interface {
-	// Preload installs an object directly (cluster warm-up); Reserve
-	// announces that n objects of one routing slot are about to be.
-	Preload(id wire.ObjectID, value []byte, seq wire.Seq)
-	Reserve(slot, n int)
+	// Store is the replica's store, which Preload fills directly
+	// before the replica serves any traffic.
+	Store() *store.Store
 	// ExtractSlot copies the replica's live objects in one routing
 	// slot (migration source side).
 	ExtractSlot(slot int) map[wire.ObjectID]store.Object
@@ -918,31 +917,42 @@ func (c *Cluster) controlWrite(g int, key string, flags wire.Flags, reqID uint64
 }
 
 // Preload installs n objects into their owning groups without going
-// through the protocol, and records them for history seeding.
+// through the protocol, and records them for history seeding. It warms
+// a cluster before any load: each group's first member is built object
+// by object, and every other member gets a copy of its tables of the
+// slots the keys fall in (a member that already differed from the first
+// in such a slot ends as its copy).
 func (c *Cluster) Preload(n int) {
 	kt := c.keyTab(n)
-	// Size every slot table once, up front: a slot belongs to one group,
-	// so a count per slot is a count per (group, slot).
+	// Size every member's slot table once, up front, slot by slot: a slot
+	// belongs to one group, so a count per slot is a count per (group,
+	// slot).
 	var perSlot [wire.NumSlots]int
 	for _, id := range kt.ids[:n] {
 		perSlot[wire.SlotOf(id)]++
 	}
 	for slot, k := range perSlot {
 		for _, r := range c.groups[c.rack.RouteOf(slot)].replicas {
-			r.Reserve(slot, k)
+			r.Store().Reserve(slot, k)
 		}
 	}
 	for i := 0; i < n; i++ {
 		id := kt.ids[i]
 		c.valueCtr++
-		val := c.varena.encode(c.valueCtr)
 		seq := wire.Seq{N: uint64(i + 1)} // epoch 0: precedes every sequenced write
-		grp := c.groups[c.routeObj(id)]
-		for _, r := range grp.replicas {
-			r.Preload(id, val, seq)
-		}
+		c.groups[c.routeObj(id)].replicas[0].Store().Seed(id, c.varena.encode(c.valueCtr), seq)
 		if c.cfg.RecordHistory {
 			c.hist.preload(id, c.valueCtr)
+		}
+	}
+	// Slot-major, so each source table is read once while it is in cache.
+	for slot, k := range perSlot {
+		if k == 0 {
+			continue
+		}
+		members := c.groups[c.rack.RouteOf(slot)].replicas
+		for _, r := range members[1:] {
+			r.Store().CopySlot(members[0].Store(), slot)
 		}
 	}
 }

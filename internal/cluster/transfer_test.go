@@ -120,9 +120,12 @@ func newFakeReplica() *fakeReplica {
 	return &fakeReplica{objects: map[wire.ObjectID]store.Object{}, clients: map[uint32]protocol.ClientRecord{}}
 }
 
-func (f *fakeReplica) Preload(id wire.ObjectID, v []byte, seq wire.Seq) {
+func (f *fakeReplica) seed(id wire.ObjectID, v []byte, seq wire.Seq) {
 	f.objects[id] = store.Object{Value: v, Seq: seq}
 }
+
+// Store is nil: the transfer path never reaches a replica's store.
+func (f *fakeReplica) Store() *store.Store { return nil }
 func (f *fakeReplica) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
 	out := map[wire.ObjectID]store.Object{}
 	for id, o := range f.objects {
@@ -165,7 +168,6 @@ func (f *fakeReplica) GetObject(id wire.ObjectID) (store.Object, bool) {
 	return o, ok
 }
 func (f *fakeReplica) ShimCounters() (uint64, uint64, uint64) { return 0, 0, 0 }
-func (f *fakeReplica) Reserve(slot, n int)                    {}
 
 // keep stores a reply in the fake's table, which owns the reference
 // the caller hands over.
@@ -207,11 +209,11 @@ func TestTransferCollectNewestWins(t *testing.T) {
 	slots, ids := twoSlotIDs()
 	x, y, z := ids[0][0], ids[0][1], ids[1][0]
 	a, b, c := newFakeReplica(), newFakeReplica(), newFakeReplica()
-	a.Preload(x, []byte("new"), wire.Seq{Epoch: 2, N: 10})
-	b.Preload(x, []byte("lag"), wire.Seq{Epoch: 2, N: 9})
-	c.Preload(x, []byte("old-epoch"), wire.Seq{Epoch: 1, N: 50})
-	b.Preload(y, []byte("only-b"), wire.Seq{Epoch: 2, N: 4})
-	c.Preload(z, []byte("other-slot"), wire.Seq{Epoch: 2, N: 6})
+	a.seed(x, []byte("new"), wire.Seq{Epoch: 2, N: 10})
+	b.seed(x, []byte("lag"), wire.Seq{Epoch: 2, N: 9})
+	c.seed(x, []byte("old-epoch"), wire.Seq{Epoch: 1, N: 50})
+	b.seed(y, []byte("only-b"), wire.Seq{Epoch: 2, N: 4})
+	c.seed(z, []byte("other-slot"), wire.Seq{Epoch: 2, N: 6})
 
 	p5, p7 := testReply(5), testReply(7)
 	a.keep(1, 5, p5)
@@ -283,7 +285,7 @@ func TestTransferShipDelivers(t *testing.T) {
 
 	for k := range slots {
 		for _, id := range ids[k] {
-			src[0].Preload(id, []byte{byte(k)}, wire.Seq{Epoch: 4, N: uint64(id)})
+			src[0].seed(id, []byte{byte(k)}, wire.Seq{Epoch: 4, N: uint64(id)})
 		}
 	}
 	reply := testReply(9)

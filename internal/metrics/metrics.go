@@ -5,6 +5,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -31,13 +32,54 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]uint64, histSlots), min: math.MaxInt64}
 }
 
-func bucketOf(d time.Duration) int {
+// logBucket is the bucket formula: bucket b ≥ 1 holds
+// [1µs·1.25^(b-1), 1µs·1.25^b), as the float logarithm rounds it, and
+// the last one everything above. Only the tables below evaluate it;
+// bucketOf looks its answer up.
+func logBucket(d time.Duration) int {
 	if d < time.Microsecond {
 		return 0
 	}
 	b := int(math.Log(float64(d)/histBase)/math.Log(histGrowth)) + 1
 	if b >= histSlots {
 		b = histSlots - 1
+	}
+	return b
+}
+
+// bucketLow[b] is the smallest duration logBucket puts in bucket b or
+// above (found by bisecting the formula itself, so the lookup agrees
+// with it at every edge), and bucketAtLen[l] is the bucket of the
+// smallest duration l bits long — where bucketOf's walk starts.
+var bucketLow, bucketAtLen = func() (low [histSlots]time.Duration, atLen [64]uint8) {
+	for b := 1; b < histSlots; b++ {
+		lo, hi := time.Duration(time.Microsecond), time.Duration(math.MaxInt64)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(mid) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		low[b] = lo
+	}
+	for l := 1; l < len(atLen); l++ {
+		atLen[l] = uint8(logBucket(1 << (l - 1)))
+	}
+	return
+}()
+
+// bucketOf returns d's bucket, logBucket's answer without a logarithm:
+// a power of two spans about three buckets, so from the first bucket of
+// d's bit length the walk takes at most four steps.
+func bucketOf(d time.Duration) int {
+	if d < time.Microsecond {
+		return 0
+	}
+	b := int(bucketAtLen[bits.Len64(uint64(d))])
+	for b+1 < histSlots && d >= bucketLow[b+1] {
+		b++
 	}
 	return b
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,38 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBucketOfMatchesFormula holds the table lookup to the logarithm
+// it replaces: at every bucket edge and power of two ±2000 ns, and on a
+// million random durations spread over every bit length.
+func TestBucketOfMatchesFormula(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := bucketOf(d), logBucket(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, formula %d", d, got, want)
+		}
+	}
+	for b := 1; b < histSlots; b++ {
+		if logBucket(bucketLow[b]) != b || logBucket(bucketLow[b]-1) != b-1 {
+			t.Fatalf("bucket %d starts at %d: formula %d there, %d just below", b, bucketLow[b], logBucket(bucketLow[b]), logBucket(bucketLow[b]-1))
+		}
+	}
+	edges := append([]time.Duration(nil), bucketLow[1:]...)
+	for l := 0; l < 63; l++ {
+		edges = append(edges, 1<<l)
+	}
+	for _, e := range edges {
+		for k := time.Duration(-2000); k <= 2000; k++ {
+			if e+k >= 0 {
+				check(e + k)
+			}
+		}
+	}
+	check(math.MaxInt64)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(time.Duration(rng.Int63() >> rng.Intn(63)))
 	}
 }
 

@@ -41,6 +41,20 @@ func (o *storeOracle) seed(id wire.ObjectID, v []byte, seq wire.Seq) {
 	}
 }
 
+// copySlot replaces o's objects of one slot with src's, seeded.
+func (o *storeOracle) copySlot(src *storeOracle, slot int) {
+	for id := range o.objs {
+		if wire.SlotOf(id) == slot {
+			delete(o.objs, id)
+		}
+	}
+	for id, obj := range src.objs {
+		if wire.SlotOf(id) == slot {
+			o.seed(id, obj.Value, obj.Seq)
+		}
+	}
+}
+
 func (o *storeOracle) slotLen(slot int) int {
 	n := 0
 	for id := range o.objs {
@@ -85,8 +99,11 @@ func sameObjects(a, b map[wire.ObjectID]Object) bool {
 }
 
 // FuzzStoreAgainstMap interprets the input as a stream of store
-// operations (three bytes each: opcode, key, argument) and checks
-// the store against the map oracle after every step.
+// operations (three bytes each: opcode, key, argument) on two stores,
+// each with its own map oracle, and checks both after every step. The
+// opcode byte picks the operation (mod 11) and the store it acts on
+// (the next bit); op 10 copies one slot, or every slot, of that store
+// into the other, after which the two are mutated independently.
 func FuzzStoreAgainstMap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 3, 0, 0, 1, 0, 0, 3, 0, 0})
 	f.Add([]byte{2, 5, 9, 2, 85, 9, 4, 0, 0, 6, 1, 0, 5, 7, 3, 7, 0, 0, 0, 3, 1, 8, 0, 0})
@@ -99,15 +116,20 @@ func FuzzStoreAgainstMap(f *testing.F) {
 	}
 	f.Add(grow)
 	f.Add(append([]byte{9, 1, 200, 2, 1, 7, 9, 1, 3, 6, 1, 0, 9, 1, 0}, grow...)) // reserve, fill, drop, reserve again
+	// Fill store 0, copy every slot into store 1, write and delete on
+	// each side, copy single slots both ways, then write store 0 again.
+	f.Add(append(append(append([]byte(nil), grow...),
+		10, 0, 1, 0, 3, 7, 11, 3, 7, 1, 4, 1, 12, 6, 2, 21, 4, 8, 10, 1, 0, 21, 1, 0), grow[:60]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New(8)
-		o := &storeOracle{objs: map[wire.ObjectID]Object{}}
+		stores := [2]*Store{New(8), New(8)}
+		oracles := [2]*storeOracle{{objs: map[wire.ObjectID]Object{}}, {objs: map[wire.ObjectID]Object{}}}
 		var snap Snapshot
 		var snapOracle *storeOracle
 		for step := 0; len(data) >= 3; step++ {
-			op, k, arg := data[0]%10, data[1], data[2]
+			op, which, k, arg := data[0]%11, int(data[0]/11)&1, data[1], data[2]
 			data = data[3:]
+			s, o := stores[which], oracles[which]
 			id := fuzzIDs[int(k)%len(fuzzIDs)]
 			slot := fuzzSlots[int(k)%len(fuzzSlots)]
 			switch op {
@@ -169,37 +191,56 @@ func FuzzStoreAgainstMap(f *testing.F) {
 				if !sameObjects(snap.Objects, o.objs) || snap.LastApplied != o.lastApplied {
 					t.Fatalf("step %d: snapshot differs from the oracle", step)
 				}
-			case 8: // Restore the last snapshot
+			case 8: // Restore the last snapshot, whichever store it came from
 				if snapOracle != nil {
 					s.Restore(snap)
 					applied := o.applied // Restore replaces contents, not the lifetime count
-					o = snapOracle.clone()
-					o.applied = applied
+					oracles[which] = snapOracle.clone()
+					oracles[which].applied = applied
 				}
 			case 9: // Reserve room in one slot: no observable change
 				s.Reserve(slot, int(arg))
+			case 10: // CopySlot into the other store: one slot, or every slot
+				dst, dstOracle := stores[1-which], oracles[1-which]
+				if arg&1 == 0 {
+					dst.CopySlot(s, slot)
+					dstOracle.copySlot(o, slot)
+					break
+				}
+				for c := 0; c < wire.NumSlots; c++ {
+					dst.CopySlot(s, c)
+				}
+				clear(dstOracle.objs)
+				for oid, obj := range o.objs {
+					dstOracle.seed(oid, obj.Value, obj.Seq)
+				}
 			}
 
-			got, ok := s.Get(id)
-			want, wantOK := o.objs[id]
-			if ok != wantOK || got.Seq != want.Seq || !bytes.Equal(got.Value, want.Value) {
-				t.Fatalf("step %d (op %d): Get(%d) = %v %v, oracle %v %v", step, op, id, got, ok, want, wantOK)
-			}
-			if s.ObjectSeq(id) != want.Seq {
-				t.Fatalf("step %d: ObjectSeq(%d) = %v, oracle %v", step, id, s.ObjectSeq(id), want.Seq)
-			}
-			if s.Len() != len(o.objs) || s.LastApplied() != o.lastApplied || s.AppliedCount() != o.applied {
-				t.Fatalf("step %d (op %d): Len %d lastApplied %v applied %d, oracle %d %v %d",
-					step, op, s.Len(), s.LastApplied(), s.AppliedCount(), len(o.objs), o.lastApplied, o.applied)
-			}
-			if op >= 4 || len(data) < 3 { // whole-slot operations, and the last step
-				checkSlotCounts(t, step, s, o)
-			} else if got, want := s.SlotLen(wire.SlotOf(id)), o.slotLen(wire.SlotOf(id)); got != want {
-				t.Fatalf("step %d (op %d): SlotLen(%d) = %d, oracle %d", step, op, wire.SlotOf(id), got, want)
+			for i, s := range stores {
+				o := oracles[i]
+				got, ok := s.Get(id)
+				want, wantOK := o.objs[id]
+				if ok != wantOK || got.Seq != want.Seq || !bytes.Equal(got.Value, want.Value) {
+					t.Fatalf("step %d (op %d): store %d Get(%d) = %v %v, oracle %v %v", step, op, i, id, got, ok, want, wantOK)
+				}
+				if s.ObjectSeq(id) != want.Seq {
+					t.Fatalf("step %d: store %d ObjectSeq(%d) = %v, oracle %v", step, i, id, s.ObjectSeq(id), want.Seq)
+				}
+				if s.Len() != len(o.objs) || s.LastApplied() != o.lastApplied || s.AppliedCount() != o.applied {
+					t.Fatalf("step %d (op %d): store %d Len %d lastApplied %v applied %d, oracle %d %v %d",
+						step, op, i, s.Len(), s.LastApplied(), s.AppliedCount(), len(o.objs), o.lastApplied, o.applied)
+				}
+				if op >= 4 || len(data) < 3 { // whole-slot operations, and the last step
+					checkSlotCounts(t, step, s, o)
+				} else if got, want := s.SlotLen(wire.SlotOf(id)), o.slotLen(wire.SlotOf(id)); got != want {
+					t.Fatalf("step %d (op %d): store %d SlotLen(%d) = %d, oracle %d", step, op, i, wire.SlotOf(id), got, want)
+				}
 			}
 		}
-		if !sameObjects(s.Snapshot().Objects, o.objs) {
-			t.Fatal("final contents differ from the oracle")
+		for i, s := range stores {
+			if !sameObjects(s.Snapshot().Objects, oracles[i].objs) {
+				t.Fatalf("store %d: final contents differ from the oracle", i)
+			}
 		}
 	})
 }

@@ -222,6 +222,31 @@ func (s *Store) Reserve(slot, n int) {
 	}
 }
 
+// CopySlot replaces the store's table of one routing slot with a copy of
+// src's — same size, same layout, same objects — with Seed semantics:
+// lastApplied moves forward to the newest copied object, the applied
+// count is unchanged. The copy shares no array with src (the value
+// bytes, which are never written in place, are shared), and reuses the
+// table's own arrays when they are already src's size.
+func (s *Store) CopySlot(src *Store, slot int) {
+	t, from := &s.slots[slot], &src.slots[slot]
+	if len(t.ids) != len(from.ids) {
+		t.ids, t.objs = make([]wire.ObjectID, len(from.ids)), make([]Object, len(from.objs))
+	}
+	copy(t.ids, from.ids)
+	copy(t.objs, from.objs)
+	t.n, t.shift = from.n, from.shift
+	// No object is newer than its store's lastApplied, so only a source
+	// ahead of this store can hand it a newer one.
+	if s.lastApplied.Less(src.lastApplied) {
+		for _, o := range t.objs { // a free position holds the zero Object
+			if s.lastApplied.Less(o.Seq) {
+				s.lastApplied = o.Seq
+			}
+		}
+	}
+}
+
 // Get returns the object and whether it exists.
 func (s *Store) Get(id wire.ObjectID) (Object, bool) {
 	slot := wire.SlotOf(id)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -386,6 +387,98 @@ func TestReserveLandsWhereDoublingDoes(t *testing.T) {
 					t.Fatalf("%d held + %d reserved: object %d lost", held, n, id)
 				}
 			}
+		}
+	}
+}
+
+// TestCopySlotCopiesTheTable: CopySlot leaves one slot's table exactly
+// as the source's — size, probe layout (deletes included), count —
+// without sharing its arrays, reusing the destination's own arrays when
+// they already have the size; lastApplied moves forward to the newest
+// copied object only (Seed's rule, not the source's high-water mark),
+// the applied count stays, and every other slot is untouched.
+func TestCopySlotCopiesTheTable(t *testing.T) {
+	for _, slot := range []int{0, 5} { // slot 0's free marker is not zero
+		var ids []wire.ObjectID
+		for id := wire.ObjectID(0); len(ids) < 300; id++ {
+			if wire.SlotOf(id) == slot {
+				ids = append(ids, id)
+			}
+		}
+		other := wire.ObjectID(0)
+		for wire.SlotOf(other) == slot {
+			other++
+		}
+		src, dst := New(8), New(8)
+		for i, id := range ids {
+			if err := src.Apply(id, []byte{byte(i)}, wire.Seq{Epoch: 1, N: uint64(i + 1)}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < len(ids); i += 3 { // backward shifts rearrange probe runs
+			if err := src.Apply(ids[i], nil, wire.Seq{Epoch: 1, N: uint64(len(ids) + i + 1)}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newest := wire.ZeroSeq
+		src.slots[slot].each(emptyID(slot), func(_ wire.ObjectID, o Object) {
+			if newest.Less(o.Seq) {
+				newest = o.Seq
+			}
+		})
+		dst.Seed(ids[1], []byte("stale"), wire.Seq{N: 1})
+		dst.Seed(other, []byte("kept"), wire.Seq{N: 2})
+		if err := dst.Apply(ids[0], []byte("x"), wire.Seq{Epoch: 1, N: 3}, false); err != nil {
+			t.Fatal(err)
+		}
+
+		dst.CopySlot(src, slot)
+		from, got := &src.slots[slot], &dst.slots[slot]
+		if got.n != from.n || got.shift != from.shift || !slices.Equal(got.ids, from.ids) || len(got.objs) != len(from.objs) {
+			t.Fatalf("slot %d: copied table n=%d shift=%d len=%d, source n=%d shift=%d len=%d",
+				slot, got.n, got.shift, len(got.ids), from.n, from.shift, len(from.ids))
+		}
+		for i := range got.objs {
+			if got.objs[i].Seq != from.objs[i].Seq || !bytes.Equal(got.objs[i].Value, from.objs[i].Value) {
+				t.Fatalf("slot %d position %d: %v, source %v", slot, i, got.objs[i], from.objs[i])
+			}
+		}
+		if &got.ids[0] == &from.ids[0] || &got.objs[0] == &from.objs[0] {
+			t.Fatalf("slot %d: the copy shares the source's arrays", slot)
+		}
+		if dst.LastApplied() != newest || newest == src.LastApplied() {
+			t.Fatalf("slot %d: lastApplied %v, want the newest copied object's %v (source's %v)", slot, dst.LastApplied(), newest, src.LastApplied())
+		}
+		if dst.AppliedCount() != 1 {
+			t.Fatalf("slot %d: applied count %d, want the one Apply", slot, dst.AppliedCount())
+		}
+		if o, ok := dst.Get(other); !ok || string(o.Value) != "kept" || dst.Len() != src.Len()+1 {
+			t.Fatalf("slot %d: another slot's object %v %v, Len %d", slot, o, ok, dst.Len())
+		}
+
+		// Independent afterwards, both ways.
+		live := ids[1]
+		if err := src.Apply(live, []byte("src"), wire.Seq{Epoch: 2, N: 1}, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Apply(ids[2], nil, wire.Seq{Epoch: 2, N: 1}, true); err != nil {
+			t.Fatal(err)
+		}
+		if o, _ := dst.Get(live); string(o.Value) == "src" {
+			t.Fatalf("slot %d: a write to the source reached the copy", slot)
+		}
+		if _, ok := src.Get(ids[2]); !ok {
+			t.Fatalf("slot %d: a delete at the copy reached the source", slot)
+		}
+
+		// Same size again: the copy reuses its arrays.
+		if n := testing.AllocsPerRun(10, func() { dst.CopySlot(src, slot) }); n != 0 {
+			t.Fatalf("slot %d: a same-size copy allocated %v times", slot, n)
+		}
+		// An empty source empties the slot.
+		dst.CopySlot(New(8), slot)
+		if dst.SlotLen(slot) != 0 || dst.Len() != 1 {
+			t.Fatalf("slot %d: after copying an empty slot SlotLen %d Len %d", slot, dst.SlotLen(slot), dst.Len())
 		}
 	}
 }
