@@ -177,10 +177,14 @@ func TestSwitchFailoverRestoresService(t *testing.T) {
 	spec.WriteRatio = 0.2
 
 	// Inject failure mid-run.
-	c.eng.After(15*time.Millisecond, func() { c.StopSwitch() })
-	c.eng.After(25*time.Millisecond, func() { c.ReactivateSwitch() })
-	rep := c.RunLoad(spec)
-	if rep.Ops == 0 {
+	p := c.Play(Script{Loads: []LoadSpec{spec}, Steps: []Step{
+		{15 * time.Millisecond, "StopSwitch", func(c *Cluster) error { c.StopSwitch(); return nil }},
+		{25 * time.Millisecond, "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch() }},
+	}})
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Reports[0].Ops == 0 {
 		t.Fatal("no ops at all")
 	}
 	// New epoch active and serving fast reads again.
@@ -285,19 +289,21 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 			c := New(Config{Protocol: tc.p, Replicas: tc.n, UseHarmonia: true, Seed: 5, RecordHistory: true})
 			c.Preload(4096)
 			queued := 0 // messages waiting at a victim when it went down
+			var crashes []Step
 			for k, victim := range tc.victims {
-				c.eng.After(time.Duration(5+40*k)*time.Millisecond, func() {
+				crashes = append(crashes, Step{time.Duration(5+40*k) * time.Millisecond, "CrashReplicaIn", func(c *Cluster) error {
 					queued += c.net.Node(c.groupAddr(0, victim)).QueueLen()
-					if err := c.CrashReplicaIn(0, victim); err != nil {
-						t.Error(err)
-					}
-				})
+					return c.CrashReplicaIn(0, victim)
+				}})
 			}
-			spec := LoadSpec{
+			p := c.Play(Script{Loads: []LoadSpec{{
 				Mode: Closed, Clients: 64, Duration: 120 * time.Millisecond,
 				Warmup: time.Millisecond, WriteRatio: 0.5, Keys: 4096, Bucket: 10 * time.Millisecond,
+			}}, Steps: crashes, Settle: 20 * time.Millisecond})
+			if err := p.Err(); err != nil {
+				t.Fatal(err)
 			}
-			rep := c.RunLoad(spec)
+			rep := p.Reports[0]
 			if queued == 0 {
 				t.Fatal("no victim had a message queued when it crashed; the test meant to lose some")
 			}
@@ -310,7 +316,6 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 			if last := pts[len(pts)-1].Start; last < 90*time.Millisecond || rep.Writes == 0 {
 				t.Fatalf("the group stopped committing after the crashes: last completion in the bucket at %v, %d writes", last, rep.Writes)
 			}
-			c.RunFor(20 * time.Millisecond)
 			if res := c.CheckLinearizability(); !res.Decided || !res.Ok {
 				t.Fatalf("history after the crashes: %+v", res)
 			}

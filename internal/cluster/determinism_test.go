@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -30,14 +29,17 @@ import (
 // windows the run ends with are compared like everything else.
 func TestDeterministicRuns(t *testing.T) {
 	type outcome struct {
-		rep     Report
+		played  Played // the load's report and the step log
 		history []lincheck.Op
 		events  []trace.Event
-		script  []string // what each scripted step returned
-		windows []int    // every replica's log window at the end
+		windows []int // every replica's log window at the end
 	}
-	crashBackup := func(c *Cluster, note func(string, error)) {
-		c.Engine().After(9*time.Millisecond, func() { note("crash", c.CrashReplicaIn(0, 2)) })
+	crashBackup := []Step{{9 * time.Millisecond, "crash", func(c *Cluster) error { return c.CrashReplicaIn(0, 2) }}}
+	migrate := func(at time.Duration, from int) Step {
+		return Step{at, fmt.Sprintf("migrate %d→%d", from, 1-from), func(c *Cluster) error {
+			_, err := c.StartBatchMigration(c.slotsOf(from)[:8], 1-from)
+			return err
+		}}
 	}
 	writeHeavy := LoadSpec{
 		Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond, Warmup: 2 * time.Millisecond,
@@ -47,8 +49,7 @@ func TestDeterministicRuns(t *testing.T) {
 		name   string
 		cfg    Config
 		spec   LoadSpec
-		script func(c *Cluster, note func(string, error))
-		steps  int               // scripted steps, all of which must be admitted
+		steps  []Step            // every one of which must be admitted
 		events []trace.EventKind // flight-recorder events the run must contain
 	}{
 		{
@@ -57,22 +58,22 @@ func TestDeterministicRuns(t *testing.T) {
 			spec: quickSpec(),
 		},
 		{
-			name:   "vr write-heavy over lossy links, a backup crashes",
-			cfg:    Config{Protocol: VR, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 7},
-			spec:   writeHeavy,
-			script: crashBackup, steps: 1,
+			name:  "vr write-heavy over lossy links, a backup crashes",
+			cfg:   Config{Protocol: VR, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 7},
+			spec:  writeHeavy,
+			steps: crashBackup,
 		},
 		{
-			name:   "nopaxos write-heavy over lossy links, a follower crashes",
-			cfg:    Config{Protocol: NOPaxos, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 8},
-			spec:   writeHeavy,
-			script: crashBackup, steps: 1,
+			name:  "nopaxos write-heavy over lossy links, a follower crashes",
+			cfg:   Config{Protocol: NOPaxos, Replicas: 5, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 8},
+			spec:  writeHeavy,
+			steps: crashBackup,
 		},
 		{
-			name:   "pb write-heavy over lossy links, a backup crashes",
-			cfg:    Config{Protocol: PB, Replicas: 3, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 9},
-			spec:   writeHeavy,
-			script: crashBackup, steps: 1,
+			name:  "pb write-heavy over lossy links, a backup crashes",
+			cfg:   Config{Protocol: PB, Replicas: 3, UseHarmonia: true, RecordHistory: true, DropProb: 0.01, Seed: 9},
+			spec:  writeHeavy,
+			steps: crashBackup,
 		},
 		{
 			name: "chain write-heavy over reordering links, the tail crashes",
@@ -80,8 +81,8 @@ func TestDeterministicRuns(t *testing.T) {
 				Protocol: Chain, Replicas: 3, UseHarmonia: true, RecordHistory: true,
 				ReorderProb: 0.05, ReorderDelay: 20 * time.Microsecond, Seed: 10,
 			},
-			spec:   writeHeavy,
-			script: crashBackup, steps: 1,
+			spec:  writeHeavy,
+			steps: crashBackup,
 		},
 		{
 			name: "craq beside pb, batch migrations both ways",
@@ -89,16 +90,8 @@ func TestDeterministicRuns(t *testing.T) {
 				UseHarmonia: true, GroupSpecs: []GroupSpec{{Protocol: CRAQ, Replicas: 3}, {Protocol: PB, Replicas: 3}},
 				RecordHistory: true, DropProb: 0.01, Seed: 11,
 			},
-			spec: writeHeavy,
-			script: func(c *Cluster, note func(string, error)) {
-				for k, from := range []int{0, 1} {
-					c.Engine().After(time.Duration(3+6*k)*time.Millisecond, func() {
-						_, err := c.StartBatchMigration(c.slotsOf(from)[:8], 1-from)
-						note("migrate", err)
-					})
-				}
-			},
-			steps:  2,
+			spec:   writeHeavy,
+			steps:  []Step{migrate(3*time.Millisecond, 0), migrate(9*time.Millisecond, 1)},
 			events: []trace.EventKind{trace.EvMigrationFlip},
 		},
 		{
@@ -112,53 +105,37 @@ func TestDeterministicRuns(t *testing.T) {
 				Mode: Closed, Clients: 32, Duration: 24 * time.Millisecond, Warmup: 2 * time.Millisecond,
 				WriteRatio: 0.1, Keys: 64, Dist: Zipf12,
 			},
-			script: func(c *Cluster, note func(string, error)) {
-				c.Engine().After(3*time.Millisecond, func() {
-					_, err := c.StartSlotMigration(c.slotsOf(0)[0], 1)
-					note("migrate", err)
-				})
-				c.Engine().After(8*time.Millisecond, func() {
-					_, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3})
-					note("add", err)
-				})
-				c.Engine().After(15*time.Millisecond, func() {
+			steps: []Step{
+				{3 * time.Millisecond, "migrate", func(c *Cluster) error { _, err := c.StartSlotMigration(c.slotsOf(0)[0], 1); return err }},
+				{8 * time.Millisecond, "add", func(c *Cluster) error { _, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); return err }},
+				{15 * time.Millisecond, "respec", func(c *Cluster) error {
 					_, err := c.StartRespecGroup(2, GroupSpec{Protocol: VR, Replicas: 3})
-					note("respec", err)
-				})
+					return err
+				}},
 			},
-			steps:  3,
 			events: []trace.EventKind{trace.EvMigrationFlip, trace.EvTopoEpoch, trace.EvRebalanceTick, trace.EvHotPromote, trace.EvHotRefresh},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() outcome {
-				var out outcome
 				c := New(tc.cfg)
-				if tc.script != nil {
-					tc.script(c, func(step string, err error) {
-						out.script = append(out.script, fmt.Sprintf("%s@%d: %v", step, c.Engine().Now(), err))
-					})
-				}
-				out.rep = c.RunLoad(tc.spec)
-				c.RunFor(10 * time.Millisecond) // let the script's handoffs settle
-				out.history, out.events, out.windows = c.History(), c.Events(), logWindows(c)
-				return out
+				// The settle lets the steps' handoffs finish.
+				p := c.Play(Script{Loads: []LoadSpec{tc.spec}, Steps: tc.steps, Settle: 10 * time.Millisecond})
+				return outcome{p, c.History(), c.Events(), logWindows(c)}
 			}
 			a, b := run(), run()
-			if a.rep.Ops == 0 || len(a.history) == 0 {
-				t.Fatalf("nothing ran: %d ops, %d history entries", a.rep.Ops, len(a.history))
+			if rep := a.played.Reports[0]; rep.Ops == 0 || len(a.history) == 0 {
+				t.Fatalf("nothing ran: %d ops, %d history entries", rep.Ops, len(a.history))
 			}
 			// The comparison is only worth its name if the control plane
-			// actually ran: every scripted step admitted, and the
+			// actually ran: every step fired and admitted, and the
 			// rebalancer and hot-key manager both acted.
-			if len(a.script) != tc.steps {
-				t.Fatalf("script ran %d of %d steps: %v", len(a.script), tc.steps, a.script)
+			if len(a.played.Log) != len(tc.steps) {
+				t.Fatalf("%d of %d steps fired: %+v", len(a.played.Log), len(tc.steps), a.played.Log)
 			}
-			for _, step := range a.script {
-				if !strings.HasSuffix(step, "<nil>") {
-					t.Fatalf("scripted step refused: %s", step)
-				}
+			if err := a.played.Err(); err != nil {
+				t.Fatal(err)
 			}
 			seen := make(map[trace.EventKind]bool)
 			for _, e := range a.events {
@@ -169,11 +146,11 @@ func TestDeterministicRuns(t *testing.T) {
 					t.Fatalf("no %v event: the run did not exercise that path", k)
 				}
 			}
-			if !reflect.DeepEqual(a.script, b.script) {
-				t.Errorf("scripted steps differ:\n%v\n%v", a.script, b.script)
+			if !reflect.DeepEqual(a.played.Log, b.played.Log) {
+				t.Errorf("step logs differ:\n%+v\n%+v", a.played.Log, b.played.Log)
 			}
-			if !reflect.DeepEqual(a.rep, b.rep) {
-				t.Errorf("reports differ: %d ops / %d retries vs %d / %d", a.rep.Ops, a.rep.Retries, b.rep.Ops, b.rep.Retries)
+			if ra, rb := a.played.Reports[0], b.played.Reports[0]; !reflect.DeepEqual(ra, rb) {
+				t.Errorf("reports differ: %d ops / %d retries vs %d / %d", ra.Ops, ra.Retries, rb.Ops, rb.Retries)
 			}
 			if !reflect.DeepEqual(a.history, b.history) {
 				t.Errorf("histories differ (%d vs %d ops)", len(a.history), len(b.history))

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -244,108 +243,6 @@ func c4legacyGroup(slot int) int {
 	sw := slot * 2 / wire.NumSlots
 	lo := sw * 2
 	return lo + slot%2
-}
-
-// TestMigrateCrossProtocolSteadyStateMatrix runs the full 5×5
-// protocol-pair matrix (source ≠ destination) with a heterogeneous
-// steady-state topology: both protocols are first-class residents, a
-// populated slot migrates between them under 1% packet drops and live
-// mixed load, and every group's history must stay linearizable. This
-// is the cross-protocol ExtractSlot/InstallSlot path as a steady
-// state, not a transient.
-func TestMigrateCrossProtocolSteadyStateMatrix(t *testing.T) {
-	protocols := []Protocol{PB, Chain, CRAQ, VR, NOPaxos}
-	for _, src := range protocols {
-		for _, dst := range protocols {
-			if src == dst {
-				continue
-			}
-			src, dst := src, dst
-			t.Run(fmt.Sprintf("%s_to_%s", src, dst), func(t *testing.T) {
-				crossProtocolCase(t, src, dst)
-			})
-		}
-	}
-}
-
-func crossProtocolCase(t *testing.T, src, dst Protocol) {
-	c := New(Config{
-		UseHarmonia: true,
-		GroupSpecs: []GroupSpec{
-			{Protocol: src, Replicas: 3},
-			{Protocol: dst, Replicas: 3},
-		},
-		DropProb: 0.01, RecordHistory: true,
-		Seed: 131 + int64(src)*11 + int64(dst)*3,
-	})
-	const keys = 64
-	cl := c.NewSyncClient()
-
-	// Seed some keys of one group-0 slot through the protocol.
-	slots := keysInSlotOwnedBy(c, keys, 0)
-	var slot int
-	var idxs []int
-	for s, ii := range slots {
-		if len(ii) >= 2 {
-			slot, idxs = s, ii
-			break
-		}
-	}
-	if len(idxs) < 2 {
-		t.Fatal("no slot with two keys found")
-	}
-	for _, i := range idxs {
-		// nil values let the client encode its checkable value IDs —
-		// explicit bytes would not mix with the recorded history.
-		if err := cl.Set(keyName(i), nil); err != nil {
-			t.Fatalf("Set: %v", err)
-		}
-	}
-
-	// Migrate mid-load: the handoff crosses the protocol boundary
-	// while clients keep hammering both groups.
-	c.Engine().After(3*time.Millisecond, func() {
-		if _, err := c.StartBatchMigration([]int{slot}, 1); err != nil {
-			t.Errorf("start cross-protocol handoff: %v", err)
-		}
-	})
-	rep := c.RunLoad(LoadSpec{
-		Mode: Closed, Clients: 10, Duration: 8 * time.Millisecond,
-		Warmup: time.Millisecond, WriteRatio: 0.3, Keys: keys, Dist: Uniform,
-	})
-	if rep.Ops == 0 || rep.Writes == 0 {
-		t.Fatalf("no load completed: %+v", rep)
-	}
-	c.RunFor(20 * time.Millisecond) // settle the handoff and retries
-
-	if got := c.SlotTable()[slot]; got != 1 {
-		t.Fatalf("slot %d routed to %d after handoff", slot, got)
-	}
-	// The migrated keys live on (and write through) the destination
-	// protocol.
-	for _, i := range idxs {
-		if _, ok, err := cl.Get(keyName(i)); err != nil || !ok {
-			t.Fatalf("Get(%s) after cross-protocol handoff: %v %v", keyName(i), ok, err)
-		}
-		if g := cl.LastGroup(); g != 1 {
-			t.Fatalf("key %s served by group %d, want 1", keyName(i), g)
-		}
-		// Writes keep working on the destination protocol (its
-		// write-order guard was not wedged by imported sequence
-		// numbers).
-		if err := cl.Set(keyName(i), nil); err != nil {
-			t.Fatalf("post-handoff Set(%s): %v", keyName(i), err)
-		}
-	}
-	for g := 0; g < c.Groups(); g++ {
-		res := c.CheckLinearizabilityGroup(g)
-		if !res.Decided {
-			t.Fatalf("group %d undecided: %s", g, res.Reason)
-		}
-		if !res.Ok {
-			t.Fatalf("group %d (%s→%s) violated linearizability: %s", g, src, dst, res.Reason)
-		}
-	}
 }
 
 // TestOpenLoopPinGroupsOfferedSplit: the sharded open-loop driver's

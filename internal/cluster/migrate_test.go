@@ -138,139 +138,6 @@ func takeSlots(t *testing.T, slots []int, n int) []int {
 	return slots[:n]
 }
 
-// TestMigrateChaosMatrix is the migration hardening matrix: every
-// replication protocol × a chaos mode (packet drops, reordering, or a
-// source-group replica crash mid-handoff) × a handoff shape
-// (single-slot, batch, two-way swap), each run in the middle of a live
-// load window. The acceptance bar per cell: the handoffs complete, the
-// routes land where requested with nothing left frozen, and every
-// group's history slice linearizes. CRAQ rides along where it can (its
-// drain signal works differently: write replies piggyback the
-// completions that empty the dirty set) but skips the crash column —
-// its reconfiguration is not modeled.
-func TestMigrateChaosMatrix(t *testing.T) {
-	protocols := []Protocol{PB, Chain, CRAQ, VR, NOPaxos}
-	chaosModes := []string{"drops", "reorder", "crash"}
-	kinds := []string{"single", "batch", "swap"}
-	for _, p := range protocols {
-		for _, chaos := range chaosModes {
-			for _, kind := range kinds {
-				p, chaos, kind := p, chaos, kind
-				t.Run(fmt.Sprintf("%s/%s/%s", p, chaos, kind), func(t *testing.T) {
-					migrateChaosCase(t, p, chaos, kind)
-				})
-			}
-		}
-	}
-}
-
-func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
-	if p == CRAQ && chaos == "crash" {
-		t.Skip("CRAQ reconfiguration not modeled")
-	}
-	cfg := Config{
-		Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, Groups: 3,
-		RecordHistory: true, Seed: 33 + int64(p)*7,
-	}
-	switch chaos {
-	case "drops":
-		cfg.DropProb = 0.01
-	case "reorder":
-		cfg.ReorderProb = 0.02
-		cfg.ReorderDelay = 30 * time.Microsecond
-	}
-	c := New(cfg)
-	const keys = 96
-
-	g0 := slotsOwnedBy(c, keys, 0)
-	g1 := slotsOwnedBy(c, keys, 1)
-
-	var moves []*Migration
-	c.Engine().After(4*time.Millisecond, func() {
-		start := func(m *Migration, err error) {
-			if err != nil {
-				t.Errorf("start %s handoff: %v", kind, err)
-				return
-			}
-			moves = append(moves, m)
-		}
-		switch kind {
-		case "single":
-			for i, s := range takeSlots(t, g0, 2) {
-				start(c.StartSlotMigration(s, 1+i%2))
-			}
-		case "batch":
-			start(c.StartBatchMigration(takeSlots(t, g0, 3), 2))
-		case "swap":
-			ma, mb, err := c.StartSwapSlots(takeSlots(t, g0, 2), takeSlots(t, g1, 2))
-			start(ma, err)
-			if err == nil {
-				start(mb, nil)
-			}
-		}
-	})
-	if chaos == "crash" {
-		// Fail a source-group replica moments into the handoff, while
-		// the drain is (or may still be) in progress.
-		c.Engine().After(4*time.Millisecond+200*time.Microsecond, func() {
-			if err := c.CrashReplicaIn(0, 1); err != nil {
-				t.Errorf("CrashReplicaIn: %v", err)
-			}
-		})
-	}
-
-	// Uniform keys keep every per-key history inside the checker's
-	// budget; the skew dimension is Fig A's job, not this matrix's.
-	rep := c.RunLoad(LoadSpec{
-		Mode: Closed, Clients: 12, Duration: 10 * time.Millisecond,
-		Warmup: 2 * time.Millisecond, WriteRatio: 0.3, Keys: keys, Dist: Uniform,
-	})
-	if rep.Ops == 0 || rep.Writes == 0 {
-		t.Fatalf("no load completed: %+v", rep)
-	}
-	c.RunFor(25 * time.Millisecond) // settle in-flight ops and handoffs
-
-	if len(moves) == 0 {
-		t.Fatal("handoffs never started")
-	}
-	for _, m := range moves {
-		if m.Aborted() {
-			// An aborted handoff must always thaw its slots on their
-			// original owner — mid-run aborts are legal, lost slots are
-			// not.
-			for _, s := range m.Slots {
-				if c.FrontendOf(0).Frozen(s) {
-					t.Fatalf("aborted handoff left slot %d frozen", s)
-				}
-				if got := c.SlotTable()[s]; got != m.From {
-					t.Fatalf("aborted handoff moved slot %d to %d", s, got)
-				}
-			}
-			continue
-		}
-		if !m.Done() {
-			t.Fatalf("handoff of slots %v stuck (from %d to %d)", m.Slots, m.From, m.To)
-		}
-		for _, s := range m.Slots {
-			if got := c.SlotTable()[s]; got != m.To {
-				t.Fatalf("slot %d routed to %d, want %d", s, got, m.To)
-			}
-			if c.FrontendOf(0).Frozen(s) {
-				t.Fatalf("slot %d still frozen after handoff", s)
-			}
-		}
-	}
-	for g := 0; g < c.Groups(); g++ {
-		res := c.CheckLinearizabilityGroup(g)
-		if !res.Decided {
-			t.Fatalf("group %d undecided: %s", g, res.Reason)
-		}
-		if !res.Ok {
-			t.Fatalf("group %d violated linearizability across the handoff: %s", g, res.Reason)
-		}
-	}
-}
-
 // TestMigrateSlotAllProtocols exercises the handoff under every
 // replication protocol, including CRAQ, whose in-flight dirty versions
 // sit beside the store the handoff copies.

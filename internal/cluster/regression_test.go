@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -78,45 +79,40 @@ func TestHotKeyDemoteWithSpreadReadInFlight(t *testing.T) {
 			hot = k
 		}
 	}
-	at := func(frac float64, what string, do func() error) {
-		c.eng.After(warm+time.Duration(frac*float64(window)), func() {
-			if err := do(); err != nil {
-				t.Errorf("%s: %v", what, err)
-			}
-		})
+	var slots []int // 16 of group 2's slots
+	for slot, g := range c.SlotTable() {
+		if g == 2 && len(slots) < 16 {
+			slots = append(slots, slot)
+		}
 	}
-	at(0.10, "StartBatchMigration", func() error {
-		var slots []int
-		for slot, g := range c.SlotTable() {
-			if g == 2 && len(slots) < 16 {
-				slots = append(slots, slot)
-			}
-		}
-		_, err := c.StartBatchMigration(slots, 3)
-		return err
-	})
-	at(0.20, "PromoteKey", func() error { return c.PromoteKey(hot) })
-	at(0.30, "DemoteKey", func() error {
-		if !c.DemoteKey(hot) {
-			t.Errorf("%s was not promoted", hot)
-		}
-		return nil
-	})
-	at(0.35, "CrashSwitch", func() error { return c.CrashSwitch(1) })
-	at(0.45, "ReactivateSwitch", func() error { return c.ReactivateSwitch(1) })
-	at(0.60, "AddGroup", func() error {
-		_, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3})
-		return err
-	})
-	at(0.80, "CrashReplicaIn", func() error { return c.CrashReplicaIn(0, 1) })
-	c.RunLoads([]LoadSpec{
-		{
-			Mode: Closed, Clients: 1024, Duration: window, Warmup: warm,
-			WriteRatio: 0.2, Keys: keys, Dist: Uniform, PinGroups: true,
+	at := func(frac float64) time.Duration { return warm + time.Duration(frac*float64(window)) }
+	p := c.Play(Script{
+		Loads: []LoadSpec{
+			{
+				Mode: Closed, Clients: 1024, Duration: window, Warmup: warm,
+				WriteRatio: 0.2, Keys: keys, Dist: Uniform, PinGroups: true,
+			},
+			{Mode: Closed, Clients: 64, WriteRatio: 0.2, Keys: keys, Dist: Uniform},
 		},
-		{Mode: Closed, Clients: 64, WriteRatio: 0.2, Keys: keys, Dist: Uniform},
+		Steps: []Step{
+			{at(0.10), "StartBatchMigration", func(c *Cluster) error { _, err := c.StartBatchMigration(slots, 3); return err }},
+			{at(0.20), "PromoteKey", func(c *Cluster) error { return c.PromoteKey(hot) }},
+			{at(0.30), "DemoteKey", func(c *Cluster) error {
+				if !c.DemoteKey(hot) {
+					return fmt.Errorf("%s was not promoted", hot)
+				}
+				return nil
+			}},
+			{at(0.35), "CrashSwitch", func(c *Cluster) error { return c.CrashSwitch(1) }},
+			{at(0.45), "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch(1) }},
+			{at(0.60), "AddGroup", func(c *Cluster) error { _, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); return err }},
+			{at(0.80), "CrashReplicaIn", func(c *Cluster) error { return c.CrashReplicaIn(0, 1) }},
+		},
+		Settle: 30 * time.Millisecond,
 	})
-	c.RunFor(30 * time.Millisecond)
+	if err := p.Err(); err != nil {
+		t.Error(err)
+	}
 	if res := c.CheckLinearizabilityKey(hot); !res.Decided || !res.Ok {
 		t.Fatalf("promoted key %s: %+v", hot, res)
 	}
@@ -161,16 +157,17 @@ func TestLinkJitterKeepsReplicaChannelsFIFO(t *testing.T) {
 func TestCRAQSurvivesSwitchReplacement(t *testing.T) {
 	const bucket = 20 * time.Millisecond
 	c := New(Config{Protocol: CRAQ, Replicas: 3, Seed: 1})
-	c.eng.After(20*time.Millisecond, c.StopSwitch)
-	c.eng.After(30*time.Millisecond, func() {
-		if err := c.ReactivateSwitch(); err != nil {
-			t.Error(err)
-		}
+	p := c.Play(Script{
+		Loads: []LoadSpec{{Mode: Closed, Clients: 64, Duration: 5 * bucket, WriteRatio: 0.2, Keys: 1024, Bucket: bucket}},
+		Steps: []Step{
+			{20 * time.Millisecond, "StopSwitch", func(c *Cluster) error { c.StopSwitch(); return nil }},
+			{30 * time.Millisecond, "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch() }},
+		},
 	})
-	rep := c.RunLoad(LoadSpec{
-		Mode: Closed, Clients: 64, Duration: 5 * bucket, WriteRatio: 0.2, Keys: 1024, Bucket: bucket,
-	})
-	counts := bucketCounts(rep.Series, bucket, 5)
+	if err := p.Err(); err != nil {
+		t.Error(err)
+	}
+	counts := bucketCounts(p.Reports[0].Series, bucket, 5)
 	t.Logf("completions per %v bucket: %v", bucket, counts)
 	if counts[4] < counts[0]/2 {
 		t.Fatalf("completions per %v bucket %v: service did not come back after the replacement", bucket, counts)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -31,77 +32,38 @@ func TestTransferClientTableTravels(t *testing.T) {
 		seeds    [2]int64 // [from, to)
 		switches int
 		groups   int
-		start    func(t *testing.T, c *Cluster) *Reconfig // nil: settles on its own
+		steps    func(t *testing.T, r *chaosRun) []Step
 	}{
-		{"batch migrate", [2]int64{60, 70}, 1, 3, func(t *testing.T, c *Cluster) *Reconfig {
-			if _, err := c.StartBatchMigration(takeSlots(t, slotsOwnedBy(c, keys, 1), 2), 0); err != nil {
-				t.Errorf("StartBatchMigration: %v", err)
-			}
-			return nil
+		{"batch migrate", [2]int64{60, 70}, 1, 3, func(t *testing.T, r *chaosRun) []Step {
+			slots := takeSlots(t, slotsOwnedBy(r.Cluster, keys, 1), 2)
+			return []Step{{chaosAt, "StartBatchMigration", func(c *Cluster) error { return r.move(c.StartBatchMigration(slots, 0)) }}}
 		}},
-		{"remove", [2]int64{80, 86}, 1, 3, func(t *testing.T, c *Cluster) *Reconfig {
-			r, err := c.StartRemoveGroup(1)
-			if err != nil {
-				t.Errorf("StartRemoveGroup: %v", err)
-			}
-			return r
+		{"remove", [2]int64{80, 86}, 1, 3, func(t *testing.T, r *chaosRun) []Step {
+			return []Step{{chaosAt, "StartRemoveGroup", func(c *Cluster) error { return r.reconfig(c.StartRemoveGroup(1)) }}}
 		}},
-		{"respec", [2]int64{100, 106}, 1, 3, func(t *testing.T, c *Cluster) *Reconfig {
-			r, err := c.StartRespecGroup(1, GroupSpec{Protocol: NOPaxos, Replicas: 5})
-			if err != nil {
-				t.Errorf("StartRespecGroup: %v", err)
-			}
-			return r
+		{"respec", [2]int64{100, 106}, 1, 3, func(t *testing.T, r *chaosRun) []Step {
+			return []Step{{chaosAt, "StartRespecGroup", func(c *Cluster) error {
+				return r.reconfig(c.StartRespecGroup(1, GroupSpec{Protocol: NOPaxos, Replicas: 5}))
+			}}}
 		}},
-		{"reassign", [2]int64{32, 40}, 2, 4, func(t *testing.T, c *Cluster) *Reconfig {
-			if err := c.CrashSwitch(1); err != nil {
-				t.Errorf("CrashSwitch: %v", err)
-			}
-			r, err := c.StartReassignDeadSwitch(1)
-			if err != nil {
-				t.Errorf("StartReassignDeadSwitch: %v", err)
-			}
-			return r
-		}},
+		{"reassign", [2]int64{32, 40}, 2, 4, func(t *testing.T, r *chaosRun) []Step { return r.reassignSteps() }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			for seed := row.seeds[0]; seed < row.seeds[1]; seed++ {
-				c := New(Config{
-					Protocol: NOPaxos, Replicas: 3, UseHarmonia: true,
-					Groups: row.groups, Switches: row.switches,
-					RecordHistory: true, Seed: seed, DropProb: 0.01,
-				})
-				var r *Reconfig
-				started := false
-				c.Engine().After(4*time.Millisecond, func() {
-					r = row.start(t, c)
-					started = true
-				})
-				c.RunLoad(LoadSpec{
-					Mode: Closed, Clients: 8, Duration: 10 * time.Millisecond,
-					Warmup: 2 * time.Millisecond, WriteRatio: 0.3, Keys: keys, Dist: Zipf09,
-				})
-				// Under drops a drain can retry for a while; give the
-				// operation sim time in bounded chunks.
-				c.RunFor(25 * time.Millisecond)
-				for i := 0; i < 12 && r != nil && !r.Done(); i++ {
-					c.RunFor(50 * time.Millisecond)
-				}
-				if !started || (r != nil && (!r.Done() || r.Err() != nil)) {
-					t.Fatalf("seed %d: operation did not complete: %+v", seed, r)
-				}
-				liveSlotCounts(t, c)
-				assertNothingFrozen(t, c)
-				for g := 0; g < c.Groups(); g++ {
-					res := c.CheckLinearizabilityGroup(g)
-					if !res.Decided {
-						t.Fatalf("seed %d group %d undecided: %s", seed, g, res.Reason)
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					r := newChaosRun(Config{
+						Protocol: NOPaxos, Replicas: 3, UseHarmonia: true,
+						Groups: row.groups, Switches: row.switches, Seed: seed,
+					}, "drops")
+					r.play(t, Script{Loads: chaosLoad(8, keys, Zipf09, 2*time.Millisecond, 10*time.Millisecond), Steps: row.steps(t, r), Settle: 25 * time.Millisecond})
+					// Under drops a drain can retry for a while; give the
+					// operation sim time in bounded chunks.
+					for i := 0; i < 12 && len(r.recs) > 0 && !r.recs[0].Done(); i++ {
+						r.RunFor(50 * time.Millisecond)
 					}
-					if !res.Ok {
-						t.Fatalf("seed %d group %d violated linearizability: %s", seed, g, res.Reason)
-					}
-				}
+					r.check(t)
+				})
 			}
 		})
 	}

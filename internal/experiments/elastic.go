@@ -66,28 +66,29 @@ func FigEDetail(s Scale) ([]Series, ElasticResult) {
 	// Phase 1: scale-out. Four AddGroups staggered through the middle
 	// of the window, each seeding ~1/(n+1) of the slots while the open
 	// loop keeps offering ~4 MRPS against an 11 MRPS 4-group rack.
+	load := []cluster.LoadSpec{{
+		Mode: cluster.Open, Rate: 4e6, Duration: window, Warmup: 0,
+		WriteRatio: 0.05, Keys: defaultKeys, Dist: cluster.Zipf09, Bucket: bucket,
+	}}
 	c := figECluster(401, false, 0)
 	res.GroupsBefore = len(c.Rack().LiveGroups())
 	firstAdd := window * 6 / 20
-	for i := 0; i < 4; i++ {
-		at := firstAdd + window*time.Duration(2*i)/20
-		c.Engine().After(at, func() {
-			_, _, _ = c.AddGroup(cluster.GroupSpec{Protocol: cluster.Chain})
-		})
+	addGroup := func(c *cluster.Cluster) error {
+		_, _, err := c.AddGroup(cluster.GroupSpec{Protocol: cluster.Chain})
+		return err
 	}
-	rep := c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Open, Rate: 4e6, Duration: window, Warmup: 0,
-		WriteRatio: 0.05, Keys: defaultKeys, Dist: cluster.Zipf09, Bucket: bucket,
-	})
-	c.RunFor(30 * time.Millisecond) // let the last seeding handoffs settle
+	var adds []cluster.Step
+	for i := 0; i < 4; i++ {
+		adds = append(adds, cluster.Step{At: firstAdd + window*time.Duration(2*i)/20, Name: "AddGroup", Do: addGroup})
+	}
+	// The settle lets the last seeding handoffs finish.
+	rep := c.Play(cluster.Script{Loads: load, Steps: adds, Settle: 30 * time.Millisecond}).Reports[0]
 	res.GroupsAfter = len(c.Rack().LiveGroups())
 	res.TopoEpochFinal = c.Rack().TopoEpoch()
 
-	var scaleOut []Point
 	var pre, post []float64
 	if rep.Series != nil {
 		for _, p := range rep.Series.Points() {
-			scaleOut = append(scaleOut, Point{X: p.Start.Seconds() * 1000, Y: p.Rate / 1e6})
 			if p.Start+bucket <= firstAdd {
 				pre = append(pre, p.Rate)
 			} else {
@@ -117,13 +118,10 @@ func FigEDetail(s Scale) ([]Series, ElasticResult) {
 	// from the victims' replica stores while the load keeps running.
 	c2 := figECluster(417, false, 0)
 	crashAt := window / 3
-	c2.Engine().After(crashAt, func() { _ = c2.CrashSwitch(1) })
-	c2.Engine().After(crashAt+window/15, func() { _, _ = c2.StartReassignDeadSwitch(1) })
-	rep2 := c2.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Open, Rate: 4e6, Duration: window, Warmup: 0,
-		WriteRatio: 0.05, Keys: defaultKeys, Dist: cluster.Zipf09, Bucket: bucket,
-	})
-	c2.RunFor(30 * time.Millisecond)
+	rep2 := c2.Play(cluster.Script{Loads: load, Settle: 30 * time.Millisecond, Steps: []cluster.Step{
+		{At: crashAt, Name: "CrashSwitch", Do: func(c *cluster.Cluster) error { return c.CrashSwitch(1) }},
+		{At: crashAt + window/15, Name: "StartReassignDeadSwitch", Do: func(c *cluster.Cluster) error { _, err := c.StartReassignDeadSwitch(1); return err }},
+	}}).Reports[0]
 	// Phase 1's recorder holds the staggered scale-out (topology epoch
 	// bumps and seeding migrations); phase 2's holds the switch crash
 	// and the reassignment's epoch churn.
@@ -137,18 +135,12 @@ func FigEDetail(s Scale) ([]Series, ElasticResult) {
 			break
 		}
 	}
-	var reassign []Point
-	if rep2.Series != nil {
-		for _, p := range rep2.Series.Points() {
-			reassign = append(reassign, Point{X: p.Start.Seconds() * 1000, Y: p.Rate / 1e6})
-		}
-	}
 
 	res.Linearizable = figEVerify()
 
 	return []Series{
-		{Name: "scale-out 4→8 groups", Points: scaleOut},
-		{Name: "dead-switch reassignment", Points: reassign},
+		{Name: "scale-out 4→8 groups", Points: rates(rep)},
+		{Name: "dead-switch reassignment", Points: rates(rep2)},
 	}, res
 }
 
@@ -164,15 +156,21 @@ func figEVerify() bool {
 		Groups: 3, Seed: 431, RecordHistory: true, DropProb: 0.01,
 	})
 	var r *cluster.Reconfig
-	c.Engine().After(3*time.Millisecond, func() { r, _ = c.StartRemoveGroup(1) })
-	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Closed, Clients: 12, Duration: 10 * time.Millisecond,
-		Warmup: 2 * time.Millisecond, WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
+	p := c.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{{
+			Mode: cluster.Closed, Clients: 12, Duration: 10 * time.Millisecond,
+			Warmup: 2 * time.Millisecond, WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
+		}},
+		Steps: []cluster.Step{{At: 3 * time.Millisecond, Name: "StartRemoveGroup",
+			Do: func(c *cluster.Cluster) (err error) { r, err = c.StartRemoveGroup(1); return err }}},
 	})
-	for i := 0; i < 12 && (r == nil || !r.Done()); i++ {
+	if p.Err() != nil {
+		return false
+	}
+	for i := 0; i < 12 && !r.Done(); i++ {
 		c.RunFor(50 * time.Millisecond)
 	}
-	if r == nil || !r.Done() || r.Err() != nil {
+	if !r.Done() || r.Err() != nil {
 		return false
 	}
 	if _, err := c.AddGroupWait(cluster.GroupSpec{Protocol: cluster.Chain}); err != nil {
@@ -183,5 +181,5 @@ func figEVerify() bool {
 		WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
 	})
 	c.RunFor(25 * time.Millisecond)
-	return linearizable(c)
+	return c.CheckLinearizability().Ok
 }

@@ -1,6 +1,7 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation (§9). Each function returns the same series the paper
-// plots; bench_test.go and cmd/harmonia-bench share them. A Scale
+// plots; cmd/harmonia-bench prints them. A timed incident is a
+// cluster.Script the figure plays. A Scale
 // parameter shrinks the simulated windows so the full suite fits in a
 // CI budget; Scale 1.0 approximates the durations used in
 // EXPERIMENTS.md.
@@ -87,15 +88,17 @@ func newCluster(p cluster.Protocol, replicas int, useHarmonia bool, seed int64) 
 	})
 }
 
-// linearizable reports whether every group's slice of c's recorded
-// history is linearizable — an undecided search counts as a failure.
-func linearizable(c *cluster.Cluster) bool {
-	for g := 0; g < c.Groups(); g++ {
-		if res := c.CheckLinearizabilityGroup(g); !res.Decided || !res.Ok {
-			return false
-		}
+// rates is a load's completion-rate time series as (ms, MRPS) points;
+// nil when the load set no Bucket.
+func rates(rep cluster.Report) []Point {
+	if rep.Series == nil {
+		return nil
 	}
-	return true
+	var pts []Point
+	for _, p := range rep.Series.Points() {
+		pts = append(pts, Point{X: p.Start.Seconds() * 1000, Y: p.Rate / 1e6})
+	}
+	return pts
 }
 
 // saturate measures closed-loop saturation throughput.
@@ -304,19 +307,17 @@ func Fig10(s Scale) Series {
 	reviveAt := total * 3 / 10
 	bucket := total / 50
 	c := newCluster(cluster.Chain, 3, true, 19)
-	c.Engine().After(stopAt, func() { c.StopSwitch() })
-	c.Engine().After(reviveAt, func() { c.ReactivateSwitch() })
-	rep := c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Closed, Clients: 128, Duration: total, Warmup: 0,
-		WriteRatio: 0.05, Keys: defaultKeys, Bucket: bucket,
+	p := c.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{{
+			Mode: cluster.Closed, Clients: 128, Duration: total, Warmup: 0,
+			WriteRatio: 0.05, Keys: defaultKeys, Bucket: bucket,
+		}},
+		Steps: []cluster.Step{
+			{At: stopAt, Name: "StopSwitch", Do: func(c *cluster.Cluster) error { c.StopSwitch(); return nil }},
+			{At: reviveAt, Name: "ReactivateSwitch", Do: func(c *cluster.Cluster) error { return c.ReactivateSwitch() }},
+		},
 	})
-	var pts []Point
-	if rep.Series != nil {
-		for _, p := range rep.Series.Points() {
-			pts = append(pts, Point{X: p.Start.Seconds() * 1000, Y: p.Rate / 1e6})
-		}
-	}
-	return Series{Name: "Harmonia (switch stop/reactivate)", Points: pts}
+	return Series{Name: "Harmonia (switch stop/reactivate)", Points: rates(p.Reports[0])}
 }
 
 // FigS is the sharding experiment (§6.1, beyond the paper's testbed):

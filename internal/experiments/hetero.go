@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"harmonia/internal/cluster"
-	"harmonia/internal/wire"
 )
 
 // HeteroResult is the measured outcome of the Fig H experiment,
@@ -147,23 +147,21 @@ func figHChaosVerify(s Scale) bool {
 		DropProb:    0.01, ReorderProb: 0.02, ReorderDelay: 30 * time.Microsecond,
 		Seed: 307, RecordHistory: true,
 	})
-	// A populated group-0 (CR) slot migrates into a NOPaxos group
-	// while clients hammer both — the cross-protocol handoff as
-	// steady-state topology maintenance.
-	c.Engine().After(window/4, func() {
-		for slot := 0; slot < wire.NumSlots; slot++ {
-			if c.SlotTable()[slot] == 0 {
-				if _, err := c.StartBatchMigration([]int{slot}, 1); err == nil {
-					break
-				}
-			}
-		}
+	// Group 0's first (CR) slot migrates into a NOPaxos group while
+	// clients hammer both — the cross-protocol handoff as steady-state
+	// topology maintenance. The settle covers retries, the crash and
+	// the handoff.
+	slot := slices.Index(c.SlotTable(), 0)
+	c.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{{
+			Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
+			WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
+		}},
+		Steps: []cluster.Step{
+			{At: window / 4, Name: "StartBatchMigration", Do: func(c *cluster.Cluster) error { _, err := c.StartBatchMigration([]int{slot}, 1); return err }},
+			{At: window / 3, Name: "CrashReplicaIn", Do: func(c *cluster.Cluster) error { return c.CrashReplicaIn(0, 3) }},
+		},
+		Settle: 20 * time.Millisecond,
 	})
-	c.Engine().After(window/3, func() { _ = c.CrashReplicaIn(0, 3) })
-	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
-		WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
-	})
-	c.RunFor(20 * time.Millisecond) // settle retries, the crash, the handoff
-	return linearizable(c)
+	return c.CheckLinearizability().Ok
 }

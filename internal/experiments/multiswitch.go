@@ -108,13 +108,13 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 		WriteRatio: 0.05, Keys: defaultKeys, Dist: cluster.Uniform, PinGroups: true,
 	}
 	res.HealthyThroughput = crash.RunLoad(spec).Throughput
-	crash.Engine().After(window/4, func() { _ = crash.CrashSwitch(1) })
-	crash.Engine().After(window*3/5, func() { _ = crash.ReactivateSwitch(1) })
-	res.CrashThroughput = crash.RunLoad(spec).Throughput
+	// The settle lets the agreement finish.
+	res.CrashThroughput = crash.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{spec}, Steps: switchCrash(1, window/4, window*3/5), Settle: 10 * time.Millisecond,
+	}).Reports[0].Throughput
 	if res.HealthyThroughput > 0 {
 		res.CrashRetention = res.CrashThroughput / res.HealthyThroughput
 	}
-	crash.RunFor(10 * time.Millisecond) // let the agreement finish
 	res.GroupsPerSwitch = figMGroupsPerSwitch
 	res.AgreementAcks4 = crash.Rack().Stats(1).AcksReceived
 
@@ -178,12 +178,22 @@ func figMCrossMigrate(s Scale) (migrated, heatPickup bool) {
 func figMCrashVerify(s Scale) bool {
 	window := s.win(16 * time.Millisecond)
 	c := figMCluster(4, 227, true, 0)
-	c.Engine().After(window/4, func() { _ = c.CrashSwitch(2) })
-	c.Engine().After(window/2, func() { _ = c.ReactivateSwitch(2) })
-	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
-		WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
+	// The settle covers retries and the agreement.
+	c.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{{
+			Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
+			WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
+		}},
+		Steps: switchCrash(2, window/4, window/2), Settle: 15 * time.Millisecond,
 	})
-	c.RunFor(15 * time.Millisecond) // settle retries and the agreement
-	return linearizable(c)
+	return c.CheckLinearizability().Ok
+}
+
+// switchCrash is the steps that crash switch s at crash and replace
+// it at revive.
+func switchCrash(s int, crash, revive time.Duration) []cluster.Step {
+	return []cluster.Step{
+		{At: crash, Name: "CrashSwitch", Do: func(c *cluster.Cluster) error { return c.CrashSwitch(s) }},
+		{At: revive, Name: "ReactivateSwitch", Do: func(c *cluster.Cluster) error { return c.ReactivateSwitch(s) }},
+	}
 }

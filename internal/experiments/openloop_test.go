@@ -37,14 +37,18 @@ func TestFigPShape(t *testing.T) {
 func TestFigPChaosLinearizable(t *testing.T) {
 	const window = 12 * time.Millisecond
 	c := figPerfCluster(317, true, 0.01)
-	c.Engine().After(window/4, func() { _ = c.CrashSwitch(1) })
-	c.Engine().After(window/2, func() { _ = c.ReactivateSwitch(1) })
-	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Open, Rate: 6e5, Duration: window, Warmup: 2 * time.Millisecond,
-		WriteRatio: 0.3, Keys: 160, Dist: cluster.Uniform, PinGroups: true,
+	// The settle covers the replacement agreement.
+	p := c.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{{
+			Mode: cluster.Open, Rate: 6e5, Duration: window, Warmup: 2 * time.Millisecond,
+			WriteRatio: 0.3, Keys: 160, Dist: cluster.Uniform, PinGroups: true,
+		}},
+		Steps: switchCrash(1, window/4, window/2), Settle: 15 * time.Millisecond,
 	})
-	c.RunFor(15 * time.Millisecond) // settle the replacement agreement
-	if !linearizable(c) {
-		t.Fatal("a per-group history failed linearizability across the switch crash + replacement")
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if res := c.CheckLinearizability(); !res.Ok {
+		t.Fatalf("history across the switch crash + replacement: %+v", res)
 	}
 }

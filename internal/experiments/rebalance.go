@@ -112,22 +112,18 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 	}
 	res.MovedSlots = slots
 	res.Dests = make([]int, len(slots))
-	migs := make([]*cluster.Migration, 0, len(slots))
+	var migs []*cluster.Migration
+	moves := spreadSteps(warmup+window/4, slots, &migs)
+	for i := range slots {
+		res.Dests[i] = 1 + i%3
+	}
 	setDrops(0.01)
-	c.Engine().After(warmup+window/4, func() {
-		for i, slot := range slots {
-			dest := 1 + i%3
-			res.Dests[i] = dest
-			m, err := c.StartSlotMigration(slot, dest)
-			if err != nil {
-				panic("experiments: rebalance migration failed: " + err.Error())
-			}
-			migs = append(migs, m)
-		}
-	})
 	mid := spec
 	mid.Bucket = window / 25
-	midRep := c.RunLoad(mid)
+	p := c.Play(cluster.Script{Loads: []cluster.LoadSpec{mid}, Steps: moves})
+	if err := p.Err(); err != nil {
+		panic("experiments: rebalance migration failed: " + err.Error())
+	}
 	setDrops(0)
 
 	// Phase 3: the recovered plateau.
@@ -160,17 +156,27 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 	// reordering throughout the migration window.
 	res.Linearizable = rebalanceChaosVerify(s)
 
-	out := []Series{{Name: "Harmonia(CR) 4 groups, hot spot rebalanced", Points: nil}}
-	if midRep.Series != nil {
-		for _, p := range midRep.Series.Points() {
-			out[0].Points = append(out[0].Points, Point{X: p.Start.Seconds() * 1000, Y: p.Rate / 1e6})
-		}
+	return []Series{
+		{Name: "Harmonia(CR) 4 groups, hot spot rebalanced", Points: rates(p.Reports[0])},
+		{Name: "pre-rebalance plateau", Points: []Point{{X: 0, Y: res.PreThroughput / 1e6}}},
+		{Name: "post-rebalance plateau", Points: []Point{{X: 0, Y: res.PostThroughput / 1e6}}},
+	}, res
+}
+
+// spreadSteps migrates the i-th of slots to group 1 + i%3, one step per
+// slot, all at at, collecting the started handoffs in migs.
+func spreadSteps(at time.Duration, slots []int, migs *[]*cluster.Migration) []cluster.Step {
+	steps := make([]cluster.Step, len(slots))
+	for i, slot := range slots {
+		steps[i] = cluster.Step{At: at, Name: "StartSlotMigration", Do: func(c *cluster.Cluster) error {
+			m, err := c.StartSlotMigration(slot, 1+i%3)
+			if err == nil {
+				*migs = append(*migs, m)
+			}
+			return err
+		}}
 	}
-	out = append(out,
-		Series{Name: "pre-rebalance plateau", Points: []Point{{X: 0, Y: res.PreThroughput / 1e6}}},
-		Series{Name: "post-rebalance plateau", Points: []Point{{X: 0, Y: res.PostThroughput / 1e6}}},
-	)
-	return out, res
+	return steps
 }
 
 // rebalanceChaosVerify reruns the migration pattern on a
@@ -190,27 +196,18 @@ func rebalanceChaosVerify(s Scale) bool {
 		}
 	}
 	var migs []*cluster.Migration
-	c.Engine().After(warmup+window/4, func() {
-		for i, slot := range slots {
-			m, err := c.StartSlotMigration(slot, 1+i%3)
-			if err != nil {
-				continue
-			}
-			migs = append(migs, m)
-		}
+	// The settle covers handoffs and stragglers.
+	c.Play(cluster.Script{
+		Loads: []cluster.LoadSpec{{
+			Mode: cluster.Closed, Clients: 12, Duration: window, Warmup: warmup,
+			WriteRatio: 0.3, Keys: figRKeys, Dist: cluster.Zipf09,
+		}},
+		Steps: spreadSteps(warmup+window/4, slots, &migs), Settle: 20 * time.Millisecond,
 	})
-	c.RunLoad(cluster.LoadSpec{
-		Mode: cluster.Closed, Clients: 12, Duration: window, Warmup: warmup,
-		WriteRatio: 0.3, Keys: figRKeys, Dist: cluster.Zipf09,
-	})
-	c.RunFor(20 * time.Millisecond) // settle handoffs and stragglers
 	for _, m := range migs {
 		if !m.Done() {
 			return false
 		}
 	}
-	if len(migs) != len(slots) {
-		return false
-	}
-	return linearizable(c)
+	return len(migs) == len(slots) && c.CheckLinearizability().Ok
 }

@@ -153,3 +153,21 @@ func TestTraceLeadsFromInit(t *testing.T) {
 		t.Fatalf("trace does not start at Init: %v", res.Trace)
 	}
 }
+
+// BenchmarkModelChecker times one exhaustive check of the Appendix-B
+// specification, read-behind, over one data item, two replicas and one
+// switch (3 945 states).
+func BenchmarkModelChecker(b *testing.B) {
+	states := 0
+	for i := 0; i < b.N; i++ {
+		res := Check(Config{
+			DataItems: 1, Replicas: 2, Switches: 1,
+			MaxWrites: 2, MaxReads: 2, ReadBehind: true,
+		})
+		if res.Violation {
+			b.Fatal("spec violated")
+		}
+		states = res.States
+	}
+	b.ReportMetric(float64(states), "states")
+}

@@ -214,6 +214,10 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.recvSyncAck(m)
 	case syncCommit:
 		r.recvSyncCommit(m)
+	default:
+		// A message in a representation the cases above do not list (a
+		// pointer to one of them, say) must not vanish silently.
+		panic(fmt.Sprintf("nopaxos: unexpected message %T", msg))
 	}
 }
 

@@ -433,7 +433,7 @@ func (r *Replica) recvPrepare(m prepare) {
 	}
 	if m.View > r.view {
 		m.Pkt.Release()
-		r.stateTransfer(m.View, m.OpNum)
+		r.stateTransfer(m.View)
 		return
 	}
 	r.touchLeader()
@@ -444,7 +444,7 @@ func (r *Replica) recvPrepare(m prepare) {
 	case m.OpNum > r.opNum()+1:
 		// Missed entries: fetch them rather than acknowledging a gap.
 		m.Pkt.Release()
-		r.stateTransfer(r.view, m.OpNum)
+		r.stateTransfer(r.view)
 		return
 	default:
 		// Duplicate of an entry we have; re-ack it.
@@ -553,13 +553,13 @@ func (r *Replica) executeUpTo(commitNum uint64) {
 func (r *Replica) recvCommit(m commitMsg) {
 	if m.View != r.view || r.status != statusNormal {
 		if m.View > r.view {
-			r.stateTransfer(m.View, m.CommitNum)
+			r.stateTransfer(m.View)
 		}
 		return
 	}
 	r.touchLeader()
 	if m.CommitNum > r.opNum() {
-		r.stateTransfer(r.view, m.CommitNum)
+		r.stateTransfer(r.view)
 		return
 	}
 	before := r.commitNum
@@ -644,8 +644,7 @@ func (r *Replica) advanceCompletions() {
 
 // --- state transfer ---
 
-func (r *Replica) stateTransfer(view, hint uint64) {
-	_ = hint
+func (r *Replica) stateTransfer(view uint64) {
 	r.Env.Send(r.leaderFor(view), getState{View: view, OpNum: r.opNum(), Replica: r.Group.Self})
 }
 
