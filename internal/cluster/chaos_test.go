@@ -26,6 +26,7 @@ type chaosRun struct {
 	*Cluster
 	moves []*Migration
 	recs  []*Reconfig
+	land  bool // the cell exercises the flip: an aborted handoff fails it
 }
 
 // newChaosRun builds a recorded cluster from cfg with the link faults
@@ -97,8 +98,8 @@ func (r *chaosRun) play(t *testing.T, s Script) {
 // cleanly; no slot frozen, and every slot routed to a live group
 // hosted on the slot's switch, whose front-end owns the slot and is
 // the only one that does; every started handoff landed (its slots
-// route to its destination) or aborted (they route back to its
-// source); and the recorded history linearizable — the checker decides
+// route to its destination) or, unless the cell must land, aborted
+// (they route back to its source); and the recorded history linearizable — the checker decides
 // each key on its own, so this is every group's and every key's
 // verdict at once.
 func (r *chaosRun) check(t *testing.T) {
@@ -125,9 +126,12 @@ func (r *chaosRun) check(t *testing.T) {
 	}
 	for _, m := range r.moves {
 		want := m.To
-		if m.Aborted() {
+		switch {
+		case m.Aborted() && r.land:
+			t.Fatalf("handoff of slots %v aborted (from %d to %d); the cell needs it to land", m.Slots, m.From, m.To)
+		case m.Aborted():
 			want = m.From
-		} else if !m.Done() {
+		case !m.Done():
 			t.Fatalf("handoff of slots %v stuck (from %d to %d)", m.Slots, m.From, m.To)
 		}
 		for _, s := range m.Slots {
@@ -353,6 +357,7 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 		// keep serving clean reads, and after the flip the round-robin
 		// must skip the holder-turned-home.
 		steps = []Step{{chaosAt, "StartBatchMigration", func(c *Cluster) error { return r.move(c.StartBatchMigration([]int{st.slot}, holder)) }}}
+		r.land = true
 	case "remove":
 		steps = []Step{{chaosAt, "StartRemoveGroup", func(c *Cluster) error { return r.reconfig(c.StartRemoveGroup(holder)) }}}
 	}
@@ -372,6 +377,9 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 		t.Fatal("no reads were spread across the replicated set")
 	}
 	if chaos == "remove" {
+		if r.rack.Live(holder) {
+			t.Fatal("removed holder still live")
+		}
 		if hk, ok := r.KeyPromoted(hot); ok {
 			for _, h := range hk.Holders {
 				if int(h) == holder {
@@ -408,6 +416,7 @@ func crossProtocolCase(t *testing.T, src, dst Protocol) {
 		GroupSpecs:  []GroupSpec{{Protocol: src, Replicas: 3}, {Protocol: dst, Replicas: 3}},
 		Seed:        131 + int64(src)*11 + int64(dst)*3,
 	}, "drops")
+	r.land = true
 	const keys = 64
 	cl := r.NewSyncClient()
 

@@ -109,10 +109,10 @@ func (c *Cluster) CheckLinearizabilityGroup(g int) lincheck.Result {
 }
 
 // CheckLinearizabilityKey verifies the slice of the recorded history
-// touching a single key. A promoted hot key's operations span several
-// replica groups, so neither the whole-history nor the per-group
-// verdict isolates it; this is the check the hot-key chaos tests lean
-// on to show the replicated fast path never reorders that one register.
+// touching a single key. The whole-history check already decides every
+// key on its own; this one narrows the check, and the key a failure
+// reports, to one register — a promoted hot key's operations span
+// several replica groups, so no per-group verdict isolates it.
 func (c *Cluster) CheckLinearizabilityKey(key string) lincheck.Result {
 	id := wire.HashKey(key)
 	var slot [wire.NumSlots]bool

@@ -152,7 +152,7 @@ func figHChaosVerify(s Scale) bool {
 	// topology maintenance. The settle covers retries, the crash and
 	// the handoff.
 	slot := slices.Index(c.SlotTable(), 0)
-	c.Play(cluster.Script{
+	p := c.Play(cluster.Script{
 		Loads: []cluster.LoadSpec{{
 			Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
 			WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
@@ -163,5 +163,5 @@ func figHChaosVerify(s Scale) bool {
 		},
 		Settle: 20 * time.Millisecond,
 	})
-	return c.CheckLinearizability().Ok
+	return p.Err() == nil && c.CheckLinearizability().Ok
 }

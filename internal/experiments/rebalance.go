@@ -111,18 +111,17 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 		}
 	}
 	res.MovedSlots = slots
-	res.Dests = make([]int, len(slots))
 	var migs []*cluster.Migration
 	moves := spreadSteps(warmup+window/4, slots, &migs)
-	for i := range slots {
-		res.Dests[i] = 1 + i%3
-	}
 	setDrops(0.01)
 	mid := spec
 	mid.Bucket = window / 25
 	p := c.Play(cluster.Script{Loads: []cluster.LoadSpec{mid}, Steps: moves})
 	if err := p.Err(); err != nil {
 		panic("experiments: rebalance migration failed: " + err.Error())
+	}
+	for _, m := range migs {
+		res.Dests = append(res.Dests, m.To)
 	}
 	setDrops(0)
 
