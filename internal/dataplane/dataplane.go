@@ -29,32 +29,138 @@ import (
 // stores an object ID and its pending-write sequence number per slot,
 // which fits in two 32-bit registers or one paired 64-bit register.
 //
-// A slot's valid bit is kept apart from its registers, one bit per
-// slot. The dirty set is nearly empty by design (a few dozen pending
-// writes in 3 × 64 000 slots), so almost every probe finds a free slot:
-// testing the bit touches an 8 KB bitmap that stays in cache instead
-// of a random 16-byte slot of a megabyte array, and a sweep visits the
-// set bits instead of every slot. The bitmap stands in front of the
-// model and changes nothing about it: same hash, same placement, same
-// (stage, index) visiting order.
+// The model has m slots, but the emulation holds only the occupied
+// ones. A slot's valid bit sits in an m-bit occupancy bitmap; the
+// registers of an occupied slot sit in a small open-addressed table of
+// cells keyed by slot index (linear probing, at most 7/8 full, deletion
+// by backward shift, doubling growth). The dirty set is nearly empty by
+// design (a few dozen pending writes in 3 × 64 000 slots), so almost
+// every probe stops at the bitmap, which stays in cache, and the cells
+// of a 3 × 64 000 table start at 36 KB where the registers themselves
+// would take 3 MB. None of this changes the model: same hash, same
+// placement, same (stage, index) visiting order, and each, and with it
+// Scan and SweepStale, walks the bitmap in index order.
 type RegisterArray struct {
-	slots []slot
-	occ   []uint64 // bit i set: slots[i] holds an entry
+	m     uint32
+	occ   []uint64 // bit i set: slot i holds an entry
+	cells []cell   // power-of-two length
+	n     int      // occupied cells
+	shift uint8    // 32 - log2(len(cells))
 }
 
-type slot struct {
+// cell holds one occupied slot's registers.
+type cell struct {
+	at  uint32 // slot index + 1; 0 marks a free cell
 	key uint32 // object ID
 	val uint64 // largest pending sequence number (per-epoch counter)
 }
 
-// NewRegisterArray allocates an array with m slots.
-func NewRegisterArray(m int) *RegisterArray {
-	return &RegisterArray{slots: make([]slot, m), occ: make([]uint64, (m+63)/64)}
+// NewRegisterArray allocates an array with m slots, sized for the
+// first stage of a table.
+func NewRegisterArray(m int) *RegisterArray { return newRegisterArray(m, m/firstStageShare) }
+
+// A table's first stage claims every key whose slot there is free, so
+// it holds nearly the whole dirty set: its cells start at 1/32 of its
+// slots, at 64 000 slots room for 1 792 entries at 7/8 full, where the
+// most any workload keeps pending in one stage is a little over 800
+// (the benchmark's rack at its top offered rate). A later stage holds
+// only the keys whose slots in every earlier stage were taken, a share
+// of them no larger than the first stage's occupancy, so its cells
+// start at 1/512 of its slots.
+const firstStageShare, laterStageShare = 32, 512
+
+// newRegisterArray allocates an array with m slots whose cell table
+// starts with room for cells (at least 8, rounded up to a power of two).
+func newRegisterArray(m, cells int) *RegisterArray {
+	size := 8
+	for size < cells {
+		size *= 2
+	}
+	r := &RegisterArray{m: uint32(m), occ: make([]uint64, (m+63)/64)}
+	r.alloc(size)
+	return r
 }
 
+func (r *RegisterArray) alloc(size int) {
+	r.cells = make([]cell, size)
+	r.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+}
+
+// home is a slot's preferred cell, from its index + 1.
+func (r *RegisterArray) home(at uint32) int { return int(at * 0x9E3779B1 >> r.shift) }
+
 func (r *RegisterArray) used(i int) bool { return r.occ[i>>6]&(1<<uint(i&63)) != 0 }
-func (r *RegisterArray) claim(i int)     { r.occ[i>>6] |= 1 << uint(i&63) }
-func (r *RegisterArray) free(i int)      { r.occ[i>>6] &^= 1 << uint(i&63) }
+
+// pos returns the position of occupied slot i's cell.
+func (r *RegisterArray) pos(i int) int {
+	at, mask := uint32(i)+1, len(r.cells)-1
+	for j := r.home(at); ; j = (j + 1) & mask {
+		if r.cells[j].at == at {
+			return j
+		}
+	}
+}
+
+// claim occupies free slot i with (key, val) and returns its cell.
+func (r *RegisterArray) claim(i int, key uint32, val uint64) *cell {
+	if 8*(r.n+1) > 7*len(r.cells) {
+		r.grow()
+	}
+	r.occ[i>>6] |= 1 << uint(i&63)
+	r.n++
+	return r.link(cell{at: uint32(i) + 1, key: key, val: val})
+}
+
+// link places a cell at the first free position from its home.
+func (r *RegisterArray) link(c cell) *cell {
+	mask := len(r.cells) - 1
+	j := r.home(c.at)
+	for r.cells[j].at != 0 {
+		j = (j + 1) & mask
+	}
+	r.cells[j] = c
+	return &r.cells[j]
+}
+
+// grow doubles the cell table and re-links what it holds.
+func (r *RegisterArray) grow() {
+	old := r.cells
+	r.alloc(2 * len(old))
+	for _, c := range old {
+		if c.at != 0 {
+			r.link(c)
+		}
+	}
+}
+
+// free empties occupied slot i, whose cell is at position hole.
+// Backward shift: walk the rest of the probe run and pull into the hole
+// every cell whose home lies at or before it (cyclically), so each
+// remaining cell stays reachable from its home.
+func (r *RegisterArray) free(i, hole int) {
+	mask := len(r.cells) - 1
+	for j := hole; ; {
+		j = (j + 1) & mask
+		c := r.cells[j]
+		if c.at == 0 {
+			break
+		}
+		if (j-r.home(c.at))&mask >= (j-hole)&mask {
+			r.cells[hole] = c
+			hole = j
+		}
+	}
+	r.cells[hole] = cell{}
+	r.occ[i>>6] &^= 1 << uint(i&63)
+	r.n--
+}
+
+// reset empties every slot.
+func (r *RegisterArray) reset() {
+	clear(r.occ)
+	clear(r.cells)
+	r.n = 0
+}
 
 // each calls fn with the index of every occupied slot, in index order;
 // fn may free the slot it is shown.
@@ -67,7 +173,7 @@ func (r *RegisterArray) each(fn func(i int)) {
 }
 
 // Size returns the slot count.
-func (r *RegisterArray) Size() int { return len(r.slots) }
+func (r *RegisterArray) Size() int { return int(r.m) }
 
 // Stage couples a register array with a hash function, mirroring one
 // physical pipeline stage used by the dirty-set table.
@@ -91,7 +197,7 @@ func hash32(key, seed uint32) uint32 {
 
 // index computes this stage's slot index for an object ID.
 func (s *Stage) index(key uint32) int {
-	return int(hash32(key, s.seed) % uint32(len(s.arr.slots)))
+	return int(hash32(key, s.seed) % s.arr.m)
 }
 
 // Table is the multi-stage hash table of Figure 4. Each stage holds one
@@ -127,8 +233,12 @@ func NewTable(stages, slotsPerStage int) *Table {
 	}
 	t := &Table{stages: make([]Stage, stages)}
 	for i := range t.stages {
+		share := laterStageShare
+		if i == 0 {
+			share = firstStageShare
+		}
 		t.stages[i] = Stage{
-			arr: NewRegisterArray(slotsPerStage),
+			arr: newRegisterArray(slotsPerStage, slotsPerStage/share),
 			// Distinct fixed seeds per stage; values are arbitrary
 			// odd-ish constants.
 			seed: 0x9e3779b9*uint32(i) + 0x7f4a7c15,
@@ -163,20 +273,19 @@ func (t *Table) Used() int { return t.used }
 // always at least as new as the cleared one, so the table never holds
 // two live entries for one key.
 func (t *Table) Insert(key uint32, seq uint64) error {
-	var claimed *slot
+	var claimed *cell
 	for i := range t.stages {
 		st := &t.stages[i]
 		idx := st.index(key)
 		if !st.arr.used(idx) {
 			if claimed == nil {
-				claimed = &st.arr.slots[idx]
-				*claimed = slot{key: key, val: seq}
-				st.arr.claim(idx)
+				claimed = st.arr.claim(idx, key, seq)
 				t.used++
 			}
 			continue
 		}
-		sl := &st.arr.slots[idx]
+		j := st.arr.pos(idx)
+		sl := &st.arr.cells[j]
 		if sl.key != key {
 			continue
 		}
@@ -185,7 +294,7 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 			if sl.val > claimed.val {
 				claimed.val = sl.val
 			}
-			st.arr.free(idx)
+			st.arr.free(idx, j)
 			t.used--
 			return nil
 		}
@@ -205,8 +314,10 @@ func (t *Table) Insert(key uint32, seq uint64) error {
 func (t *Table) Lookup(key uint32) (uint64, bool) {
 	for i := range t.stages {
 		st := &t.stages[i]
-		if idx := st.index(key); st.arr.used(idx) && st.arr.slots[idx].key == key {
-			return st.arr.slots[idx].val, true
+		if idx := st.index(key); st.arr.used(idx) {
+			if c := &st.arr.cells[st.arr.pos(idx)]; c.key == key {
+				return c.val, true
+			}
 		}
 	}
 	return 0, false
@@ -219,13 +330,15 @@ func (t *Table) Lookup(key uint32) (uint64, bool) {
 func (t *Table) Delete(key uint32, upTo uint64) bool {
 	for i := range t.stages {
 		st := &t.stages[i]
-		if idx := st.index(key); st.arr.used(idx) && st.arr.slots[idx].key == key {
-			if st.arr.slots[idx].val <= upTo {
-				st.arr.free(idx)
+		if idx := st.index(key); st.arr.used(idx) {
+			if j := st.arr.pos(idx); st.arr.cells[j].key == key {
+				if st.arr.cells[j].val > upTo {
+					return false
+				}
+				st.arr.free(idx, j)
 				t.used--
 				return true
 			}
-			return false
 		}
 	}
 	return false
@@ -242,9 +355,9 @@ func (t *Table) SweepStale(commit uint64) int {
 	removed := 0
 	for i := range t.stages {
 		arr := t.stages[i].arr
-		arr.each(func(j int) {
-			if arr.slots[j].val <= commit {
-				arr.free(j)
+		arr.each(func(i int) {
+			if j := arr.pos(i); arr.cells[j].val <= commit {
+				arr.free(i, j)
 				removed++
 			}
 		})
@@ -260,7 +373,10 @@ func (t *Table) SweepStale(commit uint64) int {
 func (t *Table) Scan(fn func(key uint32, seq uint64)) {
 	for i := range t.stages {
 		arr := t.stages[i].arr
-		arr.each(func(j int) { fn(arr.slots[j].key, arr.slots[j].val) })
+		arr.each(func(i int) {
+			c := &arr.cells[arr.pos(i)]
+			fn(c.key, c.val)
+		})
 	}
 }
 
@@ -275,7 +391,7 @@ func (t *Table) CleanSlotIfStale(key uint32, commit uint64) bool {
 // lost).
 func (t *Table) Reset() {
 	for i := range t.stages {
-		clear(t.stages[i].arr.occ) // a register without its valid bit is never read
+		t.stages[i].arr.reset()
 	}
 	t.used = 0
 }

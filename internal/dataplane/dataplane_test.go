@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +138,102 @@ func TestMemoryBytesMatchesPaper(t *testing.T) {
 	if got := tb.MemoryBytes(); got != 3*64000*8 {
 		t.Fatalf("MemoryBytes = %d", got)
 	}
+}
+
+// TestPaperTableHoldsOnlyLiveCells pins what the paper's 3 × 64 000
+// geometry costs to build: the occupancy bitmaps and the initial cell
+// tables, under 64 KB where full register arrays took 3 MB, while the
+// model's geometry and accounting stay those of the full arrays.
+func TestPaperTableHoldsOnlyLiveCells(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb := NewTable(3, 64000)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("NewTable(3, 64000) allocated %d bytes, want under 64 KB", n)
+	}
+	if tb.SlotsPerStage() != 64000 || tb.Capacity() != 3*64000 || tb.MemoryBytes() != 3*64000*8 {
+		t.Fatalf("SlotsPerStage %d Capacity %d MemoryBytes %d", tb.SlotsPerStage(), tb.Capacity(), tb.MemoryBytes())
+	}
+}
+
+// checkCells holds every stage's cell table to its invariants and
+// returns the cells in use: one cell per set occupancy bit, the count
+// kept right, and no free cell between a cell and its home, which is
+// what a backward-shift delete must preserve.
+func checkCells(t *testing.T, tb *Table) (n int) {
+	t.Helper()
+	for i := range tb.stages {
+		arr, cells := tb.stages[i].arr, 0
+		mask := len(arr.cells) - 1
+		for j, c := range arr.cells {
+			if c.at == 0 {
+				continue
+			}
+			cells++
+			if !arr.used(int(c.at - 1)) {
+				t.Fatalf("stage %d: a cell for free slot %d", i, c.at-1)
+			}
+			for k := arr.home(c.at); k != j; k = (k + 1) & mask {
+				if arr.cells[k].at == 0 {
+					t.Fatalf("stage %d: slot %d's cell at %d is cut off from its home by free cell %d", i, c.at-1, j, k)
+				}
+			}
+		}
+		bitsSet := 0
+		arr.each(func(int) { bitsSet++ })
+		if cells != arr.n || cells != bitsSet {
+			t.Fatalf("stage %d: %d cells in use, %d counted, %d occupancy bits", i, cells, arr.n, bitsSet)
+		}
+		n += cells
+	}
+	return n
+}
+
+// TestLiveCellsGrowAndDrain fills a small table's stages well past their
+// initial cell tables, empties them by each way a slot is freed, and
+// refills them: every entry stays reachable through the doublings and
+// backward shifts, and a drained table holds no cell.
+func TestLiveCellsGrowAndDrain(t *testing.T) {
+	tb := NewTable(3, 130)
+	initial := len(tb.stages[0].arr.cells)
+	fill := func(round uint64) {
+		var held []uint32
+		for k := uint32(0); k < 256; k++ {
+			if tb.Insert(k, round<<8|uint64(k)) == nil {
+				held = append(held, k)
+			}
+		}
+		for _, k := range held {
+			if v, ok := tb.Lookup(k); !ok || v != round<<8|uint64(k) {
+				t.Fatalf("round %d: key %d holds %d (present %v)", round, k, v, ok)
+			}
+		}
+		if n := checkCells(t, tb); tb.Used() != len(held) || n != len(held) {
+			t.Fatalf("round %d: Used %d, %d live cells, %d inserts held", round, tb.Used(), n, len(held))
+		}
+	}
+	fill(1)
+	if got := len(tb.stages[0].arr.cells); got < initial<<3 {
+		t.Fatalf("first stage grew %d → %d cells, want three doublings", initial, got)
+	}
+	for k := uint32(0); k < 256; k += 2 {
+		tb.Delete(k, 1<<8|uint64(k))
+	}
+	tb.SweepStale(1<<8 | 200)
+	if n := checkCells(t, tb); n == 0 || n != tb.Used() {
+		t.Fatalf("after Delete and SweepStale: Used %d, %d live cells", tb.Used(), n)
+	}
+	tb.SweepStale(2 << 8)
+	if n := checkCells(t, tb); n != 0 || tb.Used() != 0 {
+		t.Fatalf("after a full sweep: Used %d, %d live cells", tb.Used(), n)
+	}
+	fill(2)
+	tb.Reset()
+	if n := checkCells(t, tb); n != 0 || tb.Used() != 0 {
+		t.Fatalf("after Reset: Used %d, %d live cells", tb.Used(), n)
+	}
+	fill(3)
 }
 
 func TestInvalidTablePanics(t *testing.T) {

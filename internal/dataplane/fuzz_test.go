@@ -7,9 +7,10 @@ import (
 
 // fuzzShapes are the table geometries the fuzz stream picks from: a
 // single tiny stage, the usual three stages kept small enough to fill
-// up, and slot counts that leave a ragged last word in the occupancy
-// bitmap.
-var fuzzShapes = [][2]int{{1, 5}, {3, 8}, {2, 70}, {3, 130}}
+// up, slot counts that leave a ragged last word in the occupancy bitmap
+// and whose live cells outgrow their initial tables, and the paper's
+// 3 × 64 000.
+var fuzzShapes = [][2]int{{1, 5}, {3, 8}, {2, 70}, {3, 130}, {3, 64000}}
 
 // FuzzTableAgainstMap interprets the input as a table shape followed by
 // a stream of operations (three bytes each: opcode, key, argument) and
@@ -21,6 +22,7 @@ var fuzzShapes = [][2]int{{1, 5}, {3, 8}, {2, 70}, {3, 130}}
 // could be holding somebody else.
 func FuzzTableAgainstMap(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 2, 2, 1, 0, 1, 1, 9, 4, 0, 0})
+	f.Add([]byte{4, 0, 1, 1, 0, 1, 2, 2, 1, 0, 1, 1, 9, 4, 0, 0, 6, 0, 0, 0, 3, 5})
 	f.Add([]byte{0, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 1, 3, 0, 3, 4, 0, 0})
 	fill := []byte{1}
 	for k := 0; k < 40; k++ { // overfill 3x8, delete a few, sweep, reset, refill
@@ -28,6 +30,20 @@ func FuzzTableAgainstMap(f *testing.F) {
 	}
 	fill = append(fill, 1, 3, 255, 1, 9, 255, 3, 0, 20, 4, 0, 0, 6, 0, 0, 0, 5, 1, 4, 0, 0)
 	f.Add(fill)
+	// On 3 × 130: grow the first stage's 8 cells through at least three
+	// doublings (TestLiveCellsGrowAndDrain checks it) and the later
+	// stages' too, drain them by Delete, SweepStale and Reset, refill.
+	grow := []byte{3}
+	for k := 0; k < 256; k++ {
+		grow = append(grow, 0, byte(k), 1)
+	}
+	refill := append([]byte(nil), grow[1:]...)
+	for k := 0; k < 256; k += 3 {
+		grow = append(grow, 1, byte(k), 255)
+	}
+	grow = append(grow, 3, 0, 128, 4, 0, 0, 3, 0, 0)
+	grow = append(append(grow, refill...), 6, 0, 0)
+	f.Add(append(grow, refill...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -54,6 +70,7 @@ func FuzzTableAgainstMap(f *testing.F) {
 			if len(seen) != len(oracle) {
 				t.Fatalf("step %d: Scan showed %d entries, oracle holds %d", step, len(seen), len(oracle))
 			}
+			checkCells(t, tb)
 		}
 
 		for step := 0; len(data) >= 3; step++ {

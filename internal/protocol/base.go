@@ -191,10 +191,13 @@ func (b *Base) HandleFastRead(pkt *wire.Packet, normalDst SendTarget) (serveNorm
 		b.LeaseRejected++
 		return b.rejectFast(pkt, normalDst)
 	}
+	// One probe serves both the check and the reply; an absent object's
+	// Seq is zero, as ObjectSeq reports it.
+	obj, found := b.Store.Get(pkt.ObjID)
 	var ok bool
 	switch b.Class {
 	case ReadAhead:
-		ok = ReadAheadAccept(pkt.LastCommitted, b.Store.ObjectSeq(pkt.ObjID))
+		ok = ReadAheadAccept(pkt.LastCommitted, obj.Seq)
 	case ReadBehind:
 		ok = ReadBehindAccept(pkt.LastCommitted, b.Store.LastApplied())
 	}
@@ -209,7 +212,7 @@ func (b *Base) HandleFastRead(pkt *wire.Packet, normalDst SendTarget) (serveNorm
 		return b.rejectFast(pkt, normalDst)
 	}
 	b.FastServed++
-	b.Env.SendSwitch(b.ReadReply(pkt))
+	b.Env.SendSwitch(b.ValueReply(pkt, obj.Value, found))
 	pkt.Release() // the read is fully answered; drop its delivery reference
 	return false
 }

@@ -86,12 +86,35 @@ func (o *storeOracle) clone() *storeOracle {
 	return c
 }
 
+// fuzzValue is the value a write with argument arg stores: nil, empty
+// but not nil, or 1, 8 or 64 bytes drawn from arg.
+func fuzzValue(arg byte) []byte {
+	switch arg % 5 {
+	case 0:
+		return nil
+	case 1:
+		return []byte{}
+	}
+	v := make([]byte, []int{1, 8, 64}[arg%5-2])
+	for i := range v {
+		v[i] = arg + byte(i)
+	}
+	return v
+}
+
+// sameValue holds a value the store gave back to the one it was given:
+// the same bytes, nil exactly when that was nil, and no capacity beyond
+// its length.
+func sameValue(got, want []byte) bool {
+	return bytes.Equal(got, want) && (got == nil) == (want == nil) && cap(got) == len(got)
+}
+
 func sameObjects(a, b map[wire.ObjectID]Object) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for id, x := range a {
-		if y, ok := b[id]; !ok || x.Seq != y.Seq || !bytes.Equal(x.Value, y.Value) {
+		if y, ok := b[id]; !ok || x.Seq != y.Seq || !sameValue(x.Value, y.Value) {
 			return false
 		}
 	}
@@ -138,7 +161,8 @@ func FuzzStoreAgainstMap(f *testing.F) {
 				if arg%8 == 0 {
 					seq = wire.Seq{Epoch: o.lastApplied.Epoch, N: o.lastApplied.N - uint64(arg>>3)%(o.lastApplied.N+1)}
 				}
-				err := s.Apply(id, []byte{arg}, seq, op == 1)
+				v := fuzzValue(arg)
+				err := s.Apply(id, v, seq, op == 1)
 				if want := !o.lastApplied.Less(seq); want != errors.Is(err, ErrOutOfOrder) {
 					t.Fatalf("step %d: Apply at %v after %v returned %v", step, seq, o.lastApplied, err)
 				}
@@ -148,13 +172,14 @@ func FuzzStoreAgainstMap(f *testing.F) {
 					if op == 1 {
 						delete(o.objs, id)
 					} else {
-						o.objs[id] = Object{Value: []byte{arg}, Seq: seq}
+						o.objs[id] = Object{Value: v, Seq: seq}
 					}
 				}
 			case 2: // Seed, possibly behind or far ahead of lastApplied
 				seq := wire.Seq{Epoch: uint32(arg & 1), N: uint64(arg)}
-				s.Seed(id, []byte{arg}, seq)
-				o.seed(id, []byte{arg}, seq)
+				v := fuzzValue(arg)
+				s.Seed(id, v, seq)
+				o.seed(id, v, seq)
 			case 3: // Get
 			case 4: // ExtractSlot
 				want := map[wire.ObjectID]Object{}
@@ -220,7 +245,7 @@ func FuzzStoreAgainstMap(f *testing.F) {
 				o := oracles[i]
 				got, ok := s.Get(id)
 				want, wantOK := o.objs[id]
-				if ok != wantOK || got.Seq != want.Seq || !bytes.Equal(got.Value, want.Value) {
+				if ok != wantOK || got.Seq != want.Seq || !sameValue(got.Value, want.Value) {
 					t.Fatalf("step %d (op %d): store %d Get(%d) = %v %v, oracle %v %v", step, op, i, id, got, ok, want, wantOK)
 				}
 				if s.ObjectSeq(id) != want.Seq {

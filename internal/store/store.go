@@ -12,7 +12,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"unsafe"
 
 	"harmonia/internal/wire"
 )
@@ -50,13 +52,38 @@ type Store struct {
 // slotTab holds one routing slot's objects: linear probing over
 // parallel power-of-two arrays kept at most 7/8 full, deletion by
 // backward shift so lookups never meet a tombstone. A probe run walks
-// only the 4-byte IDs, and an object sits at its ID's position, so
-// both addresses follow from the hash and their cache misses overlap.
+// only the 4-byte IDs; the object sits at its ID's position in the
+// 24-byte entry array, so both addresses follow from the hash and their
+// cache misses overlap. A position costs 28 bytes (an Object beside its
+// ID would take 44), and the collector finds one pointer per entry.
 type slotTab struct {
 	ids   []wire.ObjectID // emptyID(slot) marks a free position
-	objs  []Object
+	ents  []entry
 	n     int
 	shift uint8 // 32 - log2(len(ids))
+}
+
+// entry is an Object packed into 24 bytes: the value as its first byte
+// and its length (nil stays nil, empty stays empty; what comes back out
+// has cap == len), and the sequence number without Seq's padding.
+type entry struct {
+	val   unsafe.Pointer
+	n     uint32
+	epoch uint32
+	seq   uint64
+}
+
+func pack(o Object) entry {
+	if uint64(len(o.Value)) > math.MaxUint32 {
+		panic(fmt.Sprintf("store: %d-byte value does not fit an entry", len(o.Value)))
+	}
+	return entry{val: unsafe.Pointer(unsafe.SliceData(o.Value)), n: uint32(len(o.Value)), epoch: o.Seq.Epoch, seq: o.Seq.N}
+}
+
+func (e *entry) seqNum() wire.Seq { return wire.Seq{Epoch: e.epoch, N: e.seq} }
+
+func (e *entry) object() Object {
+	return Object{Value: unsafe.Slice((*byte)(e.val), e.n), Seq: e.seqNum()}
 }
 
 const slotTabMinLen = 8
@@ -94,37 +121,38 @@ func (t *slotTab) find(id, empty wire.ObjectID) int {
 
 // put inserts or replaces id's object.
 func (t *slotTab) put(id, empty wire.ObjectID, o Object) {
+	e := pack(o)
 	if i := t.find(id, empty); i >= 0 {
-		t.objs[i] = o
+		t.ents[i] = e
 		return
 	}
 	if 8*(t.n+1) > 7*len(t.ids) {
 		t.grow(empty, t.n+1)
 	}
-	t.link(id, empty, o)
+	t.link(id, empty, e)
 	t.n++
 }
 
 // link places an absent id at the first free position from its home.
-func (t *slotTab) link(id, empty wire.ObjectID, o Object) {
+func (t *slotTab) link(id, empty wire.ObjectID, e entry) {
 	mask := len(t.ids) - 1
 	i := t.home(id)
 	for t.ids[i] != empty {
 		i = (i + 1) & mask
 	}
-	t.ids[i], t.objs[i] = id, o
+	t.ids[i], t.ents[i] = id, e
 }
 
 // grow doubles the table, or brings it straight to the size that
 // doubling would reach by the time it holds want objects, and re-links
 // what it holds.
 func (t *slotTab) grow(empty wire.ObjectID, want int) {
-	oldIDs, oldObjs := t.ids, t.objs
+	oldIDs, oldEnts := t.ids, t.ents
 	size := max(2*len(oldIDs), slotTabMinLen)
 	for 8*want > 7*size {
 		size *= 2
 	}
-	t.ids, t.objs = make([]wire.ObjectID, size), make([]Object, size)
+	t.ids, t.ents = make([]wire.ObjectID, size), make([]entry, size)
 	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	if empty != 0 {
 		for i := range t.ids {
@@ -133,7 +161,7 @@ func (t *slotTab) grow(empty wire.ObjectID, want int) {
 	}
 	for i, id := range oldIDs {
 		if id != empty {
-			t.link(id, empty, oldObjs[i])
+			t.link(id, empty, oldEnts[i])
 		}
 	}
 }
@@ -155,11 +183,11 @@ func (t *slotTab) del(id, empty wire.ObjectID) {
 			break
 		}
 		if (j-t.home(k))&mask >= (j-i)&mask {
-			t.ids[i], t.objs[i] = k, t.objs[j]
+			t.ids[i], t.ents[i] = k, t.ents[j]
 			i = j
 		}
 	}
-	t.ids[i], t.objs[i] = empty, Object{}
+	t.ids[i], t.ents[i] = empty, entry{}
 	t.n--
 }
 
@@ -167,7 +195,7 @@ func (t *slotTab) del(id, empty wire.ObjectID) {
 func (t *slotTab) each(empty wire.ObjectID, fn func(wire.ObjectID, Object)) {
 	for i, id := range t.ids {
 		if id != empty {
-			fn(id, t.objs[i])
+			fn(id, t.ents[i].object())
 		}
 	}
 }
@@ -231,17 +259,17 @@ func (s *Store) Reserve(slot, n int) {
 func (s *Store) CopySlot(src *Store, slot int) {
 	t, from := &s.slots[slot], &src.slots[slot]
 	if len(t.ids) != len(from.ids) {
-		t.ids, t.objs = make([]wire.ObjectID, len(from.ids)), make([]Object, len(from.objs))
+		t.ids, t.ents = make([]wire.ObjectID, len(from.ids)), make([]entry, len(from.ents))
 	}
 	copy(t.ids, from.ids)
-	copy(t.objs, from.objs)
+	copy(t.ents, from.ents)
 	t.n, t.shift = from.n, from.shift
 	// No object is newer than its store's lastApplied, so only a source
 	// ahead of this store can hand it a newer one.
 	if s.lastApplied.Less(src.lastApplied) {
-		for _, o := range t.objs { // a free position holds the zero Object
-			if s.lastApplied.Less(o.Seq) {
-				s.lastApplied = o.Seq
+		for i := range t.ents { // a free position holds the zero entry
+			if seq := t.ents[i].seqNum(); s.lastApplied.Less(seq) {
+				s.lastApplied = seq
 			}
 		}
 	}
@@ -252,7 +280,7 @@ func (s *Store) Get(id wire.ObjectID) (Object, bool) {
 	slot := wire.SlotOf(id)
 	t := &s.slots[slot]
 	if i := t.find(id, emptyID(slot)); i >= 0 {
-		return t.objs[i], true
+		return t.ents[i].object(), true
 	}
 	return Object{}, false
 }

@@ -6,11 +6,21 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"harmonia/internal/wire"
 )
 
 func seq(n uint64) wire.Seq { return wire.Seq{Epoch: 1, N: n} }
+
+// TestEntrySize pins the per-position cost of a stored object: each
+// replica holds every key of its groups, so the entry array is most of
+// a read-heavy run's heap.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 24 {
+		t.Fatalf("entry is %d bytes, want 24", n)
+	}
+}
 
 func TestApplyGet(t *testing.T) {
 	s := New(8)
@@ -434,16 +444,16 @@ func TestCopySlotCopiesTheTable(t *testing.T) {
 
 		dst.CopySlot(src, slot)
 		from, got := &src.slots[slot], &dst.slots[slot]
-		if got.n != from.n || got.shift != from.shift || !slices.Equal(got.ids, from.ids) || len(got.objs) != len(from.objs) {
+		if got.n != from.n || got.shift != from.shift || !slices.Equal(got.ids, from.ids) || len(got.ents) != len(from.ents) {
 			t.Fatalf("slot %d: copied table n=%d shift=%d len=%d, source n=%d shift=%d len=%d",
 				slot, got.n, got.shift, len(got.ids), from.n, from.shift, len(from.ids))
 		}
-		for i := range got.objs {
-			if got.objs[i].Seq != from.objs[i].Seq || !bytes.Equal(got.objs[i].Value, from.objs[i].Value) {
-				t.Fatalf("slot %d position %d: %v, source %v", slot, i, got.objs[i], from.objs[i])
+		for i := range got.ents {
+			if got.ents[i] != from.ents[i] {
+				t.Fatalf("slot %d position %d: %v, source %v", slot, i, got.ents[i].object(), from.ents[i].object())
 			}
 		}
-		if &got.ids[0] == &from.ids[0] || &got.objs[0] == &from.objs[0] {
+		if &got.ids[0] == &from.ids[0] || &got.ents[0] == &from.ents[0] {
 			t.Fatalf("slot %d: the copy shares the source's arrays", slot)
 		}
 		if dst.LastApplied() != newest || newest == src.LastApplied() {
