@@ -99,11 +99,13 @@ func (r *chaosRun) play(t *testing.T, s Script) {
 // hosted on the slot's switch, whose front-end owns the slot and is
 // the only one that does; every started handoff landed (its slots
 // route to its destination) or, unless the cell must land, aborted
-// (they route back to its source); and the recorded history linearizable — the checker decides
-// each key on its own, so this is every group's and every key's
-// verdict at once.
+// (they route back to its source); every packet reference the
+// cluster's pool has out held by a replica (checkPackets); and the
+// recorded history linearizable — the checker decides each key on its
+// own, so this is every group's and every key's verdict at once.
 func (r *chaosRun) check(t *testing.T) {
 	t.Helper()
+	checkPackets(t, r.Cluster)
 	if n := len(r.migrations); n != 0 {
 		t.Fatalf("%d slots still mid-handoff", n)
 	}
@@ -145,6 +147,26 @@ func (r *chaosRun) check(t *testing.T) {
 	}
 }
 
+// checkPackets asserts the packet balance of a quiescent cluster: every
+// reference out on its pool is one a replica holds — a current member,
+// a crashed one or one of a replaced member set. A packet a crash, a
+// drop or a handoff lost shows as the difference.
+func checkPackets(t *testing.T, c *Cluster) {
+	t.Helper()
+	held := 0
+	for _, r := range c.retired {
+		held += r.HeldPackets()
+	}
+	for _, g := range c.groups {
+		for _, r := range g.replicas {
+			held += r.HeldPackets()
+		}
+	}
+	if live := c.LivePackets(); live != held {
+		t.Fatalf("%d packet references live, the replicas hold %d: %d leaked", live, held, live-held)
+	}
+}
+
 // TestMigrateChaosMatrix is the migration hardening matrix: every
 // replication protocol × a chaos mode (packet drops, reordering, or a
 // source-group replica crash mid-handoff) × a handoff shape
@@ -154,10 +176,12 @@ func (r *chaosRun) check(t *testing.T) {
 // replies piggyback the completions that empty the dirty set) but
 // skips the crash column — its reconfiguration is not modeled.
 func TestMigrateChaosMatrix(t *testing.T) {
+	t.Parallel()
 	for _, p := range allProtocols() {
 		for _, chaos := range []string{"drops", "reorder", "crash"} {
 			for _, kind := range []string{"single", "batch", "swap"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", p, chaos, kind), func(t *testing.T) {
+					t.Parallel()
 					migrateChaosCase(t, p, chaos, kind)
 				})
 			}
@@ -207,10 +231,12 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 // mid-handoff) × a cross-switch handoff shape (single slot or batch),
 // run in the middle of a live load window on a 2-switch rack.
 func TestRackChaosMatrix(t *testing.T) {
+	t.Parallel()
 	for _, p := range allProtocols() {
 		for _, chaos := range []string{"drops", "reorder", "crashreplica", "crashswitch"} {
 			for _, kind := range []string{"single", "batch"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", p, chaos, kind), func(t *testing.T) {
+					t.Parallel()
 					rackChaosCase(t, p, chaos, kind)
 				})
 			}
@@ -255,9 +281,11 @@ func rackChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 // a replica crash mid-reconfiguration), each run in the middle of a
 // live recorded load window.
 func TestElasticMigrateChaosMatrix(t *testing.T) {
+	t.Parallel()
 	for _, op := range []string{"add", "remove", "respec", "reassign"} {
 		for _, chaos := range []string{"drops", "reorder", "crash"} {
 			t.Run(fmt.Sprintf("%s/%s", op, chaos), func(t *testing.T) {
+				t.Parallel()
 				elasticChaosCase(t, op, chaos)
 			})
 		}
@@ -332,8 +360,12 @@ func elasticChaosCase(t *testing.T, op, chaos string) {
 // concurrent migration of the key's home slot into a holder, and the
 // elastic removal of a holder group.
 func TestHotKeyChaosMatrix(t *testing.T) {
+	t.Parallel()
 	for _, chaos := range []string{"drops", "reorder", "crash", "migrate", "remove"} {
-		t.Run(chaos, func(t *testing.T) { hotKeyChaosCase(t, chaos) })
+		t.Run(chaos, func(t *testing.T) {
+			t.Parallel()
+			hotKeyChaosCase(t, chaos)
+		})
 	}
 }
 
@@ -398,12 +430,14 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 // live mixed load. This is the cross-protocol ExtractSlot/InstallSlot
 // path as a steady state, not a transient.
 func TestMigrateCrossProtocolSteadyStateMatrix(t *testing.T) {
+	t.Parallel()
 	for _, src := range allProtocols() {
 		for _, dst := range allProtocols() {
 			if src == dst {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s_to_%s", src, dst), func(t *testing.T) {
+				t.Parallel()
 				crossProtocolCase(t, src, dst)
 			})
 		}

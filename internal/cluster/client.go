@@ -121,7 +121,8 @@ type Report struct {
 // opState tracks one in-flight logical operation. The master packet is
 // embedded by value and the records are pooled on the cluster, so a
 // completed op recycles both in one free-list push; what actually
-// reaches the network is a pooled per-transmission FlightClone.
+// reaches the network is a per-transmission FlightClone from the
+// cluster's packet pool.
 type opState struct {
 	pkt         wire.Packet
 	valueID     int64
@@ -249,8 +250,8 @@ func (m *measurement) observe(write bool, group int, d time.Duration, at sim.Tim
 
 // Recv implements simnet.Handler for the client node. The client is
 // the reply's terminal consumer: it releases the packet after matching
-// it against the pending table, except when an onReply observer
-// (SyncClient) takes over the reference.
+// it against the pending table (and showing it to an onReply
+// observer, which keeps nothing).
 func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 	pkt, ok := msg.(*wire.Packet)
 	if !ok {
@@ -306,10 +307,9 @@ func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 	}
 	v.c.putOp(st)
 	if v.onReply != nil {
-		v.onReply(pkt) // the observer takes the reference (SyncClient)
-	} else {
-		pkt.Release()
+		v.onReply(pkt)
 	}
+	pkt.Release()
 	if v.closedLoop {
 		v.issueNext()
 	}
@@ -360,7 +360,7 @@ func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 }
 
 func (v *vclient) send(st *opState) {
-	v.c.net.Send(v.addr, v.c.switchAddrForObj(st.pkt.ObjID), st.pkt.FlightClone())
+	v.c.net.Send(v.addr, v.c.switchAddrForObj(st.pkt.ObjID), v.c.pkts.FlightClone(&st.pkt))
 	if v.closedLoop {
 		st.timer = v.c.eng.AfterCallT(retryTimeout, v.retryFn, st)
 	}

@@ -151,7 +151,7 @@ func TestClientOpPathAllocs(t *testing.T) {
 		op.histIdx = -1
 		op.pkt = wire.Packet{Op: wire.OpRead, ClientID: v.id, ReqID: v.nextReq}
 		v.pending.put(v.nextReq, op)
-		rep := wire.NewPacket()
+		rep := c.pkts.New()
 		rep.Op, rep.ClientID, rep.ReqID = wire.OpReadReply, v.id, v.nextReq
 		v.Recv(0, rep)
 	}); a != 0 {

@@ -111,6 +111,9 @@ type ReplicaHandle interface {
 	// lease-rejected read counts (zero for CRAQ, which takes no fast
 	// reads).
 	ShimCounters() (served, rejected, leaseRejected uint64)
+	// HeldPackets returns the packet references the replica holds: its
+	// windows, its cached replies and whatever else its protocol keeps.
+	HeldPackets() int
 }
 
 // replicaGroup is one replica group: a partition of the key space with
@@ -151,12 +154,16 @@ type Cluster struct {
 	cfg Config
 	eng *sim.Engine
 	net *simnet.Network
-	// msgs holds the protocols' message free lists: one set per
-	// cluster, because records cross replicas but never engines.
+	// msgs holds the protocols' message free lists and pkts the packet
+	// pool: one set per cluster, because records and packets cross
+	// nodes but never engines.
 	msgs *protocol.MsgPool
+	pkts wire.Pool
 
 	rack   *rack.Rack
 	groups []*replicaGroup
+	// retired keeps the replaced member sets, which still hold packets.
+	retired []ReplicaHandle
 
 	ctl *controller
 
@@ -649,6 +656,11 @@ func (c *Cluster) startSweep(grp *replicaGroup) {
 	})
 }
 
+// LivePackets returns the references out on the cluster's packet
+// pool. At quiescence each is held by a replica — current, crashed or
+// of a replaced member set (HeldPackets); anything more leaked.
+func (c *Cluster) LivePackets() int { return c.pkts.Live() }
+
 // Engine exposes the simulation engine (tests and harnesses).
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
@@ -743,6 +755,7 @@ func (c *Cluster) newScheduler(g int, epoch uint32) *core.Scheduler {
 	}, core.SenderFunc(func(to simnet.NodeID, pkt *wire.Packet) {
 		c.net.Send(swAddr, to, pkt)
 	}))
+	sched.SetPackets(&c.pkts)
 	if c.tracer != nil {
 		// Every scheduler — boot, elastic add, or §5.3 replacement —
 		// stamps traced writes at sequencing time.
@@ -774,6 +787,7 @@ func (e *replicaEnv) After(d time.Duration, fn func()) sim.Timer { return e.c.en
 func (e *replicaEnv) Now() sim.Time                              { return e.c.eng.Now() }
 func (e *replicaEnv) Rand() *rand.Rand                           { return e.c.eng.Rand() }
 func (e *replicaEnv) Msgs() *protocol.MsgPool                    { return e.c.msgs }
+func (e *replicaEnv) Packets() *wire.Pool                        { return &e.c.pkts }
 
 // buildGroupReplicas constructs one group's protocol replica set per
 // its spec and registers the nodes with the group's calibrated
@@ -784,6 +798,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 	swAddr := switchAddrOf(c.rack.SwitchOfGroup(grp.idx))
 	proc := simnet.ProcConfig{Workers: serverWorkers, Cost: serviceCost}
 
+	c.retired = append(c.retired, grp.replicas...)
 	grp.replicas = make([]ReplicaHandle, grp.n)
 	grp.nodes = make([]simnet.Handler, grp.n)
 	for i := range grp.nodes {
@@ -810,7 +825,7 @@ func serviceCost(msg simnet.Message) time.Duration {
 // newReplica constructs one protocol replica and the handle onto its
 // state.
 func (c *Cluster) newReplica(p Protocol, env *replicaEnv, g protocol.GroupConfig) (simnet.Handler, ReplicaHandle) {
-	var node simnet.Handler
+	var node replicaNode
 	var base *protocol.Base
 	switch p {
 	case PB:
@@ -835,7 +850,7 @@ func (c *Cluster) newReplica(p Protocol, env *replicaEnv, g protocol.GroupConfig
 		panic("cluster: unknown protocol")
 	}
 	base.DisableCheck = c.cfg.DisableReadChecks
-	return node, baseHandle{base}
+	return node, baseHandle{base, node}
 }
 
 // viewChangeHook retargets group g's scheduler partition at a new VR
@@ -909,10 +924,9 @@ func (c *Cluster) prime() {
 // priming client identity (ClientID 0): primes, and the drain's flush
 // writes, which take request IDs from a range of their own.
 func (c *Cluster) controlWrite(g int, key string, flags wire.Flags, reqID uint64) {
-	pkt := &wire.Packet{
-		Op: wire.OpWrite, Flags: flags, ObjID: wire.HashKey(key), Key: key,
-		Group: uint16(g), ClientID: 0, ReqID: reqID, Value: []byte{1},
-	}
+	pkt := c.pkts.New()
+	pkt.Op, pkt.Flags, pkt.ObjID, pkt.Key = wire.OpWrite, flags, wire.HashKey(key), key
+	pkt.Group, pkt.ReqID, pkt.Value = uint16(g), reqID, []byte{1}
 	c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
 }
 

@@ -271,11 +271,12 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 // on its way: queued at the victim (lost with its queue), in service
 // there (abandoned), on the link (dropped on arrival), and — when the
 // victim is the VR leader — part of a broadcast whose other records
-// were delivered. The ownership rule says the lost ones are simply
-// never recycled. Under -race the free lists' guard turns a record
-// recycled twice, or written after it was recycled, into a panic; in
-// every build the survivors must keep committing and the history must
-// stay linearizable, which a resurrected prepare or ack would break.
+// were delivered. The ownership rule says the lost records are never
+// recycled, and the packets they carry are released. Under -race the
+// free lists' guard turns a record recycled twice, or written after it
+// was recycled, into a panic; in every build the survivors must keep
+// committing, the history must stay linearizable, which a resurrected
+// prepare or ack would break, and no packet may leak (checkPackets).
 func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 	for _, tc := range []struct {
 		p       Protocol
@@ -319,6 +320,7 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 			if res := c.CheckLinearizability(); !res.Decided || !res.Ok {
 				t.Fatalf("history after the crashes: %+v", res)
 			}
+			checkPackets(t, c)
 		})
 	}
 }

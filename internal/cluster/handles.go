@@ -2,14 +2,25 @@ package cluster
 
 import (
 	"harmonia/internal/protocol"
+	"harmonia/internal/simnet"
 	"harmonia/internal/store"
 	"harmonia/internal/wire"
 )
 
 // baseHandle is the ReplicaHandle of every protocol: each is built on
 // protocol.Base — a store plus a client table.
-type baseHandle struct{ *protocol.Base }
+type baseHandle struct {
+	*protocol.Base
+	node replicaNode
+}
 
+// replicaNode is what every protocol's replica is to the cluster.
+type replicaNode interface {
+	simnet.Handler
+	HeldPackets() int
+}
+
+func (h baseHandle) HeldPackets() int    { return h.node.HeldPackets() }
 func (h baseHandle) Store() *store.Store { return h.Base.Store }
 func (h baseHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
 	return h.Base.Store.ExtractSlot(slot)

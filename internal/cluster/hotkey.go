@@ -200,10 +200,10 @@ func (c *Cluster) refreshHot(st *hotKeyEntry) {
 		// the switch; its Seq carries the captured write generation,
 		// and the front-end consumes it without touching a scheduler.
 		// If it drops, the entry stays invalid and the tick retries.
-		c.net.Send(controllerAddr, switchAddrOf(st.sw), &wire.Packet{
-			Op: wire.OpWriteCompletion, Flags: wire.FlagRefresh,
-			ObjID: st.id, Seq: wire.Seq{N: gen},
-		})
+		done := c.pkts.New()
+		done.Op, done.Flags = wire.OpWriteCompletion, wire.FlagRefresh
+		done.ObjID, done.Seq = st.id, wire.Seq{N: gen}
+		c.net.Send(controllerAddr, switchAddrOf(st.sw), done)
 		c.rec.Emit(trace.Event{
 			Kind: trace.EvHotRefresh, Switch: int16(st.sw), Group: int16(curHome),
 			Slot: int16(st.slot), Arg: uint64(st.id), Arg2: gen,

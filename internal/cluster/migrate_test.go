@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,9 +34,9 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 	slots := keysInSlotOwnedBy(c, 64, 0)
 	var slot int
 	var idxs []int
-	for s, ii := range slots {
-		if len(ii) >= 2 {
-			slot, idxs = s, ii
+	for _, s := range slices.Sorted(maps.Keys(slots)) {
+		if len(slots[s]) >= 2 {
+			slot, idxs = s, slots[s]
 			break
 		}
 	}
@@ -149,12 +151,8 @@ func TestMigrateSlotAllProtocols(t *testing.T) {
 			})
 			cl := c.NewSyncClient()
 			slots := keysInSlotOwnedBy(c, 32, 0)
-			var slot int
-			var idxs []int
-			for s, ii := range slots {
-				slot, idxs = s, ii
-				break
-			}
+			slot := slices.Min(slices.Collect(maps.Keys(slots)))
+			idxs := slots[slot]
 			for _, i := range idxs {
 				if err := cl.Set(keyName(i), []byte("x")); err != nil {
 					t.Fatalf("Set: %v", err)
@@ -215,7 +213,7 @@ func TestMigrateSlotAbortsWhenSourceCannotDrain(t *testing.T) {
 				Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
 				ClientID: 0, ReqID: 999, Value: []byte{2},
 			})
-			if c.GroupScheduler(0).DirtyInSlot(slot) == 0 {
+			if c.GroupScheduler(0).DirtyInSlots([]int{slot}) == 0 {
 				t.Fatal("wedge write not tracked")
 			}
 

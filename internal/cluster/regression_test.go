@@ -29,9 +29,11 @@ func bucketCounts(ts *metrics.TimeSeries, bucket time.Duration, n int) []uint64 
 // suppressed every such retry, and closed-loop clients wedged one by
 // one until completions decayed to a few percent of the first bucket.
 func TestReorderDoesNotWedgeClients(t *testing.T) {
+	t.Parallel()
 	const bucket = 20 * time.Millisecond
 	for _, p := range allProtocols() {
 		t.Run(p.String(), func(t *testing.T) {
+			t.Parallel()
 			c := New(Config{
 				Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, RecordHistory: true,
 				ReorderProb: 0.05, ReorderDelay: 20 * time.Microsecond, Seed: 1,
@@ -61,6 +63,7 @@ func TestReorderDoesNotWedgeClients(t *testing.T) {
 // demotion that dropped the holder's copy at once had it answer
 // not-found for a live key.
 func TestHotKeyDemoteWithSpreadReadInFlight(t *testing.T) {
+	t.Parallel()
 	const (
 		window = 120 * time.Millisecond
 		warm   = 5 * time.Millisecond

@@ -15,7 +15,7 @@ type SyncClient struct {
 	v *vclient
 
 	done  bool
-	reply *wire.Packet
+	reply *wire.Packet // the last reply: an unmanaged copy
 }
 
 // ErrTimeout reports an operation that received no reply within the
@@ -34,7 +34,7 @@ func (c *Cluster) NewSyncClient() *SyncClient {
 	s.v = c.newVClient(meas, &opGen{c: c}, false)
 	s.v.onReply = func(pkt *wire.Packet) {
 		s.done = true
-		s.reply = pkt
+		s.reply = pkt.Clone()
 	}
 	return s
 }
@@ -43,11 +43,6 @@ func (c *Cluster) NewSyncClient() *SyncClient {
 // on the client's timeout like any other client.
 func (s *SyncClient) do(key string, write, del bool, value []byte) (*wire.Packet, error) {
 	s.done = false
-	// The onReply observer handed us the previous reply's reference; it
-	// stays live for LastGroup/LastSwitch until the next operation.
-	if s.reply != nil {
-		s.reply.Release()
-	}
 	s.reply = nil
 	s.v.nextReq++
 	req := s.v.nextReq
@@ -89,7 +84,7 @@ func (s *SyncClient) do(key string, write, del bool, value []byte) (*wire.Packet
 
 	// Issue with retries for up to one simulated second.
 	deadline := s.c.eng.Now() + 1_000_000_000
-	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(pkt.ObjID), pkt.FlightClone())
+	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(pkt.ObjID), s.c.pkts.FlightClone(pkt))
 	retry := s.c.eng.After(retryTimeout, func() { s.syncRetry(st) })
 	st.timer = retry
 	for !s.done && s.c.eng.Now() < deadline {
@@ -109,7 +104,7 @@ func (s *SyncClient) syncRetry(st *opState) {
 	if _, still := s.v.pending.get(st.pkt.ReqID); !still {
 		return
 	}
-	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(st.pkt.ObjID), st.pkt.FlightClone())
+	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(st.pkt.ObjID), s.c.pkts.FlightClone(&st.pkt))
 	st.timer = s.c.eng.After(retryTimeout, func() { s.syncRetry(st) })
 }
 
@@ -122,10 +117,9 @@ func (s *SyncClient) Get(key string) (value []byte, found bool, err error) {
 	if rep.Flags&wire.FlagNotFound != 0 {
 		return nil, false, nil
 	}
-	// Reply values may alias replica store memory (the zero-copy read
-	// path); hand the caller an owned copy so user code is free to
-	// mutate it.
-	return append([]byte(nil), rep.Value...), true, nil
+	// The reply is a deep copy (onReply), so user code is free to
+	// mutate its value.
+	return rep.Value, true, nil
 }
 
 // Set writes a key.

@@ -123,11 +123,11 @@ func (sh *shipment) collect(sources []ReplicaHandle, sc scope) {
 // a leftover — a hot-key copy a demotion kept, or a CRAQ version that
 // committed after the slot left. A key refresh, which runs on every
 // write to a promoted key, overwrites its one object and leaves the
-// rest of the slot alone. Every group that received a slot
-// merges the client records, with kept replies re-stamped for it on
-// pooled flight copies: the destination's Group, and a zero Seq so the
-// replay's traversal of the switch cannot masquerade as a source-group
-// write-completion and inflate its commit point.
+// rest of the slot alone. Every group that received a slot merges the
+// client records, with kept replies re-stamped for it on flight copies
+// from the cluster's packet pool: the destination's Group, and a zero
+// Seq so the replay's traversal of the switch cannot masquerade as a
+// source-group write-completion and inflate its commit point.
 func (c *Cluster) ship(sh *shipment, dests func(slot int) []int, then func()) {
 	delay := 2*linkLatency + time.Duration(sh.n)*migratePerObjectCost
 	c.eng.After(delay, func() {
@@ -149,7 +149,7 @@ func (c *Cluster) ship(sh *shipment, dests func(slot int) []int, then func()) {
 			recs := make(map[uint32]protocol.ClientRecord, len(sh.clients))
 			for id, rec := range sh.clients {
 				if rec.Reply != nil {
-					rep := rec.Reply.FlightClone()
+					rep := c.pkts.FlightClone(rec.Reply)
 					rep.Seq = wire.Seq{}
 					rep.Group = uint16(g)
 					rec.Reply = rep

@@ -130,6 +130,15 @@ func (f *fakeReplica) GetObject(id wire.ObjectID) (store.Object, bool) {
 	return o, ok
 }
 func (f *fakeReplica) ShimCounters() (uint64, uint64, uint64) { return 0, 0, 0 }
+func (f *fakeReplica) HeldPackets() int {
+	n := 0
+	for _, rec := range f.clients {
+		if rec.Reply != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // keep stores a reply in the fake's table, which owns the reference
 // the caller hands over.
@@ -137,8 +146,8 @@ func (f *fakeReplica) keep(client uint32, reqID uint64, reply *wire.Packet) {
 	f.clients[client] = protocol.ClientRecord{ReqID: reqID, Reply: reply}
 }
 
-func testReply(reqID uint64) *wire.Packet {
-	p := wire.NewPacket()
+func testReply(pool *wire.Pool, reqID uint64) *wire.Packet {
+	p := pool.New()
 	p.Op, p.ReqID, p.Seq, p.Group = wire.OpWriteReply, reqID, wire.Seq{Epoch: 3, N: 40 + reqID}, 0
 	return p
 }
@@ -177,10 +186,11 @@ func TestTransferCollectNewestWins(t *testing.T) {
 	b.seed(y, []byte("only-b"), wire.Seq{Epoch: 2, N: 4})
 	c.seed(z, []byte("other-slot"), wire.Seq{Epoch: 2, N: 6})
 
-	p5, p7 := testReply(5), testReply(7)
+	var pool wire.Pool
+	p5, p7 := testReply(&pool, 5), testReply(&pool, 7)
 	a.keep(1, 5, p5)
 	b.keep(1, 7, p7)
-	tieAB, tieBA := testReply(3), testReply(3)
+	tieAB, tieBA := testReply(&pool, 3), testReply(&pool, 3)
 	a.keep(2, 3, nil) // in progress at a, completed at b
 	b.keep(2, 3, tieAB)
 	a.keep(3, 3, tieBA) // and the other way round
@@ -209,9 +219,9 @@ func TestTransferCollectNewestWins(t *testing.T) {
 	protocol.ReleaseRecords(sh.clients)
 	for _, p := range []*wire.Packet{p5, p7, tieAB, tieBA} {
 		p.Release() // the table's own reference — the last one
-		if p.Managed() {
-			t.Fatal("collect leaked an exported reference")
-		}
+	}
+	if pool.Live() != 0 {
+		t.Fatalf("collect leaked %d exported references", pool.Live())
 	}
 
 	key := new(shipment)
@@ -250,7 +260,7 @@ func TestTransferShipDelivers(t *testing.T) {
 			src[0].seed(id, []byte{byte(k)}, wire.Seq{Epoch: 4, N: uint64(id)})
 		}
 	}
-	reply := testReply(9)
+	reply := testReply(&c.pkts, 9)
 	src[0].keep(1, 9, reply)
 	src[1].keep(1, 9, reply.Retain()) // both tables hold the same reply
 
@@ -292,6 +302,13 @@ func TestTransferShipDelivers(t *testing.T) {
 	// Only the tables hold references now: two on the source reply, one
 	// per destination replica on its group's flight copy (shared within
 	// a group).
+	held := 0
+	for _, f := range append(src, append(dst[0], dst[1]...)...) {
+		held += f.HeldPackets()
+	}
+	if live := c.pkts.Live(); live != held {
+		t.Fatalf("%d packet references live, the tables hold %d", live, held)
+	}
 	copies := []*wire.Packet{dst[0][0].clients[1].Reply, dst[1][0].clients[1].Reply}
 	if dst[0][1].clients[1].Reply != copies[0] {
 		t.Fatal("replicas of one group hold different flight copies")

@@ -185,9 +185,6 @@ func NewFrontend(n int) *Frontend {
 // into every packet it forwards.
 func (f *Frontend) SetSwitchID(id int) { f.id = id }
 
-// SwitchID returns this front-end's rack-wide switch ID.
-func (f *Frontend) SwitchID() int { return f.id }
-
 // SetOwned marks slot as owned (or not) by this front-end.
 func (f *Frontend) SetOwned(slot int, own bool) { f.owned[slot] = own }
 
@@ -445,6 +442,16 @@ func (f *Frontend) SetHotWriteHook(fn func(id wire.ObjectID, gen uint64)) { f.on
 // agreement stalls from network-loss retries.
 func (f *Frontend) SetDropHook(fn func(pkt *wire.Packet, reason DropReason)) { f.onClientDrop = fn }
 
+// dropClient counts and releases a client packet the front-end drops,
+// stamping a traced one's span with the reason first.
+func (f *Frontend) dropClient(pkt *wire.Packet, reason DropReason, count *uint64) {
+	*count++
+	if pkt.Span != 0 && f.onClientDrop != nil {
+		f.onClientDrop(pkt, reason)
+	}
+	pkt.Release()
+}
+
 // SetHotInvalidateHook installs the hot-key invalidation callback (see
 // onHotInvalidate). The flight recorder uses it to timestamp the
 // invalidate edge of each promoted key's write cycle.
@@ -513,11 +520,7 @@ func (f *Frontend) Recv(from simnet.NodeID, msg simnet.Message) {
 			// Not this front-end's shard (stale client map, or a packet
 			// in flight across a cross-switch flip): drop it. The retry
 			// consults the fresh slot → switch map and lands right.
-			f.Stats.MisroutedDrops++
-			if pkt.Span != 0 && f.onClientDrop != nil {
-				f.onClientDrop(pkt, DropMisrouted)
-			}
-			pkt.Release()
+			f.dropClient(pkt, DropMisrouted, &f.Stats.MisroutedDrops)
 			return
 		}
 		// Replica-forwarded re-entries (a fast read a replica bounced
@@ -582,11 +585,7 @@ func (f *Frontend) Recv(from simnet.NodeID, msg simnet.Message) {
 			// every slot frozen, and the flush that unwedges it must
 			// still reach the scheduler. The flush quiesces like any
 			// other write and its object is copied with the batch.
-			f.Stats.FrozenDrops++
-			if pkt.Span != 0 && f.onClientDrop != nil {
-				f.onClientDrop(pkt, DropFrozen)
-			}
-			pkt.Release()
+			f.dropClient(pkt, DropFrozen, &f.Stats.FrozenDrops)
 			return
 		}
 		if e != nil && pkt.Op == wire.OpWrite && len(e.holders) > 0 {
@@ -608,11 +607,7 @@ func (f *Frontend) Recv(from simnet.NodeID, msg simnet.Message) {
 		if f.groups[pkt.Group] == nil {
 			// The group's §5.3 replacement agreement has not completed:
 			// the op stalls (client retries), and the rack counts it.
-			f.Stats.StalledDrops++
-			if pkt.Span != 0 && f.onClientDrop != nil {
-				f.onClientDrop(pkt, DropStalled)
-			}
-			pkt.Release()
+			f.dropClient(pkt, DropStalled, &f.Stats.StalledDrops)
 			return
 		}
 	default:

@@ -134,6 +134,7 @@ type Scheduler struct {
 	dirty *dataplane.Table
 	last  wire.Seq // last-committed point
 	out   Sender
+	pkts  *wire.Pool // where the replies the switch synthesizes come from (SetPackets)
 	rng   fastRand
 
 	// ready reports whether the switch has seen a WRITE-COMPLETION
@@ -231,6 +232,10 @@ func (s *Scheduler) Process(pkt *wire.Packet) {
 	}
 }
 
+// SetPackets installs the packet pool of the scheduler's engine; until
+// then the replies it synthesizes are left to the garbage collector.
+func (s *Scheduler) SetPackets(pkts *wire.Pool) { s.pkts = pkts }
+
 // SetTraceHook installs the sequencing-hop callback (see traceSeq).
 func (s *Scheduler) SetTraceHook(fn func(pkt *wire.Packet)) { s.traceSeq = fn }
 
@@ -248,15 +253,8 @@ func (s *Scheduler) processWrite(pkt *wire.Packet) {
 		// so open-loop writers, which never retry on their own, are
 		// not left hanging forever).
 		s.Stats.WritesDropped++
-		rej := wire.NewPacket()
-		rej.Op = wire.OpWriteReply
+		rej := s.pkts.Reply(pkt, wire.OpWriteReply)
 		rej.Flags = wire.FlagDropped
-		rej.ObjID = pkt.ObjID
-		rej.Group = pkt.Group
-		rej.ClientID = pkt.ClientID
-		rej.ReqID = pkt.ReqID
-		rej.Key = pkt.Key
-		rej.Span = pkt.Span // keep the trace span alive across the reject
 		s.toClient(rej)
 		pkt.Release()
 		return
@@ -436,19 +434,13 @@ func (s *Scheduler) SweepStale() int {
 	return n
 }
 
-// DirtyInSlot counts dirty-set entries whose object hashes to the
-// given routing slot. The migration controller polls it to decide when
-// a frozen slot has drained: in-order write processing (§5.2) means
-// that once the set holds nothing for the slot, every write the switch
-// sequenced for it has either committed or can never apply, so the
-// replicas' stores are the complete picture.
-func (s *Scheduler) DirtyInSlot(slot int) int {
-	return s.DirtyInSlots([]int{slot})
-}
-
-// DirtyInSlots counts dirty-set entries across a set of routing slots
-// in one register scan — the drain probe for batch migrations, which
-// freeze many slots but want a single quiescence signal.
+// DirtyInSlots counts dirty-set entries whose object hashes to one of
+// the given routing slots, in one register scan. The migration
+// controller polls it to decide when frozen slots have drained:
+// in-order write processing (§5.2) means that once the set holds
+// nothing for them, every write the switch sequenced for them has
+// either committed or can never apply, so the replicas' stores are the
+// complete picture.
 func (s *Scheduler) DirtyInSlots(slots []int) int {
 	var want [wire.NumSlots]bool
 	for _, sl := range slots {

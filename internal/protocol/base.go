@@ -26,6 +26,7 @@ const (
 // lease, plus the shim-layer logic for fast-path reads.
 type Base struct {
 	Env   Env
+	Pkts  *wire.Pool // Env.Packets, where every reply comes from
 	Group GroupConfig
 	Store *store.Store
 	CT    *ClientTable
@@ -49,6 +50,7 @@ type Base struct {
 func NewBase(env Env, g GroupConfig, class ReadClass, shards int) *Base {
 	return &Base{
 		Env:   env,
+		Pkts:  env.Packets(),
 		Group: g,
 		Store: store.New(shards),
 		CT:    NewClientTable(),
@@ -98,7 +100,7 @@ func (b *Base) AdmitWrite(pkt *wire.Packet, last wire.Seq, answer bool) Admissio
 // resend puts a flight copy of a cached reply on the wire, without the
 // completion it piggybacked the first time.
 func (b *Base) resend(cached *wire.Packet) {
-	rep := cached.FlightClone()
+	rep := b.Pkts.FlightClone(cached)
 	rep.Seq = wire.ZeroSeq
 	b.Env.SendSwitch(rep)
 }
@@ -110,7 +112,7 @@ func (b *Base) Apply(pkt *wire.Packet) error {
 }
 
 // ReadReply builds the reply for a read of pkt's object from the local
-// store. The reply is pool-managed; the caller owns its one reference
+// store. The reply comes from Pkts; the caller owns its one reference
 // and transfers it by sending.
 func (b *Base) ReadReply(pkt *wire.Packet) *wire.Packet {
 	obj, ok := b.Store.Get(pkt.ObjID)
@@ -118,21 +120,12 @@ func (b *Base) ReadReply(pkt *wire.Packet) *wire.Packet {
 }
 
 // ValueReply builds the reply for a read of pkt's object carrying
-// value, or not-found. Pool-managed like ReadReply's.
+// value, or not-found. From Pkts like ReadReply's.
 func (b *Base) ValueReply(pkt *wire.Packet, value []byte, found bool) *wire.Packet {
-	rep := wire.NewPacket()
-	rep.Op = wire.OpReadReply
-	rep.ObjID = pkt.ObjID
-	rep.Group = pkt.Group
-	rep.ClientID = pkt.ClientID
-	rep.ReqID = pkt.ReqID
-	rep.Key = pkt.Key
+	rep := b.Pkts.Reply(pkt, wire.OpReadReply)
 	// Echo the request's commit stamp (diagnostic; clients and the
 	// switch ignore it on replies).
 	rep.LastCommitted = pkt.LastCommitted
-	// The trace span follows the op onto the reply leg, so the
-	// client's completion hook can close it (internal/trace).
-	rep.Span = pkt.Span
 	if found {
 		// Alias the value: store values and packet payloads are written
 		// once and never mutated in place, and reply packets are
@@ -152,14 +145,7 @@ func (b *Base) ValueReply(pkt *wire.Packet, value []byte, found bool) *wire.Pack
 // (Fig. 2b); read-behind protocols pass false and send completions
 // separately once the §7.3 condition holds.
 func (b *Base) WriteReply(pkt *wire.Packet, piggyback bool) *wire.Packet {
-	rep := wire.NewPacket()
-	rep.Op = wire.OpWriteReply
-	rep.ObjID = pkt.ObjID
-	rep.Group = pkt.Group
-	rep.ClientID = pkt.ClientID
-	rep.ReqID = pkt.ReqID
-	rep.Key = pkt.Key
-	rep.Span = pkt.Span // the span follows the op onto the reply leg
+	rep := b.Pkts.Reply(pkt, wire.OpWriteReply)
 	if piggyback {
 		rep.Seq = pkt.Seq
 	}
@@ -167,10 +153,10 @@ func (b *Base) WriteReply(pkt *wire.Packet, piggyback bool) *wire.Packet {
 }
 
 // Completion builds a standalone WRITE-COMPLETION notification for the
-// switch. Pool-managed like the replies; the scheduler releases it
-// after processing.
+// switch. From Pkts like the replies; the scheduler releases it after
+// processing.
 func (b *Base) Completion(objID wire.ObjectID, seq wire.Seq) *wire.Packet {
-	c := wire.NewPacket()
+	c := b.Pkts.New()
 	c.Op = wire.OpWriteCompletion
 	c.ObjID = objID
 	c.Group = uint16(b.Group.ID)

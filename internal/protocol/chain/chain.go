@@ -31,6 +31,9 @@ type propagate struct {
 // CostClass marks propagation as a full write application.
 func (propagate) CostClass() protocol.CostClass { return protocol.CostWrite }
 
+// Release gives back the reference of a propagation the network dropped.
+func (m propagate) Release() { m.Pkt.Release() }
+
 // chainAck flows from the tail up the chain announcing the commit
 // point, letting nodes trim their resend buffers. One per hop per
 // write: it travels as a pointer to a recycled record (ownership rule
@@ -53,14 +56,10 @@ type Replica struct {
 	// alive tracks which indexes are still chain members.
 	alive []bool
 
-	// unacked[head:] buffers writes forwarded but not yet known
-	// committed, in sequence order, for resend on successor failure.
-	// Acks advance head; the dead prefix is squeezed out once it is half
-	// the slice, so the buffer slides in place instead of reallocating.
-	unacked []*wire.Packet
-	head    int
-	// committed is the highest sequence number known committed here.
-	committed wire.Seq
+	// unacked is the resend buffer: the writes forwarded but not yet
+	// known committed, in sequence order, for resend on successor
+	// failure. Acks trim it.
+	unacked protocol.OpLog
 
 	acks *protocol.FreeList[chainAck] // shared by the engine's chain nodes
 
@@ -186,14 +185,13 @@ func (r *Replica) apply(pkt *wire.Packet) {
 	}
 	// The resend buffer keeps the delivery reference; the downstream
 	// propagation carries its own.
-	r.unacked = append(r.unacked, pkt)
+	r.unacked.Append(pkt, 0)
 	r.Env.Send(r.Group.Addr(r.next), propagate{Pkt: pkt.Retain()})
 }
 
 // commitAtTail finishes a write: the tail's apply is the commit.
 func (r *Replica) commitAtTail(pkt *wire.Packet) {
 	r.WritesCommitted++
-	r.committed = r.committed.Max(pkt.Seq)
 	rep := r.WriteReply(pkt, true) // piggybacks the WRITE-COMPLETION
 	r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
 	r.Env.SendSwitch(rep)
@@ -212,17 +210,11 @@ func (r *Replica) sendAck(seq wire.Seq) {
 
 // recvAck trims the resend buffer and relays the commit point up.
 func (r *Replica) recvAck(seq wire.Seq) {
-	r.committed = r.committed.Max(seq)
-	for r.head < len(r.unacked) && r.unacked[r.head].Seq.LessEq(seq) {
-		r.unacked[r.head].Release()
-		r.unacked[r.head] = nil
-		r.head++
+	op, exact := r.unacked.Find(seq)
+	if !exact {
+		op-- // Find landed on the first write after seq
 	}
-	if 2*r.head >= len(r.unacked) {
-		n := copy(r.unacked, r.unacked[r.head:])
-		clear(r.unacked[n:])
-		r.unacked, r.head = r.unacked[:n], 0
-	}
+	r.unacked.TrimTo(op)
 	r.sendAck(seq)
 }
 
@@ -262,26 +254,23 @@ func (r *Replica) Reconfigure(failed int) {
 		}
 	}
 	// If our successor was the failed node, recover its in-flight
-	// writes.
-	pending := r.unacked[r.head:]
-	if r.IsTail() {
-		// Became the tail: our applied-but-unacked writes are now
-		// committed by definition; reply for them.
-		r.unacked, r.head = nil, 0
-		for _, pkt := range pending {
+	// writes: each is committed here, if this node became the tail, or
+	// resent to the (possibly new) successor. Either consumes a
+	// reference of its own, and a new tail then trims the buffer.
+	first, last := r.unacked.Base()+1, r.unacked.Last()
+	for op := first; op <= last; op++ {
+		pkt := r.unacked.At(op).Pkt.Retain()
+		if r.IsTail() {
 			r.commitAtTail(pkt)
+		} else {
+			r.Env.Send(r.Group.Addr(r.next), propagate{Pkt: pkt})
 		}
-		return
 	}
-	// Resend the unacked window to the (possibly new) successor; the
-	// buffer keeps its references, each resend carries a fresh one.
-	for _, pkt := range pending {
-		r.Env.Send(r.Group.Addr(r.next), propagate{Pkt: pkt.Retain()})
+	if r.IsTail() {
+		r.unacked.TrimTo(last)
 	}
 }
 
-// Committed returns the highest commit point this node knows (tests).
-func (r *Replica) Committed() wire.Seq { return r.committed }
-
-// UnackedLen returns the resend-buffer length (tests).
-func (r *Replica) UnackedLen() int { return len(r.unacked) - r.head }
+// HeldPackets returns the packet references the node holds: its
+// resend buffer and its cached replies.
+func (r *Replica) HeldPackets() int { return r.unacked.Len() + r.CT.Held() }

@@ -54,12 +54,9 @@ func TestWritePropagatesAndCommitsAtTail(t *testing.T) {
 	}
 	// Acks flowed up: resend buffers empty.
 	for i, r := range reps[:2] {
-		if r.UnackedLen() != 0 {
-			t.Fatalf("node %d still buffers %d writes", i, r.UnackedLen())
+		if r.unacked.Len() != 0 {
+			t.Fatalf("node %d still buffers %d writes", i, r.unacked.Len())
 		}
-	}
-	if reps[0].Committed().N != 1 {
-		t.Fatal("head did not learn commit point")
 	}
 }
 
@@ -229,8 +226,8 @@ func TestMidFailureResendsWindow(t *testing.T) {
 	h.Blackhole[3] = true
 	h.Inject(100, 1, write(7, 1, 1, 1, "a"))
 	h.Inject(100, 1, write(8, 2, 2, 1, "b"))
-	if reps[1].UnackedLen() != 2 {
-		t.Fatalf("mid buffers %d, want 2", reps[1].UnackedLen())
+	if reps[1].unacked.Len() != 2 {
+		t.Fatalf("mid buffers %d, want 2", reps[1].unacked.Len())
 	}
 	// Node index 2 (address 3) fails; the blackhole stays (it is
 	// dead). Node 1's resend goes to the new successor index 3.
@@ -273,7 +270,8 @@ func TestStrayNormalReadForwardedToTail(t *testing.T) {
 // chain — two propagates, the tail's reply, two recycled acks, three
 // resend-buffer updates — to zero allocations. Writes enter one hop
 // apart, so several are always on their way and the resend buffers
-// slide without ever emptying: they must do so in place.
+// never empty: their rings must not grow. Once idle, every packet
+// reference left is one a node holds.
 func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	h, reps := group(t, 3)
 	h.Delay = time.Microsecond
@@ -282,12 +280,12 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	var replies, window int
 	one := func() {
 		n++
-		w := wire.NewPacket()
+		w := h.Pkts.New()
 		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
 		w.ClientID, w.ReqID, w.Value = 1, n, val
 		h.Inject(100, 1, w)
 		h.Run(time.Microsecond)
-		window = max(window, reps[0].UnackedLen())
+		window = max(window, reps[0].unacked.Len())
 		for _, sp := range h.ToSwitch {
 			replies++
 			sp.Pkt.Release()
@@ -297,23 +295,21 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		one()
 	}
-	// Not asserted in race builds (LiveManagedPackets >= 0), whose
-	// sync.Pool drops a quarter of the packets put back.
-	if a := testing.AllocsPerRun(1000, one); a != 0 && wire.LiveManagedPackets() < 0 {
+	if a := testing.AllocsPerRun(1000, one); a != 0 {
 		t.Fatalf("one chain write allocates %v times, want 0", a)
 	}
 	if window < 2 {
 		t.Fatalf("the head never buffered more than %d write; the test meant to keep several in flight", window)
-	}
-	if c := cap(reps[0].unacked); c > 4*window {
-		t.Fatalf("the head's resend buffer grew to %d slots for a window of %d", c, window)
 	}
 	h.Run(10 * time.Microsecond)
 	for _, sp := range h.ToSwitch {
 		replies++
 		sp.Pkt.Release()
 	}
-	if uint64(replies) != n || reps[0].UnackedLen() != 0 || reps[1].UnackedLen() != 0 {
-		t.Fatalf("%d writes: %d replies, %d and %d still buffered", n, replies, reps[0].UnackedLen(), reps[1].UnackedLen())
+	if uint64(replies) != n || reps[0].unacked.Len() != 0 || reps[1].unacked.Len() != 0 {
+		t.Fatalf("%d writes: %d replies, %d and %d still buffered", n, replies, reps[0].unacked.Len(), reps[1].unacked.Len())
+	}
+	if n := ptest.Unheld(h, reps); n != 0 {
+		t.Fatalf("%d packet references live that no replica holds", n)
 	}
 }

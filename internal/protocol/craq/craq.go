@@ -34,6 +34,9 @@ type propagate struct {
 // CostClass marks phase 1 as a full write.
 func (propagate) CostClass() protocol.CostClass { return protocol.CostWrite }
 
+// Release gives back the reference of a propagation the network dropped.
+func (m propagate) Release() { m.Pkt.Release() }
+
 // commitAck flows up the chain (phase 2: mark clean): every write up to
 // Seq committed. CRAQ's extra phase does real per-object work at every
 // node — committing the version, garbage-collecting its predecessor —
@@ -58,6 +61,9 @@ type versionQuery struct {
 // CostClass marks the query as control traffic at the tail.
 func (versionQuery) CostClass() protocol.CostClass { return protocol.CostControl }
 
+// Release gives back the pending read of a query the network dropped.
+func (m versionQuery) Release() { m.Pkt.Release() }
+
 // versionReply answers a versionQuery: the sequence number of the
 // object's committed version, or Found false when the committed state
 // holds no such object.
@@ -69,6 +75,9 @@ type versionReply struct {
 
 // CostClass marks the reply as control traffic.
 func (versionReply) CostClass() protocol.CostClass { return protocol.CostControl }
+
+// Release gives back the pending read of a reply the network dropped.
+func (m versionReply) Release() { m.Pkt.Release() }
 
 // Replica is one CRAQ chain node.
 type Replica struct {
@@ -106,6 +115,10 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
 	}
 	return r
 }
+
+// HeldPackets returns the packet references the node holds: its dirty
+// versions and its cached replies.
+func (r *Replica) HeldPackets() int { return r.dirty.Len() + r.CT.Held() }
 
 // IsHead and IsTail report chain position.
 func (r *Replica) IsHead() bool { return r.Group.Self == 0 }

@@ -207,7 +207,7 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	var replies, window int
 	one := func() {
 		n++
-		w := wire.NewPacket()
+		w := h.Pkts.New()
 		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
 		w.ClientID, w.ReqID, w.Value = 1, n, val
 		h.Inject(100, 1, w)
@@ -219,9 +219,7 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		one()
 	}
-	// Not asserted in race builds (LiveManagedPackets >= 0), whose
-	// sync.Pool drops a quarter of the packets put back.
-	if a := testing.AllocsPerRun(1000, one); a != 0 && wire.LiveManagedPackets() < 0 {
+	if a := testing.AllocsPerRun(1000, one); a != 0 {
 		t.Fatalf("one CRAQ write allocates %v times, want 0", a)
 	}
 	if window < 2 {
@@ -237,6 +235,9 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	}
 	if uint64(replies) != n {
 		t.Fatalf("%d writes: %d replies", n, replies)
+	}
+	if n := ptest.Unheld(h, reps); n != 0 {
+		t.Fatalf("%d packet references live that no replica holds", n)
 	}
 }
 

@@ -16,21 +16,23 @@ package protocol
 //     the record back — BEFORE it handles the copy, so nothing the
 //     handler does — sending, recursing through a synchronous test
 //     harness, panicking — can see a record that is both live and free.
-//   - The network owes nothing. A message it drops (crashed or unknown
-//     destination, a queue lost to a crash) is simply never taken and is
-//     left to the garbage collector: one struct of pooling lost,
-//     correctness intact. It never copies a record either, so recycled
-//     messages may only travel links that deliver at most once — the
-//     replica↔replica links, which the cluster models as reliable FIFO
-//     channels; a link with DupProb set would hand one record to two
-//     receivers.
+//   - The network recycles nothing. A record it drops (crashed or
+//     unknown destination, a queue lost to a crash) is left to the
+//     garbage collector, but the packets it carries are released by
+//     its Release method, which every packet-carrying message has. It
+//     never copies a record either, so recycled messages may only
+//     travel links that deliver at most once — the replica↔replica
+//     links, which the cluster models as reliable FIFO channels; a link
+//     with DupProb set would hand one record to two receivers.
 //
 // Rare, bulky or multi-recipient messages — view changes, state
 // transfer, lease control — stay plain values: they are not worth a
-// free list and by-value delivery needs no rule at all.
+// free list, and only the packet references they carry need the rule
+// above.
 //
 // The free lists belong to the harness that owns the engine (a
-// cluster, a ptest.Harness), reached through Env.Msgs: every replica
+// cluster, a ptest.Harness), reached through Env.Msgs, and so does the
+// packet pool, reached through Env.Packets: every replica
 // on one engine shares them, which is what lets a record sent by the
 // leader and recycled by a backup be found again by the leader's next
 // Get, and nothing is shared between engines, so clusters running in

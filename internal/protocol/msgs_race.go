@@ -4,11 +4,11 @@ package protocol
 
 import "reflect"
 
-// recycleGuard is the race-build check on FreeList, in the spirit of
-// wire's managed-packet account: it knows which records are parked, so
-// a second Take of one panics, and it overwrites a parked record with a
-// poison pattern and compares on reuse, so a write through a pointer
-// kept past Take panics at the next Get. A read through such a pointer
+// recycleGuard is the race-build check on FreeList: it knows which
+// records are parked, so a second Take of one panics, and it
+// overwrites a parked record with a poison pattern and compares on
+// reuse, so a write through a pointer kept past Take panics at the
+// next Get. A read through such a pointer
 // cannot be trapped, but what it reads (all-ones counters, replica
 // index -1) matches no protocol state and indexes no slice.
 type recycleGuard[T comparable] struct {

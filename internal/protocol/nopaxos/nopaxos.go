@@ -58,6 +58,9 @@ type gapReply struct {
 // CostClass marks gap traffic as control.
 func (gapReply) CostClass() protocol.CostClass { return protocol.CostControl }
 
+// Release drops the references the message carries.
+func (m gapReply) Release() { protocol.ReleaseEntries(m.Entries) }
+
 // gapCommit instructs replicas to place a NO-OP at OpNum (replacing a
 // real entry if they had one — the slot's fate is decided by the
 // leader). Epoch identifies the OUM session the slot belongs to, so a
@@ -184,12 +187,22 @@ func (r *Replica) IsLeader() bool { return r.Group.Self == 0 }
 
 func (r *Replica) leaderAddr() simnet.NodeID { return r.Group.Addr(0) }
 
-// LogLen returns the log length, counting what was trimmed (tests).
-func (r *Replica) LogLen() int { return int(r.log.Last()) }
-
 // LogWindow returns the number of log entries held (tests): the ops
 // some live member has yet to synchronize.
 func (r *Replica) LogWindow() int { return r.log.Len() }
+
+// HeldPackets returns the packet references the replica holds: its
+// log's writes (not its NO-OPs), its out-of-order arrivals and its
+// cached replies.
+func (r *Replica) HeldPackets() int {
+	n := len(r.pending) + r.CT.Held()
+	for op := r.log.Base() + 1; op <= r.log.Last(); op++ {
+		if r.log.At(op).Pkt != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // SyncPoint returns the last synchronized op (tests).
 func (r *Replica) SyncPoint() uint64 { return r.syncPoint }
@@ -409,7 +422,7 @@ func (r *Replica) recvGapRequest(m gapRequest) {
 }
 
 func (r *Replica) recvGapReply(m gapReply) {
-	defer protocol.ReleaseEntries(m.Entries)
+	defer m.Release()
 	for i, e := range m.Entries {
 		op := m.First + uint64(i)
 		if op != r.log.Last()+1 {

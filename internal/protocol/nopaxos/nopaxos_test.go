@@ -63,8 +63,8 @@ func TestLeaderExecutesAndReplies(t *testing.T) {
 	}
 	// Followers log but do not execute before sync.
 	for i := 1; i < 3; i++ {
-		if reps[i].LogLen() != 1 {
-			t.Fatalf("follower %d log len %d", i, reps[i].LogLen())
+		if int(reps[i].log.Last()) != 1 {
+			t.Fatalf("follower %d log len %d", i, int(reps[i].log.Last()))
 		}
 		if _, ok := reps[i].Store.Get(7); ok {
 			t.Fatalf("follower %d executed before sync", i)
@@ -142,16 +142,16 @@ func TestLeaderGapBecomesNoOp(t *testing.T) {
 	if reps[0].NoOps != 1 {
 		t.Fatalf("leader NoOps = %d, want 1", reps[0].NoOps)
 	}
-	if reps[0].LogLen() != 3 {
-		t.Fatalf("leader log = %d, want 3", reps[0].LogLen())
+	if int(reps[0].log.Last()) != 3 {
+		t.Fatalf("leader log = %d, want 3", int(reps[0].log.Last()))
 	}
 	if o, ok := reps[0].Store.Get(9); !ok || string(o.Value) != "v3" {
 		t.Fatal("post-gap write not executed at leader")
 	}
 	// Followers learned the NO-OP via gapCommit (leader broadcast).
 	for i := 1; i < 3; i++ {
-		if reps[i].LogLen() != 3 {
-			t.Fatalf("follower %d log = %d, want 3", i, reps[i].LogLen())
+		if int(reps[i].log.Last()) != 3 {
+			t.Fatalf("follower %d log = %d, want 3", i, int(reps[i].log.Last()))
 		}
 	}
 }
@@ -164,8 +164,8 @@ func TestFollowerGapFilledFromLeader(t *testing.T) {
 	h.Inject(0, 2, write(8, 2, 1, 2, "v2"))
 	// Write 3 reaches follower 3, exposing its gap.
 	multicast(h, 3, write(9, 3, 1, 3, "v3"))
-	if reps[2].LogLen() != 3 {
-		t.Fatalf("follower log = %d after gap fill, want 3", reps[2].LogLen())
+	if int(reps[2].log.Last()) != 3 {
+		t.Fatalf("follower log = %d after gap fill, want 3", int(reps[2].log.Last()))
 	}
 	reps[0].ForceSync()
 	if o, ok := reps[2].Store.Get(8); !ok || string(o.Value) != "v2" {
@@ -178,8 +178,8 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 	w := write(7, 1, 1, 1, "v1")
 	multicast(h, 3, w)
 	multicast(h, 3, w) // OUM duplicate
-	if reps[0].LogLen() != 1 {
-		t.Fatalf("duplicate appended: log=%d", reps[0].LogLen())
+	if int(reps[0].log.Last()) != 1 {
+		t.Fatalf("duplicate appended: log=%d", int(reps[0].log.Last()))
 	}
 	if got := len(h.SwitchPacketsOf(wire.OpWriteReply)); got != 1 {
 		t.Fatalf("%d replies for duplicate delivery", got)
@@ -202,15 +202,15 @@ func TestSessionChangeResetsNumbering(t *testing.T) {
 	// Session 1 starting at msg 5: slots 1–4 were dropped by the
 	// sequencer, so the leader NO-OPs them (log = 5).
 	multicast(h, 3, write(7, 5, 1, 1, "old"))
-	if reps[0].LogLen() != 5 || reps[0].NoOps != 4 {
-		t.Fatalf("leader log=%d noops=%d, want 5/4", reps[0].LogLen(), reps[0].NoOps)
+	if int(reps[0].log.Last()) != 5 || reps[0].NoOps != 4 {
+		t.Fatalf("leader log=%d noops=%d, want 5/4", int(reps[0].log.Last()), reps[0].NoOps)
 	}
 	// New switch epoch: message numbers restart at 1; no gap.
 	w := write(8, 1, 1, 2, "new")
 	w.Seq.Epoch = 2
 	multicast(h, 3, w)
-	if reps[0].LogLen() != 6 {
-		t.Fatalf("log = %d after session change, want 6", reps[0].LogLen())
+	if int(reps[0].log.Last()) != 6 {
+		t.Fatalf("log = %d after session change, want 6", int(reps[0].log.Last()))
 	}
 	if o, ok := reps[0].Store.Get(8); !ok || string(o.Value) != "new" {
 		t.Fatal("new-session write not executed")
@@ -218,13 +218,13 @@ func TestSessionChangeResetsNumbering(t *testing.T) {
 	// Followers followed the session change through gapCommits +
 	// writes.
 	for i := 1; i < 3; i++ {
-		if reps[i].LogLen() != 6 {
-			t.Fatalf("follower %d log = %d, want 6", i, reps[i].LogLen())
+		if int(reps[i].log.Last()) != 6 {
+			t.Fatalf("follower %d log = %d, want 6", i, int(reps[i].log.Last()))
 		}
 	}
 	// Old-session stragglers are dropped.
 	multicast(h, 3, write(9, 6, 1, 3, "stale"))
-	if reps[0].LogLen() != 6 {
+	if int(reps[0].log.Last()) != 6 {
 		t.Fatal("stale-session write appended")
 	}
 }

@@ -16,8 +16,8 @@ import (
 // managedWrite draws the write from the packet pool, as the cluster's
 // clients do, so that a log releasing a packet someone still holds
 // shows: the struct is zeroed and handed to a later write.
-func managedWrite(seq, req uint64) *wire.Packet {
-	w := wire.NewPacket()
+func managedWrite(h *ptest.Harness, seq, req uint64) *wire.Packet {
+	w := h.Pkts.New()
 	w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(req%64), wire.Seq{Epoch: 1, N: seq}
 	w.ClientID, w.ReqID, w.Value = uint32(req%8), req, []byte(fmt.Sprint("v", req))
 	return w
@@ -51,7 +51,7 @@ func TestLogStaysBounded(t *testing.T) {
 			seq++ // the switch dropped a write: the leader fills the slot with a NO-OP
 		}
 		req++
-		oum(h, managedWrite(seq, req), 0, 1, 2)
+		oum(h, managedWrite(h, seq, req), 0, 1, 2)
 		h.Run(time.Microsecond)
 		h.DrainSwitch()
 		for i, r := range reps {
@@ -91,13 +91,16 @@ func TestLogStaysBounded(t *testing.T) {
 		step()
 	}
 	quiesce()
-	live := wire.LiveManagedPackets() // -1 outside race builds
+	live := h.Pkts.Live()
 	for req < writes {
 		step()
 	}
 	quiesce()
-	if now := wire.LiveManagedPackets(); now != live {
-		t.Fatalf("%d managed packets live after the run, %d before", now, live)
+	if now := h.Pkts.Live(); now != live {
+		t.Fatalf("%d packet references live after the run, %d before", now, live)
+	}
+	if n := ptest.Unheld(h, reps); n != 0 {
+		t.Fatalf("%d packet references live that no replica holds", n)
 	}
 	if reps[0].NoOps < writes/50 {
 		t.Fatalf("%d NO-OPs agreed, want one per 50 writes", reps[0].NoOps)
@@ -190,7 +193,7 @@ func windowSweep(t *testing.T, seed int64) (gapReplies, aboveBase int) {
 					to = append(to, i)
 				}
 			}
-			oum(h, managedWrite(seq, seq), to...)
+			oum(h, managedWrite(h, seq, seq), to...)
 		}
 		h.Run(time.Microsecond)
 		h.DrainSwitch()
@@ -198,7 +201,7 @@ func windowSweep(t *testing.T, seed int64) (gapReplies, aboveBase int) {
 	// One last write everyone receives, so that the followers notice
 	// what they missed at the tail.
 	seq++
-	oum(h, managedWrite(seq, seq), 0, 1, 2, 3, 4)
+	oum(h, managedWrite(h, seq, seq), 0, 1, 2, 3, 4)
 	h.Run(2 * time.Millisecond)
 	h.DrainSwitch()
 
@@ -207,9 +210,9 @@ func windowSweep(t *testing.T, seed int64) (gapReplies, aboveBase int) {
 		if i == dead || i == 0 {
 			continue
 		}
-		if r.SyncPoint() != lead.SyncPoint() || r.LogLen() != lead.LogLen() {
+		if r.SyncPoint() != lead.SyncPoint() || int(r.log.Last()) != int(lead.log.Last()) {
 			t.Fatalf("replica %d synchronized to %d of %d ops, the leader to %d of %d",
-				i, r.SyncPoint(), r.LogLen(), lead.SyncPoint(), lead.LogLen())
+				i, r.SyncPoint(), int(r.log.Last()), lead.SyncPoint(), int(lead.log.Last()))
 		}
 		if !reflect.DeepEqual(r.Store.Snapshot(), lead.Store.Snapshot()) {
 			t.Fatalf("replica %d and the leader executed %d ops to different stores", i, r.SyncPoint())
@@ -232,9 +235,6 @@ func windowSweep(t *testing.T, seed int64) (gapReplies, aboveBase int) {
 // count per round is measured at two round lengths: the difference is
 // what the extra writes cost.
 func TestSteadyWriteAllocatesNothing(t *testing.T) {
-	if wire.LiveManagedPackets() >= 0 {
-		t.Skip("race builds' sync.Pool drops a quarter of the packets put back")
-	}
 	h, reps := group(t, 3, Options{})
 	h.Delay = time.Microsecond
 	val := []byte("12345678")
@@ -243,7 +243,7 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 		return func() {
 			for i := 0; i < writes; i++ {
 				seq++
-				w := wire.NewPacket()
+				w := h.Pkts.New()
 				w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(seq%16), wire.Seq{Epoch: 1, N: seq}
 				w.ClientID, w.ReqID, w.Value = 1, seq, val
 				oum(h, w, 0, 1, 2)
@@ -298,7 +298,7 @@ func TestOvertakenGapRequestServedFromWindow(t *testing.T) {
 	h, reps := group(t, 3, Options{})
 	for round := uint64(0); round < 2; round++ {
 		for n := 3*round + 1; n <= 3*round+3; n++ {
-			oum(h, managedWrite(n, n), 0, 1, 2)
+			oum(h, managedWrite(h, n, n), 0, 1, 2)
 		}
 		reps[0].ForceSync()
 	}
@@ -307,8 +307,8 @@ func TestOvertakenGapRequestServedFromWindow(t *testing.T) {
 		t.Fatalf("leader trimmed to %d, the followers last acknowledged 3", reps[0].log.Base())
 	}
 	h.Inject(2, 1, gapRequest{From: 2, To: 5, Replica: 1}) // sent when replica 1 ended at op 1
-	if reps[1].LogLen() != 6 || reps[1].SyncPoint() != 6 {
-		t.Fatalf("replica 1 at op %d, synchronized to %d, after a stale reply", reps[1].LogLen(), reps[1].SyncPoint())
+	if int(reps[1].log.Last()) != 6 || reps[1].SyncPoint() != 6 {
+		t.Fatalf("replica 1 at op %d, synchronized to %d, after a stale reply", int(reps[1].log.Last()), reps[1].SyncPoint())
 	}
 	reps[0].MarkDead(2)
 	defer func() {

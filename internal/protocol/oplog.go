@@ -19,10 +19,11 @@ type LogEntry struct {
 
 // OpLog is a window (Base, Last] over a history of writes numbered
 // from 1, held in a power-of-two ring: the op log of VR and NOPaxos,
-// and the in-flight writes of PB's primary and of a CRAQ node, which
-// trim at commit. The log owns one packet reference per entry — Append
-// takes over the caller's, TrimTo and Truncate release — so a write's
-// packet returns to the pool once every holder has trimmed it.
+// and the in-flight writes of PB's primary, of a chain node's resend
+// buffer and of a CRAQ node, which trim at commit. The log owns one
+// packet reference per entry — Append takes over the caller's, TrimTo
+// and Truncate release — so a write's packet returns to the pool once
+// every holder has trimmed it.
 //
 // In the quorum protocols the trim point is protocol state, not a
 // setting: a replica trims only
@@ -133,11 +134,10 @@ func (l *OpLog) drop(op uint64) {
 
 // Copy returns the entries of ops from..to for a by-value message, and
 // the op number of the first one. The copy owns one reference per
-// packet: whoever handles the message releases them with
-// ReleaseEntries when done, and a log that keeps any (Adopt) takes its
-// own — so a message the network drops leaks its structs to the
-// collector and nothing is ever recycled early. An empty range returns
-// nil.
+// packet: the message's Release method gives them back through
+// ReleaseEntries — called by its handler when done, or by the network
+// when it drops the message — and a log that keeps any (Adopt) takes
+// its own. An empty range returns nil.
 //
 // A range that reaches below the window is served from the window's
 // start. Nobody live needs what was trimmed, but catch-up requests get

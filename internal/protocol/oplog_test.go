@@ -7,8 +7,10 @@ import (
 	"harmonia/internal/wire"
 )
 
-func logWrite(n uint64) *wire.Packet {
-	p := wire.NewPacket()
+// logWrite draws a write from pool, whose Live count then tells what
+// the log still holds.
+func logWrite(pool *wire.Pool, n uint64) *wire.Packet {
+	p := pool.New()
 	p.Op, p.Seq = wire.OpWrite, wire.Seq{Epoch: 1, N: n}
 	return p
 }
@@ -18,13 +20,14 @@ func logWrite(n uint64) *wire.Packet {
 // never holds more than it was given.
 func TestOpLogWindow(t *testing.T) {
 	var l OpLog
+	var pool wire.Pool
 	for op := uint64(1); op <= 1000; op++ {
-		l.Append(logWrite(op), op)
+		l.Append(logWrite(&pool, op), op)
 		if op%3 == 0 {
 			l.TrimTo(op - min(op, 40)) // a window of up to 40, crossing two growths
 		}
-		if l.Last() != op || l.Len() != int(op-l.Base()) {
-			t.Fatalf("after op %d: last %d, base %d, len %d", op, l.Last(), l.Base(), l.Len())
+		if l.Last() != op || l.Len() != int(op-l.Base()) || pool.Live() != l.Len() {
+			t.Fatalf("after op %d: last %d, base %d, len %d, %d packets live", op, l.Last(), l.Base(), l.Len(), pool.Live())
 		}
 		for o := l.Base() + 1; o <= op; o++ {
 			if e := l.At(o); e.Pkt.Seq.N != o || e.Acks != o {
@@ -36,8 +39,8 @@ func TestOpLogWindow(t *testing.T) {
 		t.Fatalf("ring of %d slots for a window of at most 43", len(l.ring))
 	}
 	l.TrimTo(5000) // clamped
-	if l.Len() != 0 || l.Base() != 1000 {
-		t.Fatalf("trimmed past the end: base %d, len %d", l.Base(), l.Len())
+	if l.Len() != 0 || l.Base() != 1000 || pool.Live() != 0 {
+		t.Fatalf("trimmed past the end: base %d, len %d, %d packets live", l.Base(), l.Len(), pool.Live())
 	}
 }
 
@@ -45,8 +48,9 @@ func TestOpLogWindow(t *testing.T) {
 // across trims and ring growth.
 func TestOpLogFind(t *testing.T) {
 	var l OpLog
+	var pool wire.Pool
 	for op := uint64(1); op <= 200; op++ {
-		l.Append(logWrite(2*op), 0) // op carries seq 2·op
+		l.Append(logWrite(&pool, 2*op), 0) // op carries seq 2·op
 		l.TrimTo(op - min(op, 25))
 		for n := uint64(0); n <= 2*op+2; n++ {
 			got, ok := l.Find(wire.Seq{Epoch: 1, N: n})
@@ -66,9 +70,10 @@ func TestOpLogFind(t *testing.T) {
 // its own, and Adopt keeps the receiver's prefix.
 func TestOpLogOwnsOneReferencePerEntry(t *testing.T) {
 	var src, dst OpLog
+	var pool wire.Pool
 	pkts := make([]*wire.Packet, 9) // pkts[op], ops 1..8
 	for op := uint64(1); op <= 8; op++ {
-		pkts[op] = logWrite(op)
+		pkts[op] = logWrite(&pool, op)
 		src.Append(pkts[op].Retain(), 0) // the test keeps a reference to look through
 	}
 	src.Append(nil, 0) // op 9, a NO-OP
@@ -78,7 +83,7 @@ func TestOpLogOwnsOneReferencePerEntry(t *testing.T) {
 	// covers 3..9 and replaces what is above dst's op 3.
 	own := make([]*wire.Packet, 6)
 	for op := uint64(1); op <= 5; op++ {
-		own[op] = logWrite(op + 100)
+		own[op] = logWrite(&pool, op+100)
 		dst.Append(own[op].Retain(), 0)
 	}
 	// The message asks from op 1, which src has trimmed: it gets the
@@ -107,6 +112,9 @@ func TestOpLogOwnsOneReferencePerEntry(t *testing.T) {
 		if own[op].Managed() {
 			t.Fatalf("dst's own op %d still referenced", op)
 		}
+	}
+	if pool.Live() != 0 {
+		t.Fatalf("%d packet references live once every holder let go", pool.Live())
 	}
 }
 

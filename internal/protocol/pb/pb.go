@@ -27,6 +27,9 @@ type update struct {
 // CostClass classifies applying the update as a full write.
 func (update) CostClass() protocol.CostClass { return protocol.CostWrite }
 
+// Release gives back the reference of an update the network dropped.
+func (m update) Release() { m.Pkt.Release() }
+
 // updateAck acknowledges an applied update. One per backup per write:
 // it travels as a pointer to a recycled record (ownership rule in
 // protocol/msgs.go).
@@ -274,8 +277,6 @@ func (r *Replica) RemoveBackup(idx int) {
 	}
 }
 
-// PendingWrites reports the primary's in-flight write count (tests).
-func (r *Replica) PendingWrites() int { return r.pending.Len() }
-
-// QueuedReads reports reads blocked behind pending writes (tests).
-func (r *Replica) QueuedReads() int { return len(r.reads) }
+// HeldPackets returns the packet references the replica holds: its
+// pending writes, its queued reads and its cached replies.
+func (r *Replica) HeldPackets() int { return r.pending.Len() + len(r.reads) + r.CT.Held() }

@@ -54,7 +54,7 @@ func TestWriteCommitsAfterAllAcks(t *testing.T) {
 			t.Fatalf("replica %d missing write: %v %v", i, o, ok)
 		}
 	}
-	if reps[0].PendingWrites() != 0 {
+	if reps[0].pending.Len() != 0 {
 		t.Fatal("pending writes remain after commit")
 	}
 }
@@ -66,7 +66,7 @@ func TestWriteBlocksWithoutBackupAck(t *testing.T) {
 	if len(h.SwitchPacketsOf(wire.OpWriteReply)) != 0 {
 		t.Fatal("write committed without all backups")
 	}
-	if reps[0].PendingWrites() != 1 {
+	if reps[0].pending.Len() != 1 {
 		t.Fatal("write not pending")
 	}
 }
@@ -137,7 +137,7 @@ func TestNormalReadBlocksBehindPendingWrite(t *testing.T) {
 	if len(h.SwitchPacketsOf(wire.OpReadReply)) != 0 {
 		t.Fatal("read served while write uncommitted (read-ahead anomaly)")
 	}
-	if reps[0].QueuedReads() != 1 {
+	if len(reps[0].reads) != 1 {
 		t.Fatal("read not queued")
 	}
 	// Unblock: backup 3 comes back and the update is retried — here we
@@ -159,7 +159,7 @@ func TestNormalReadBlocksBehindPendingDelete(t *testing.T) {
 	del.Flags |= wire.FlagDelete
 	h.Inject(100, 1, del)
 	h.Inject(100, 1, read(7, 2, 1))
-	if reps[0].QueuedReads() != 1 {
+	if len(reps[0].reads) != 1 {
 		t.Fatal("read of a pending delete not queued")
 	}
 	h.Inject(3, 1, &updateAck{Seq: wire.Seq{Epoch: 1, N: 2}, Replica: 2})
@@ -192,7 +192,7 @@ func TestNormalReadServesObjectsWithoutPendingWrites(t *testing.T) {
 	h2.Inject(100, 1, write(8, 2, 1, 2, "v2"))
 	h2.Inject(100, 1, read(7, 2, 1))
 
-	if q := reps[0].QueuedReads() + reps2[0].QueuedReads(); q != 0 {
+	if q := len(reps[0].reads) + len(reps2[0].reads); q != 0 {
 		t.Fatalf("%d reads queued behind other objects' writes", q)
 	}
 	if n := len(h.SwitchPacketsOf(wire.OpReadReply)) + len(h2.SwitchPacketsOf(wire.OpReadReply)); n != 3 {
@@ -236,7 +236,7 @@ func TestFastReadRejectedOnUncommittedState(t *testing.T) {
 	if reps[1].FastRejected != 1 {
 		t.Fatal("rejection not counted")
 	}
-	if reps[0].QueuedReads() != 1 {
+	if len(reps[0].reads) != 1 {
 		t.Fatal("forwarded read not queued at primary")
 	}
 }
@@ -315,7 +315,7 @@ func TestCommitInSeqOrderDespiteAckReordering(t *testing.T) {
 	if got := len(h.SwitchPacketsOf(wire.OpWriteReply)); got != 2 {
 		t.Fatalf("%d replies after reordered ack, want 2", got)
 	}
-	if reps[0].PendingWrites() != 0 {
+	if reps[0].pending.Len() != 0 {
 		t.Fatal("pending writes remain")
 	}
 }
@@ -341,11 +341,11 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	var replies, window int
 	one := func() {
 		n++
-		w := wire.NewPacket()
+		w := h.Pkts.New()
 		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
 		w.ClientID, w.ReqID, w.Value = 1, n, val
 		h.Inject(100, 1, w)
-		window = max(window, reps[0].PendingWrites())
+		window = max(window, reps[0].pending.Len())
 		h.Run(time.Microsecond)
 		replies += len(h.ToSwitch)
 		h.DrainSwitch()
@@ -353,9 +353,7 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		one()
 	}
-	// Not asserted in race builds (LiveManagedPackets >= 0), whose
-	// sync.Pool drops a quarter of the packets put back.
-	if a := testing.AllocsPerRun(1000, one); a != 0 && wire.LiveManagedPackets() < 0 {
+	if a := testing.AllocsPerRun(1000, one); a != 0 {
 		t.Fatalf("one primary-backup write allocates %v times, want 0", a)
 	}
 	if window < 2 {
@@ -364,7 +362,10 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	h.Run(10 * time.Microsecond)
 	replies += len(h.ToSwitch)
 	h.DrainSwitch()
-	if uint64(replies) != n || reps[0].PendingWrites() != 0 {
-		t.Fatalf("%d writes: %d replies, %d still pending", n, replies, reps[0].PendingWrites())
+	if uint64(replies) != n || reps[0].pending.Len() != 0 {
+		t.Fatalf("%d writes: %d replies, %d still pending", n, replies, reps[0].pending.Len())
+	}
+	if n := ptest.Unheld(h, reps); n != 0 {
+		t.Fatalf("%d packet references live that no replica holds", n)
 	}
 }

@@ -38,6 +38,9 @@ type Env interface {
 	// Msgs returns the message free lists shared by every replica on
 	// this Env's engine; the harness owns them.
 	Msgs() *MsgPool
+	// Packets returns the packet pool of this Env's engine, which the
+	// harness owns next to Msgs.
+	Packets() *wire.Pool
 }
 
 // GroupConfig describes a replica group.
@@ -65,9 +68,6 @@ func (g GroupConfig) Quorum() int { return g.F + 1 }
 
 // Addr returns the address of replica i.
 func (g GroupConfig) Addr(i int) simnet.NodeID { return g.Replicas[i] }
-
-// SelfAddr returns this replica's address.
-func (g GroupConfig) SelfAddr() simnet.NodeID { return g.Replicas[g.Self] }
 
 // CostClass buckets messages by how much server CPU handling them
 // costs; the cluster's processor model translates classes into service
@@ -228,6 +228,20 @@ func (t *ClientTable) Cached(clientID uint32, reqID uint64) *wire.Packet {
 	return nil
 }
 
+// Held returns the number of cached replies the table holds, in the
+// protocol-managed table and the migrated-record overlay.
+func (t *ClientTable) Held() int {
+	n := 0
+	for _, m := range [...]map[uint32]clientEntry{t.m, t.migrated} {
+		for _, e := range m {
+			if e.reply != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // ClientRecord is one exported client-table entry, carried with a
 // slot handoff: the client's latest request ID and, when the request
 // completed, the cached reply (nil while still in progress).
@@ -312,24 +326,6 @@ func ReleaseRecords(recs map[uint32]ClientRecord) {
 	for _, rec := range recs {
 		if rec.Reply != nil {
 			rec.Reply.Release()
-		}
-	}
-}
-
-// Snapshot and Restore support state transfer.
-func (t *ClientTable) Snapshot() map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(t.m))
-	for c, e := range t.m {
-		out[c] = e.reqID
-	}
-	return out
-}
-
-// Restore merges a snapshot, keeping the newer reqID per client.
-func (t *ClientTable) Restore(snap map[uint32]uint64) {
-	for c, r := range snap {
-		if e, ok := t.m[c]; !ok || r > e.reqID {
-			t.m[c] = clientEntry{reqID: r}
 		}
 	}
 }

@@ -68,25 +68,6 @@ func TestClientTableIndependentClients(t *testing.T) {
 	}
 }
 
-func TestClientTableSnapshotRestore(t *testing.T) {
-	ct := NewClientTable()
-	ct.Admit(1, 5)
-	ct.Admit(2, 9)
-	snap := ct.Snapshot()
-	fresh := NewClientTable()
-	fresh.Admit(2, 4) // will be superseded by snapshot's 9
-	fresh.Restore(snap)
-	if exec, _ := fresh.Admit(1, 5); exec {
-		t.Fatal("restored duplicate executed")
-	}
-	if exec, _ := fresh.Admit(2, 9); exec {
-		t.Fatal("restored duplicate executed (merge case)")
-	}
-	if exec, _ := fresh.Admit(2, 10); !exec {
-		t.Fatal("fresh request after restore blocked")
-	}
-}
-
 func TestClientTableExportMergeOverlay(t *testing.T) {
 	src := NewClientTable()
 	rep := &wire.Packet{Op: wire.OpWriteReply, ClientID: 1, ReqID: 5}
@@ -255,7 +236,7 @@ func (costedMsg) CostClass() CostClass { return CostWrite }
 
 func TestGroupConfig(t *testing.T) {
 	gc := GroupConfig{Replicas: []simnet.NodeID{1, 2, 3}, Self: 1, F: 1}
-	if gc.N() != 3 || gc.Quorum() != 2 || gc.Addr(0) != 1 || gc.SelfAddr() != 2 {
+	if gc.N() != 3 || gc.Quorum() != 2 || gc.Addr(0) != 1 {
 		t.Fatalf("GroupConfig accessors wrong: %+v", gc)
 	}
 }

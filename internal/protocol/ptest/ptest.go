@@ -53,9 +53,10 @@ type flight struct {
 }
 
 // SendSwitch implements protocol.Env: packets to the switch are
-// captured in order. Dead nodes' packets are swallowed.
+// captured in order. Dead nodes' packets are swallowed and released.
 func (e *Env) SendSwitch(pkt *wire.Packet) {
 	if e.h.Dead[e.id] {
+		pkt.Release()
 		return
 	}
 	e.h.ToSwitch = append(e.h.ToSwitch, SwitchPacket{From: e.id, Pkt: pkt})
@@ -73,6 +74,9 @@ func (e *Env) Rand() *rand.Rand { return e.h.Eng.Rand() }
 // Msgs implements protocol.Env: one pool per harness.
 func (e *Env) Msgs() *protocol.MsgPool { return e.h.msgs }
 
+// Packets implements protocol.Env: the harness's packet pool.
+func (e *Env) Packets() *wire.Pool { return &e.h.Pkts }
+
 // SwitchPacket is a captured switch-bound packet.
 type SwitchPacket struct {
 	From simnet.NodeID
@@ -86,11 +90,15 @@ type Harness struct {
 	handlers map[simnet.NodeID]Handler
 	msgs     *protocol.MsgPool
 	flights  protocol.FreeList[flight]
-	land     func(any) // delivers a *flight; bound once
+	// Pkts is the packet pool of every replica on the harness. Tests
+	// draw the packets they inject from it, so its Live count is their
+	// leak check.
+	Pkts wire.Pool
+	land func(any) // delivers a *flight; bound once
 
 	// ToSwitch records every SendSwitch call in order.
 	ToSwitch []SwitchPacket
-	// Dropped counts sends to unknown nodes.
+	// Dropped counts sends to unknown, blackholed or dead nodes.
 	Dropped int
 	// Blackhole, when set, swallows protocol messages to these nodes.
 	Blackhole map[simnet.NodeID]bool
@@ -123,14 +131,13 @@ func (h *Harness) Env(id simnet.NodeID, self int) *Env {
 // Register attaches a handler to an address.
 func (h *Harness) Register(id simnet.NodeID, hd Handler) { h.handlers[id] = hd }
 
+// deliver hands msg to its destination; a message it drops is
+// released, as the network releases it.
 func (h *Harness) deliver(from, to simnet.NodeID, msg any) {
-	if h.Blackhole[to] || h.Dead[to] || h.Dead[from] {
-		h.Dropped++
-		return
-	}
 	hd, ok := h.handlers[to]
-	if !ok {
+	if !ok || h.Blackhole[to] || h.Dead[to] || h.Dead[from] {
 		h.Dropped++
+		simnet.Discard(msg)
 		return
 	}
 	hd.Recv(from, msg)
@@ -165,6 +172,17 @@ func (h *Harness) DrainSwitch() (replies, completions int) {
 	}
 	h.ToSwitch = h.ToSwitch[:0]
 	return replies, completions
+}
+
+// Unheld returns the references live in the harness's pool that no
+// replica of reps holds: 0 once everything sent has been consumed, and
+// positive when a packet leaked.
+func Unheld[R interface{ HeldPackets() int }](h *Harness, reps []R) int {
+	n := h.Pkts.Live()
+	for _, r := range reps {
+		n -= r.HeldPackets()
+	}
+	return n
 }
 
 // SwitchPacketsOf filters captured packets by op.

@@ -61,6 +61,9 @@ type prepare struct {
 // CostClass charges log append + eventual execution as a write.
 func (prepare) CostClass() protocol.CostClass { return protocol.CostWrite }
 
+// Release gives back the reference of a prepare the network dropped.
+func (m *prepare) Release() { m.Pkt.Release() }
+
 type prepareOK struct {
 	View    uint64
 	OpNum   uint64
@@ -113,6 +116,9 @@ func (m doViewChange) opNum() uint64 { return m.FirstOp + uint64(len(m.Log)) - 1
 // CostClass marks view-change traffic as control.
 func (doViewChange) CostClass() protocol.CostClass { return protocol.CostControl }
 
+// Release drops the references the message carries.
+func (m doViewChange) Release() { protocol.ReleaseEntries(m.Log) }
+
 type startView struct {
 	View      uint64
 	FirstOp   uint64 // op number of Log[0]
@@ -122,6 +128,9 @@ type startView struct {
 
 // CostClass marks view-change traffic as control.
 func (startView) CostClass() protocol.CostClass { return protocol.CostControl }
+
+// Release drops the references the message carries.
+func (m startView) Release() { protocol.ReleaseEntries(m.Log) }
 
 type getState struct {
 	View    uint64
@@ -141,6 +150,9 @@ type newState struct {
 
 // CostClass marks state transfer as control traffic.
 func (newState) CostClass() protocol.CostClass { return protocol.CostControl }
+
+// Release drops the references the message carries.
+func (m newState) Release() { protocol.ReleaseEntries(m.Log) }
 
 // freeLists is the record store of the normal-case messages, one per
 // engine, shared by every VR replica on it.
@@ -246,6 +258,19 @@ func (r *Replica) View() uint64 { return r.view }
 
 // CommitNum returns the executed prefix length (tests).
 func (r *Replica) CommitNum() uint64 { return r.commitNum }
+
+// HeldPackets returns the packet references the replica holds: its
+// log, the logs of the DO-VIEW-CHANGEs it collects (a VR log has no
+// NO-OPs), and its cached replies.
+func (r *Replica) HeldPackets() int {
+	n := r.log.Len() + r.CT.Held()
+	for _, msgs := range r.dvcMsgs {
+		for _, m := range msgs {
+			n += len(m.Log)
+		}
+	}
+	return n
+}
 
 // LogWindow returns the number of log entries held (tests): the ops
 // some live member has yet to execute.
@@ -667,7 +692,7 @@ func (r *Replica) recvGetState(m getState) {
 }
 
 func (r *Replica) recvNewState(m newState) {
-	defer protocol.ReleaseEntries(m.Log)
+	defer m.Release()
 	if m.View < r.view {
 		return
 	}
@@ -754,7 +779,7 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 	// started the view: a straggler must not sit in dvcMsgs pinning a
 	// copy of the window.
 	if m.View < r.view || r.status != statusViewChange || int(m.View%uint64(r.Group.N())) != r.Group.Self {
-		protocol.ReleaseEntries(m.Log)
+		m.Release()
 		return
 	}
 	msgs, ok := r.dvcMsgs[m.View]
@@ -762,7 +787,7 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 		msgs = make(map[int]doViewChange)
 		r.dvcMsgs[m.View] = msgs
 	}
-	protocol.ReleaseEntries(msgs[m.Replica].Log)
+	msgs[m.Replica].Release()
 	msgs[m.Replica] = m
 	if len(msgs) < r.Group.Quorum() {
 		return
@@ -809,7 +834,7 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 }
 
 func (r *Replica) recvStartView(m startView) {
-	defer protocol.ReleaseEntries(m.Log)
+	defer m.Release()
 	if m.View < r.view {
 		return
 	}
@@ -857,7 +882,7 @@ func (r *Replica) enterNormal() {
 	clear(r.svcVotes)
 	for _, msgs := range r.dvcMsgs {
 		for _, m := range msgs {
-			protocol.ReleaseEntries(m.Log)
+			m.Release()
 		}
 	}
 	clear(r.dvcMsgs)

@@ -367,7 +367,7 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	var replies, completions int
 	one := func() {
 		next++
-		w := wire.NewPacket()
+		w := h.Pkts.New()
 		w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(next%16), wire.Seq{Epoch: 1, N: next}
 		w.ClientID, w.ReqID, w.Value = 1, next, val
 		h.Inject(100, 1, w)
@@ -378,17 +378,14 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		one()
 	}
-	// Race builds keep the account LiveManagedPackets reads, and their
-	// sync.Pool drops a quarter of the packets put back: there the
-	// allocation count is not asserted and the account is — after every
-	// write the group holds the same packets (the last write in four
-	// backup logs, one cached reply per client table).
-	live := wire.LiveManagedPackets()
-	if a := testing.AllocsPerRun(runs, one); a != 0 && live < 0 {
+	// After every write the group holds the same packets (the last
+	// write in four backup logs, one cached reply per client table).
+	live := h.Pkts.Live()
+	if a := testing.AllocsPerRun(runs, one); a != 0 {
 		t.Fatalf("one committed write allocates %v times, want 0", a)
 	}
-	if now := wire.LiveManagedPackets(); now != live {
-		t.Fatalf("%d managed packets live after %d writes, %d before: a log kept some", now, runs, live)
+	if now := h.Pkts.Live(); now != live {
+		t.Fatalf("%d packet references live after %d writes, %d before: a log kept some", now, runs, live)
 	}
 	if uint64(replies) != next || uint64(completions) != next {
 		t.Fatalf("%d writes: %d replies, %d completions", next, replies, completions)

@@ -16,8 +16,8 @@ import (
 // managedWrite draws the write from the packet pool, as the cluster's
 // clients do, so that a log releasing a packet someone still holds
 // shows: the struct is zeroed and handed to a later write.
-func managedWrite(n uint64) *wire.Packet {
-	w := wire.NewPacket()
+func managedWrite(h *ptest.Harness, n uint64) *wire.Packet {
+	w := h.Pkts.New()
 	w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%64), wire.Seq{Epoch: 1, N: n}
 	w.ClientID, w.ReqID, w.Value = uint32(n%8), n, []byte(fmt.Sprint("v", n))
 	return w
@@ -41,7 +41,7 @@ func TestLogStaysBounded(t *testing.T) {
 	var completed, widest int
 	step := func() {
 		next++
-		h.Inject(100, 1, managedWrite(next))
+		h.Inject(100, 1, managedWrite(h, next))
 		h.Run(time.Microsecond)
 		completed += drainSwitch(h)
 		inFlight := int(next) - completed
@@ -68,7 +68,7 @@ func TestLogStaysBounded(t *testing.T) {
 		step()
 	}
 	quiesce()
-	live := wire.LiveManagedPackets() // -1 outside race builds
+	live := h.Pkts.Live()
 	for next < writes {
 		step()
 	}
@@ -76,8 +76,11 @@ func TestLogStaysBounded(t *testing.T) {
 	if completed != writes {
 		t.Fatalf("%d completions for %d writes", completed, writes)
 	}
-	if now := wire.LiveManagedPackets(); now != live {
-		t.Fatalf("%d managed packets live after the run, %d before", now, live)
+	if now := h.Pkts.Live(); now != live {
+		t.Fatalf("%d packet references live after the run, %d before", now, live)
+	}
+	if n := ptest.Unheld(h, reps); n != 0 {
+		t.Fatalf("%d packet references live that no replica holds", n)
 	}
 	t.Logf("widest window %d entries over %d writes", widest, writes)
 }
@@ -180,7 +183,7 @@ func windowSweep(t *testing.T, seed int64, seen *catchUps) {
 		}
 		if leader != nil && step%2 == 0 {
 			next++
-			h.Inject(100, leader.Group.Addr(leader.Group.Self), managedWrite(next))
+			h.Inject(100, leader.Group.Addr(leader.Group.Self), managedWrite(h, next))
 		}
 		h.Run(time.Microsecond)
 		drainSwitch(h)
@@ -229,7 +232,7 @@ func TestViewChangeBookkeepingStaysBounded(t *testing.T) {
 			}
 		}
 		next++
-		h.Inject(100, reps[0].leaderAddr(), managedWrite(next))
+		h.Inject(100, reps[0].leaderAddr(), managedWrite(h, next))
 		drainSwitch(h)
 	}
 	// Every client's reply is cached, and every replica has led once,
@@ -237,7 +240,7 @@ func TestViewChangeBookkeepingStaysBounded(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		change()
 	}
-	live := wire.LiveManagedPackets()
+	live := h.Pkts.Live()
 	for i := 0; i < 50; i++ {
 		change()
 	}
@@ -250,8 +253,8 @@ func TestViewChangeBookkeepingStaysBounded(t *testing.T) {
 				i, len(r.svcVotes), len(r.dvcMsgs), r.View())
 		}
 	}
-	if now := wire.LiveManagedPackets(); now != live {
-		t.Fatalf("%d managed packets live after 50 more view changes, %d before", now, live)
+	if now := h.Pkts.Live(); now != live {
+		t.Fatalf("%d packet references live after 50 more view changes, %d before", now, live)
 	}
 }
 
@@ -264,7 +267,7 @@ func TestViewChangeBookkeepingStaysBounded(t *testing.T) {
 func TestOvertakenGetStateServedFromWindow(t *testing.T) {
 	h, reps := group(t, 3, quiet())
 	for n := uint64(1); n <= 5; n++ {
-		h.Inject(100, 1, managedWrite(n))
+		h.Inject(100, 1, managedWrite(h, n))
 	}
 	drainSwitch(h)
 	if reps[0].log.Base() != 5 {

@@ -148,6 +148,7 @@ func TestQueueMatchesSliceFIFO(t *testing.T) {
 		}
 		m.idle = m.workers
 		net.AddNode(1, HandlerFunc(func(NodeID, Message) {}), ProcConfig{})
+		var pool wire.Pool
 		m.nd = net.AddNode(2, m, ProcConfig{
 			Workers:    m.workers,
 			QueueLimit: m.limit,
@@ -159,7 +160,7 @@ func TestQueueMatchesSliceFIFO(t *testing.T) {
 		for round := 0; round < 300; round++ {
 			for n := rng.Intn(120); n > 0; n-- {
 				req++
-				p := wire.NewPacket()
+				p := pool.New()
 				p.ReqID = req
 				if down {
 					m.dropped++
@@ -189,6 +190,9 @@ func TestQueueMatchesSliceFIFO(t *testing.T) {
 			if !s.released() {
 				t.Fatalf("seed %d: dropped req %d was never released", seed, s.req)
 			}
+		}
+		if n := pool.Live(); n != 0 {
+			t.Fatalf("seed %d: %d packet references live after the drain", seed, n)
 		}
 	}
 }

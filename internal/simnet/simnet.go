@@ -35,25 +35,13 @@ const Broadcast NodeID = -1
 // reference count covers and a recycled record does not.
 type Message any
 
-// releaseMsg returns a managed packet's delivery reference when the
-// network drops the message on the floor (down node, missing
-// destination, link loss, queue overflow). Wrapper messages — the
-// protocol-internal structs that may carry packets inside — pass
-// through untouched; a packet inside a dropped wrapper leaks its
-// struct to the garbage collector, which the wire ownership contract
-// makes benign, and wrappers only travel the reliable replica links
-// anyway. A dropped recycled record is likewise just never put back.
-func releaseMsg(msg Message) {
-	if p, ok := msg.(*wire.Packet); ok {
-		p.Release()
-	}
-}
-
-// retainMsg takes an extra delivery reference for a duplicated packet:
-// each scheduled arrival hands the handler one consumable reference.
-func retainMsg(msg Message) {
-	if p, ok := msg.(*wire.Packet); ok {
-		p.Retain()
+// Discard releases the packet references of a message the network
+// drops (down node, missing destination, link loss, queue overflow, a
+// crash): a *wire.Packet's own, or those of any message with a Release
+// method.
+func Discard(msg Message) {
+	if m, ok := msg.(interface{ Release() }); ok {
+		m.Release()
 	}
 }
 
@@ -353,12 +341,12 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 	n.Sent++
 	src := n.Node(from)
 	if src != nil && src.down {
-		releaseMsg(msg)
+		Discard(msg)
 		return
 	}
 	dst := n.Node(to)
 	if dst == nil {
-		releaseMsg(msg) // destination never existed; silently dropped like UDP
+		Discard(msg) // destination never existed; silently dropped like UDP
 		return
 	}
 	cfg, last := &n.defaultLink, (*sim.Time)(nil)
@@ -374,12 +362,15 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 		// Take a provisional reference before the first transmit can
 		// consume the sender's: each transmit call owns exactly one,
 		// whether it schedules the arrival or drops the message.
-		retainMsg(msg)
+		p, _ := msg.(*wire.Packet)
+		if p != nil {
+			p.Retain()
+		}
 		n.transmit(cfg, last, from, dst, msg)
 		if n.rng.Float64() < cfg.DupProb {
 			n.transmit(cfg, last, from, dst, msg)
-		} else {
-			releaseMsg(msg)
+		} else if p != nil {
+			p.Release()
 		}
 		return
 	}
@@ -391,7 +382,7 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 func (n *Network) transmit(cfg *LinkConfig, last *sim.Time, from NodeID, dst *Node, msg Message) {
 	if cfg.DropProb > 0 && (cfg.DropFilter == nil || cfg.DropFilter(msg)) &&
 		n.rng.Float64() < cfg.DropProb {
-		releaseMsg(msg)
+		Discard(msg)
 		return
 	}
 	d := cfg.Latency
@@ -422,7 +413,7 @@ func (n *Network) SetDown(id NodeID, down bool) {
 	if down {
 		nd.Dropped += uint64(nd.q.n)
 		for nd.q.n > 0 {
-			releaseMsg(nd.q.pop().msg)
+			Discard(nd.q.pop().msg)
 		}
 		nd.q = fifo{}
 		// In-service work is abandoned and its workers are idle again
@@ -443,7 +434,7 @@ func (n *Network) IsDown(id NodeID) bool {
 func (nd *Node) arrive(from NodeID, msg Message) {
 	if nd.down {
 		nd.Dropped++
-		releaseMsg(msg)
+		Discard(msg)
 		return
 	}
 	if t := nd.net.tracer; t != nil {
@@ -462,7 +453,7 @@ func (nd *Node) arrive(from NodeID, msg Message) {
 	}
 	if nd.cfg.QueueLimit > 0 && nd.q.n >= nd.cfg.QueueLimit {
 		nd.Dropped++
-		releaseMsg(msg)
+		Discard(msg)
 		return
 	}
 	nd.q.push(queued{from, msg})
@@ -486,7 +477,7 @@ func (nd *Node) serve(from NodeID, msg Message) {
 // crash count when the service began.
 func (nd *Node) complete(from NodeID, inc uint32, msg Message) {
 	if inc != nd.inc {
-		releaseMsg(msg) // abandoned by a crash since
+		Discard(msg) // abandoned by a crash since
 		return
 	}
 	if t := nd.net.tracer; t != nil {

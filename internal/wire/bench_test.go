@@ -140,29 +140,6 @@ func TestDecodeIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledBufferRoundTripZeroAllocs asserts the Get/Put buffer cycle
-// itself stays off the heap in steady state.
-func TestPooledBufferRoundTripZeroAllocs(t *testing.T) {
-	p := benchPacket()
-	// Prime the pool past the encoded size so steady state never grows.
-	b := GetBuffer()
-	out, err := p.Encode(*b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	*b = out
-	PutBuffer(b)
-	allocs := testing.AllocsPerRun(1000, func() {
-		b := GetBuffer()
-		out, _ := p.Encode(*b)
-		*b = out
-		PutBuffer(b)
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled encode round trip: %.1f allocs/op, want 0", allocs)
-	}
-}
-
 func BenchmarkEncode(b *testing.B) {
 	p := benchPacket()
 	buf := make([]byte, 0, 256)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"unsafe"
 )
 
@@ -275,14 +274,16 @@ type Packet struct {
 	// packet takes.
 	Value []byte
 
-	// refs is the reference count of a pool-managed packet. 0 means
-	// unmanaged: a packet built as a literal (tests, control-plane
-	// writes, client master records) is outside the pool's lifecycle
-	// and every Retain/Release on it is a no-op. Managed packets come
-	// from NewPacket/FlightClone with refs == 1; refsFreed marks a
-	// packet sitting in the pool, so any use after free panics instead
-	// of corrupting an unrelated packet.
+	// refs is the reference count of a managed packet. 0 means
+	// unmanaged: a packet built as a literal (tests, client master
+	// records) is outside the lifecycle and every Retain/Release on it
+	// is a no-op. Managed packets come from a Pool with refs == 1;
+	// refsFreed marks a released packet, so any use after free panics
+	// instead of corrupting an unrelated packet.
 	refs int32
+	// pool is where the last Release parks the packet; nil leaves it to
+	// the garbage collector (NewPacket).
+	pool *Pool
 }
 
 // Ownership contract. In the simulated network packets travel by
@@ -292,19 +293,18 @@ type Packet struct {
 // Release; a handler that stores the packet past its Recv call (a
 // replication log, a pending-write table, a cached reply) keeps the
 // reference it was handed, and every additional long-lived holder or
-// concurrent transmission takes its own via Retain. Packets are still
-// immutable once sequenced — the switch stamps header fields (Seq,
-// LastCommitted, Flags, Group, Switch) while it is the sole owner, and
-// after fan-out every receiver shares the struct and payload
-// read-only; a sender that may retransmit (client retries, cached
-// re-replies) therefore sends a pooled FlightClone per transmission,
+// concurrent transmission takes its own via Retain — a protocol
+// message carrying the packet too, whose Release the network calls if
+// it drops the message. Packets are immutable once sequenced — the switch stamps header
+// fields (Seq, LastCommitted, Flags, Group, Switch) while it is the
+// sole owner, and after fan-out every receiver shares the struct and
+// payload read-only; a sender that may retransmit (client retries,
+// cached re-replies) therefore sends a FlightClone per transmission,
 // never the retained original. Value bytes are never recycled — only
-// the packet struct is pooled — so a store or client table that
-// aliased a released packet's payload stays valid. The whole scheme is
-// fail-safe by construction: a missed Release leaks one struct to the
-// garbage collector (losing pooling, nothing else), while double
-// releases and uses after free panic outright, and race builds
-// additionally account every managed packet (see refs_race.go). On a
+// the packet struct is — so a store or client table that aliased a
+// released packet's payload stays valid. An engine's packets come from
+// one Pool, whose Live count is the leak check in every build; double
+// releases and uses after free panic. On a
 // byte transport the equivalent rule: a packet produced by DecodeInto
 // borrows Key and Value from the input buffer and is valid only while
 // the buffer is; a receiver that retains it past that point must call
@@ -325,28 +325,6 @@ var (
 	// ErrKeyTooLong reports a key exceeding MaxKeyLen.
 	ErrKeyTooLong = errors.New("wire: key too long")
 )
-
-// bufPool recycles encode buffers. Buffers are pointers-to-slices so
-// the pool round trip itself does not allocate.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// GetBuffer borrows a zeroed-length encode buffer from the pool. Pass
-// *buf (or (*buf)[:0]) to Encode and return it with PutBuffer when the
-// encoded bytes are no longer referenced — including by any packet a
-// DecodeInto borrowed from it.
-func GetBuffer() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuffer returns a buffer to the pool. The caller must not retain
-// views into it.
-func PutBuffer(b *[]byte) {
-	if b != nil {
-		bufPool.Put(b)
-	}
-}
 
 // Encode appends the wire form of p to buf and returns the result.
 func (p *Packet) Encode(buf []byte) ([]byte, error) {
@@ -459,7 +437,7 @@ func (p *Packet) Own() {
 // produces them.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	q.refs = 0 // deep copies start unmanaged regardless of the source
+	q.refs, q.pool = 0, nil // deep copies start unmanaged regardless of the source
 	if len(p.Value) > 0 {
 		q.Value = append([]byte(nil), p.Value...)
 	} else {
@@ -468,54 +446,80 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-// refsFreed marks a packet parked in the pool. Any Retain, Release, or
+// refsFreed marks a released packet. Any Retain, Release, or
 // FlightClone on it is a use after free and panics.
 const refsFreed int32 = -1
 
-// packetPool recycles managed packet structs. Only the struct is
-// pooled: Key strings and Value bytes are never written through a
-// pooled packet, so payloads outlive any Release that recycles their
-// carrier. The pool is shared across clusters (parallel tests), but a
-// packet moves between goroutines only through Get/Put, which
-// sync.Pool synchronizes.
-var packetPool = sync.Pool{New: func() any { return &Packet{} }}
-
-// NewPacket returns a zeroed pool-managed packet holding one
-// reference. The caller owns that reference and must balance it with
-// Release (or transfer it by sending the packet).
-func NewPacket() *Packet {
-	p := packetPool.Get().(*Packet)
-	*p = Packet{refs: 1}
-	notePacketAlloc()
-	return p
+// Pool is the packet free list of one engine, owned by whoever owns
+// the engine (a cluster, a protocol test harness) and not safe for
+// concurrent use. Only the struct is recycled, never the Key or Value
+// it points at. The zero value is an empty pool; a nil *Pool hands out
+// packets the garbage collector reclaims (NewPacket).
+type Pool struct {
+	free []*Packet
+	live int // references held on packets not parked in free
 }
 
-// FlightClone returns a pool-managed header copy of p sharing its
-// payload, holding one fresh reference. It is the per-transmission
-// copy for senders that may transmit the same logical packet more than
-// once — client retries and cached re-replies — keeping the retained
-// original off the wire so in-flight header stamps never race a second
-// flight. p itself may be managed or unmanaged; its count is
-// untouched.
-func (p *Packet) FlightClone() *Packet {
+// New returns a zeroed managed packet holding one reference. The
+// caller owns that reference and must balance it with Release (or
+// transfer it by sending the packet).
+func (pl *Pool) New() *Packet { return pl.FlightClone(&Packet{}) }
+
+// FlightClone returns a managed header copy of p sharing its payload,
+// holding one fresh reference. It is the per-transmission copy for
+// senders that may transmit the same logical packet more than once —
+// client retries and cached re-replies — keeping the retained original
+// off the wire so in-flight header stamps never race a second flight.
+// p itself may be managed or unmanaged; its count is untouched.
+func (pl *Pool) FlightClone(p *Packet) *Packet {
 	if p.refs < 0 {
 		panic("wire: FlightClone of a freed packet")
 	}
-	q := packetPool.Get().(*Packet)
+	var q *Packet
+	if pl != nil {
+		pl.live++
+		if n := len(pl.free); n > 0 {
+			q, pl.free = pl.free[n-1], pl.free[:n-1]
+		}
+	}
+	if q == nil {
+		q = new(Packet)
+	}
 	*q = *p
-	q.refs = 1
+	q.refs, q.pool = 1, pl
 	if len(q.Value) == 0 {
 		q.Value = nil
 	}
-	notePacketAlloc()
 	return q
 }
+
+// Reply returns a packet from pl answering req with op: addressed to
+// req's client and request, about req's object, group and key. The
+// trace span follows the op onto the reply leg, so the client's
+// completion hook can close it (internal/trace).
+func (pl *Pool) Reply(req *Packet, op Op) *Packet {
+	rep := pl.New()
+	rep.Op, rep.ObjID, rep.Group, rep.Key = op, req.ObjID, req.Group, req.Key
+	rep.ClientID, rep.ReqID, rep.Span = req.ClientID, req.ReqID, req.Span
+	return rep
+}
+
+// Live returns the references out on the pool's packets: one per
+// holder, so at quiescence it is what every holder holds.
+func (pl *Pool) Live() int { return pl.live }
+
+// NewPacket returns a managed packet that belongs to no pool: its last
+// Release leaves it to the garbage collector.
+func NewPacket() *Packet { return (*Pool)(nil).New() }
+
+// FlightClone is Pool.FlightClone into p's own pool.
+func (p *Packet) FlightClone() *Packet { return p.pool.FlightClone(p) }
 
 // Retain adds a reference to a managed packet and returns it. Take one
 // per additional long-lived holder or concurrent transfer: a cached
 // reply stored while the same packet rides to the client, a multicast
 // fan-out beyond the first destination, a chain propagation that also
-// stays in the local unacked window. On an unmanaged packet (refs 0:
+// stays in the local resend window. On an unmanaged packet (refs 0:
 // literals, Clone results) Retain is a no-op, so code
 // paths shared with test-crafted packets need no special casing.
 // Retaining a freed packet panics.
@@ -525,19 +529,19 @@ func (p *Packet) Retain() *Packet {
 	}
 	if p.refs > 0 {
 		p.refs++
+		if p.pool != nil {
+			p.pool.live++
+		}
 	}
 	return p
 }
 
-// Release drops one reference; at zero the struct returns to the
-// packet pool. Call it at every terminal consumption: a handler that
-// answered, dropped, or absorbed the packet; a trimmed unacked entry;
-// a trimmed log entry; a replaced cached reply. Unmanaged packets
-// ignore Release, so a missed Release on a managed one merely leaks
-// the struct to the garbage collector — pooling lost, correctness
-// intact — while a double Release panics instead of recycling a packet
-// someone still holds. Race builds additionally keep a live-packet
-// account (see refs_race.go).
+// Release drops one reference; at zero the struct returns to its
+// pool. Call it at every terminal consumption: a handler that
+// answered, dropped, or absorbed the packet; a trimmed log entry; a
+// replaced cached reply; a message dropped in the network. Unmanaged
+// packets ignore Release; a double Release panics instead of recycling
+// a packet someone still holds.
 func (p *Packet) Release() {
 	if p.refs == 0 {
 		return
@@ -545,15 +549,20 @@ func (p *Packet) Release() {
 	if p.refs < 0 {
 		panic("wire: Release of a freed packet (double release)")
 	}
+	pl := p.pool
 	if p.refs--; p.refs == 0 {
-		notePacketFree()
 		*p = Packet{refs: refsFreed}
-		packetPool.Put(p)
+		if pl != nil {
+			pl.free = append(pl.free, p)
+		}
+	}
+	if pl != nil {
+		pl.live--
 	}
 }
 
-// Managed reports whether p participates in the pool's refcount
-// lifecycle (came from NewPacket/FlightClone and is still live).
+// Managed reports whether p participates in the refcount lifecycle
+// (came from a Pool or NewPacket and is still live).
 func (p *Packet) Managed() bool { return p.refs > 0 }
 
 // IsReply reports whether the packet is a client-bound response.
