@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"harmonia/internal/rebalance"
 	"harmonia/internal/wire"
 	"harmonia/internal/workload"
 )
@@ -170,16 +174,17 @@ func checkPackets(t *testing.T, c *Cluster) {
 // TestMigrateChaosMatrix is the migration hardening matrix: every
 // replication protocol × a chaos mode (packet drops, reordering, or a
 // source-group replica crash mid-handoff) × a handoff shape
-// (single-slot, batch, two-way swap), each run in the middle of a live
-// load window. Mid-run aborts are legal, lost slots are not. CRAQ
-// rides along where it can (its drain signal works differently: write
-// replies piggyback the completions that empty the dirty set) but
-// skips the crash column — its reconfiguration is not modeled.
+// (single-slot, batch, two-way swap, or the rebalancer's own moves),
+// each run in the middle of a live load window. Mid-run aborts are
+// legal, lost slots are not. CRAQ rides along where it can (its drain
+// signal works differently: write replies piggyback the completions
+// that empty the dirty set) but skips the crash column — its
+// reconfiguration is not modeled.
 func TestMigrateChaosMatrix(t *testing.T) {
 	t.Parallel()
 	for _, p := range allProtocols() {
 		for _, chaos := range []string{"drops", "reorder", "crash"} {
-			for _, kind := range []string{"single", "batch", "swap"} {
+			for _, kind := range []string{"single", "batch", "swap", "auto"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", p, chaos, kind), func(t *testing.T) {
 					t.Parallel()
 					migrateChaosCase(t, p, chaos, kind)
@@ -193,8 +198,17 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 	if p == CRAQ && chaos == "crash" {
 		t.Skip("CRAQ reconfiguration not modeled")
 	}
-	r := newChaosRun(Config{Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, Groups: 3, Seed: 33 + int64(p)*7}, chaos)
-	const keys = 96
+	cfg := Config{Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, Groups: 3, Seed: 33 + int64(p)*7}
+	keys, dist := 96, Uniform
+	if kind == "auto" {
+		// Fig A's rack: the rebalancer, fed only by the switch's heat
+		// registers, finds a zipf-1.2 head pinned onto group 0 and
+		// spreads it on its own schedule.
+		cfg.Groups, cfg.AutoRebalance = 4, true
+		cfg.Rebalance = rebalance.Config{Threshold: 1.5, Hysteresis: 0.25, Interval: time.Millisecond, MaxSlotsPerRound: 8}
+		keys, dist = 64, Zipf12
+	}
+	r := newChaosRun(cfg, chaos)
 	g0 := slotsOwnedBy(r.Cluster, keys, 0)
 	var steps []Step
 	switch kind {
@@ -214,14 +228,26 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 			}
 			return err
 		}}}
+	case "auto":
+		var hot []int
+		for rank := 0; rank < 12; rank++ {
+			if s := r.SlotOfKey(keyName(workload.ZipfKeyOfRank(keys, rank))); !slices.Contains(hot, s) {
+				hot = append(hot, s)
+			}
+		}
+		if err := r.MigrateSlots(hot, 0); err != nil {
+			t.Fatalf("pinning the hot slots: %v", err)
+		}
 	}
 	if chaos == "crash" {
 		// A source-group replica fails while the drain is (or may
 		// still be) in progress.
 		steps = append(steps, crashStep(chaosCrashAt, 0))
 	}
-	// Uniform keys: the skew dimension is Fig A's job, not this matrix's.
-	r.play(t, Script{Loads: chaosLoad(12, keys, Uniform, 2*time.Millisecond, 10*time.Millisecond), Steps: steps, Settle: 25 * time.Millisecond})
+	r.play(t, Script{Loads: chaosLoad(12, keys, dist, 2*time.Millisecond, 10*time.Millisecond), Steps: steps, Settle: 25 * time.Millisecond})
+	if kind == "auto" && r.Rebalances() == 0 {
+		t.Fatal("the rebalancer moved no slot")
+	}
 	r.check(t)
 }
 
@@ -229,7 +255,8 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 // protocol × a chaos mode (packet drops, reordering, a source-group
 // replica crash, or a destination-switch crash + replacement
 // mid-handoff) × a cross-switch handoff shape (single slot or batch),
-// run in the middle of a live load window on a 2-switch rack.
+// run in the middle of a live load window on a 2-switch rack; and Fig
+// P's rack under its open-loop load.
 func TestRackChaosMatrix(t *testing.T) {
 	t.Parallel()
 	for _, p := range allProtocols() {
@@ -242,6 +269,32 @@ func TestRackChaosMatrix(t *testing.T) {
 			}
 		}
 	}
+	t.Run("weighted/drops/openloop", func(t *testing.T) {
+		t.Parallel()
+		rackOpenLoopCase(t)
+	})
+}
+
+// rackOpenLoopCase is Fig P's weighted 4-switch rack — a 5-replica
+// chain and two NOPaxos groups among 3-replica chains — under
+// open-loop arrivals pinned to the data shards and 1% drops, with
+// switch 1 crashed and replaced mid-load. Unlike a closed loop, the
+// arrivals keep coming while the crashed shard answers nothing.
+func rackOpenLoopCase(t *testing.T) {
+	chain, nopaxos := GroupSpec{Protocol: Chain, Replicas: 3}, GroupSpec{Protocol: NOPaxos, Replicas: 3}
+	r := newChaosRun(Config{UseHarmonia: true, Switches: 4, Seed: 317, GroupSpecs: []GroupSpec{
+		{Protocol: Chain, Replicas: 5}, chain, nopaxos, chain, chain, nopaxos, chain, chain,
+	}}, "drops")
+	r.play(t, Script{
+		Loads: []LoadSpec{{Mode: Open, Rate: 6e5, Duration: 12 * time.Millisecond, Warmup: 2 * time.Millisecond,
+			WriteRatio: 0.3, Keys: 160, Dist: Uniform, PinGroups: true}},
+		Steps: []Step{
+			{chaosAt, "CrashSwitch", func(c *Cluster) error { return c.CrashSwitch(1) }},
+			{7 * time.Millisecond, "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch(1) }},
+		},
+		Settle: 25 * time.Millisecond,
+	})
+	r.check(t)
 }
 
 func rackChaosCase(t *testing.T, p Protocol, chaos, kind string) {
@@ -358,10 +411,11 @@ func elasticChaosCase(t *testing.T, op, chaos string) {
 // failure modes that could each break it differently — packet drops
 // (lost refresh completions), reordering, a holder replica crash, a
 // concurrent migration of the key's home slot into a holder, and the
-// elastic removal of a holder group.
+// elastic removal of a holder group, on clean links and (Fig K's
+// 512-client celebrity load) under drops.
 func TestHotKeyChaosMatrix(t *testing.T) {
 	t.Parallel()
-	for _, chaos := range []string{"drops", "reorder", "crash", "migrate", "remove"} {
+	for _, chaos := range []string{"drops", "reorder", "crash", "migrate", "remove", "remove/drops"} {
 		t.Run(chaos, func(t *testing.T) {
 			t.Parallel()
 			hotKeyChaosCase(t, chaos)
@@ -370,7 +424,12 @@ func TestHotKeyChaosMatrix(t *testing.T) {
 }
 
 func hotKeyChaosCase(t *testing.T, chaos string) {
-	r := newChaosRun(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, HotKeys: true, Seed: 61 + int64(len(chaos))}, chaos)
+	op, links, _ := strings.Cut(chaos, "/") // "remove/drops": the removal under lossy links
+	r := newChaosRun(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, HotKeys: true, Seed: 61 + int64(len(chaos))}, cmp.Or(links, op))
+	clients := 8
+	if links != "" {
+		clients = 512
+	}
 	const keys = 16
 	r.Preload(keys)
 	hot := keyName(workload.ZipfKeyOfRank(keys, 0))
@@ -380,7 +439,7 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 	st := r.hotKeys[wire.HashKey(hot)]
 	holder := st.holders[0]
 	var steps []Step
-	switch chaos {
+	switch op {
 	case "crash":
 		steps = []Step{crashStep(chaosAt, holder)}
 	case "migrate":
@@ -393,7 +452,7 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 	case "remove":
 		steps = []Step{{chaosAt, "StartRemoveGroup", func(c *Cluster) error { return r.reconfig(c.StartRemoveGroup(holder)) }}}
 	}
-	r.play(t, Script{Loads: chaosLoad(8, keys, Zipf12, 2*time.Millisecond, 8*time.Millisecond), Steps: steps, Settle: 60 * time.Millisecond})
+	r.play(t, Script{Loads: chaosLoad(clients, keys, Zipf12, 2*time.Millisecond, 8*time.Millisecond), Steps: steps, Settle: 60 * time.Millisecond})
 
 	// With the chaos over and the last refresh landed, clean reads of
 	// the hot key must spread again (under write-heavy chaos the entry
@@ -408,7 +467,7 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 	if r.rack.Front(st.sw).Stats.SpreadReads == before {
 		t.Fatal("no reads were spread across the replicated set")
 	}
-	if chaos == "remove" {
+	if op == "remove" {
 		if r.rack.Live(holder) {
 			t.Fatal("removed holder still live")
 		}
@@ -438,18 +497,32 @@ func TestMigrateCrossProtocolSteadyStateMatrix(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s_to_%s", src, dst), func(t *testing.T) {
 				t.Parallel()
-				crossProtocolCase(t, src, dst)
+				crossProtocolCase(t, Config{
+					GroupSpecs: []GroupSpec{{Protocol: src, Replicas: 3}, {Protocol: dst, Replicas: 3}},
+					Seed:       131 + int64(src)*11 + int64(dst)*3,
+				}, "drops")
 			})
 		}
 	}
+	// Fig H's rack: a 7-replica chain in front of two NOPaxos groups.
+	// A replica of the big group crashes just as its slot starts to
+	// cross over, in the handoff's drain.
+	for _, chaos := range []string{"drops", "reorder"} {
+		t.Run("hetero/"+chaos, func(t *testing.T) {
+			t.Parallel()
+			crossProtocolCase(t, Config{GroupSpecs: []GroupSpec{
+				{Protocol: Chain, Replicas: 7}, {Protocol: NOPaxos, Replicas: 3}, {Protocol: NOPaxos, Replicas: 3},
+			}, Seed: 307}, chaos, crashStep(3*time.Millisecond, 0))
+		})
+	}
 }
 
-func crossProtocolCase(t *testing.T, src, dst Protocol) {
-	r := newChaosRun(Config{
-		UseHarmonia: true,
-		GroupSpecs:  []GroupSpec{{Protocol: src, Replicas: 3}, {Protocol: dst, Replicas: 3}},
-		Seed:        131 + int64(src)*11 + int64(dst)*3,
-	}, "drops")
+// crossProtocolCase moves a populated slot of group 0 to group 1 of
+// cfg's rack mid-load, with the link faults chaos names; the extra
+// steps fire alongside, those at the handoff's At just after it.
+func crossProtocolCase(t *testing.T, cfg Config, chaos string, extra ...Step) {
+	cfg.UseHarmonia = true
+	r := newChaosRun(cfg, chaos)
 	r.land = true
 	const keys = 64
 	cl := r.NewSyncClient()
@@ -478,7 +551,7 @@ func crossProtocolCase(t *testing.T, src, dst Protocol) {
 	// hammering both groups.
 	r.play(t, Script{
 		Loads:  chaosLoad(10, keys, Uniform, time.Millisecond, 8*time.Millisecond),
-		Steps:  []Step{{3 * time.Millisecond, "StartBatchMigration", func(c *Cluster) error { return r.move(c.StartBatchMigration([]int{slot}, 1)) }}},
+		Steps:  append([]Step{{3 * time.Millisecond, "StartBatchMigration", func(c *Cluster) error { return r.move(c.StartBatchMigration([]int{slot}, 1)) }}}, extra...),
 		Settle: 20 * time.Millisecond,
 	})
 	// The migrated keys live on (and write through) the destination

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"harmonia/internal/sim"
 )
 
 // Script is one scripted run: loads offered together, timed steps fired
@@ -48,13 +50,17 @@ func (p Played) Err() error {
 }
 
 // Play arms the steps in slice order (equal At fire in that order), runs
-// the loads, then Settle. A step timed past the settle fires unlogged.
+// the loads, then Settle. A step timed past the settle never fires.
 func (c *Cluster) Play(s Script) Played {
 	var p Played
-	for _, st := range s.Steps {
-		c.eng.After(st.At, func() { p.Log = append(p.Log, StepRecord{st.Name, time.Duration(c.eng.Now()), st.Do(c)}) })
+	timers := make([]sim.Timer, len(s.Steps))
+	for i, st := range s.Steps {
+		timers[i] = c.eng.After(st.At, func() { p.Log = append(p.Log, StepRecord{st.Name, time.Duration(c.eng.Now()), st.Do(c)}) })
 	}
 	p.Reports = c.RunLoads(s.Loads)
 	c.RunFor(s.Settle)
+	for _, t := range timers {
+		t.Stop()
+	}
 	return p
 }

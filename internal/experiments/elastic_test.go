@@ -6,8 +6,8 @@ import "testing"
 // acceptance criteria: the rack doubles 4→8 groups under open-loop
 // load with the worst bucket keeping a solid fraction of the healthy
 // rate, the topology epoch moves once per membership change, the
-// dead-switch shard is fully re-covered on the survivor, and the
-// chaos-verify phase stays linearizable across retire + re-add.
+// dead-switch shard is fully re-covered on the survivor. Retire and
+// add under drops are TestElasticMigrateChaosMatrix cells.
 func TestFigEAcceptance(t *testing.T) {
 	series, res := FigEDetail(tiny)
 	if len(series) != 2 {
@@ -37,8 +37,5 @@ func TestFigEAcceptance(t *testing.T) {
 	}
 	if !res.ReassignCovered {
 		t.Fatal("dead-switch reassignment left slots dark or retired-owned")
-	}
-	if !res.Linearizable {
-		t.Fatal("per-group linearizability failed across retire + re-add under drops")
 	}
 }

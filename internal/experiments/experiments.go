@@ -1,10 +1,12 @@
 // Package experiments regenerates every figure of the paper's
-// evaluation (§9). Each function returns the same series the paper
-// plots; cmd/harmonia-bench prints them. A timed incident is a
-// cluster.Script the figure plays. A Scale
-// parameter shrinks the simulated windows so the full suite fits in a
-// CI budget; Scale 1.0 approximates the durations used in
-// EXPERIMENTS.md.
+// evaluation (§9) and the repo-grown figures beside them. Each function
+// returns the series its figure plots; cmd/harmonia-bench prints them.
+// A timed incident is a cluster.Script the figure plays. Figures only
+// measure: a scenario's linearizability under chaos is a cell of the
+// chaos matrices in internal/cluster. Scale multiplies every simulated
+// measurement window: at Scale 1.0 each window has its base length,
+// 15–100 ms of simulated time (Fig 10's 100-second incident compressed
+// 1000:1), and smaller scales fit a CI budget.
 package experiments
 
 import (

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"slices"
 	"time"
 
 	"harmonia/internal/cluster"
@@ -30,11 +29,6 @@ type HeteroResult struct {
 	// and ≥2 distinct group sizes make it genuinely heterogeneous.
 	Protocols []string
 	Replicas  []int
-	// Linearizable reports the chaos-verify phase: a recorded
-	// heterogeneous rack under packet drops and reordering, with a
-	// replica crash in the big group and a cross-protocol slot
-	// migration mid-run, every group's history checked independently.
-	Linearizable bool
 }
 
 // figHSpecs is the heterogeneous rack: one hot 7-replica Harmonia(CR)
@@ -52,7 +46,7 @@ func figHSpecs() []cluster.GroupSpec {
 // same hardware, but every group's capacity weight forced to 1, so the
 // slot shards split evenly and the pinned client pool spreads evenly —
 // the pre-heterogeneity treatment of a heterogeneous rack.
-func figHCluster(uniform bool, seed int64, record bool) *cluster.Cluster {
+func figHCluster(uniform bool, seed int64) *cluster.Cluster {
 	specs := figHSpecs()
 	if uniform {
 		for i := range specs {
@@ -60,11 +54,10 @@ func figHCluster(uniform bool, seed int64, record bool) *cluster.Cluster {
 		}
 	}
 	return cluster.New(cluster.Config{
-		UseHarmonia:   true,
-		GroupSpecs:    specs,
-		Switches:      2,
-		Seed:          seed,
-		RecordHistory: record,
+		UseHarmonia: true,
+		GroupSpecs:  specs,
+		Switches:    2,
+		Seed:        seed,
 	})
 }
 
@@ -102,10 +95,10 @@ func FigHDetail(s Scale) ([]Series, HeteroResult) {
 		WriteRatio: 0.05, Keys: defaultKeys, Dist: cluster.Uniform, PinGroups: true,
 	}
 
-	base := figHCluster(true, 301, false)
+	base := figHCluster(true, 301)
 	res.BaselineThroughput = base.RunLoad(spec).Throughput
 
-	het := figHCluster(false, 301, false)
+	het := figHCluster(false, 301)
 	res.Weights = het.GroupWeights()
 	res.SlotShare = make([]int, het.Groups())
 	for _, g := range het.SlotTable() {
@@ -117,8 +110,6 @@ func FigHDetail(s Scale) ([]Series, HeteroResult) {
 	if res.BaselineThroughput > 0 {
 		res.Speedup = res.HeteroThroughput / res.BaselineThroughput
 	}
-
-	res.Linearizable = figHChaosVerify(s)
 
 	groupPoints := func(ops []uint64, d time.Duration) []Point {
 		out := make([]Point, len(ops))
@@ -133,35 +124,4 @@ func FigHDetail(s Scale) ([]Series, HeteroResult) {
 		{Name: "hetero per-group", Points: groupPoints(res.GroupOps, window)},
 	}
 	return out, res
-}
-
-// figHChaosVerify runs the heterogeneous rack through the chaos
-// matrix's staples — 1% drops, 2% reordering, a replica crash in the
-// 7-replica group, and a cross-protocol slot migration mid-run — on a
-// recorded cluster small enough for the checker.
-func figHChaosVerify(s Scale) bool {
-	window := s.win(14 * time.Millisecond)
-	c := cluster.New(cluster.Config{
-		UseHarmonia: true,
-		GroupSpecs:  figHSpecs(),
-		DropProb:    0.01, ReorderProb: 0.02, ReorderDelay: 30 * time.Microsecond,
-		Seed: 307, RecordHistory: true,
-	})
-	// Group 0's first (CR) slot migrates into a NOPaxos group while
-	// clients hammer both — the cross-protocol handoff as steady-state
-	// topology maintenance. The settle covers retries, the crash and
-	// the handoff.
-	slot := slices.Index(c.SlotTable(), 0)
-	p := c.Play(cluster.Script{
-		Loads: []cluster.LoadSpec{{
-			Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
-			WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
-		}},
-		Steps: []cluster.Step{
-			{At: window / 4, Name: "StartBatchMigration", Do: func(c *cluster.Cluster) error { _, err := c.StartBatchMigration([]int{slot}, 1); return err }},
-			{At: window / 3, Name: "CrashReplicaIn", Do: func(c *cluster.Cluster) error { return c.CrashReplicaIn(0, 3) }},
-		},
-		Settle: 20 * time.Millisecond,
-	})
-	return p.Err() == nil && c.CheckLinearizability().Ok
 }

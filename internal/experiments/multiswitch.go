@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"harmonia/internal/cluster"
-	"harmonia/internal/wire"
-	"harmonia/internal/workload"
 )
 
 // MultiSwitchResult is the measured outcome of the Fig M experiment,
@@ -31,16 +29,6 @@ type MultiSwitchResult struct {
 	// replicas), independent of rack size.
 	GroupsPerSwitch int
 	AgreementAcks4  uint64
-	// CrossMigrated reports that a cross-switch MigrateSlots completed
-	// under 1% packet drops; DestHeatPickup that the destination
-	// front-end's heat registers took over accounting for the moved
-	// slots.
-	CrossMigrated  bool
-	DestHeatPickup bool
-	// Linearizable reports the chaos-verify phase: every group's
-	// history stayed linearizable through the one-switch crash and
-	// replacement under load.
-	Linearizable bool
 }
 
 // figMGroupsPerSwitch fixes the hardware ratio across the sweep: each
@@ -48,11 +36,10 @@ type MultiSwitchResult struct {
 const figMGroupsPerSwitch = 2
 
 // figMCluster builds one rack of the sweep.
-func figMCluster(switches int, seed int64, record bool, dropProb float64) *cluster.Cluster {
+func figMCluster(switches int, seed int64) *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		Protocol: cluster.Chain, Replicas: 3, UseHarmonia: true,
-		Groups: figMGroupsPerSwitch * switches, Switches: switches,
-		Seed: seed, RecordHistory: record, DropProb: dropProb,
+		Groups: figMGroupsPerSwitch * switches, Switches: switches, Seed: seed,
 	})
 }
 
@@ -79,7 +66,7 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 	var measured, ideal []Point
 	base := 0.0
 	for _, sw := range counts {
-		c := figMCluster(sw, int64(sw)*17+101, false, 0)
+		c := figMCluster(sw, int64(sw)*17+101)
 		rep := c.RunLoad(cluster.LoadSpec{
 			Mode: cluster.Closed, Clients: 128 * figMGroupsPerSwitch * sw,
 			Duration: window, Warmup: warmup,
@@ -101,7 +88,7 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 	// switch 1 crashes and is replaced — only its shard (1/4 of the
 	// slots) stalls, so the aggregate retains roughly the other three
 	// domains' share through the epoch handoff.
-	crash := figMCluster(4, 211, false, 0)
+	crash := figMCluster(4, 211)
 	spec := cluster.LoadSpec{
 		Mode: cluster.Closed, Clients: 128 * figMGroupsPerSwitch * 4,
 		Duration: window, Warmup: warmup,
@@ -118,16 +105,6 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 	res.GroupsPerSwitch = figMGroupsPerSwitch
 	res.AgreementAcks4 = crash.Rack().Stats(1).AcksReceived
 
-	// Cross-switch migration under 1% drops: move a populated slot
-	// from switch 0's shard to a group on switch 3 and check the
-	// destination front-end's heat registers pick the slot up.
-	res.CrossMigrated, res.DestHeatPickup = figMCrossMigrate(s)
-
-	// Chaos-verify: the one-switch crash + replacement under live load
-	// on a recorded cluster small enough for the checker, every group's
-	// history slice verified independently.
-	res.Linearizable = figMCrashVerify(s)
-
 	out := []Series{
 		{Name: "Harmonia(CR) multi-switch rack", Points: measured},
 		{Name: "ideal linear", Points: ideal},
@@ -135,58 +112,6 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 		{Name: "4-switch, 1 crashed+replaced", Points: []Point{{X: 0, Y: res.CrashThroughput / 1e6}}},
 	}
 	return out, res
-}
-
-// figMCrossMigrate runs the lossy cross-switch handoff probe.
-func figMCrossMigrate(s Scale) (migrated, heatPickup bool) {
-	c := figMCluster(4, 223, false, 0.01)
-	cl := c.NewSyncClient()
-	// Populate a few keys and find one of their slots on switch 0.
-	slot := -1
-	var keys []string
-	for i := 0; i < 512 && len(keys) < 6; i++ {
-		k := workload.KeyName(i)
-		sl := wire.SlotOf(wire.HashKey(k))
-		if c.SwitchOf(sl) != 0 {
-			continue
-		}
-		if slot == -1 {
-			slot = sl
-		}
-		if sl != slot {
-			continue
-		}
-		if err := cl.Set(k, []byte("m")); err != nil {
-			return false, false
-		}
-		keys = append(keys, k)
-	}
-	dst := c.Rack().GroupsOf(3)[0]
-	if err := c.MigrateSlots([]int{slot}, dst); err != nil {
-		return false, false
-	}
-	for _, k := range keys {
-		if v, ok, err := cl.Get(k); err != nil || !ok || string(v) != "m" {
-			return false, false
-		}
-	}
-	return true, c.FrontendOf(3).HeatOf(slot).Total() > 0
-}
-
-// figMCrashVerify replays the crash window on a recorded cluster and
-// checks every group's history slice.
-func figMCrashVerify(s Scale) bool {
-	window := s.win(16 * time.Millisecond)
-	c := figMCluster(4, 227, true, 0)
-	// The settle covers retries and the agreement.
-	c.Play(cluster.Script{
-		Loads: []cluster.LoadSpec{{
-			Mode: cluster.Closed, Clients: 16, Duration: window, Warmup: 2 * time.Millisecond,
-			WriteRatio: 0.3, Keys: 96, Dist: cluster.Uniform,
-		}},
-		Steps: switchCrash(2, window/4, window/2), Settle: 15 * time.Millisecond,
-	})
-	return c.CheckLinearizability().Ok
 }
 
 // switchCrash is the steps that crash switch s at crash and replace

@@ -11,7 +11,7 @@ import (
 // NOPaxos multicast groups among plain 3-replica chains), so the
 // weighted shards, the weight-aware open-loop draw, and the multicast
 // write path are all on the measured path.
-func figPerfCluster(seed int64, record bool, drop float64) *cluster.Cluster {
+func figPerfCluster(seed int64) *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		UseHarmonia: true, Switches: 4,
 		GroupSpecs: []cluster.GroupSpec{
@@ -24,7 +24,7 @@ func figPerfCluster(seed int64, record bool, drop float64) *cluster.Cluster {
 			{Protocol: cluster.Chain, Replicas: 3},
 			{Protocol: cluster.Chain, Replicas: 3},
 		},
-		Seed: seed, RecordHistory: record, DropProb: drop,
+		Seed: seed,
 	})
 }
 
@@ -41,7 +41,7 @@ func FigPerf(s Scale) []Series {
 	const aggMax = 8 * 3 * 0.92e6
 	var meanPts, p99Pts []Point
 	for i, frac := range []float64{0.15, 0.3, 0.5, 0.7} {
-		c := figPerfCluster(int64(300+i), false, 0)
+		c := figPerfCluster(int64(300 + i))
 		rep := c.RunLoad(cluster.LoadSpec{
 			Mode: cluster.Open, Rate: frac * aggMax, Duration: window,
 			Warmup: warmup, WriteRatio: 0.05, Keys: defaultKeys,
