@@ -204,10 +204,6 @@ type Cluster struct {
 	// enforces at assembly).
 	weightsExplicit bool
 
-	// topoSeen is the topology epoch the rebalancer weight vectors were
-	// last computed at; rebalanceTick refreshes them when it moves.
-	topoSeen uint64
-
 	// Hot-key replication state (nil map unless Config.HotKeys):
 	// promoted keys by object ID, plus a promotion-order slice so the
 	// lifecycle tick iterates deterministically under the seeded
@@ -424,7 +420,6 @@ func (c *Cluster) startRebalancer() {
 		c.policies[s] = rebalance.New(c.cfg.Rebalance, now)
 		c.policies[s].SetRecorder(c.rec, s)
 	}
-	c.refreshPolicyWeights()
 	c.every(c.cfg.Rebalance.Interval, func() bool {
 		c.rebalanceTick()
 		return true
@@ -443,32 +438,26 @@ func (c *Cluster) every(iv time.Duration, fn func() (again bool)) {
 	c.eng.After(iv, tick)
 }
 
-// refreshPolicyWeights recomputes every domain's capacity-weight
-// vector from the live topology — in domain-local index order, because
-// the policy's thresholds are per capacity unit (a 7-replica group is
+// domainWeights returns switch s's plan weights, indexed by group ID:
+// each live group's capacity weight, and 0 — not in the plan — for
+// retired groups and every group hosted on another switch. The
+// policy's thresholds are per capacity unit, so a 7-replica group is
 // entitled to proportionally more of its domain's load than a
-// 3-replica neighbor before the loop calls it hot). Called at arm time
-// and again whenever the topology epoch moves, so elastic membership
-// changes reach the control loop incrementally, within one tick.
-func (c *Cluster) refreshPolicyWeights() {
+// 3-replica neighbor before the loop calls it hot.
+func (c *Cluster) domainWeights(s int) []float64 {
 	topo := c.rack.Topo()
-	for s, policy := range c.policies {
-		domain := c.rack.GroupsOf(s)
-		local := make([]float64, len(domain))
-		for i, g := range domain {
-			local[i] = topo.Weight(g)
+	w := topo.LiveWeights()
+	for g := range w {
+		if topo.SwitchOfGroup(g) != s {
+			w[g] = 0
 		}
-		policy.SetWeights(local)
 	}
-	c.topoSeen = topo.Epoch()
+	return w
 }
 
 // rebalanceTick runs one control-loop round across every switch
 // domain.
 func (c *Cluster) rebalanceTick() {
-	if c.rack.TopoEpoch() != c.topoSeen {
-		c.refreshPolicyWeights()
-	}
 	// Per-slot object counts come from the incrementally maintained
 	// store counters (sampled at one live replica of each owning group
 	// — any live member works, the objects are replicated), so the
@@ -478,6 +467,8 @@ func (c *Cluster) rebalanceTick() {
 	// whose policy could actually fire this tick (armed, out of
 	// cooldown, enough heat) — gated ticks and single-group domains
 	// cost nothing.
+	var heat [wire.NumSlots]core.SlotHeat
+	c.rack.SlotHeatInto(heat[:])
 	table := c.rack.SlotTable()
 	counts := make(map[int][]int, len(c.groups))
 	countsOf := func(g int) []int {
@@ -496,43 +487,25 @@ func (c *Cluster) rebalanceTick() {
 		return b || c.rack.Frozen(slot)
 	}
 	for s, policy := range c.policies {
-		c.rebalanceSwitch(s, policy, table, countsOf, busy)
+		c.rebalanceSwitch(s, policy, heat[:], table, countsOf, busy)
 	}
 	c.rack.DecayHeat()
 }
 
-// rebalanceSwitch runs one switch domain's planning round: heat and
-// routes are remapped to domain-local group indices (slots owned by
-// other switches are masked out), so the policy's hottest/coolest
-// search can only ever pick groups behind this front-end.
-func (c *Cluster) rebalanceSwitch(s int, policy *rebalance.Policy, table []int, countsOf func(int) []int, busy func(int) bool) {
-	domain := c.rack.GroupsOf(s)
-	if len(domain) < 2 {
+// rebalanceSwitch runs one switch domain's planning round over the
+// rack-wide heat sample and slot table: groups on other switches weigh
+// 0, so the policy's hottest/coolest search can only ever pick groups
+// behind this front-end.
+func (c *Cluster) rebalanceSwitch(s int, policy *rebalance.Policy, heat []core.SlotHeat, table []int, countsOf func(int) []int, busy func(int) bool) {
+	if len(c.rack.GroupsOf(s)) < 2 {
 		return // a single-group domain has nothing to balance
 	}
-	// Explicit global ↔ domain-local index maps: after elastic
-	// membership changes a switch's live groups are no longer a
-	// contiguous ID block (added groups take fresh high IDs, retired
-	// ones leave holes), so the mapping must be positional, not an
-	// offset.
-	toLocal := make(map[int]int, len(domain))
-	for i, g := range domain {
-		toLocal[g] = i
-	}
-	front := c.rack.Front(s)
-	heat := make([]rebalance.Heat, wire.NumSlots)
-	local := make([]int, wire.NumSlots)
+	w := c.domainWeights(s)
 	var total uint64
-	for slot := range local {
-		lg, ok := toLocal[table[slot]]
-		if !front.OwnsSlot(slot) || !ok {
-			local[slot] = -1 // masked: another switch's shard
-			continue
+	for slot, g := range table {
+		if w[g] > 0 {
+			total += heat[slot].Total()
 		}
-		local[slot] = lg
-		h := front.HeatOf(slot)
-		heat[slot] = rebalance.Heat{Reads: h.Reads, Writes: h.Writes}
-		total += h.Total()
 	}
 	// Object counts are sampled only when this tick could fire a round
 	// — the policy's own gates (disarmed, cooling down, too little
@@ -541,18 +514,18 @@ func (c *Cluster) rebalanceSwitch(s int, policy *rebalance.Policy, table []int, 
 	var objects []int
 	if policy.Ready() && total >= policy.Config().MinOps {
 		objects = make([]int, wire.NumSlots)
-		for slot := range objects {
-			if local[slot] >= 0 {
-				objects[slot] = countsOf(table[slot])[slot]
+		for slot, g := range table {
+			if w[g] > 0 {
+				objects[slot] = countsOf(g)[slot]
 			}
 		}
 	}
-	round := policy.PlanRound(heat, local, objects, len(domain), busy)
+	round := policy.PlanRound(heat, table, objects, w, busy)
 	if round.Empty() && c.cfg.HotKeys {
 		// A fired-but-empty tick is the indivisible hot spot: batch
 		// migration gave up, so try replicating the slot's dominant
 		// key instead.
-		c.maybePromoteHot(s, policy, front)
+		c.maybePromoteHot(s, policy, c.rack.Front(s))
 	}
 	// Group the moves into batches by (source, destination) pair,
 	// preserving plan order so runs stay deterministic.
@@ -560,7 +533,7 @@ func (c *Cluster) rebalanceSwitch(s int, policy *rebalance.Policy, table []int, 
 	var order []pair
 	batches := make(map[pair][]int)
 	for _, mv := range round.Moves {
-		p := pair{domain[mv.From], domain[mv.To]}
+		p := pair{mv.From, mv.To}
 		if _, ok := batches[p]; !ok {
 			order = append(order, p)
 		}

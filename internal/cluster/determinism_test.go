@@ -41,6 +41,7 @@ func TestDeterministicRuns(t *testing.T) {
 			return err
 		}}
 	}
+	rackCfg, rackSpec, rackSteps := controlPlaneRack(64)
 	writeHeavy := LoadSpec{
 		Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond, Warmup: 2 * time.Millisecond,
 		WriteRatio: 0.5, Keys: 256, Dist: Zipf09,
@@ -95,24 +96,10 @@ func TestDeterministicRuns(t *testing.T) {
 			events: []trace.EventKind{trace.EvMigrationFlip},
 		},
 		{
-			name: "rack with the control plane armed",
-			cfg: Config{
-				Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, Switches: 2,
-				AutoRebalance: true, HotKeys: true, Trace: trace.Config{SampleEvery: 4},
-				RecordHistory: true, DropProb: 0.01, Seed: 5,
-			},
-			spec: LoadSpec{
-				Mode: Closed, Clients: 32, Duration: 24 * time.Millisecond, Warmup: 2 * time.Millisecond,
-				WriteRatio: 0.1, Keys: 64, Dist: Zipf12,
-			},
-			steps: []Step{
-				{3 * time.Millisecond, "migrate", func(c *Cluster) error { _, err := c.StartSlotMigration(c.slotsOf(0)[0], 1); return err }},
-				{8 * time.Millisecond, "add", func(c *Cluster) error { _, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); return err }},
-				{15 * time.Millisecond, "respec", func(c *Cluster) error {
-					_, err := c.StartRespecGroup(2, GroupSpec{Protocol: VR, Replicas: 3})
-					return err
-				}},
-			},
+			name:   "rack with the control plane armed",
+			cfg:    rackCfg,
+			spec:   rackSpec,
+			steps:  rackSteps,
 			events: []trace.EventKind{trace.EvMigrationFlip, trace.EvTopoEpoch, trace.EvRebalanceTick, trace.EvHotPromote, trace.EvHotRefresh},
 		},
 	}
@@ -224,4 +211,29 @@ func TestLogWindowIndependentOfRunLength(t *testing.T) {
 	if limit := replicas * clients * 2; w1 > limit || w2 > limit {
 		t.Fatalf("widest summed window %d (T) and %d (2T), want at most %d", w1, w2, limit)
 	}
+}
+
+// controlPlaneRack is the determinism test's rack row: a 2-switch,
+// 4-group chain rack with every control-plane feature armed, under a
+// closed zipf-1.2 load over keys keys and a scripted migrate →
+// AddGroup → RespecGroup.
+func controlPlaneRack(keys int) (Config, LoadSpec, []Step) {
+	cfg := Config{
+		Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, Switches: 2,
+		AutoRebalance: true, HotKeys: true, Trace: trace.Config{SampleEvery: 4},
+		RecordHistory: true, DropProb: 0.01, Seed: 5,
+	}
+	spec := LoadSpec{
+		Mode: Closed, Clients: 32, Duration: 24 * time.Millisecond, Warmup: 2 * time.Millisecond,
+		WriteRatio: 0.1, Keys: keys, Dist: Zipf12,
+	}
+	steps := []Step{
+		{3 * time.Millisecond, "migrate", func(c *Cluster) error { _, err := c.StartSlotMigration(c.slotsOf(0)[0], 1); return err }},
+		{8 * time.Millisecond, "add", func(c *Cluster) error { _, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); return err }},
+		{15 * time.Millisecond, "respec", func(c *Cluster) error {
+			_, err := c.StartRespecGroup(2, GroupSpec{Protocol: VR, Replicas: 3})
+			return err
+		}},
+	}
+	return cfg, spec, steps
 }

@@ -210,14 +210,9 @@ func (c *Cluster) placeGroup() (int, error) {
 // cannot start (its source grew a conflicting freeze since planning)
 // is simply skipped: the rebalancer evens the share out later.
 func (c *Cluster) seedGroup(g int) []*Migration {
-	var sample [wire.NumSlots]core.SlotHeat
-	c.rack.SlotHeatInto(sample[:])
-	heat := make([]rebalance.Heat, len(sample))
-	for slot, h := range sample[:] {
-		heat[slot] = rebalance.Heat{Reads: h.Reads, Writes: h.Writes}
-	}
-	topo := c.rack.Topo()
-	moves := rebalance.PlanSeed(heat, c.rack.SlotTable(), topo.LiveWeights(), topo.LiveMask(), g)
+	var heat [wire.NumSlots]core.SlotHeat
+	c.rack.SlotHeatInto(heat[:])
+	moves := rebalance.PlanSeed(heat[:], c.rack.SlotTable(), c.rack.Topo().LiveWeights(), g)
 	slots := make([]int, len(moves))
 	for i, mv := range moves {
 		slots[i] = mv.Slot

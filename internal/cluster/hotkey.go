@@ -115,17 +115,7 @@ func (c *Cluster) maybePromoteHot(s int, policy *rebalance.Policy, front *core.F
 // scheduler partition in the home switch's traversal, and partitions
 // are hosted only on their owning switch.
 func (c *Cluster) pickHolders(home, sw int) []int {
-	topo := c.rack.Topo()
-	groups := c.rack.Groups()
-	weights := make([]float64, groups)
-	for g := 0; g < groups; g++ {
-		if topo.Live(g) {
-			weights[g] = topo.Weight(g)
-		}
-	}
-	return c.cfg.HotKey.PickHolders(home, groups, weights, func(g int) bool {
-		return topo.Live(g) && topo.SwitchOfGroup(g) == sw
-	})
+	return c.cfg.HotKey.PickHolders(home, c.domainWeights(sw))
 }
 
 // promoteObject installs a hot-key table entry (all holders invalid,

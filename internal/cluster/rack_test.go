@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"harmonia/internal/trace"
 	"harmonia/internal/wire"
 )
 
@@ -270,6 +271,30 @@ func TestRackSwitchAgreementMessageCount(t *testing.T) {
 	}
 	if after1.AgreementMsgs() != before1.AgreementMsgs() {
 		t.Fatal("replacing switch 0 charged agreement messages to switch 1")
+	}
+}
+
+// TestRebalanceEventsNameHostedGroups: a rebalancer event names the
+// overloaded group by its global ID, so the group it names is hosted on
+// the switch that logged it — on switch 1 as much as on switch 0.
+func TestRebalanceEventsNameHostedGroups(t *testing.T) {
+	cfg, spec, steps := controlPlaneRack(256)
+	c := New(cfg)
+	if err := c.Play(Script{Loads: []LoadSpec{spec}, Steps: steps, Settle: 10 * time.Millisecond}).Err(); err != nil {
+		t.Fatal(err)
+	}
+	onSwitch1 := false
+	for _, e := range c.Events() {
+		if e.Kind != trace.EvRebalanceTick && e.Kind != trace.EvRebalanceVeto {
+			continue
+		}
+		if sw := c.SwitchOfGroup(int(e.Group)); sw != int(e.Switch) {
+			t.Fatalf("%v on switch %d names group %d, hosted on switch %d", e.Kind, e.Switch, e.Group, sw)
+		}
+		onSwitch1 = onSwitch1 || e.Switch == 1
+	}
+	if !onSwitch1 {
+		t.Fatal("no rebalance event from switch 1: the run did not exercise its domain")
 	}
 }
 

@@ -238,31 +238,6 @@ func (f *Frontend) SetRoute(slot, g int) {
 	f.route[slot] = uint16(g)
 }
 
-// SlotTable returns a copy of the slot → group table.
-func (f *Frontend) SlotTable() []int {
-	out := make([]int, wire.NumSlots)
-	for s := range f.route {
-		out[s] = int(f.route[s])
-	}
-	return out
-}
-
-// SlotHeat returns a copy of the per-slot heat register array.
-func (f *Frontend) SlotHeat() []SlotHeat {
-	out := make([]SlotHeat, wire.NumSlots)
-	f.SlotHeatInto(out)
-	return out
-}
-
-// SlotHeatInto copies the per-slot heat registers into dst — the
-// allocation-free form for periodic samplers (the rack tick reuses one
-// buffer instead of allocating 256 entries per switch per interval).
-// Entries beyond len(dst) are dropped; entries past wire.NumSlots are
-// left untouched.
-func (f *Frontend) SlotHeatInto(dst []SlotHeat) {
-	copy(dst, f.heat[:])
-}
-
 // HeatOf returns slot's current heat counters.
 func (f *Frontend) HeatOf(slot int) SlotHeat { return f.heat[slot] }
 

@@ -68,7 +68,7 @@ func TestSlotHeatAccountingProperty(t *testing.T) {
 				f4.UnfreezeSlot(slot)
 			}
 		}
-		heat := f4.SlotHeat()
+		heat := f4.heat
 		var sum uint64
 		for s, h := range heat {
 			if h.Reads != wantReads[s] || h.Writes != wantWrites[s] {
@@ -83,7 +83,7 @@ func TestSlotHeatAccountingProperty(t *testing.T) {
 		// nonzero counters stay nonzero, so the hysteresis band can't
 		// flap a low-rate slot.
 		f4.DecayHeat()
-		for s, h := range f4.SlotHeat() {
+		for s, h := range f4.heat {
 			if h.Reads != heat[s].Reads-heat[s].Reads/2 || h.Writes != heat[s].Writes-heat[s].Writes/2 {
 				return false
 			}
@@ -116,7 +116,7 @@ func TestSlotHeatDecayAndReboot(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		f.DecayHeat()
 	}
-	for s, h := range f.SlotHeat() {
+	for s, h := range f.heat {
 		if s == slot {
 			if h.Reads != 1 || h.Writes != 1 {
 				t.Fatalf("slot %d heat %+v after full decay, want sticky floor of 1/1", s, h)

@@ -227,14 +227,3 @@ func TestHotKeyCandidateMajorityVote(t *testing.T) {
 		t.Fatalf("votes = %d after ClearHeat", kh.Votes)
 	}
 }
-
-// Satellite guard: the rack's rebalancer tick reads every switch's
-// heat through SlotHeatInto, which must not allocate.
-func TestSlotHeatIntoAllocs(t *testing.T) {
-	f := NewFrontend(4)
-	dst := make([]SlotHeat, wire.NumSlots)
-	allocs := testing.AllocsPerRun(1000, func() { f.SlotHeatInto(dst) })
-	if allocs != 0 {
-		t.Fatalf("SlotHeatInto allocates %.1f per run, want 0", allocs)
-	}
-}

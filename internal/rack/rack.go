@@ -71,14 +71,14 @@ func (s SwitchStats) AgreementMsgs() uint64 { return s.RevokesSent + s.AcksRecei
 // switch hosts each group, and which group and switch serve each
 // routing slot. It is the single indirection every layer reads —
 // cluster assembly, switch front-ends (whose tables mirror it),
-// the rebalancer's weight vectors, and client routing — so elastic
+// the rebalancer's per-tick weights, and client routing — so elastic
 // reconfiguration is one mutation here plus the §5.3 agreement, not a
 // crawl over per-layer copies.
 //
 // The epoch counts MEMBERSHIP revisions: group add/retire, weight or
 // spec changes. Per-slot route flips do not bump it — migrations are
-// steady state and consumers (rebalancer weight vectors, client
-// splits) only need to recompute when the group set or weights change.
+// steady state and consumers that cache (client splits) only need to
+// recompute when the group set or weights change.
 // Reads are plain array/slice loads with no locking or allocation: the
 // simulation is single-threaded per event, and the client hot path
 // (RouteObj, SwitchOfObj) must stay 0 allocs/op.
@@ -92,7 +92,7 @@ type Topology struct {
 }
 
 // Epoch returns the membership revision counter. Consumers cache
-// derived state (weight vectors, client splits) keyed by this value
+// derived state (client splits) keyed by this value
 // and recompute only when it moves.
 func (t *Topology) Epoch() uint64 { return t.epoch }
 
@@ -128,11 +128,6 @@ func (t *Topology) LiveWeights() []float64 {
 		}
 	}
 	return out
-}
-
-// LiveMask returns a copy of the per-group liveness vector.
-func (t *Topology) LiveMask() []bool {
-	return append([]bool(nil), t.live...)
 }
 
 // SwitchOfGroup returns the switch hosting group g.
@@ -476,8 +471,8 @@ func (r *Rack) RetireGroup(g int) {
 }
 
 // SetGroupWeight updates group g's capacity weight and bumps the
-// topology epoch; rebalancer thresholds and client splits pick the
-// new value up on their next epoch check.
+// topology epoch; the rebalancer reads the new value on its next tick
+// and client splits on their next epoch check.
 func (r *Rack) SetGroupWeight(g int, w float64) {
 	if !r.topo.Live(g) {
 		panic(fmt.Sprintf("rack: SetGroupWeight on non-live group %d", g))
@@ -616,8 +611,8 @@ func (r *Rack) SlotHeat() []core.SlotHeat {
 }
 
 // SlotHeatInto fills dst with the rack-wide per-slot heat sample
-// without allocating — the rebalancer tick's path, which would
-// otherwise allocate a fresh 256-entry slice per switch per tick.
+// without allocating — the path of the rebalancer tick, which takes one
+// sample for every switch domain, and of AddGroup's placement and seed.
 func (r *Rack) SlotHeatInto(dst []core.SlotHeat) {
 	for slot := 0; slot < len(dst) && slot < wire.NumSlots; slot++ {
 		dst[slot] = r.front(slot).HeatOf(slot)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"harmonia/internal/core"
 	"harmonia/internal/wire"
 )
 
@@ -178,6 +179,16 @@ func TestRackSetRouteClearsHeatOnTransfer(t *testing.T) {
 	r.SetRoute(slot, r.GroupsOf(0)[0]) // …and back
 	if got := r.SlotHeat()[slot].Total(); got != 0 {
 		t.Fatalf("stale source residue resurfaced as %d current heat", got)
+	}
+}
+
+// TestSlotHeatIntoAllocs: the rebalancer tick and AddGroup read the
+// rack-wide heat sample through SlotHeatInto, which must not allocate.
+func TestSlotHeatIntoAllocs(t *testing.T) {
+	r := New(2, 4)
+	var dst [wire.NumSlots]core.SlotHeat
+	if allocs := testing.AllocsPerRun(1000, func() { r.SlotHeatInto(dst[:]) }); allocs != 0 {
+		t.Fatalf("SlotHeatInto allocates %.1f per run, want 0", allocs)
 	}
 }
 

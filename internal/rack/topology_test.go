@@ -75,10 +75,6 @@ func TestTopologyLiveness(t *testing.T) {
 	if g != 3 {
 		t.Fatalf("new group reused an ID: got %d, want 3", g)
 	}
-	mask := topo.LiveMask()
-	if !mask[3] || mask[2] {
-		t.Fatalf("LiveMask = %v", mask)
-	}
 }
 
 // TestTopologyGuards pins the panics that keep the tables consistent:

@@ -1,5 +1,7 @@
 package rebalance
 
+import "slices"
+
 // HotKeyConfig parameterizes hot-key promotion: the escape hatch for
 // the one imbalance the slot migrator provably cannot fix. When a
 // tick's trigger fires but the round comes up empty (LastStuck), the
@@ -37,17 +39,17 @@ type HotKeyConfig struct {
 	CoolOps uint64
 }
 
-func (c *HotKeyConfig) fillDefaults() {
+// Filled returns the effective configuration: zero fields replaced by
+// their defaults and MaxHolders clamped to 3. ShouldPromote and
+// PickHolders read a filled configuration.
+func (c HotKeyConfig) Filled() HotKeyConfig {
 	if c.Share <= 0 {
 		c.Share = 0.6
 	}
 	if c.MinOps == 0 {
 		c.MinOps = 64
 	}
-	if c.MaxHolders <= 0 {
-		c.MaxHolders = 3
-	}
-	if c.MaxHolders > 3 {
+	if c.MaxHolders <= 0 || c.MaxHolders > 3 {
 		c.MaxHolders = 3
 	}
 	if c.CoolRounds <= 0 {
@@ -56,11 +58,6 @@ func (c *HotKeyConfig) fillDefaults() {
 	if c.CoolOps == 0 {
 		c.CoolOps = 16
 	}
-}
-
-// Filled returns the effective (defaulted) configuration.
-func (c HotKeyConfig) Filled() HotKeyConfig {
-	c.fillDefaults()
 	return c
 }
 
@@ -68,7 +65,6 @@ func (c HotKeyConfig) Filled() HotKeyConfig {
 // earns replication: its votes must clear the absolute floor AND hold
 // the configured share of the slot's total heat.
 func (c HotKeyConfig) ShouldPromote(votes, slotTotal uint64) bool {
-	c.fillDefaults()
 	if votes < c.MinOps || slotTotal == 0 {
 		return false
 	}
@@ -76,25 +72,21 @@ func (c HotKeyConfig) ShouldPromote(votes, slotTotal uint64) bool {
 }
 
 // PickHolders chooses up to MaxHolders holder groups for a key homed
-// at home: the highest-capacity live groups first (they absorb spread
-// reads cheapest), ties broken by lowest index for determinism. The
-// home group is never a holder; weights may be nil (uniform). Returns
-// nil when no other live group exists — promotion is pointless then.
-func (c HotKeyConfig) PickHolders(home, groups int, weights []float64, live func(g int) bool) []int {
-	c.fillDefaults()
+// at home: the highest-capacity groups first (they absorb spread reads
+// cheapest), ties broken by lowest ID for determinism. weights is
+// indexed by group ID, and a group at weight 0 — retired, or behind
+// another switch — is never a holder; neither is home. Returns nil when
+// no other group is eligible — promotion is pointless then.
+func (c HotKeyConfig) PickHolders(home int, weights []float64) []int {
 	var out []int
 	for len(out) < c.MaxHolders {
-		best, bestW := -1, 0.0
-		for g := 0; g < groups; g++ {
-			if g == home || contains(out, g) || (live != nil && !live(g)) {
+		best := -1
+		for g, w := range weights {
+			if g == home || !(w > 0) || slices.Contains(out, g) {
 				continue
 			}
-			w := 1.0
-			if g < len(weights) && weights[g] > 0 {
-				w = weights[g]
-			}
-			if best == -1 || w > bestW {
-				best, bestW = g, w
+			if best == -1 || w > weights[best] {
+				best = g
 			}
 		}
 		if best == -1 {
@@ -103,13 +95,4 @@ func (c HotKeyConfig) PickHolders(home, groups int, weights []float64, live func
 		out = append(out, best)
 	}
 	return out
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -23,9 +23,9 @@ func TestPolicyLastStuckRecordsIndivisibleSlot(t *testing.T) {
 	// the move (group 1 would end hotter than group 0 was), no other
 	// candidate exists, and the occupancy veto never fired — so no
 	// swap either. Trigger fires, round is empty, slot 0 is stuck.
-	w.heat[0] = Heat{Reads: 5000}
-	w.heat[1] = Heat{Reads: 100}
-	if round := p.PlanRound(w.heat, w.table, w.objs, 2, nil); !round.Empty() {
+	w.heat[0] = core.SlotHeat{Reads: 5000}
+	w.heat[1] = core.SlotHeat{Reads: 100}
+	if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil); !round.Empty() {
 		t.Fatalf("indivisible hot slot planned %+v", round)
 	}
 	slot, stuck := p.LastStuck()
@@ -37,8 +37,8 @@ func TestPolicyLastStuckRecordsIndivisibleSlot(t *testing.T) {
 	}
 
 	// A balanced reading on the next tick clears the record.
-	w.heat[0] = Heat{Reads: 100}
-	if round := p.PlanRound(w.heat, w.table, w.objs, 2, nil); !round.Empty() {
+	w.heat[0] = core.SlotHeat{Reads: 100}
+	if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil); !round.Empty() {
 		t.Fatalf("balanced reading planned %+v", round)
 	}
 	if _, stuck := p.LastStuck(); stuck {
@@ -56,13 +56,13 @@ func TestPolicyLastStuckRecordsIndivisibleSlot(t *testing.T) {
 func TestPolicySwapShortObjectSlice(t *testing.T) {
 	w := newFakeWorld(2)
 	p := New(testCfg, w.clock)
-	w.heat[0] = Heat{Reads: 600}  // group 0, dense and hot
-	w.heat[2] = Heat{Reads: 200}  // group 0, dense
-	w.heat[1] = Heat{Reads: 100}  // group 1, in-range peer, 0 objects
-	w.heat[3] = Heat{Reads: 100}  // group 1, peer BEYOND the sample
-	w.objs = []int{5000, 0, 5000} // slot 3 unsampled
+	w.heat[0] = core.SlotHeat{Reads: 600} // group 0, dense and hot
+	w.heat[2] = core.SlotHeat{Reads: 200} // group 0, dense
+	w.heat[1] = core.SlotHeat{Reads: 100} // group 1, in-range peer, 0 objects
+	w.heat[3] = core.SlotHeat{Reads: 100} // group 1, peer BEYOND the sample
+	w.objs = []int{5000, 0, 5000}         // slot 3 unsampled
 
-	round := p.PlanRound(w.heat, w.table, w.objs, 2, nil)
+	round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil)
 	if !round.Empty() {
 		t.Fatalf("dense-for-unsampled exchange dodged the copy bill: %+v", round)
 	}
@@ -71,7 +71,7 @@ func TestPolicySwapShortObjectSlice(t *testing.T) {
 	// occupancy DIFFERENCE is zero and the same exchange passes —
 	// proving the veto above charged the clamped arm, nothing else.
 	w.objs = []int{5000, 0, 5000, 5000}
-	round = p.PlanRound(w.heat, w.table, w.objs, 2, nil)
+	round = p.PlanRound(w.heat, w.table, w.objs, w.weights, nil)
 	if len(round.Swaps) != 1 || round.Swaps[0].SlotA != 0 || round.Swaps[0].SlotB != 3 {
 		t.Fatalf("round = %+v, want the 0↔3 exchange", round)
 	}
@@ -95,8 +95,7 @@ func TestPolicyDecayStickyFloorNoFlap(t *testing.T) {
 		}
 	}
 	hotID, lowID := objIn(0), objIn(1) // groups 0 and 1 under s%2 striping
-	heat := make([]Heat, wire.NumSlots)
-	var sample [wire.NumSlots]core.SlotHeat
+	heat := make([]core.SlotHeat, wire.NumSlots)
 	req := uint64(1)
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 400; i++ {
@@ -107,9 +106,8 @@ func TestPolicyDecayStickyFloorNoFlap(t *testing.T) {
 			f.Recv(1, &wire.Packet{Op: wire.OpRead, ObjID: lowID, ClientID: 1, ReqID: req})
 			req++
 		}
-		f.SlotHeatInto(sample[:])
-		for s, h := range sample[:] {
-			heat[s] = Heat{Reads: h.Reads, Writes: h.Writes}
+		for s := range heat {
+			heat[s] = f.HeatOf(s)
 		}
 		if round > 0 && heat[1].Total() == 0 {
 			t.Fatalf("round %d: low-rate slot flapped to zero between ops", round)
@@ -118,7 +116,7 @@ func TestPolicyDecayStickyFloorNoFlap(t *testing.T) {
 			t.Fatalf("round %d: decay inverted the slot ranking (%d vs %d)",
 				round, heat[0].Total(), heat[1].Total())
 		}
-		p.PlanRound(heat, w.table, nil, 2, nil) // the loop consumes the same samples
+		p.PlanRound(heat, w.table, nil, w.weights, nil) // the loop consumes the same samples
 		w.now += testCfg.Interval
 		f.DecayHeat()
 	}
@@ -147,26 +145,26 @@ func TestHotKeyShouldPromoteThresholds(t *testing.T) {
 func TestHotKeyPickHoldersByCapacity(t *testing.T) {
 	cfg := HotKeyConfig{MaxHolders: 2}.Filled()
 	weights := []float64{1, 4, 2, 3, 1}
-	got := cfg.PickHolders(3, 5, weights, nil)
+	got := cfg.PickHolders(3, weights)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("holders = %v, want [1 2] (heaviest live groups, home 3 excluded)", got)
+		t.Fatalf("holders = %v, want [1 2] (heaviest groups, home 3 excluded)", got)
 	}
-	// Dead groups are skipped; ties break toward the lowest index.
-	live := func(g int) bool { return g != 1 }
-	got = cfg.PickHolders(3, 5, weights, live)
+	// A zero-weight group (retired, or behind another switch) is never
+	// a holder; ties break toward the lowest ID.
+	got = cfg.PickHolders(3, []float64{1, 0, 2, 3, 1})
 	if len(got) != 2 || got[0] != 2 || got[1] != 0 {
-		t.Fatalf("holders = %v, want [2 0] with group 1 dead", got)
+		t.Fatalf("holders = %v, want [2 0] with group 1 at weight 0", got)
 	}
 	// A two-group rack: exactly one holder exists; a one-group rack: none.
-	if got := cfg.PickHolders(0, 2, nil, nil); len(got) != 1 || got[0] != 1 {
+	if got := cfg.PickHolders(0, []float64{1, 1}); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("holders = %v in a 2-group rack", got)
 	}
-	if got := cfg.PickHolders(0, 1, nil, nil); got != nil {
+	if got := cfg.PickHolders(0, []float64{1}); got != nil {
 		t.Fatalf("holders = %v in a 1-group rack, want none", got)
 	}
 	// MaxHolders clamps to 3: the replicated set spans at most 4 groups.
 	wide := HotKeyConfig{MaxHolders: 9}.Filled()
-	if got := wide.PickHolders(0, 8, nil, nil); len(got) != 3 {
+	if got := wide.PickHolders(0, []float64{1, 1, 1, 1, 1, 1, 1, 1}); len(got) != 3 {
 		t.Fatalf("%d holders with MaxHolders=9, want clamp to 3", len(got))
 	}
 }

@@ -7,12 +7,16 @@
 // cluster; the cluster wires it to real switch state and executes the
 // planned moves as batch migrations.
 //
-// Groups need not be interchangeable: SetWeights gives each group a
-// relative capacity (replica count, ASIC generation, calibrated
-// service rate), and every threshold comparison is then made per
-// capacity unit — a 7-replica group legitimately carries more raw load
-// than a 3-replica one before the loop calls the rack imbalanced.
-// Uniform weights reduce exactly to the historical per-group math.
+// Every planner numbers groups by their rack-wide ID and takes one
+// weight vector indexed by that ID. A weight is the group's relative
+// capacity (replica count, ASIC generation, calibrated service rate),
+// and every threshold comparison is made per capacity unit — a
+// 7-replica group legitimately carries more raw load than a 3-replica
+// one before the loop calls the rack imbalanced. A weight of 0 is the
+// only way to leave a group out of a plan, whether it is retired or
+// hosted on another switch: its slots add no load and it never sends
+// or receives a move. Uniform weights reduce exactly to the historical
+// per-group math.
 //
 // The design follows "Cheap Recovery: A Key to Self-Managing State"
 // (Huang & Fox): because a slot handoff is cheap and always-safe
@@ -26,19 +30,9 @@ import (
 	"fmt"
 	"time"
 
+	"harmonia/internal/core"
 	"harmonia/internal/trace"
 )
-
-// Heat is one routing slot's recent operation counters, as sampled
-// from the switch front-end's register array (after EWMA decay the
-// counters approximate an exponentially weighted recent window).
-type Heat struct {
-	Reads  uint64
-	Writes uint64
-}
-
-// Total is the slot's combined operation count.
-func (h Heat) Total() uint64 { return h.Reads + h.Writes }
 
 // Config parameterizes the control loop. The zero value of every field
 // selects a default tuned for the simulated rack's millisecond
@@ -176,9 +170,6 @@ type Policy struct {
 	cfg Config
 	now func() time.Duration
 
-	// weights holds the per-group capacity weights (nil: uniform).
-	weights []float64
-
 	armed     bool
 	everFired bool
 	lastRound time.Duration
@@ -215,50 +206,11 @@ func New(cfg Config, now func() time.Duration) *Policy {
 func (p *Policy) Config() Config { return p.cfg }
 
 // SetRecorder points the policy at the control-plane flight recorder,
-// labeling its events with the switch domain sw. Group indices in the
-// emitted events are the policy's LOCAL plan indices (the switch
-// domain's group order), matching the inputs PlanRound received.
+// labeling its events with the switch domain sw. Groups in the
+// emitted events are global group IDs, as PlanRound receives them.
 func (p *Policy) SetRecorder(rec *trace.Recorder, sw int) {
 	p.rec = rec
 	p.sw = int16(sw)
-}
-
-// SetWeights installs the per-group capacity weights the imbalance
-// math normalizes by (index = the group index PlanRound's table uses; for a
-// rack-aware cluster that is the switch domain's LOCAL index order).
-// Nil, an empty slice, or non-positive entries fall back to uniform
-// capacity. The slice is copied.
-func (p *Policy) SetWeights(w []float64) {
-	if len(w) == 0 {
-		p.weights = nil
-		return
-	}
-	p.weights = append([]float64(nil), w...)
-}
-
-// weightsFor returns the effective weight vector for a groups-sized
-// plan: the installed weights when they fit, uniform 1s otherwise (a
-// stale or missing weight vector must degrade to the historical
-// behavior, never misattribute capacity).
-func (p *Policy) weightsFor(groups int) []float64 {
-	out := make([]float64, groups)
-	ok := len(p.weights) == groups
-	if ok {
-		for _, w := range p.weights {
-			if !(w > 0) {
-				ok = false
-				break
-			}
-		}
-	}
-	for i := range out {
-		if ok {
-			out[i] = p.weights[i]
-		} else {
-			out[i] = 1
-		}
-	}
-	return out
 }
 
 // Ready reports whether a round could possibly fire right now: the
@@ -291,11 +243,12 @@ func (p *Policy) Rounds() int { return p.rounds }
 // rounds.
 func (p *Policy) SlotsMoved() int { return p.slotsMoved }
 
-// PlanRound runs one control-loop tick: given the per-slot heat sample,
-// the current slot → group table, optional per-slot object counts (nil
-// if unknown; the cost model then charges MoveCost alone), the group
-// count, and an optional busy predicate (slots currently mid-handoff,
-// which cannot be moved again yet), it returns the round to execute
+// PlanRound runs one control-loop tick: given the rack-wide per-slot
+// heat sample, the current slot → group table, optional per-slot object
+// counts (nil if unknown; the cost model then charges MoveCost alone),
+// the capacity weights by group ID (0: not in this plan), and an
+// optional busy predicate (slots currently mid-handoff, which cannot be
+// moved again yet), it returns the round to execute
 // now — empty when the loop should hold still. Firing re-arms only
 // after per-capacity-unit imbalance falls below Threshold−Hysteresis,
 // and never within Cooldown of the last round. A tick whose every
@@ -311,25 +264,29 @@ func (p *Policy) SlotsMoved() int { return p.slotsMoved }
 // heat moves, slot occupancy stays level, and only the occupancy
 // difference pays the copy bill. Firing (moves OR swaps) disarms the
 // trigger and starts the cool-down.
-func (p *Policy) PlanRound(heat []Heat, table []int, objects []int, groups int, busy func(slot int) bool) Round {
+func (p *Policy) PlanRound(heat []core.SlotHeat, table []int, objects []int, w []float64, busy func(slot int) bool) Round {
 	p.stuckSlot = -1 // stuckness is a per-tick observation
-	if groups < 2 || len(heat) == 0 || len(table) != len(heat) {
+	if len(heat) == 0 || len(table) != len(heat) {
 		return Round{}
 	}
-	w := p.weightsFor(groups)
-	load := make([]float64, groups)
+	load := make([]float64, len(w))
 	var total uint64
 	var capSum float64
+	planned := 0
 	for _, wg := range w {
-		capSum += wg
+		if wg > 0 {
+			capSum += wg
+			planned++
+		}
+	}
+	if planned < 2 {
+		return Round{}
 	}
 	for s, h := range heat {
-		g := table[s]
-		if g < 0 || g >= groups {
-			continue
+		if g := table[s]; inPlan(w, g) {
+			load[g] += float64(h.Total())
+			total += h.Total()
 		}
-		load[g] += float64(h.Total())
-		total += h.Total()
 	}
 	if total < p.cfg.MinOps {
 		return Round{}
@@ -414,7 +371,7 @@ func (p *Policy) PlanRound(heat []Heat, table []int, objects []int, groups int, 
 // cost veto. costVetoed reports whether at least one candidate was
 // blocked ONLY by the cost model — the signal PlanRound's swap
 // fallback keys on.
-func (p *Policy) plan(heat []Heat, table []int, objects []int, load, w []float64, fairUnit float64, busy func(slot int) bool) (moves []Move, costVetoed bool) {
+func (p *Policy) plan(heat []core.SlotHeat, table []int, objects []int, load, w []float64, fairUnit float64, busy func(slot int) bool) (moves []Move, costVetoed bool) {
 	proj := append([]float64(nil), load...)
 	calmUnit := fairUnit * (p.cfg.Threshold - p.cfg.Hysteresis)
 
@@ -468,7 +425,7 @@ func (p *Policy) plan(heat []Heat, table []int, objects []int, load, w []float64
 // and survive the swap cost model — two handoffs' control work plus
 // the occupancy DIFFERENCE, which is the whole point: a swap is what
 // the policy reaches for when one-way occupancy transfer was vetoed.
-func (p *Policy) planSwaps(heat []Heat, table []int, objects []int, load, w []float64, busy func(slot int) bool) []Swap {
+func (p *Policy) planSwaps(heat []core.SlotHeat, table []int, objects []int, load, w []float64, busy func(slot int) bool) []Swap {
 	src := hottestNorm(load, w)
 	dst := coolestNorm(load, w)
 	if src == dst {
@@ -535,7 +492,7 @@ func (p *Policy) planSwaps(heat []Heat, table []int, objects []int, load, w []fl
 // projected per-window gain (how much the hottest group sheds toward
 // the destination, capped by the capacity-weighted gap it closes)
 // exceeds the modeled drain cost of the handoff.
-func (p *Policy) worthMoving(h Heat, slot int, objects []int, srcLoad, dstLoad, srcW, dstW float64) bool {
+func (p *Policy) worthMoving(h core.SlotHeat, slot int, objects []int, srcLoad, dstLoad, srcW, dstW float64) bool {
 	gain := float64(h.Total())
 	if gap := weightedGap(srcLoad, dstLoad, srcW, dstW); gap < gain {
 		gain = gap
@@ -565,24 +522,27 @@ func weightedGap(srcLoad, dstLoad, srcW, dstW float64) float64 {
 	return (srcLoad*dstW - dstLoad*srcW) / (srcW + dstW)
 }
 
-// hottestNorm returns the group with the highest load per capacity
-// unit (ties: lowest index).
+// inPlan reports whether group g takes part in a plan weighted by w.
+func inPlan(w []float64, g int) bool { return g >= 0 && g < len(w) && w[g] > 0 }
+
+// hottestNorm returns the planned group with the highest load per
+// capacity unit (ties: lowest ID), −1 when no group is planned.
 func hottestNorm(load, w []float64) int {
-	best := 0
+	best := -1
 	for g := range load {
-		if load[g]/w[g] > load[best]/w[best] {
+		if w[g] > 0 && (best < 0 || load[g]/w[g] > load[best]/w[best]) {
 			best = g
 		}
 	}
 	return best
 }
 
-// coolestNorm returns the group with the lowest load per capacity unit
-// (ties: lowest index).
+// coolestNorm returns the planned group with the lowest load per
+// capacity unit (ties: lowest ID), −1 when no group is planned.
 func coolestNorm(load, w []float64) int {
-	best := 0
+	best := -1
 	for g := range load {
-		if load[g]/w[g] < load[best]/w[best] {
+		if w[g] > 0 && (best < 0 || load[g]/w[g] < load[best]/w[best]) {
 			best = g
 		}
 	}

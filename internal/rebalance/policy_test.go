@@ -5,26 +5,32 @@ import (
 	"testing"
 	"time"
 
+	"harmonia/internal/core"
 	"harmonia/internal/wire"
 )
 
 // fakeWorld is a deterministic policy harness: a hand-set clock, a
-// synthetic heat sample, and a routing table — no cluster, no
-// simulation.
+// synthetic heat sample, a routing table and the weights every plan is
+// handed (uniform unless a test sets them) — no cluster, no simulation.
 type fakeWorld struct {
-	now   time.Duration
-	heat  []Heat
-	table []int
-	objs  []int
+	now     time.Duration
+	heat    []core.SlotHeat
+	table   []int
+	objs    []int
+	weights []float64
 }
 
 func newFakeWorld(groups int) *fakeWorld {
 	w := &fakeWorld{
-		heat:  make([]Heat, wire.NumSlots),
-		table: make([]int, wire.NumSlots),
+		heat:    make([]core.SlotHeat, wire.NumSlots),
+		table:   make([]int, wire.NumSlots),
+		weights: make([]float64, groups),
 	}
 	for s := range w.table {
 		w.table[s] = s % groups
+	}
+	for g := range w.weights {
+		w.weights[g] = 1
 	}
 	return w
 }
@@ -33,8 +39,8 @@ func (w *fakeWorld) clock() time.Duration { return w.now }
 
 // plan runs one tick for the drain-only scenarios and returns its
 // moves; a swap there is a test failure.
-func (w *fakeWorld) plan(p *Policy, groups int) []Move {
-	round := p.PlanRound(w.heat, w.table, w.objs, groups, nil)
+func (w *fakeWorld) plan(p *Policy) []Move {
+	round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil)
 	if len(round.Swaps) != 0 {
 		panic(fmt.Sprintf("drain-only scenario planned swaps: %+v", round.Swaps))
 	}
@@ -60,16 +66,16 @@ func TestRebalancePolicyThresholdCrossing(t *testing.T) {
 	p := New(testCfg, w.clock)
 
 	// Balanced load: group 0 and 1 each carry 500 — no trigger.
-	w.heat[0] = Heat{Reads: 400, Writes: 100} // slot 0 → group 0
-	w.heat[1] = Heat{Reads: 400, Writes: 100} // slot 1 → group 1
-	if moves := w.plan(p, 2); moves != nil {
+	w.heat[0] = core.SlotHeat{Reads: 400, Writes: 100} // slot 0 → group 0
+	w.heat[1] = core.SlotHeat{Reads: 400, Writes: 100} // slot 1 → group 1
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("balanced load planned %v", moves)
 	}
 
 	// Skew group 0 to 3× its fair share across two slots.
-	w.heat[0] = Heat{Reads: 1500}
-	w.heat[2] = Heat{Reads: 1500} // slot 2 → group 0
-	moves := w.plan(p, 2)
+	w.heat[0] = core.SlotHeat{Reads: 1500}
+	w.heat[2] = core.SlotHeat{Reads: 1500} // slot 2 → group 0
+	moves := w.plan(p)
 	if len(moves) == 0 {
 		t.Fatal("3x imbalance triggered nothing")
 	}
@@ -89,8 +95,8 @@ func TestRebalancePolicyThresholdCrossing(t *testing.T) {
 func TestRebalancePolicyBelowMinOpsHoldsStill(t *testing.T) {
 	w := newFakeWorld(2)
 	p := New(testCfg, w.clock)
-	w.heat[0] = Heat{Reads: 99} // total below MinOps, however skewed
-	if moves := w.plan(p, 2); moves != nil {
+	w.heat[0] = core.SlotHeat{Reads: 99} // total below MinOps, however skewed
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("sub-MinOps sample planned %v", moves)
 	}
 }
@@ -105,11 +111,11 @@ func TestRebalancePolicyHysteresisNoPingPong(t *testing.T) {
 	p := New(testCfg, w.clock)
 
 	// Fire once: slot 0 makes group 0 hot (imbalance 1.8).
-	w.heat[0] = Heat{Reads: 600}
-	w.heat[1] = Heat{Reads: 50}
-	w.heat[2] = Heat{Reads: 250} // group 0's remainder
-	w.heat[3] = Heat{Reads: 100}
-	if moves := w.plan(p, 2); len(moves) == 0 {
+	w.heat[0] = core.SlotHeat{Reads: 600}
+	w.heat[1] = core.SlotHeat{Reads: 50}
+	w.heat[2] = core.SlotHeat{Reads: 250} // group 0's remainder
+	w.heat[3] = core.SlotHeat{Reads: 100}
+	if moves := w.plan(p); len(moves) == 0 {
 		t.Fatal("setup round never fired")
 	}
 
@@ -123,10 +129,10 @@ func TestRebalancePolicyHysteresisNoPingPong(t *testing.T) {
 		if i%2 == 1 {
 			hot = 775 // imbalance 1.55
 		}
-		w.heat[0] = Heat{Reads: hot}
-		w.heat[1] = Heat{Reads: 1000 - hot}
-		w.heat[2], w.heat[3] = Heat{}, Heat{}
-		if moves := w.plan(p, 2); moves != nil {
+		w.heat[0] = core.SlotHeat{Reads: hot}
+		w.heat[1] = core.SlotHeat{Reads: 1000 - hot}
+		w.heat[2], w.heat[3] = core.SlotHeat{}, core.SlotHeat{}
+		if moves := w.plan(p); moves != nil {
 			t.Fatalf("oscillation sample %d re-fired: %v", i, moves)
 		}
 	}
@@ -134,16 +140,16 @@ func TestRebalancePolicyHysteresisNoPingPong(t *testing.T) {
 	// Drop through the calm band (re-arms), then cross the threshold:
 	// now it may fire again.
 	w.now += 2 * testCfg.Cooldown
-	w.heat[0] = Heat{Reads: 500}
-	w.heat[1] = Heat{Reads: 500}
-	if moves := w.plan(p, 2); moves != nil {
+	w.heat[0] = core.SlotHeat{Reads: 500}
+	w.heat[1] = core.SlotHeat{Reads: 500}
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("calm sample fired: %v", moves)
 	}
 	w.now += 2 * testCfg.Cooldown
-	w.heat[0] = Heat{Reads: 900}
-	w.heat[2] = Heat{Reads: 900}
-	w.heat[1] = Heat{Reads: 200}
-	if moves := w.plan(p, 2); len(moves) == 0 {
+	w.heat[0] = core.SlotHeat{Reads: 900}
+	w.heat[2] = core.SlotHeat{Reads: 900}
+	w.heat[1] = core.SlotHeat{Reads: 200}
+	if moves := w.plan(p); len(moves) == 0 {
 		t.Fatal("re-armed policy refused a genuine 3x imbalance")
 	}
 }
@@ -153,34 +159,34 @@ func TestRebalancePolicyCooldown(t *testing.T) {
 	p := New(testCfg, w.clock)
 
 	skew := func() {
-		w.heat[0] = Heat{Reads: 1500}
-		w.heat[2] = Heat{Reads: 1500}
-		w.heat[1] = Heat{Reads: 500}
+		w.heat[0] = core.SlotHeat{Reads: 1500}
+		w.heat[2] = core.SlotHeat{Reads: 1500}
+		w.heat[1] = core.SlotHeat{Reads: 500}
 	}
 	calm := func() {
-		w.heat[0] = Heat{Reads: 500}
-		w.heat[1] = Heat{Reads: 500}
-		w.heat[2] = Heat{}
+		w.heat[0] = core.SlotHeat{Reads: 500}
+		w.heat[1] = core.SlotHeat{Reads: 500}
+		w.heat[2] = core.SlotHeat{}
 	}
 
 	skew()
-	if moves := w.plan(p, 2); len(moves) == 0 {
+	if moves := w.plan(p); len(moves) == 0 {
 		t.Fatal("first round never fired")
 	}
 	// Re-arm immediately (calm sample), then skew again before the
 	// cooldown elapsed: the policy must wait it out.
 	w.now += testCfg.Interval
 	calm()
-	if moves := w.plan(p, 2); moves != nil {
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("calm sample fired: %v", moves)
 	}
 	w.now += testCfg.Interval // 2ms since round < 3ms cooldown
 	skew()
-	if moves := w.plan(p, 2); moves != nil {
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("fired inside the cooldown: %v", moves)
 	}
 	w.now += 2 * testCfg.Interval // 4ms since round: past cooldown
-	if moves := w.plan(p, 2); len(moves) == 0 {
+	if moves := w.plan(p); len(moves) == 0 {
 		t.Fatal("cooldown expiry did not release the round")
 	}
 }
@@ -195,11 +201,11 @@ func TestRebalancePolicyCostModelVeto(t *testing.T) {
 	// Group 0 carries 1.6× its fair share across two slots — but both
 	// are packed with objects: ObjectCost(1)×5000 dwarfs the few
 	// hundred ops a move could shed.
-	w.heat[0] = Heat{Reads: 500} // slot 0 → group 0
-	w.heat[4] = Heat{Reads: 300} // slot 4 → group 0
-	w.heat[1] = Heat{Reads: 200} // slot 1 → group 1
+	w.heat[0] = core.SlotHeat{Reads: 500} // slot 0 → group 0
+	w.heat[4] = core.SlotHeat{Reads: 300} // slot 4 → group 0
+	w.heat[1] = core.SlotHeat{Reads: 200} // slot 1 → group 1
 	w.objs[0], w.objs[4] = 5000, 5000
-	if moves := w.plan(p, 2); moves != nil {
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("cost model let a 5000-object slot move for a ~300-op gain: %v", moves)
 	}
 	if p.Rounds() != 0 {
@@ -208,7 +214,7 @@ func TestRebalancePolicyCostModelVeto(t *testing.T) {
 
 	// Same skew, cheap slots: the hottest one moves first.
 	w.objs[0], w.objs[4] = 10, 10
-	moves := w.plan(p, 2)
+	moves := w.plan(p)
 	if len(moves) == 0 || moves[0] != (Move{Slot: 0, From: 0, To: 1}) {
 		t.Fatalf("cheap slot did not move: %v", moves)
 	}
@@ -222,8 +228,8 @@ func TestRebalancePolicyIndivisibleHotSlot(t *testing.T) {
 	w := newFakeWorld(2)
 	p := New(testCfg, w.clock)
 	for i := 0; i < 6; i++ {
-		w.heat[0] = Heat{Reads: 2000} // the only load in the system
-		if moves := w.plan(p, 2); moves != nil {
+		w.heat[0] = core.SlotHeat{Reads: 2000} // the only load in the system
+		if moves := w.plan(p); moves != nil {
 			t.Fatalf("sample %d moved an indivisible hot slot: %v", i, moves)
 		}
 		w.now += 2 * testCfg.Cooldown
@@ -238,12 +244,12 @@ func TestRebalancePolicyIndivisibleHotSlot(t *testing.T) {
 func TestRebalancePolicyBusySlotsDoNotBurnTheTrigger(t *testing.T) {
 	w := newFakeWorld(2)
 	p := New(testCfg, w.clock)
-	w.heat[0] = Heat{Reads: 1500} // slot 0 → group 0
-	w.heat[2] = Heat{Reads: 1500} // slot 2 → group 0
-	w.heat[1] = Heat{Reads: 500}
+	w.heat[0] = core.SlotHeat{Reads: 1500} // slot 0 → group 0
+	w.heat[2] = core.SlotHeat{Reads: 1500} // slot 2 → group 0
+	w.heat[1] = core.SlotHeat{Reads: 500}
 	allBusy := func(int) bool { return true }
 	for i := 0; i < 3; i++ {
-		if round := p.PlanRound(w.heat, w.table, w.objs, 2, allBusy); !round.Empty() {
+		if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, allBusy); !round.Empty() {
 			t.Fatalf("busy round %d planned %+v", i, round)
 		}
 		w.now += 2 * testCfg.Cooldown
@@ -253,7 +259,7 @@ func TestRebalancePolicyBusySlotsDoNotBurnTheTrigger(t *testing.T) {
 	}
 	// The handoffs land; the very next tick may fire without waiting
 	// out any cooldown or re-arm cycle.
-	if moves := w.plan(p, 2); len(moves) == 0 {
+	if moves := w.plan(p); len(moves) == 0 {
 		t.Fatal("trigger was burned by busy rounds")
 	}
 }
@@ -294,13 +300,13 @@ func TestRebalancePolicyMaxSlotsPerRound(t *testing.T) {
 	// Twelve equally hot slots on group 0, everything else idle.
 	for s := 0; s < wire.NumSlots; s++ {
 		if w.table[s] == 0 {
-			w.heat[s] = Heat{Reads: 100}
+			w.heat[s] = core.SlotHeat{Reads: 100}
 		}
 		if len(nonzero(w.heat)) == 12 {
 			break
 		}
 	}
-	moves := w.plan(p, 4)
+	moves := w.plan(p)
 	if len(moves) == 0 || len(moves) > testCfg.MaxSlotsPerRound {
 		t.Fatalf("round planned %d moves, want 1..%d", len(moves), testCfg.MaxSlotsPerRound)
 	}
@@ -318,11 +324,11 @@ func TestRebalancePolicyConvergesOnFakeWorld(t *testing.T) {
 	// reachable.
 	hots := []uint64{400, 300, 250, 200, 150, 150, 100, 80, 50, 100}
 	for i, h := range hots {
-		w.heat[4*i] = Heat{Reads: h} // slots ≡ 0 mod 4 → group 0
+		w.heat[4*i] = core.SlotHeat{Reads: h} // slots ≡ 0 mod 4 → group 0
 	}
 	still, rounds := 0, 0
 	for ; rounds < 20 && still < 3; rounds++ {
-		if moves := w.plan(p, 4); moves == nil {
+		if moves := w.plan(p); moves == nil {
 			still++
 		} else {
 			still = 0
@@ -337,12 +343,12 @@ func TestRebalancePolicyConvergesOnFakeWorld(t *testing.T) {
 		t.Fatal("converged without moving anything?")
 	}
 	// Steady state: no more moves.
-	if moves := w.plan(p, 4); moves != nil {
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("steady state still planned %v", moves)
 	}
 }
 
-func nonzero(heat []Heat) []int {
+func nonzero(heat []core.SlotHeat) []int {
 	var out []int
 	for s, h := range heat {
 		if h.Total() > 0 {
@@ -352,7 +358,7 @@ func nonzero(heat []Heat) []int {
 	return out
 }
 
-func imbalance(heat []Heat, table []int, groups int) float64 {
+func imbalance(heat []core.SlotHeat, table []int, groups int) float64 {
 	load := make([]float64, groups)
 	total := 0.0
 	for s, h := range heat {
@@ -384,15 +390,15 @@ func TestRebalanceConfigDefaults(t *testing.T) {
 func TestHeteroPolicyWeightedImbalance(t *testing.T) {
 	w := newFakeWorld(2)
 	p := New(testCfg, w.clock)
-	p.SetWeights([]float64{3, 1})
+	w.weights = []float64{3, 1}
 
 	// Raw load 750:250 — 1.5× the per-group mean on group 0, which the
 	// unweighted policy would chase, but exactly the 3:1 capacity
 	// split: hold still.
-	w.heat[0] = Heat{Reads: 700} // slot 0 → group 0
-	w.heat[2] = Heat{Reads: 50}  // slot 2 → group 0
-	w.heat[1] = Heat{Reads: 250} // slot 1 → group 1
-	if moves := w.plan(p, 2); moves != nil {
+	w.heat[0] = core.SlotHeat{Reads: 700} // slot 0 → group 0
+	w.heat[2] = core.SlotHeat{Reads: 50}  // slot 2 → group 0
+	w.heat[1] = core.SlotHeat{Reads: 250} // slot 1 → group 1
+	if moves := w.plan(p); moves != nil {
 		t.Fatalf("capacity-proportional load planned %v", moves)
 	}
 
@@ -400,17 +406,53 @@ func TestHeteroPolicyWeightedImbalance(t *testing.T) {
 	// fair share of 250 per its capacity — 2× per unit — while group 0
 	// sits at 500/3 per unit. The policy drains group 1 toward the BIG
 	// group.
-	w.heat[0] = Heat{Reads: 450}
-	w.heat[2] = Heat{Reads: 50}
-	w.heat[1] = Heat{Reads: 400}
-	w.heat[3] = Heat{Reads: 100} // slot 3 → group 1
-	moves := w.plan(p, 2)
+	w.heat[0] = core.SlotHeat{Reads: 450}
+	w.heat[2] = core.SlotHeat{Reads: 50}
+	w.heat[1] = core.SlotHeat{Reads: 400}
+	w.heat[3] = core.SlotHeat{Reads: 100} // slot 3 → group 1
+	moves := w.plan(p)
 	if len(moves) == 0 {
 		t.Fatal("per-unit overload of the small group not detected")
 	}
 	for _, m := range moves {
 		if m.From != 1 || m.To != 0 {
 			t.Fatalf("move %+v does not drain the overloaded small group into the big one", m)
+		}
+	}
+}
+
+// TestPlanRoundSkipsZeroWeightGroups: the table mixes two switch
+// domains, and groups 0 and 2 weigh 0 in this plan. Their slots add no
+// load and no total, and no move touches them, however hot they run —
+// even though group 0 is the first index the hot/cool search meets.
+func TestPlanRoundSkipsZeroWeightGroups(t *testing.T) {
+	w := newFakeWorld(4)
+	w.weights = []float64{0, 1, 0, 1}
+	p := New(testCfg, w.clock)
+
+	// The plan's own heat (90) is below MinOps; counting group 0's 20
+	// ops would lift the total over it and fire a round at 90/55 ≈ 1.6.
+	w.heat[1] = core.SlotHeat{Reads: 60} // slot 1 → group 1
+	w.heat[5] = core.SlotHeat{Reads: 30} // slot 5 → group 1
+	w.heat[0] = core.SlotHeat{Reads: 20} // slot 0 → group 0, weight 0
+	if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil); !round.Empty() {
+		t.Fatalf("zero-weight heat counted towards MinOps: %+v", round)
+	}
+
+	// Group 1 carries 1.6× the plan's fair share. A total that counted
+	// group 0's 10 000 ops would hide that, and taking group 0 as the
+	// hot or the cool group would plan a move out of this domain.
+	w.heat[1] = core.SlotHeat{Reads: 400}
+	w.heat[5] = core.SlotHeat{Reads: 400}
+	w.heat[3] = core.SlotHeat{Reads: 200} // slot 3 → group 3
+	w.heat[0] = core.SlotHeat{Reads: 10000}
+	moves := w.plan(p)
+	if len(moves) == 0 {
+		t.Fatal("zero-weight heat hid the plan's imbalance")
+	}
+	for _, m := range moves {
+		if m.From != 1 || m.To != 3 || w.table[m.Slot] != 1 {
+			t.Fatalf("move %+v leaves the plan's groups {1, 3}", m)
 		}
 	}
 }
@@ -422,13 +464,13 @@ func TestHeteroPolicyUniformWeightsMatchLegacy(t *testing.T) {
 		w := newFakeWorld(3)
 		p := New(testCfg, w.clock)
 		if weights != nil {
-			p.SetWeights(weights)
+			w.weights = weights
 		}
-		w.heat[0] = Heat{Reads: 900}
-		w.heat[3] = Heat{Reads: 600}
-		w.heat[1] = Heat{Reads: 200}
-		w.heat[2] = Heat{Reads: 100}
-		return w.plan(p, 3)
+		w.heat[0] = core.SlotHeat{Reads: 900}
+		w.heat[3] = core.SlotHeat{Reads: 600}
+		w.heat[1] = core.SlotHeat{Reads: 200}
+		w.heat[2] = core.SlotHeat{Reads: 100}
+		return w.plan(p)
 	}
 	want := run(nil)
 	if len(want) == 0 {
@@ -447,27 +489,6 @@ func TestHeteroPolicyUniformWeightsMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestHeteroPolicyMismatchedWeightsFallBack: a weight vector that does
-// not match the group count (or has non-positive entries) degrades to
-// uniform instead of misattributing capacity.
-func TestHeteroPolicyMismatchedWeightsFallBack(t *testing.T) {
-	w := newFakeWorld(2)
-	p := New(testCfg, w.clock)
-	p.SetWeights([]float64{3, 1, 5}) // wrong length for a 2-group plan
-	w.heat[0] = Heat{Reads: 800}     // slot 0 → group 0
-	w.heat[2] = Heat{Reads: 200}     // slot 2 → group 0
-	w.heat[1] = Heat{Reads: 200}     // slot 1 → group 1
-	moves := w.plan(p, 2)
-	if len(moves) == 0 || moves[0].From != 0 {
-		t.Fatalf("mismatched weights did not fall back to uniform: %v", moves)
-	}
-	p2 := New(testCfg, w.clock)
-	p2.SetWeights([]float64{0, -1})
-	if got := p2.weightsFor(2); got[0] != 1 || got[1] != 1 {
-		t.Fatalf("non-positive weights resolved to %v", got)
-	}
-}
-
 // TestHeteroPolicySwapWhenOccupancyVetoed: when every drain candidate
 // is blocked by the occupancy cost veto alone, PlanRound proposes a
 // hot-for-cold slot exchange instead — heat moves, occupancy stays
@@ -481,13 +502,13 @@ func TestHeteroPolicySwapWhenOccupancyVetoed(t *testing.T) {
 	// move is vetoed (ObjectCost 1 × 5000 ≫ gain). Group 1: a cooler,
 	// equally dense slot — the swap's occupancy DIFFERENCE is 0, so
 	// the exchange costs only 2×MoveCost and passes.
-	w.heat[0] = Heat{Reads: 600} // slot 0 → group 0, hot
-	w.heat[2] = Heat{Reads: 200} // slot 2 → group 0
-	w.heat[1] = Heat{Reads: 100} // slot 1 → group 1, dense peer
-	w.heat[3] = Heat{Reads: 100} // slot 3 → group 1
+	w.heat[0] = core.SlotHeat{Reads: 600} // slot 0 → group 0, hot
+	w.heat[2] = core.SlotHeat{Reads: 200} // slot 2 → group 0
+	w.heat[1] = core.SlotHeat{Reads: 100} // slot 1 → group 1, dense peer
+	w.heat[3] = core.SlotHeat{Reads: 100} // slot 3 → group 1
 	w.objs[0], w.objs[2], w.objs[1] = 5000, 5000, 5000
 
-	round := p.PlanRound(w.heat, w.table, w.objs, 2, nil)
+	round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil)
 	if len(round.Moves) != 0 || len(round.Swaps) != 1 {
 		t.Fatalf("round = %+v, want the one-way drain occupancy-vetoed and exactly one swap", round)
 	}
@@ -503,7 +524,7 @@ func TestHeteroPolicySwapWhenOccupancyVetoed(t *testing.T) {
 	}
 	// The trigger is now disarmed: the same reading plans nothing.
 	w.now += 2 * testCfg.Cooldown
-	if round := p.PlanRound(w.heat, w.table, w.objs, 2, nil); !round.Empty() {
+	if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil); !round.Empty() {
 		t.Fatalf("disarmed trigger still planned %+v", round)
 	}
 }
@@ -518,10 +539,10 @@ func TestHeteroPolicySwapRefusesRelocation(t *testing.T) {
 	p := New(testCfg, w.clock)
 	// All load in one dense slot: swapping it into group 1 would just
 	// relocate the hot spot.
-	w.heat[0] = Heat{Reads: 2000}
+	w.heat[0] = core.SlotHeat{Reads: 2000}
 	w.objs[0] = 5000
 	for i := 0; i < 4; i++ {
-		if round := p.PlanRound(w.heat, w.table, w.objs, 2, nil); !round.Empty() {
+		if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, nil); !round.Empty() {
 			t.Fatalf("tick %d relocated the hot spot: %+v", i, round)
 		}
 		w.now += 2 * testCfg.Cooldown
@@ -538,10 +559,10 @@ func TestHeteroPolicySwapRespectsBusySlots(t *testing.T) {
 	w := newFakeWorld(2)
 	w.objs = make([]int, wire.NumSlots)
 	p := New(testCfg, w.clock)
-	w.heat[0] = Heat{Reads: 600}
-	w.heat[2] = Heat{Reads: 200}
-	w.heat[1] = Heat{Reads: 100}
-	w.heat[3] = Heat{Reads: 100}
+	w.heat[0] = core.SlotHeat{Reads: 600}
+	w.heat[2] = core.SlotHeat{Reads: 200}
+	w.heat[1] = core.SlotHeat{Reads: 100}
+	w.heat[3] = core.SlotHeat{Reads: 100}
 	// Every hot slot is dense, so no one-way drain survives the veto;
 	// group 1's equally dense slot 1 is the viable swap peer.
 	w.objs[0], w.objs[2], w.objs[1] = 5000, 5000, 5000
@@ -549,7 +570,7 @@ func TestHeteroPolicySwapRespectsBusySlots(t *testing.T) {
 	// With every group-0 slot mid-handoff the tick must plan nothing
 	// and burn nothing.
 	busyGroup0 := func(s int) bool { return w.table[s] == 0 }
-	if round := p.PlanRound(w.heat, w.table, w.objs, 2, busyGroup0); !round.Empty() {
+	if round := p.PlanRound(w.heat, w.table, w.objs, w.weights, busyGroup0); !round.Empty() {
 		t.Fatalf("all-busy tick still planned %+v", round)
 	}
 	if p.Rounds() != 0 {
@@ -559,7 +580,7 @@ func TestHeteroPolicySwapRespectsBusySlots(t *testing.T) {
 	// With only the hottest slot busy, the swap trades the
 	// next-hottest movable slot instead of touching the busy one.
 	busyHot := func(s int) bool { return s == 0 }
-	round := p.PlanRound(w.heat, w.table, w.objs, 2, busyHot)
+	round := p.PlanRound(w.heat, w.table, w.objs, w.weights, busyHot)
 	if len(round.Swaps) != 1 || round.Swaps[0].SlotA != 2 {
 		t.Fatalf("round %+v, want a swap of the movable slot 2", round)
 	}

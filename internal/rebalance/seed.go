@@ -1,6 +1,9 @@
 package rebalance
 
-import "harmonia/internal/workload"
+import (
+	"harmonia/internal/core"
+	"harmonia/internal/workload"
+)
 
 // PlanSeed plans the slot handoffs that give a newly added group its
 // fair share of the slot space immediately, instead of waiting for the
@@ -8,9 +11,9 @@ import "harmonia/internal/workload"
 // largest-remainder apportionment over the NEW live group set — the
 // same math rack.Layout uses at boot — so the fix for the 1-slot-floor
 // edge case is structural: every live group's target is floored at one
-// slot, the targets sum to exactly len(table), and a donor is never
-// drained below one slot, so all slots stay owned and no live group
-// ends up with zero.
+// slot, the targets sum to exactly the live groups' slot count, and a
+// donor is never drained below one slot, so all slots stay owned and
+// no live group ends up with zero.
 //
 // Slot choice is heat-aware (the decayed histogram is the placement
 // prior): donations come from the most heat-overloaded donors first,
@@ -19,62 +22,62 @@ import "harmonia/internal/workload"
 // coldest — the new group relieves the rack's hot spot without simply
 // becoming it.
 //
-// heat and table are rack-wide per-slot samples; weights and live are
-// indexed by group ID (retired groups: live=false, weight ignored).
-// The returned moves all target newGroup.
-func PlanSeed(heat []Heat, table []int, weights []float64, live []bool, newGroup int) []Move {
+// heat and table are rack-wide per-slot samples; weights is indexed by
+// group ID, and a group at weight 0 (retired) is not in the plan: its
+// slots are neither counted nor moved. The returned moves all target
+// newGroup.
+func PlanSeed(heat []core.SlotHeat, table []int, weights []float64, newGroup int) []Move {
 	n := len(weights)
-	if newGroup < 0 || newGroup >= n || len(live) != n || !live[newGroup] {
+	if !inPlan(weights, newGroup) {
 		return nil
 	}
-	// Targets: largest remainder over the live group set, 1-slot floors.
-	w := make([]float64, n)
+	// Targets: largest remainder over the planned groups' slots, 1-slot
+	// floors.
 	min := make([]int, n)
-	liveCount := 0
-	for g := 0; g < n; g++ {
-		if live[g] {
-			w[g] = weights[g]
+	groups := 0
+	var capSum float64
+	for g, w := range weights {
+		if w > 0 {
 			min[g] = 1
-			liveCount++
+			groups++
+			capSum += w
 		}
 	}
-	if liveCount < 2 || liveCount > len(table) {
-		return nil
-	}
-	targets := workload.ApportionMin(len(table), w, min)
-
 	counts := make([]int, n)
 	load := make([]float64, n)
 	var total float64
+	planned := 0
 	for slot, g := range table {
 		if g < 0 || g >= n {
 			return nil
 		}
-		counts[g]++
-		load[g] += float64(heat[slot].Total())
-		total += float64(heat[slot].Total())
-	}
-	var capSum float64
-	for g := 0; g < n; g++ {
-		if live[g] {
-			capSum += w[g]
+		if weights[g] > 0 {
+			planned++
+			counts[g]++
+			load[g] += float64(heat[slot].Total())
+			total += float64(heat[slot].Total())
 		}
 	}
-	fairShare := total * w[newGroup] / capSum
+	if groups < 2 || groups > planned {
+		return nil
+	}
+	targets := workload.ApportionMin(planned, weights, min)
+	fairShare := total * weights[newGroup] / capSum
 
 	deficit := targets[newGroup] - counts[newGroup]
 	taken := make([]bool, len(table))
 	var moves []Move
 	var newHeat float64
 	for ; deficit > 0; deficit-- {
-		// Donor: the live group with the highest load per capacity unit
-		// among those still above target and with more than one slot.
+		// Donor: the planned group with the highest load per capacity
+		// unit among those still above target and with more than one
+		// slot.
 		src := -1
-		for g := 0; g < n; g++ {
-			if g == newGroup || !live[g] || counts[g] <= targets[g] || counts[g] <= 1 {
+		for g, w := range weights {
+			if g == newGroup || !(w > 0) || counts[g] <= targets[g] || counts[g] <= 1 {
 				continue
 			}
-			if src == -1 || load[g]/w[g] > load[src]/w[src] {
+			if src == -1 || load[g]/w > load[src]/weights[src] {
 				src = g
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"harmonia/internal/core"
 	"harmonia/internal/wire"
 )
 
@@ -17,20 +18,21 @@ func applySeed(table []int, moves []Move) []int {
 }
 
 // checkSeedInvariants asserts the structural guarantees of the
-// largest-remainder seeding: every slot owned by a live group and
-// every live group owning at least one slot — the 1-slot-floor edge
-// case that a naive proportional share violates when shards are small.
-func checkSeedInvariants(t *testing.T, table []int, live []bool) {
+// largest-remainder seeding: every slot owned by a live (nonzero
+// weight) group and every live group owning at least one slot — the
+// 1-slot-floor edge case that a naive proportional share violates when
+// shards are small.
+func checkSeedInvariants(t *testing.T, table []int, weights []float64) {
 	t.Helper()
-	counts := make([]int, len(live))
+	counts := make([]int, len(weights))
 	for slot, g := range table {
-		if g < 0 || g >= len(live) || !live[g] {
+		if g < 0 || g >= len(weights) || weights[g] == 0 {
 			t.Fatalf("slot %d owned by non-live group %d", slot, g)
 		}
 		counts[g]++
 	}
-	for g, l := range live {
-		if l && counts[g] == 0 {
+	for g, w := range weights {
+		if w > 0 && counts[g] == 0 {
 			t.Fatalf("live group %d owns zero slots", g)
 		}
 	}
@@ -47,10 +49,8 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 		// Start from a random already-valid ownership over a few groups.
 		n := 2 + rng.Intn(6)
 		weights := make([]float64, n)
-		live := make([]bool, n)
 		for g := range weights {
 			weights[g] = 0.5 + rng.Float64()*7
-			live[g] = true
 		}
 		table := make([]int, wire.NumSlots)
 		for slot := range table {
@@ -59,9 +59,9 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 		for g := 0; g < n; g++ { // every seed group owns at least one slot
 			table[g] = g
 		}
-		heat := make([]Heat, wire.NumSlots)
+		heat := make([]core.SlotHeat, wire.NumSlots)
 		for slot := range heat {
-			heat[slot] = Heat{Reads: uint64(rng.Intn(5000)), Writes: uint64(rng.Intn(500))}
+			heat[slot] = core.SlotHeat{Reads: uint64(rng.Intn(5000)), Writes: uint64(rng.Intn(500))}
 		}
 
 		// Retire a random group now and then: the live set has holes.
@@ -73,7 +73,6 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 					table[slot] = dst
 				}
 			}
-			live[victim] = false
 			weights[victim] = 0
 		}
 
@@ -84,8 +83,8 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 		}
 		for a := 0; a < adds; a++ {
 			liveCount := 0
-			for _, l := range live {
-				if l {
+			for _, w := range weights {
+				if w > 0 {
 					liveCount++
 				}
 			}
@@ -93,9 +92,8 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 				break
 			}
 			weights = append(weights, 0.5+rng.Float64()*7)
-			live = append(live, true)
 			g := len(weights) - 1
-			moves := PlanSeed(heat, table, weights, live, g)
+			moves := PlanSeed(heat, table, weights, g)
 			if len(moves) == 0 {
 				t.Fatalf("trial %d add %d: PlanSeed moved nothing for group %d", trial, a, g)
 			}
@@ -108,7 +106,7 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 				}
 			}
 			table = applySeed(table, moves)
-			checkSeedInvariants(t, table, live)
+			checkSeedInvariants(t, table, weights)
 		}
 	}
 }
@@ -117,20 +115,19 @@ func TestElasticSeedKeepsEverySlotOwned(t *testing.T) {
 // group, a retired new group, or a group set larger than the slot
 // table plans nothing rather than panicking or stranding slots.
 func TestElasticSeedDegenerateInputs(t *testing.T) {
-	heat := make([]Heat, wire.NumSlots)
+	heat := make([]core.SlotHeat, wire.NumSlots)
 	table := make([]int, wire.NumSlots)
 	weights := []float64{1, 1}
-	live := []bool{true, true}
-	if mv := PlanSeed(heat, table, weights, live, 5); mv != nil {
+	if mv := PlanSeed(heat, table, weights, 5); mv != nil {
 		t.Fatal("out-of-range group planned moves")
 	}
-	if mv := PlanSeed(heat, table, weights, []bool{true, false}, 1); mv != nil {
+	if mv := PlanSeed(heat, table, []float64{1, 0}, 1); mv != nil {
 		t.Fatal("retired new group planned moves")
 	}
 	// Single live donor: taking its last slots is forbidden, but a
 	// 2-live-group split must still work over a 2-slot table.
 	small := []int{0, 0}
-	if mv := PlanSeed(heat[:2], small, weights, live, 1); len(mv) != 1 {
+	if mv := PlanSeed(heat[:2], small, weights, 1); len(mv) != 1 {
 		t.Fatalf("2-slot split planned %v, want exactly one move", mv)
 	}
 }
@@ -140,16 +137,15 @@ func TestElasticSeedDegenerateInputs(t *testing.T) {
 // to its fair heat share), so scale-out relieves the hot spot rather
 // than collecting cold slots.
 func TestElasticSeedPrefersHotSlots(t *testing.T) {
-	heat := make([]Heat, wire.NumSlots)
+	heat := make([]core.SlotHeat, wire.NumSlots)
 	table := make([]int, wire.NumSlots)
 	for slot := range table {
 		table[slot] = slot % 2
 	}
 	// One scorching slot on group 0; everything else cold.
-	heat[10] = Heat{Reads: 1_000_000}
+	heat[10] = core.SlotHeat{Reads: 1_000_000}
 	weights := []float64{1, 1, 1}
-	live := []bool{true, true, true}
-	moves := PlanSeed(heat, table, weights, live, 2)
+	moves := PlanSeed(heat, table, weights, 2)
 	if len(moves) == 0 {
 		t.Fatal("no moves planned")
 	}

@@ -15,13 +15,14 @@ const (
 	// EvMigrationAbort is a migration thawing Slot back onto Group
 	// after missing its deadline.
 	EvMigrationAbort
-	// EvRebalanceTick is a rebalancer round firing on Switch; Arg is
-	// the number of planned one-way moves, Arg2 the planned swaps.
+	// EvRebalanceTick is a rebalancer round firing on Switch; Group
+	// is the overloaded group's global ID (hosted on Switch), Arg the
+	// number of planned one-way moves, Arg2 the planned swaps.
 	EvRebalanceTick
 	// EvRebalanceVeto is a tick whose trigger fired but whose round
-	// came up empty: every candidate was cost-vetoed or busy. Slot is
-	// the overloaded domain's hottest slot (the promotion candidate),
-	// −1 when unknown.
+	// came up empty: every candidate was cost-vetoed or busy. Group is
+	// the overloaded group's global ID (hosted on Switch), Slot its
+	// hottest slot (the promotion candidate), −1 when unknown.
 	EvRebalanceVeto
 	// EvHotPromote is a key promoted to per-key hot replication; Arg
 	// is the object ID, Arg2 the holder count.
