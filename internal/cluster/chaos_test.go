@@ -70,9 +70,11 @@ func (r *chaosRun) reconfig(rc *Reconfig, err error) error {
 	return err
 }
 
-// crashStep crashes replica 1 of group g at at.
+// crashStep crashes the last replica of group g at at: a backup or a
+// follower, or a chain's tail, whose successor must then commit the
+// writes it holds uncommitted.
 func crashStep(at time.Duration, g int) Step {
-	return Step{at, "CrashReplicaIn", func(c *Cluster) error { return c.CrashReplicaIn(g, 1) }}
+	return Step{at, "CrashReplicaIn", func(c *Cluster) error { return c.CrashReplicaIn(g, c.groups[g].n-1) }}
 }
 
 // reassignSteps kills switch 1 for good at chaosAt and starts rebuilding
@@ -176,10 +178,9 @@ func checkPackets(t *testing.T, c *Cluster) {
 // source-group replica crash mid-handoff) × a handoff shape
 // (single-slot, batch, two-way swap, or the rebalancer's own moves),
 // each run in the middle of a live load window. Mid-run aborts are
-// legal, lost slots are not. CRAQ rides along where it can (its drain
-// signal works differently: write replies piggyback the completions
-// that empty the dirty set) but skips the crash column — its
-// reconfiguration is not modeled.
+// legal, lost slots are not. CRAQ rides along in every column (its
+// drain signal works differently: write replies piggyback the
+// completions that empty the dirty set), its crash cells included.
 func TestMigrateChaosMatrix(t *testing.T) {
 	t.Parallel()
 	for _, p := range allProtocols() {
@@ -195,9 +196,6 @@ func TestMigrateChaosMatrix(t *testing.T) {
 }
 
 func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
-	if p == CRAQ && chaos == "crash" {
-		t.Skip("CRAQ reconfiguration not modeled")
-	}
 	cfg := Config{Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, Groups: 3, Seed: 33 + int64(p)*7}
 	keys, dist := 96, Uniform
 	if kind == "auto" {
@@ -298,9 +296,6 @@ func rackOpenLoopCase(t *testing.T) {
 }
 
 func rackChaosCase(t *testing.T, p Protocol, chaos, kind string) {
-	if p == CRAQ && chaos == "crashreplica" {
-		t.Skip("CRAQ reconfiguration not modeled")
-	}
 	r := newChaosRun(Config{Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, Groups: 4, Switches: 2, Seed: 43 + int64(p)*7}, chaos)
 	const keys = 96
 	dst := r.Rack().GroupsOf(1)[0] // destination on the other switch

@@ -18,7 +18,6 @@ import (
 	"harmonia/internal/core"
 	"harmonia/internal/protocol"
 	"harmonia/internal/protocol/chain"
-	"harmonia/internal/protocol/craq"
 	"harmonia/internal/protocol/nopaxos"
 	"harmonia/internal/protocol/pb"
 	"harmonia/internal/protocol/vr"
@@ -126,7 +125,7 @@ type replicaGroup struct {
 	inc      int // membership incarnation (bumped by RespecGroup)
 	sched    *core.Scheduler
 	replicas []ReplicaHandle
-	nodes    []simnet.Handler // the protocol replicas, as registered with the network
+	nodes    []replicaNode // the protocol replicas, as registered with the network
 
 	// leaseGen invalidates the self-renewing lease-grant chain: the
 	// controller's periodic re-grant closure captures the generation it
@@ -773,7 +772,7 @@ func (c *Cluster) buildGroupReplicas(grp *replicaGroup) {
 
 	c.retired = append(c.retired, grp.replicas...)
 	grp.replicas = make([]ReplicaHandle, grp.n)
-	grp.nodes = make([]simnet.Handler, grp.n)
+	grp.nodes = make([]replicaNode, grp.n)
 	for i := range grp.nodes {
 		env := &replicaEnv{c, addrs[i], swAddr}
 		g := protocol.GroupConfig{ID: grp.idx, Replicas: addrs, Self: i, F: (grp.n - 1) / 2}
@@ -797,18 +796,15 @@ func serviceCost(msg simnet.Message) time.Duration {
 
 // newReplica constructs one protocol replica and the handle onto its
 // state.
-func (c *Cluster) newReplica(p Protocol, env *replicaEnv, g protocol.GroupConfig) (simnet.Handler, ReplicaHandle) {
+func (c *Cluster) newReplica(p Protocol, env *replicaEnv, g protocol.GroupConfig) (replicaNode, ReplicaHandle) {
 	var node replicaNode
 	var base *protocol.Base
 	switch p {
 	case PB:
 		r := pb.New(env, g, serverShards)
 		node, base = r, r.Base
-	case Chain:
-		r := chain.New(env, g, serverShards)
-		node, base = r, r.Base
-	case CRAQ:
-		r := craq.New(env, g, serverShards)
+	case Chain, CRAQ:
+		r := chain.NewMode(env, g, serverShards, p == CRAQ)
 		node, base = r, r.Base
 	case VR:
 		opts := vr.DefaultOptions()
@@ -1090,17 +1086,11 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 	// Unsupported reconfigurations are rejected BEFORE any state
 	// changes: an error here must mean "nothing happened", not "the
 	// replica is dead but the protocol was never told".
-	switch grp.spec.Protocol {
-	case PB:
-		if i == 0 {
-			return fmt.Errorf("cluster: primary failover requires an external configuration service (not modeled)")
-		}
-	case NOPaxos:
-		if i == 0 {
-			return fmt.Errorf("cluster: NOPaxos leader failover (view change) not modeled")
-		}
-	case CRAQ:
-		return fmt.Errorf("cluster: CRAQ reconfiguration not modeled")
+	if i == 0 && grp.spec.Protocol == PB {
+		return fmt.Errorf("cluster: primary failover requires an external configuration service (not modeled)")
+	}
+	if i == 0 && grp.spec.Protocol == NOPaxos {
+		return fmt.Errorf("cluster: NOPaxos leader failover (view change) not modeled")
 	}
 	if c.net.IsDown(addr) {
 		// Idempotent: re-crashing a dead replica must not reconfigure
@@ -1113,39 +1103,26 @@ func (c *Cluster) CrashReplicaIn(g, i int) error {
 	if grp.sched != nil {
 		grp.sched.RemoveReplica(addr)
 	}
-	// Survivors reconfigure around the dead member.
-	head, tail := -1, -1
+	// Survivors reconfigure around the dead member. A VR leader's
+	// successor comes from its view change, which retargets the switch
+	// through OnViewChange.
 	for j, n := range grp.nodes {
-		if j == i {
-			continue
-		}
-		switch r := n.(type) {
-		case *chain.Replica:
-			r.Reconfigure(i)
-			if r.IsHead() && head == -1 {
-				head = j
-			}
-			if r.IsTail() {
-				tail = j
-			}
-		case *pb.Replica:
-			// i > 0: the primary case was rejected up front.
-			r.RemoveBackup(i)
-		case *vr.Replica:
-			// The VR view-change timers handle leader failure. For any
-			// failure, survivors stop waiting on the dead replica's
-			// COMMIT-ACKs so WRITE-COMPLETIONs keep flowing.
-			r.MarkDead(i)
-		case *nopaxos.Replica:
-			// i > 0: the leader case was rejected up front. The leader
-			// stops waiting on the dead follower's SYNC-ACKs to trim
-			// its log.
-			r.MarkDead(i)
+		if j != i {
+			n.RemoveMember(i)
 		}
 	}
-	if head >= 0 && tail >= 0 {
-		// Chain: retarget the scheduler at the new head/tail.
-		grp.sched.SetTargets(c.groupAddr(g, head), c.groupAddr(g, tail))
+	if p := grp.spec.Protocol; p == Chain || p == CRAQ {
+		// A chain's writes enter at its first live member and commit at
+		// its last.
+		var live []simnet.NodeID
+		for j := range grp.n {
+			if a := c.groupAddr(g, j); !c.net.IsDown(a) {
+				live = append(live, a)
+			}
+		}
+		if len(live) > 0 {
+			grp.sched.SetTargets(live[0], live[len(live)-1])
+		}
 	}
 	return nil
 }

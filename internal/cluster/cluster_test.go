@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"harmonia/internal/protocol/chain"
 	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
 )
@@ -225,10 +226,10 @@ func TestOldEpochFastReadsRefusedAfterFailover(t *testing.T) {
 }
 
 func TestCrashBackupKeepsServing(t *testing.T) {
-	for _, p := range []Protocol{PB, Chain, VR, NOPaxos} {
+	for _, p := range allProtocols() {
 		t.Run(p.String(), func(t *testing.T) {
-			c := New(Config{Protocol: p, Replicas: 3, UseHarmonia: true, Seed: 21})
-			crash := 2 // last replica: chain tail / pb backup / vr+nopaxos follower
+			c := New(Config{Protocol: p, Replicas: 3, UseHarmonia: p != CRAQ, Seed: 21})
+			crash := 2 // last replica: chain/CRAQ tail, pb backup, vr+nopaxos follower
 			if err := c.CrashReplicaIn(0, crash); err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +272,8 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 // on its way: queued at the victim (lost with its queue), in service
 // there (abandoned), on the link (dropped on arrival), and — when the
 // victim is the VR leader — part of a broadcast whose other records
-// were delivered. The ownership rule says the lost records are never
+// were delivered. The CRAQ victim also loses version queries and the
+// reads they carry. The ownership rule says the lost records are never
 // recycled, and the packets they carry are released. Under -race the
 // free lists' guard turns a record recycled twice, or written after it
 // was recycled, into a panic; in every build the survivors must keep
@@ -285,15 +287,20 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 	}{
 		{VR, 5, []int{3, 0}}, // a backup, then the leader
 		{Chain, 3, []int{1}}, // the middle node: propagates down, acks up
+		{CRAQ, 3, []int{1}},  // the same, with commit acks and version queries
 	} {
 		t.Run(tc.p.String(), func(t *testing.T) {
-			c := New(Config{Protocol: tc.p, Replicas: tc.n, UseHarmonia: true, Seed: 5, RecordHistory: true})
+			c := New(Config{Protocol: tc.p, Replicas: tc.n, UseHarmonia: tc.p != CRAQ, Seed: 5, RecordHistory: true})
 			c.Preload(4096)
-			queued := 0 // messages waiting at a victim when it went down
+			queued := 0           // messages waiting at a victim when it went down
+			var dirtyReads uint64 // version queries a CRAQ victim sent before it went down
 			var crashes []Step
 			for k, victim := range tc.victims {
 				crashes = append(crashes, Step{time.Duration(5+40*k) * time.Millisecond, "CrashReplicaIn", func(c *Cluster) error {
 					queued += c.net.Node(c.groupAddr(0, victim)).QueueLen()
+					if r, ok := c.groups[0].nodes[victim].(*chain.Replica); ok {
+						dirtyReads += r.DirtyReads
+					}
 					return c.CrashReplicaIn(0, victim)
 				}})
 			}
@@ -307,6 +314,9 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 			rep := p.Reports[0]
 			if queued == 0 {
 				t.Fatal("no victim had a message queued when it crashed; the test meant to lose some")
+			}
+			if tc.p == CRAQ && dirtyReads == 0 {
+				t.Fatal("the CRAQ victim sent no version query before it crashed")
 			}
 			for _, victim := range tc.victims {
 				if c.net.Node(c.groupAddr(0, victim)).Dropped == 0 {

@@ -52,7 +52,8 @@ const (
 )
 
 // Protocol selects the replication protocol running on the replicas
-// (§7 of the paper; CRAQ is the protocol-level baseline of §9.5).
+// (§7 of the paper; CRAQ, the protocol-level baseline of §9.5, runs as
+// chain replication's apportioned-read mode).
 type Protocol int
 
 // The supported protocols.
@@ -87,9 +88,10 @@ func (p Protocol) String() string {
 type GroupSpec struct {
 	// Protocol is this group's replication protocol. Each spec names
 	// its protocol explicitly (the zero value is primary-backup, as in
-	// Config). A CRAQ group is always the protocol-level baseline: it
-	// runs without switch assistance even in a UseHarmonia cluster,
-	// and the two coexist in one rack.
+	// Config). A CRAQ group is always the protocol-level baseline: a
+	// chain that serves reads at every node, it runs without switch
+	// assistance even in a UseHarmonia cluster, and the two coexist in
+	// one rack.
 	Protocol Protocol
 	// Replicas is this group's size (0 inherits Config.Replicas).
 	Replicas int

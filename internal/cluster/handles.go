@@ -18,6 +18,9 @@ type baseHandle struct {
 type replicaNode interface {
 	simnet.Handler
 	HeldPackets() int
+	// RemoveMember takes crashed member i out of the protocol's
+	// membership at a survivor (§5.3 server failures).
+	RemoveMember(i int)
 }
 
 func (h baseHandle) HeldPackets() int    { return h.node.HeldPackets() }

@@ -81,8 +81,8 @@ const (
 // forever. With answer set, a duplicate of a completed request is
 // answered here from the reply cache, on a flight copy with a zero Seq
 // so that its traversal cannot re-trigger the completion. Heads that
-// keep no replies (chain, CRAQ) and replicas replaying a log the leader
-// answers from (NOPaxos followers) pass false.
+// keep no replies (chain, in either read mode) and replicas replaying a
+// log the leader answers from (NOPaxos followers) pass false.
 func (b *Base) AdmitWrite(pkt *wire.Packet, last wire.Seq, answer bool) Admission {
 	if !last.Less(pkt.Seq) {
 		return OutOfOrder

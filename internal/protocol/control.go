@@ -37,8 +37,8 @@ type LeaseRevokeAck struct {
 }
 
 // ReReply asks a chain's tail to re-send its cached reply for a
-// duplicate write that reached the head (chain replication, CRAQ): the
-// head admits writes, the tail completes them and keeps the replies.
+// duplicate write that reached the head: the head admits writes, the
+// tail completes them and keeps the replies.
 type ReReply struct {
 	ClientID uint32
 	ReqID    uint64

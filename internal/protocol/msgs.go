@@ -3,10 +3,10 @@ package protocol
 // Message ownership — the protocol-side companion of the packet
 // contract in internal/wire. A replication protocol's per-write
 // messages (VR's prepare / prepareOK / commit / commitAck, the acks of
-// chain replication, primary-backup and CRAQ) travel through Env.Send
-// as POINTERS to structs drawn from a FreeList, so putting one on the
-// network boxes nothing and a committed write allocates nothing. The
-// rule has one line per party:
+// chain replication, in either read mode, and of primary-backup) travel
+// through Env.Send as POINTERS to structs drawn from a FreeList, so
+// putting one on the network boxes nothing and a committed write
+// allocates nothing. The rule has one line per party:
 //
 //   - The sender Gets a record, assigns the whole struct
 //     (*m = msg{...}, so no field of a previous use survives) and Sends

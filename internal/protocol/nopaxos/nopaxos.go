@@ -160,7 +160,6 @@ type Replica struct {
 	WritesExecuted uint64
 	NoOps          uint64
 	Syncs          uint64
-	ReadsServed    uint64
 }
 
 // New builds a NOPaxos replica.
@@ -260,7 +259,6 @@ func (r *Replica) recvPacket(pkt *wire.Packet) {
 // leaderRead serves a normal-path read from the leader's fully
 // executed state.
 func (r *Replica) leaderRead(pkt *wire.Packet) {
-	r.ReadsServed++
 	r.Env.SendSwitch(r.ReadReply(pkt))
 	pkt.Release()
 }
@@ -520,10 +518,12 @@ func (r *Replica) noopsIn(lo, hi uint64) []uint64 {
 	return r.noopPos[i:j:j]
 }
 
-// MarkDead excludes a crashed replica from the trim point, so that it
-// stops holding the window open (the cluster controller invokes it
-// alongside removing the replica from the switch's address set).
-func (r *Replica) MarkDead(i int) {
+// RemoveMember excludes a crashed follower from the trim point, so that
+// it stops holding the window open (the cluster controller invokes it
+// alongside removing the replica from the switch's address set). The
+// leader cannot be removed: its failover, a view change, is not
+// modelled.
+func (r *Replica) RemoveMember(i int) {
 	if i > 0 && i < len(r.dead) {
 		r.dead[i] = true
 		r.trimStable()

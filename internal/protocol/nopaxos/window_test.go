@@ -180,7 +180,7 @@ func windowSweep(t *testing.T, seed int64) (gapReplies, aboveBase int) {
 		if step == crashAt {
 			dead = victim
 			h.Dead[simnet.NodeID(victim+1)] = true
-			reps[0].MarkDead(victim)
+			reps[0].RemoveMember(victim)
 		}
 		if step%2 == 0 {
 			seq++
@@ -310,7 +310,7 @@ func TestOvertakenGapRequestServedFromWindow(t *testing.T) {
 	if int(reps[1].log.Last()) != 6 || reps[1].SyncPoint() != 6 {
 		t.Fatalf("replica 1 at op %d, synchronized to %d, after a stale reply", int(reps[1].log.Last()), reps[1].SyncPoint())
 	}
-	reps[0].MarkDead(2)
+	reps[0].RemoveMember(2)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "rejoin") {
 			t.Fatalf("a dead replica asking below the window: panic %q does not name replica rejoin", msg)

@@ -19,8 +19,9 @@ type LogEntry struct {
 
 // OpLog is a window (Base, Last] over a history of writes numbered
 // from 1, held in a power-of-two ring: the op log of VR and NOPaxos,
-// and the in-flight writes of PB's primary, of a chain node's resend
-// buffer and of a CRAQ node, which trim at commit. The log owns one
+// and the in-flight writes of PB's primary and of a chain node's
+// resend buffer (in CRAQ mode, its dirty versions), which trim at
+// commit. The log owns one
 // packet reference per entry — Append takes over the caller's, TrimTo
 // and Truncate release — so a write's packet returns to the pool once
 // every holder has trimmed it.
@@ -92,7 +93,7 @@ func (l *OpLog) outside(op uint64) {
 
 // Find returns the op whose write carries seq, by bisection: the
 // window must hold writes (no NO-OP) in ascending Seq order, as PB's
-// pending writes and CRAQ's dirty versions do. ok is false when no
+// pending writes and a chain node's resend buffer do. ok is false when no
 // entry carries seq.
 func (l *OpLog) Find(seq wire.Seq) (op uint64, ok bool) {
 	lo, hi := l.base+1, l.last+1

@@ -66,9 +66,7 @@ type Replica struct {
 	acks *protocol.FreeList[updateAck] // shared by the engine's PB replicas
 
 	// Stats
-	WritesCommitted uint64
-	ReadsServed     uint64
-	ReadsQueued     uint64
+	ReadsQueued uint64
 }
 
 // New builds a replica. shards is the store shard count. The group has
@@ -201,7 +199,6 @@ func (r *Replica) maybeCommit(op uint64) {
 	}
 	for r.pending.Base() < op {
 		pkt := r.pending.At(r.pending.Base() + 1).Pkt
-		r.WritesCommitted++
 		r.committed = r.committed.Max(pkt.Seq)
 		rep := r.WriteReply(pkt, true)
 		r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
@@ -224,7 +221,6 @@ func (r *Replica) normalRead(pkt *wire.Packet) {
 		r.reads = append(r.reads, queuedRead{pkt: pkt, barrier: barrier})
 		return
 	}
-	r.ReadsServed++
 	r.Env.SendSwitch(r.ReadReply(pkt))
 	pkt.Release()
 }
@@ -255,7 +251,6 @@ func (r *Replica) releaseReads() {
 	rest := r.reads[:0]
 	for _, q := range r.reads {
 		if q.barrier.LessEq(r.committed) {
-			r.ReadsServed++
 			r.Env.SendSwitch(r.ReadReply(q.pkt))
 			q.pkt.Release()
 		} else {
@@ -265,12 +260,13 @@ func (r *Replica) releaseReads() {
 	r.reads = rest
 }
 
-// RemoveBackup excludes a crashed backup from the ack set (§5.3 server
+// RemoveMember excludes a crashed backup from the ack set (§5.3 server
 // failure handling: the protocol reconfigures and the switch control
 // plane is updated separately). Pending writes blocked only on the
 // removed backup commit immediately: the newest fully acknowledged one
-// commits everything before it.
-func (r *Replica) RemoveBackup(idx int) {
+// commits everything before it. The primary cannot be removed: its
+// failover needs a configuration service this model does not have.
+func (r *Replica) RemoveMember(idx int) {
 	r.live &^= 1 << uint(idx)
 	for op := r.pending.Last(); op > r.pending.Base(); op-- {
 		r.maybeCommit(op)

@@ -295,7 +295,7 @@ func TestRemoveBackupUnblocksPending(t *testing.T) {
 	if len(h.SwitchPacketsOf(wire.OpWriteReply)) != 0 {
 		t.Fatal("premature commit")
 	}
-	reps[0].RemoveBackup(2) // index 2 = address 3
+	reps[0].RemoveMember(2) // index 2 = address 3
 	if len(h.SwitchPacketsOf(wire.OpWriteReply)) != 1 {
 		t.Fatal("write did not commit after backup removal")
 	}

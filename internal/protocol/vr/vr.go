@@ -222,9 +222,7 @@ type Replica struct {
 	OnViewChange func(view uint64, leader int)
 
 	// Stats
-	WritesCommitted uint64
-	ReadsServed     uint64
-	ViewChanges     uint64
+	ViewChanges uint64
 }
 
 // New builds a VR replica. The group must have 2F+1 members, at most
@@ -444,7 +442,6 @@ func (r *Replica) leaderWrite(pkt *wire.Packet) {
 // leaderRead serves a normal-path read from executed (committed) state
 // under the leader lease.
 func (r *Replica) leaderRead(pkt *wire.Packet) {
-	r.ReadsServed++
 	r.Env.SendSwitch(r.ReadReply(pkt))
 	pkt.Release()
 }
@@ -524,7 +521,6 @@ func (r *Replica) maybeCommit(opNum uint64) {
 		rep := r.WriteReply(pkt, false) // completions are separate in read-behind
 		r.CT.Complete(pkt.ClientID, pkt.ReqID, rep)
 		r.Env.SendSwitch(rep)
-		r.WritesCommitted++
 		r.execPoint[r.Group.Self] = r.commitNum
 		if r.opts.EagerCompletions {
 			r.Env.SendSwitch(r.Completion(pkt.ObjID, pkt.Seq))
@@ -621,7 +617,7 @@ func (r *Replica) recvCommitAck(m commitAck) {
 // replicas" — releasing them at a mere quorum leaves the minority
 // chronically behind the commit stamp, so the switch's fast-path reads
 // bounce off it and pile onto the leader. Crashed replicas are
-// excluded via MarkDead so completions (and with them the fast path)
+// excluded via RemoveMember so completions (and with them the fast path)
 // survive failures.
 func (r *Replica) completionPoint() uint64 {
 	min := ^uint64(0)
@@ -641,10 +637,11 @@ func (r *Replica) completionPoint() uint64 {
 	return min
 }
 
-// MarkDead excludes a crashed replica from the completion wait (§5.3
-// server-failure handling; the cluster controller invokes it alongside
-// removing the replica from the switch's address set).
-func (r *Replica) MarkDead(i int) {
+// RemoveMember excludes a crashed replica from the completion wait
+// (§5.3 server-failure handling; the cluster controller invokes it
+// alongside removing the replica from the switch's address set). A
+// crashed leader is replaced by the view-change timers.
+func (r *Replica) RemoveMember(i int) {
 	if i >= 0 && i < len(r.dead) {
 		r.dead[i] = true
 		r.advanceCompletions()

@@ -104,9 +104,9 @@ func TestCompletionHeldWhileBackupsLag(t *testing.T) {
 		t.Fatalf("%d completions while a replica lags, want 0", got)
 	}
 	// Declaring the lagging replica dead releases the completion.
-	reps[0].MarkDead(2)
+	reps[0].RemoveMember(2)
 	if got := len(h.SwitchPacketsOf(wire.OpWriteCompletion)); got != 1 {
-		t.Fatalf("%d completions after MarkDead, want 1", got)
+		t.Fatalf("%d completions after RemoveMember, want 1", got)
 	}
 }
 
@@ -304,8 +304,8 @@ func TestFiveReplicaQuorum(t *testing.T) {
 	if len(h.SwitchPacketsOf(wire.OpWriteCompletion)) != 0 {
 		t.Fatal("completion released while crashed replicas unconfirmed")
 	}
-	reps[0].MarkDead(3)
-	reps[0].MarkDead(4)
+	reps[0].RemoveMember(3)
+	reps[0].RemoveMember(4)
 	if len(h.SwitchPacketsOf(wire.OpWriteCompletion)) != 1 {
 		t.Fatal("completion missing after dead replicas excluded")
 	}

@@ -170,7 +170,7 @@ func windowSweep(t *testing.T, seed int64, seen *catchUps) {
 			dead = 0
 			h.Dead[1] = true
 			for i := 1; i < n; i++ {
-				reps[i].MarkDead(0)
+				reps[i].RemoveMember(0)
 			}
 		}
 		// The switch sends to the leader it knows: the live replica in
@@ -277,7 +277,7 @@ func TestOvertakenGetStateServedFromWindow(t *testing.T) {
 	if reps[1].opNum() != 5 || reps[1].CommitNum() != 5 {
 		t.Fatalf("replica 1 at op %d commit %d after a stale reply", reps[1].opNum(), reps[1].CommitNum())
 	}
-	reps[0].MarkDead(2)
+	reps[0].RemoveMember(2)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "rejoin") {
 			t.Fatalf("a dead replica asking below the window: panic %q does not name replica rejoin", msg)
