@@ -125,21 +125,10 @@ type Report struct {
 // cluster's packet pool.
 type opState struct {
 	pkt         wire.Packet
-	valueID     int64
+	client      *vclient // the issuer, whom retry hands the op back to
 	firstInvoke sim.Time
 	timer       sim.Timer
 	histIdx     int // recorder slot, -1 when not recording
-}
-
-// getOp takes an opState from the pool (zeroed by putOp).
-func (c *Cluster) getOp() *opState {
-	if n := len(c.opFree); n > 0 {
-		st := c.opFree[n-1]
-		c.opFree[n-1] = nil
-		c.opFree = c.opFree[:n-1]
-		return st
-	}
-	return &opState{}
 }
 
 // putOp recycles a completed op. Zeroing drops the payload reference
@@ -147,7 +136,7 @@ func (c *Cluster) getOp() *opState {
 // retry event may still point here but dead events never fire.
 func (c *Cluster) putOp(st *opState) {
 	*st = opState{}
-	c.opFree = append(c.opFree, st)
+	c.opFree.Put(st)
 }
 
 // vclient is one virtual client: a closed-loop issuer or a slot pool
@@ -166,14 +155,11 @@ type vclient struct {
 
 	// onReply, when set, observes every matched reply (SyncClient).
 	onReply func(pkt *wire.Packet)
-
-	// retryFn is the long-lived retry callback handed to AfterCallT
-	// with the opState as argument, so arming a retry timer captures
-	// nothing per op.
-	retryFn func(any)
 }
 
-// opGen produces the next operation from the workload spec.
+// opGen produces the next operation from the workload spec. Stateless
+// (its keys draw from the engine's RNG), it is shared by every client
+// it feeds.
 type opGen struct {
 	c     *Cluster
 	kt    *keyTab
@@ -327,7 +313,8 @@ func (v *vclient) issueNext() {
 func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 	v.nextReq++
 	req := v.nextReq
-	st := v.c.getOp()
+	st := v.c.opFree.Get() // zeroed by putOp
+	st.client = v
 	st.firstInvoke = v.c.eng.Now()
 	st.histIdx = -1
 	st.pkt = wire.Packet{
@@ -340,16 +327,17 @@ func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 	// switch front-end overrides it from its authoritative table, so a
 	// stale guess costs nothing.
 	st.pkt.Group = uint16(v.c.routeObj(st.pkt.ObjID))
+	var valueID int64
 	if write {
 		st.pkt.Op = wire.OpWrite
 		v.c.valueCtr++
-		st.valueID = v.c.valueCtr
-		st.pkt.Value = v.c.varena.encode(st.valueID)
+		valueID = v.c.valueCtr
+		st.pkt.Value = v.c.varena.encode(valueID)
 	} else {
 		st.pkt.Op = wire.OpRead
 	}
 	if v.c.cfg.RecordHistory {
-		st.histIdx = v.c.hist.invoke(st.pkt.ObjID, write, st.valueID, int64(st.firstInvoke))
+		st.histIdx = v.c.hist.invoke(st.pkt.ObjID, write, valueID, int64(st.firstInvoke))
 	}
 	if t := v.c.tracer; t != nil {
 		st.pkt.Span = t.Sample(write, int16(st.pkt.Group),
@@ -362,11 +350,15 @@ func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 func (v *vclient) send(st *opState) {
 	v.c.net.Send(v.addr, v.c.switchAddrForObj(st.pkt.ObjID), v.c.pkts.FlightClone(&st.pkt))
 	if v.closedLoop {
-		st.timer = v.c.eng.AfterCallT(retryTimeout, v.retryFn, st)
+		st.timer = v.c.eng.AfterCallT(retryTimeout, retry, st)
 	}
 }
 
-func (v *vclient) retry(st *opState) {
+// retry is every client's retry callback: the op names its client, so
+// arming a retry timer captures nothing per op or client.
+func retry(a any) {
+	st := a.(*opState)
+	v := st.client
 	if _, still := v.pending.get(st.pkt.ReqID); !still {
 		return
 	}
@@ -469,20 +461,14 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 				owned := c.ownedKeyIndices(spec.Keys)
 				shares := workload.Apportion(spec.Clients, c.GroupWeights())
 				for g, idxs := range owned {
-					n := shares[g]
 					if len(idxs) == 0 {
 						continue // degenerate: shard owns no keys
 					}
-					for i := 0; i < n; i++ {
-						gen := &opGen{c: c, kt: kt, keys: &pinnedGen{owned: idxs, inner: newKeysN(len(idxs))}, ratio: spec.WriteRatio}
-						clients = append(clients, c.newVClient(meas, gen, true))
-					}
+					gen := &opGen{c: c, kt: kt, keys: &pinnedGen{owned: idxs, inner: newKeysN(len(idxs))}, ratio: spec.WriteRatio}
+					clients = append(clients, c.newVClients(shares[g], meas, gen, true)...)
 				}
 			} else {
-				clients = make([]*vclient, spec.Clients)
-				for i := range clients {
-					clients[i] = c.newVClient(meas, &opGen{c: c, kt: kt, keys: newKeys(), ratio: spec.WriteRatio}, true)
-				}
+				clients = c.newVClients(spec.Clients, meas, &opGen{c: c, kt: kt, keys: newKeys(), ratio: spec.WriteRatio}, true)
 			}
 			for _, v := range clients {
 				v.issueNext()
@@ -492,8 +478,8 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 			// cluster — a single event-queue control plane in front of
 			// the per-group data planes. nextOp decides what each
 			// arrival issues.
-			v := c.newVClient(meas, nil, false)
-			clients = []*vclient{v}
+			clients = c.newVClients(1, meas, nil, false)
+			v := clients[0]
 			var nextOp func()
 			if spec.PinGroups && len(c.groups) > 1 {
 				// Sharded open loop: each arrival first draws a replica
@@ -607,16 +593,21 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 	return out
 }
 
-// newVClient registers a fresh virtual client node.
-func (c *Cluster) newVClient(meas *measurement, gen *opGen, closed bool) *vclient {
-	id := uint32(len(c.clients) + 1) // 0 reserved for the priming client
-	v := &vclient{
-		c: c, id: id, addr: clientBase + simnet.NodeID(id),
-		gen:       gen,
-		measuring: meas, closedLoop: closed,
+// newVClients registers n fresh virtual clients drawing from gen, built
+// in blocks (their nodes too, from the network's list), so a load group
+// costs the same few allocations however many clients it has.
+func (c *Cluster) newVClients(n int, meas *measurement, gen *opGen, closed bool) []*vclient {
+	vs, ptrs := make([]vclient, n), make([]*vclient, n)
+	keys := make([]uint64, n*pendingTabMinSize)
+	vals := make([]*opState, n*pendingTabMinSize)
+	for i := range vs {
+		c.clients++ // 0 is reserved for the priming client
+		v, lo, hi := &vs[i], i*pendingTabMinSize, (i+1)*pendingTabMinSize
+		*v = vclient{c: c, id: c.clients, gen: gen, measuring: meas, closedLoop: closed}
+		v.addr = clientBase + simnet.NodeID(v.id)
+		v.pending.keys, v.pending.vals = keys[lo:hi:hi], vals[lo:hi:hi]
+		c.net.AddNode(v.addr, v, simnet.ProcConfig{Workers: 0})
+		ptrs[i] = v
 	}
-	v.retryFn = func(a any) { v.retry(a.(*opState)) }
-	c.clients = append(c.clients, v)
-	c.net.AddNode(v.addr, v, simnet.ProcConfig{Workers: 0})
-	return v
+	return ptrs
 }

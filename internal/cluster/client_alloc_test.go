@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -144,10 +145,10 @@ func TestClientOpPathAllocs(t *testing.T) {
 		rlat: metrics.NewHistogram(),
 		wlat: metrics.NewHistogram(),
 	}
-	v := c.newVClient(meas, nil, false)
+	v := c.newVClients(1, meas, nil, false)[0]
 	if a := testing.AllocsPerRun(1000, func() {
 		v.nextReq++
-		op := c.getOp()
+		op := c.opFree.Get()
 		op.histIdx = -1
 		op.pkt = wire.Packet{Op: wire.OpRead, ClientID: v.id, ReqID: v.nextReq}
 		v.pending.put(v.nextReq, op)
@@ -179,5 +180,28 @@ func TestClientOpPathAllocs(t *testing.T) {
 		}
 	}); a > 0.01 {
 		t.Errorf("value encode: %.4f allocs/op, want ≤ 8/%d", a, valueArenaChunk)
+	}
+}
+
+// TestRunLoadsAllocatesPerGroup: a closed-loop load group's clients are
+// built in blocks, so 512 of them cost RunLoads a few more allocations
+// than 64 (a block of simnet nodes per 64 clients, a node-table page
+// per 256), never some per client. Pools are warmed first, so only
+// client assembly differs between the two runs.
+func TestRunLoadsAllocatesPerGroup(t *testing.T) {
+	c := New(Config{GroupSpecs: []GroupSpec{{Protocol: Chain, Replicas: 3}}, Seed: 3})
+	run := func(clients int) uint64 {
+		spec := LoadSpec{Clients: clients, Duration: 200 * time.Microsecond, Keys: 1000}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		c.RunLoads([]LoadSpec{spec})
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	run(512)
+	run(512)
+	small, large := run(64), run(512)
+	if large > small+32 {
+		t.Fatalf("RunLoads allocates %d times with 64 clients, %d with 512", small, large)
 	}
 }

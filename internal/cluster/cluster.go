@@ -166,7 +166,7 @@ type Cluster struct {
 
 	ctl *controller
 
-	clients []*vclient
+	clients uint32 // virtual clients registered, the newest one's ID
 	hist    *recorder
 
 	valueCtr int64
@@ -193,7 +193,7 @@ type Cluster struct {
 	// opFree pools completed in-flight op records and varena carves
 	// their id-coded write payloads — the client-side halves of the
 	// zero-allocation data path (key tables are process-global).
-	opFree []*opState
+	opFree sim.FreeList[opState]
 	varena valueArena
 
 	// weightsExplicit records whether the boot config set every group's
@@ -941,10 +941,18 @@ func (c *Cluster) Preload(n int) {
 }
 
 // ownedKeyIndices partitions the workload's key indices [0, keys) by
-// owning group — the load generator's view of the shard map.
+// owning group — the load generator's view of the shard map — carved
+// from one array, each shard sized by a counting pass.
 func (c *Cluster) ownedKeyIndices(keys int) [][]int {
 	kt := c.keyTab(keys)
-	out := make([][]int, len(c.groups))
+	n := make([]int, len(c.groups))
+	for i := 0; i < keys; i++ {
+		n[c.routeObj(kt.ids[i])]++
+	}
+	out, all := make([][]int, len(c.groups)), make([]int, keys)
+	for g := range out {
+		out[g], all = all[:0:n[g]], all[n[g]:]
+	}
 	for i := 0; i < keys; i++ {
 		g := c.routeObj(kt.ids[i])
 		out[g] = append(out[g], i)

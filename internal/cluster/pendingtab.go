@@ -49,12 +49,10 @@ func (t *pendingTab) get(req uint64) (*opState, bool) {
 	}
 }
 
-// put inserts or replaces req's record, growing at 3/4 load.
+// put inserts or replaces req's record, growing at 3/4 load (and on
+// first use).
 func (t *pendingTab) put(req uint64, st *opState) {
-	if t.keys == nil {
-		t.keys = make([]uint64, pendingTabMinSize)
-		t.vals = make([]*opState, pendingTabMinSize)
-	} else if 4*(t.n+1) > 3*len(t.keys) {
+	if 4*(t.n+1) > 3*len(t.keys) {
 		t.grow()
 	}
 	mask := uint64(len(t.keys) - 1)
@@ -73,8 +71,8 @@ func (t *pendingTab) put(req uint64, st *opState) {
 
 func (t *pendingTab) grow() {
 	ok, ov := t.keys, t.vals
-	t.keys = make([]uint64, 2*len(ok))
-	t.vals = make([]*opState, 2*len(ov))
+	t.keys = make([]uint64, max(2*len(ok), pendingTabMinSize))
+	t.vals = make([]*opState, len(t.keys))
 	t.n = 0
 	for i, k := range ok {
 		if k != 0 {

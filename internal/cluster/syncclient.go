@@ -31,7 +31,7 @@ func (c *Cluster) NewSyncClient() *SyncClient {
 		wlat: metrics.NewHistogram(),
 	}
 	s := &SyncClient{c: c}
-	s.v = c.newVClient(meas, &opGen{c: c}, false)
+	s.v = c.newVClients(1, meas, &opGen{c: c}, false)[0]
 	s.v.onReply = func(pkt *wire.Packet) {
 		s.done = true
 		s.reply = pkt.Clone()
@@ -55,26 +55,27 @@ func (s *SyncClient) do(key string, write, del bool, value []byte) (*wire.Packet
 	}
 	pkt := &st.pkt
 	pkt.Group = uint16(s.c.routeObj(pkt.ObjID))
+	var valueID int64
 	if write {
 		pkt.Op = wire.OpWrite
 		if del {
 			pkt.Flags |= wire.FlagDelete
 		}
 		s.c.valueCtr++
-		st.valueID = s.c.valueCtr
+		valueID = s.c.valueCtr
 		if del {
-			st.valueID = -st.valueID
+			valueID = -valueID
 		}
 		if value != nil {
 			pkt.Value = append([]byte(nil), value...)
 		} else {
-			pkt.Value = s.c.varena.encode(st.valueID)
+			pkt.Value = s.c.varena.encode(valueID)
 		}
 	} else {
 		pkt.Op = wire.OpRead
 	}
 	if s.c.cfg.RecordHistory {
-		st.histIdx = s.c.hist.invoke(pkt.ObjID, write, st.valueID, int64(st.firstInvoke))
+		st.histIdx = s.c.hist.invoke(pkt.ObjID, write, valueID, int64(st.firstInvoke))
 		// For reads the recorder captures the observed value id; raw
 		// user values (Set with explicit bytes) are not id-coded, so
 		// recording histories and custom values do not mix — the

@@ -118,7 +118,9 @@ type Replica struct {
 	craq   bool
 	dirtyN map[wire.ObjectID]int
 
-	acks *protocol.FreeList[ack] // shared by the engine's chain nodes
+	// acks and reReplies are shared by the engine's chain nodes.
+	acks      *protocol.FreeList[ack]
+	reReplies *protocol.FreeList[protocol.ReReply]
 
 	// Stats
 	WritesCommitted uint64 // tail only
@@ -135,11 +137,12 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int) *Replica {
 // NewMode builds a chain node, in CRAQ mode if craq is set.
 func NewMode(env protocol.Env, g protocol.GroupConfig, shards int, craq bool) *Replica {
 	r := &Replica{
-		Base:   protocol.NewBase(env, g, protocol.ReadAhead, shards),
-		dead:   make([]bool, g.N()),
-		craq:   craq,
-		dirtyN: make(map[wire.ObjectID]int),
-		acks:   protocol.FreeLists[protocol.FreeList[ack]](env.Msgs()),
+		Base:      protocol.NewBase(env, g, protocol.ReadAhead, shards),
+		dead:      make([]bool, g.N()),
+		craq:      craq,
+		dirtyN:    make(map[wire.ObjectID]int),
+		acks:      protocol.FreeLists[protocol.FreeList[ack]](env.Msgs()),
+		reReplies: protocol.FreeLists[protocol.FreeList[protocol.ReReply]](env.Msgs()),
 	}
 	r.next, r.prev = r.neighbor(1), r.neighbor(-1)
 	return r
@@ -192,6 +195,8 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.apply(m.Pkt)
 	case *ack:
 		r.recvAck(r.acks.Take(m).Seq)
+	case *protocol.ReReply:
+		r.HandleControl(r.reReplies.Take(m))
 	case versionQuery:
 		o, ok := r.Store.Get(m.Pkt.ObjID)
 		r.Env.Send(from, versionReply{Seq: o.Seq, Found: ok, Pkt: m.Pkt})
@@ -243,7 +248,7 @@ func (r *Replica) headWrite(pkt *wire.Packet) {
 		// The tail replies, so it holds the reply cache: ask it to re-send
 		// the reply if the write already committed; if still in flight the
 		// pending reply will serve the retransmission.
-		r.Env.Send(r.tailAddr(), protocol.ReReply{ClientID: pkt.ClientID, ReqID: pkt.ReqID})
+		r.reReplies.Send(r.Env, r.tailAddr(), protocol.ReReply{ClientID: pkt.ClientID, ReqID: pkt.ReqID})
 	}
 	pkt.Release() // discarded or duplicate: fully handled
 }
@@ -301,9 +306,7 @@ func (r *Replica) commitAtTail(pkt *wire.Packet) {
 // sendAck passes the commit point to the predecessor, if there is one.
 func (r *Replica) sendAck(seq wire.Seq) {
 	if r.prev >= 0 {
-		m := r.acks.Get()
-		*m = ack{Seq: seq, Commit: r.craq}
-		r.Env.Send(r.Group.Addr(r.prev), m)
+		r.acks.Send(r.Env, r.Group.Addr(r.prev), ack{Seq: seq, Commit: r.craq})
 	}
 }
 

@@ -304,24 +304,33 @@ func TestStrayNormalReadForwardedToTail(t *testing.T) {
 // TestSteadyWriteAllocatesNothing pins a write through a three-node
 // chain — two propagates, the tail's reply, two recycled acks, three
 // resend-buffer updates, and in CRAQ mode the dirty counts and the
-// commits the acks make — to zero allocations. Writes enter one hop
-// apart, so several are always on their way and the resend buffers
-// never empty: their rings must not grow. Once idle, every packet
-// reference left is one a node holds.
+// commits the acks make — and a duplicate write — the head's recycled
+// re-reply request and the tail's re-sent reply — to zero allocations.
+// Writes enter one hop apart, so several are always on their way and
+// the resend buffers never empty: their rings must not grow. Once
+// idle, every packet reference left is one a node holds.
 func TestSteadyWriteAllocatesNothing(t *testing.T) {
 	modes(t, func(t *testing.T, craq bool) {
 		h, reps := group(t, 3, craq)
 		h.Delay = time.Microsecond
 		val := []byte("12345678")
-		var n uint64
-		var replies, window int
+		var n, seq uint64
+		var window int
+		inject := func(client uint32, req uint64) {
+			seq++
+			w := h.Pkts.New()
+			w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(req%16), wire.Seq{Epoch: 1, N: seq}
+			w.ClientID, w.ReqID, w.Value = client, req, val
+			h.Inject(100, 1, w)
+		}
+		inject(2, 1) // client 2's one write, which every step retransmits
+		h.Run(10 * time.Microsecond)
+		replies, _ := h.DrainSwitch()
 		one := func() {
 			n++
-			w := h.Pkts.New()
-			w.Op, w.ObjID, w.Seq = wire.OpWrite, wire.ObjectID(n%16), wire.Seq{Epoch: 1, N: n}
-			w.ClientID, w.ReqID, w.Value = 1, n, val
-			h.Inject(100, 1, w)
+			inject(1, n)
 			window = max(window, reps[0].unacked.Len())
+			inject(2, 1)
 			h.Run(time.Microsecond)
 			r, _ := h.DrainSwitch()
 			replies += r
@@ -343,8 +352,8 @@ func TestSteadyWriteAllocatesNothing(t *testing.T) {
 				t.Fatalf("node %d still buffers %d writes of %d dirty objects", i, rep.unacked.Len(), len(rep.dirtyN))
 			}
 		}
-		if uint64(replies) != n {
-			t.Fatalf("%d writes: %d replies", n, replies)
+		if uint64(replies) != 2*n+1 {
+			t.Fatalf("%d writes and as many duplicates: %d replies", n+1, replies)
 		}
 		if n := ptest.Unheld(h, reps); n != 0 {
 			t.Fatalf("%d packet references live that no replica holds", n)

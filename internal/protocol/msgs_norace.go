@@ -3,8 +3,8 @@
 package protocol
 
 // recycleGuard is empty outside race builds: the calls inline to
-// nothing and FreeList is a bare slice.
-type recycleGuard[T comparable] struct{}
+// nothing and FreeList is a bare sim.FreeList.
+type recycleGuard[T any] struct{}
 
 func (*recycleGuard[T]) recycle(*T) {}
 

@@ -11,7 +11,7 @@ import "reflect"
 // next Get. A read through such a pointer
 // cannot be trapped, but what it reads (all-ones counters, replica
 // index -1) matches no protocol state and indexes no slice.
-type recycleGuard[T comparable] struct {
+type recycleGuard[T any] struct {
 	parked map[*T]struct{}
 	poison T
 }
@@ -19,7 +19,8 @@ type recycleGuard[T comparable] struct {
 func (g *recycleGuard[T]) recycle(m *T) {
 	if g.parked == nil {
 		g.parked = make(map[*T]struct{})
-		poisonValue(reflect.ValueOf(&g.poison).Elem())
+		p := reflect.ValueOf(&g.poison).Elem()
+		poison(p, p, false)
 	}
 	if _, twice := g.parked[m]; twice {
 		panic("protocol: message recycled twice")
@@ -28,34 +29,45 @@ func (g *recycleGuard[T]) recycle(m *T) {
 	*m = g.poison
 }
 
+// reuse checks a parked record; one freshly carved from a block is not.
 func (g *recycleGuard[T]) reuse(m *T) {
-	if *m != g.poison {
+	_, parked := g.parked[m]
+	if parked && !poison(reflect.ValueOf(m).Elem(), reflect.ValueOf(&g.poison).Elem(), true) {
 		panic("protocol: message written after it was recycled")
 	}
 	delete(g.parked, m)
 }
 
-// poisonValue fills v's exported integer and boolean fields,
-// recursively; what can hold a pointer stays zero, so a parked record
-// pins nothing.
-func poisonValue(v reflect.Value) {
-	if !v.CanSet() {
-		return
-	}
+// poison fills v's exported integer and boolean fields, recursively,
+// with all ones (true for a boolean), or, with check set, reports
+// whether v still holds what the poisoned record p holds, without
+// allocating: records may hold slices, so == cannot compare them. What
+// can hold a pointer stays zero, so a parked record pins nothing.
+func poison(v, p reflect.Value, check bool) bool {
+	set := !check && v.CanSet()
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			poisonValue(v.Field(i))
+			if !poison(v.Field(i), p.Field(i), check) {
+				return false
+			}
 		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			poisonValue(v.Index(i))
-		}
+		return true
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(-1)
+		if set {
+			v.SetInt(-1)
+		}
+		return v.Int() == p.Int()
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(1<<uint(v.Type().Bits()) - 1)
+		if set {
+			v.SetUint(1<<uint(v.Type().Bits()) - 1)
+		}
+		return v.Uint() == p.Uint()
 	case reflect.Bool:
-		v.SetBool(true)
+		if set {
+			v.SetBool(true)
+		}
+		return v.Bool() == p.Bool()
 	}
+	return v.IsZero()
 }

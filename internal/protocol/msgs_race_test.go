@@ -31,3 +31,21 @@ func TestRecycleGuard(t *testing.T) {
 	m.View = 4 // a sender touching a record it already sent and lost
 	mustPanic(t, "Get after a write through a stale pointer", func() { l.Get() })
 }
+
+// TestRecycleGuardOnCarvedRecords: records carved from a block, the
+// second block's first among them, pass Get unpoisoned and still
+// panic on a second Take.
+func TestRecycleGuardOnCarvedRecords(t *testing.T) {
+	var l FreeList[testAck]
+	var held []*testAck
+	for i := 0; i < 65; i++ {
+		held = append(held, l.Get()) // the 65th comes from a second block
+	}
+	for _, m := range held[:64] {
+		l.Take(m)
+	}
+	m := held[64]
+	*m = testAck{View: 1}
+	l.Take(m)
+	mustPanic(t, "second Take of a block-carved record", func() { l.Take(m) })
+}

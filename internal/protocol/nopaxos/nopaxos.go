@@ -154,6 +154,10 @@ type Replica struct {
 	latest   map[wire.ObjectID]wire.Seq
 	order    []wire.ObjectID
 
+	// The sync round's recycled messages, shared by the engine's replicas.
+	prepares  *protocol.FreeList[syncPrepare]
+	acks      *protocol.FreeList[syncAck]
+	commits   *protocol.FreeList[syncCommit]
 	syncTimer sim.Timer
 
 	// Stats
@@ -169,6 +173,9 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Re
 		opts:     opts,
 		pending:  make(map[uint64]*wire.Packet),
 		syncAcks: make(map[uint64]map[int]uint64),
+		prepares: protocol.FreeLists[protocol.FreeList[syncPrepare]](env.Msgs()),
+		acks:     protocol.FreeLists[protocol.FreeList[syncAck]](env.Msgs()),
+		commits:  protocol.FreeLists[protocol.FreeList[syncCommit]](env.Msgs()),
 	}
 	if r.IsLeader() {
 		r.lastAcked = make([]uint64, g.N())
@@ -220,15 +227,15 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 		r.recvGapReply(m)
 	case gapCommit:
 		r.recvGapCommit(m)
-	case syncPrepare:
-		r.recvSyncPrepare(m)
-	case syncAck:
-		r.recvSyncAck(m)
-	case syncCommit:
-		r.recvSyncCommit(m)
+	case *syncPrepare:
+		r.recvSyncPrepare(r.prepares.Take(m))
+	case *syncAck:
+		r.recvSyncAck(r.acks.Take(m))
+	case *syncCommit:
+		r.recvSyncCommit(r.commits.Take(m))
 	default:
 		// A message in a representation the cases above do not list (a
-		// pointer to one of them, say) must not vanish silently.
+		// sync message sent by value, say) must not vanish silently.
 		panic(fmt.Sprintf("nopaxos: unexpected message %T", msg))
 	}
 }
@@ -502,7 +509,11 @@ func (r *Replica) ForceSync() {
 	}
 	acks[0] = r.syncPoint
 	r.syncAcks[op] = acks
-	r.broadcast(syncPrepare{OpNum: op, Stable: r.log.Base()})
+	for i := 0; i < r.Group.N(); i++ {
+		if i != r.Group.Self {
+			r.prepares.Send(r.Env, r.Group.Addr(i), syncPrepare{OpNum: op, Stable: r.log.Base()})
+		}
+	}
 	r.maybeCommitSync(op) // single-replica group
 }
 
@@ -559,7 +570,7 @@ func (r *Replica) recvSyncPrepare(m syncPrepare) {
 		})
 		return
 	}
-	r.Env.Send(r.leaderAddr(), syncAck{OpNum: m.OpNum, Replica: r.Group.Self, SyncPoint: r.syncPoint})
+	r.acks.Send(r.Env, r.leaderAddr(), syncAck{OpNum: m.OpNum, Replica: r.Group.Self, SyncPoint: r.syncPoint})
 }
 
 func (r *Replica) recvSyncAck(m syncAck) {
@@ -576,7 +587,7 @@ func (r *Replica) recvSyncAck(m syncAck) {
 		// late acker directly so it does not have to wait for the
 		// next round.
 		if m.OpNum <= r.syncPoint {
-			r.Env.Send(r.Group.Addr(m.Replica),
+			r.commits.Send(r.Env, r.Group.Addr(m.Replica),
 				syncCommit{OpNum: m.OpNum, NoOps: r.noopsIn(m.SyncPoint, m.OpNum), Stable: r.log.Base()})
 		}
 		return
@@ -605,7 +616,7 @@ func (r *Replica) maybeCommitSync(op uint64) {
 		if !acked {
 			continue // lagging replica catches the next round
 		}
-		r.Env.Send(r.Group.Addr(i), syncCommit{OpNum: op, NoOps: r.noopsIn(from, op), Stable: r.log.Base()})
+		r.commits.Send(r.Env, r.Group.Addr(i), syncCommit{OpNum: op, NoOps: r.noopsIn(from, op), Stable: r.log.Base()})
 	}
 	// This round and every round it overtook are closed: a later ack
 	// for one is answered like any late ack.

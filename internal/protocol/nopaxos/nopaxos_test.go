@@ -73,16 +73,16 @@ func TestLeaderExecutesAndReplies(t *testing.T) {
 }
 
 // TestRecvPanicsOnUnlistedMessage: a message type Recv does not list —
-// here a pointer to one it lists by value — panics like the other four
-// protocols' Recv instead of being dropped without a trace.
+// here a value of one it lists as a pointer — panics like the other
+// four protocols' Recv instead of being dropped without a trace.
 func TestRecvPanicsOnUnlistedMessage(t *testing.T) {
 	h, _ := group(t, 3, Options{})
 	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "unexpected message *nopaxos.syncAck") {
-			t.Fatalf("panic %q, want one naming the unlisted *nopaxos.syncAck", msg)
+		if msg, _ := recover().(string); !strings.Contains(msg, "unexpected message nopaxos.syncAck") {
+			t.Fatalf("panic %q, want one naming the unlisted nopaxos.syncAck", msg)
 		}
 	}()
-	h.Inject(2, 1, &syncAck{})
+	h.Inject(2, 1, syncAck{})
 }
 
 func TestSyncExecutesFollowersAndReleasesCompletions(t *testing.T) {

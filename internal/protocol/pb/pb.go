@@ -172,9 +172,7 @@ func (r *Replica) recvUpdate(m update) {
 		// invariant without any reordering buffer.
 		return
 	}
-	ack := r.acks.Get()
-	*ack = updateAck{Seq: pkt.Seq, Replica: r.Group.Self}
-	r.Env.Send(r.primaryAddr(), ack)
+	r.acks.Send(r.Env, r.primaryAddr(), updateAck{Seq: pkt.Seq, Replica: r.Group.Self})
 }
 
 // recvUpdateAck collects acknowledgments at the primary.

@@ -327,9 +327,8 @@ func (r *Replica) broadcast(msg any) {
 func (r *Replica) broadcastPrepare(opNum uint64, pkt *wire.Packet) {
 	for i := 0; i < r.Group.N(); i++ {
 		if i != r.Group.Self {
-			m := r.free.prepare.Get()
-			*m = prepare{View: r.view, OpNum: opNum, Pkt: pkt.Retain(), CommitNum: r.commitNum, Stable: r.log.Base()}
-			r.Env.Send(r.Group.Addr(i), m)
+			r.free.prepare.Send(r.Env, r.Group.Addr(i),
+				prepare{View: r.view, OpNum: opNum, Pkt: pkt.Retain(), CommitNum: r.commitNum, Stable: r.log.Base()})
 		}
 	}
 }
@@ -338,18 +337,14 @@ func (r *Replica) broadcastPrepare(opNum uint64, pkt *wire.Packet) {
 func (r *Replica) broadcastCommit() {
 	for i := 0; i < r.Group.N(); i++ {
 		if i != r.Group.Self {
-			m := r.free.commit.Get()
-			*m = commitMsg{View: r.view, CommitNum: r.commitNum, Stable: r.log.Base()}
-			r.Env.Send(r.Group.Addr(i), m)
+			r.free.commit.Send(r.Env, r.Group.Addr(i), commitMsg{View: r.view, CommitNum: r.commitNum, Stable: r.log.Base()})
 		}
 	}
 }
 
 // sendPrepareOK acknowledges op to the leader.
 func (r *Replica) sendPrepareOK(op uint64) {
-	m := r.free.prepareOK.Get()
-	*m = prepareOK{View: r.view, OpNum: op, Replica: r.Group.Self}
-	r.Env.Send(r.leaderAddr(), m)
+	r.free.prepareOK.Send(r.Env, r.leaderAddr(), prepareOK{View: r.view, OpNum: op, Replica: r.Group.Self})
 }
 
 // Recv implements simnet.Handler. A recycled record is taken — copied
@@ -565,9 +560,7 @@ func (r *Replica) executeUpTo(commitNum uint64) {
 		advanced = true
 	}
 	if advanced && !r.IsLeader() {
-		m := r.free.commitAck.Get()
-		*m = commitAck{View: r.view, ExecutedNum: r.commitNum, Replica: r.Group.Self}
-		r.Env.Send(r.leaderAddr(), m)
+		r.free.commitAck.Send(r.Env, r.leaderAddr(), commitAck{View: r.view, ExecutedNum: r.commitNum, Replica: r.Group.Self})
 	}
 }
 

@@ -439,7 +439,7 @@ func TestStopRecyclesAtOnce(t *testing.T) {
 			e.RunFor(time.Microsecond) // the clock moves a little, as under load
 		}
 	}
-	if got := len(e.free) + e.Pending(); got > 2 {
+	if got := len(e.free.free) + e.Pending(); got > 2 {
 		t.Fatalf("engine holds %d event records after 1M stop/re-arm rounds, want at most 2", got)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
@@ -454,7 +454,7 @@ func TestStopRecyclesAtOnce(t *testing.T) {
 	}
 	// Stop drops the argument at once: nothing a stopped event carried
 	// stays reachable from the engine.
-	for _, ev := range e.free {
+	for _, ev := range e.free.free {
 		if ev.fn != nil || ev.call != nil || ev.arg != nil || ev.next != nil || ev.prev != nil {
 			t.Fatalf("recycled event still holds references: %+v", ev)
 		}

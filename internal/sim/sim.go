@@ -18,9 +18,10 @@
 // fire order is bit-identical to the former heap's (time, then FIFO) —
 // the differential test in differential_test.go pins that equivalence.
 //
-// The event records themselves are recycled through a free list and
-// timers are generation-stamped value handles, so steady-state
-// scheduling allocates nothing: the per-message event traffic of a
+// The event records themselves are recycled through a FreeList, which
+// grows a block at a time (freelist.go), and timers are
+// generation-stamped value handles, so steady-state scheduling
+// allocates nothing: the per-message event traffic of a
 // saturated rack runs at data-plane rates without feeding the garbage
 // collector. The closure-free AfterCall variant extends that to the
 // callback itself — callers pass a long-lived func(any) plus the
@@ -137,7 +138,7 @@ type Engine struct {
 	wheel [wheelLevels][wheelSlots]slotList
 	occ   [wheelLevels][wheelSlots / 64]uint64 // slot-occupancy bitmaps
 
-	free []*event
+	free FreeList[event]
 
 	// Processed counts executed events, for diagnostics.
 	Processed uint64
@@ -199,17 +200,10 @@ func (e *Engine) unlink(ev *event) {
 	}
 }
 
-// alloc takes an event from the free list (or the heap allocator) and
-// schedules it at t.
+// alloc takes an event from the free list and schedules it at t.
 func (e *Engine) alloc(t Time) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{eng: e}
-	}
+	ev := e.free.Get()
+	ev.eng = e // a freshly carved record has none yet
 	if t < e.now {
 		t = e.now
 	}
@@ -228,7 +222,7 @@ func (e *Engine) recycle(ev *event) {
 	ev.call = nil
 	ev.arg = nil
 	ev.next, ev.prev = nil, nil
-	e.free = append(e.free, ev)
+	e.free.Put(ev)
 }
 
 // At schedules fn to run at the absolute simulated time t. Scheduling

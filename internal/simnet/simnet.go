@@ -189,8 +189,8 @@ func (f *fifo) pop() queued {
 
 // delivery is one in-flight message: the argument threaded through the
 // engine's closure-free scheduling. Records are pooled on the network
-// (the simulation is single-threaded, so a plain free list suffices)
-// and released the moment their callback runs, so steady-state message
+// (a sim.FreeList: the simulation is single-threaded) and released
+// the moment their callback runs, so steady-state message
 // traffic allocates nothing. Payloads are NOT copied anywhere on this
 // path — duplication delivers the same Message twice — which is why
 // packets are immutable once sequenced (see internal/wire). inc is the
@@ -218,10 +218,12 @@ type Network struct {
 	pages       []*nodePage
 	defaultLink LinkConfig
 
-	// free is the delivery-record pool; arriveFn/completeFn are the
+	// free is the delivery-record pool and nodes the list every Node is
+	// carved from (none is put back); arriveFn/completeFn are the
 	// long-lived callbacks AfterCall pairs the records with (a method
 	// value would allocate a fresh closure per message).
-	free       []*delivery
+	free       sim.FreeList[delivery]
+	nodes      sim.FreeList[Node]
 	arriveFn   func(any)
 	completeFn func(any)
 
@@ -253,21 +255,16 @@ func New(eng *sim.Engine, def LinkConfig) *Network {
 
 // getDelivery takes a record from the pool.
 func (n *Network) getDelivery(nd *Node, from NodeID, msg Message) *delivery {
-	if k := len(n.free); k > 0 {
-		d := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
-		d.nd, d.from, d.inc, d.msg = nd, from, nd.inc, msg
-		return d
-	}
-	return &delivery{nd: nd, from: from, inc: nd.inc, msg: msg}
+	d := n.free.Get()
+	d.nd, d.from, d.inc, d.msg = nd, from, nd.inc, msg
+	return d
 }
 
 // putDelivery returns a record, dropping its payload reference so the
 // pool retains nothing.
 func (n *Network) putDelivery(d *delivery) {
 	d.nd, d.msg = nil, nil
-	n.free = append(n.free, d)
+	n.free.Put(d)
 }
 
 // Engine exposes the underlying event engine (for timers).
@@ -292,7 +289,8 @@ func (n *Network) AddNode(id NodeID, h Handler, cfg ProcConfig) *Node {
 	if n.pages[p] == nil {
 		n.pages[p] = new(nodePage)
 	}
-	nd := &Node{id: id, net: n, handler: h, cfg: cfg, idle: cfg.Workers}
+	nd := n.nodes.Get()
+	*nd = Node{id: id, net: n, handler: h, cfg: cfg, idle: cfg.Workers}
 	n.pages[p][id&(1<<pageBits-1)] = nd
 	return nd
 }

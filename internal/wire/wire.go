@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"unsafe"
+
+	"harmonia/internal/sim"
 )
 
 // Op is the operation type carried in the Harmonia header.
@@ -452,11 +454,12 @@ const refsFreed int32 = -1
 
 // Pool is the packet free list of one engine, owned by whoever owns
 // the engine (a cluster, a protocol test harness) and not safe for
-// concurrent use. Only the struct is recycled, never the Key or Value
-// it points at. The zero value is an empty pool; a nil *Pool hands out
-// packets the garbage collector reclaims (NewPacket).
+// concurrent use: a sim.FreeList and a reference count. Only the struct
+// is recycled, never the Key or Value it points at. The zero value is
+// an empty pool; a nil *Pool (NewPacket) hands out packets the GC
+// reclaims.
 type Pool struct {
-	free []*Packet
+	free sim.FreeList[Packet]
 	live int // references held on packets not parked in free
 }
 
@@ -478,11 +481,8 @@ func (pl *Pool) FlightClone(p *Packet) *Packet {
 	var q *Packet
 	if pl != nil {
 		pl.live++
-		if n := len(pl.free); n > 0 {
-			q, pl.free = pl.free[n-1], pl.free[:n-1]
-		}
-	}
-	if q == nil {
+		q = pl.free.Get()
+	} else {
 		q = new(Packet)
 	}
 	*q = *p
@@ -553,7 +553,7 @@ func (p *Packet) Release() {
 	if p.refs--; p.refs == 0 {
 		*p = Packet{refs: refsFreed}
 		if pl != nil {
-			pl.free = append(pl.free, p)
+			pl.free.Put(p)
 		}
 	}
 	if pl != nil {
