@@ -229,7 +229,7 @@ func migrateChaosCase(t *testing.T, p Protocol, chaos, kind string) {
 	case "auto":
 		var hot []int
 		for rank := 0; rank < 12; rank++ {
-			if s := r.SlotOfKey(keyName(workload.ZipfKeyOfRank(keys, rank))); !slices.Contains(hot, s) {
+			if s := r.SlotOfKey(workload.KeyName(workload.ZipfKeyOfRank(keys, rank))); !slices.Contains(hot, s) {
 				hot = append(hot, s)
 			}
 		}
@@ -427,7 +427,7 @@ func hotKeyChaosCase(t *testing.T, chaos string) {
 	}
 	const keys = 16
 	r.Preload(keys)
-	hot := keyName(workload.ZipfKeyOfRank(keys, 0))
+	hot := workload.KeyName(workload.ZipfKeyOfRank(keys, 0))
 	if err := r.PromoteKey(hot); err != nil {
 		t.Fatalf("PromoteKey: %v", err)
 	}
@@ -537,7 +537,7 @@ func crossProtocolCase(t *testing.T, cfg Config, chaos string, extra ...Step) {
 	for _, i := range idxs {
 		// nil values let the client encode its checkable value IDs —
 		// explicit bytes would not mix with the recorded history.
-		if err := cl.Set(keyName(i), nil); err != nil {
+		if err := cl.Set(workload.KeyName(i), nil); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -553,14 +553,14 @@ func crossProtocolCase(t *testing.T, cfg Config, chaos string, extra ...Step) {
 	// protocol, whose write-order guard imported sequence numbers did
 	// not wedge.
 	for _, i := range idxs {
-		if _, ok, err := cl.Get(keyName(i)); err != nil || !ok {
-			t.Fatalf("Get(%s) after cross-protocol handoff: %v %v", keyName(i), ok, err)
+		if _, ok, err := cl.Get(workload.KeyName(i)); err != nil || !ok {
+			t.Fatalf("Get(%s) after cross-protocol handoff: %v %v", workload.KeyName(i), ok, err)
 		}
 		if g := cl.LastGroup(); g != 1 {
-			t.Fatalf("key %s served by group %d, want 1", keyName(i), g)
+			t.Fatalf("key %s served by group %d, want 1", workload.KeyName(i), g)
 		}
-		if err := cl.Set(keyName(i), nil); err != nil {
-			t.Fatalf("post-handoff Set(%s): %v", keyName(i), err)
+		if err := cl.Set(workload.KeyName(i), nil); err != nil {
+			t.Fatalf("post-handoff Set(%s): %v", workload.KeyName(i), err)
 		}
 	}
 	r.check(t)

@@ -157,30 +157,22 @@ type vclient struct {
 	onReply func(pkt *wire.Packet)
 }
 
-// opGen produces the next operation from the workload spec. Stateless
+// opGen produces the next operation from the workload spec: keys draws
+// an index into ids — the whole key space's object IDs, or one group's
+// shard of them, in which the index is a shard-local rank. Stateless
 // (its keys draw from the engine's RNG), it is shared by every client
 // it feeds.
 type opGen struct {
 	c     *Cluster
-	kt    *keyTab
+	ids   []wire.ObjectID
 	keys  keyGen
 	ratio float64
 }
 
 type keyGen interface{ Next() int }
 
-// pinnedGen confines a generator to one group's shard of the key
-// space: inner draws a shard-local rank, owned maps it to the global
-// key index.
-type pinnedGen struct {
-	owned []int
-	inner keyGen
-}
-
-func (p *pinnedGen) Next() int { return p.owned[p.inner.Next()] }
-
-func (g *opGen) next() (idx int, write bool) {
-	return g.keys.Next(), g.c.eng.Rand().Float64() < g.ratio
+func (g *opGen) next() (id wire.ObjectID, write bool) {
+	return g.ids[g.keys.Next()], g.c.eng.Rand().Float64() < g.ratio
 }
 
 // measurement accumulates the report during the window.
@@ -303,14 +295,13 @@ func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 
 // issueNext starts the next closed-loop op.
 func (v *vclient) issueNext() {
-	idx, write := v.gen.next()
-	v.issue(v.gen.kt, idx, write)
+	v.issue(v.gen.next())
 }
 
-// issue sends one operation for key index idx (resolved through kt's
-// precomputed names and object IDs) and arms the retry timer (closed
-// loop only; open-loop ops are never retried).
-func (v *vclient) issue(kt *keyTab, idx int, write bool) {
+// issue sends one operation on object id and arms the retry timer
+// (closed loop only; open-loop ops are never retried). Like the paper's
+// client library after hashing a key (§6.1), it carries only the ID.
+func (v *vclient) issue(id wire.ObjectID, write bool) {
 	v.nextReq++
 	req := v.nextReq
 	st := v.c.opFree.Get() // zeroed by putOp
@@ -318,8 +309,7 @@ func (v *vclient) issue(kt *keyTab, idx int, write bool) {
 	st.firstInvoke = v.c.eng.Now()
 	st.histIdx = -1
 	st.pkt = wire.Packet{
-		ObjID:    kt.ids[idx],
-		Key:      kt.names[idx],
+		ObjID:    id,
 		ClientID: v.id,
 		ReqID:    req,
 	}
@@ -447,7 +437,7 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 			}
 		}
 		newKeys := func() keyGen { return newKeysN(spec.Keys) }
-		kt := c.keyTab(spec.Keys)
+		ids := keyTab(spec.Keys)
 		var clients []*vclient
 		if spec.Mode == Closed {
 			if spec.PinGroups && len(c.groups) > 1 {
@@ -458,17 +448,17 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 				// (shard-local ranks keep the distribution's shape
 				// within the slice). Uniform weights reproduce the
 				// historical even split exactly.
-				owned := c.ownedKeyIndices(spec.Keys)
+				owned := c.ownedKeyIDs(spec.Keys)
 				shares := workload.Apportion(spec.Clients, c.GroupWeights())
-				for g, idxs := range owned {
-					if len(idxs) == 0 {
+				for g, shard := range owned {
+					if len(shard) == 0 {
 						continue // degenerate: shard owns no keys
 					}
-					gen := &opGen{c: c, kt: kt, keys: &pinnedGen{owned: idxs, inner: newKeysN(len(idxs))}, ratio: spec.WriteRatio}
+					gen := &opGen{c: c, ids: shard, keys: newKeysN(len(shard)), ratio: spec.WriteRatio}
 					clients = append(clients, c.newVClients(shares[g], meas, gen, true)...)
 				}
 			} else {
-				clients = c.newVClients(spec.Clients, meas, &opGen{c: c, kt: kt, keys: newKeys(), ratio: spec.WriteRatio}, true)
+				clients = c.newVClients(spec.Clients, meas, &opGen{c: c, ids: ids, keys: newKeys(), ratio: spec.WriteRatio}, true)
 			}
 			for _, v := range clients {
 				v.issueNext()
@@ -501,17 +491,17 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 				var topoSeen uint64
 				rebuild := func() {
 					topoSeen = c.rack.TopoEpoch()
-					owned := c.ownedKeyIndices(spec.Keys)
+					owned := c.ownedKeyIDs(spec.Keys)
 					weights := c.GroupWeights()
 					gens = make([]*opGen, len(owned))
-					for g, idxs := range owned {
-						if len(idxs) == 0 {
+					for g, shard := range owned {
+						if len(shard) == 0 {
 							// Degenerate: the shard owns no keys and can
 							// never be offered work.
 							weights[g] = 0
 							continue
 						}
-						gens[g] = &opGen{c: c, kt: kt, keys: &pinnedGen{owned: idxs, inner: newKeysN(len(idxs))}, ratio: spec.WriteRatio}
+						gens[g] = &opGen{c: c, ids: shard, keys: newKeysN(len(shard)), ratio: spec.WriteRatio}
 					}
 					pick = workload.NewWeightedIndex(weights, c.eng.Rand())
 				}
@@ -523,11 +513,10 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 					}
 					g := pick.Next()
 					meas.noteOffered(g)
-					idx, write := gens[g].next()
-					v.issue(kt, idx, write)
+					v.issue(gens[g].next())
 				}
 			} else {
-				v.gen = &opGen{c: c, kt: kt, keys: newKeys(), ratio: spec.WriteRatio}
+				v.gen = &opGen{c: c, ids: ids, keys: newKeys(), ratio: spec.WriteRatio}
 				nextOp = func() { v.issueNext() }
 			}
 			rate := spec.Rate

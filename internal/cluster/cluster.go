@@ -28,6 +28,7 @@ import (
 	"harmonia/internal/store"
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // Node addressing scheme. Switch 0 keeps the historical address 1;
@@ -91,6 +92,9 @@ type ReplicaHandle interface {
 	InstallSlot(objs map[wire.ObjectID]store.Object)
 	// DropSlot removes the slot's objects (migration source cleanup).
 	DropSlot(slot int) int
+	// Reserve makes room for n more objects in one routing slot, so a
+	// whole-slot install sizes the slot's table once.
+	Reserve(slot, n int)
 	// ExportClients copies the replica's at-most-once client table,
 	// one reference per kept reply; MergeClients installs exported
 	// records (newer request per client wins). Why the table travels
@@ -906,12 +910,12 @@ func (c *Cluster) controlWrite(g int, key string, flags wire.Flags, reqID uint64
 // slots the keys fall in (a member that already differed from the first
 // in such a slot ends as its copy).
 func (c *Cluster) Preload(n int) {
-	kt := c.keyTab(n)
+	ids := keyTab(n)
 	// Size every member's slot table once, up front, slot by slot: a slot
 	// belongs to one group, so a count per slot is a count per (group,
 	// slot).
 	var perSlot [wire.NumSlots]int
-	for _, id := range kt.ids[:n] {
+	for _, id := range ids {
 		perSlot[wire.SlotOf(id)]++
 	}
 	for slot, k := range perSlot {
@@ -919,8 +923,7 @@ func (c *Cluster) Preload(n int) {
 			r.Store().Reserve(slot, k)
 		}
 	}
-	for i := 0; i < n; i++ {
-		id := kt.ids[i]
+	for i, id := range ids {
 		c.valueCtr++
 		seq := wire.Seq{N: uint64(i + 1)} // epoch 0: precedes every sequenced write
 		c.groups[c.routeObj(id)].replicas[0].Store().Seed(id, c.varena.encode(c.valueCtr), seq)
@@ -940,22 +943,23 @@ func (c *Cluster) Preload(n int) {
 	}
 }
 
-// ownedKeyIndices partitions the workload's key indices [0, keys) by
-// owning group — the load generator's view of the shard map — carved
-// from one array, each shard sized by a counting pass.
-func (c *Cluster) ownedKeyIndices(keys int) [][]int {
-	kt := c.keyTab(keys)
+// ownedKeyIDs partitions the object IDs of the workload's keys [0, keys)
+// by owning group, each shard in key order — the load generator's view
+// of the shard map — carved from one array, each shard sized by a
+// counting pass.
+func (c *Cluster) ownedKeyIDs(keys int) [][]wire.ObjectID {
+	ids := keyTab(keys)
 	n := make([]int, len(c.groups))
-	for i := 0; i < keys; i++ {
-		n[c.routeObj(kt.ids[i])]++
+	for _, id := range ids {
+		n[c.routeObj(id)]++
 	}
-	out, all := make([][]int, len(c.groups)), make([]int, keys)
+	out, all := make([][]wire.ObjectID, len(c.groups)), make([]wire.ObjectID, keys)
 	for g := range out {
 		out[g], all = all[:0:n[g]], all[n[g]:]
 	}
-	for i := 0; i < keys; i++ {
-		g := c.routeObj(kt.ids[i])
-		out[g] = append(out[g], i)
+	for _, id := range ids {
+		g := c.routeObj(id)
+		out[g] = append(out[g], id)
 	}
 	return out
 }
@@ -1156,40 +1160,32 @@ func (c *Cluster) ShimStats() (served, rejected, leaseRejected uint64) {
 
 // --- small helpers ---
 
-func keyName(i int) string { return fmt.Sprintf("obj%08d", i) }
-
-// keyTab precomputes the key names and object IDs for the dense
-// generator key space [0, n): per-op key materialization becomes two
-// slice loads instead of a fmt.Sprintf plus a hash.
-type keyTab struct {
-	names []string
-	ids   []wire.ObjectID
-}
-
-// ktabs caches the tables per key-space size. The entries are pure
-// functions of n (keyName is deterministic, HashKey a pure hash), so
-// the cache is process-global: a figure sweep that builds a fresh
-// cluster per rate point reuses one table instead of re-rendering and
-// re-hashing the whole key space every time.
+// ktabs caches the key tables per key-space size. A table is a pure
+// function of n, so the cache is process-global: a figure sweep that
+// builds a fresh cluster per rate point reuses one table instead of
+// re-rendering and re-hashing the whole key space every time.
 var (
 	ktabMu sync.Mutex
-	ktabs  = make(map[int]*keyTab)
+	ktabs  = make(map[int][]wire.ObjectID)
 )
 
-// keyTab returns the (cached) table for an n-key workload.
-func (c *Cluster) keyTab(n int) *keyTab {
+// keyTab returns the (cached) object IDs of the dense generator key
+// space [0, n): ids[i] = wire.HashKey(workload.KeyName(i)), so choosing
+// a key is one slice load instead of a fmt.Sprintf plus a hash. A name
+// lives only long enough to be hashed: the load generator sends IDs.
+// Callers must not write to the table.
+func keyTab(n int) []wire.ObjectID {
 	ktabMu.Lock()
 	defer ktabMu.Unlock()
-	if t, ok := ktabs[n]; ok {
-		return t
+	if ids, ok := ktabs[n]; ok {
+		return ids
 	}
-	t := &keyTab{names: make([]string, n), ids: make([]wire.ObjectID, n)}
-	for i := 0; i < n; i++ {
-		t.names[i] = keyName(i)
-		t.ids[i] = wire.HashKey(t.names[i])
+	ids := make([]wire.ObjectID, n)
+	for i := range ids {
+		ids[i] = wire.HashKey(workload.KeyName(i))
 	}
-	ktabs[n] = t
-	return t
+	ktabs[n] = ids
+	return ids
 }
 
 // valueArena carves the 8-byte id-coded write payloads out of

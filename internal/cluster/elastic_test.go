@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // liveSlotCounts tallies slots per owning group and fails on any slot
@@ -41,7 +42,7 @@ func TestElasticAddGroupSeedsAndServes(t *testing.T) {
 	cl := c.NewSyncClient()
 	// Touch some keys so the heat histogram has a signal to place by.
 	for i := 0; i < 64; i++ {
-		if err := cl.Set(keyName(i), []byte("pre")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("pre")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -71,13 +72,13 @@ func TestElasticAddGroupSeedsAndServes(t *testing.T) {
 	// new group serve reads and writes through it.
 	served := false
 	for i := 0; i < 64; i++ {
-		v, ok, err := cl.Get(keyName(i))
+		v, ok, err := cl.Get(workload.KeyName(i))
 		if err != nil || !ok || string(v) != "pre" {
-			t.Fatalf("Get(%s) = %q %v %v", keyName(i), v, ok, err)
+			t.Fatalf("Get(%s) = %q %v %v", workload.KeyName(i), v, ok, err)
 		}
 		if cl.LastGroup() == g {
 			served = true
-			if err := cl.Set(keyName(i), []byte("post")); err != nil {
+			if err := cl.Set(workload.KeyName(i), []byte("post")); err != nil {
 				t.Fatalf("Set via new group: %v", err)
 			}
 		}
@@ -115,7 +116,7 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 3, Seed: 17})
 	cl := c.NewSyncClient()
 	for i := 0; i < 64; i++ {
-		if err := cl.Set(keyName(i), []byte("keep")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("keep")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -136,12 +137,12 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		v, ok, err := cl.Get(keyName(i))
+		v, ok, err := cl.Get(workload.KeyName(i))
 		if err != nil || !ok || string(v) != "keep" {
-			t.Fatalf("Get(%s) after retirement = %q %v %v", keyName(i), v, ok, err)
+			t.Fatalf("Get(%s) after retirement = %q %v %v", workload.KeyName(i), v, ok, err)
 		}
 		if g := cl.LastGroup(); g == 1 {
-			t.Fatalf("key %s still served by retired group", keyName(i))
+			t.Fatalf("key %s still served by retired group", workload.KeyName(i))
 		}
 	}
 	// The retired ID is permanently dead.
@@ -326,7 +327,7 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 2, Seed: 23})
 	cl := c.NewSyncClient()
 	for i := 0; i < 48; i++ {
-		if err := cl.Set(keyName(i), []byte("v1")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("v1")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -355,11 +356,11 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 	assertNothingFrozen(t, c)
 	// Data survived into the new member set; reads and writes flow.
 	for i := 0; i < 48; i++ {
-		v, ok, err := cl.Get(keyName(i))
+		v, ok, err := cl.Get(workload.KeyName(i))
 		if err != nil || !ok || string(v) != "v1" {
-			t.Fatalf("Get(%s) after respec = %q %v %v", keyName(i), v, ok, err)
+			t.Fatalf("Get(%s) after respec = %q %v %v", workload.KeyName(i), v, ok, err)
 		}
-		if err := cl.Set(keyName(i), []byte("v2")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("v2")); err != nil {
 			t.Fatalf("Set after respec: %v", err)
 		}
 	}
@@ -370,7 +371,7 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 	if c.groups[1].inc != 2 {
 		t.Fatalf("inc=%d after second respec, want 2", c.groups[1].inc)
 	}
-	if v, ok, err := cl.Get(keyName(5)); err != nil || !ok || string(v) != "v2" {
+	if v, ok, err := cl.Get(workload.KeyName(5)); err != nil || !ok || string(v) != "v2" {
 		t.Fatalf("Get after second respec = %q %v %v", v, ok, err)
 	}
 }
@@ -384,7 +385,7 @@ func TestElasticReassignDeadSwitchRestoresCoverage(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 4, Switches: 2, Seed: 31})
 	cl := c.NewSyncClient()
 	for i := 0; i < 96; i++ {
-		if err := cl.Set(keyName(i), []byte("durable")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("durable")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -412,11 +413,11 @@ func TestElasticReassignDeadSwitchRestoresCoverage(t *testing.T) {
 	assertNothingFrozen(t, c)
 	// Every committed write recovered from the victims' stores.
 	for i := 0; i < 96; i++ {
-		v, ok, err := cl.Get(keyName(i))
+		v, ok, err := cl.Get(workload.KeyName(i))
 		if err != nil || !ok || string(v) != "durable" {
-			t.Fatalf("Get(%s) after reassignment = %q %v %v", keyName(i), v, ok, err)
+			t.Fatalf("Get(%s) after reassignment = %q %v %v", workload.KeyName(i), v, ok, err)
 		}
-		if err := cl.Set(keyName(i), []byte("fresh")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("fresh")); err != nil {
 			t.Fatalf("Set after reassignment: %v", err)
 		}
 	}

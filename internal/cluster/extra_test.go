@@ -7,6 +7,7 @@ import (
 
 	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 func TestSyncClientBasics(t *testing.T) {
@@ -52,12 +53,12 @@ func TestSyncClientRetriesThroughTransientLoss(t *testing.T) {
 	})
 	s := c.NewSyncClient()
 	for i := 0; i < 20; i++ {
-		if err := s.Set(keyName(i), []byte{byte(i)}); err != nil {
+		if err := s.Set(workload.KeyName(i), []byte{byte(i)}); err != nil {
 			t.Fatalf("Set %d under loss: %v", i, err)
 		}
 	}
 	for i := 0; i < 20; i++ {
-		v, ok, err := s.Get(keyName(i))
+		v, ok, err := s.Get(workload.KeyName(i))
 		if err != nil || !ok || v[0] != byte(i) {
 			t.Fatalf("Get %d under loss: %q %v %v", i, v, ok, err)
 		}

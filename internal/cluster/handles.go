@@ -30,6 +30,7 @@ func (h baseHandle) ExtractSlot(slot int) map[wire.ObjectID]store.Object {
 }
 func (h baseHandle) InstallSlot(objs map[wire.ObjectID]store.Object)    { h.Base.Store.InstallSlot(objs) }
 func (h baseHandle) DropSlot(slot int) int                              { return h.Base.Store.DropSlot(slot) }
+func (h baseHandle) Reserve(slot, n int)                                { h.Base.Store.Reserve(slot, n) }
 func (h baseHandle) ExportClients() map[uint32]protocol.ClientRecord    { return h.CT.Export() }
 func (h baseHandle) MergeClients(recs map[uint32]protocol.ClientRecord) { h.CT.Merge(recs) }
 func (h baseHandle) SlotCounts() []int                                  { return h.Base.Store.SlotCounts() }

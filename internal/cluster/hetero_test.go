@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // TestHeteroClusterServesMixedGroups: one cluster, three groups with
@@ -56,7 +57,7 @@ func TestHeteroClusterServesMixedGroups(t *testing.T) {
 	cl := c.NewSyncClient()
 	hit := make([]bool, 3)
 	for i := 0; i < 64; i++ {
-		key := keyName(i)
+		key := workload.KeyName(i)
 		if err := cl.Set(key, []byte{byte(i)}); err != nil {
 			t.Fatalf("Set(%s): %v", key, err)
 		}
@@ -116,7 +117,7 @@ func TestHeteroCrashReplicaPerGroupBounds(t *testing.T) {
 	cl := c.NewSyncClient()
 	served := [3]int{}
 	for i := 0; i < 48; i++ {
-		key := keyName(i)
+		key := workload.KeyName(i)
 		g := c.GroupOf(key)
 		served[g]++
 		if err := cl.Set(key, []byte("x")); err != nil {

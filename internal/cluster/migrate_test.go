@@ -9,6 +9,7 @@ import (
 
 	"harmonia/internal/simnet"
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // keysInSlotOwnedBy collects key indices from [0, keys) whose slot the
@@ -16,7 +17,7 @@ import (
 func keysInSlotOwnedBy(c *Cluster, keys, g int) map[int][]int {
 	out := make(map[int][]int)
 	for i := 0; i < keys; i++ {
-		id := wire.HashKey(keyName(i))
+		id := wire.HashKey(workload.KeyName(i))
 		if c.routeObj(id) == g {
 			out[wire.SlotOf(id)] = append(out[wire.SlotOf(id)], i)
 		}
@@ -44,7 +45,7 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 		t.Fatal("no slot with two keys found")
 	}
 	for _, i := range idxs {
-		if err := cl.Set(keyName(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -61,12 +62,12 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 
 	// Every key now reads its value from the new group, observably.
 	for _, i := range idxs {
-		v, ok, err := cl.Get(keyName(i))
+		v, ok, err := cl.Get(workload.KeyName(i))
 		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%s) after migration = %q %v %v", keyName(i), v, ok, err)
+			t.Fatalf("Get(%s) after migration = %q %v %v", workload.KeyName(i), v, ok, err)
 		}
 		if g := cl.LastGroup(); g != 2 {
-			t.Fatalf("key %s served by group %d, want 2", keyName(i), g)
+			t.Fatalf("key %s served by group %d, want 2", workload.KeyName(i), g)
 		}
 	}
 
@@ -80,10 +81,10 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 	// Writes to migrated keys keep working (the destination store's
 	// write-order guard must not have been wedged by imported seqs).
 	for _, i := range idxs {
-		if err := cl.Set(keyName(i), []byte("post")); err != nil {
+		if err := cl.Set(workload.KeyName(i), []byte("post")); err != nil {
 			t.Fatalf("post-migration Set: %v", err)
 		}
-		if v, ok, err := cl.Get(keyName(i)); err != nil || !ok || string(v) != "post" {
+		if v, ok, err := cl.Get(workload.KeyName(i)); err != nil || !ok || string(v) != "post" {
 			t.Fatalf("post-migration Get = %q %v %v", v, ok, err)
 		}
 	}
@@ -154,7 +155,7 @@ func TestMigrateSlotAllProtocols(t *testing.T) {
 			slot := slices.Min(slices.Collect(maps.Keys(slots)))
 			idxs := slots[slot]
 			for _, i := range idxs {
-				if err := cl.Set(keyName(i), []byte("x")); err != nil {
+				if err := cl.Set(workload.KeyName(i), []byte("x")); err != nil {
 					t.Fatalf("Set: %v", err)
 				}
 			}
@@ -162,14 +163,14 @@ func TestMigrateSlotAllProtocols(t *testing.T) {
 				t.Fatalf("MigrateSlot: %v", err)
 			}
 			for _, i := range idxs {
-				v, ok, err := cl.Get(keyName(i))
+				v, ok, err := cl.Get(workload.KeyName(i))
 				if err != nil || !ok || string(v) != "x" {
 					t.Fatalf("Get after migration = %q %v %v", v, ok, err)
 				}
 				if g := cl.LastGroup(); g != 1 {
 					t.Fatalf("served by group %d, want 1", g)
 				}
-				if err := cl.Set(keyName(i), []byte("y")); err != nil {
+				if err := cl.Set(workload.KeyName(i), []byte("y")); err != nil {
 					t.Fatalf("post-migration Set: %v", err)
 				}
 			}
@@ -388,7 +389,7 @@ func TestMigrateSwapSlotsExchangesOwners(t *testing.T) {
 		vals := map[int]string{}
 		for _, i := range keysInGroupSlots(c, keys, g, slots) {
 			v := fmt.Sprintf("v%d", i)
-			if err := cl.Set(keyName(i), []byte(v)); err != nil {
+			if err := cl.Set(workload.KeyName(i), []byte(v)); err != nil {
 				t.Fatalf("Set: %v", err)
 			}
 			vals[i] = v
@@ -417,12 +418,12 @@ func TestMigrateSwapSlotsExchangesOwners(t *testing.T) {
 	}
 	check := func(vals map[int]string, wantGroup int) {
 		for i, v := range vals {
-			got, ok, err := cl.Get(keyName(i))
+			got, ok, err := cl.Get(workload.KeyName(i))
 			if err != nil || !ok || string(got) != v {
-				t.Fatalf("Get(%s) after swap = %q %v %v", keyName(i), got, ok, err)
+				t.Fatalf("Get(%s) after swap = %q %v %v", workload.KeyName(i), got, ok, err)
 			}
 			if g := cl.LastGroup(); g != wantGroup {
-				t.Fatalf("key %s served by group %d, want %d", keyName(i), g, wantGroup)
+				t.Fatalf("key %s served by group %d, want %d", workload.KeyName(i), g, wantGroup)
 			}
 		}
 	}
@@ -451,7 +452,7 @@ func keysInGroupSlots(c *Cluster, keys, g int, slots []int) []int {
 	}
 	var out []int
 	for i := 0; i < keys; i++ {
-		id := wire.HashKey(keyName(i))
+		id := wire.HashKey(workload.KeyName(i))
 		if c.routeObj(id) == g && in[wire.SlotOf(id)] {
 			out = append(out, i)
 		}

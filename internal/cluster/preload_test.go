@@ -8,6 +8,7 @@ import (
 
 	"harmonia/internal/store"
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // preloadRows are the clusters the Preload tests run on: every protocol
@@ -67,12 +68,12 @@ func TestPreloadMatchesSeededMembers(t *testing.T) {
 					}
 					members = append(members, ms)
 				}
-				kt := c.keyTab(keys)
+				ids := keyTab(keys)
 				var values valueArena
 				ctr := c.valueCtr
 				for round := 1; round <= 2; round++ {
 					c.Preload(keys)
-					for i, id := range kt.ids[:keys] {
+					for i, id := range ids {
 						ctr++
 						val := values.encode(ctr)
 						for _, m := range members[c.routeObj(id)] {
@@ -81,7 +82,7 @@ func TestPreloadMatchesSeededMembers(t *testing.T) {
 					}
 					for g, ms := range members {
 						for i, m := range ms {
-							if err := sameStore(m.st, m.ref, m.applied, kt.ids[:keys]); err != nil {
+							if err := sameStore(m.st, m.ref, m.applied, ids); err != nil {
 								t.Fatalf("after Preload %d: group %d member %d: %s", round, g, i, err)
 							}
 						}
@@ -95,7 +96,7 @@ func TestPreloadMatchesSeededMembers(t *testing.T) {
 						continue
 					}
 					var id wire.ObjectID
-					for _, k := range kt.ids[:keys] {
+					for _, k := range ids {
 						if c.routeObj(k) == g {
 							id = k
 							break
@@ -117,7 +118,7 @@ func TestPreloadMatchesSeededMembers(t *testing.T) {
 							if i == w {
 								continue
 							}
-							if err := sameStore(m.st, m.ref, m.applied, kt.ids[:keys]); err != nil {
+							if err := sameStore(m.st, m.ref, m.applied, ids); err != nil {
 								t.Fatalf("group %d: a write at member %d reached member %d: %s", g, w, i, err)
 							}
 						}
@@ -184,10 +185,28 @@ func BenchmarkPreload(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := New(bc.cfg)
-				c.keyTab(keys) // built once per process, outside the timer
+				keyTab(keys) // built once per process, outside the timer
 				b.StartTimer()
 				c.Preload(keys)
 			}
 		})
+	}
+}
+
+// TestKeyTabIDsAreHashedNames: the load generator addresses key i by
+// the ID the paper's client library would hash its name to, so loads
+// that carry only IDs reach the objects a SyncClient names, at every
+// key-space size the figures and the benchmark use.
+func TestKeyTabIDsAreHashedNames(t *testing.T) {
+	for _, n := range []int{1000, 25000, 100000} {
+		ids := keyTab(n)
+		if len(ids) != n {
+			t.Fatalf("keyTab(%d) holds %d IDs", n, len(ids))
+		}
+		for i, id := range ids {
+			if want := wire.HashKey(workload.KeyName(i)); id != want {
+				t.Fatalf("keyTab(%d)[%d] = %d, want HashKey(%q) = %d", n, i, id, workload.KeyName(i), want)
+			}
+		}
 	}
 }

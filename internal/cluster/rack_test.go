@@ -7,6 +7,7 @@ import (
 
 	"harmonia/internal/trace"
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // slotsOnSwitchOwnedBy returns routing slots that are currently served
@@ -37,7 +38,7 @@ func TestRackMultiSwitchBasicOps(t *testing.T) {
 	cl := c.NewSyncClient()
 	served := make(map[int]int)
 	for i := 0; i < 48; i++ {
-		key := keyName(i)
+		key := workload.KeyName(i)
 		if err := cl.Set(key, []byte{byte(i)}); err != nil {
 			t.Fatalf("Set %s: %v", key, err)
 		}
@@ -82,7 +83,7 @@ func TestRackCrossSwitchMigrationAllProtocols(t *testing.T) {
 				t.Fatal("no migratable slot with keys on switch 0")
 			}
 			for _, i := range idxs {
-				if err := cl.Set(keyName(i), []byte("x")); err != nil {
+				if err := cl.Set(workload.KeyName(i), []byte("x")); err != nil {
 					t.Fatalf("Set: %v", err)
 				}
 			}
@@ -96,7 +97,7 @@ func TestRackCrossSwitchMigrationAllProtocols(t *testing.T) {
 				t.Fatal("front-end ownership did not move with the slot")
 			}
 			for _, i := range idxs {
-				v, ok, err := cl.Get(keyName(i))
+				v, ok, err := cl.Get(workload.KeyName(i))
 				if err != nil || !ok || string(v) != "x" {
 					t.Fatalf("Get after cross-switch migration = %q %v %v", v, ok, err)
 				}
@@ -106,7 +107,7 @@ func TestRackCrossSwitchMigrationAllProtocols(t *testing.T) {
 				if got := cl.LastSwitch(); got != 1 {
 					t.Fatalf("served via switch %d, want 1", got)
 				}
-				if err := cl.Set(keyName(i), []byte("y")); err != nil {
+				if err := cl.Set(workload.KeyName(i), []byte("y")); err != nil {
 					t.Fatalf("post-migration Set: %v", err)
 				}
 			}
@@ -134,7 +135,7 @@ func TestRackCrossSwitchMigrationHeatPickup(t *testing.T) {
 			break
 		}
 	}
-	key := keyName(idxs[0])
+	key := workload.KeyName(idxs[0])
 	if err := cl.Set(key, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRackSwitchCrashIsolation(t *testing.T) {
 	// One key per switch domain.
 	keyOn := make(map[int]string)
 	for i := 0; i < 512 && len(keyOn) < 4; i++ {
-		k := keyName(i)
+		k := workload.KeyName(i)
 		sw := c.SwitchOf(wire.SlotOf(wire.HashKey(k)))
 		if _, ok := keyOn[sw]; !ok {
 			keyOn[sw] = k
@@ -374,7 +375,7 @@ func TestRackSwitchOverlappingReplacements(t *testing.T) {
 	var key string
 	for s, ii := range bySlot {
 		if c.SwitchOf(s) == 0 && len(ii) > 0 {
-			key = keyName(ii[0])
+			key = workload.KeyName(ii[0])
 			break
 		}
 	}
@@ -439,7 +440,7 @@ func TestRackSwitchReplacementSurvivesCrashDuringAgreement(t *testing.T) {
 			bySlot := keysInSlotOwnedBy(c, 64, 0)
 			for s, ii := range bySlot {
 				if c.SwitchOf(s) == 0 && len(ii) > 0 {
-					key := keyName(ii[0])
+					key := workload.KeyName(ii[0])
 					if err := cl.Set(key, []byte("v")); err != nil {
 						t.Fatalf("Set after mid-agreement crash of replica %d: %v", victim, err)
 					}

@@ -7,6 +7,7 @@ import (
 
 	"harmonia/internal/metrics"
 	"harmonia/internal/rebalance"
+	"harmonia/internal/workload"
 )
 
 // bucketCounts returns the completions of each of the first n buckets
@@ -78,7 +79,7 @@ func TestHotKeyDemoteWithSpreadReadInFlight(t *testing.T) {
 	c.Preload(keys)
 	var hot string
 	for i := 0; hot == ""; i++ {
-		if k := keyName(i); c.GroupOf(k) == 2 {
+		if k := workload.KeyName(i); c.GroupOf(k) == 2 {
 			hot = k
 		}
 	}

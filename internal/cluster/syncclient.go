@@ -31,7 +31,7 @@ func (c *Cluster) NewSyncClient() *SyncClient {
 		wlat: metrics.NewHistogram(),
 	}
 	s := &SyncClient{c: c}
-	s.v = c.newVClients(1, meas, &opGen{c: c}, false)[0]
+	s.v = c.newVClients(1, meas, nil, false)[0]
 	s.v.onReply = func(pkt *wire.Packet) {
 		s.done = true
 		s.reply = pkt.Clone()

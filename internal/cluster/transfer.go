@@ -121,7 +121,8 @@ func (sh *shipment) collect(sources []ReplicaHandle, sc scope) {
 // group holds nothing of its own in a slot it receives (it does not own
 // the slot yet, or it is a fresh incarnation), so whatever is there is
 // a leftover — a hot-key copy a demotion kept, or a CRAQ version that
-// committed after the slot left. A key refresh, which runs on every
+// committed after the slot left. It then sizes the table to the
+// shipment once, as Preload does. A key refresh, which runs on every
 // write to a promoted key, overwrites its one object and leaves the
 // rest of the slot alone. Every group that received a slot merges the
 // client records, with kept replies re-stamped for it on flight copies
@@ -137,6 +138,7 @@ func (c *Cluster) ship(sh *shipment, dests func(slot int) []int, then func()) {
 				for _, r := range c.groups[g].replicas {
 					if !sh.key {
 						r.DropSlot(slot)
+						r.Reserve(slot, len(sh.objects[slot]))
 					}
 					r.InstallSlot(sh.objects[slot])
 				}

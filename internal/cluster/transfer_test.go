@@ -9,6 +9,7 @@ import (
 	"harmonia/internal/sim"
 	"harmonia/internal/store"
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 // TestTransferClientTableTravels pins the lost-reply-retry regression
@@ -74,12 +75,13 @@ func TestTransferClientTableTravels(t *testing.T) {
 // reference discipline: it holds one reference per kept reply, Export
 // hands out one more per record, Merge takes its own.
 type fakeReplica struct {
-	objects map[wire.ObjectID]store.Object
-	clients map[uint32]protocol.ClientRecord
+	objects  map[wire.ObjectID]store.Object
+	clients  map[uint32]protocol.ClientRecord
+	reserved map[int]int // room asked for, per slot
 }
 
 func newFakeReplica() *fakeReplica {
-	return &fakeReplica{objects: map[wire.ObjectID]store.Object{}, clients: map[uint32]protocol.ClientRecord{}}
+	return &fakeReplica{objects: map[wire.ObjectID]store.Object{}, clients: map[uint32]protocol.ClientRecord{}, reserved: map[int]int{}}
 }
 
 func (f *fakeReplica) seed(id wire.ObjectID, v []byte, seq wire.Seq) {
@@ -102,7 +104,8 @@ func (f *fakeReplica) InstallSlot(objs map[wire.ObjectID]store.Object) {
 		f.objects[id] = o
 	}
 }
-func (f *fakeReplica) DropSlot(int) int { return 0 }
+func (f *fakeReplica) DropSlot(int) int    { return 0 }
+func (f *fakeReplica) Reserve(slot, n int) { f.reserved[slot] += n }
 func (f *fakeReplica) ExportClients() map[uint32]protocol.ClientRecord {
 	out := map[uint32]protocol.ClientRecord{}
 	for id, rec := range f.clients {
@@ -157,7 +160,7 @@ func twoSlotIDs() (slots [2]int, ids [2][2]wire.ObjectID) {
 	bySlot := map[int][]wire.ObjectID{}
 	var order []int
 	for i := 0; len(order) < 2 || len(bySlot[order[0]]) < 2 || len(bySlot[order[1]]) < 2; i++ {
-		id := wire.HashKey(keyName(i))
+		id := wire.HashKey(workload.KeyName(i))
 		s := wire.SlotOf(id)
 		if len(bySlot[s]) == 0 {
 			order = append(order, s)
@@ -236,7 +239,8 @@ func TestTransferCollectNewestWins(t *testing.T) {
 
 // TestTransferShipDelivers: one timer at 2·linkLatency + n·per-object
 // cost; each slot's objects land on every replica of the groups dests
-// names for it and nowhere else; every reached group gets the client
+// names for it and nowhere else, each replica having reserved room for
+// them once; every reached group gets the client
 // records with replies re-stamped Seq{} / Group=dst; then runs in the
 // delivery event; and afterwards every reply's reference count is back
 // to what the tables hold (under -race, wire additionally asserts no
@@ -281,8 +285,8 @@ func TestTransferShipDelivers(t *testing.T) {
 	}
 	for g, group := range dst {
 		for _, f := range group {
-			if len(f.objects) != 2 {
-				t.Fatalf("group %d replica holds %d objects, want its slot's 2", g+1, len(f.objects))
+			if len(f.objects) != 2 || len(f.reserved) != 1 || f.reserved[slots[g]] != 2 {
+				t.Fatalf("group %d replica holds %d objects and reserved %v, want its slot's 2", g+1, len(f.objects), f.reserved)
 			}
 			for _, id := range ids[g] {
 				if o := f.objects[id]; o.Seq != (wire.Seq{Epoch: 0, N: uint64(id)}) {

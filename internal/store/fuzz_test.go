@@ -143,6 +143,29 @@ func FuzzStoreAgainstMap(f *testing.F) {
 	// each side, copy single slots both ways, then write store 0 again.
 	f.Add(append(append(append([]byte(nil), grow...),
 		10, 0, 1, 0, 3, 7, 11, 3, 7, 1, 4, 1, 12, 6, 2, 21, 4, 8, 10, 1, 0, 21, 1, 0), grow[:60]...))
+	// Reserve 48 positions in slot fuzzSlots[1], write every key of the
+	// slot homed in the second half (40 of them), then delete them in the
+	// same order: more than 24 such keys overflow position 47 into 0, so
+	// the backward shifts wrap past the end of a table that is not a
+	// power of two long, along probe runs long enough that a distance
+	// taken modulo a power of two goes wrong.
+	wrap := []byte{9, 1, 30}
+	var tail []byte
+	probe := slotTab{ids: make([]wire.ObjectID, 48)}
+	for k := 80; k < 160; k++ { // fuzzSlots[1]'s keys
+		if probe.home(fuzzIDs[k]) >= 24 {
+			tail = append(tail, byte(k))
+		}
+	}
+	if len(tail) <= 24 || 8*len(tail) > 7*48 {
+		f.Fatalf("%d keys homed in the last 24 of 48 positions: the probe run does not wrap, or the table grows", len(tail))
+	}
+	for _, op := range []byte{0, 1} {
+		for _, k := range tail {
+			wrap = append(wrap, op, k, 1)
+		}
+	}
+	f.Add(wrap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stores := [2]*Store{New(8), New(8)}

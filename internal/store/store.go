@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"unsafe"
 
 	"harmonia/internal/wire"
@@ -50,17 +49,18 @@ type Store struct {
 }
 
 // slotTab holds one routing slot's objects: linear probing over
-// parallel power-of-two arrays kept at most 7/8 full, deletion by
-// backward shift so lookups never meet a tombstone. A probe run walks
-// only the 4-byte IDs; the object sits at its ID's position in the
-// 24-byte entry array, so both addresses follow from the hash and their
-// cache misses overlap. A position costs 28 bytes (an Object beside its
-// ID would take 44), and the collector finds one pointer per entry.
+// parallel arrays kept at most 7/8 full, deletion by backward shift so
+// lookups never meet a tombstone. A probe run walks only the 4-byte
+// IDs; the object sits at its ID's position in the 24-byte entry array,
+// so both addresses follow from the hash and their cache misses
+// overlap. A position costs 28 bytes (an Object beside its ID would
+// take 44), and the collector finds one pointer per entry. Inserts
+// double a table; Reserve sizes one to a bulk load, in whole cache
+// lines of IDs, so the arrays need not be a power of two long.
 type slotTab struct {
-	ids   []wire.ObjectID // emptyID(slot) marks a free position
-	ents  []entry
-	n     int
-	shift uint8 // 32 - log2(len(ids))
+	ids  []wire.ObjectID // emptyID(slot) marks a free position
+	ents []entry
+	n    int
 }
 
 // entry is an Object packed into 24 bytes: the value as its first byte
@@ -86,7 +86,12 @@ func (e *entry) object() Object {
 	return Object{Value: unsafe.Slice((*byte)(e.val), e.n), Seq: e.seqNum()}
 }
 
-const slotTabMinLen = 8
+const (
+	slotTabMinLen = 8
+	// slotTabLine is the granule Reserve sizes a table in: one 64-byte
+	// cache line of IDs.
+	slotTabLine = 16
+)
 
 // emptyID returns the free-position marker of a slot's table: an ID
 // that routes to some other slot and so is never stored in this one
@@ -99,22 +104,28 @@ func emptyID(slot int) wire.ObjectID {
 	return 0
 }
 
-// home is id's preferred position: the top bits of the golden-ratio
-// product whose bits 8–15 wire.SlotOf routes by.
-func (t *slotTab) home(id wire.ObjectID) int { return int(uint32(id) * 0x9E3779B1 >> t.shift) }
+// home is id's preferred position: the golden-ratio product whose bits
+// 8–15 wire.SlotOf routes by, read as a fraction of the table and
+// scaled to its length (multiply-high). For a power-of-two length that
+// is the product's top bits.
+func (t *slotTab) home(id wire.ObjectID) int {
+	return int(uint64(uint32(id)*0x9E3779B1) * uint64(len(t.ids)) >> 32)
+}
 
 // find returns id's position, or -1.
 func (t *slotTab) find(id, empty wire.ObjectID) int {
 	if t.n == 0 {
 		return -1
 	}
-	mask := len(t.ids) - 1
-	for i := t.home(id); ; i = (i + 1) & mask {
+	for i := t.home(id); ; {
 		switch t.ids[i] {
 		case id:
 			return i
 		case empty:
 			return -1
+		}
+		if i++; i == len(t.ids) {
+			i = 0
 		}
 	}
 }
@@ -127,7 +138,7 @@ func (t *slotTab) put(id, empty wire.ObjectID, o Object) {
 		return
 	}
 	if 8*(t.n+1) > 7*len(t.ids) {
-		t.grow(empty, t.n+1)
+		t.resize(empty, max(2*len(t.ids), slotTabMinLen))
 	}
 	t.link(id, empty, e)
 	t.n++
@@ -135,25 +146,19 @@ func (t *slotTab) put(id, empty wire.ObjectID, o Object) {
 
 // link places an absent id at the first free position from its home.
 func (t *slotTab) link(id, empty wire.ObjectID, e entry) {
-	mask := len(t.ids) - 1
 	i := t.home(id)
 	for t.ids[i] != empty {
-		i = (i + 1) & mask
+		if i++; i == len(t.ids) {
+			i = 0
+		}
 	}
 	t.ids[i], t.ents[i] = id, e
 }
 
-// grow doubles the table, or brings it straight to the size that
-// doubling would reach by the time it holds want objects, and re-links
-// what it holds.
-func (t *slotTab) grow(empty wire.ObjectID, want int) {
+// resize moves the table to size positions and re-links what it holds.
+func (t *slotTab) resize(empty wire.ObjectID, size int) {
 	oldIDs, oldEnts := t.ids, t.ents
-	size := max(2*len(oldIDs), slotTabMinLen)
-	for 8*want > 7*size {
-		size *= 2
-	}
 	t.ids, t.ents = make([]wire.ObjectID, size), make([]entry, size)
-	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	if empty != 0 {
 		for i := range t.ids {
 			t.ids[i] = empty
@@ -175,20 +180,30 @@ func (t *slotTab) del(id, empty wire.ObjectID) {
 	if i < 0 {
 		return
 	}
-	mask := len(t.ids) - 1
 	for j := i; ; {
-		j = (j + 1) & mask
+		if j++; j == len(t.ids) {
+			j = 0
+		}
 		k := t.ids[j]
 		if k == empty {
 			break
 		}
-		if (j-t.home(k))&mask >= (j-i)&mask {
+		if t.behind(t.home(k), j) >= t.behind(i, j) {
 			t.ids[i], t.ents[i] = k, t.ents[j]
 			i = j
 		}
 	}
 	t.ids[i], t.ents[i] = empty, entry{}
 	t.n--
+}
+
+// behind returns how many positions from lies before to, cyclically.
+func (t *slotTab) behind(from, to int) int {
+	d := to - from
+	if d < 0 {
+		d += len(t.ids)
+	}
+	return d
 }
 
 // each calls fn for every object of the table, in table order.
@@ -241,12 +256,15 @@ func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
 
 // Reserve makes room for n more objects in one routing slot, so that a
 // bulk load re-links the slot's table once instead of at every doubling
-// on the way. The table ends at exactly the size n single inserts of
-// new objects would have grown it to.
+// on the way. A table too small for them moves to the fewest whole cache
+// lines of IDs that hold them at 7/8 load, about 32 bytes an object,
+// where a table sized by doubling can be as little as 7/16 full. Inserts
+// past 7/8 double it as usual.
 func (s *Store) Reserve(slot, n int) {
 	t := &s.slots[slot]
 	if want := t.n + n; 8*want > 7*len(t.ids) {
-		t.grow(emptyID(slot), want)
+		size := (8*want + 6) / 7
+		t.resize(emptyID(slot), (size+slotTabLine-1)/slotTabLine*slotTabLine)
 	}
 }
 
@@ -263,7 +281,7 @@ func (s *Store) CopySlot(src *Store, slot int) {
 	}
 	copy(t.ids, from.ids)
 	copy(t.ents, from.ents)
-	t.n, t.shift = from.n, from.shift
+	t.n = from.n
 	// No object is newer than its store's lastApplied, so only a source
 	// ahead of this store can hand it a newer one.
 	if s.lastApplied.Less(src.lastApplied) {

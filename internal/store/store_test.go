@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"harmonia/internal/wire"
+	"harmonia/internal/workload"
 )
 
 func seq(n uint64) wire.Seq { return wire.Seq{Epoch: 1, N: n} }
@@ -364,40 +365,91 @@ func TestEmptyIDRoutesElsewhere(t *testing.T) {
 	}
 }
 
-// TestReserveLandsWhereDoublingDoes: reserving room for n objects and
-// then inserting them leaves a slot's table at exactly the size n plain
-// inserts grow it to, from an empty table and from a populated one, so
-// bulk loading moves no memory figure — and does it in one re-link.
-func TestReserveLandsWhereDoublingDoes(t *testing.T) {
-	const slot = 5
+// slotIDs returns the first n object IDs, counting up from 0, that
+// route to slot.
+func slotIDs(slot, n int) []wire.ObjectID {
 	var ids []wire.ObjectID
-	for id := wire.ObjectID(0); len(ids) < 1200; id++ {
+	for id := wire.ObjectID(0); len(ids) < n; id++ {
 		if wire.SlotOf(id) == slot {
 			ids = append(ids, id)
 		}
 	}
+	return ids
+}
+
+// TestReserveSizesInCacheLines: reserving room for n objects and then
+// inserting them re-links a slot's table once, at Reserve, to the
+// smallest multiple of 16 positions that holds them at 7/8 load (or not
+// at all when it already does), from an empty table and from a
+// populated one; the n inserts re-link nothing, and plain inserts past
+// 7/8 double the table.
+func TestReserveSizesInCacheLines(t *testing.T) {
+	const slot = 5
+	ids := slotIDs(slot, 1400)
 	for _, held := range []int{0, 1, 7, 100} {
-		for n := 0; held+n <= len(ids); n += 1 + n/8 {
-			plain, reserved := New(8), New(8)
+		for n := 0; held+n <= 1200; n += 1 + n/8 {
+			s := New(8)
 			for _, id := range ids[:held] {
-				plain.Seed(id, nil, wire.Seq{N: 1})
-				reserved.Seed(id, nil, wire.Seq{N: 1})
+				s.Seed(id, nil, wire.Seq{N: 1})
 			}
-			reserved.Reserve(slot, n)
-			sized := len(reserved.slots[slot].ids)
+			tab := &s.slots[slot]
+			before := tab.ids
+			s.Reserve(slot, n)
+			sized := tab.ids
+			want := len(before)
+			if 8*(held+n) > 7*want {
+				for want = 16; 8*(held+n) > 7*want; want += 16 {
+				}
+			}
+			if len(sized) != want || (want == len(before) && unsafe.SliceData(sized) != unsafe.SliceData(before)) {
+				t.Fatalf("%d held + %d reserved: Reserve left a table of %d (was %d), want %d", held, n, len(sized), len(before), want)
+			}
 			for _, id := range ids[held : held+n] {
-				plain.Seed(id, nil, wire.Seq{N: 1})
-				reserved.Seed(id, nil, wire.Seq{N: 1})
+				s.Seed(id, nil, wire.Seq{N: 1})
 			}
-			if got, want := len(reserved.slots[slot].ids), len(plain.slots[slot].ids); got != want || got != sized {
-				t.Fatalf("%d held + %d reserved: table of %d (sized %d by Reserve), plain inserts reach %d", held, n, got, sized, want)
+			if unsafe.SliceData(tab.ids) != unsafe.SliceData(sized) {
+				t.Fatalf("%d held + %d reserved: the inserts re-linked the table (%d → %d positions)", held, n, len(sized), len(tab.ids))
 			}
 			for _, id := range ids[:held+n] {
-				if _, ok := reserved.Get(id); !ok {
+				if _, ok := s.Get(id); !ok {
 					t.Fatalf("%d held + %d reserved: object %d lost", held, n, id)
 				}
 			}
+			if len(sized) == 0 {
+				continue
+			}
+			next := held + n
+			for ; len(tab.ids) == len(sized); next++ {
+				s.Seed(ids[next], nil, wire.Seq{N: 1})
+			}
+			if len(tab.ids) != 2*len(sized) || 8*(next-1) > 7*len(sized) {
+				t.Fatalf("%d held + %d reserved: insert %d moved a table of %d to %d, want it doubled past 7/8", held, n, next, len(sized), len(tab.ids))
+			}
 		}
+	}
+}
+
+// TestReservedObjectCost is the memory guard on the replicas' largest
+// structure: 100 000 workload keys, reserved slot by slot as a bulk
+// load does, take at most 32.6 bytes per object counted from the
+// tables' lengths: 28 bytes a position at 7/8 load is 32, and rounding
+// each of the 256 tables up to a cache line of IDs adds 0.53 on these
+// keys. Power-of-two tables cost 36.7.
+func TestReservedObjectCost(t *testing.T) {
+	const keys = 100000
+	var perSlot [wire.NumSlots]int
+	for i := 0; i < keys; i++ {
+		perSlot[wire.SlotOf(wire.HashKey(workload.KeyName(i)))]++
+	}
+	s := New(8)
+	positions := 0
+	for slot, n := range perSlot {
+		s.Reserve(slot, n)
+		positions += len(s.slots[slot].ids)
+	}
+	const perPosition = int(unsafe.Sizeof(wire.ObjectID(0)) + unsafe.Sizeof(entry{}))
+	if cost := float64(positions*perPosition) / keys; cost > 32.6 {
+		t.Fatalf("%d reserved objects take %d positions, %.2f bytes each, want at most 32.6", keys, positions, cost)
 	}
 }
 
@@ -409,12 +461,7 @@ func TestReserveLandsWhereDoublingDoes(t *testing.T) {
 // the applied count stays, and every other slot is untouched.
 func TestCopySlotCopiesTheTable(t *testing.T) {
 	for _, slot := range []int{0, 5} { // slot 0's free marker is not zero
-		var ids []wire.ObjectID
-		for id := wire.ObjectID(0); len(ids) < 300; id++ {
-			if wire.SlotOf(id) == slot {
-				ids = append(ids, id)
-			}
-		}
+		ids := slotIDs(slot, 300)
 		other := wire.ObjectID(0)
 		for wire.SlotOf(other) == slot {
 			other++
@@ -444,9 +491,9 @@ func TestCopySlotCopiesTheTable(t *testing.T) {
 
 		dst.CopySlot(src, slot)
 		from, got := &src.slots[slot], &dst.slots[slot]
-		if got.n != from.n || got.shift != from.shift || !slices.Equal(got.ids, from.ids) || len(got.ents) != len(from.ents) {
-			t.Fatalf("slot %d: copied table n=%d shift=%d len=%d, source n=%d shift=%d len=%d",
-				slot, got.n, got.shift, len(got.ids), from.n, from.shift, len(from.ids))
+		if got.n != from.n || !slices.Equal(got.ids, from.ids) || len(got.ents) != len(from.ents) {
+			t.Fatalf("slot %d: copied table n=%d len=%d, source n=%d len=%d",
+				slot, got.n, len(got.ids), from.n, len(from.ids))
 		}
 		for i := range got.ents {
 			if got.ents[i] != from.ents[i] {
