@@ -63,7 +63,12 @@ func TestPreloadMatchesSeededMembers(t *testing.T) {
 							*st = *store.New(8)
 						}
 						ref := store.New(8)
-						ref.Restore(st.Snapshot())
+						for slot := range wire.NumSlots {
+							ref.CopySlot(st, slot)
+						}
+						if ref.LastApplied() != st.LastApplied() {
+							t.Fatalf("the copy's lastApplied %v, the member's %v", ref.LastApplied(), st.LastApplied())
+						}
 						ms = append(ms, member{st, ref, st.AppliedCount()})
 					}
 					members = append(members, ms)

@@ -177,8 +177,8 @@ func (b *Base) HandleFastRead(pkt *wire.Packet, normalDst SendTarget) (serveNorm
 		b.LeaseRejected++
 		return b.rejectFast(pkt, normalDst)
 	}
-	// One probe serves both the check and the reply; an absent object's
-	// Seq is zero, as ObjectSeq reports it.
+	// One probe serves both the check and the reply; an absent object
+	// (never written, or deleted) comes back at the zero Seq.
 	obj, found := b.Store.Get(pkt.ObjID)
 	var ok bool
 	switch b.Class {

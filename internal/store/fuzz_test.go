@@ -78,24 +78,21 @@ func checkSlotCounts(t *testing.T, step int, s *Store, o *storeOracle) {
 	}
 }
 
-func (o *storeOracle) clone() *storeOracle {
-	c := &storeOracle{objs: make(map[wire.ObjectID]Object, len(o.objs)), lastApplied: o.lastApplied, applied: o.applied}
-	for id, obj := range o.objs {
-		c.objs[id] = obj
-	}
-	return c
-}
-
 // fuzzValue is the value a write with argument arg stores: nil, empty
-// but not nil, or 1, 8 or 64 bytes drawn from arg.
+// but not nil, or 1, 8, 64 or 200 bytes drawn from arg (200 is past
+// what an entry packs).
 func fuzzValue(arg byte) []byte {
-	switch arg % 5 {
+	switch arg % 6 {
 	case 0:
 		return nil
 	case 1:
 		return []byte{}
 	}
-	v := make([]byte, []int{1, 8, 64}[arg%5-2])
+	return fuzzBytes([]int{1, 8, 64, 200}[arg%6-2], arg)
+}
+
+func fuzzBytes(n int, arg byte) []byte {
+	v := make([]byte, n)
 	for i := range v {
 		v[i] = arg + byte(i)
 	}
@@ -166,12 +163,52 @@ func FuzzStoreAgainstMap(f *testing.F) {
 		}
 	}
 	f.Add(wrap)
+	// Boxed entries in store 0's table of fuzzSlots[0]: seed every key
+	// with a 200-byte value, write over every third with a packed one,
+	// reseed every fifth at epoch 2¹⁶, delete every other key (backward
+	// shifts pull boxed and packed entries past each other), copy the
+	// slot into store 1, read it there and write over it.
+	var mixed []byte
+	for k := 0; k < 80; k++ {
+		mixed = append(mixed, 8, byte(k), byte(3*k))
+	}
+	for k := 0; k < 80; k += 3 {
+		mixed = append(mixed, 0, byte(k), 2)
+	}
+	for k := 1; k < 80; k += 5 {
+		mixed = append(mixed, 8, byte(k), 4)
+	}
+	for k := 0; k < 80; k += 2 {
+		mixed = append(mixed, 1, byte(k), 1)
+	}
+	mixed = append(mixed, 10, 0, 0)
+	for k := 1; k < 80; k += 2 {
+		mixed = append(mixed, 11+3, byte(k), 0, 11+0, byte(k), 3)
+	}
+	f.Add(mixed)
+	// Every key of all three slots seeded at N ≥ 2⁴⁰, so each later
+	// write is boxed too: delete every third key, write over every
+	// seventh, copy every slot into store 1, then delete there and read
+	// store 0.
+	var wide []byte
+	for k := 0; k < len(fuzzIDs); k++ {
+		wide = append(wide, 8, byte(k), byte(2+3*(k%80)))
+	}
+	for k := 0; k < len(fuzzIDs); k += 3 {
+		wide = append(wide, 1, byte(k), 1)
+	}
+	for k := 0; k < len(fuzzIDs); k += 7 {
+		wide = append(wide, 0, byte(k), 3)
+	}
+	wide = append(wide, 10, 0, 1)
+	for k := 0; k < len(fuzzIDs); k += 4 {
+		wide = append(wide, 11+1, byte(k), 1, 3, byte(k), 0)
+	}
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stores := [2]*Store{New(8), New(8)}
 		oracles := [2]*storeOracle{{objs: map[wire.ObjectID]Object{}}, {objs: map[wire.ObjectID]Object{}}}
-		var snap Snapshot
-		var snapOracle *storeOracle
 		for step := 0; len(data) >= 3; step++ {
 			op, which, k, arg := data[0]%11, int(data[0]/11)&1, data[1], data[2]
 			data = data[3:]
@@ -235,17 +272,22 @@ func FuzzStoreAgainstMap(f *testing.F) {
 					t.Fatalf("step %d: DropSlot(%d) removed %d, oracle %d", step, slot, got, want)
 				}
 			case 7: // Snapshot
-				snap, snapOracle = s.Snapshot(), o.clone()
+				snap := s.Snapshot()
 				if !sameObjects(snap.Objects, o.objs) || snap.LastApplied != o.lastApplied {
 					t.Fatalf("step %d: snapshot differs from the oracle", step)
 				}
-			case 8: // Restore the last snapshot, whichever store it came from
-				if snapOracle != nil {
-					s.Restore(snap)
-					applied := o.applied // Restore replaces contents, not the lifetime count
-					oracles[which] = snapOracle.clone()
-					oracles[which].applied = applied
+			case 8: // Seed outside the packed widths: a 200-byte value, an epoch of 2¹⁶ or an N of 2⁴⁰
+				v, seq := fuzzValue(arg), wire.Seq{N: uint64(arg)}
+				switch arg % 3 {
+				case 0:
+					v = fuzzBytes(200, arg)
+				case 1:
+					seq.Epoch = 1 << 16
+				case 2:
+					seq.N += 1 << 40
 				}
+				s.Seed(id, v, seq)
+				o.seed(id, v, seq)
 			case 9: // Reserve room in one slot: no observable change
 				s.Reserve(slot, int(arg))
 			case 10: // CopySlot into the other store: one slot, or every slot
@@ -270,9 +312,6 @@ func FuzzStoreAgainstMap(f *testing.F) {
 				want, wantOK := o.objs[id]
 				if ok != wantOK || got.Seq != want.Seq || !sameValue(got.Value, want.Value) {
 					t.Fatalf("step %d (op %d): store %d Get(%d) = %v %v, oracle %v %v", step, op, i, id, got, ok, want, wantOK)
-				}
-				if s.ObjectSeq(id) != want.Seq {
-					t.Fatalf("step %d: store %d ObjectSeq(%d) = %v, oracle %v", step, i, id, s.ObjectSeq(id), want.Seq)
 				}
 				if s.Len() != len(o.objs) || s.LastApplied() != o.lastApplied || s.AppliedCount() != o.applied {
 					t.Fatalf("step %d (op %d): store %d Len %d lastApplied %v applied %d, oracle %d %v %d",

@@ -12,7 +12,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math"
 	"unsafe"
 
 	"harmonia/internal/wire"
@@ -51,9 +50,9 @@ type Store struct {
 // slotTab holds one routing slot's objects: linear probing over
 // parallel arrays kept at most 7/8 full, deletion by backward shift so
 // lookups never meet a tombstone. A probe run walks only the 4-byte
-// IDs; the object sits at its ID's position in the 24-byte entry array,
+// IDs; the object sits at its ID's position in the 16-byte entry array,
 // so both addresses follow from the hash and their cache misses
-// overlap. A position costs 28 bytes (an Object beside its ID would
+// overlap. A position costs 20 bytes (an Object beside its ID would
 // take 44), and the collector finds one pointer per entry. Inserts
 // double a table; Reserve sizes one to a bulk load, in whole cache
 // lines of IDs, so the arrays need not be a power of two long.
@@ -63,27 +62,49 @@ type slotTab struct {
 	n    int
 }
 
-// entry is an Object packed into 24 bytes: the value as its first byte
-// and its length (nil stays nil, empty stays empty; what comes back out
-// has cap == len), and the sequence number without Seq's padding.
+// entry is an Object packed into 16 bytes: the value as its first byte
+// (nil stays nil, empty stays empty; what comes back out has
+// cap == len) and one meta word holding the value's length, the
+// sequence number and a boxed flag. An object that does not fit the
+// word — a value of 128 bytes or more, an epoch from 2¹⁶, an N from
+// 2⁴⁰ — is boxed instead: val names an immutable heap Object and meta
+// is the flag alone. The zero entry, a free position, reads as a nil
+// value at the zero sequence number.
 type entry struct {
-	val   unsafe.Pointer
-	n     uint32
-	epoch uint32
-	seq   uint64
+	val  unsafe.Pointer
+	meta uint64
 }
+
+// The meta word, from its low bit: 7 bits of value length, the boxed
+// flag, 16 bits of epoch and 40 of N.
+const (
+	lenBits    = 7
+	boxed      = 1 << lenBits
+	epochShift = lenBits + 1
+	epochBits  = 16
+	nShift     = epochShift + epochBits
+)
 
 func pack(o Object) entry {
-	if uint64(len(o.Value)) > math.MaxUint32 {
-		panic(fmt.Sprintf("store: %d-byte value does not fit an entry", len(o.Value)))
+	v, s := o.Value, o.Seq
+	if len(v) >= 1<<lenBits || s.Epoch >= 1<<epochBits || s.N >= 1<<(64-nShift) {
+		return entry{val: unsafe.Pointer(&Object{Value: v[:len(v):len(v)], Seq: s}), meta: boxed}
 	}
-	return entry{val: unsafe.Pointer(unsafe.SliceData(o.Value)), n: uint32(len(o.Value)), epoch: o.Seq.Epoch, seq: o.Seq.N}
+	return entry{val: unsafe.Pointer(unsafe.SliceData(v)), meta: s.N<<nShift | uint64(s.Epoch)<<epochShift | uint64(len(v))}
 }
 
-func (e *entry) seqNum() wire.Seq { return wire.Seq{Epoch: e.epoch, N: e.seq} }
+func (e *entry) seqNum() wire.Seq {
+	if e.meta&boxed != 0 {
+		return (*Object)(e.val).Seq
+	}
+	return wire.Seq{Epoch: uint32(e.meta >> epochShift & (1<<epochBits - 1)), N: e.meta >> nShift}
+}
 
 func (e *entry) object() Object {
-	return Object{Value: unsafe.Slice((*byte)(e.val), e.n), Seq: e.seqNum()}
+	if e.meta&boxed != 0 {
+		return *(*Object)(e.val)
+	}
+	return Object{Value: unsafe.Slice((*byte)(e.val), e.meta&(1<<lenBits-1)), Seq: e.seqNum()}
 }
 
 const (
@@ -257,7 +278,7 @@ func (s *Store) Seed(id wire.ObjectID, value []byte, seq wire.Seq) {
 // Reserve makes room for n more objects in one routing slot, so that a
 // bulk load re-links the slot's table once instead of at every doubling
 // on the way. A table too small for them moves to the fewest whole cache
-// lines of IDs that hold them at 7/8 load, about 32 bytes an object,
+// lines of IDs that hold them at 7/8 load, about 23 bytes an object,
 // where a table sized by doubling can be as little as 7/16 full. Inserts
 // past 7/8 double it as usual.
 func (s *Store) Reserve(slot, n int) {
@@ -303,17 +324,6 @@ func (s *Store) Get(id wire.ObjectID) (Object, bool) {
 	return Object{}, false
 }
 
-// ObjectSeq returns the sequence number of the last write applied to
-// id (zero if the object has never been written or was deleted — a
-// deleted object's tombstone semantics are captured by lastApplied
-// ordering, since deletes also advance it).
-func (s *Store) ObjectSeq(id wire.ObjectID) wire.Seq {
-	if o, ok := s.Get(id); ok {
-		return o.Seq
-	}
-	return wire.ZeroSeq
-}
-
 // LastApplied returns the sequence number of the most recent applied
 // write (R.seq).
 func (s *Store) LastApplied() wire.Seq { return s.lastApplied }
@@ -331,8 +341,8 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Snapshot copies the full state, used for state transfer when a
-// replica falls behind or a new replica joins.
+// Snapshot is a copy of the full state: every object and lastApplied,
+// for comparing replicas' stores.
 type Snapshot struct {
 	Objects     map[wire.ObjectID]Object
 	LastApplied wire.Seq
@@ -345,15 +355,6 @@ func (s *Store) Snapshot() Snapshot {
 		s.slots[slot].each(emptyID(slot), func(id wire.ObjectID, o Object) { snap.Objects[id] = o })
 	}
 	return snap
-}
-
-// Restore replaces the store contents with snap.
-func (s *Store) Restore(snap Snapshot) {
-	s.slots = [wire.NumSlots]slotTab{}
-	for id, o := range snap.Objects {
-		s.put(id, o)
-	}
-	s.lastApplied = snap.LastApplied
 }
 
 // ExtractSlot copies every live object whose ID hashes to the given

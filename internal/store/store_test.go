@@ -18,8 +18,8 @@ func seq(n uint64) wire.Seq { return wire.Seq{Epoch: 1, N: n} }
 // replica holds every key of its groups, so the entry array is most of
 // a read-heavy run's heap.
 func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 24 {
-		t.Fatalf("entry is %d bytes, want 24", n)
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestDelete(t *testing.T) {
 	if s.LastApplied() != seq(2) {
 		t.Fatal("delete did not advance lastApplied")
 	}
-	if s.ObjectSeq(1) != wire.ZeroSeq {
+	if o, _ := s.Get(1); o.Seq != wire.ZeroSeq {
 		t.Fatal("deleted object has nonzero seq")
 	}
 }
@@ -95,7 +95,9 @@ func TestObjectSeqAndLastApplied(t *testing.T) {
 	s := New(4)
 	_ = s.Apply(10, []byte("a"), seq(1), false)
 	_ = s.Apply(20, []byte("b"), seq(2), false)
-	if s.ObjectSeq(10) != seq(1) || s.ObjectSeq(20) != seq(2) {
+	a, _ := s.Get(10)
+	b, _ := s.Get(20)
+	if a.Seq != seq(1) || b.Seq != seq(2) {
 		t.Fatal("per-object seq wrong")
 	}
 	if s.LastApplied() != seq(2) {
@@ -116,29 +118,27 @@ func TestLenAndAppliedCount(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
+// TestSnapshotCopiesState: a snapshot holds every object and
+// lastApplied, and later writes to the store do not reach it.
+func TestSnapshotCopiesState(t *testing.T) {
 	s := New(8)
 	for i := uint64(1); i <= 50; i++ {
 		_ = s.Apply(wire.ObjectID(i), []byte{byte(i)}, seq(i), false)
 	}
 	snap := s.Snapshot()
-
-	fresh := New(2) // different shard count must not matter
-	fresh.Restore(snap)
-	if fresh.Len() != 50 || fresh.LastApplied() != seq(50) {
-		t.Fatalf("restore: len=%d last=%v", fresh.Len(), fresh.LastApplied())
+	if len(snap.Objects) != 50 || snap.LastApplied != seq(50) {
+		t.Fatalf("snapshot: %d objects, lastApplied %v", len(snap.Objects), snap.LastApplied)
 	}
 	for i := uint64(1); i <= 50; i++ {
-		o, ok := fresh.Get(wire.ObjectID(i))
+		o, ok := snap.Objects[wire.ObjectID(i)]
 		if !ok || o.Value[0] != byte(i) || o.Seq != seq(i) {
-			t.Fatalf("object %d wrong after restore: %+v %v", i, o, ok)
+			t.Fatalf("object %d wrong in snapshot: %+v %v", i, o, ok)
 		}
 	}
-	// Snapshot must be a copy: mutating the restored store must not
-	// affect the source.
-	_ = fresh.Apply(1, []byte("zz"), seq(99), false)
-	if o, _ := s.Get(1); o.Value[0] != 1 {
-		t.Fatal("snapshot aliases source store")
+	_ = s.Apply(1, []byte("zz"), seq(99), false)
+	_ = s.Apply(2, nil, seq(100), true)
+	if o := snap.Objects[1]; o.Value[0] != 1 || len(snap.Objects) != 50 || snap.LastApplied != seq(50) {
+		t.Fatal("snapshot aliases the store")
 	}
 }
 
@@ -209,7 +209,7 @@ func TestSeqInvariants(t *testing.T) {
 			if s.LastApplied() != max {
 				return false
 			}
-			if s.LastApplied().Less(s.ObjectSeq(id)) {
+			if o, _ := s.Get(id); s.LastApplied().Less(o.Seq) {
 				return false
 			}
 		}
@@ -290,7 +290,7 @@ func TestExtractInstallDropSlot(t *testing.T) {
 
 // TestSlotCountsTrackOnline verifies the per-slot object counts stay
 // exact through every mutation path — write, overwrite, delete, seed,
-// install, drop, restore — so the rebalancer's ObjectCost veto can
+// install, drop, copy — so the rebalancer's ObjectCost veto can
 // sample occupancy without a scan.
 func TestSlotCountsTrackOnline(t *testing.T) {
 	s := New(4)
@@ -341,15 +341,16 @@ func TestSlotCountsTrackOnline(t *testing.T) {
 	s.DropSlot(slot)
 	verify("after drop")
 
-	snap := s.Snapshot()
 	s2 := New(2)
 	s2.Seed(wire.ObjectID(7), []byte("x"), wire.Seq{})
-	s2.Restore(snap)
+	for slot := range wire.NumSlots {
+		s2.CopySlot(s, slot)
+	}
 	got := s2.SlotCounts()
 	want := s.SlotCounts()
 	for slot := range got {
 		if got[slot] != want[slot] {
-			t.Fatalf("restore: slot %d count %d, want %d", slot, got[slot], want[slot])
+			t.Fatalf("copy: slot %d count %d, want %d", slot, got[slot], want[slot])
 		}
 	}
 }
@@ -431,10 +432,11 @@ func TestReserveSizesInCacheLines(t *testing.T) {
 
 // TestReservedObjectCost is the memory guard on the replicas' largest
 // structure: 100 000 workload keys, reserved slot by slot as a bulk
-// load does, take at most 32.6 bytes per object counted from the
-// tables' lengths: 28 bytes a position at 7/8 load is 32, and rounding
-// each of the 256 tables up to a cache line of IDs adds 0.53 on these
-// keys. Power-of-two tables cost 36.7.
+// load does, take at most 23.3 bytes per object counted from the
+// tables' lengths: 20 bytes a position at 7/8 load is 22.86, and
+// rounding each of the 256 tables up to a cache line of IDs adds 0.38
+// on these keys (23.24). 24-byte entries cost 32.5, power-of-two
+// tables 26.2.
 func TestReservedObjectCost(t *testing.T) {
 	const keys = 100000
 	var perSlot [wire.NumSlots]int
@@ -448,8 +450,8 @@ func TestReservedObjectCost(t *testing.T) {
 		positions += len(s.slots[slot].ids)
 	}
 	const perPosition = int(unsafe.Sizeof(wire.ObjectID(0)) + unsafe.Sizeof(entry{}))
-	if cost := float64(positions*perPosition) / keys; cost > 32.6 {
-		t.Fatalf("%d reserved objects take %d positions, %.2f bytes each, want at most 32.6", keys, positions, cost)
+	if cost := float64(positions*perPosition) / keys; cost > 23.3 {
+		t.Fatalf("%d reserved objects take %d positions, %.2f bytes each, want at most 23.3", keys, positions, cost)
 	}
 }
 
@@ -536,6 +538,70 @@ func TestCopySlotCopiesTheTable(t *testing.T) {
 		dst.CopySlot(New(8), slot)
 		if dst.SlotLen(slot) != 0 || dst.Len() != 1 {
 			t.Fatalf("slot %d: after copying an empty slot SlotLen %d Len %d", slot, dst.SlotLen(slot), dst.Len())
+		}
+	}
+}
+
+// TestPackedWritesAllocateNothing: an object inside the meta word's
+// widths — an 8-byte value at epoch 3 and N 2³⁹ — is written over a
+// live position and read back without allocating. At each width's
+// edge, an object packs or is boxed as the widths say, and comes back
+// through Get, ExtractSlot and CopySlot exactly as it went in.
+func TestPackedWritesAllocateNothing(t *testing.T) {
+	s := New(8)
+	v := []byte("8 bytes!")
+	sq := wire.Seq{Epoch: 3, N: 1 << 39}
+	if err := s.Apply(7, v, sq, false); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() {
+		sq.N++
+		err = s.Apply(7, v, sq, false)
+	}); n != 0 || err != nil {
+		t.Fatalf("Apply over a live position: %v allocations, %v", n, err)
+	}
+	var o Object
+	if n := testing.AllocsPerRun(100, func() { o, _ = s.Get(7) }); n != 0 {
+		t.Fatalf("Get: %v allocations", n)
+	}
+	if !sameValue(o.Value, v) || o.Seq != sq {
+		t.Fatalf("Get = %q at %v, want %q at %v", o.Value, o.Seq, v, sq)
+	}
+
+	long := make([]byte, 128, 300)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	for _, c := range []struct {
+		o     Object
+		boxed bool
+	}{
+		{Object{long[:127], wire.Seq{Epoch: 1<<16 - 1, N: 1<<40 - 1}}, false},
+		{Object{long, wire.Seq{Epoch: 1, N: 1}}, true},
+		{Object{nil, wire.Seq{Epoch: 1 << 16, N: 1}}, true},
+		{Object{[]byte{}, wire.Seq{N: 1 << 40}}, true},
+		{Object{long[:1], wire.Seq{Epoch: 1<<32 - 1, N: 1<<64 - 1}}, true},
+	} {
+		const slot = 9
+		id := slotIDs(slot, 1)[0]
+		src, dst := New(8), New(8)
+		src.Seed(id, c.o.Value, c.o.Seq)
+		tab := &src.slots[slot]
+		if isBoxed := tab.ents[tab.find(id, emptyID(slot))].meta&boxed != 0; isBoxed != c.boxed {
+			t.Fatalf("%d bytes at %v: boxed %v, want %v", len(c.o.Value), c.o.Seq, isBoxed, c.boxed)
+		}
+		dst.CopySlot(src, slot)
+		got, ok := src.Get(id)
+		extracted := src.ExtractSlot(slot)[id]
+		copied, copiedOK := dst.Get(id)
+		for _, g := range []Object{got, extracted, copied} {
+			if !ok || !copiedOK || g.Seq != c.o.Seq || !sameValue(g.Value, c.o.Value) {
+				t.Fatalf("%d bytes at %v came back as %d bytes (cap %d) at %v", len(c.o.Value), c.o.Seq, len(g.Value), cap(g.Value), g.Seq)
+			}
+		}
+		if dst.LastApplied() != c.o.Seq {
+			t.Fatalf("%d bytes at %v: the copy's lastApplied is %v", len(c.o.Value), c.o.Seq, dst.LastApplied())
 		}
 	}
 }
