@@ -168,6 +168,11 @@ func TestClientOpPathAllocs(t *testing.T) {
 	}); a > 0.01 {
 		t.Errorf("history record: %.4f allocs/op, want ≤ 1/%d", a, recorderChunkSize)
 	}
+	// A packed ret rewrites its record in place: no allocation.
+	idx := rec.invoke(1, false, 0, 30)
+	if a := testing.AllocsPerRun(1000, func() { rec.ret(idx, 40, 42) }); a != 0 || len(rec.boxed) != 0 {
+		t.Errorf("packed ret: %.2f allocs/op, %d boxed ops, want 0 and 0", a, len(rec.boxed))
+	}
 
 	// Value encode from the arena: one chunk per 8192 writes.
 	var va valueArena

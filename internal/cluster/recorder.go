@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -14,8 +15,14 @@ import (
 // checking in fixed-size chunks: an append-only arena, so recording an
 // op never re-copies the accumulated history the way a single growing
 // slice would, and the slot index arithmetic stays two shifts.
+//
+// A chunk holds 16-byte records, half a lincheck.Op: the history is
+// most of a checked run's heap. An op outside the record's widths is
+// kept exactly, as a full Op in the boxed side map, and its record is
+// marked boxed, so every history stays representable.
 type recorder struct {
-	chunks [][]lincheck.Op // every chunk is capped at recorderChunkSize
+	chunks []recChunk
+	boxed  map[int]lincheck.Op
 	n      int
 	// perSlot counts the records of each routing slot's keys, so that a
 	// group's share of the history is gathered in one pass into a slice
@@ -23,36 +30,103 @@ type recorder struct {
 	perSlot [wire.NumSlots]int
 }
 
+// recChunk holds up to recorderChunkSize records; base is the invoke
+// time of its first.
+type recChunk struct {
+	recs []record
+	base int64
+}
+
+// record is one op packed into 16 bytes: Invoke is the chunk's base
+// plus off, Return is Invoke plus the latency in lat's low 31 bits
+// (recPending for a pending op), and lat's top bit is the write flag.
+// A boxed record (recBoxed) keeps only its key; the op is in the side map.
+type record struct {
+	key   uint32
+	value int32 // a write's value (negative: a delete) or a read's observation
+	off   uint32
+	lat   uint32
+}
+
 const (
 	recorderChunkShift = 12
 	recorderChunkSize  = 1 << recorderChunkShift
+
+	recWrite   = 1 << 31
+	recPending = recWrite - 1 // lat sentinel: no response yet
+	recBoxed   = recWrite - 2 // lat sentinel: the op is in the side map
 )
 
 func newRecorder() *recorder { return &recorder{} }
 
-// add appends one record and returns its slot index.
+// add appends one op and returns its slot index. A chunk's first op
+// sets the chunk's base.
 func (r *recorder) add(op lincheck.Op) int {
 	ci := r.n >> recorderChunkShift
 	if ci == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]lincheck.Op, 0, recorderChunkSize))
+		r.chunks = append(r.chunks, recChunk{make([]record, 0, recorderChunkSize), op.Invoke})
 	}
-	r.chunks[ci] = append(r.chunks[ci], op)
+	r.chunks[ci].recs = append(r.chunks[ci].recs, record{})
 	r.perSlot[wire.SlotOf(wire.ObjectID(op.Key))]++
 	idx := r.n
 	r.n++
+	r.put(idx, op)
 	return idx
 }
 
-// at returns the record in slot idx.
-func (r *recorder) at(idx int) *lincheck.Op {
-	return &r.chunks[idx>>recorderChunkShift][idx&(recorderChunkSize-1)]
+// put stores op in slot idx: packed when it fits the record's widths,
+// boxed otherwise. Offsets are differences modulo 2⁶⁴, and op adds them
+// back the same way, so a packed op comes back exactly.
+func (r *recorder) put(idx int, op lincheck.Op) {
+	ch := &r.chunks[idx>>recorderChunkShift]
+	rec := &ch.recs[idx&(recorderChunkSize-1)]
+	if rec.lat == recBoxed {
+		delete(r.boxed, idx)
+	}
+	off := uint64(op.Invoke) - uint64(ch.base)
+	lat := uint64(op.Return) - uint64(op.Invoke)
+	latFits := lat < recBoxed
+	if op.Return == -1 {
+		lat, latFits = recPending, true
+	}
+	if off <= math.MaxUint32 && latFits && op.Value == int64(int32(op.Value)) {
+		if op.Write {
+			lat |= recWrite
+		}
+		*rec = record{key: op.Key, value: int32(op.Value), off: uint32(off), lat: uint32(lat)}
+		return
+	}
+	if r.boxed == nil {
+		r.boxed = make(map[int]lincheck.Op)
+	}
+	r.boxed[idx] = op
+	*rec = record{key: op.Key, lat: recBoxed}
+}
+
+// op unpacks the record at position i of chunk ci.
+func (r *recorder) op(ci, i int) lincheck.Op {
+	ch := &r.chunks[ci]
+	rec := ch.recs[i]
+	if rec.lat == recBoxed {
+		return r.boxed[ci<<recorderChunkShift|i]
+	}
+	op := lincheck.Op{
+		Key: rec.key, Value: int64(rec.value), Write: rec.lat&recWrite != 0,
+		Invoke: ch.base + int64(rec.off), Return: -1,
+	}
+	if lat := rec.lat &^ recWrite; lat != recPending {
+		op.Return = op.Invoke + int64(lat)
+	}
+	return op
 }
 
 // all flattens the history into one slice (checker input; cold path).
 func (r *recorder) all() []lincheck.Op {
 	out := make([]lincheck.Op, 0, r.n)
-	for _, c := range r.chunks {
-		out = append(out, c...)
+	for ci, ch := range r.chunks {
+		for i := range ch.recs {
+			out = append(out, r.op(ci, i))
+		}
 	}
 	return out
 }
@@ -66,11 +140,12 @@ func (r *recorder) invoke(key wire.ObjectID, write bool, value int64, at int64) 
 
 // ret completes the op in slot idx. Reads record the observed value.
 func (r *recorder) ret(idx int, at int64, observed int64) {
-	op := r.at(idx)
+	op := r.op(idx>>recorderChunkShift, idx&(recorderChunkSize-1))
 	op.Return = at
 	if !op.Write {
 		op.Value = observed
 	}
+	r.put(idx, op)
 }
 
 // preload records an instantaneous write at time 0, representing data
@@ -131,10 +206,10 @@ func (r *recorder) gather(slots *[wire.NumSlots]bool) []lincheck.Op {
 		}
 	}
 	out := make([]lincheck.Op, 0, n)
-	for _, ch := range r.chunks {
-		for i := range ch {
-			if slots[wire.SlotOf(wire.ObjectID(ch[i].Key))] {
-				out = append(out, ch[i])
+	for ci, ch := range r.chunks {
+		for i, rec := range ch.recs {
+			if slots[wire.SlotOf(wire.ObjectID(rec.key))] {
+				out = append(out, r.op(ci, i))
 			}
 		}
 	}

@@ -203,8 +203,9 @@ func TestOpsPerKeyLimit(t *testing.T) {
 	}
 }
 
-// TestOpSize pins the record the cluster keeps per operation: the
-// recorded history is most of a checked run's heap.
+// TestOpSize pins the checker's input op. It is not the record the
+// cluster keeps per operation: the cluster's recorder packs an op into
+// 16 bytes and unpacks the history into Ops to check it.
 func TestOpSize(t *testing.T) {
 	if n := unsafe.Sizeof(Op{}); n != 32 {
 		t.Fatalf("Op is %d bytes, want 32", n)
