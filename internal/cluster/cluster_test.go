@@ -67,13 +67,7 @@ func TestLinearizabilityAllProtocols(t *testing.T) {
 				spec.Duration = 8 * time.Millisecond
 				c.RunLoad(spec)
 				c.RunFor(10 * time.Millisecond) // settle in-flight ops
-				res := c.CheckLinearizability()
-				if !res.Decided {
-					t.Fatalf("undecided: %s", res.Reason)
-				}
-				if !res.Ok {
-					t.Fatalf("linearizability violated: %s", res.Reason)
-				}
+				verify(t, c, Played{})
 			})
 		}
 	}
@@ -94,13 +88,7 @@ func TestLinearizabilityUnderLossyNetwork(t *testing.T) {
 			spec.Duration = 10 * time.Millisecond
 			c.RunLoad(spec)
 			c.RunFor(20 * time.Millisecond)
-			res := c.CheckLinearizability()
-			if !res.Decided {
-				t.Fatalf("undecided: %s", res.Reason)
-			}
-			if !res.Ok {
-				t.Fatalf("linearizability violated under loss: %s", res.Reason)
-			}
+			verify(t, c, Played{})
 		})
 	}
 }
@@ -179,8 +167,8 @@ func TestSwitchFailoverRestoresService(t *testing.T) {
 
 	// Inject failure mid-run.
 	p := c.Play(Script{Loads: []LoadSpec{spec}, Steps: []Step{
-		{15 * time.Millisecond, "StopSwitch", func(c *Cluster) error { c.StopSwitch(); return nil }},
-		{25 * time.Millisecond, "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch() }},
+		{15 * time.Millisecond, CrashSwitch{0}},
+		{25 * time.Millisecond, ReactivateSwitch{}},
 	}})
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
@@ -196,10 +184,7 @@ func TestSwitchFailoverRestoresService(t *testing.T) {
 		t.Fatal("replacement switch never became ready")
 	}
 	c.RunFor(20 * time.Millisecond)
-	res := c.CheckLinearizability()
-	if !res.Decided || !res.Ok {
-		t.Fatalf("failover violated linearizability: %+v", res)
-	}
+	verify(t, c, p)
 }
 
 func TestOldEpochFastReadsRefusedAfterFailover(t *testing.T) {
@@ -261,10 +246,7 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 		t.Fatal("writes never resumed after leader crash")
 	}
 	c.RunFor(20 * time.Millisecond)
-	res := c.CheckLinearizability()
-	if !res.Decided || !res.Ok {
-		t.Fatalf("leader failover violated linearizability: %+v", res)
-	}
+	verify(t, c, Played{})
 }
 
 // TestCrashMidBroadcastKeepsMessageOwnership crashes replicas while
@@ -278,7 +260,7 @@ func TestVRLeaderCrashTriggersViewChange(t *testing.T) {
 // free lists' guard turns a record recycled twice, or written after it
 // was recycled, into a panic; in every build the survivors must keep
 // committing, the history must stay linearizable, which a resurrected
-// prepare or ack would break, and no packet may leak (checkPackets).
+// prepare or ack would break, and no packet may leak (verify).
 func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 	for _, tc := range []struct {
 		p       Protocol
@@ -296,13 +278,13 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 			var dirtyReads uint64 // version queries a CRAQ victim sent before it went down
 			var crashes []Step
 			for k, victim := range tc.victims {
-				crashes = append(crashes, Step{time.Duration(5+40*k) * time.Millisecond, "CrashReplicaIn", func(c *Cluster) error {
+				crashes = append(crashes, Step{time.Duration(5+40*k) * time.Millisecond, Func{"crash", func(c *Cluster) error {
 					queued += c.net.Node(c.groupAddr(0, victim)).QueueLen()
 					if r, ok := c.groups[0].nodes[victim].(*chain.Replica); ok {
 						dirtyReads += r.DirtyReads
 					}
 					return c.CrashReplicaIn(0, victim)
-				}})
+				}}})
 			}
 			p := c.Play(Script{Loads: []LoadSpec{{
 				Mode: Closed, Clients: 64, Duration: 120 * time.Millisecond,
@@ -327,10 +309,7 @@ func TestCrashMidBroadcastKeepsMessageOwnership(t *testing.T) {
 			if last := pts[len(pts)-1].Start; last < 90*time.Millisecond || rep.Writes == 0 {
 				t.Fatalf("the group stopped committing after the crashes: last completion in the bucket at %v, %d writes", last, rep.Writes)
 			}
-			if res := c.CheckLinearizability(); !res.Decided || !res.Ok {
-				t.Fatalf("history after the crashes: %+v", res)
-			}
-			checkPackets(t, c)
+			verify(t, c, p)
 		})
 	}
 }
@@ -355,10 +334,7 @@ func TestPreloadVisibleToReads(t *testing.T) {
 		t.Fatal("no reads")
 	}
 	c.RunFor(10 * time.Millisecond)
-	res := c.CheckLinearizability()
-	if !res.Decided || !res.Ok {
-		t.Fatalf("preloaded reads inconsistent: %+v", res)
-	}
+	verify(t, c, Played{})
 }
 
 func TestOpenLoopLatencyRisesWithLoad(t *testing.T) {
@@ -442,13 +418,7 @@ func TestVisibilityCheckProtectsLaggingReplica(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("lagging replica never exercised the visibility check")
 	}
-	res := c.CheckLinearizability()
-	if !res.Decided {
-		t.Fatalf("undecided: %s", res.Reason)
-	}
-	if !res.Ok {
-		t.Fatalf("protected run violated linearizability: %s", res.Reason)
-	}
+	verify(t, c, Played{})
 }
 
 func TestAblationNoReadCheckViolatesLinearizability(t *testing.T) {

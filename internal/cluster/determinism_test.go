@@ -34,12 +34,12 @@ func TestDeterministicRuns(t *testing.T) {
 		events  []trace.Event
 		windows []int // every replica's log window at the end
 	}
-	crashBackup := []Step{{9 * time.Millisecond, "crash", func(c *Cluster) error { return c.CrashReplicaIn(0, 2) }}}
+	crashBackup := []Step{{9 * time.Millisecond, CrashReplica{0, 2}}}
 	migrate := func(at time.Duration, from int) Step {
-		return Step{at, fmt.Sprintf("migrate %d→%d", from, 1-from), func(c *Cluster) error {
+		return Step{at, Func{fmt.Sprintf("migrate %d→%d", from, 1-from), func(c *Cluster) error {
 			_, err := c.StartBatchMigration(c.slotsOf(from)[:8], 1-from)
 			return err
-		}}
+		}}}
 	}
 	rackCfg, rackSpec, rackSteps := controlPlaneRack(64)
 	writeHeavy := LoadSpec{
@@ -228,12 +228,9 @@ func controlPlaneRack(keys int) (Config, LoadSpec, []Step) {
 		WriteRatio: 0.1, Keys: keys, Dist: Zipf12,
 	}
 	steps := []Step{
-		{3 * time.Millisecond, "migrate", func(c *Cluster) error { _, err := c.StartSlotMigration(c.slotsOf(0)[0], 1); return err }},
-		{8 * time.Millisecond, "add", func(c *Cluster) error { _, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); return err }},
-		{15 * time.Millisecond, "respec", func(c *Cluster) error {
-			_, err := c.StartRespecGroup(2, GroupSpec{Protocol: VR, Replicas: 3})
-			return err
-		}},
+		{3 * time.Millisecond, Func{"migrate", func(c *Cluster) error { _, err := c.StartBatchMigration([]int{c.slotsOf(0)[0]}, 1); return err }}},
+		{8 * time.Millisecond, AddGroup{GroupSpec{Protocol: Chain, Replicas: 3}}},
+		{15 * time.Millisecond, RespecGroup{2, GroupSpec{Protocol: VR, Replicas: 3}}},
 	}
 	return cfg, spec, steps
 }

@@ -24,15 +24,6 @@ func liveSlotCounts(t *testing.T, c *Cluster) []int {
 	return counts
 }
 
-func assertNothingFrozen(t *testing.T, c *Cluster) {
-	t.Helper()
-	for slot := 0; slot < wire.NumSlots; slot++ {
-		if c.rack.Frozen(slot) {
-			t.Fatalf("slot %d left frozen", slot)
-		}
-	}
-}
-
 // TestElasticAddGroupSeedsAndServes scales a uniform cluster out by
 // one group: the new group must receive a weight-fair slot share
 // without stranding any slot or emptying any donor, and must serve
@@ -67,7 +58,7 @@ func TestElasticAddGroupSeedsAndServes(t *testing.T) {
 	if counts[g] < wire.NumSlots/5-8 {
 		t.Fatalf("new group seeded only %d slots: %v", counts[g], counts)
 	}
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 	// Existing data survived the handoffs, and keys now routed to the
 	// new group serve reads and writes through it.
 	served := false
@@ -130,7 +121,7 @@ func TestElasticRemoveGroupRetiresAndServes(t *testing.T) {
 	if counts[1] != 0 {
 		t.Fatalf("retired group still owns %d slots", counts[1])
 	}
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 	for i := 0; i < c.groups[1].n; i++ {
 		if !c.net.IsDown(c.groupAddr(1, i)) {
 			t.Fatalf("retired member %d still up", i)
@@ -188,8 +179,7 @@ func TestElasticRemoveGroupSettlesInboundHandoff(t *testing.T) {
 	if !r.Done() || r.Err() != nil || c.rack.Live(1) {
 		t.Fatalf("removal: done=%v err=%v live=%v", r.Done(), r.Err(), c.rack.Live(1))
 	}
-	liveSlotCounts(t, c)
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 
 	// Past the point of no return: the copy is in flight.
 	m, err = c.StartBatchMigration(takeSlots(t, slotsOwnedBy(c, 96, 0), 2), 2)
@@ -215,8 +205,7 @@ func TestElasticRemoveGroupSettlesInboundHandoff(t *testing.T) {
 	if err := c.RemoveGroup(2); err != nil {
 		t.Fatalf("RemoveGroup after the handoff settled: %v", err)
 	}
-	liveSlotCounts(t, c)
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 }
 
 // TestMigrateTowardRetiredGroupRefused: a retired group has no
@@ -240,7 +229,7 @@ func TestMigrateTowardRetiredGroupRefused(t *testing.T) {
 	if got := c.rack.RouteOf(slot); got != 0 {
 		t.Fatalf("slot %d routes to group %d after the refused handoff", slot, got)
 	}
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 }
 
 // TestMigrateTowardReconfiguringGroupRefused: a group mid-removal or
@@ -284,8 +273,7 @@ func TestMigrateTowardReconfiguringGroupRefused(t *testing.T) {
 	if err := c.MigrateSlot(slot, 1); err != nil {
 		t.Fatalf("MigrateSlot once the respec settled: %v", err)
 	}
-	liveSlotCounts(t, c)
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 }
 
 // TestElasticReassignSettlesCrossSwitchHandoff: a handoff from a
@@ -315,8 +303,7 @@ func TestElasticReassignSettlesCrossSwitchHandoff(t *testing.T) {
 	if !r.Done() || r.Err() != nil || c.rack.Live(2) || c.rack.Live(3) {
 		t.Fatalf("reassignment: done=%v err=%v", r.Done(), r.Err())
 	}
-	liveSlotCounts(t, c)
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 }
 
 // TestElasticRespecGroupSwapsMembers changes a live group's protocol
@@ -353,7 +340,7 @@ func TestElasticRespecGroupSwapsMembers(t *testing.T) {
 	if slots1[1] != slots0[1] {
 		t.Fatalf("respec moved slots: %v -> %v", slots0, slots1)
 	}
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 	// Data survived into the new member set; reads and writes flow.
 	for i := 0; i < 48; i++ {
 		v, ok, err := cl.Get(workload.KeyName(i))
@@ -410,7 +397,7 @@ func TestElasticReassignDeadSwitchRestoresCoverage(t *testing.T) {
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("survivors own %v slots", counts)
 	}
-	assertNothingFrozen(t, c)
+	verify(t, c, Played{})
 	// Every committed write recovered from the victims' stores.
 	for i := 0; i < 96; i++ {
 		v, ok, err := cl.Get(workload.KeyName(i))

@@ -110,10 +110,7 @@ func TestFiveReplicaQuorumProtocols(t *testing.T) {
 				t.Fatal("no ops")
 			}
 			c.RunFor(15 * time.Millisecond)
-			res := c.CheckLinearizability()
-			if !res.Decided || !res.Ok {
-				t.Fatalf("5-replica %s history: %+v", p, res)
-			}
+			verify(t, c, Played{})
 		})
 	}
 }
@@ -140,13 +137,7 @@ func TestLinearizabilityUnderDuplication(t *testing.T) {
 			spec.WriteRatio = 0.3
 			c.RunLoad(spec)
 			c.RunFor(15 * time.Millisecond)
-			res := c.CheckLinearizability()
-			if !res.Decided {
-				t.Fatalf("undecided: %s", res.Reason)
-			}
-			if !res.Ok {
-				t.Fatalf("duplication broke linearizability: %s", res.Reason)
-			}
+			verify(t, c, Played{})
 		})
 	}
 }
@@ -172,10 +163,7 @@ func TestSchedulerEpochSurvivesMultipleFailovers(t *testing.T) {
 	if !c.GroupScheduler(0).Ready() {
 		t.Fatal("switch not ready after new-epoch write")
 	}
-	res := c.CheckLinearizability()
-	if !res.Decided || !res.Ok {
-		t.Fatalf("repeated failover history: %+v", res)
-	}
+	verify(t, c, Played{})
 }
 
 func TestCrashedReplicaReceivesNoFastReads(t *testing.T) {

@@ -54,8 +54,9 @@ type hotKeyEntry struct {
 	sw      int   // switch domain the key was promoted on
 	holders []int // holder groups (global indices), home excluded
 
-	cool       int  // consecutive cold ticks toward demotion
-	refreshing bool // a refresh copy is in flight
+	cool       int      // consecutive cold ticks toward demotion
+	refreshing bool     // a refresh copy is in flight
+	homeLast   wire.Seq // the home partition's commit point at the last tick
 }
 
 // startHotKeys arms the hot-key manager: the per-front write hooks
@@ -232,6 +233,21 @@ func (c *Cluster) hotKeyTick() {
 			continue
 		}
 		if hk.InvalidCount() > 0 {
+			// A lost WRITE-COMPLETION leaves the refresh barrier standing
+			// until the home group's commit point passes the stray, and
+			// an idle group never moves it: when the point stood still
+			// since the last tick, sweep, then nudge it with a flush
+			// write (as the handoff drain does) if the entry still stands.
+			home := c.rack.RouteOf(st.slot)
+			if sched := front.Group(home); sched != nil && !st.refreshing {
+				if last := sched.LastCommitted(); last != st.homeLast {
+					st.homeLast = last
+				} else if sched.DirtyKey(st.id) {
+					if sched.SweepStale(); sched.DirtyKey(st.id) {
+						c.flushWrite(home)
+					}
+				}
+			}
 			c.refreshHot(st)
 		}
 		r, w := front.HotHeatOf(id)

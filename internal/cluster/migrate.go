@@ -46,9 +46,6 @@ const (
 // Migration tracks one online handoff of a set of slots from one
 // source group to one destination.
 type Migration struct {
-	// Slot is the first slot of the batch — the whole story for the
-	// single-slot StartSlotMigration form.
-	Slot int
 	// Slots lists every slot in the handoff.
 	Slots []int
 	From  int
@@ -100,20 +97,12 @@ func (m *Migration) Abort() bool {
 	return true
 }
 
-// StartSlotMigration begins an online handoff of slot to group "to"
-// and returns immediately; the protocol advances on simulation timers
-// so load keeps running while the slot migrates. A migration to the
-// slot's current owner completes instantly as a no-op. At most one
-// migration per slot may be in flight; different slots migrate
-// concurrently.
-func (c *Cluster) StartSlotMigration(slot, to int) (*Migration, error) {
-	return c.StartBatchMigration([]int{slot}, to)
-}
-
 // StartBatchMigration begins an online handoff of a set of slots to
-// group "to" as ONE operation: one freeze window, one drain, one bulk
-// copy, one route flip — amortizing the per-slot costs StartSlotMigration
-// pays individually. Slots already routed to "to" are dropped from the
+// group "to" as ONE operation — one freeze window, one drain, one bulk
+// copy, one route flip — and returns immediately; the protocol advances
+// on simulation timers so load keeps running while the slots migrate.
+// At most one migration per slot may be in flight; different slots
+// migrate concurrently. Slots already routed to "to" are dropped from the
 // batch as no-ops; the remaining slots must share a single current
 // owner (use MigrateSlots to move a mixed-owner set). An empty or
 // fully-no-op batch completes instantly without freezing anything.
@@ -139,11 +128,7 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 	if len(live) == 0 {
 		// Nothing to move. No freeze, no drain, no copy: the route is
 		// already correct for every requested slot.
-		first := -1
-		if len(slots) > 0 {
-			first = slots[0]
-		}
-		return &Migration{Slot: first, Slots: nil, From: to, To: to, c: c, done: true}, nil
+		return &Migration{From: to, To: to, c: c, done: true}, nil
 	}
 	from := c.rack.RouteOf(live[0])
 	for _, s := range live[1:] {
@@ -161,7 +146,7 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 			return nil, fmt.Errorf("cluster: slot %d is frozen by another reconfiguration", s)
 		}
 	}
-	m := &Migration{Slot: live[0], Slots: live, From: from, To: to, c: c}
+	m := &Migration{Slots: live, From: from, To: to, c: c}
 	for _, s := range live {
 		c.migrations[s] = m
 		c.rack.FreezeSlot(s)

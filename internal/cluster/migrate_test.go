@@ -92,18 +92,18 @@ func TestMigrateSlotMovesKeysAndData(t *testing.T) {
 
 func TestMigrateSlotValidation(t *testing.T) {
 	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Groups: 2, Seed: 5})
-	if _, err := c.StartSlotMigration(-1, 0); err == nil {
+	if _, err := c.StartBatchMigration([]int{-1}, 0); err == nil {
 		t.Fatal("negative slot accepted")
 	}
-	if _, err := c.StartSlotMigration(wire.NumSlots, 0); err == nil {
+	if _, err := c.StartBatchMigration([]int{wire.NumSlots}, 0); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if _, err := c.StartSlotMigration(0, 2); err == nil {
+	if _, err := c.StartBatchMigration([]int{0}, 2); err == nil {
 		t.Fatal("out-of-range group accepted")
 	}
 	// Self-migration completes instantly and leaves nothing frozen.
 	from := c.SlotTable()[7]
-	m, err := c.StartSlotMigration(7, from)
+	m, err := c.StartBatchMigration([]int{7}, from)
 	if err != nil || !m.Done() {
 		t.Fatalf("self-migration: %v, done=%v", err, m.Done())
 	}
@@ -111,10 +111,10 @@ func TestMigrateSlotValidation(t *testing.T) {
 		t.Fatal("self-migration froze the slot")
 	}
 	// Double migration of one slot is rejected while in flight.
-	if _, err := c.StartSlotMigration(3, 1-c.SlotTable()[3]); err != nil {
+	if _, err := c.StartBatchMigration([]int{3}, 1-c.SlotTable()[3]); err != nil {
 		t.Fatalf("first migration: %v", err)
 	}
-	if _, err := c.StartSlotMigration(3, 0); err == nil {
+	if _, err := c.StartBatchMigration([]int{3}, 0); err == nil {
 		t.Fatal("concurrent migration of one slot accepted")
 	}
 }
@@ -276,7 +276,7 @@ func TestMigrateNonBlockingAbortsAtDeadline(t *testing.T) {
 		Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
 		ClientID: 0, ReqID: 999, Value: []byte{2},
 	})
-	m, err := c.StartSlotMigration(slot, 1)
+	m, err := c.StartBatchMigration([]int{slot}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestMigrateToCurrentGroupIsNoop(t *testing.T) {
 	slot := c.SlotOfKey(key)
 	drops := c.rack.Front(0).Stats.FrozenDrops
 
-	m, err := c.StartSlotMigration(slot, 1)
+	m, err := c.StartBatchMigration([]int{slot}, 1)
 	if err != nil || !m.Done() || m.Aborted() {
 		t.Fatalf("self-migration: err=%v done=%v aborted=%v", err, m.Done(), m.Aborted())
 	}

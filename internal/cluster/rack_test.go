@@ -10,19 +10,6 @@ import (
 	"harmonia/internal/workload"
 )
 
-// slotsOnSwitchOwnedBy returns routing slots that are currently served
-// by switch sw, routed to group g, and contain at least one of the
-// first `keys` workload keys.
-func slotsOnSwitchOwnedBy(c *Cluster, keys, sw, g int) []int {
-	var out []int
-	for _, s := range slotsOwnedBy(c, keys, g) {
-		if c.SwitchOf(s) == sw {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // TestRackMultiSwitchBasicOps boots a 2-switch rack and drives
 // operations against keys on both switch domains: every reply must
 // come back stamped with the switch the rack's slot → switch map names,

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -99,18 +98,13 @@ func TestHotKeyDemoteWithSpreadReadInFlight(t *testing.T) {
 			{Mode: Closed, Clients: 64, WriteRatio: 0.2, Keys: keys, Dist: Uniform},
 		},
 		Steps: []Step{
-			{at(0.10), "StartBatchMigration", func(c *Cluster) error { _, err := c.StartBatchMigration(slots, 3); return err }},
-			{at(0.20), "PromoteKey", func(c *Cluster) error { return c.PromoteKey(hot) }},
-			{at(0.30), "DemoteKey", func(c *Cluster) error {
-				if !c.DemoteKey(hot) {
-					return fmt.Errorf("%s was not promoted", hot)
-				}
-				return nil
-			}},
-			{at(0.35), "CrashSwitch", func(c *Cluster) error { return c.CrashSwitch(1) }},
-			{at(0.45), "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch(1) }},
-			{at(0.60), "AddGroup", func(c *Cluster) error { _, _, err := c.AddGroup(GroupSpec{Protocol: Chain, Replicas: 3}); return err }},
-			{at(0.80), "CrashReplicaIn", func(c *Cluster) error { return c.CrashReplicaIn(0, 1) }},
+			{at(0.10), Migrate{slots, 3}},
+			{at(0.20), Promote{hot}},
+			{at(0.30), Demote{hot}},
+			{at(0.35), CrashSwitch{1}},
+			{at(0.45), ReactivateSwitch{[]int{1}}},
+			{at(0.60), AddGroup{GroupSpec{Protocol: Chain, Replicas: 3}}},
+			{at(0.80), CrashReplica{0, 1}},
 		},
 		Settle: 30 * time.Millisecond,
 	})
@@ -164,8 +158,8 @@ func TestCRAQSurvivesSwitchReplacement(t *testing.T) {
 	p := c.Play(Script{
 		Loads: []LoadSpec{{Mode: Closed, Clients: 64, Duration: 5 * bucket, WriteRatio: 0.2, Keys: 1024, Bucket: bucket}},
 		Steps: []Step{
-			{20 * time.Millisecond, "StopSwitch", func(c *Cluster) error { c.StopSwitch(); return nil }},
-			{30 * time.Millisecond, "ReactivateSwitch", func(c *Cluster) error { return c.ReactivateSwitch() }},
+			{20 * time.Millisecond, CrashSwitch{0}},
+			{30 * time.Millisecond, ReactivateSwitch{}},
 		},
 	})
 	if err := p.Err(); err != nil {

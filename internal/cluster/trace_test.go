@@ -139,9 +139,9 @@ func TestTraceEventsMigration(t *testing.T) {
 	c.Preload(64)
 	const slot = 7
 	from := c.SlotTable()[slot]
-	m, err := c.StartSlotMigration(slot, 1-from)
+	m, err := c.StartBatchMigration([]int{slot}, 1-from)
 	if err != nil {
-		t.Fatalf("StartSlotMigration: %v", err)
+		t.Fatalf("StartBatchMigration: %v", err)
 	}
 	for i := 0; i < 20 && !m.Done(); i++ {
 		c.RunFor(time.Millisecond)

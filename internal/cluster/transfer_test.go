@@ -28,42 +28,42 @@ import (
 // ship skips MergeClients.
 func TestTransferClientTableTravels(t *testing.T) {
 	const keys = 96
-	rows := []struct {
-		name     string
-		seeds    [2]int64 // [from, to)
-		switches int
-		groups   int
-		steps    func(t *testing.T, r *chaosRun) []Step
+	for _, row := range []struct {
+		name             string
+		seeds            [2]int64 // [from, to)
+		switches, groups int
+		script           func(t *testing.T, c *Cluster) []Step
 	}{
-		{"batch migrate", [2]int64{60, 70}, 1, 3, func(t *testing.T, r *chaosRun) []Step {
-			slots := takeSlots(t, slotsOwnedBy(r.Cluster, keys, 1), 2)
-			return []Step{{chaosAt, "StartBatchMigration", func(c *Cluster) error { return r.move(c.StartBatchMigration(slots, 0)) }}}
+		{"batch migrate", [2]int64{60, 70}, 1, 3, func(t *testing.T, c *Cluster) []Step {
+			return []Step{{chaosAt, Migrate{takeSlots(t, slotsOwnedBy(c, keys, 1), 2), 0}}}
 		}},
-		{"remove", [2]int64{80, 86}, 1, 3, func(t *testing.T, r *chaosRun) []Step {
-			return []Step{{chaosAt, "StartRemoveGroup", func(c *Cluster) error { return r.reconfig(c.StartRemoveGroup(1)) }}}
+		{"remove", [2]int64{80, 86}, 1, 3, func(*testing.T, *Cluster) []Step {
+			return []Step{{chaosAt, RemoveGroup{1}}}
 		}},
-		{"respec", [2]int64{100, 106}, 1, 3, func(t *testing.T, r *chaosRun) []Step {
-			return []Step{{chaosAt, "StartRespecGroup", func(c *Cluster) error {
-				return r.reconfig(c.StartRespecGroup(1, GroupSpec{Protocol: NOPaxos, Replicas: 5}))
-			}}}
+		{"respec", [2]int64{100, 106}, 1, 3, func(*testing.T, *Cluster) []Step {
+			return []Step{{chaosAt, RespecGroup{1, GroupSpec{Protocol: NOPaxos, Replicas: 5}}}}
 		}},
-		{"reassign", [2]int64{32, 40}, 2, 4, func(t *testing.T, r *chaosRun) []Step { return r.reassignSteps() }},
-	}
-	for _, row := range rows {
+		{"reassign", [2]int64{32, 40}, 2, 4, func(*testing.T, *Cluster) []Step {
+			return []Step{{chaosAt, CrashSwitch{1}}, {chaosAt, ReassignSwitch{1}}}
+		}},
+	} {
 		t.Run(row.name, func(t *testing.T) {
 			for seed := row.seeds[0]; seed < row.seeds[1]; seed++ {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					r := newChaosRun(Config{
-						Protocol: NOPaxos, Replicas: 3, UseHarmonia: true,
-						Groups: row.groups, Switches: row.switches, Seed: seed,
-					}, "drops")
-					r.play(t, Script{Loads: chaosLoad(8, keys, Zipf09, 2*time.Millisecond, 10*time.Millisecond), Steps: row.steps(t, r), Settle: 25 * time.Millisecond})
-					// Under drops a drain can retry for a while; give the
-					// operation sim time in bounded chunks.
-					for i := 0; i < 12 && len(r.recs) > 0 && !r.recs[0].Done(); i++ {
-						r.RunFor(50 * time.Millisecond)
-					}
-					r.check(t)
+					chaosRow{
+						cfg: Config{
+							Protocol: NOPaxos, Replicas: 3, UseHarmonia: true,
+							Groups: row.groups, Switches: row.switches, Seed: seed,
+						},
+						chaos: "drops", load: chaosLoad(8, keys, Zipf09, 2*time.Millisecond, 10*time.Millisecond),
+						settle: 25 * time.Millisecond, script: row.script,
+						post: func(t *testing.T, c *Cluster, p Played) {
+							// A drain under drops can retry for a while.
+							for i := 0; i < 12 && len(p.Reconfigs) > 0 && !p.Reconfigs[0].Done(); i++ {
+								c.RunFor(50 * time.Millisecond)
+							}
+						},
+					}.run(t)
 				})
 			}
 		})

@@ -69,13 +69,9 @@ func FigEDetail(s Scale) ([]Series, ElasticResult) {
 	c := figECluster(401)
 	res.GroupsBefore = len(c.Rack().LiveGroups())
 	firstAdd := window * 6 / 20
-	addGroup := func(c *cluster.Cluster) error {
-		_, _, err := c.AddGroup(cluster.GroupSpec{Protocol: cluster.Chain})
-		return err
-	}
 	var adds []cluster.Step
 	for i := 0; i < 4; i++ {
-		adds = append(adds, cluster.Step{At: firstAdd + window*time.Duration(2*i)/20, Name: "AddGroup", Do: addGroup})
+		adds = append(adds, cluster.Step{At: firstAdd + window*time.Duration(2*i)/20, Do: cluster.AddGroup{Spec: cluster.GroupSpec{Protocol: cluster.Chain}}})
 	}
 	// The settle lets the last seeding handoffs finish.
 	rep := c.Play(cluster.Script{Loads: load, Steps: adds, Settle: 30 * time.Millisecond}).Reports[0]
@@ -115,8 +111,8 @@ func FigEDetail(s Scale) ([]Series, ElasticResult) {
 	c2 := figECluster(417)
 	crashAt := window / 3
 	rep2 := c2.Play(cluster.Script{Loads: load, Settle: 30 * time.Millisecond, Steps: []cluster.Step{
-		{At: crashAt, Name: "CrashSwitch", Do: func(c *cluster.Cluster) error { return c.CrashSwitch(1) }},
-		{At: crashAt + window/15, Name: "StartReassignDeadSwitch", Do: func(c *cluster.Cluster) error { _, err := c.StartReassignDeadSwitch(1); return err }},
+		{At: crashAt, Do: cluster.CrashSwitch{S: 1}},
+		{At: crashAt + window/15, Do: cluster.ReassignSwitch{S: 1}},
 	}}).Reports[0]
 	// Phase 1's recorder holds the staggered scale-out (topology epoch
 	// bumps and seeding migrations); phase 2's holds the switch crash

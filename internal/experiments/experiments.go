@@ -315,8 +315,8 @@ func Fig10(s Scale) Series {
 			WriteRatio: 0.05, Keys: defaultKeys, Bucket: bucket,
 		}},
 		Steps: []cluster.Step{
-			{At: stopAt, Name: "StopSwitch", Do: func(c *cluster.Cluster) error { c.StopSwitch(); return nil }},
-			{At: reviveAt, Name: "ReactivateSwitch", Do: func(c *cluster.Cluster) error { return c.ReactivateSwitch() }},
+			{At: stopAt, Do: cluster.CrashSwitch{S: 0}},
+			{At: reviveAt, Do: cluster.ReactivateSwitch{}},
 		},
 	})
 	return Series{Name: "Harmonia (switch stop/reactivate)", Points: rates(p.Reports[0])}

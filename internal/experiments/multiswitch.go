@@ -97,7 +97,10 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 	res.HealthyThroughput = crash.RunLoad(spec).Throughput
 	// The settle lets the agreement finish.
 	res.CrashThroughput = crash.Play(cluster.Script{
-		Loads: []cluster.LoadSpec{spec}, Steps: switchCrash(1, window/4, window*3/5), Settle: 10 * time.Millisecond,
+		Loads: []cluster.LoadSpec{spec}, Settle: 10 * time.Millisecond, Steps: []cluster.Step{
+			{At: window / 4, Do: cluster.CrashSwitch{S: 1}},
+			{At: window * 3 / 5, Do: cluster.ReactivateSwitch{Switches: []int{1}}},
+		},
 	}).Reports[0].Throughput
 	if res.HealthyThroughput > 0 {
 		res.CrashRetention = res.CrashThroughput / res.HealthyThroughput
@@ -112,13 +115,4 @@ func FigMDetail(s Scale) ([]Series, MultiSwitchResult) {
 		{Name: "4-switch, 1 crashed+replaced", Points: []Point{{X: 0, Y: res.CrashThroughput / 1e6}}},
 	}
 	return out, res
-}
-
-// switchCrash is the steps that crash switch s at crash and replace
-// it at revive.
-func switchCrash(s int, crash, revive time.Duration) []cluster.Step {
-	return []cluster.Step{
-		{At: crash, Name: "CrashSwitch", Do: func(c *cluster.Cluster) error { return c.CrashSwitch(s) }},
-		{At: revive, Name: "ReactivateSwitch", Do: func(c *cluster.Cluster) error { return c.ReactivateSwitch(s) }},
-	}
 }

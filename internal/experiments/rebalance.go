@@ -105,8 +105,10 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 		}
 	}
 	res.MovedSlots = slots
-	var migs []*cluster.Migration
-	moves := spreadSteps(warmup+window/4, slots, &migs)
+	moves := make([]cluster.Step, len(slots))
+	for i, slot := range slots {
+		moves[i] = cluster.Step{At: warmup + window/4, Do: cluster.Migrate{Slots: []int{slot}, To: 1 + i%3}}
+	}
 	setDrops(0.01)
 	mid := spec
 	mid.Bucket = window / 25
@@ -114,7 +116,7 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 	if err := p.Err(); err != nil {
 		panic("experiments: rebalance migration failed: " + err.Error())
 	}
-	for _, m := range migs {
+	for _, m := range p.Migrations {
 		res.Dests = append(res.Dests, m.To)
 	}
 	setDrops(0)
@@ -125,8 +127,8 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 
 	// Route agreement: every migrated key is now served by the group
 	// its slot routes to, observed via the reply's group stamp.
-	res.RouteAgrees = len(migs) == len(slots)
-	for _, m := range migs {
+	res.RouteAgrees = len(p.Migrations) == len(slots)
+	for _, m := range p.Migrations {
 		if !m.Done() {
 			res.RouteAgrees = false
 		}
@@ -149,20 +151,4 @@ func FigRDetail(s Scale) ([]Series, RebalanceResult) {
 		{Name: "pre-rebalance plateau", Points: []Point{{X: 0, Y: res.PreThroughput / 1e6}}},
 		{Name: "post-rebalance plateau", Points: []Point{{X: 0, Y: res.PostThroughput / 1e6}}},
 	}, res
-}
-
-// spreadSteps migrates the i-th of slots to group 1 + i%3, one step per
-// slot, all at at, collecting the started handoffs in migs.
-func spreadSteps(at time.Duration, slots []int, migs *[]*cluster.Migration) []cluster.Step {
-	steps := make([]cluster.Step, len(slots))
-	for i, slot := range slots {
-		steps[i] = cluster.Step{At: at, Name: "StartSlotMigration", Do: func(c *cluster.Cluster) error {
-			m, err := c.StartSlotMigration(slot, 1+i%3)
-			if err == nil {
-				*migs = append(*migs, m)
-			}
-			return err
-		}}
-	}
-	return steps
 }
