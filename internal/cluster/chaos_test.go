@@ -446,8 +446,10 @@ func handoffRow(name, chaos string, cfg Config, crash bool) chaosRow {
 // packet reference out held by a replica (current, crashed or
 // replaced); no handoff in flight and every elastic operation finished
 // cleanly; every slot unfrozen, routed to a live group on its switch and
-// owned by that front-end alone; every handoff landed or, aborted,
-// routed back; and the whole history decided linearizable.
+// owned by that front-end alone; every handoff a step started, itself
+// or through an elastic operation, settled, and each slot routed where
+// its last one left it — landed, or routed back if it aborted; and the
+// whole history decided linearizable.
 func verify(t *testing.T, c *Cluster, p Played) {
 	t.Helper()
 	held := 0
@@ -482,18 +484,34 @@ func verify(t *testing.T, c *Cluster, p Played) {
 			}
 		}
 	}
-	for _, m := range p.Migrations {
-		want := m.To
-		switch {
-		case m.Aborted():
-			want = m.From
-		case !m.Done():
+	// Every handoff the steps started, their own and their elastic
+	// operations': a slot's last mover, in fire order, decides where it
+	// routes.
+	handoffs := slices.Clone(p.Migrations)
+	for _, rc := range p.Reconfigs {
+		handoffs = append(handoffs, rc.handoffs...)
+	}
+	last := make([]*Migration, wire.NumSlots)
+	for _, m := range handoffs {
+		if !m.Done() && !m.Aborted() {
 			t.Fatalf("handoff of slots %v stuck (from %d to %d)", m.Slots, m.From, m.To)
 		}
 		for _, s := range m.Slots {
-			if got := c.rack.RouteOf(s); got != want {
-				t.Fatalf("handoff %d → %d (aborted %v): slot %d routes to %d", m.From, m.To, m.Aborted(), s, got)
+			if prev := last[s]; prev == nil || m.began >= prev.began {
+				last[s] = m
 			}
+		}
+	}
+	for s, m := range last {
+		if m == nil {
+			continue
+		}
+		want := m.To
+		if m.Aborted() {
+			want = m.From
+		}
+		if got := c.rack.RouteOf(s); got != want {
+			t.Fatalf("handoff %d → %d (aborted %v): slot %d routes to %d", m.From, m.To, m.Aborted(), s, got)
 		}
 	}
 	if res := c.CheckLinearizability(); !res.Decided || !res.Ok {

@@ -26,7 +26,10 @@ import (
 // rows drop client and multicast traffic and lose a backup on the way,
 // so retried writes, NOPaxos gap fills out of a trimmed log and the
 // trim point moving off a dead member are inside it too; the log
-// windows the run ends with are compared like everything else.
+// windows the run ends with are compared like everything else. The
+// jittered row gives almost every delivery a delay of its own, so the
+// engine runs with more lanes in flight than its delay table holds; a
+// table that was ever iterated would show here.
 func TestDeterministicRuns(t *testing.T) {
 	type outcome struct {
 		played  Played // the load's report and the step log
@@ -46,6 +49,8 @@ func TestDeterministicRuns(t *testing.T) {
 		Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond, Warmup: 2 * time.Millisecond,
 		WriteRatio: 0.5, Keys: 256, Dist: Zipf09,
 	}
+	crowded := writeHeavy // enough in flight to outnumber the delay table
+	crowded.Clients = 128
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -84,6 +89,14 @@ func TestDeterministicRuns(t *testing.T) {
 			},
 			spec:  writeHeavy,
 			steps: crashBackup,
+		},
+		{
+			name: "vr write-heavy over jittered and reordering links",
+			cfg: Config{
+				Protocol: VR, Replicas: 5, UseHarmonia: true, RecordHistory: true, LinkJitter: 3 * time.Microsecond,
+				ReorderProb: 0.05, ReorderDelay: 20 * time.Microsecond, Seed: 12,
+			},
+			spec: crowded,
 		},
 		{
 			name: "craq beside pb, batch migrations both ways",

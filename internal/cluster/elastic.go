@@ -45,8 +45,9 @@ type Reconfig struct {
 	// dead switch's ID instead).
 	Group int
 
-	done bool
-	err  error
+	handoffs []*Migration // the slot handoffs it started
+	done     bool
+	err      error
 }
 
 // Done reports whether the operation settled (successfully or not).
@@ -125,8 +126,8 @@ func (c *Cluster) AddGroup(spec GroupSpec) (int, *Reconfig, error) {
 	c.ctl.grantGroupLeases(g, c.rack.Epoch(sw))
 	c.startSweep(grp)
 
-	r := &Reconfig{Kind: "add", Group: g}
 	migs := c.seedGroup(g)
+	r := &Reconfig{Kind: "add", Group: g, handoffs: migs}
 	c.watchMigrations(migs, func() {
 		if !slices.Contains(c.rack.SlotTable(), g) {
 			r.fail(fmt.Errorf("cluster: seeding group %d moved no slots (sources could not drain)", g))
@@ -307,6 +308,7 @@ func (c *Cluster) StartRemoveGroup(g int) (*Reconfig, error) {
 		}
 		migs = append(migs, m)
 	}
+	r.handoffs = migs
 	c.watchMigrations(migs, func() {
 		for _, m := range migs {
 			if m.aborted {

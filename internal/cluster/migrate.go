@@ -52,6 +52,7 @@ type Migration struct {
 	To    int
 
 	c         *Cluster
+	began     sim.Time
 	stopDrain func()
 	objects   int
 	copying   bool
@@ -146,7 +147,7 @@ func (c *Cluster) StartBatchMigration(slots []int, to int) (*Migration, error) {
 			return nil, fmt.Errorf("cluster: slot %d is frozen by another reconfiguration", s)
 		}
 	}
-	m := &Migration{Slots: live, From: from, To: to, c: c}
+	m := &Migration{Slots: live, From: from, To: to, c: c, began: c.eng.Now()}
 	for _, s := range live {
 		c.migrations[s] = m
 		c.rack.FreezeSlot(s)

@@ -119,6 +119,7 @@ func TestHotKeyDemoteWithSpreadReadInFlight(t *testing.T) {
 			t.Fatalf("group %d: %+v", g, res)
 		}
 	}
+	verify(t, c, p)
 }
 
 // TestLinkJitterKeepsReplicaChannelsFIFO: Config.LinkJitter also

@@ -8,11 +8,11 @@ import (
 	"unsafe"
 )
 
-// refEvent / refHeap reimplement the engine's former container/heap
-// scheduler: ordered by (time, insertion sequence). The differential
-// tests drive the timing wheel and this reference side by side through
-// randomized schedule/cancel/advance sequences and demand the exact
-// same fire order, tie-breaks included.
+// refEvent / refHeap are the reference scheduler: a container/heap
+// ordered by (time, insertion sequence). The differential tests drive
+// the lane queue and this reference side by side through randomized
+// schedule/cancel/advance sequences and demand the exact same fire
+// order, tie-breaks included.
 type refEvent struct {
 	at    Time
 	seq   uint64
@@ -71,7 +71,8 @@ func (r *refEngine) schedule(t Time, fn func()) *refEvent {
 	return ev
 }
 
-func (r *refEngine) run(until Time) {
+// next pops the earliest live event with deadline <= until, or nil.
+func (r *refEngine) next(until Time) *refEvent {
 	for r.pq.Len() > 0 {
 		ev := r.pq[0]
 		if ev.dead {
@@ -79,52 +80,89 @@ func (r *refEngine) run(until Time) {
 			continue
 		}
 		if ev.at > until {
-			break
+			return nil
 		}
 		heap.Pop(&r.pq)
-		r.now = ev.at
-		ev.fired = true
-		ev.fn()
+		return ev
+	}
+	return nil
+}
+
+func (r *refEngine) fire(ev *refEvent) {
+	r.now = ev.at
+	ev.fired = true
+	ev.fn()
+}
+
+// drain is Engine.Drain: at most max events (0: all), and whether
+// nothing live is left.
+func (r *refEngine) drain(max uint64) bool {
+	for n := uint64(0); max == 0 || n < max; n++ {
+		ev := r.next(maxTime)
+		if ev == nil {
+			return true
+		}
+		r.fire(ev)
+	}
+	for _, ev := range r.pq {
+		if !ev.dead {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refEngine) run(until Time) {
+	for ev := r.next(until); ev != nil; ev = r.next(until) {
+		r.fire(ev)
 	}
 	if r.now < until {
 		r.now = until
 	}
 }
 
-// wheelEmpty reports whether no slot list and no occupancy bit is left
-// behind: with Stop unlinking on the spot, an engine with nothing
-// pending holds nothing.
-func wheelEmpty(e *Engine) bool {
-	for lvl := range e.wheel {
-		for _, w := range e.occ[lvl] {
-			if w != 0 {
-				return false
-			}
+// queueEmpty reports whether no lane holds an event: with Stop
+// unlinking on the spot, an engine with nothing pending holds nothing.
+// (A lane that Stop emptied stays in the heap, holding nothing, until
+// it reaches the top.)
+func queueEmpty(e *Engine) bool {
+	for i := range e.table {
+		if l := &e.table[i]; l.head != nil || l.tail != nil {
+			return false
 		}
-		for s := range e.wheel[lvl] {
-			if sl := &e.wheel[lvl][s]; sl.head != nil || sl.tail != nil {
-				return false
-			}
+	}
+	for _, l := range e.heap {
+		if l.head != nil || l.tail != nil {
+			return false
 		}
 	}
 	return true
 }
 
-// TestWheelMatchesHeapDifferential drives randomized workloads —
-// schedules at clustered and scattered times (exact ties, past times
-// that clamp to now, byte-boundary neighborhoods, multi-level far
-// offsets) and partial Run(until) windows — through the timing wheel
-// and the reference heap and requires the two fire orders to be
-// identical element by element. Stops come from every place a caller
-// can issue one: between runs on random handles (pending, fired and
-// already stopped alike), from inside the event's own callback, and
-// from inside another event's callback; each verdict must match the
-// reference's. The wheel side is also inspected from the inside: stops
-// must have hit events at level >= 2 and events alone in their slot,
-// and a drained engine must be empty.
+// rackDelays are the delays a rack schedules most: a control message
+// (2 µs), a link (5 µs), a read's and a write's service (8.695 and
+// 10 µs), a client's retry timer (2 ms) and VR's view-change timeout
+// (25 ms).
+var rackDelays = []Time{2_000, 5_000, 8_695, 10_000, 2_000_000, 25_000_000}
+
+// TestLanesMatchHeapDifferential drives randomized workloads through
+// the lane queue and the reference heap and requires the two fire
+// orders to be identical element by element. Schedules mix recurring
+// delays (the rack's, so lanes hold many events) with more distinct
+// delays than the delay table has lanes (so spare lanes carry them),
+// exact ties, times in the past that clamp to now, and far-future
+// timeouts. The clock advances by partial Run(until) windows, single
+// Steps and Drains with a limit, whose verdicts must agree with the
+// reference's. Stops come from every place a caller can issue one:
+// between runs on random handles (pending, fired and already stopped
+// alike), from inside the event's own callback, and from inside another
+// event's callback; each verdict must match the reference's. The lane
+// side is also inspected from the inside: stops must have hit a lane's
+// head, middle and tail, the heap must have held more lanes than the
+// table has, and a drained engine must be empty.
 // Runs under -race in CI via the ordinary test shards.
-func TestWheelMatchesHeapDifferential(t *testing.T) {
-	var deepStops, loneStops, selfStops, crossStops int
+func TestLanesMatchHeapDifferential(t *testing.T) {
+	var heads, middles, tails, selfStops, crossStops, steps, drains, widest int
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		eng := NewEngine(1)
@@ -143,22 +181,20 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 		var all []pending // by id
 		var open []int    // ids a between-runs Stop may pick
 
-		for round := 0; round < 40; round++ {
-			// A burst of schedules: clustered times force ties and deep
-			// slots; large offsets exercise the high wheel levels.
-			n := 1 + rng.Intn(12)
+		for round := 0; round < 60; round++ {
+			n := 1 + rng.Intn(24)
 			for i := 0; i < n; i++ {
 				var at Time
-				switch rng.Intn(6) {
-				case 0: // exact tie cluster
+				switch rng.Intn(8) {
+				case 0, 1, 2: // a recurring delay
+					at = eng.Now() + rackDelays[rng.Intn(len(rackDelays))]
+				case 3: // exact tie cluster
 					at = eng.Now() + Time(rng.Intn(3))
-				case 1: // past: clamps to now on both sides
+				case 4: // past: clamps to now on both sides
 					at = eng.Now() - Time(rng.Intn(50))
-				case 2: // far future, levels 1-2
+				case 5: // one of many distinct delays
 					at = eng.Now() + Time(rng.Intn(1<<20))
-				case 3: // byte-boundary neighborhood
-					at = (eng.Now() | 0xff) + Time(rng.Intn(4))
-				case 4: // a view-change style timeout: level 3
+				case 6: // a far timeout, off the rack's delays
 					at = eng.Now() + Time(25_000_000+rng.Intn(1<<12))
 				default:
 					at = eng.Now() + Time(rng.Intn(500))
@@ -192,34 +228,29 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 				})
 				open = append(open, id)
 			}
+			widest = max(widest, len(eng.heap))
 			// Stop a few random handles between runs — pending, fired
 			// or already stopped. Stop's verdict must agree with the
 			// reference's.
-			for i := 0; i < rng.Intn(4) && len(open) > 0; i++ {
+			for i := 0; i < rng.Intn(8) && len(open) > 0; i++ {
 				k := rng.Intn(len(open))
 				p := all[open[k]]
 				ev := p.tm.e
-				queued := ev.gen == p.tm.gen
-				var sl *slotList
+				queued := ev.seq == p.tm.seq
 				if queued {
-					sl = &eng.wheel[ev.lvl][ev.slot]
-					if ev.lvl >= 2 {
-						deepStops++
-					}
-					if sl.head == ev && sl.tail == ev {
-						loneStops++
-					} else {
-						sl = nil
+					switch l := ev.lane; {
+					case l.head == ev:
+						heads++
+					case l.tail == ev:
+						tails++
+					default:
+						middles++
 					}
 				}
 				stopped := p.tm.Stop()
 				if want := p.re.stop(); stopped != want || stopped != queued {
-					t.Fatalf("seed %d: wheel Stop=%v, reference=%v, handle current=%v",
+					t.Fatalf("seed %d: lane Stop=%v, reference=%v, handle current=%v",
 						seed, stopped, want, queued)
-				}
-				if sl != nil && (sl.head != nil || sl.tail != nil ||
-					eng.occ[ev.lvl][ev.slot>>6]&(1<<uint(ev.slot&63)) != 0) {
-					t.Fatalf("seed %d: stopping a slot's only event left the slot occupied", seed)
 				}
 				if p.tm.Stop() {
 					t.Fatalf("seed %d: second Stop returned true", seed)
@@ -227,60 +258,86 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 				open[k] = open[len(open)-1]
 				open = open[:len(open)-1]
 			}
-			// Advance a partial window; sometimes zero-width, sometimes
-			// crossing several byte boundaries.
-			until := eng.Now() + Time(rng.Intn(1<<14))
-			if round%8 == 7 {
-				until = eng.Now() + Time(rng.Intn(1<<25)) // past the level-3 timeouts
+			// Advance: one Step, a Drain with a limit, or a partial
+			// window — sometimes zero-width, sometimes past the far
+			// timeouts.
+			switch r := rng.Intn(10); {
+			case r == 0:
+				steps++
+				want := ref.next(maxTime)
+				if want != nil {
+					ref.fire(want)
+				}
+				if got := eng.Step(); got != (want != nil) {
+					t.Fatalf("seed %d round %d: Step=%v, reference fired %v", seed, round, got, want != nil)
+				}
+			case r == 1:
+				drains++
+				limit := uint64(1 + rng.Intn(20))
+				if got, want := eng.Drain(limit), ref.drain(limit); got != want {
+					t.Fatalf("seed %d round %d: Drain(%d)=%v, reference %v", seed, round, limit, got, want)
+				}
+			default:
+				until := eng.Now() + Time(rng.Intn(1<<14))
+				if round%8 == 7 {
+					until = eng.Now() + Time(rng.Intn(1<<25))
+				}
+				eng.Run(until)
+				ref.run(until)
 			}
-			eng.Run(until)
-			ref.run(until)
 			if eng.Now() != ref.now {
-				t.Fatalf("seed %d round %d: clock diverged wheel=%d ref=%d",
+				t.Fatalf("seed %d round %d: clock diverged lanes=%d ref=%d",
 					seed, round, eng.Now(), ref.now)
 			}
 		}
 		// Drain both completely.
-		eng.Run(maxTime)
-		ref.run(maxTime)
+		if !eng.Drain(0) || !ref.drain(0) {
+			t.Fatalf("seed %d: an unlimited Drain left events behind", seed)
+		}
 		crossStops += len(gotStops)
 
 		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: wheel fired %d events, reference fired %d",
+			t.Fatalf("seed %d: lanes fired %d events, reference fired %d",
 				seed, len(gotOrder), len(wantOrder))
 		}
 		for i := range gotOrder {
 			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: fire order diverges at %d: wheel=%d ref=%d",
+				t.Fatalf("seed %d: fire order diverges at %d: lanes=%d ref=%d",
 					seed, i, gotOrder[i], wantOrder[i])
 			}
 		}
 		if len(gotStops) != len(wantStops) {
-			t.Fatalf("seed %d: %d in-callback stops on the wheel, %d on the reference",
+			t.Fatalf("seed %d: %d in-callback stops on the lanes, %d on the reference",
 				seed, len(gotStops), len(wantStops))
 		}
 		for i := range gotStops {
 			if gotStops[i] != wantStops[i] {
-				t.Fatalf("seed %d: in-callback stop %d: wheel %+v, reference %+v",
+				t.Fatalf("seed %d: in-callback stop %d: lanes %+v, reference %+v",
 					seed, i, gotStops[i], wantStops[i])
 			}
 		}
-		if eng.Pending() != 0 || !wheelEmpty(eng) {
-			t.Fatalf("seed %d: drained engine still holds events (Pending=%d)", seed, eng.Pending())
+		if eng.Pending() != 0 || !queueEmpty(eng) || len(eng.heap) != 0 {
+			t.Fatalf("seed %d: drained engine still holds events (Pending=%d, %d lanes queued)",
+				seed, eng.Pending(), len(eng.heap))
 		}
 	}
-	if deepStops == 0 || loneStops == 0 || selfStops == 0 || crossStops == 0 {
-		t.Fatalf("coverage: %d stops at level >= 2, %d of a slot's only event, %d self, %d from another callback — want all > 0",
-			deepStops, loneStops, selfStops, crossStops)
+	t.Logf("stops of %d heads, %d middles, %d tails, %d self, %d from another callback; %d Steps, %d Drains; up to %d lanes queued",
+		heads, middles, tails, selfStops, crossStops, steps, drains, widest)
+	if heads == 0 || middles == 0 || tails == 0 || selfStops == 0 || crossStops == 0 || steps == 0 || drains == 0 {
+		t.Fatalf("coverage: stops of %d heads, %d middles, %d tails, %d self, %d from another callback; %d Steps, %d Drains — want all > 0",
+			heads, middles, tails, selfStops, crossStops, steps, drains)
+	}
+	if widest <= laneSlots {
+		t.Fatalf("coverage: at most %d lanes queued at once, want more than the table's %d", widest, laneSlots)
 	}
 }
 
-// TestWheelNestedSchedulingDifferential covers self-scheduling:
+// TestLanesNestedSchedulingDifferential covers self-scheduling:
 // callbacks that schedule more work at the current instant and at
-// short offsets, where tie-break stability is the former heap's
+// short offsets, where tie-break stability is the reference heap's
 // sequence order. Both sides draw nested offsets from identical
 // deterministic RNG streams, so the schedules correspond 1:1.
-func TestWheelNestedSchedulingDifferential(t *testing.T) {
+func TestLanesNestedSchedulingDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		eng := NewEngine(1)
 		ref := &refEngine{}
@@ -325,7 +382,7 @@ func TestWheelNestedSchedulingDifferential(t *testing.T) {
 		ref.run(1 << 20)
 
 		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: wheel fired %d events, reference fired %d",
+			t.Fatalf("seed %d: lanes fired %d events, reference fired %d",
 				seed, len(gotOrder), len(wantOrder))
 		}
 		for i := range gotOrder {
@@ -336,7 +393,7 @@ func TestWheelNestedSchedulingDifferential(t *testing.T) {
 	}
 }
 
-// TestTimerStopIdempotent pins the Timer contract under the wheel: the
+// TestTimerStopIdempotent pins the Timer contract on the lanes: the
 // zero Timer is inert, Stop before firing reports true exactly once,
 // Stop after firing reports false (including from inside the firing
 // callback), and a handle whose event slot was recycled for a new
@@ -376,8 +433,8 @@ func TestTimerStopIdempotent(t *testing.T) {
 		t.Fatal("Stop after fire returned true")
 	}
 
-	// Recycling: the fired event's slot is reused for a new event with
-	// a bumped generation; the stale handle must not cancel it.
+	// Recycling: the fired event's record is reused for a new event with
+	// a new sequence number; the stale handle must not cancel it.
 	fired := false
 	after = e.After(5, func() { fired = true })
 	if inside.Stop() {
@@ -422,7 +479,7 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 // re-armed on every message — VR's 25 ms view-change timeout, stopped
 // and armed again a million times while the clock barely moves — keeps
 // a constant number of event records however long the timeout is,
-// allocates nothing, and leaves an empty wheel behind.
+// allocates nothing, and leaves an empty queue behind.
 func TestStopRecyclesAtOnce(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz > 80 {
 		t.Fatalf("event is %d bytes, above the 80-byte size class", sz)
@@ -449,13 +506,13 @@ func TestStopRecyclesAtOnce(t *testing.T) {
 		t.Fatalf("stop + re-arm allocates %.1f times per round, want 0", allocs)
 	}
 	tm.Stop()
-	if e.Pending() != 0 || !wheelEmpty(e) {
-		t.Fatalf("wheel not empty after the last Stop (Pending=%d)", e.Pending())
+	if e.Pending() != 0 || !queueEmpty(e) {
+		t.Fatalf("queue not empty after the last Stop (Pending=%d)", e.Pending())
 	}
 	// Stop drops the argument at once: nothing a stopped event carried
 	// stays reachable from the engine.
 	for _, ev := range e.free.free {
-		if ev.fn != nil || ev.call != nil || ev.arg != nil || ev.next != nil || ev.prev != nil {
+		if ev.cb != nil || ev.msg != nil || ev.next != nil || ev.prev != nil {
 			t.Fatalf("recycled event still holds references: %+v", ev)
 		}
 	}

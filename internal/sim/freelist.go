@@ -1,13 +1,13 @@
 package sim
 
 // FreeList is the LIFO record pool of everything that runs on one
-// engine: events, deliveries, packets, protocol messages, client ops. A
-// miss carves the next record from a block of freeListBlock allocated
-// at once (the slab idea of Bonwick, USENIX Summer 1994), so a fresh
-// cluster fills its pools one allocation per block, not per record. A
-// block lives while any of its records does: one never Put back (a
-// message the network dropped) keeps its slot for the list's life. The
-// zero value is empty and ready; not safe for concurrent use.
+// engine: events and their lanes, packets, protocol messages, client
+// ops. A miss carves the next record from a block of freeListBlock
+// allocated at once (the slab idea of Bonwick, USENIX Summer 1994), so
+// a fresh cluster fills its pools one allocation per block, not per
+// record. A block lives while any of its records does: one never Put
+// back (a message the network dropped) keeps its slot for the list's
+// life. The zero value is empty and ready; not safe for concurrent use.
 type FreeList[T any] struct {
 	free  []*T
 	block []T // the uncarved rest of the newest block

@@ -42,7 +42,8 @@ func TestFreeListIsLIFO(t *testing.T) {
 }
 
 // TestCarvedEventsCarryTheirEngine: every event record, the first of a
-// block or the last, knows its engine, so its Timer can stop it.
+// block or the last, reaches its engine through its lane, so its Timer
+// can stop it.
 func TestCarvedEventsCarryTheirEngine(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
@@ -51,8 +52,8 @@ func TestCarvedEventsCarryTheirEngine(t *testing.T) {
 		timers = append(timers, e.After(time.Duration(i+1), func() { fired++ }))
 	}
 	for i, tm := range timers {
-		if tm.e.eng != e {
-			t.Fatalf("event %d carries engine %p, want %p", i, tm.e.eng, e)
+		if tm.e.lane.eng != e {
+			t.Fatalf("event %d carries engine %p, want %p", i, tm.e.lane.eng, e)
 		}
 		if i%2 == 0 && !tm.Stop() {
 			t.Fatalf("Stop of pending event %d reported false", i)

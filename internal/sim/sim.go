@@ -1,51 +1,52 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All simulated components (network links, server processors, protocol
-// timers) schedule closures on a shared Engine. Events execute in
-// timestamp order; ties break by scheduling order, so a run with a fixed
-// RNG seed is fully reproducible.
+// timers) schedule events on a shared Engine. Events execute in
+// (deadline, sequence) order, the sequence being the order they were
+// scheduled in, so ties break first come, first served and a run with a
+// fixed RNG seed is fully reproducible.
 //
-// The scheduler is a hierarchical timing wheel: eight levels of 256
-// slots, level k spanning 256^k nanoseconds per slot, so schedule,
-// cancel, and fire are all O(1) amortized (a heap's O(log n) per event
-// and its pointer-chasing Less calls are off the hot path entirely).
-// Each slot is an intrusive FIFO list and an event lands in the level
-// given by the highest byte in which its deadline differs from the
-// wheel's current base time. Advancing the clock cascades a higher
-// slot's events down exactly when the base crosses the slot's byte
-// boundary; since every event in the slot shares the deadline prefix
-// above that byte, re-placement preserves insertion order, and the
-// fire order is bit-identical to the former heap's (time, then FIFO) —
-// the differential test in differential_test.go pins that equivalence.
+// The queue is a min-heap of per-delay FIFO lanes. Events scheduled
+// with the same delay reach their deadlines in the order they were
+// scheduled, because the clock never runs backwards; so an event is
+// appended to its delay's lane once, in O(1), and only the lanes' heads
+// are ordered, by a heap keyed on each head's (deadline, sequence),
+// which the lane keeps inline: choosing the next event reads lanes, not
+// events. A rack runs on a handful of delays (link latencies, service
+// costs, timeouts), so the heap is a few lanes deep however many
+// messages are in flight. A lane is found through a small table keyed by
+// delay, which is looked up and never iterated; a delay that finds no
+// room there gets a lane of its own, so on jittered or reordering links,
+// where a lane holds about one event, the queue degrades into a plain
+// event heap — slower, and still exact. differential_test.go pins the
+// fire order against a reference (time, sequence) heap.
 //
-// The event records themselves are recycled through a FreeList, which
-// grows a block at a time (freelist.go), and timers are
-// generation-stamped value handles, so steady-state scheduling
-// allocates nothing: the per-message event traffic of a
-// saturated rack runs at data-plane rates without feeding the garbage
-// collector. The closure-free AfterCall variant extends that to the
-// callback itself — callers pass a long-lived func(any) plus the
-// argument instead of capturing state per event.
+// The event records are recycled through a FreeList, which grows a
+// block at a time (freelist.go), and timers are value handles stamped
+// with the event's sequence number, so steady-state scheduling
+// allocates nothing. The closure-free forms extend that to the
+// callback: AfterCall takes a long-lived func(any) and its argument,
+// and AfterMsg a Callback — typically a pointer whose method is the
+// callback — with the message and one word, which is how simnet keeps a
+// message in flight without a record of its own.
 //
-// Cancellation is as cheap as scheduling. Slot lists are doubly linked
-// and a queued event remembers its (level, slot), so Timer.Stop unlinks
+// Cancellation is O(1). A lane is doubly linked, so Timer.Stop unlinks
 // the event on the spot, drops its callback and argument, and hands the
-// record back to the free list: the wheel only ever holds events that
-// will fire, a cascade never visits a cancelled one, and a protocol
-// that re-arms a long timeout on every message (VR's view-change
-// timer, a client's retry timer) keeps one record in flight instead of
-// one per message until the deadline passes. What a Timer handle may
-// assume: it is a value and may be copied or dropped freely; Stop
-// reports true exactly once, and only if it prevented the event from
-// firing; after the event fired or was stopped the handle is inert
-// for good — the record it points at may already carry another event,
-// which a stale Stop can never cancel (the generation stamp differs);
-// and once Stop returns, the engine holds no reference to the callback
-// or its argument.
+// record back to the free list; a lane whose head was stopped keeps its
+// old key, a lower bound, until it reaches the top of the heap and is
+// keyed again. So a protocol that re-arms a long timeout on every
+// message (VR's view-change timer, a client's retry timer) keeps one
+// record in flight instead of one per message until the deadline
+// passes. What a Timer handle may assume: it is a value and may be
+// copied or dropped freely; Stop reports true exactly once, and only if
+// it prevented the event from firing; after the event fired or was
+// stopped the handle is inert for good — the record it points at may
+// already carry another event, which a stale Stop can never cancel (the
+// sequence number differs); and once Stop returns, the engine holds no
+// reference to the callback or its argument.
 package sim
 
 import (
-	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -59,65 +60,105 @@ type Time int64
 // use the time package's constants (time.Microsecond etc.).
 type Duration = time.Duration
 
-// event is a scheduled closure. Events are pooled: when one fires or
-// is stopped, it returns to the engine's free list and its generation
-// advances, which is what invalidates any Timer still pointing at it.
-// A Timer whose generation matches therefore names an event that is
-// still linked in the wheel. The record fills the 80-byte size class.
-type event struct {
-	at   Time
-	gen  uint64 // incarnation counter; Timers must match to act
-	fn   func()
-	call func(any) // closure-free form: call(arg) if fn is nil
-	arg  any
-	// next and prev are the intrusive slot-list links. prev is
-	// maintained for every event but a list's head, whose prev is never
-	// read (unlink recognises the head by comparing with slotList.head),
-	// so popping a head does not have to touch its successor.
-	next, prev *event
-	eng        *Engine // back-pointer so Stop can unlink and recycle
-	lvl, slot  uint8   // wheel position while queued
-}
+// Callback is an event's action in the closure-free form: at the
+// deadline the engine calls Call with the message and the word the
+// event was scheduled with. A pointer whose method is the callback
+// costs nothing to store, so one value per receiver serves every event.
+type Callback interface{ Call(msg any, w uint64) }
 
-// Timing-wheel geometry: 8 levels of 256 slots cover the full non-
-// negative int64 time range, one byte of the deadline per level.
-const (
-	wheelLevels = 8
-	wheelSlots  = 256
+// thunk and callArg carry the closure forms as Callbacks; a func value
+// is one pointer, so the conversion allocates nothing.
+type (
+	thunk   func()
+	callArg func(any)
 )
 
-// slotList is one wheel slot: an intrusive doubly-linked FIFO queue.
-type slotList struct {
-	head, tail *event
+func (f thunk) Call(any, uint64)         { f() }
+func (f callArg) Call(arg any, _ uint64) { f(arg) }
+
+// event is a scheduled callback. Events are pooled: when one fires or
+// is stopped, it returns to the engine's free list and its sequence
+// number is cleared, which is what invalidates any Timer still pointing
+// at it. A Timer whose sequence matches therefore names an event that
+// is still queued. The record fills the 80-byte size class.
+type event struct {
+	at  Time
+	seq uint64 // scheduling order; 0 once recycled
+	cb  Callback
+	msg any
+	w   uint64
+	// next and prev link the lane. prev is maintained for every event
+	// but a lane's head, whose prev is never read (Stop recognises the
+	// head by comparing with lane.head), so popping a head does not
+	// have to touch its successor.
+	next, prev *event
+	lane       *lane
 }
+
+// lane is the FIFO list of the queued events scheduled with one delay,
+// in the engine's heap while it holds any.
+type lane struct {
+	// at and seq are the heap key: the head's deadline and sequence
+	// when the lane was last keyed, a lower bound of both once that
+	// head was stopped.
+	at         Time
+	seq        uint64
+	head, tail *event
+	d          Duration // the delay its events were scheduled with
+	eng        *Engine  // so Stop can unlink and recycle
+	queued     bool     // in the heap
+	listed     bool     // a delay-table lane, never recycled
+}
+
+func (l *lane) before(m *lane) bool { return l.at < m.at || l.at == m.at && l.seq < m.seq }
+
+// The delay table: laneSlots lanes, a delay probing laneProbe of them
+// from its hash.
+const (
+	laneBits  = 6
+	laneSlots = 1 << laneBits
+	laneProbe = 4
+)
 
 // Timer is a cancellation handle for a scheduled event. It is a value:
 // the zero Timer is inert (Stop reports false and is safe to call any
 // number of times), and a Timer whose event has already fired — or was
-// already stopped — is detected by the generation stamp, so Stop is
+// already stopped — is detected by the sequence stamp, so Stop is
 // idempotent and holding a stale handle is always safe. In particular,
 // Stop after the event has fired reports false, including when called
 // from inside the firing callback itself.
 type Timer struct {
 	e   *event
-	gen uint64
+	seq uint64
 }
 
 // Stop cancels the timer. It reports whether the event had not yet
 // fired (and therefore was prevented from firing). Stopping an
 // already-fired, already-stopped, or zero Timer reports false and has
-// no effect; the call is idempotent. A stopped event leaves the wheel
-// at once: its record is recycled and its callback and argument are
+// no effect; the call is idempotent. A stopped event leaves its lane at
+// once: its record is recycled and its callback and argument are
 // dropped before Stop returns.
 func (t Timer) Stop() bool {
 	ev := t.e
-	if ev == nil || ev.gen != t.gen {
+	if ev == nil || ev.seq != t.seq {
 		return false
 	}
-	e := ev.eng
-	e.unlink(ev)
-	e.live--
-	e.recycle(ev)
+	l := ev.lane
+	if l.head == ev {
+		l.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if l.tail == ev {
+		l.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	if l.head == nil {
+		l.tail = nil
+	}
+	l.eng.live--
+	l.eng.recycle(ev)
 	return true
 }
 
@@ -126,19 +167,15 @@ func (t Timer) Stop() bool {
 // Engine is not safe for concurrent use: the simulation model is
 // single-threaded by design, which is what makes runs deterministic.
 type Engine struct {
-	now Time
-	// base is the wheel's reference time: the level/slot of a deadline
-	// is derived from base, and cascades keep every queued event's
-	// placement consistent as base advances. base == now whenever user
-	// code can observe the engine (inside callbacks and between runs).
-	base Time
+	now  Time
+	seq  uint64 // the last sequence number handed out
 	rng  *rand.Rand
 	live int // scheduled, non-cancelled events
 
-	wheel [wheelLevels][wheelSlots]slotList
-	occ   [wheelLevels][wheelSlots / 64]uint64 // slot-occupancy bitmaps
-
-	free FreeList[event]
+	heap  []*lane // min-heap on (at, seq)
+	table [laneSlots]lane
+	spare FreeList[lane] // lanes of the delays the table had no room for
+	free  FreeList[event]
 
 	// Processed counts executed events, for diagnostics.
 	Processed uint64
@@ -147,7 +184,11 @@ type Engine struct {
 // NewEngine returns an engine whose clock starts at 0 and whose
 // randomness derives from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	for i := range e.table {
+		e.table[i] = lane{eng: e, listed: true}
+	}
+	return e
 }
 
 // Now returns the current simulated time.
@@ -156,199 +197,139 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// place links ev into the wheel slot its deadline selects relative to
-// the current base: level = highest byte where at and base differ,
-// slot = that byte of at. Appending to the slot tail is what preserves
-// FIFO order among equal deadlines across cascades.
-func (e *Engine) place(ev *event) {
-	lvl := 0
-	idx := int(uint64(ev.at) & 0xff)
-	if d := uint64(ev.at ^ e.base); d != 0 {
-		lvl = (63 - bits.LeadingZeros64(d)) >> 3
-		idx = int((uint64(ev.at) >> (8 * uint(lvl))) & 0xff)
+// laneFor returns the lane for an event scheduled d from now: the
+// table's lane of d if its probe window has one, else an idle lane of
+// the window bound to d, else a spare lane the table does not know.
+func (e *Engine) laneFor(d Duration) *lane {
+	h := uint64(d) * 0x9e3779b97f4a7c15 >> (64 - laneBits)
+	var idle *lane
+	for i := uint64(0); i < laneProbe; i++ {
+		l := &e.table[(h+i)&(laneSlots-1)]
+		if l.d == d {
+			return l
+		}
+		if idle == nil && l.head == nil && !l.queued {
+			idle = l
+		}
 	}
-	ev.lvl, ev.slot = uint8(lvl), uint8(idx)
-	ev.next = nil
-	sl := &e.wheel[lvl][idx]
-	ev.prev = sl.tail
-	if sl.head == nil {
-		sl.head = ev
-		e.occ[lvl][idx>>6] |= 1 << uint(idx&63)
-	} else {
-		sl.tail.next = ev
+	if idle == nil {
+		idle = e.spare.Get()
+		*idle = lane{eng: e}
 	}
-	sl.tail = ev
+	idle.d = d
+	return idle
 }
 
-// unlink removes a queued event from its slot list, clearing the
-// slot's occupancy bit when it was the only one there.
-func (e *Engine) unlink(ev *event) {
-	sl := &e.wheel[ev.lvl][ev.slot]
-	if sl.head == ev {
-		sl.head = ev.next
-	} else {
-		ev.prev.next = ev.next
-	}
-	if sl.tail == ev {
-		sl.tail = ev.prev
-	} else {
-		ev.next.prev = ev.prev
-	}
-	if sl.head == nil {
-		sl.tail = nil
-		e.occ[ev.lvl][ev.slot>>6] &^= 1 << uint(ev.slot&63)
-	}
-}
-
-// alloc takes an event from the free list and schedules it at t.
-func (e *Engine) alloc(t Time) *event {
-	ev := e.free.Get()
-	ev.eng = e // a freshly carved record has none yet
+// schedule queues an event at t, clamped to now, at its lane's tail.
+func (e *Engine) schedule(t Time, cb Callback, msg any, w uint64) *event {
 	if t < e.now {
 		t = e.now
 	}
-	ev.at = t
+	l := e.laneFor(Duration(t - e.now))
+	ev := e.free.Get()
+	e.seq++
+	ev.at, ev.seq, ev.cb, ev.msg, ev.w, ev.lane = t, e.seq, cb, msg, w, l
 	e.live++
-	e.place(ev)
+	if l.head == nil {
+		l.head = ev
+		if !l.queued {
+			l.at, l.seq, l.queued = t, e.seq, true
+			e.heap = append(e.heap, l)
+			e.up(len(e.heap) - 1)
+		}
+	} else {
+		ev.prev = l.tail
+		l.tail.next = ev
+	}
+	l.tail = ev
 	return ev
 }
 
-// recycle returns an unlinked event to the free list. The generation
-// bump is what retires outstanding Timer handles; the callback fields
-// and links are cleared so the pool retains nothing.
+// recycle returns an unlinked event to the free list. Clearing the
+// sequence number is what retires outstanding Timer handles; the
+// callback fields and links are cleared so the pool retains nothing.
 func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.call = nil
-	ev.arg = nil
+	ev.seq = 0
+	ev.cb, ev.msg = nil, nil
 	ev.next, ev.prev = nil, nil
 	e.free.Put(ev)
 }
 
-// At schedules fn to run at the absolute simulated time t. Scheduling
-// in the past is clamped to "now" (the event runs before the clock
-// advances further).
-func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.alloc(t)
-	ev.fn = fn
-	return Timer{e: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d from now.
-func (e *Engine) After(d Duration, fn func()) Timer {
-	return e.At(e.now+Time(d), fn)
-}
-
-// AtCall schedules call(arg) at the absolute time t without returning
-// a handle. This is the zero-allocation fast path for high-volume
-// events (message deliveries, service completions): the caller keeps
-// one long-lived call function and threads per-event state through
-// arg, so nothing is captured per event.
-func (e *Engine) AtCall(t Time, call func(any), arg any) {
-	ev := e.alloc(t)
-	ev.call = call
-	ev.arg = arg
-}
-
-// AfterCall schedules call(arg) to run d from now, without a handle.
-func (e *Engine) AfterCall(d Duration, call func(any), arg any) {
-	e.AtCall(e.now+Time(d), call, arg)
-}
-
-// AfterCallT is AfterCall with a cancellation handle, for hot-path
-// events that occasionally need stopping (retry timers).
-func (e *Engine) AfterCallT(d Duration, call func(any), arg any) Timer {
-	ev := e.alloc(e.now + Time(d))
-	ev.call = call
-	ev.arg = arg
-	return Timer{e: ev, gen: ev.gen}
-}
-
-// findSlot returns the first occupied slot index >= from at lvl, or -1.
-func (e *Engine) findSlot(lvl, from int) int {
-	if from >= wheelSlots {
-		return -1
+// up and down restore the heap order from index i.
+func (e *Engine) up(i int) {
+	h := e.heap
+	l := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !l.before(h[p]) {
+			break
+		}
+		h[i], i = h[p], p
 	}
-	w := from >> 6
-	b := e.occ[lvl][w] >> uint(from&63) << uint(from&63)
+	h[i] = l
+}
+
+func (e *Engine) down(i int) {
+	h := e.heap
+	l := h[i]
 	for {
-		if b != 0 {
-			return w<<6 + bits.TrailingZeros64(b)
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		w++
-		if w == len(e.occ[lvl]) {
-			return -1
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
 		}
-		b = e.occ[lvl][w]
+		if !h[c].before(l) {
+			break
+		}
+		h[i], i = h[c], c
 	}
+	h[i] = l
 }
 
-// clearSlot empties slot idx of lvl and returns its list head.
-func (e *Engine) clearSlot(lvl, idx int) *event {
-	sl := &e.wheel[lvl][idx]
-	head := sl.head
-	sl.head, sl.tail = nil, nil
-	e.occ[lvl][idx>>6] &^= 1 << uint(idx&63)
-	return head
+// dequeue takes the emptied lane at the top out of the heap.
+func (e *Engine) dequeue() {
+	l, n := e.heap[0], len(e.heap)-1
+	e.heap[0] = e.heap[n]
+	e.heap[n] = nil
+	if e.heap = e.heap[:n]; n > 0 {
+		e.down(0)
+	}
+	l.queued = false
+	if !l.listed {
+		e.spare.Put(l)
+	}
 }
 
 // popNext removes and returns the earliest event with deadline <=
-// until, advancing base (and cascading higher-level slots) as needed.
-// It returns nil when no such event exists; base is then left <= until,
-// and re-anchored at now if the wheel is completely empty.
+// until, or nil when there is none. A top lane whose head was stopped
+// is keyed again (or, emptied, dequeued) and the search repeats.
 func (e *Engine) popNext(until Time) *event {
-	for {
-		// Level 0 first: slots at or after the cursor byte hold events
-		// whose deadline differs from base only in byte 0, so the whole
-		// slot shares one exact deadline.
-		if s := e.findSlot(0, int(uint64(e.base)&0xff)); s >= 0 {
-			slotTime := Time(uint64(e.base)&^0xff | uint64(s))
-			if slotTime > until {
-				return nil
-			}
-			e.base = slotTime
-			sl := &e.wheel[0][s]
-			ev := sl.head
-			if sl.head = ev.next; sl.head == nil {
-				sl.tail = nil
-				e.occ[0][s>>6] &^= 1 << uint(s&63)
+	for len(e.heap) > 0 {
+		l := e.heap[0]
+		if l.at > until {
+			return nil
+		}
+		ev := l.head
+		switch {
+		case ev == nil:
+			e.dequeue()
+		case ev.seq != l.seq:
+			l.at, l.seq = ev.at, ev.seq
+			e.down(0)
+		default:
+			if l.head = ev.next; l.head != nil {
+				l.at, l.seq = l.head.at, l.head.seq
+				e.down(0)
+			} else {
+				l.tail = nil
+				e.dequeue()
 			}
 			return ev
 		}
-		// Level 0 exhausted for this 256ns window: cascade the next
-		// occupied higher slot whose window starts within the bound.
-		// Levels are inspected lowest-first, so the chosen slot's base
-		// is the earliest possible deadline of anything still queued —
-		// and a slot is only cascaded once base may legally enter it
-		// (slotBase <= until), never prematurely.
-		cascaded := false
-		for lvl := 1; lvl < wheelLevels; lvl++ {
-			shift := uint(8 * lvl)
-			cur := int((uint64(e.base) >> shift) & 0xff)
-			s := e.findSlot(lvl, cur+1)
-			if s < 0 {
-				continue
-			}
-			upper := uint64(e.base) >> (shift + 8) << (shift + 8)
-			slotBase := Time(upper | uint64(s)<<shift)
-			if slotBase > until {
-				return nil
-			}
-			head := e.clearSlot(lvl, s)
-			e.base = slotBase
-			for ev := head; ev != nil; {
-				nxt := ev.next
-				e.place(ev)
-				ev = nxt
-			}
-			cascaded = true
-			break
-		}
-		if !cascaded {
-			e.base = e.now // wheel empty; re-anchor for future inserts
-			return nil
-		}
 	}
+	return nil
 }
 
 // fire executes a popped event and recycles it.
@@ -356,15 +337,46 @@ func (e *Engine) fire(ev *event) {
 	e.now = ev.at
 	e.live--
 	e.Processed++
-	fn, call, arg := ev.fn, ev.call, ev.arg
+	cb, msg, w := ev.cb, ev.msg, ev.w
 	// Recycled before the callback runs: a Stop issued from inside the
-	// callback sees a newer generation and reports false.
+	// callback sees a cleared sequence and reports false.
 	e.recycle(ev)
-	if fn != nil {
-		fn()
-	} else {
-		call(arg)
-	}
+	cb.Call(msg, w)
+}
+
+// At schedules fn to run at the absolute simulated time t. Scheduling
+// in the past is clamped to "now" (the event runs before the clock
+// advances further).
+func (e *Engine) At(t Time, fn func()) Timer {
+	ev := e.schedule(t, thunk(fn), nil, 0)
+	return Timer{ev, ev.seq}
+}
+
+// After schedules fn to run d from now.
+func (e *Engine) After(d Duration, fn func()) Timer {
+	return e.At(e.now+Time(d), fn)
+}
+
+// AfterCall schedules call(arg) to run d from now without returning a
+// handle: the zero-allocation form for high-volume events, where the
+// caller keeps one long-lived call function and threads per-event
+// state through arg, so nothing is captured per event.
+func (e *Engine) AfterCall(d Duration, call func(any), arg any) {
+	e.schedule(e.now+Time(d), callArg(call), arg, 0)
+}
+
+// AfterCallT is AfterCall with a cancellation handle, for hot-path
+// events that occasionally need stopping (retry timers).
+func (e *Engine) AfterCallT(d Duration, call func(any), arg any) Timer {
+	ev := e.schedule(e.now+Time(d), callArg(call), arg, 0)
+	return Timer{ev, ev.seq}
+}
+
+// AfterMsg schedules cb.Call(msg, w) to run d from now, without a
+// handle: the message form, which carries a message in flight in the
+// event itself (simnet's arrivals and service completions).
+func (e *Engine) AfterMsg(d Duration, cb Callback, msg any, w uint64) {
+	e.schedule(e.now+Time(d), cb, msg, w)
 }
 
 // maxTime is the unbounded deadline for Step and Drain.
@@ -385,18 +397,11 @@ func (e *Engine) Step() bool {
 // until. The clock is left at until (or its starting value, if that is
 // later); events scheduled after until remain pending.
 func (e *Engine) Run(until Time) {
-	for {
-		ev := e.popNext(until)
-		if ev == nil {
-			break
-		}
+	for ev := e.popNext(until); ev != nil; ev = e.popNext(until) {
 		e.fire(ev)
 	}
 	if e.now < until {
 		e.now = until
-	}
-	if e.base < e.now {
-		e.base = e.now
 	}
 }
 

@@ -222,3 +222,84 @@ func TestEngineOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// hop is a Callback that keeps a message in flight: each call sends it
+// on after the next delay of the cycle.
+type hop struct {
+	e      *Engine
+	delays []Duration
+	n      int
+}
+
+func (h *hop) Call(msg any, w uint64) {
+	h.n++
+	h.e.AfterMsg(h.delays[w%uint64(len(h.delays))], h, msg, w+1)
+}
+
+// TestSteadySchedulingAllocatesNothing: once the free lists hold their
+// high-water mark, scheduling, firing and stopping allocate nothing, in
+// the timer form and in the message form.
+func TestSteadySchedulingAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	noop := func() {}
+	var tm Timer
+	timers := func() {
+		for i := 0; i < 100; i++ {
+			tm.Stop()
+			tm = e.After(2*time.Millisecond, noop)
+			e.After(Duration(i%7)*time.Microsecond, noop)
+			e.Step()
+		}
+	}
+	timers()
+	if avg := testing.AllocsPerRun(100, timers); avg != 0 {
+		t.Errorf("timer form: %v allocations per 100 rounds, want 0", avg)
+	}
+	h := &hop{e: e, delays: []Duration{2000, 5000, 8695, 10000}}
+	msg := new(int)
+	for i := 0; i < 64; i++ {
+		e.AfterMsg(0, h, msg, uint64(i))
+	}
+	msgs := func() {
+		for i := 0; i < 100; i++ {
+			e.Step()
+		}
+	}
+	msgs()
+	if avg := testing.AllocsPerRun(100, msgs); avg != 0 {
+		t.Errorf("message form: %v allocations per 100 events, want 0", avg)
+	}
+	if h.n == 0 {
+		t.Fatal("no message was delivered")
+	}
+}
+
+// BenchmarkEngineMix fires events at a rack's delay mix: 256 messages
+// in flight, each sent on after 2, 5, 8.695 or 10 µs in turn (the
+// message form), and a 2 ms retry timer armed per delivery and stopped
+// 64 deliveries later, long before it is due, as a client's is when
+// its reply comes back.
+func BenchmarkEngineMix(b *testing.B) {
+	e := NewEngine(1)
+	h := &hop{e: e, delays: []Duration{5000, 8695, 5000, 2000, 5000, 10000}}
+	msg := new(int)
+	for i := 0; i < 256; i++ {
+		e.AfterMsg(Duration(i)*20, h, msg, uint64(i))
+	}
+	var retries [64]Timer
+	noop := func(any) {}
+	round := func() {
+		e.Step()
+		r := &retries[h.n%len(retries)]
+		r.Stop()
+		*r = e.AfterCallT(2*time.Millisecond, noop, nil)
+	}
+	for i := 0; i < 10000; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

@@ -227,7 +227,7 @@ func hops(eng *sim.Engine, handled *int, n int) {
 
 // TestSteadyHopAllocatesNothing pins send → arrive → serve → complete
 // at queue depth 1000 to zero allocations once the ring and the
-// delivery pool have reached their steady size.
+// engine's event pool have reached their steady size.
 func TestSteadyHopAllocatesNothing(t *testing.T) {
 	eng, handled := hopRig(1000)
 	hops(eng, handled, 5000)

@@ -187,20 +187,22 @@ func (f *fifo) pop() queued {
 	return q
 }
 
-// delivery is one in-flight message: the argument threaded through the
-// engine's closure-free scheduling. Records are pooled on the network
-// (a sim.FreeList: the simulation is single-threaded) and released
-// the moment their callback runs, so steady-state message
-// traffic allocates nothing. Payloads are NOT copied anywhere on this
-// path — duplication delivers the same Message twice — which is why
-// packets are immutable once sequenced (see internal/wire). inc is the
-// destination's crash count when service began; only completions read
-// it (see Node.inc).
-type delivery struct {
-	nd   *Node
-	from NodeID
-	inc  uint32
-	msg  Message
+// arrival and completion are a node's two message callbacks: the
+// engine carries an in-flight message in its event and hands it back
+// with one word, the sender in the low half and, for a completion, the
+// destination's crash count when service began in the high half (see
+// Node.inc). Payloads are NOT copied anywhere on this path —
+// duplication delivers the same Message twice — which is why packets
+// are immutable once sequenced (see internal/wire).
+type (
+	arrival    Node
+	completion Node
+)
+
+func (a *arrival) Call(msg any, w uint64) { (*Node)(a).arrive(NodeID(int32(w)), msg) }
+
+func (c *completion) Call(msg any, w uint64) {
+	(*Node)(c).complete(NodeID(int32(w)), uint32(w>>32), msg)
 }
 
 // pageBits sizes the node table's pages. Node IDs are sparse — switches
@@ -218,14 +220,8 @@ type Network struct {
 	pages       []*nodePage
 	defaultLink LinkConfig
 
-	// free is the delivery-record pool and nodes the list every Node is
-	// carved from (none is put back); arriveFn/completeFn are the
-	// long-lived callbacks AfterCall pairs the records with (a method
-	// value would allocate a fresh closure per message).
-	free       sim.FreeList[delivery]
-	nodes      sim.FreeList[Node]
-	arriveFn   func(any)
-	completeFn func(any)
+	// nodes is the list every Node is carved from; none is put back.
+	nodes sim.FreeList[Node]
 
 	// tracer, when non-nil, observes arrive/serve/complete on every
 	// node (see Tracer).
@@ -237,34 +233,7 @@ type Network struct {
 
 // New creates a network on eng with the given default link config.
 func New(eng *sim.Engine, def LinkConfig) *Network {
-	n := &Network{eng: eng, rng: eng.Rand(), defaultLink: def}
-	n.arriveFn = func(a any) {
-		d := a.(*delivery)
-		nd, from, msg := d.nd, d.from, d.msg
-		n.putDelivery(d)
-		nd.arrive(from, msg)
-	}
-	n.completeFn = func(a any) {
-		d := a.(*delivery)
-		nd, from, inc, msg := d.nd, d.from, d.inc, d.msg
-		n.putDelivery(d)
-		nd.complete(from, inc, msg)
-	}
-	return n
-}
-
-// getDelivery takes a record from the pool.
-func (n *Network) getDelivery(nd *Node, from NodeID, msg Message) *delivery {
-	d := n.free.Get()
-	d.nd, d.from, d.inc, d.msg = nd, from, nd.inc, msg
-	return d
-}
-
-// putDelivery returns a record, dropping its payload reference so the
-// pool retains nothing.
-func (n *Network) putDelivery(d *delivery) {
-	d.nd, d.msg = nil, nil
-	n.free.Put(d)
+	return &Network{eng: eng, rng: eng.Rand(), defaultLink: def}
 }
 
 // Engine exposes the underlying event engine (for timers).
@@ -396,7 +365,7 @@ func (n *Network) transmit(cfg *LinkConfig, last *sim.Time, from NodeID, dst *No
 		d = max(d, time.Duration(*last-n.eng.Now()))
 		*last = n.eng.Now() + sim.Time(d)
 	}
-	n.eng.AfterCall(d, n.arriveFn, n.getDelivery(dst, from, msg))
+	n.eng.AfterMsg(d, (*arrival)(dst), msg, uint64(uint32(from)))
 }
 
 // SetDown marks a node failed (true) or recovered (false). A down node
@@ -467,7 +436,7 @@ func (nd *Node) serve(from NodeID, msg Message) {
 		cost = nd.cfg.Cost(msg)
 	}
 	nd.BusyTime += cost
-	nd.net.eng.AfterCall(cost, nd.net.completeFn, nd.net.getDelivery(nd, from, msg))
+	nd.net.eng.AfterMsg(cost, (*completion)(nd), msg, uint64(uint32(from))|uint64(nd.inc)<<32)
 }
 
 // complete runs when service finishes: the handler executes and the
