@@ -202,9 +202,6 @@ func (f *Frontend) OwnedSlots() int {
 	return n
 }
 
-// Groups returns the partition count.
-func (f *Frontend) Groups() int { return len(f.groups) }
-
 // Group returns partition g's scheduler (nil while booting).
 func (f *Frontend) Group(g int) *Scheduler { return f.groups[g] }
 
@@ -225,9 +222,6 @@ func (f *Frontend) EnsureGroups(n int) {
 
 // RouteOf returns the group currently serving slot.
 func (f *Frontend) RouteOf(slot int) int { return int(f.route[slot]) }
-
-// RouteObj returns the group currently serving id's slot.
-func (f *Frontend) RouteObj(id wire.ObjectID) int { return int(f.route[wire.SlotOf(id)]) }
 
 // SetRoute points slot at group g. The migration controller flips a
 // route only after the slot has drained and its objects were copied.

@@ -55,10 +55,6 @@ type cell struct {
 	val uint64 // largest pending sequence number (per-epoch counter)
 }
 
-// NewRegisterArray allocates an array with m slots, sized for the
-// first stage of a table.
-func NewRegisterArray(m int) *RegisterArray { return newRegisterArray(m, m/firstStageShare) }
-
 // A table's first stage claims every key whose slot there is free, so
 // it holds nearly the whole dirty set: its cells start at 1/32 of its
 // slots, at 64 000 slots room for 1 792 entries at 7/8 full, where the
@@ -246,9 +242,6 @@ func NewTable(stages, slotsPerStage int) *Table {
 	}
 	return t
 }
-
-// Stages returns the stage count.
-func (t *Table) Stages() int { return len(t.stages) }
 
 // SlotsPerStage returns the per-stage slot count.
 func (t *Table) SlotsPerStage() int { return t.stages[0].arr.Size() }

@@ -236,12 +236,6 @@ func New(eng *sim.Engine, def LinkConfig) *Network {
 	return &Network{eng: eng, rng: eng.Rand(), defaultLink: def}
 }
 
-// Engine exposes the underlying event engine (for timers).
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Now returns the current simulated time.
-func (n *Network) Now() sim.Time { return n.eng.Now() }
-
 // AddNode registers a node. Panics on duplicate or negative IDs:
 // topology is fixed at assembly time and either is a harness bug.
 func (n *Network) AddNode(id NodeID, h Handler, cfg ProcConfig) *Node {

@@ -234,9 +234,6 @@ func NewTracer(cfg Config, now func() sim.Time) *Tracer {
 	return t
 }
 
-// Config returns the effective (defaulted) configuration.
-func (t *Tracer) Config() Config { return t.cfg }
-
 // ref packs a span's table index and generation into the opaque
 // reference that rides the packet (0 = untraced).
 func ref(idx int32, gen uint32) uint64 {
