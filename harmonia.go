@@ -318,8 +318,8 @@ type Report struct {
 	P99Latency      time.Duration
 	Retries         uint64
 	// Dropped counts writes the switch rejected with FlagDropped
-	// replies (dirty set full), each reissued immediately by the
-	// client — distinct from the timeout-driven Retries.
+	// replies (dirty set full), each reissued within a microsecond by
+	// the client — distinct from the timeout-driven Retries.
 	Dropped uint64
 	// Rebalances counts slot moves the autonomous rebalancer completed
 	// during the measurement window (0 unless Config.AutoRebalance).

@@ -92,9 +92,9 @@ type Report struct {
 	WriteLatency    *metrics.Histogram
 	Retries         uint64
 	// Dropped counts writes the switch rejected with a FlagDropped
-	// reply (dirty set full); each was immediately reissued by the
-	// client without waiting for the retry timeout. Distinct from Retries,
-	// which counts timeout-driven resends.
+	// reply (dirty set full); each was reissued by the client within
+	// dropBackoff, without waiting for the retry timeout. Distinct from
+	// Retries, which counts timeout-driven resends.
 	Dropped    uint64
 	Unanswered uint64 // open-loop ops with no reply by run end
 	// Rebalances counts slot moves the autonomous rebalancer completed
@@ -150,7 +150,10 @@ type vclient struct {
 	pending pendingTab
 	nextReq uint64
 
-	measuring  *measurement
+	measuring *measurement
+	// closedLoop clients keep one op outstanding and arm a retry timer
+	// on every send; one with a generator issues its next op on each
+	// reply, one without (SyncClient) leaves that to its caller.
 	closedLoop bool
 
 	// onReply, when set, observes every matched reply (SyncClient).
@@ -246,19 +249,22 @@ func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 	}
 	if pkt.Op == wire.OpWriteReply && pkt.Flags&wire.FlagDropped != 0 {
 		// The switch dropped this write (dirty set full) and said so:
-		// the op is not complete. Reissue it immediately — the reply
-		// already cost a round trip, so there is no point burning the
-		// rest of a retry timeout — and leave the pending entry (same
-		// ReqID, same value: one logical op) in place. SyncClients
-		// drive their own retry timer; don't disturb it.
+		// the op is not complete. Reissue it within dropBackoff — the
+		// reply already cost a round trip, so there is no point burning
+		// the rest of a retry timeout — and leave the pending entry (same
+		// ReqID, same value: one logical op) in place. The delay is
+		// random: writers that all reissued one round trip after each
+		// drop would keep their phases, and the one always last to reach
+		// a freed slot would never win it. It runs on the op's timer, so
+		// the drops of two copies in flight (a retry's and its
+		// original's) bring one reissue.
 		v.measuring.noteDropped()
-		if v.closedLoop {
-			st.timer.Stop()
-		}
+		st.timer.Stop()
 		if st.pkt.Span != 0 {
 			v.c.tracer.StampResend(st.pkt.Span, int32(v.addr))
 		}
-		v.send(st)
+		d := time.Duration(v.c.eng.Rand().Int63n(int64(dropBackoff)))
+		st.timer = v.c.eng.AfterCallT(d, reissue, st)
 		pkt.Release()
 		return
 	}
@@ -288,7 +294,7 @@ func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 		v.onReply(pkt)
 	}
 	pkt.Release()
-	if v.closedLoop {
+	if v.closedLoop && v.gen != nil {
 		v.issueNext()
 	}
 }
@@ -298,50 +304,72 @@ func (v *vclient) issueNext() {
 	v.issue(v.gen.next())
 }
 
-// issue sends one operation on object id and arms the retry timer
-// (closed loop only; open-loop ops are never retried). Like the paper's
-// client library after hashing a key (§6.1), it carries only the ID.
+// issue sends one load operation on object id, sampling it for
+// tracing, and arms the retry timer (closed loop only; open-loop ops
+// are never retried).
 func (v *vclient) issue(id wire.ObjectID, write bool) {
+	st := v.newOp(id, write, false, nil)
+	if t := v.c.tracer; t != nil {
+		st.pkt.Span = t.Sample(write, int16(st.pkt.Group),
+			int16(v.c.rack.SwitchOfObj(id)), int32(v.addr))
+	}
+	v.send(st)
+}
+
+// newOp builds the client's next operation on object id, pending until
+// its reply: a read, or a write (a delete if del) carrying value, or a
+// fresh value ID's bytes when value is nil, invoked in the history if
+// one is recorded. Like the paper's client library after hashing a key
+// (§6.1), it carries only the ID.
+func (v *vclient) newOp(id wire.ObjectID, write, del bool, value []byte) *opState {
 	v.nextReq++
-	req := v.nextReq
 	st := v.c.opFree.Get() // zeroed by putOp
 	st.client = v
 	st.firstInvoke = v.c.eng.Now()
 	st.histIdx = -1
+	// The group is a routing guess from the client's view of the slot
+	// table; the switch front-end overrides it from its authoritative
+	// table, so a stale guess costs nothing.
 	st.pkt = wire.Packet{
-		ObjID:    id,
-		ClientID: v.id,
-		ReqID:    req,
+		Op: wire.OpRead, ObjID: id, Group: uint16(v.c.routeObj(id)),
+		ClientID: v.id, ReqID: v.nextReq,
 	}
-	// A routing guess from the client's view of the slot table; the
-	// switch front-end overrides it from its authoritative table, so a
-	// stale guess costs nothing.
-	st.pkt.Group = uint16(v.c.routeObj(st.pkt.ObjID))
 	var valueID int64
 	if write {
 		st.pkt.Op = wire.OpWrite
 		v.c.valueCtr++
 		valueID = v.c.valueCtr
-		st.pkt.Value = v.c.varena.encode(valueID)
-	} else {
-		st.pkt.Op = wire.OpRead
+		if del {
+			st.pkt.Flags = wire.FlagDelete
+			valueID = -valueID
+		}
+		if value != nil {
+			st.pkt.Value = append([]byte(nil), value...)
+		} else {
+			st.pkt.Value = v.c.varena.encode(valueID)
+		}
 	}
 	if v.c.cfg.RecordHistory {
-		st.histIdx = v.c.hist.invoke(st.pkt.ObjID, write, valueID, int64(st.firstInvoke))
+		st.histIdx = v.c.hist.invoke(id, write, valueID, int64(st.firstInvoke))
 	}
-	if t := v.c.tracer; t != nil {
-		st.pkt.Span = t.Sample(write, int16(st.pkt.Group),
-			int16(v.c.rack.SwitchOfObj(st.pkt.ObjID)), int32(v.addr))
-	}
-	v.pending.put(req, st)
-	v.send(st)
+	v.pending.put(v.nextReq, st)
+	return st
 }
 
+// send transmits the op and, on a closed-loop client, arms its retry
+// timer.
 func (v *vclient) send(st *opState) {
 	v.c.net.Send(v.addr, v.c.switchAddrForObj(st.pkt.ObjID), v.c.pkts.FlightClone(&st.pkt))
 	if v.closedLoop {
 		st.timer = v.c.eng.AfterCallT(retryTimeout, retry, st)
 	}
+}
+
+// reissue sends a dropped write again once its backoff has passed; a
+// reply that completes the op first stops it.
+func reissue(a any) {
+	st := a.(*opState)
+	st.client.send(st)
 }
 
 // retry is every client's retry callback: the op names its client, so

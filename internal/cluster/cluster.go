@@ -617,11 +617,10 @@ func (c *Cluster) startSweeps() {
 // a respec's) new scheduler, and dies with the group: a retired
 // group's nil scheduler ends the chain.
 func (c *Cluster) startSweep(grp *replicaGroup) {
-	iv := c.cfg.SweepInterval
-	if iv <= 0 {
+	if c.cfg.DisableLazyCleanup {
 		return
 	}
-	c.every(iv, func() bool {
+	c.every(sweepInterval, func() bool {
 		if !c.rack.Live(grp.idx) {
 			return false
 		}
@@ -898,7 +897,7 @@ func (c *Cluster) prime() {
 // writes, which take request IDs from a range of their own.
 func (c *Cluster) controlWrite(g int, key string, flags wire.Flags, reqID uint64) {
 	pkt := c.pkts.New()
-	pkt.Op, pkt.Flags, pkt.ObjID, pkt.Key = wire.OpWrite, flags, wire.HashKey(key), key
+	pkt.Op, pkt.Flags, pkt.ObjID = wire.OpWrite, flags, wire.HashKey(key)
 	pkt.Group, pkt.ReqID, pkt.Value = uint16(g), reqID, []byte{1}
 	c.net.Send(clientBase, c.switchAddrForObj(pkt.ObjID), pkt)
 }

@@ -194,7 +194,7 @@ func TestOldEpochFastReadsRefusedAfterFailover(t *testing.T) {
 	c.RunFor(5 * time.Millisecond) // agreement completes
 	// Hand-craft an old-epoch fast read straight to a replica.
 	pkt := &wire.Packet{
-		Op: wire.OpRead, ObjID: wire.HashKey("obj00000001"), Key: "obj00000001",
+		Op: wire.OpRead, ObjID: wire.HashKey("obj00000001"),
 		Flags: wire.FlagFastPath, LastCommitted: wire.Seq{Epoch: 1, N: 999},
 		ClientID: 1, ReqID: 12345,
 	}

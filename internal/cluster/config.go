@@ -35,20 +35,27 @@ const (
 	leaseDuration = 50 * time.Millisecond
 	// retryTimeout is how long a client waits before resending.
 	retryTimeout = 2 * time.Millisecond
+	// dropBackoff bounds the random delay before a client reissues a
+	// write the switch dropped because its dirty set was full.
+	dropBackoff = time.Microsecond
 	// §7.3: the NOPaxos leader synchronizes the replicas this often.
 	syncEvery = time.Millisecond
+	// §5.2: each scheduler partition sweeps its stray dirty entries
+	// this often (strays accumulate when WRITE-COMPLETIONs are lost and
+	// the object is never read again, out of the read-path cleanup's
+	// reach). DisableLazyCleanup turns the sweep off too.
+	sweepInterval = 10 * time.Millisecond
 	// §9.1: the default operation mix is 5% writes — the operating
 	// point the derived capacity weights are calibrated at.
 	defaultWriteRatio = 0.05
 )
 
-// Defaults of the options that stay settable: §9.1's three replicas,
-// §8's 3-stage × 64K-slot dirty set, and the §5.2 sweep cadence.
+// Defaults of the options that stay settable: §9.1's three replicas
+// and §8's 3-stage × 64K-slot dirty set.
 const (
 	defaultReplicas      = 3
 	defaultStages        = 3
 	defaultSlotsPerStage = 64000
-	defaultSweepInterval = 10 * time.Millisecond
 )
 
 // Protocol selects the replication protocol running on the replicas
@@ -166,15 +173,6 @@ type Config struct {
 	DropProb     float64
 	ReorderProb  float64
 	ReorderDelay time.Duration
-
-	// SweepInterval is the cadence of the §5.2 periodic stray-entry
-	// sweep, run per scheduler partition (strays accumulate when
-	// WRITE-COMPLETIONs are lost and the object is never read again;
-	// the read-path lazy cleanup cannot reach them). 0 selects the
-	// 10ms default — unless DisableLazyCleanup is set, which disables
-	// the sweep too (it is the "no reclamation" ablation). Negative
-	// disables the sweep explicitly.
-	SweepInterval time.Duration
 
 	// Ablations.
 	DisableReadChecks  bool // replicas skip the §7 fast-read check (unsafe)
@@ -338,12 +336,6 @@ func (c *Config) resolve() []ResolvedSpec {
 	}
 	if c.SlotsPerStage == 0 {
 		c.SlotsPerStage = defaultSlotsPerStage
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = defaultSweepInterval
-		if c.DisableLazyCleanup {
-			c.SweepInterval = -1
-		}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -31,7 +31,9 @@ func TestPaperCalibrationConstants(t *testing.T) {
 		{"linkLatency", linkLatency, 5 * time.Microsecond},
 		{"leaseDuration", leaseDuration, 50 * time.Millisecond},
 		{"retryTimeout", retryTimeout, 2 * time.Millisecond},
+		{"dropBackoff", dropBackoff, time.Microsecond},
 		{"syncEvery", syncEvery, time.Millisecond},
+		{"sweepInterval", sweepInterval, 10 * time.Millisecond},
 	}
 	for _, d := range durations {
 		if d.got != d.want {
@@ -49,7 +51,7 @@ func TestPaperCalibrationConstants(t *testing.T) {
 	weight := workload.ServiceRate(3, false, 0.05, 8/readCost.Seconds(), 8/writeCost.Seconds())
 	want := Config{
 		Replicas: 3, Groups: 1, Switches: 1, Stages: 3, SlotsPerStage: 64000,
-		SweepInterval: 10 * time.Millisecond, Seed: 1,
+		Seed:       1,
 		GroupSpecs: []GroupSpec{{Protocol: PB, Replicas: 3, Weight: weight}},
 		Rebalance:  rebalance.Config{}.Filled(), HotKey: rebalance.HotKeyConfig{}.Filled(),
 	}
@@ -61,10 +63,5 @@ func TestPaperCalibrationConstants(t *testing.T) {
 	}
 	if parent := 913215.9470334749; weight != parent {
 		t.Errorf("derived weight %v, the parent commit resolved %v", weight, parent)
-	}
-	// The ablation that turns reclamation off turns the sweep off too.
-	off := Config{DisableLazyCleanup: true}
-	if off.resolve(); off.SweepInterval >= 0 {
-		t.Errorf("DisableLazyCleanup left the sweep at %v", off.SweepInterval)
 	}
 }

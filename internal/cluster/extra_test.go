@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"harmonia/internal/simnet"
-	"harmonia/internal/wire"
 	"harmonia/internal/workload"
 )
 
@@ -241,28 +240,5 @@ func TestSwitchStatsDirtySetDrainsWhenIdle(t *testing.T) {
 	c.RunFor(20 * time.Millisecond) // all completions land
 	if n := c.GroupScheduler(0).DirtyCount(); n != 0 {
 		t.Fatalf("dirty set holds %d entries at quiescence", n)
-	}
-}
-
-func TestWritePacketRoundTripsThroughWireFormat(t *testing.T) {
-	// The simulation passes packets by pointer; verify the byte-level
-	// format survives an encode/decode cycle for a real packet from
-	// the running system (keeps wire and sim views in sync).
-	c := New(Config{Protocol: Chain, Replicas: 3, UseHarmonia: true, Seed: 3})
-	s := c.NewSyncClient()
-	if err := s.Set("codec-key", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	pkt := &wire.Packet{
-		Op: wire.OpWrite, ObjID: wire.HashKey("codec-key"), Key: "codec-key",
-		Seq: wire.Seq{Epoch: 1, N: 99}, ClientID: 7, ReqID: 3, Value: []byte("payload"),
-	}
-	b, err := pkt.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back wire.Packet
-	if _, err = wire.DecodeInto(&back, b); err != nil || back.Key != pkt.Key || !bytes.Equal(back.Value, pkt.Value) {
-		t.Fatalf("round trip: %v %v", back, err)
 	}
 }

@@ -211,7 +211,7 @@ func TestMigrateSlotAbortsWhenSourceCannotDrain(t *testing.T) {
 				c.net.SetDown(c.GroupReplicaAddr(0, i), true)
 			}
 			c.rack.Front(0).Recv(clientBase, &wire.Packet{
-				Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
+				Op: wire.OpWrite, ObjID: wire.HashKey(key),
 				ClientID: 0, ReqID: 999, Value: []byte{2},
 			})
 			if c.GroupScheduler(0).DirtyInSlots([]int{slot}) == 0 {
@@ -273,7 +273,7 @@ func TestMigrateNonBlockingAbortsAtDeadline(t *testing.T) {
 		c.net.SetDown(c.GroupReplicaAddr(0, i), true)
 	}
 	c.rack.Front(0).Recv(clientBase, &wire.Packet{
-		Op: wire.OpWrite, ObjID: wire.HashKey(key), Key: key,
+		Op: wire.OpWrite, ObjID: wire.HashKey(key),
 		ClientID: 0, ReqID: 999, Value: []byte{2},
 	})
 	m, err := c.StartBatchMigration([]int{slot}, 1)
@@ -522,31 +522,46 @@ func TestFrozenSlotDropsAndRecovers(t *testing.T) {
 // TestSweepReclaimsStraysWithoutReads drops a fraction of the
 // replica→switch completion traffic under a write-only load, then
 // lets the periodic sweep reclaim the stray dirty entries — no read
-// ever probes them, so the read-path lazy cleanup cannot help.
+// ever probes them, so the read-path lazy cleanup cannot help. A sweep
+// removes only entries at or below the last completion the switch saw
+// (§5.2), and the load's last completions may all be lost; so once the
+// links heal, one more write's completion passes every stray, and the
+// sweeps after it must empty the set. The no-reclamation ablation turns
+// the sweep off with the cleanup.
 func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 	dropCompletions := func(msg simnet.Message) bool {
 		pkt, ok := msg.(*wire.Packet)
 		return ok && (pkt.Op == wire.OpWriteReply || pkt.Op == wire.OpWriteCompletion)
 	}
-	c := New(Config{
-		Protocol: Chain, Replicas: 3, UseHarmonia: true,
-		Stages: 1, SlotsPerStage: 512, Seed: 29,
-		SweepInterval: 2 * time.Millisecond,
-	})
-	for r := 0; r < 3; r++ {
-		c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
-			Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
+	run := func(ablate bool) *Cluster {
+		c := New(Config{
+			Protocol: Chain, Replicas: 3, UseHarmonia: true,
+			Stages: 1, SlotsPerStage: 512, Seed: 29, DisableLazyCleanup: ablate,
 		})
+		for r := 0; r < 3; r++ {
+			c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
+				Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
+			})
+		}
+		rep := c.RunLoad(LoadSpec{
+			Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond,
+			Warmup: 2 * time.Millisecond, WriteRatio: 1, Keys: 400,
+		})
+		if rep.Writes == 0 {
+			t.Fatal("no writes completed")
+		}
+		// Settle: in-flight writes finish (or are lost for good) while
+		// two sweeps run with the cluster idle.
+		c.RunFor(20 * time.Millisecond)
+		return c
 	}
-	rep := c.RunLoad(LoadSpec{
-		Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond,
-		Warmup: 2 * time.Millisecond, WriteRatio: 1, Keys: 400,
-	})
-	if rep.Writes == 0 {
-		t.Fatal("no writes completed")
+	c := run(false)
+	for r := 0; r < 3; r++ {
+		c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{Latency: 5 * time.Microsecond})
 	}
-	// Settle: in-flight writes finish (or are lost for good), then the
-	// sweeps run with the cluster idle.
+	if err := c.NewSyncClient().Set("fence", nil); err != nil {
+		t.Fatalf("write after the load: %v", err)
+	}
 	c.RunFor(20 * time.Millisecond)
 	st := c.GroupScheduler(0).Stats
 	if st.SweptStale == 0 {
@@ -558,12 +573,16 @@ func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 	if n := c.GroupScheduler(0).DirtyCount(); n != 0 {
 		t.Fatalf("%d stray entries survived the sweep", n)
 	}
+	c = run(true)
+	if n, swept := c.GroupScheduler(0).DirtyCount(), c.GroupScheduler(0).Stats.SweptStale; n == 0 || swept != 0 {
+		t.Fatalf("DisableLazyCleanup: %d strays left, %d swept; want strays and no sweep", n, swept)
+	}
 }
 
 // TestDroppedWriteRepliesDriveImmediateRetry pins the FlagDropped
 // regression at cluster level: with a one-slot dirty set, concurrent
 // writes collide, the switch answers the losers with synthesized
-// FlagDropped replies, and the clients reissue immediately — the run
+// FlagDropped replies, and the clients reissue at once — the run
 // makes progress and reports the drops distinctly from timeout
 // retries.
 func TestDroppedWriteRepliesDriveImmediateRetry(t *testing.T) {
@@ -597,5 +616,42 @@ func TestDroppedWriteRepliesDriveImmediateRetry(t *testing.T) {
 	}
 	if v, ok, err := cl.Get("after"); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get = %q %v %v", v, ok, err)
+	}
+
+	// A synchronous write takes the same path: issued while eight
+	// closed-loop writers keep the one slot busy, it is answered
+	// FlagDropped, reissued at once, and completes. No link jitter
+	// spreads the nine writers' round trips here: only the reissue's
+	// random delay keeps the sync write from always being the last to
+	// reach a freed slot.
+	c = New(Config{
+		Protocol: Chain, Replicas: 3, UseHarmonia: true,
+		Stages: 1, SlotsPerStage: 1, Seed: 41, RecordHistory: true,
+	})
+	gen := &opGen{c: c, ids: keyTab(64), keys: newUniformGen(64, c.eng.Rand()), ratio: 1}
+	writers := c.newVClients(8, &measurement{c: c}, gen, true)
+	for _, v := range writers {
+		v.issueNext()
+	}
+	c.RunFor(time.Millisecond)
+	cl = c.NewSyncClient()
+	cl.v.measuring.collect = true // count the sync client's own drops
+	dropped, want := c.GroupScheduler(0).Stats.WritesDropped, c.valueCtr+1
+	if err := cl.Set("saturated", nil); err != nil {
+		t.Fatalf("Set into a saturated table: %v after %d drops", err, cl.v.measuring.droppedCnt)
+	}
+	if c.GroupScheduler(0).Stats.WritesDropped == dropped || cl.v.measuring.droppedCnt == 0 {
+		t.Fatalf("the sync write was never dropped (%d table drops, %d of its own): the test lost its trigger",
+			c.GroupScheduler(0).Stats.WritesDropped-dropped, cl.v.measuring.droppedCnt)
+	}
+	for _, v := range writers {
+		v.closedLoop = false
+	}
+	c.RunFor(20 * time.Millisecond)
+	if v, ok, err := cl.Get("saturated"); err != nil || !ok || decodeValue(v) != want {
+		t.Fatalf("Get = value %d %v %v, want value %d", decodeValue(v), ok, err, want)
+	}
+	if res := c.CheckLinearizability(); !res.Decided || !res.Ok {
+		t.Fatalf("history with a dropped sync write: %+v", res)
 	}
 }

@@ -22,7 +22,9 @@ type SyncClient struct {
 // synchronous wait budget.
 var ErrTimeout = errors.New("cluster: operation timed out")
 
-// NewSyncClient registers a synchronous client.
+// NewSyncClient registers a synchronous client: a closed-loop client
+// with no generator, so its ops are retried like any load client's and
+// the next one waits for the caller.
 func (c *Cluster) NewSyncClient() *SyncClient {
 	meas := &measurement{
 		c:    c,
@@ -31,7 +33,7 @@ func (c *Cluster) NewSyncClient() *SyncClient {
 		wlat: metrics.NewHistogram(),
 	}
 	s := &SyncClient{c: c}
-	s.v = c.newVClients(1, meas, nil, false)[0]
+	s.v = c.newVClients(1, meas, nil, true)[0]
 	s.v.onReply = func(pkt *wire.Packet) {
 		s.done = true
 		s.reply = pkt.Clone()
@@ -39,74 +41,27 @@ func (c *Cluster) NewSyncClient() *SyncClient {
 	return s
 }
 
-// do issues the op and drives the simulation to completion, retrying
-// on the client's timeout like any other client.
+// do issues the op and drives the simulation until its reply arrives,
+// for up to one simulated second.
 func (s *SyncClient) do(key string, write, del bool, value []byte) (*wire.Packet, error) {
 	s.done = false
 	s.reply = nil
-	s.v.nextReq++
-	req := s.v.nextReq
-	st := &opState{firstInvoke: s.c.eng.Now(), histIdx: -1}
-	st.pkt = wire.Packet{
-		ObjID:    wire.HashKey(key),
-		Key:      key,
-		ClientID: s.v.id,
-		ReqID:    req,
-	}
-	pkt := &st.pkt
-	pkt.Group = uint16(s.c.routeObj(pkt.ObjID))
-	var valueID int64
-	if write {
-		pkt.Op = wire.OpWrite
-		if del {
-			pkt.Flags |= wire.FlagDelete
-		}
-		s.c.valueCtr++
-		valueID = s.c.valueCtr
-		if del {
-			valueID = -valueID
-		}
-		if value != nil {
-			pkt.Value = append([]byte(nil), value...)
-		} else {
-			pkt.Value = s.c.varena.encode(valueID)
-		}
-	} else {
-		pkt.Op = wire.OpRead
-	}
-	if s.c.cfg.RecordHistory {
-		st.histIdx = s.c.hist.invoke(pkt.ObjID, write, valueID, int64(st.firstInvoke))
-		// For reads the recorder captures the observed value id; raw
-		// user values (Set with explicit bytes) are not id-coded, so
-		// recording histories and custom values do not mix — the
-		// public API documents this.
-	}
-	s.v.pending.put(req, st)
-
-	// Issue with retries for up to one simulated second.
+	// Explicit value bytes are not ID-coded, so a recorded history and
+	// Set with custom values do not mix — the public API documents this.
+	st := s.v.newOp(wire.HashKey(key), write, del, value)
+	s.v.send(st)
 	deadline := s.c.eng.Now() + 1_000_000_000
-	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(pkt.ObjID), s.c.pkts.FlightClone(pkt))
-	retry := s.c.eng.After(retryTimeout, func() { s.syncRetry(st) })
-	st.timer = retry
 	for !s.done && s.c.eng.Now() < deadline {
 		if !s.c.eng.Step() {
 			break
 		}
 	}
-	st.timer.Stop()
 	if !s.done {
-		s.v.pending.del(req)
+		st.timer.Stop()
+		s.v.pending.del(st.pkt.ReqID)
 		return nil, ErrTimeout
 	}
 	return s.reply, nil
-}
-
-func (s *SyncClient) syncRetry(st *opState) {
-	if _, still := s.v.pending.get(st.pkt.ReqID); !still {
-		return
-	}
-	s.c.net.Send(s.v.addr, s.c.switchAddrForObj(st.pkt.ObjID), s.c.pkts.FlightClone(&st.pkt))
-	st.timer = s.c.eng.After(retryTimeout, func() { s.syncRetry(st) })
 }
 
 // Get reads a key. found reports whether the key exists.

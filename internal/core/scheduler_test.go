@@ -180,7 +180,7 @@ func TestWriteDroppedWhenTableFull(t *testing.T) {
 	before := len(c.out)
 	// Find an object that collides in the single slot: with one slot
 	// every object collides.
-	s.Process(&wire.Packet{Op: wire.OpWrite, ObjID: 2, ClientID: 7, ReqID: 42, Key: "k"})
+	s.Process(&wire.Packet{Op: wire.OpWrite, ObjID: 2, ClientID: 7, ReqID: 42})
 	if len(c.out) != before+1 {
 		t.Fatalf("dropped write produced %d packets, want exactly the synthesized reply", len(c.out)-before)
 	}
@@ -195,7 +195,7 @@ func TestWriteDroppedWhenTableFull(t *testing.T) {
 	if rep.Op != wire.OpWriteReply || rep.Flags&wire.FlagDropped == 0 {
 		t.Fatalf("drop reply = %v, want WRITE-REPLY with FlagDropped", rep)
 	}
-	if rep.ReqID != 42 || rep.ObjID != 2 || rep.Key != "k" {
+	if rep.ReqID != 42 || rep.ObjID != 2 || rep.ClientID != 7 {
 		t.Fatalf("drop reply lost request identity: %v", rep)
 	}
 	if !rep.Seq.IsZero() {

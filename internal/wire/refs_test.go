@@ -43,7 +43,7 @@ func TestRefcountLifecycle(t *testing.T) {
 
 	// The parked struct comes back zeroed, with one reference.
 	again := pool.New()
-	if again != p || again.Op != 0 || again.Key != "" || again.Value != nil || !again.Managed() {
+	if again != p || again.Op != 0 || again.Value != nil || !again.Managed() {
 		t.Fatalf("pooled packet not reset: %+v", again)
 	}
 	again.Release()
@@ -92,12 +92,12 @@ func TestRefcountUnmanaged(t *testing.T) {
 // count untouched, and normalizing empty values to nil.
 func TestFlightClone(t *testing.T) {
 	var pool Pool
-	src := &Packet{Op: OpWrite, ObjID: 3, Key: "k", Value: []byte{1, 2}}
+	src := &Packet{Op: OpWrite, ObjID: 3, Value: []byte{1, 2}}
 	fc := pool.FlightClone(src)
 	if !fc.Managed() || pool.Live() != 1 {
 		t.Fatalf("FlightClone: managed %v, live %d", fc.Managed(), pool.Live())
 	}
-	if fc.Op != src.Op || fc.ObjID != src.ObjID || fc.Key != src.Key {
+	if fc.Op != src.Op || fc.ObjID != src.ObjID {
 		t.Fatal("FlightClone header mismatch")
 	}
 	if &fc.Value[0] != &src.Value[0] {
@@ -126,7 +126,7 @@ func TestFlightClone(t *testing.T) {
 // a clone, a retain and their releases reuse parked structs.
 func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
 	var pool Pool
-	src := &Packet{Op: OpWrite, Key: "k", Value: []byte{1}}
+	src := &Packet{Op: OpWrite, Value: []byte{1}}
 	one := func() {
 		p := pool.FlightClone(src)
 		q := pool.New()
@@ -144,10 +144,11 @@ func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPacketSize pins the struct at 128 bytes: the pool pointer took it
-// from 120 to 128, which stays in the same malloc size class.
+// TestPacketSize pins the struct at 112 bytes: a request carries its
+// object ID and no key, and dropping the 16-byte key header took the
+// struct from 128 bytes into the 112-byte malloc size class.
 func TestPacketSize(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n != 128 {
-		t.Fatalf("Packet is %d bytes, want 128", n)
+	if n := unsafe.Sizeof(Packet{}); n != 112 {
+		t.Fatalf("Packet is %d bytes, want 112", n)
 	}
 }

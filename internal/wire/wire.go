@@ -11,11 +11,8 @@
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"unsafe"
 
 	"harmonia/internal/sim"
 )
@@ -222,9 +219,11 @@ func (h HotKey) InvalidCount() int {
 }
 
 // Packet is the Harmonia request/reply unit. One struct covers all five
-// ops; unused fields are zero. In the simulated network packets travel
-// by pointer, but Encode/Decode define the byte-level format used by
-// tests and by any real transport.
+// ops; unused fields are zero. A request names its object only by
+// ObjID: the client library hashes the key away before sending (§6.1),
+// and the switch reads nothing but the op type and the ID (§4).
+// Packets travel by pointer and are reference-counted (see the
+// ownership contract below).
 type Packet struct {
 	Op    Op
 	Flags Flags
@@ -259,21 +258,16 @@ type Packet struct {
 	ReqID    uint64
 
 	// Span is the operation's trace-span reference (internal/trace),
-	// 0 when the op is untraced. It is a simulation-side annotation
-	// only: Encode never serializes it and DecodeInto always zeroes
-	// it, so the byte-level format is unchanged. Clone and
-	// FlightClone copy it, which is how a span follows the op across
-	// per-transmission header copies and protocol replies.
+	// 0 when the op is untraced: a simulation-side annotation, not a
+	// header field. Clone and FlightClone copy it, which is how a span
+	// follows the op across per-transmission header copies and
+	// protocol replies.
 	Span uint64
 
-	// Key is the original variable-length key (carried in the payload;
-	// the switch looks only at ObjID).
-	Key string
 	// Value is the write payload or read result. A zero-length value
-	// is canonically nil: DecodeInto, Own, Clone, and FlightClone all
-	// normalize empty to nil, so "no payload" has exactly one
-	// representation no matter how many codec or pooling round trips a
-	// packet takes.
+	// is canonically nil: Clone and FlightClone normalize empty to nil,
+	// so "no payload" has exactly one representation no matter how
+	// many copies a packet takes.
 	Value []byte
 
 	// refs is the reference count of a managed packet. 0 means
@@ -297,146 +291,19 @@ type Packet struct {
 // reference it was handed, and every additional long-lived holder or
 // concurrent transmission takes its own via Retain — a protocol
 // message carrying the packet too, whose Release the network calls if
-// it drops the message. Packets are immutable once sequenced — the switch stamps header
-// fields (Seq, LastCommitted, Flags, Group, Switch) while it is the
-// sole owner, and after fan-out every receiver shares the struct and
-// payload read-only; a sender that may retransmit (client retries,
-// cached re-replies) therefore sends a FlightClone per transmission,
-// never the retained original. Value bytes are never recycled — only
-// the packet struct is — so a store or client table that aliased a
-// released packet's payload stays valid. An engine's packets come from
-// one Pool, whose Live count is the leak check in every build; double
-// releases and uses after free panic. On a
-// byte transport the equivalent rule: a packet produced by DecodeInto
-// borrows Key and Value from the input buffer and is valid only while
-// the buffer is; a receiver that retains it past that point must call
-// Own first.
-
-// header layout (fixed 45 bytes) followed by key and value, each
-// length-prefixed with uint16/uint32.
-const headerSize = 1 + 1 + 4 + 2 + 1 + (4 + 8) + (4 + 8) + 4 + 8 // = 45
-
-// MaxKeyLen bounds encoded key length.
-const MaxKeyLen = 1<<16 - 1
-
-var (
-	// ErrShortPacket reports a truncated encoding.
-	ErrShortPacket = errors.New("wire: short packet")
-	// ErrBadOp reports an out-of-range op code.
-	ErrBadOp = errors.New("wire: bad op")
-	// ErrKeyTooLong reports a key exceeding MaxKeyLen.
-	ErrKeyTooLong = errors.New("wire: key too long")
-)
-
-// Encode appends the wire form of p to buf and returns the result.
-func (p *Packet) Encode(buf []byte) ([]byte, error) {
-	if len(p.Key) > MaxKeyLen {
-		return nil, ErrKeyTooLong
-	}
-	if p.Op < OpRead || p.Op > OpWriteReply {
-		return nil, ErrBadOp
-	}
-	var hdr [headerSize]byte
-	hdr[0] = byte(p.Op)
-	hdr[1] = byte(p.Flags)
-	binary.BigEndian.PutUint32(hdr[2:], uint32(p.ObjID))
-	binary.BigEndian.PutUint16(hdr[6:], p.Group)
-	hdr[8] = p.Switch
-	binary.BigEndian.PutUint32(hdr[9:], p.Seq.Epoch)
-	binary.BigEndian.PutUint64(hdr[13:], p.Seq.N)
-	binary.BigEndian.PutUint32(hdr[21:], p.LastCommitted.Epoch)
-	binary.BigEndian.PutUint64(hdr[25:], p.LastCommitted.N)
-	binary.BigEndian.PutUint32(hdr[33:], p.ClientID)
-	binary.BigEndian.PutUint64(hdr[37:], p.ReqID)
-	buf = append(buf, hdr[:]...)
-	var klen [2]byte
-	binary.BigEndian.PutUint16(klen[:], uint16(len(p.Key)))
-	buf = append(buf, klen[:]...)
-	buf = append(buf, p.Key...)
-	var vlen [4]byte
-	binary.BigEndian.PutUint32(vlen[:], uint32(len(p.Value)))
-	buf = append(buf, vlen[:]...)
-	buf = append(buf, p.Value...)
-	return buf, nil
-}
-
-// DecodeInto parses a packet from b into p, reusing p's storage. It is
-// the zero-copy, zero-allocation decode for switch-side inspection:
-// p.Key and p.Value are borrowed views into b, valid only while b is.
-// A receiver that retains the packet (or b is a pooled buffer about to
-// be reused) must call p.Own() first. On success every field of p is
-// overwritten — including Key and Value when the encoding carries none
-// — so a pooled *Packet can never resurrect a previous incarnation's
-// payload; on error p is left untouched, never half decoded.
-func DecodeInto(p *Packet, b []byte) (int, error) {
-	if len(b) < headerSize+2+4 {
-		return 0, ErrShortPacket
-	}
-	op := Op(b[0])
-	if op < OpRead || op > OpWriteReply {
-		return 0, ErrBadOp
-	}
-	koff := headerSize + 2
-	klen := int(binary.BigEndian.Uint16(b[headerSize:]))
-	voff := koff + klen + 4
-	if len(b) < voff {
-		return 0, ErrShortPacket
-	}
-	vlen := int(binary.BigEndian.Uint32(b[voff-4:]))
-	end := voff + vlen
-	if len(b) < end {
-		return 0, ErrShortPacket
-	}
-	p.Op = op
-	p.Flags = Flags(b[1])
-	p.ObjID = ObjectID(binary.BigEndian.Uint32(b[2:]))
-	p.Group = binary.BigEndian.Uint16(b[6:])
-	p.Switch = b[8]
-	p.Seq = Seq{
-		Epoch: binary.BigEndian.Uint32(b[9:]),
-		N:     binary.BigEndian.Uint64(b[13:]),
-	}
-	p.LastCommitted = Seq{
-		Epoch: binary.BigEndian.Uint32(b[21:]),
-		N:     binary.BigEndian.Uint64(b[25:]),
-	}
-	p.ClientID = binary.BigEndian.Uint32(b[33:])
-	p.ReqID = binary.BigEndian.Uint64(b[37:])
-	p.Span = 0 // simulation-only annotation, never on the wire
-	if klen > 0 {
-		// Borrowed string view over b — no copy. Safe because strings
-		// are only read and the contract forbids mutating b while any
-		// decoded view is live; Own() materializes a real copy.
-		p.Key = unsafe.String(&b[koff], klen)
-	} else {
-		p.Key = ""
-	}
-	if vlen > 0 {
-		p.Value = b[voff:end:end]
-	} else {
-		p.Value = nil
-	}
-	return end, nil
-}
-
-// Own replaces any borrowed key/value views with owned copies, after
-// which the packet is independent of the buffer it was decoded from.
-// Required exactly when a receiver retains the packet beyond the
-// lifetime of the decode buffer.
-func (p *Packet) Own() {
-	if len(p.Key) > 0 {
-		p.Key = string(append([]byte(nil), p.Key...))
-	}
-	if len(p.Value) > 0 {
-		p.Value = append([]byte(nil), p.Value...)
-	} else {
-		p.Value = nil
-	}
-}
+// it drops the message. Packets are immutable once sequenced — the
+// switch stamps header fields (Seq, LastCommitted, Flags, Group,
+// Switch) while it is the sole owner, and after fan-out every receiver
+// shares the struct and payload read-only; a sender that may
+// retransmit (client retries, cached re-replies) therefore sends a
+// FlightClone per transmission, never the retained original. Value
+// bytes are never recycled — only the packet struct is — so a store or
+// client table that aliased a released packet's payload stays valid.
+// An engine's packets come from one Pool, whose Live count is the leak
+// check in every build; double releases and uses after free panic.
 
 // Clone returns a deep copy of p: fresh header and a fresh payload
-// copy. Zero-length values normalize to nil, exactly as DecodeInto
-// produces them.
+// copy. Zero-length values normalize to nil.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.refs, q.pool = 0, nil // deep copies start unmanaged regardless of the source
@@ -455,7 +322,7 @@ const refsFreed int32 = -1
 // Pool is the packet free list of one engine, owned by whoever owns
 // the engine (a cluster, a protocol test harness) and not safe for
 // concurrent use: a sim.FreeList and a reference count. Only the struct
-// is recycled, never the Key or Value it points at. The zero value is
+// is recycled, never the Value it points at. The zero value is
 // an empty pool; a nil *Pool (NewPacket) hands out packets the GC
 // reclaims.
 type Pool struct {
@@ -494,12 +361,12 @@ func (pl *Pool) FlightClone(p *Packet) *Packet {
 }
 
 // Reply returns a packet from pl answering req with op: addressed to
-// req's client and request, about req's object, group and key. The
+// req's client and request, about req's object and group. The
 // trace span follows the op onto the reply leg, so the client's
 // completion hook can close it (internal/trace).
 func (pl *Pool) Reply(req *Packet, op Op) *Packet {
 	rep := pl.New()
-	rep.Op, rep.ObjID, rep.Group, rep.Key = op, req.ObjID, req.Group, req.Key
+	rep.Op, rep.ObjID, rep.Group = op, req.ObjID, req.Group
 	rep.ClientID, rep.ReqID, rep.Span = req.ClientID, req.ReqID, req.Span
 	return rep
 }

@@ -1,21 +1,9 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
-	"reflect"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
-
-// decode is DecodeInto into a fresh packet that owns its payload.
-func decode(b []byte) (*Packet, int, error) {
-	p := &Packet{}
-	n, err := DecodeInto(p, b)
-	p.Own()
-	return p, n, err
-}
 
 func TestSeqOrdering(t *testing.T) {
 	cases := []struct {
@@ -97,212 +85,19 @@ func TestHashKeyStable(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := &Packet{
-		Op:            OpWrite,
-		Flags:         FlagDelete | FlagFastPath,
-		ObjID:         0xDEADBEEF,
-		Switch:        5,
-		Seq:           Seq{3, 1234567},
-		LastCommitted: Seq{2, 99},
-		ClientID:      17,
-		ReqID:         0xABCDEF,
-		Key:           "some-key",
-		Value:         []byte("hello world"),
+// TestValueNormalization pins the copy contract: a zero-length value is
+// canonically nil on every path, so comparing packets across clones
+// never trips over empty-vs-nil.
+func TestValueNormalization(t *testing.T) {
+	p := &Packet{Op: OpWrite, ObjID: 123456, ClientID: 42, ReqID: 9001, Value: []byte{}}
+	if q := p.Clone(); q.Value != nil {
+		t.Fatalf("Clone of empty value = %#v, want nil", q.Value)
 	}
-	b, err := p.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
+	fc := p.FlightClone()
+	if fc.Value != nil {
+		t.Fatalf("FlightClone of empty value = %#v, want nil", fc.Value)
 	}
-	q, n, err := decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(b) {
-		t.Fatalf("consumed %d of %d bytes", n, len(b))
-	}
-	if q.Op != p.Op || q.Flags != p.Flags || q.ObjID != p.ObjID ||
-		q.Switch != p.Switch ||
-		q.Seq != p.Seq || q.LastCommitted != p.LastCommitted ||
-		q.ClientID != p.ClientID || q.ReqID != p.ReqID ||
-		q.Key != p.Key || !bytes.Equal(q.Value, p.Value) {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", p, q)
-	}
-}
-
-func TestEncodeDecodeEmptyFields(t *testing.T) {
-	p := &Packet{Op: OpRead, ObjID: 1}
-	b, err := p.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _, err := decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Key != "" || q.Value != nil {
-		t.Fatalf("empty fields not preserved: %+v", q)
-	}
-}
-
-// Property: Encode/Decode is the identity for arbitrary packets.
-func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(op uint8, flags uint8, obj uint32, sw uint8, se uint32, sn uint64,
-		le uint32, ln uint64, cid uint32, rid uint64, key string, val []byte) bool {
-		p := &Packet{
-			Op:            Op(op%5 + 1),
-			Flags:         Flags(flags),
-			ObjID:         ObjectID(obj),
-			Switch:        sw,
-			Seq:           Seq{se, sn},
-			LastCommitted: Seq{le, ln},
-			ClientID:      cid,
-			ReqID:         rid,
-			Key:           key,
-			Value:         val,
-		}
-		b, err := p.Encode(nil)
-		if err != nil {
-			return len(key) > MaxKeyLen
-		}
-		q, n, err := decode(b)
-		if err != nil || n != len(b) {
-			return false
-		}
-		if len(val) == 0 && q.Value != nil {
-			return false
-		}
-		return q.Op == p.Op && q.Flags == p.Flags && q.ObjID == p.ObjID &&
-			q.Switch == p.Switch &&
-			q.Seq == p.Seq && q.LastCommitted == p.LastCommitted &&
-			q.ClientID == p.ClientID && q.ReqID == p.ReqID &&
-			q.Key == p.Key && bytes.Equal(q.Value, p.Value)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, _, err := decode(nil); err == nil {
-		t.Fatal("nil input accepted")
-	}
-	if _, _, err := decode(make([]byte, 10)); err == nil {
-		t.Fatal("short input accepted")
-	}
-	p := &Packet{Op: OpRead, Key: "k", Value: []byte("v")}
-	b, _ := p.Encode(nil)
-	for cut := 1; cut < len(b); cut++ {
-		if _, _, err := decode(b[:len(b)-cut]); err == nil {
-			t.Fatalf("truncation by %d accepted", cut)
-		}
-	}
-	b[0] = 0 // invalid op
-	if _, _, err := decode(b); err != ErrBadOp {
-		t.Fatalf("bad op error = %v", err)
-	}
-}
-
-// stale is a packet as the pool might hand it back: every field set by
-// a previous incarnation.
-func stale() *Packet {
-	return &Packet{
-		Op: OpWriteReply, Flags: FlagDelete, ObjID: 77, Group: 3, Switch: 2,
-		Seq: Seq{9, 9}, LastCommitted: Seq{8, 8}, ClientID: 5, ReqID: 6, Span: 7,
-		Key: "stale-key", Value: []byte("stale-value"), refs: 1,
-	}
-}
-
-// within reports whether the n bytes at p lie inside b.
-func within(p unsafe.Pointer, n int, b []byte) bool {
-	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	return uintptr(p) >= lo && uintptr(p)+uintptr(n) <= lo+uintptr(len(b))
-}
-
-// FuzzDecodeInto holds DecodeInto to its contract on arbitrary bytes:
-// it never panics; a failed decode leaves the (pooled, stale) packet
-// exactly as it was; a successful one borrows Key and Value from inside
-// the bytes it consumed, leaves no field of the previous incarnation
-// behind, and re-encodes to those bytes. The same input read as a
-// packet's fields round-trips through Encode and DecodeInto.
-func FuzzDecodeInto(f *testing.F) {
-	for _, p := range []*Packet{
-		{Op: OpRead, ObjID: 1},
-		{Op: OpWrite, Flags: FlagDelete, ObjID: 0xDEADBEEF, Group: 4, Switch: 5, Seq: Seq{3, 1234567},
-			LastCommitted: Seq{2, 99}, ClientID: 17, ReqID: 0xABCDEF, Key: "some-key", Value: []byte("hello world")},
-	} {
-		b, _ := p.Encode(nil)
-		f.Add(b)
-		f.Add(b[:len(b)-1])
-		f.Add(b[:headerSize+2])
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p := stale()
-		n, err := DecodeInto(p, data)
-		if err != nil {
-			if !reflect.DeepEqual(p, stale()) {
-				t.Fatalf("failed decode (%v) changed the packet: %+v", err, p)
-			}
-		} else {
-			if n > len(data) {
-				t.Fatalf("consumed %d of %d bytes", n, len(data))
-			}
-			if len(p.Key) > 0 && !within(unsafe.Pointer(unsafe.StringData(p.Key)), len(p.Key), data[:n]) {
-				t.Fatal("Key points outside the decoded bytes")
-			}
-			if len(p.Value) > 0 && (!within(unsafe.Pointer(unsafe.SliceData(p.Value)), len(p.Value), data[:n]) || cap(p.Value) != len(p.Value)) {
-				t.Fatal("Value reaches outside the decoded bytes")
-			}
-			if p.Value != nil && len(p.Value) == 0 || p.Span != 0 || p.refs != 1 {
-				t.Fatalf("decoded packet kept state of its previous incarnation: %+v", p)
-			}
-			if b, err := p.Encode(nil); err != nil || !bytes.Equal(b, data[:n]) {
-				t.Fatalf("re-encoding gives %x, %v; decoded %x", b, err, data[:n])
-			}
-		}
-
-		// The input as fields: a header's worth of bytes, then key and
-		// value split at a byte-chosen point.
-		if len(data) < headerSize {
-			return
-		}
-		rest := data[headerSize:]
-		split := 0
-		if len(rest) > 0 {
-			split = int(rest[0]) % (len(rest) + 1)
-		}
-		in := &Packet{
-			Op: Op(data[0]%5 + 1), Flags: Flags(data[1]), ObjID: ObjectID(binary.BigEndian.Uint32(data[2:])),
-			Group: binary.BigEndian.Uint16(data[6:]), Switch: data[8],
-			Seq:           Seq{binary.BigEndian.Uint32(data[9:]), binary.BigEndian.Uint64(data[13:])},
-			LastCommitted: Seq{binary.BigEndian.Uint32(data[21:]), binary.BigEndian.Uint64(data[25:])},
-			ClientID:      binary.BigEndian.Uint32(data[33:]), ReqID: binary.BigEndian.Uint64(data[37:]),
-			Key: string(rest[:split]), Value: rest[split:],
-		}
-		b, err := in.Encode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := stale()
-		if n, err := DecodeInto(out, b); err != nil || n != len(b) {
-			t.Fatalf("decoding an encoding: %d of %d bytes, %v", n, len(b), err)
-		}
-		out.refs = 0
-		if len(in.Value) == 0 {
-			in.Value = nil
-		}
-		if !reflect.DeepEqual(out, in) {
-			t.Fatalf("round trip:\n in=%+v\nout=%+v", in, out)
-		}
-	})
-}
-
-func TestEncodeBadOp(t *testing.T) {
-	p := &Packet{Op: 0}
-	if _, err := p.Encode(nil); err != ErrBadOp {
-		t.Fatalf("err = %v, want ErrBadOp", err)
-	}
+	fc.Release()
 }
 
 func TestCloneIndependence(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package workload generates the key-access patterns used by the
 // paper's evaluation: uniform and zipfian (θ = 0.9) distributions over
-// a fixed key space, mixed with a configurable write ratio (§9.1: one
-// million objects, 5% writes by default).
+// a fixed key space (§9.1: one million objects). The read/write mix is
+// drawn by the cluster's load generator, which feeds on these.
 package workload
 
 import (
@@ -186,32 +186,6 @@ func ZipfKeyOfRank(n, rank int) int {
 
 // N implements Generator.
 func (z *Zipfian) N() int { return z.n }
-
-// Op is one generated operation.
-type Op struct {
-	Key     int
-	IsWrite bool
-}
-
-// Mix couples a key generator with a read/write ratio.
-type Mix struct {
-	Keys       Generator
-	WriteRatio float64 // fraction of operations that are writes
-	rng        *rand.Rand
-}
-
-// NewMix builds an operation mix.
-func NewMix(keys Generator, writeRatio float64, rng *rand.Rand) *Mix {
-	if writeRatio < 0 || writeRatio > 1 {
-		panic("workload: write ratio out of [0,1]")
-	}
-	return &Mix{Keys: keys, WriteRatio: writeRatio, rng: rng}
-}
-
-// Next returns the next operation.
-func (m *Mix) Next() Op {
-	return Op{Key: m.Keys.Next(), IsWrite: m.rng.Float64() < m.WriteRatio}
-}
 
 // KeyName formats a key index as the canonical string key used by the
 // client library ("obj%08d"), so a key space maps onto distinct

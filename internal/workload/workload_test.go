@@ -138,36 +138,6 @@ func TestZetaMatchesDirectSum(t *testing.T) {
 	}
 }
 
-func TestMixWriteRatio(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewMix(NewUniform(10, rng), 0.05, rng)
-	writes := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if m.Next().IsWrite {
-			writes++
-		}
-	}
-	frac := float64(writes) / n
-	if frac < 0.04 || frac > 0.06 {
-		t.Fatalf("write fraction %v, want ~0.05", frac)
-	}
-}
-
-func TestMixExtremes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m0 := NewMix(NewUniform(10, rng), 0, rng)
-	m1 := NewMix(NewUniform(10, rng), 1, rng)
-	for i := 0; i < 1000; i++ {
-		if m0.Next().IsWrite {
-			t.Fatal("write in read-only mix")
-		}
-		if !m1.Next().IsWrite {
-			t.Fatal("read in write-only mix")
-		}
-	}
-}
-
 func TestKeyNameDistinct(t *testing.T) {
 	if KeyName(1) == KeyName(2) {
 		t.Fatal("key names collide")
@@ -182,7 +152,6 @@ func TestPanics(t *testing.T) {
 		func() { NewUniform(0, rand.New(rand.NewSource(1))) },
 		func() { NewZipfian(0, 0.9, rand.New(rand.NewSource(1))) },
 		func() { NewZipfian(10, 1.5, rand.New(rand.NewSource(1))) },
-		func() { NewMix(NewUniform(1, rand.New(rand.NewSource(1))), 2, nil) },
 	}
 	for i, f := range cases {
 		func() {
