@@ -155,6 +155,10 @@ type vclient struct {
 	// on every send; one with a generator issues its next op on each
 	// reply, one without (SyncClient) leaves that to its caller.
 	closedLoop bool
+	// tornDown marks a client whose load run ended (RunLoads' teardown):
+	// its ops stay pending, so a late reply still closes its history op,
+	// but a dropped write is no longer reissued.
+	tornDown bool
 
 	// onReply, when set, observes every matched reply (SyncClient).
 	onReply func(pkt *wire.Packet)
@@ -257,7 +261,13 @@ func (v *vclient) Recv(from simnet.NodeID, msg simnet.Message) {
 		// drop would keep their phases, and the one always last to reach
 		// a freed slot would never win it. It runs on the op's timer, so
 		// the drops of two copies in flight (a retry's and its
-		// original's) bring one reissue.
+		// original's) bring one reissue. A torn-down client reissues
+		// nothing: its op would cycle through drops for the rest of the
+		// cluster's life.
+		if v.tornDown {
+			pkt.Release()
+			return
+		}
 		v.measuring.noteDropped()
 		st.timer.Stop()
 		if st.pkt.Span != 0 {
@@ -592,7 +602,7 @@ func (c *Cluster) RunLoads(specs []LoadSpec) []Report {
 		}
 		// Tear down: detach clients so the next run starts clean.
 		for _, v := range g.clients {
-			v.closedLoop = false
+			v.closedLoop, v.tornDown = false, true
 			v.pending.each(func(st *opState) {
 				st.timer.Stop()
 				if st.pkt.Span != 0 {

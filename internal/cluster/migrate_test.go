@@ -529,33 +529,7 @@ func TestFrozenSlotDropsAndRecovers(t *testing.T) {
 // sweeps after it must empty the set. The no-reclamation ablation turns
 // the sweep off with the cleanup.
 func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
-	dropCompletions := func(msg simnet.Message) bool {
-		pkt, ok := msg.(*wire.Packet)
-		return ok && (pkt.Op == wire.OpWriteReply || pkt.Op == wire.OpWriteCompletion)
-	}
-	run := func(ablate bool) *Cluster {
-		c := New(Config{
-			Protocol: Chain, Replicas: 3, UseHarmonia: true,
-			Stages: 1, SlotsPerStage: 512, Seed: 29, DisableLazyCleanup: ablate,
-		})
-		for r := 0; r < 3; r++ {
-			c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
-				Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
-			})
-		}
-		rep := c.RunLoad(LoadSpec{
-			Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond,
-			Warmup: 2 * time.Millisecond, WriteRatio: 1, Keys: 400,
-		})
-		if rep.Writes == 0 {
-			t.Fatal("no writes completed")
-		}
-		// Settle: in-flight writes finish (or are lost for good) while
-		// two sweeps run with the cluster idle.
-		c.RunFor(20 * time.Millisecond)
-		return c
-	}
-	c := run(false)
+	c := strayRig(t, 29, false)
 	for r := 0; r < 3; r++ {
 		c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{Latency: 5 * time.Microsecond})
 	}
@@ -573,9 +547,59 @@ func TestSweepReclaimsStraysWithoutReads(t *testing.T) {
 	if n := c.GroupScheduler(0).DirtyCount(); n != 0 {
 		t.Fatalf("%d stray entries survived the sweep", n)
 	}
-	c = run(true)
+	c = strayRig(t, 29, true)
 	if n, swept := c.GroupScheduler(0).DirtyCount(), c.GroupScheduler(0).Stats.SweptStale; n == 0 || swept != 0 {
 		t.Fatalf("DisableLazyCleanup: %d strays left, %d swept; want strays and no sweep", n, swept)
+	}
+}
+
+// strayRig runs a write-only load on one 3-replica chain group with a
+// one-stage, 512-slot dirty set while 30 % of the replica→switch
+// completions are dropped, so stray dirty entries pile up that no read
+// ever probes; then it settles for 20 ms, two sweeps' worth, with the
+// cluster idle. ablate turns the sweep off with the lazy cleanup.
+func strayRig(t *testing.T, seed int64, ablate bool) *Cluster {
+	t.Helper()
+	dropCompletions := func(msg simnet.Message) bool {
+		pkt, ok := msg.(*wire.Packet)
+		return ok && (pkt.Op == wire.OpWriteReply || pkt.Op == wire.OpWriteCompletion)
+	}
+	c := New(Config{
+		Protocol: Chain, Replicas: 3, UseHarmonia: true,
+		Stages: 1, SlotsPerStage: 512, Seed: seed, DisableLazyCleanup: ablate,
+	})
+	for r := 0; r < 3; r++ {
+		c.Network().SetLink(c.GroupReplicaAddr(0, r), c.SwitchAddrOf(0), simnet.LinkConfig{
+			Latency: 5 * time.Microsecond, DropProb: 0.3, DropFilter: dropCompletions,
+		})
+	}
+	rep := c.RunLoad(LoadSpec{
+		Mode: Closed, Clients: 32, Duration: 20 * time.Millisecond,
+		Warmup: 2 * time.Millisecond, WriteRatio: 1, Keys: 400,
+	})
+	if rep.Writes == 0 {
+		t.Fatal("no writes completed")
+	}
+	c.RunFor(20 * time.Millisecond)
+	return c
+}
+
+// TestTornDownClientReissuesNothing: a write the switch answers with
+// FlagDropped after RunLoads tore its client down is not reissued. With
+// the sweep ablated, strayRig's strays fill the dirty set for good, so
+// every write still pending at teardown is dropped each time it is
+// sent; a torn-down client that kept reissuing drew about 3000 drops a
+// millisecond for the rest of the cluster's life.
+func TestTornDownClientReissuesNothing(t *testing.T) {
+	c := strayRig(t, 2, true)
+	sched := c.GroupScheduler(0)
+	if sched.Stats.WritesDropped == 0 {
+		t.Fatal("the load drew no FlagDropped replies: the table never filled")
+	}
+	before := sched.Stats.WritesDropped
+	c.RunFor(100 * time.Millisecond)
+	if n := sched.Stats.WritesDropped - before; n != 0 {
+		t.Fatalf("%d writes dropped in the 100 ms after the load's teardown, want 0", n)
 	}
 }
 

@@ -111,6 +111,17 @@ func (b *Base) Apply(pkt *wire.Packet) error {
 	return b.Store.Apply(pkt.ObjID, pkt.Value, pkt.Seq, pkt.Flags&wire.FlagDelete != 0)
 }
 
+// Prefetch implements simnet.Prefetcher for the client packets every
+// protocol handles: a read, which HandleFastRead or ReadReply answers
+// from the store, and a write, which Apply installs. A protocol whose
+// own messages probe the store hints those itself and passes the rest
+// here.
+func (b *Base) Prefetch(msg simnet.Message) {
+	if pkt, ok := msg.(*wire.Packet); ok && (pkt.Op == wire.OpRead || pkt.Op == wire.OpWrite) {
+		b.Store.Prefetch(pkt.ObjID)
+	}
+}
+
 // ReadReply builds the reply for a read of pkt's object from the local
 // store. The reply comes from Pkts; the caller owns its one reference
 // and transfers it by sending.

@@ -209,6 +209,19 @@ func (r *Replica) Recv(from simnet.NodeID, msg simnet.Message) {
 	}
 }
 
+// Prefetch implements simnet.Prefetcher: a propagated write is applied
+// to the store, and a version query reads it at the tail.
+func (r *Replica) Prefetch(msg simnet.Message) {
+	switch m := msg.(type) {
+	case propagate:
+		r.Store.Prefetch(m.Pkt.ObjID)
+	case versionQuery:
+		r.Store.Prefetch(m.Pkt.ObjID)
+	default:
+		r.Base.Prefetch(msg)
+	}
+}
+
 func (r *Replica) recvPacket(pkt *wire.Packet) {
 	switch pkt.Op {
 	case wire.OpWrite:

@@ -246,7 +246,10 @@ func New(env protocol.Env, g protocol.GroupConfig, shards int, opts Options) *Re
 }
 
 // Leader returns the current view's leader index.
-func (r *Replica) Leader() int { return int(r.view % uint64(r.Group.N())) }
+func (r *Replica) Leader() int { return r.leaderOf(r.view) }
+
+// leaderOf returns the leader index of a view.
+func (r *Replica) leaderOf(view uint64) int { return int(view % uint64(r.Group.N())) }
 
 // IsLeader reports whether this replica leads the current view.
 func (r *Replica) IsLeader() bool { return r.Leader() == r.Group.Self }
@@ -664,7 +667,7 @@ func (r *Replica) stateTransfer(view uint64) {
 }
 
 func (r *Replica) leaderFor(view uint64) simnet.NodeID {
-	return r.Group.Addr(int(view % uint64(r.Group.N())))
+	return r.Group.Addr(r.leaderOf(view))
 }
 
 func (r *Replica) recvGetState(m getState) {
@@ -741,7 +744,7 @@ func (r *Replica) recvStartViewChange(m startViewChange) {
 	}
 	if r.voteSVC(m.View, m.Replica) {
 		// Send DO-VIEW-CHANGE to the new leader once a quorum agrees.
-		lead := int(m.View % uint64(r.Group.N()))
+		lead := r.leaderOf(m.View)
 		first, log := r.window()
 		dvc := doViewChange{
 			View: m.View, FirstOp: first, Log: log,
@@ -768,7 +771,7 @@ func (r *Replica) recvDoViewChange(m doViewChange) {
 	// Only the view's leader collects these, and only until it has
 	// started the view: a straggler must not sit in dvcMsgs pinning a
 	// copy of the window.
-	if m.View < r.view || r.status != statusViewChange || int(m.View%uint64(r.Group.N())) != r.Group.Self {
+	if m.View < r.view || r.status != statusViewChange || r.leaderOf(m.View) != r.Group.Self {
 		m.Release()
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"harmonia/internal/sim"
 	"harmonia/internal/wire"
@@ -249,10 +250,43 @@ func BenchmarkHopQueueDepth(b *testing.B) {
 	}
 }
 
+// TestFifoPopMovesNothingElse is the queue's O(1) pop, checked on the
+// ring itself: a pop clears the slot of the message it returns and
+// leaves every other slot as it was. A queue that shifted its backlog on
+// every pop made a hop 11× slower at depth 2000 than at depth 200.
+func TestFifoPopMovesNothingElse(t *testing.T) {
+	var f fifo
+	for i := 0; i < 20; i++ {
+		f.push(queued{from: NodeID(i)})
+	}
+	for i := 0; i < 10; i++ {
+		f.pop()
+	}
+	for i := 20; i < 42; i++ { // fills the 32-slot ring, wrapping past its end
+		f.push(queued{from: NodeID(i)})
+	}
+	if len(f.buf) != 32 || f.head != 10 {
+		t.Fatalf("ring of %d slots with head %d, want 32 and 10", len(f.buf), f.head)
+	}
+	for want := NodeID(10); f.n > 0; want++ {
+		before, head := append([]queued(nil), f.buf...), f.head
+		if got := f.pop(); got.from != want {
+			t.Fatalf("popped %d, want %d", got.from, want)
+		}
+		for i := range before {
+			if i != head && f.buf[i] != before[i] || i == head && f.buf[i] != (queued{}) {
+				t.Fatalf("popping %d changed slot %d (head %d): %v → %v", want, i, head, before[i], f.buf[i])
+			}
+		}
+	}
+}
+
 // TestHopCostIndependentOfDepth is the benchmark's claim as a test:
-// ns/hop at depth 2000 within 1.5× of depth 200 (it was 11× with a
-// queue that shifted its whole backlog on every pop). Best of several
-// interleaved trials per depth, so a noisy box cannot fail it.
+// ns/hop at depth 2000 within 4× of depth 200. The bound is loose, so
+// that a busy machine cannot fail it (best of several interleaved trials
+// per depth has read up to 1.54×), and a queue whose pop costs O(depth)
+// still does (it read 11×). TestFifoPopMovesNothingElse checks the same
+// without a clock.
 func TestHopCostIndependentOfDepth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing")
@@ -270,7 +304,7 @@ func TestHopCostIndependentOfDepth(t *testing.T) {
 			}
 		}
 	}
-	if ratio := float64(best[2000]) / float64(best[200]); ratio > 1.5 {
+	if ratio := float64(best[2000]) / float64(best[200]); ratio > 4 {
 		t.Fatalf("hop at depth 2000 costs %.2f× depth 200 (%v vs %v per %d hops)", ratio, best[2000], best[200], n)
 	}
 }
@@ -316,4 +350,13 @@ func TestSetLinkFromUnknownNodePanics(t *testing.T) {
 	_, net := newNet(1, LinkConfig{})
 	net.AddNode(2, HandlerFunc(func(NodeID, Message) {}), ProcConfig{})
 	net.SetLink(1, 2, LinkConfig{Latency: time.Microsecond})
+}
+
+// TestNodeSize pins a Node at 192 bytes. Nodes are carved 64 to a block,
+// and 64 × 192 bytes fills a size class (12 KiB) exactly, where 200
+// bytes would round each block up to 13.25 KiB. Every client is a node.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(Node{}); n != 192 {
+		t.Fatalf("Node is %d bytes, want 192", n)
+	}
 }

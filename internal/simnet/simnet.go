@@ -52,6 +52,15 @@ type Handler interface {
 	Recv(from NodeID, msg Message)
 }
 
+// Prefetcher is an optional Handler method: Prefetch runs when a worker
+// starts serving msg, a service time before Recv handles it, so a handler
+// can start loading the memory Recv will read and the load overlaps the
+// events in between. It must not change any state, send or schedule; it
+// only hints. Line-rate nodes serve nothing and never call it.
+type Prefetcher interface {
+	Prefetch(msg Message)
+}
+
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(from NodeID, msg Message)
 
@@ -132,19 +141,22 @@ func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
 // Node is a simulated endpoint.
 type Node struct {
-	id      NodeID
-	net     *Network
-	handler Handler
-	cfg     ProcConfig
-
-	down bool
-	idle int // idle workers
-	q    fifo
+	id NodeID
 	// inc counts crashes. A service completion scheduled before the
 	// latest SetDown(true) carries an older value and is discarded, so
 	// work abandoned by a crash can neither reach the handler nor hand
 	// back a worker the crash already reset.
-	inc uint32
+	inc     uint32
+	net     *Network
+	handler Handler
+	pf      Prefetcher // handler's Prefetch, resolved once; nil if it has none
+	cfg     ProcConfig
+
+	// down and idle share a word, as id and inc do: a Node is 192 bytes,
+	// so a block of 64 fills its size class exactly.
+	down bool
+	idle int32 // idle workers
+	q    fifo
 
 	// linkTo/links are this node's outgoing link overrides, parallel
 	// slices scanned linearly by Send: a node overrides a handful of
@@ -253,7 +265,8 @@ func (n *Network) AddNode(id NodeID, h Handler, cfg ProcConfig) *Node {
 		n.pages[p] = new(nodePage)
 	}
 	nd := n.nodes.Get()
-	*nd = Node{id: id, net: n, handler: h, cfg: cfg, idle: cfg.Workers}
+	*nd = Node{id: id, net: n, handler: h, cfg: cfg, idle: int32(cfg.Workers)}
+	nd.pf, _ = h.(Prefetcher)
 	n.pages[p][id&(1<<pageBits-1)] = nd
 	return nd
 }
@@ -381,7 +394,7 @@ func (n *Network) SetDown(id NodeID, down bool) {
 		// at once; bumping inc makes complete() discard the completions
 		// still scheduled for it, even if the node is back up by then.
 		nd.inc++
-		nd.idle = nd.cfg.Workers
+		nd.idle = int32(nd.cfg.Workers)
 	}
 }
 
@@ -422,6 +435,9 @@ func (nd *Node) arrive(from NodeID, msg Message) {
 
 // serve begins service for a message on a (now busy) worker.
 func (nd *Node) serve(from NodeID, msg Message) {
+	if nd.pf != nil {
+		nd.pf.Prefetch(msg)
+	}
 	if t := nd.net.tracer; t != nil {
 		t.PacketServe(nd.id, msg)
 	}

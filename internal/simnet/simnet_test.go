@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -324,5 +325,69 @@ func TestReorderingCanInvertOrder(t *testing.T) {
 	}
 	if !inverted {
 		t.Fatal("no reordering observed")
+	}
+}
+
+// hinter records each Prefetch and Recv with the simulated time it ran.
+type hinter struct {
+	eng *sim.Engine
+	log []string
+	at  map[string]sim.Time // a message's Prefetch time
+}
+
+func (h *hinter) Prefetch(msg Message) {
+	h.log = append(h.log, "prefetch "+msg.(string))
+	h.at[msg.(string)] = h.eng.Now()
+}
+
+func (h *hinter) Recv(_ NodeID, msg Message) {
+	h.log = append(h.log, "recv "+msg.(string))
+}
+
+// TestPrefetchAtServiceStart: a serving node's handler is hinted once
+// per message, with that message, when a worker starts it (a service
+// cost before its Recv), both for a message that finds a worker idle
+// and for one that waited in the queue. A line-rate node's handler is
+// never hinted, nor is a message dropped at a down node, on arrival or
+// from the queue it was waiting in.
+func TestPrefetchAtServiceStart(t *testing.T) {
+	const cost = 10 * time.Microsecond
+	eng, net := newNet(1, LinkConfig{Latency: time.Microsecond})
+	served := &hinter{eng: eng, at: map[string]sim.Time{}}
+	lineRate := &hinter{eng: eng, at: map[string]sim.Time{}}
+	net.AddNode(1, HandlerFunc(func(NodeID, Message) {}), ProcConfig{})
+	net.AddNode(2, served, ProcConfig{Workers: 2, Cost: func(Message) time.Duration { return cost }})
+	net.AddNode(3, lineRate, ProcConfig{})
+	for _, m := range []string{"a", "b", "c", "d"} {
+		net.Send(1, 2, m)
+		net.Send(1, 3, m)
+	}
+	eng.Run(sim.Time(time.Millisecond))
+	want := []string{"prefetch a", "prefetch b", "recv a", "prefetch c", "recv b", "prefetch d", "recv c", "recv d"}
+	if !slices.Equal(served.log, want) {
+		t.Fatalf("served node saw %q, want %q", served.log, want)
+	}
+	// a and b start on arrival at 1µs, c and d when a and b finish.
+	for m, start := range map[string]time.Duration{"a": 1, "b": 1, "c": 11, "d": 11} {
+		if got := served.at[m]; got != sim.Time(start*time.Microsecond) {
+			t.Fatalf("%s hinted at %v, want %v", m, time.Duration(got), start*time.Microsecond)
+		}
+	}
+	if len(lineRate.log) != 4 || len(lineRate.at) != 0 {
+		t.Fatalf("line-rate node saw %q", lineRate.log)
+	}
+
+	// Down node: one message in service and two queued when it goes
+	// down, then one more arrival while it is down.
+	served.log = nil
+	for _, m := range []string{"e", "f", "g", "h"} {
+		net.Send(1, 2, m)
+	}
+	eng.RunFor(2 * time.Microsecond) // e and f in service, g and h queued
+	net.SetDown(2, true)
+	net.Send(1, 2, "i")
+	eng.RunFor(time.Millisecond)
+	if want := []string{"prefetch e", "prefetch f"}; !slices.Equal(served.log, want) {
+		t.Fatalf("down node saw %q, want %q", served.log, want)
 	}
 }

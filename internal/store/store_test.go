@@ -605,3 +605,39 @@ func TestPackedWritesAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchChangesNothing: a hint for a present ID, an absent ID in a
+// populated slot, an ID of a slot never written, of a slot whose
+// objects were all deleted and of a dropped slot leaves the store's
+// contents as they were and allocates nothing.
+func TestPrefetchChangesNothing(t *testing.T) {
+	s := New(8)
+	live, deleted, dropped := slotIDs(5, 40), slotIDs(6, 3), slotIDs(7, 3)
+	for i, id := range slices.Concat(live[:20], deleted, dropped) {
+		if err := s.Apply(id, []byte{byte(i)}, seq(uint64(i+1)), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range deleted {
+		if err := s.Apply(id, nil, seq(uint64(100+i)), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.DropSlot(7)
+	before := s.Snapshot()
+	hints := slices.Concat(live, deleted, dropped, slotIDs(8, 3))
+	if n := testing.AllocsPerRun(100, func() {
+		for _, id := range hints {
+			s.Prefetch(id)
+		}
+	}); n != 0 {
+		t.Fatalf("Prefetch: %v allocations", n)
+	}
+	after := s.Snapshot()
+	if !sameObjects(after.Objects, before.Objects) || after.LastApplied != before.LastApplied {
+		t.Fatal("Prefetch changed the store's contents")
+	}
+	if s.SlotLen(6) != 0 || s.SlotLen(7) != 0 || s.SlotLen(8) != 0 || s.SlotLen(5) != 20 {
+		t.Fatalf("slot lengths %d %d %d %d after Prefetch", s.SlotLen(5), s.SlotLen(6), s.SlotLen(7), s.SlotLen(8))
+	}
+}
